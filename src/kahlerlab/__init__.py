@@ -3,7 +3,7 @@ surfaces and its S^1-reduced quantization toy model.
 
 Module map
 ----------
-numerics       quadrature, bracketed roots, least squares
+numerics       quadrature, least squares
 calabi         momentum profiles, weighted scalar curvature, admissibility
 ckem           boundary-value solver, Futaki curve, existence classification
 mabuchi        energy functional, gradients, unboundedness probes, paths
@@ -17,7 +17,6 @@ from .tolerances import TOL, Tolerances
 from .errors import (
     KahlerLabError,
     BadDirection,
-    NoBracket,
     NoConvergence,
     NonFiniteCurvature,
     NonFiniteIntegrand,

@@ -1,19 +1,22 @@
 """Input-hash result cache for CLI runs.
 
 A run's cache key is the SHA-256 of its canonical configuration (command
-name, parameters, package version).  Payloads are stored verbatim as text
-files under a local cache directory, so a cache hit reproduces the original
-output byte for byte — which is exactly what the determinism contract wants.
+name, parameters, and a fingerprint of the package source, so that no edit
+to the code can be answered from a result of the code before it).  Payloads
+are stored verbatim as text files under a local cache directory, so a cache
+hit reproduces the original output byte for byte — which is exactly what the
+determinism contract wants.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable
 
-__all__ = ["config_hash", "ResultCache"]
+__all__ = ["config_hash", "source_fingerprint", "ResultCache"]
 
 DEFAULT_CACHE_DIR = ".artifact-cache"
 
@@ -22,6 +25,15 @@ def config_hash(payload: dict[str, Any]) -> str:
     """Canonical SHA-256 of a JSON-serializable config dict."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@lru_cache(maxsize=1)
+def source_fingerprint() -> str:
+    """SHA-256 over the names and bytes of the package's *.py files."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 class ResultCache:

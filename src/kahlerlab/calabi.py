@@ -25,16 +25,15 @@ representation is tailored to boundary-vanishing profiles.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import NonFiniteCurvature, NotAdmissible, OutOfDomain
-from .numerics import Polynomial, gauss_legendre, integrate
+from .numerics import gauss_legendre, integrate
 from .tolerances import TOL
 
 __all__ = [
@@ -105,7 +104,7 @@ class Profile:
 
     Either polynomial kind (exact: numerator P with Theta = P/(z+kappa)) or
     grid kind (Chebyshev interpolant of G = Theta/(1-z^2) through sampled
-    values, plus endpoint slope data).
+    values).
     """
 
     def __init__(
@@ -114,9 +113,6 @@ class Profile:
         *,
         poly: Polynomial | None = None,
         gcoef: np.ndarray | None = None,
-        grid_z: np.ndarray | None = None,
-        grid_theta: np.ndarray | None = None,
-        endpoint_slopes: tuple[float, float] | None = None,
     ):
         if not kappa > 1.0:
             raise OutOfDomain("kappa must be > 1")
@@ -125,9 +121,6 @@ class Profile:
         self.kappa = float(kappa)
         self.poly = poly
         self._gcoef = gcoef
-        self._grid_z = grid_z
-        self._grid_theta = grid_theta
-        self._endpoint_slopes = endpoint_slopes
 
     # -- constructors -------------------------------------------------------
 
@@ -136,42 +129,12 @@ class Profile:
         return Profile(kappa, poly=P)
 
     @staticmethod
-    def from_theta_polynomial(theta: Polynomial, kappa: float) -> "Profile":
-        """Theta given directly as a polynomial; stores P = (z+kappa) Theta."""
-        P = theta * Polynomial(np.array([kappa, 1.0]))
-        return Profile(kappa, poly=P)
-
-    @staticmethod
     def from_callable(theta_fn: Callable, kappa: float, n: int = 96) -> "Profile":
         """Sample Theta at n interior Chebyshev nodes and interpolate
         G = Theta/(1-z^2)."""
         z = _chebpts1(n)
-        th = np.asarray(theta_fn(z), dtype=float)
-        return Profile.from_grid(z, th, kappa)
-
-    @staticmethod
-    def from_grid(
-        z: np.ndarray,
-        theta: np.ndarray,
-        kappa: float,
-        endpoint_slopes: tuple[float, float] | None = None,
-    ) -> "Profile":
-        z = np.asarray(z, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if np.any(np.abs(z) >= 1.0):
-            raise OutOfDomain("grid nodes must lie strictly inside (-1, 1)")
-        g = theta / (1.0 - z * z)
-        deg = min(len(z) - 1, 96)
-        gcoef = cheb.chebfit(z, g, deg)
-        prof = Profile(kappa, gcoef=gcoef, grid_z=z, grid_theta=theta)
-        if endpoint_slopes is None:
-            endpoint_slopes = (prof.dtheta(-1.0), prof.dtheta(1.0))
-        prof._endpoint_slopes = (float(endpoint_slopes[0]), float(endpoint_slopes[1]))
-        return prof
-
-    @property
-    def kind(self) -> str:
-        return "polynomial" if self.poly is not None else "grid"
+        g = np.asarray(theta_fn(z), dtype=float) / (1.0 - z * z)
+        return Profile(kappa, gcoef=cheb.chebfit(z, g, min(n - 1, 96)))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -218,44 +181,6 @@ class Profile:
         if self.poly is not None:
             return self.poly.deriv().deriv()(z)
         return 2.0 * self.dtheta(z) + (z + self.kappa) * self.d2theta(z)
-
-    @cached_property
-    def is_admissible(self) -> bool:
-        rep = check_boundary(self)
-        if not rep.passes:
-            return False
-        z = gauss_legendre(TOL.quad_order_mabuchi).nodes
-        return bool(np.all(self.theta(z) > TOL.interior_positivity))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        if self.poly is not None:
-            rec = {"kind": "polynomial", "data": list(self.poly.coef), "kappa": self.kappa}
-        else:
-            rec = {
-                "kind": "grid",
-                "data": {
-                    "z": list(map(float, self._grid_z)),
-                    "theta": list(map(float, self._grid_theta)),
-                    "endpoint_slopes": list(self._endpoint_slopes),
-                },
-                "kappa": self.kappa,
-            }
-        return json.dumps(rec)
-
-    @staticmethod
-    def from_json(text: str) -> "Profile":
-        rec = json.loads(text)
-        if rec["kind"] == "polynomial":
-            return Profile(rec["kappa"], poly=Polynomial(np.array(rec["data"])))
-        data = rec["data"]
-        return Profile.from_grid(
-            np.array(data["z"]),
-            np.array(data["theta"]),
-            rec["kappa"],
-            endpoint_slopes=tuple(data["endpoint_slopes"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .calabi import Profile, RuledSurfaceData
 from .errors import OutOfDomain, SearchFailed
-from .numerics import Polynomial, brent_root, solve_least_squares
+from .numerics import solve_least_squares
 from .tolerances import TOL
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "kappa_zero",
     "classify",
     "interior_min",
-    "ode_residual",
     "SweepRow",
     "sweep",
     "write_sweep_csv",
@@ -157,8 +157,9 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     x = x_s / scale
     alpha, beta, c = (float(v) for v in x)
     defect = float(np.linalg.norm(A @ x - y))
-    P = Polynomial.from_powers_of(
-        b, [-c * (kappa - b) / 12.0, -c / 6.0, sC / 2.0, alpha, beta]
+    # P is a quartic in t = z + b; compose to get its coefficients in z
+    P = Polynomial([-c * (kappa - b) / 12.0, -c / 6.0, sC / 2.0, alpha, beta])(
+        Polynomial([b, 1.0])
     )
     return PKappaSolution(P=P, c=c, futaki_residual=defect, kappa=kappa, b=b, surface=surf)
 
@@ -175,51 +176,21 @@ def futaki_residual(kappa: float, X: RuledSurfaceData | None = None) -> Callable
     return residual
 
 
-def ode_residual(
-    P: Polynomial, c: float, kappa: float, b: float, base_scal: float
-) -> Callable:
-    """Pointwise residual of (z+b)^2 P'' - 6(z+b) P' + 12 P = s_C (z+b)^2 - c (z+kappa)."""
-    dP = P.deriv()
-    d2P = dP.deriv()
-
-    def res(z):
-        z = np.asarray(z, dtype=float)
-        t = z + b
-        lhs = t * t * d2P(z) - 6.0 * t * dP(z) + 12.0 * P(z)
-        rhs = base_scal * t * t - c * (z + kappa)
-        out = lhs - rhs
-        return out if out.ndim else float(out)
-
-    return res
-
-
-def interior_min(
-    P: Polynomial, n_scan: int = 512, edge: float = 1e-9
-) -> tuple[float, float]:
+def interior_min(P: Polynomial, edge: float = 1e-9) -> tuple[float, float]:
     """Minimum of P over its interior critical points in (-1, 1).
 
-    Critical points are located by a sign scan of P' followed by bracketed
-    root-finding; the endpoints (where P vanishes on the Futaki curve by
-    construction) are excluded. Returns (min value, argmin); (+inf, nan)
-    if no interior critical point exists.
+    Critical points are the real roots of P' in [-1+edge, 1-edge]; the
+    endpoints (where P vanishes on the Futaki curve by construction) are
+    excluded. Returns (min value, argmin); (+inf, nan) if no interior
+    critical point exists.
     """
-    dP = P.deriv()
-    zs = np.linspace(-1.0 + edge, 1.0 - edge, n_scan + 1)
-    vals = dP(zs)
-    crits: list[float] = []
-    for i in range(n_scan):
-        a, fb = vals[i], vals[i + 1]
-        if a == 0.0:
-            crits.append(float(zs[i]))
-        elif a * fb < 0.0:
-            crits.append(brent_root(dP, float(zs[i]), float(zs[i + 1])))
-    if vals[-1] == 0.0:
-        crits.append(float(zs[-1]))
-    if not crits:
+    roots = P.deriv().roots()
+    crits = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) <= 1.0 - edge)]
+    if crits.size == 0:
         return math.inf, math.nan
-    pv = [float(P(z)) for z in crits]
+    pv = P(crits)
     i = int(np.argmin(pv))
-    return pv[i], crits[i]
+    return float(pv[i]), float(crits[i])
 
 
 def _m_of_kappa(kappa: float, X: RuledSurfaceData | None) -> tuple[float, float]:
@@ -268,11 +239,13 @@ def kappa_zero(
 def classify(
     kappa: float, X: RuledSurfaceData | None = None, tol: float = TOL.classify_tol
 ) -> ClassLabel:
-    """Existence classification by the sign pattern of P_kappa on (-1, 1).
+    """Existence classification by the sign pattern of P_kappa on (-1, 1)."""
+    return _label(_m_of_kappa(kappa, X)[0], tol)
 
-    The |min P| <= tol band wins over the sign tests (double-root tie-break).
-    """
-    m, _ = _m_of_kappa(kappa, X)
+
+def _label(m: float, tol: float) -> ClassLabel:
+    """Label from the interior minimum m of P; the |m| <= tol band wins over
+    the sign tests (double-root tie-break)."""
     if abs(m) <= tol:
         return ClassLabel.DOUBLE_ROOT
     if m < 0.0:
@@ -304,12 +277,6 @@ def sweep(
         bk = b_kappa(kappa)
         sol = solve_P(kappa, bk, X)
         m, zm = interior_min(sol.P)
-        if abs(m) <= tol:
-            label = ClassLabel.DOUBLE_ROOT
-        elif m < 0.0:
-            label = ClassLabel.NEGATIVE_SOMEWHERE
-        else:
-            label = ClassLabel.EXISTS_CKEM
         rows.append(
             SweepRow(
                 kappa=float(kappa),
@@ -318,7 +285,7 @@ def sweep(
                 futaki_residual=sol.futaki_residual,
                 min_P=m,
                 argmin_z=zm,
-                label=label,
+                label=_label(m, tol),
             )
         )
     return rows

@@ -25,17 +25,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import __version__
-from .cache import ResultCache, config_hash
-from .errors import KahlerLabError, OutOfDomain
+from .cache import ResultCache, config_hash, source_fingerprint
+from .errors import ConfigError, KahlerLabError, OutOfDomain
 from .tolerances import TOL
 from .calabi import RuledSurfaceData
 from .ckem import (
-    SWEEP_CSV_HEADER,
     b_kappa,
     classify,
     interior_min,
@@ -70,10 +69,6 @@ __all__ = ["main", "RunConfig", "RunRecord"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-
-
-class ConfigError(Exception):
-    """Invalid command-line configuration (exit code 2)."""
 
 
 # -- config / record ---------------------------------------------------------
@@ -111,7 +106,7 @@ class RunConfig:
             raise ConfigError("tol must be positive")
 
     def hash(self) -> str:
-        return config_hash({"command": self.command, "params": self.params, "version": __version__})
+        return config_hash({"command": self.command, "params": self.params, "code": source_fingerprint()})
 
 
 @dataclass(frozen=True)
@@ -258,24 +253,23 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
 
 
 def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
-    kappa = args.kappa
-    if kappa is None:
-        kappa = 0.5 * (1.0 + kappa_zero())
     ks = _parse_k_range(args.k_range) if args.k_range else list(range(0, 65))
     cfg = RunConfig(
         "mabuchi-probe",
         {
-            "kappa": kappa,
+            "kappa": args.kappa,
             "genus": args.genus,
             "degree": args.degree,
             "k_list": [max(k, 1) for k in ks],
             "seed": args.seed,
         },
     )
-    X = RuledSurfaceData.standard(kappa, genus=args.genus, degree=args.degree)
+    X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
     cache = ResultCache(enabled=not args.no_cache)
 
     def produce() -> str:
+        # default kappa: midpoint of (1, kappa0) of the surface the flags name
+        kappa = args.kappa if args.kappa is not None else 0.5 * (1.0 + kappa_zero(X))
         sol = solve_P(kappa, b_kappa(kappa), X)
         label = str(classify(kappa, X))
         _, zm = interior_min(sol.P)
@@ -349,7 +343,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "verify",
         {"tags": tags, "breach": args.breach, "seed": args.seed},
     )
-    cache = ResultCache(enabled=not args.no_cache)
 
     try:
         results = run_checks(tags=tags, breach=args.breach)
@@ -359,7 +352,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     write_check_csv(results, buf)
     payload = buf.getvalue()
     ok = all_passed(results)
-    cache.store(cfg.hash(), payload, suffix=".csv")
     _emit(payload, _record(cfg, False, ok, args.out), args.out)
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -15,10 +15,6 @@ class NonFiniteIntegrand(KahlerLabError):
     """An integrand evaluated to NaN or infinity at a quadrature node."""
 
 
-class NoBracket(KahlerLabError):
-    """Root finding requested on an interval without a sign change."""
-
-
 class NoConvergence(KahlerLabError):
     """An iterative method exhausted its iteration budget."""
 

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NotTraceless, OutOfDomain
 from .numerics import gauss_legendre
 from .quantization import (
-    FSPotential,
     HermitianNorms,
     RadialPotential,
     SpectrumData,

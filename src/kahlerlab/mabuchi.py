@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -40,7 +39,7 @@ from numpy.polynomial import chebyshev as cheb
 from .calabi import KillingData, Profile, weighted_average_c, weighted_scalar_curvature
 from .ckem import PKappaSolution
 from .errors import BadDirection, NotAdmissible, OutOfDomain
-from .numerics import gauss_legendre, graded_rule, integrate
+from .numerics import gauss_legendre, graded_rule
 from .tolerances import TOL
 
 __all__ = [
@@ -72,12 +71,11 @@ class SymplecticPotential:
     admissible profile).
     """
 
-    def __init__(self, dfun: Callable, kappa: float, grid: tuple | None = None):
+    def __init__(self, dfun: Callable, kappa: float):
         if not kappa > 1.0:
             raise OutOfDomain("kappa must be > 1")
         self.kappa = float(kappa)
         self._dfun = dfun
-        self.grid = grid  # (z, u'') samples when constructed from data
         z = cheb.chebpts1(160)
         if np.any(self.D(z) <= 0.0):
             raise NotAdmissible("u'' must be positive on the interior grid")
@@ -103,11 +101,7 @@ class SymplecticPotential:
         d = (1.0 - z * z) * u2
         deg = min(len(z) - 1, 120)
         coef = cheb.chebfit(z, d, deg)
-        return SymplecticPotential(
-            lambda x: cheb.chebval(np.asarray(x, dtype=float), coef),
-            kappa,
-            grid=(z.copy(), u2.copy()),
-        )
+        return SymplecticPotential(lambda x: cheb.chebval(np.asarray(x, dtype=float), coef), kappa)
 
     @staticmethod
     def reference(kappa: float) -> "SymplecticPotential":
@@ -293,11 +287,10 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 
 @dataclass(frozen=True)
 class PathFamily:
-    """A path t in [0,1] -> Profile, with an optional exact t-derivative
-    of Theta (FD in t is used when absent)."""
+    """A path t in [0,1] -> Profile, with the exact t-derivative of Theta."""
 
     at: Callable[[float], Profile]
-    theta_dot: Callable[[float, np.ndarray], np.ndarray] | None = None
+    theta_dot: Callable[[float, np.ndarray], np.ndarray]
 
 
 def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
@@ -372,17 +365,14 @@ def _udot_on(zq: np.ndarray, prof: Profile, theta_dot_vals_at) -> np.ndarray:
 
 
 def mabuchi_path_integral(
-    family: PathFamily | Callable[[float], Profile],
+    family: PathFamily,
     k: KillingData,
     sol: PKappaSolution,
     t_order: int = TOL.quad_order_path,
-    fd_step: float = 1e-5,
 ) -> float:
     """Integrate the 1-form int u_dot (Scal_p - c) f^{-(p+1)} (z+kappa) dz
     along the path. c is frozen from the class average at the path start.
     """
-    if not isinstance(family, PathFamily):
-        family = PathFamily(at=family)
     X = sol.surface
     kappa = sol.kappa
     prof0 = family.at(0.0)
@@ -394,14 +384,7 @@ def mabuchi_path_integral(
     total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):
         prof = family.at(float(t))
-        if family.theta_dot is not None:
-            td = family.theta_dot
-            tdot = lambda z, _t=float(t): np.asarray(td(_t, z), dtype=float)
-        else:
-            pa = family.at(min(1.0, float(t) + fd_step))
-            pb = family.at(max(0.0, float(t) - fd_step))
-            dt_used = min(1.0, float(t) + fd_step) - max(0.0, float(t) - fd_step)
-            tdot = lambda z, _pa=pa, _pb=pb, _h=dt_used: (_pa.theta(z) - _pb.theta(z)) / _h
+        tdot = lambda z, _t=float(t): np.asarray(family.theta_dot(_t, z), dtype=float)
         th = prof.theta(zq)
         if np.any(th <= 0.0):
             raise NotAdmissible("intermediate profile is not positive")

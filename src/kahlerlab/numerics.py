@@ -1,5 +1,4 @@
-"""Shared numeric kernels: quadrature, bracketed roots, least squares,
-and a small ascending-coefficient polynomial type.
+"""Shared numeric kernels: quadrature and least squares.
 
 Everything here is pure and immutable after construction; callers are free
 to use these objects concurrently. Endpoint-singular integrands are the
@@ -9,23 +8,19 @@ kernel stays generic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import NoBracket, NoConvergence, NonFiniteIntegrand, RankDeficient
-from .tolerances import TOL
+from .errors import NonFiniteIntegrand, RankDeficient
 
 __all__ = [
     "QuadratureRule",
-    "Polynomial",
     "gauss_legendre",
     "graded_rule",
     "integrate",
-    "brent_root",
     "solve_least_squares",
 ]
 
@@ -110,41 +105,13 @@ def graded_rule(
 
 
 def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sum w_i f(z_i). `f` may be vectorized; scalar callables are handled too."""
-    try:
-        vals = np.asarray(f(rule.nodes), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.array([float(f(z)) for z in rule.nodes])
+    """Sum w_i f(z_i) for a vectorized `f`."""
+    vals = np.asarray(f(rule.nodes), dtype=float)
     if vals.shape != rule.nodes.shape:
         vals = np.broadcast_to(vals, rule.nodes.shape)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand is not finite at a quadrature node")
     return float(np.dot(rule.weights, vals))
-
-
-def brent_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = TOL.brent_tol,
-    max_iter: int = 100,
-) -> float:
-    """Root of f on [lo, hi] by Brent's method. Requires a sign change."""
-    flo = float(f(lo))
-    fhi = float(f(hi))
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if flo * fhi > 0.0:
-        raise NoBracket(f"no sign change on [{lo}, {hi}]: f(lo)={flo:g}, f(hi)={fhi:g}")
-    try:
-        root, info = brentq(f, lo, hi, xtol=tol, maxiter=max_iter, full_output=True)
-    except RuntimeError as exc:  # scipy signals maxiter this way
-        raise NoConvergence(str(exc)) from exc
-    if not info.converged:
-        raise NoConvergence(f"brent did not converge in {max_iter} iterations")
-    return float(root)
 
 
 def solve_least_squares(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -165,92 +132,3 @@ def solve_least_squares(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float
         raise RankDeficient(f"column rank {rank} < {c}")
     return x, float(np.linalg.norm(A @ x - y))
 
-
-def _trim(coef: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(coef)[0]
-    if nz.size == 0:
-        return coef[:1] * 0.0
-    return coef[: nz[-1] + 1]
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial with ascending real coefficients.
-
-    Trailing zero coefficients are trimmed so the stored degree is exact
-    (the zero polynomial keeps a single 0.0 coefficient).
-    """
-
-    coef: np.ndarray = field(default_factory=lambda: np.zeros(1))
-
-    def __post_init__(self) -> None:
-        c = np.atleast_1d(np.asarray(self.coef, dtype=float))
-        object.__setattr__(self, "coef", _trim(c))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coef) - 1
-
-    def __call__(self, z):
-        """Horner evaluation (vectorized over numpy arrays)."""
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        for c in self.coef[::-1]:
-            out = out * z + c
-        return out if out.ndim else float(out)
-
-    def deriv(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial(np.zeros(1))
-        n = np.arange(1, len(self.coef))
-        return Polynomial(self.coef[1:] * n)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coef, other.coef
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        out[: len(b)] += b
-        return Polynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coef, other.coef))
-        return Polynomial(self.coef * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-self.coef)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def shift(self, a: float) -> "Polynomial":
-        """The polynomial q with q(z) = p(z + a)."""
-        out = Polynomial(np.zeros(1))
-        za = Polynomial(np.array([a, 1.0]))
-        power = Polynomial(np.ones(1))
-        for c in self.coef:
-            out = out + c * power
-            power = power * za
-        return out
-
-    def real_roots(self, tol: float = 1e-9) -> np.ndarray:
-        """Real roots (imaginary part below tol), ascending."""
-        if self.degree == 0:
-            return np.array([])
-        rts = np.polynomial.polynomial.polyroots(self.coef)
-        real = np.sort(rts[np.abs(rts.imag) < tol].real)
-        return real
-
-    @staticmethod
-    def from_powers_of(a: float, weights: Sequence[float]) -> "Polynomial":
-        """Sum_i weights[i] * (z + a)^i as an explicit polynomial in z."""
-        out = Polynomial(np.zeros(1))
-        base = Polynomial(np.array([a, 1.0]))
-        power = Polynomial(np.ones(1))
-        for wgt in weights:
-            out = out + float(wgt) * power
-            power = power * base
-        return out

@@ -36,12 +36,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from scipy.special import logsumexp, softmax, xlogy
 
 from .errors import NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
 from .numerics import gauss_legendre
@@ -85,6 +83,17 @@ def sup_grid() -> np.ndarray:
 
 def _mu_rule():
     return gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) along `axis`, shifted by the maximum so exp cannot overflow."""
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x, with its limit 0 at x = 0."""
+    return x * np.log(np.where(x == 0.0, 1.0, x))
 
 
 @dataclass(frozen=True)
@@ -349,7 +358,7 @@ class ProfilePotential(RadialPotential):
         x = 2.0 * mu - 1.0
         a, b = self._R_aff
         R = cheb.chebval(x, self._Rc) - a - b * (mu - 0.5)
-        v0 = xlogy(mu, mu) + xlogy(1.0 - mu, 1.0 - mu)
+        v0 = _xlogx(mu) + _xlogx(1.0 - mu)
         return v0 + R
 
     def t_of_mu(self, mu):
@@ -379,12 +388,17 @@ class FSPotential(_TNativePotential):
     def _psi_native(self, t):
         t_in = np.asarray(t, dtype=float)
         sc = self._scores(t_in)
-        out = (logsumexp(sc, axis=0) - self.log_ck) / self.k
+        out = (_logsumexp(sc, axis=0) - self.log_ck) / self.k
         return out.reshape(t_in.shape) if t_in.ndim else float(out[0])
 
     def _dpsi(self, t, order: int):
         t_in = np.asarray(t, dtype=float)
-        w = softmax(self._scores(t_in), axis=0)
+        # softmax normalized by its sum: exp(sc - logsumexp(sc)) would put the
+        # absolute rounding of logsumexp (~|sc| eps) into every weight, and
+        # the cumulant cancellations of psi'''' amplify it
+        sc = self._scores(t_in)
+        e = np.exp(sc - np.max(sc, axis=0))
+        w = e / np.sum(e, axis=0)
         j = self._j[:, None]
         m1 = np.sum(w * j, axis=0)
         if order == 1:
@@ -531,17 +545,6 @@ class HermitianNorms:
         if not np.all(np.isfinite(self.log_h)):
             raise OutOfDomain("norms must be positive and finite")
 
-    @property
-    def h(self) -> np.ndarray:
-        return np.exp(self.log_h)
-
-    @staticmethod
-    def from_h(h: Sequence[float], k: int | None = None) -> "HermitianNorms":
-        h = np.asarray(h, dtype=float)
-        if np.any(h <= 0.0):
-            raise OutOfDomain("norms must be positive")
-        return HermitianNorms(k=(len(h) - 1 if k is None else k), log_h=np.log(h))
-
 
 def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> SpectrumData:
     """lambda_j = b0 + j/k and the twisted weights lambda_j(p).
@@ -624,7 +627,7 @@ def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
     mu = rule.nodes
     E = _log_section_densities(phi, k, mu)
     logw = np.log(rule.weights) + (1.0 - model.p) * np.log(model.f(mu))
-    return logsumexp(E + logw[None, :], axis=1) + math.log(2.0 * math.pi * k)
+    return _logsumexp(E + logw[None, :], axis=1) + math.log(2.0 * math.pi * k)
 
 
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
@@ -669,7 +672,7 @@ def bergman_density(
     muq = rule.nodes
     Eq = _log_section_densities(phi, k, muq)
     logw = np.log(rule.weights) + np.log(np.asarray(Psi(model.f(muq)), dtype=float))
-    log_g = logsumexp(Eq + logw[None, :], axis=1) + math.log(2.0 * math.pi * k)
+    log_g = _logsumexp(Eq + logw[None, :], axis=1) + math.log(2.0 * math.pi * k)
     phi_lam = np.asarray(Phi(spec.lam), dtype=float)
 
     def B(mu):

@@ -13,17 +13,11 @@ from dataclasses import dataclass
 class Tolerances:
     # numerics
     quad_exactness: float = 1e-12      # Gauss rule on polynomials of deg <= 2n-1
-    quad_weight_sum: float = 1e-13     # |sum(w) - (hi-lo)|
-    brent_tol: float = 1e-12           # default xtol for bracketed roots
-    lsq_orthogonality: float = 1e-10   # ||A^T (Ax-y)|| < tol * ||A|| ||y||
 
     # profiles / curvature
     boundary_defect: float = 1e-9      # momentum-profile boundary conditions
-    interior_positivity: float = 0.0   # strict positivity at check nodes
-    scal_constancy: float = 1e-8       # sup |Scal_p - c| on the Futaki curve
     c_invariance: float = 1e-8         # profile-independence of the average c
     p1_reduction: float = 1e-13        # p=1 specialization identity
-    roundtrip: float = 1e-13           # profile <-> symplectic potential
 
     # ckem solver
     futaki_on_curve: float = 1e-10
@@ -32,11 +26,8 @@ class Tolerances:
     classify_tol: float = 1e-8         # DoubleRoot tie-break band
 
     # mabuchi
-    grad_fd: float = 1e-7              # analytic vs central-difference gradient
-    grad_fd_step: float = 1e-5
     el_gradient: float = 1e-7          # gradient at the Euler-Lagrange point
     loop_closure: float = 1e-8         # path-integral loops
-    lambda_spread: float = 1e-5        # relative spread of the amt calibration
     u2_boundary: float = 1e-6          # |(1-z^2) u'' - 1| at the endpoints
     probe_slope_rel: float = 0.02      # measured vs predicted probe slope
 
@@ -47,8 +38,6 @@ class Tolerances:
     balanced_residual: float = 1e-8    # sup |rho - C_k f^{1-p}|
     z_convexity: float = 1e-9          # second differences >= -tol
     z_prime: float = 1e-9              # |Z'(0)| at balanced
-    unitary_invariance: float = 1e-12
-    eps_hat: float = 1e-3              # almost-balanced defect by k=64
 
     # quadrature orders
     quad_order_default: int = 64

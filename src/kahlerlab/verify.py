@@ -53,7 +53,6 @@ from .mabuchi import (
     unboundedness_probe,
 )
 from .quantization import (
-    HermitianNorms,
     ToyModel,
     balanced_iterate,
     balanced_residual,

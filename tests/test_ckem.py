@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from kahlerlab.ckem import (
     SWEEP_CSV_HEADER,
@@ -17,7 +18,6 @@ from kahlerlab.ckem import (
     sweep,
     write_sweep_csv,
 )
-from kahlerlab.numerics import Polynomial
 from kahlerlab.errors import OutOfDomain
 
 # Derived once by the bisection test below and frozen as a regression anchor.
@@ -60,6 +60,14 @@ def test_interior_min_of_known_polynomial():
     m, zm = interior_min(Polynomial([-0.25, 0.0, 1.0]))
     np.testing.assert_allclose(m, -0.25, atol=1e-12)
     np.testing.assert_allclose(zm, 0.0, atol=1e-8)
+    # (z^2 - 1/4)^2 + z/10 has local minima near -1/2 and +1/2; the tilt
+    # makes the left one the lower, and a dense grid is the oracle
+    quartic = Polynomial([0.0625, 0.1, -0.5, 0.0, 1.0])
+    m, zm = interior_min(quartic)
+    zs = np.linspace(-1.0, 1.0, 200001)
+    np.testing.assert_allclose(m, quartic(zs).min(), atol=1e-9)
+    assert -1.0 < zm < 0.0
+    np.testing.assert_allclose(quartic.deriv()(zm), 0.0, atol=1e-12)
 
 
 def test_kappa_zero_matches_frozen_value():

@@ -1,11 +1,19 @@
 """Front-end plumbing: dispatch,validation, records, caching, exit codes."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kahlerlab.cli import main
-from kahlerlab.ckem import SWEEP_CSV_HEADER, b_kappa, sweep
+import kahlerlab
+import kahlerlab.cli as cli
+from kahlerlab.calabi import RuledSurfaceData
+from kahlerlab.cli import build_parser, main
+from kahlerlab.ckem import SWEEP_CSV_HEADER, b_kappa, kappa_zero, sweep
 
 
 @pytest.fixture()
@@ -97,3 +105,46 @@ def test_mabuchi_probe_explicit_kappa(workdir, capsys):
     verdict = json.loads(lines[-1])
     assert verdict["label"] == "NegativeSomewhere"
     assert verdict["slope"] < 0.0
+
+
+def test_mabuchi_probe_default_kappa_follows_the_surface(workdir, capsys):
+    # the default kappa is the midpoint of (1, kappa0) of the surface the
+    # flags name; kappa0(2, 2) = 1.0102 lies below that midpoint for (2, 1)
+    assert main(["mabuchi-probe", "--degree", "2", "--no-cache"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdict = json.loads(lines[-1])
+    assert verdict["kappa"] < kappa_zero(RuledSurfaceData.standard(1.5, degree=2))
+    assert verdict["label"] == "NegativeSomewhere"
+    energies = [float(line.split(",")[1]) for line in lines[1:-1]]
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+def test_cache_key_follows_the_source_fingerprint(workdir, monkeypatch):
+    def run(name):
+        assert main(["pkappa", "--kappa", "1.25", "--out", str(workdir / name)]) == 0
+        return json.loads((workdir / f"{name}.record.json").read_text())
+
+    first, second = run("a.csv"), run("b.csv")
+    assert not first["cache_hit"] and second["cache_hit"]
+    assert second["input_hash"] == first["input_hash"]
+    monkeypatch.setattr(cli, "source_fingerprint", lambda: "edited source")
+    third = run("c.csv")
+    assert not third["cache_hit"]
+    assert third["input_hash"] != first["input_hash"]
+    assert (workdir / "c.csv").read_bytes() == (workdir / "a.csv").read_bytes()
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines() if line.startswith("kahlerlab ")]
+    assert len(lines) == 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(kahlerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import kahlerlab.cli; import sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -3,13 +3,12 @@ import pytest
 
 from kahlerlab.numerics import (
     QuadratureRule,
-    brent_root,
     gauss_legendre,
     graded_rule,
     integrate,
     solve_least_squares,
 )
-from kahlerlab.errors import NoBracket, RankDeficient
+from kahlerlab.errors import RankDeficient
 
 
 def test_gauss_exactness_to_degree_2n_minus_1():
@@ -45,16 +44,6 @@ def test_integrate_scalar_callable():
     rule = gauss_legendre(16, 0.0, np.pi)
     got = integrate(rule, lambda z: float(np.sin(z)) if np.isscalar(z) else np.sin(z))
     np.testing.assert_allclose(got, 2.0, rtol=1e-12)
-
-
-def test_brent_root_basic():
-    root = brent_root(np.cos, 1.0, 2.0)
-    np.testing.assert_allclose(root, np.pi / 2.0, atol=1e-12)
-
-
-def test_brent_requires_bracket():
-    with pytest.raises(NoBracket):
-        brent_root(lambda z: 1.0 + z * z, -1.0, 1.0)
 
 
 def test_least_squares_recovers_exact_solution():
