@@ -8,7 +8,7 @@ Output layout
 -------------
 Each command produces one text payload (CSV for sweeps and k-scans, JSON for
 verdict-style results).  With ``--out PATH`` the payload is written to PATH
-and a JSON run record (input hash, version, timestamps, seed, pass flag) is
+and a JSON run record (input hash, version, timestamps, pass flag) is
 written next to it as ``PATH.record.json``; without ``--out`` the payload
 goes to stdout and the record to stderr.  Payload bytes are deterministic
 for a fixed config; records carry timestamps and are not.
@@ -116,7 +116,6 @@ class RunRecord:
     created_utc: str
     command: str
     params: dict[str, Any]
-    seed: int
     cache_hit: bool
     passed: bool | None
     out_path: str | None
@@ -132,7 +131,6 @@ def _record(cfg: RunConfig, hit: bool, passed: bool | None, out: str | None) -> 
         created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
         command=cfg.command,
         params=cfg.params,
-        seed=int(cfg.params.get("seed", 0)),
         cache_hit=hit,
         passed=passed,
         out_path=out,
@@ -170,6 +168,8 @@ def _parse_k_range(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = (int(tok) for tok in text.split(":"))
+            if lo < 1:
+                raise ConfigError(f"bad k range {text!r}: 'lo:hi' doubles lo, which must be >= 1")
             out = []
             k = lo
             while k <= hi:
@@ -202,7 +202,7 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
         raise ConfigError("pkappa needs --kappa or --kappa-range")
     cfg = RunConfig(
         "pkappa",
-        {"kappas": kappas, "genus": args.genus, "degree": args.degree, "seed": args.seed},
+        {"kappas": kappas, "genus": args.genus, "degree": args.degree},
     )
     X = RuledSurfaceData.standard(kappas[0], genus=args.genus, degree=args.degree)
     cache = ResultCache(enabled=not args.no_cache)
@@ -230,7 +230,7 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else TOL.kappa_zero_tol
     cfg = RunConfig(
         "kappa0",
-        {"genus": args.genus, "degree": args.degree, "tol": tol, "seed": args.seed},
+        {"genus": args.genus, "degree": args.degree, "tol": tol},
     )
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
     cache = ResultCache(enabled=not args.no_cache)
@@ -261,7 +261,6 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
             "genus": args.genus,
             "degree": args.degree,
             "k_list": [max(k, 1) for k in ks],
-            "seed": args.seed,
         },
     )
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
@@ -273,7 +272,10 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         sol = solve_P(kappa, b_kappa(kappa), X)
         label = str(classify(kappa, X))
         _, zm = interior_min(sol.P)
-        bump = scale_bump_for_slope(sol, BumpDirection(zm, 0.08), target=-2.0)
+        # near kappa0 the region P < 0 is narrower than the default bump:
+        # keep the bump within half the distance from the argmin to a root
+        gap = min(abs(r.real - zm) for r in sol.P.roots() if abs(r.imag) < 1e-9)
+        bump = scale_bump_for_slope(sol, BumpDirection(zm, min(0.08, 0.5 * gap)), target=-2.0)
         energies = unboundedness_probe(sol, bump, [float(k) for k in ks])
         slope = fit_probe_slope([float(k) for k in ks], energies)
         buf = io.StringIO()
@@ -292,7 +294,7 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else TOL.balanced_tol
     cfg = RunConfig(
         "quant-balanced",
-        {"b0": b0, "p": args.p, "k_list": ks, "tol": tol, "seed": args.seed},
+        {"b0": b0, "p": args.p, "k_list": ks, "tol": tol},
     )
     model = ToyModel(b0=b0, p=args.p)
     cache = ResultCache(enabled=not args.no_cache)
@@ -318,7 +320,7 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
 def cmd_quant_expansion(args: argparse.Namespace) -> int:
     b0 = _parse_b0(args.b0)
     ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32, 64]
-    cfg = RunConfig("quant-expansion", {"b0": b0, "p": args.p, "k_list": ks, "seed": args.seed})
+    cfg = RunConfig("quant-expansion", {"b0": b0, "p": args.p, "k_list": ks})
     model = ToyModel(b0=b0, p=args.p)
     cache = ResultCache(enabled=not args.no_cache)
 
@@ -341,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tags = args.tags.split(",") if args.tags else None
     cfg = RunConfig(
         "verify",
-        {"tags": tags, "breach": args.breach, "seed": args.seed},
+        {"tags": tags, "breach": args.breach},
     )
 
     try:
@@ -357,14 +359,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # -- parser ------------------------------------------------------------------
+# Each command gets only the flags it reads, so argparse rejects the rest.
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--genus", type=int, default=2)
-    sp.add_argument("--degree", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0, help="recorded in the run record")
     sp.add_argument("--out", type=str, default=None, help="payload path (default stdout)")
     sp.add_argument("--no-cache", action="store_true", help="bypass the result cache")
+
+
+def _add_surface(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--genus", type=int, default=2)
+    sp.add_argument("--degree", type=int, default=1)
+
+
+def _add_tol(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--tol", type=float, default=None, help="override the command's tolerance")
 
 
@@ -376,16 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pkappa", help="Futaki-curve sweep: one CSV row per kappa")
     sp.add_argument("--kappa", type=float, default=None)
     sp.add_argument("--kappa-range", type=str, default=None, help="'a:b:n' or 'x,y,z'")
+    _add_surface(sp)
     _add_common(sp)
     sp.set_defaults(fn=cmd_pkappa)
 
     sp = sub.add_parser("kappa0", help="existence threshold by bisection (JSON verdict)")
+    _add_surface(sp)
+    _add_tol(sp)
     _add_common(sp)
     sp.set_defaults(fn=cmd_kappa0)
 
     sp = sub.add_parser("mabuchi-probe", help="unboundedness probe: CSV (k,energy,slope_fit) + JSON verdict")
     sp.add_argument("--kappa", type=float, default=None, help="default: midpoint of (1, kappa0)")
     sp.add_argument("--k-range", type=str, default=None, help="'lo:hi' doublings or 'a,b,c'")
+    _add_surface(sp)
     _add_common(sp)
     sp.set_defaults(fn=cmd_mabuchi_probe)
 
@@ -393,6 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b0", type=str, default="inf", help="weight offset; 'inf' for the unweighted mode")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--k-range", type=str, default=None)
+    _add_tol(sp)
     _add_common(sp)
     sp.set_defaults(fn=cmd_quant_balanced)
 

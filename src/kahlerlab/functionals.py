@@ -69,28 +69,6 @@ def _t_grid() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-@dataclass(frozen=True)
-class _EndpointData:
-    """One potential sampled on the t-grid (everything a blend needs)."""
-
-    psi: np.ndarray
-    mu: np.ndarray
-    p2: np.ndarray
-    p3: np.ndarray
-    p4: np.ndarray
-
-
-def _sample(phi: RadialPotential) -> _EndpointData:
-    t, _ = _t_grid()
-    return _EndpointData(
-        psi=np.asarray(phi.psi(t), dtype=float),
-        mu=np.asarray(phi.mu_of_t(t), dtype=float),
-        p2=np.asarray(phi.psi2(t), dtype=float),
-        p3=np.asarray(phi.psi3(t), dtype=float),
-        p4=np.asarray(phi.psi4(t), dtype=float),
-    )
-
-
 def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
     """I(H) = sum_j lambda_j(p) log h_j (the norms are diagonal, so each
     block's log det is the sum of its log h's)."""
@@ -108,14 +86,14 @@ def aubin_path(
 ) -> float:
     """Integral of the Aubin 1-form along the straight psi-blend a -> b."""
     ck = c_k_constant(k, model)
-    tw = _t_grid()[1]
-    da, db = _sample(phi_a), _sample(phi_b)
+    t, tw = _t_grid()
+    da, db = phi_a.at_t(t), phi_b.at_t(t)
     dot = 0.5 * (db.psi - da.psi)  # phi-dot = (psi_b - psi_a)/2, fixed along the blend
     srule = gauss_legendre(s_order, 0.0, 1.0)
     total = 0.0
     for s, ws in zip(srule.nodes, srule.weights):
         mu_s = (1.0 - s) * da.mu + s * db.mu
-        p2_s = (1.0 - s) * da.p2 + s * db.p2
+        p2_s = (1.0 - s) * da.psi2 + s * db.psi2
         inner = float(np.dot(tw, dot * model.f(mu_s) ** (1.0 - model.p) * p2_s))
         total += ws * inner
     return 2.0 * k * ck * 2.0 * math.pi * k * total
@@ -154,8 +132,8 @@ def toy_mabuchi(
     straight psi-blend. Scal_p on the blend comes from the chain rules in
     the blended psi-derivatives, so no inversions are needed."""
     phi_a = round_potential() if ref is None else ref
-    tw = _t_grid()[1]
-    da, db = _sample(phi_a), _sample(phi)
+    t, tw = _t_grid()
+    da, db = phi_a.at_t(t), phi.at_t(t)
     dot = 0.5 * (db.psi - da.psi)
     c = c_top_exact(model)
     p = model.p
@@ -163,9 +141,9 @@ def toy_mabuchi(
     total = 0.0
     for s, ws in zip(srule.nodes, srule.weights):
         mu_s = (1.0 - s) * da.mu + s * db.mu
-        p2 = (1.0 - s) * da.p2 + s * db.p2
-        p3 = (1.0 - s) * da.p3 + s * db.p3
-        p4 = (1.0 - s) * da.p4 + s * db.p4
+        p2 = (1.0 - s) * da.psi2 + s * db.psi2
+        p3 = (1.0 - s) * da.psi3 + s * db.psi3
+        p4 = (1.0 - s) * da.psi4 + s * db.psi4
         S = 2.0 * p2
         d2S = 2.0 * (p4 * p2 - p3 * p3) / p2**3
         if model.xi_zero:

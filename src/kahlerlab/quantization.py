@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -48,6 +48,8 @@ from .tolerances import TOL
 __all__ = [
     "ToyModel",
     "RadialPotential",
+    "MuSample",
+    "TSample",
     "ProfilePotential",
     "FSPotential",
     "BlendPotential",
@@ -140,35 +142,70 @@ class ToyModel:
 # ---------------------------------------------------------------------------
 
 
-def _invert_monotone(g: Callable, targets: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Solve g(x) = target componentwise for increasing vectorized g,
-    expanding the initial bracket as needed; bisection to double precision."""
-    targets = np.asarray(targets, dtype=float)
-    tmin, tmax = float(targets.min()), float(targets.max())
-    width = hi - lo
-    for _ in range(60):
-        if float(g(np.array([lo]))[0]) < tmin:
-            break
-        lo -= width
-        width *= 2.0
-    else:
-        raise NoConvergence("could not bracket the inverse from below")
-    width = hi - lo
-    for _ in range(60):
-        if float(g(np.array([hi]))[0]) > tmax:
-            break
-        hi += width
-        width *= 2.0
-    else:
-        raise NoConvergence("could not bracket the inverse from above")
-    a = np.full(targets.shape, lo)
-    b = np.full(targets.shape, hi)
-    for _ in range(90):
-        m = 0.5 * (a + b)
-        below = g(m) < targets
-        a = np.where(below, m, a)
-        b = np.where(below, b, m)
-    return 0.5 * (a + b)
+class MuSample(NamedTuple):
+    """A potential on the momentum side: t(mu) = v'(mu), v, S, S', S''."""
+
+    t: np.ndarray
+    v: np.ndarray
+    S: np.ndarray
+    dS: np.ndarray
+    d2S: np.ndarray
+
+
+class TSample(NamedTuple):
+    """A potential on the log-radial side: mu(t) = psi'(t), psi, psi'', psi''', psi''''."""
+
+    mu: np.ndarray
+    psi: np.ndarray
+    psi2: np.ndarray
+    psi3: np.ndarray
+    psi4: np.ndarray
+
+
+# rounding level of a residual or step, relative: the cumulant sums of an
+# FS potential carry up to ~7 eps at k = 512
+_ROUNDING = 16.0 * np.finfo(float).eps
+_MAX_STEP = 1.0  # longest Newton step: a factor e in mu where mu ~ e^t
+_MAX_ITER = 100
+
+
+def _momenta(mu) -> np.ndarray:
+    mu = np.asarray(mu, dtype=float)
+    if np.any(mu <= 0.0) or np.any(mu >= 1.0):
+        raise OutOfDomain("momentum-side evaluation requires mu in (0,1)")
+    return mu
+
+
+def _invert(sample: Callable, slope: Callable, x: np.ndarray, target: np.ndarray, lo: float, hi: float):
+    """Safeguarded Newton for g(x) = target, g increasing, with g and g'
+    read off the native sample: `slope(s)` returns (g, g') of s = sample(x).
+
+    A step is cut to _MAX_STEP; one that leaves the bracket [a, b] known to
+    hold the root (lo, hi to start, infinite ends allowed) bisects it, and
+    landing exactly on a bracket end is accepted. Once the residual or the
+    step of a point is at rounding level (near |t| = 30 one ulp of mu moves
+    t by ~1e-3, so the residual alone cannot get there), the point takes
+    one more Newton step, which squares the error left within that band,
+    and stops. Returns the root and the native sample at it."""
+    a = np.full(x.shape, lo)
+    b = np.full(x.shape, hi)
+    settled = np.zeros(x.shape, dtype=bool)
+    for _ in range(_MAX_ITER):
+        s = sample(x)
+        g, dg = slope(s)
+        r = g - target
+        done = settled | (r == 0.0)
+        if np.all(done):
+            return x, s
+        a = np.where(r < 0.0, x, a)
+        b = np.where(r > 0.0, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.clip(r / dg, -_MAX_STEP, _MAX_STEP)
+            mid = 0.5 * (a + b)
+        settled |= (np.abs(r) <= _ROUNDING * np.abs(target)) | (np.abs(step) <= _ROUNDING * np.abs(x))
+        nxt = x - step
+        x = np.where(done, x, np.where((a <= nxt) & (nxt <= b), nxt, mid))
+    raise NoConvergence(f"mu<->t inversion did not converge in {_MAX_ITER} steps")
 
 
 class RadialPotential(ABC):
@@ -176,129 +213,70 @@ class RadialPotential(ABC):
 
     Momentum side: profile S (with derivatives), symplectic potential v and
     t(mu) = v'(mu). Log-radial side: psi(t) = 2 phi(t) with derivatives up
-    to fourth order. A subclass implements its native side; the base class
-    supplies the other through monotone inversion and the chain rules
+    to fourth order. A subclass samples its native side in one pass and the
+    other side through one inversion and the chain rules
 
         psi'' = S/2,   psi''' = S S'/4,   psi'''' = S (S'^2 + S S'')/8,
         S = 2 psi'',   S' = 2 psi'''/psi'',
         S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
+
+    The one-quantity methods below are views of a sample; a caller that
+    needs several quantities at the same points takes one sample.
     """
 
-    # -- momentum-native side ------------------------------------------------
+    @abstractmethod
+    def at_mu(self, mu) -> MuSample: ...
 
     @abstractmethod
-    def S(self, mu): ...
+    def at_t(self, t) -> TSample: ...
 
-    @abstractmethod
-    def dS(self, mu): ...
+    def S(self, mu):
+        return self.at_mu(mu).S
 
-    @abstractmethod
-    def d2S(self, mu): ...
+    def dS(self, mu):
+        return self.at_mu(mu).dS
 
-    @abstractmethod
-    def v(self, mu): ...
+    def d2S(self, mu):
+        return self.at_mu(mu).d2S
 
-    @abstractmethod
-    def t_of_mu(self, mu): ...
+    def v(self, mu):
+        return self.at_mu(mu).v
 
-    # -- log-radial side -------------------------------------------------------
-
-    def mu_of_t(self, t):
-        # invert the increasing interior map mu -> t; t outside the sampled
-        # range clamps to the window edge (the maps saturate there anyway);
-        # the wide window keeps t up to ~|log 1e-15| ~ 34 clamp-free, which
-        # the fixed t-quadrature of the functionals relies on
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = 1e-15, 1.0 - 1e-15
-        a = np.full(t.shape, lo)
-        b = np.full(t.shape, hi)
-        ta = np.asarray(self.t_of_mu(a), dtype=float)
-        tb = np.asarray(self.t_of_mu(b), dtype=float)
-        out = np.empty_like(t)
-        low_mask = t <= ta
-        high_mask = t >= tb
-        out[low_mask] = lo
-        out[high_mask] = hi
-        mid_mask = ~(low_mask | high_mask)
-        if np.any(mid_mask):
-            a2 = np.full(mid_mask.sum(), lo)
-            b2 = np.full(mid_mask.sum(), hi)
-            tt = t[mid_mask]
-            for _ in range(90):
-                m = 0.5 * (a2 + b2)
-                below = np.asarray(self.t_of_mu(m), dtype=float) < tt
-                a2 = np.where(below, m, a2)
-                b2 = np.where(below, b2, m)
-            out[mid_mask] = 0.5 * (a2 + b2)
-        return out
+    def t_of_mu(self, mu):
+        return self.at_mu(mu).t
 
     def psi(self, t):
-        t = np.asarray(t, dtype=float)
-        mu = self.mu_of_t(t)
-        return mu * t - self.v(mu)
+        return self.at_t(t).psi
+
+    def mu_of_t(self, t):
+        return self.at_t(t).mu
 
     def psi2(self, t):
-        return self.S(self.mu_of_t(t)) / 2.0
+        return self.at_t(t).psi2
 
     def psi3(self, t):
-        mu = self.mu_of_t(t)
-        return self.S(mu) * self.dS(mu) / 4.0
+        return self.at_t(t).psi3
 
     def psi4(self, t):
-        mu = self.mu_of_t(t)
-        s, s1, s2 = self.S(mu), self.dS(mu), self.d2S(mu)
-        return s * (s1 * s1 + s * s2) / 8.0
+        return self.at_t(t).psi4
 
 
 class _TNativePotential(RadialPotential):
-    """Base for potentials native on the log-radial side; the momentum-side
-    API is derived via inversion of mu(t) = psi'(t)."""
+    """Base for potentials native on the log-radial side; the momentum side
+    comes from inverting mu(t) = psi'(t) (dmu/dt = psi''), started at the
+    round value t = log(mu/(1-mu))."""
 
-    @abstractmethod
-    def _psi_native(self, t): ...
-
-    @abstractmethod
-    def _dpsi(self, t, order: int): ...
-
-    # log-radial side is native
-    def psi(self, t):
-        return self._psi_native(np.asarray(t, dtype=float))
-
-    def mu_of_t(self, t):
-        return self._dpsi(np.asarray(t, dtype=float), 1)
-
-    def psi2(self, t):
-        return self._dpsi(np.asarray(t, dtype=float), 2)
-
-    def psi3(self, t):
-        return self._dpsi(np.asarray(t, dtype=float), 3)
-
-    def psi4(self, t):
-        return self._dpsi(np.asarray(t, dtype=float), 4)
-
-    # momentum side derived
-    def t_of_mu(self, mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        if np.any(mu <= 0.0) or np.any(mu >= 1.0):
-            raise OutOfDomain("momentum-side evaluation requires mu in (0,1)")
-        return _invert_monotone(lambda t: self._dpsi(t, 1), mu, -60.0, 60.0)
-
-    def v(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        t = self.t_of_mu(mu)
-        return mu * t - self.psi(t)
-
-    def S(self, mu):
-        return 2.0 * self.psi2(self.t_of_mu(mu))
-
-    def dS(self, mu):
-        t = self.t_of_mu(mu)
-        return 2.0 * self.psi3(t) / self.psi2(t)
-
-    def d2S(self, mu):
-        t = self.t_of_mu(mu)
-        p2, p3, p4 = self.psi2(t), self.psi3(t), self.psi4(t)
-        return 2.0 * (p4 * p2 - p3 * p3) / p2**3
+    def at_mu(self, mu) -> MuSample:
+        mu = _momenta(mu)
+        t, s = _invert(self.at_t, lambda s: (s.mu, s.psi2), np.log(mu / (1.0 - mu)), mu, -np.inf, np.inf)
+        p2, p3, p4 = s.psi2, s.psi3, s.psi4
+        return MuSample(
+            t=t,
+            v=mu * t - s.psi,
+            S=2.0 * p2,
+            dS=2.0 * p3 / p2,
+            d2S=2.0 * (p4 * p2 - p3 * p3) / p2**3,
+        )
 
 
 class ProfilePotential(RadialPotential):
@@ -307,6 +285,9 @@ class ProfilePotential(RadialPotential):
     The symplectic potential is reconstructed from v'' = 2/S:
     v = v_0 + R with v_0 = mu log mu + (1-mu) log(1-mu), R'' = r,
     r = (1-q)/(q mu (1-mu)) (bounded), anchored R(1/2) = R'(1/2) = 0.
+    The log-radial side inverts t(mu) (dt/dmu = 2/S), started at the round
+    value mu = 1/(1+e^{-t}); above t ~ 36.7 that value rounds to 1 and the
+    inversion raises OutOfDomain.
     """
 
     _N = 160
@@ -317,58 +298,46 @@ class ProfilePotential(RadialPotential):
         qv = np.asarray(q_fn(mu), dtype=float)
         if np.any(qv <= 0.0):
             raise NotAdmissible("q = S/S_round must be positive")
-        self._qc = cheb.chebfit(x, qv, self._N - 10)
+        qc = cheb.chebfit(x, qv, self._N - 10)
         r = (1.0 - qv) / (qv * mu * (1.0 - mu))
         rc = cheb.chebfit(x, r, self._N - 10)
         Rc = cheb.chebint(cheb.chebint(rc)) * 0.25  # d/dmu = 2 d/dx
-        val0 = cheb.chebval(0.0, Rc)
-        slope0 = 2.0 * cheb.chebval(0.0, cheb.chebder(Rc))
-        self._Rc = Rc
-        self._R_aff = (float(val0), float(slope0))
+        # columns q, q', q'', R, R' (in mu), zero-padded to one length so a
+        # single Clenshaw pass evaluates all five
+        dq = 2.0 * cheb.chebder(qc)
+        dR = 2.0 * cheb.chebder(Rc)
+        cols = (qc, dq, 2.0 * cheb.chebder(dq), Rc, dR)
+        self._series = np.zeros((len(Rc), len(cols)))
+        for i, c in enumerate(cols):
+            self._series[: len(c), i] = c
+        self._R_aff = (float(cheb.chebval(0.0, Rc)), float(cheb.chebval(0.0, dR)))
         if validate:
             rep = boundary_report(self)
             if not rep.passes:
                 raise NotAdmissible(f"profile boundary defects too large: {rep.defects}")
 
-    def _q(self, mu, order: int = 0):
-        x = 2.0 * np.asarray(mu, dtype=float) - 1.0
-        c = self._qc
-        for _ in range(order):
-            c = cheb.chebder(c)
-        return cheb.chebval(x, c) * 2.0**order
-
-    def S(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return 2.0 * mu * (1.0 - mu) * self._q(mu)
-
-    def dS(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return 2.0 * (1.0 - 2.0 * mu) * self._q(mu) + 2.0 * mu * (1.0 - mu) * self._q(mu, 1)
-
-    def d2S(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return (
-            -4.0 * self._q(mu)
-            + 4.0 * (1.0 - 2.0 * mu) * self._q(mu, 1)
-            + 2.0 * mu * (1.0 - mu) * self._q(mu, 2)
+    def at_mu(self, mu) -> MuSample:
+        mu = _momenta(mu)
+        q, dq, d2q, R, dR = cheb.chebval(2.0 * mu - 1.0, self._series)
+        a, b = self._R_aff
+        return MuSample(
+            t=np.log(mu) - np.log(1.0 - mu) + (dR - b),
+            v=_xlogx(mu) + _xlogx(1.0 - mu) + (R - a - b * (mu - 0.5)),
+            S=2.0 * mu * (1.0 - mu) * q,
+            dS=2.0 * (1.0 - 2.0 * mu) * q + 2.0 * mu * (1.0 - mu) * dq,
+            d2S=-4.0 * q + 4.0 * (1.0 - 2.0 * mu) * dq + 2.0 * mu * (1.0 - mu) * d2q,
         )
 
-    def v(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        x = 2.0 * mu - 1.0
-        a, b = self._R_aff
-        R = cheb.chebval(x, self._Rc) - a - b * (mu - 0.5)
-        v0 = _xlogx(mu) + _xlogx(1.0 - mu)
-        return v0 + R
-
-    def t_of_mu(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if np.any(mu <= 0.0) or np.any(mu >= 1.0):
-            raise OutOfDomain("momentum-side evaluation requires mu in (0,1)")
-        x = 2.0 * mu - 1.0
-        _, b = self._R_aff
-        Rp = 2.0 * cheb.chebval(x, cheb.chebder(self._Rc)) - b
-        return np.log(mu) - np.log(1.0 - mu) + Rp
+    def at_t(self, t) -> TSample:
+        t = np.asarray(t, dtype=float)
+        mu, s = _invert(self.at_mu, lambda s: (s.t, 2.0 / s.S), 1.0 / (1.0 + np.exp(-t)), t, 0.0, 1.0)
+        return TSample(
+            mu=mu,
+            psi=mu * t - s.v,
+            psi2=s.S / 2.0,
+            psi3=s.S * s.dS / 4.0,
+            psi4=s.S * (s.dS * s.dS + s.S * s.d2S) / 8.0,
+        )
 
 
 class FSPotential(_TNativePotential):
@@ -381,41 +350,30 @@ class FSPotential(_TNativePotential):
         self.log_ck = float(log_ck)
         self._j = np.arange(self.k + 1, dtype=float)
 
-    def _scores(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.outer(self._j, t) - self.log_h[:, None]
-
-    def _psi_native(self, t):
-        t_in = np.asarray(t, dtype=float)
-        sc = self._scores(t_in)
-        out = (_logsumexp(sc, axis=0) - self.log_ck) / self.k
-        return out.reshape(t_in.shape) if t_in.ndim else float(out[0])
-
-    def _dpsi(self, t, order: int):
-        t_in = np.asarray(t, dtype=float)
+    def at_t(self, t) -> TSample:
+        # psi'..psi'''' are the first four cumulants of j under the softmax
+        # weights, divided by k; all five come from one exponential
+        t = np.asarray(t, dtype=float)
+        sc = np.outer(self._j, t.ravel()) - self.log_h[:, None]
+        top = np.max(sc, axis=0)
+        e = np.exp(sc - top)
+        tot = np.sum(e, axis=0)
         # softmax normalized by its sum: exp(sc - logsumexp(sc)) would put the
         # absolute rounding of logsumexp (~|sc| eps) into every weight, and
         # the cumulant cancellations of psi'''' amplify it
-        sc = self._scores(t_in)
-        e = np.exp(sc - np.max(sc, axis=0))
-        w = e / np.sum(e, axis=0)
+        w = e / tot
         j = self._j[:, None]
         m1 = np.sum(w * j, axis=0)
-        if order == 1:
-            out = m1 / self.k
-        else:
-            d = j - m1[None, :]
-            k2 = np.sum(w * d * d, axis=0)
-            if order == 2:
-                out = k2 / self.k
-            elif order == 3:
-                out = np.sum(w * d**3, axis=0) / self.k
-            elif order == 4:
-                m4 = np.sum(w * d**4, axis=0)
-                out = (m4 - 3.0 * k2 * k2) / self.k
-            else:
-                raise ValueError("order must be 1..4")
-        return out.reshape(t_in.shape) if t_in.ndim else float(out[0])
+        d = j - m1[None, :]
+        k2 = np.sum(w * d * d, axis=0)
+        s = TSample(
+            mu=m1 / self.k,
+            psi=(np.log(tot) + top - self.log_ck) / self.k,
+            psi2=k2 / self.k,
+            psi3=np.sum(w * d**3, axis=0) / self.k,
+            psi4=(np.sum(w * d**4, axis=0) - 3.0 * k2 * k2) / self.k,
+        )
+        return TSample(*(f.reshape(t.shape) for f in s))
 
 
 class BlendPotential(_TNativePotential):
@@ -427,30 +385,26 @@ class BlendPotential(_TNativePotential):
             raise OutOfDomain("need at least one component")
         self.parts = [(float(w), p) for w, p in parts]
 
-    def _psi_native(self, t):
-        return sum(w * p.psi(t) for w, p in self.parts)
-
-    def _dpsi(self, t, order: int):
-        t = np.asarray(t, dtype=float)
-        if order == 1:
-            return sum(w * np.asarray(p.mu_of_t(t)) for w, p in self.parts)
-        fn = {2: "psi2", 3: "psi3", 4: "psi4"}[order]
-        return sum(w * np.asarray(getattr(p, fn)(t)) for w, p in self.parts)
+    def at_t(self, t) -> TSample:
+        # every field of a t-sample is linear in psi
+        samples = [(w, p.at_t(t)) for w, p in self.parts]
+        return TSample(*(sum(w * s[i] for w, s in samples) for i in range(len(TSample._fields))))
 
 
-class _ShiftedPotential(_TNativePotential):
-    """phi + s: psi shifted by the constant 2s, metric unchanged."""
+class _ShiftedPotential(RadialPotential):
+    """phi + s: psi shifted by the constant 2s (so v by -2s), metric unchanged."""
 
     def __init__(self, base: RadialPotential, s: float):
         self.base = base
         self.s = float(s)
 
-    def _psi_native(self, t):
-        return self.base.psi(t) + 2.0 * self.s
+    def at_mu(self, mu) -> MuSample:
+        out = self.base.at_mu(mu)
+        return out._replace(v=out.v - 2.0 * self.s)
 
-    def _dpsi(self, t, order: int):
-        fn = {1: "mu_of_t", 2: "psi2", 3: "psi3", 4: "psi4"}[order]
-        return getattr(self.base, fn)(t)
+    def at_t(self, t) -> TSample:
+        out = self.base.at_t(t)
+        return out._replace(psi=out.psi + 2.0 * self.s)
 
 
 def shift_potential(phi: RadialPotential, s: float) -> RadialPotential:
@@ -489,18 +443,10 @@ def boundary_report(phi: RadialPotential, tol: float = TOL.boundary_defect) -> T
     Richardson extrapolation from interior samples (t-native potentials
     cannot be evaluated at the closed endpoints)."""
     h = 1e-6
-
-    def extrap(fn, at_zero: bool):
-        if at_zero:
-            return 2.0 * float(fn(h)) - float(fn(2 * h))
-        return 2.0 * float(fn(1.0 - h)) - float(fn(1.0 - 2 * h))
-
-    d = (
-        extrap(phi.S, True),
-        extrap(phi.S, False),
-        extrap(phi.dS, True) - 2.0,
-        extrap(phi.dS, False) + 2.0,
-    )
+    s = phi.at_mu(np.array([h, 2 * h, 1.0 - h, 1.0 - 2 * h]))
+    S0, S1 = 2.0 * s.S[0] - s.S[1], 2.0 * s.S[2] - s.S[3]
+    dS0, dS1 = 2.0 * s.dS[0] - s.dS[1], 2.0 * s.dS[2] - s.dS[3]
+    d = (float(S0), float(S1), float(dS0) - 2.0, float(dS1) + 2.0)
     return ToyBoundaryReport(passes=bool(max(abs(x) for x in d) < tol), defects=d)
 
 
@@ -600,14 +546,12 @@ def weighted_scalar_toy(phi: RadialPotential, model: ToyModel) -> Callable:
 
     def scal_p(mu):
         mu = np.asarray(mu, dtype=float)
-        s2 = phi.d2S(mu)
+        s = phi.at_mu(mu)
         if model.xi_zero:
-            out = -s2
+            out = -s.d2S
         else:
             f = model.f(mu)
-            out = f * f * (-s2) + 2.0 * (model.p - 1.0) * f * phi.dS(mu) - model.p * (
-                model.p - 1.0
-            ) * phi.S(mu)
+            out = f * f * (-s.d2S) + 2.0 * (model.p - 1.0) * f * s.dS - model.p * (model.p - 1.0) * s.S
         return out if out.ndim else float(out)
 
     return scal_p
@@ -615,10 +559,9 @@ def weighted_scalar_toy(phi: RadialPotential, model: ToyModel) -> Callable:
 
 def _log_section_densities(phi: RadialPotential, k: int, mu: np.ndarray) -> np.ndarray:
     """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = k v + (j - k mu) t."""
-    v = np.asarray(phi.v(mu), dtype=float)
-    t = np.asarray(phi.t_of_mu(mu), dtype=float)
+    s = phi.at_mu(mu)
     j = np.arange(k + 1, dtype=float)[:, None]
-    return k * v[None, :] + (j - k * mu[None, :]) * t[None, :]
+    return k * s.v[None, :] + (j - k * mu[None, :]) * s.t[None, :]
 
 
 def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:

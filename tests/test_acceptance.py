@@ -356,7 +356,7 @@ def test_criterion_13_determinism(tmp_path, monkeypatch):
     tags = "numerics,calabi,quant,functionals"
     outs = []
     for name in ("first.csv", "second.csv"):
-        code = main(["verify", "--tags", tags, "--seed", "7", "--no-cache", "--out", name])
+        code = main(["verify", "--tags", tags, "--no-cache", "--out", name])
         assert code == 0
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]

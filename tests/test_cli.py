@@ -148,3 +148,47 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import kahlerlab.cli; import sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_mabuchi_probe_default_bump_fits_a_narrow_negative_region(workdir, capsys):
+    # at the default kappa of (2, 5) P < 0 only on (-0.988, -0.820) around
+    # the argmin -0.879, narrower than a bump of radius 0.08
+    assert main(["mabuchi-probe", "--degree", "5", "--no-cache"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[-1])["label"] == "NegativeSomewhere"
+    energies = [float(line.split(",")[1]) for line in lines[1:-1]]
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("k_range", ["0:64", "-3:64"])
+def test_k_range_rejects_lo_below_one(k_range):
+    # a fresh process with a time and memory limit: doubling lo <= 0 never
+    # passes hi, and the k list would grow until one of them stops it
+    src = str(Path(kahlerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "kahlerlab.cli", "quant-expansion", f"--k-range={k_range}", "--no-cache"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 2
+    assert "k range" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([cmd, "--seed", "1"] for cmd in ("pkappa", "kappa0", "mabuchi-probe", "quant-balanced", "quant-expansion", "verify")),
+        *([cmd, "--tol", "1e-9"] for cmd in ("pkappa", "mabuchi-probe", "quant-expansion", "verify")),
+        *([cmd, flag, "2"] for cmd in ("quant-balanced", "quant-expansion", "verify") for flag in ("--genus", "--degree")),
+    ],
+    ids=" ".join,
+)
+def test_flags_a_command_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

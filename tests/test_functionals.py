@@ -175,3 +175,32 @@ def test_quantized_energy_gap_decreases():
 def test_ck_constant_positive_in_weighted_mode():
     for k in (4, 8, 16):
         assert c_k_constant(k, MW) > 0.0
+
+
+def test_each_consumer_inverts_each_potential_once(monkeypatch):
+    import kahlerlab.quantization as quant
+
+    calls = []
+    invert = quant._invert
+
+    def counting(sample, *args):
+        calls.append(type(sample.__self__).__name__)
+        return invert(sample, *args)
+
+    monkeypatch.setattr(quant, "_invert", counting)
+    k = 8
+    prof = random_potential(np.random.default_rng(31), scale=0.5)
+    phi = fs(hilb(prof, k, M0), k, M0)  # a profile's own side needs no inversion
+    mu = np.linspace(0.05, 0.95, 19)
+    runs = [
+        (lambda: hilb(phi, k, MW), ["FSPotential"]),
+        (lambda: quant.rho_p(phi, k, MW)(mu), ["FSPotential"] * 2),  # the Gram, then the density at mu
+        (lambda: quant.bergman_density(phi, k, MW, Psi=np.sqrt, Phi=np.sqrt), ["FSPotential"]),
+        (lambda: quant.weighted_scalar_toy(phi, MW)(mu), ["FSPotential"]),
+        (lambda: aubin_path(prof, phi, k, MW), ["ProfilePotential"]),
+        (lambda: toy_mabuchi(phi, MW, ref=prof), ["ProfilePotential"]),
+    ]
+    for run, expected in runs:
+        calls.clear()
+        run()
+        assert calls == expected

@@ -19,6 +19,7 @@ from kahlerlab.errors import (
 )
 from kahlerlab.quantization import (
     BlendPotential,
+    FSPotential,
     HermitianNorms,
     ProfilePotential,
     ToyModel,
@@ -91,6 +92,21 @@ def test_potential_derivative_chain():
     np.testing.assert_allclose(phi.psi3(t), d3, atol=1e-6)
     d4 = (phi.psi3(t + h) - phi.psi3(t - h)) / (2.0 * h)
     np.testing.assert_allclose(phi.psi4(t), d4, atol=1e-5)
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
+@pytest.mark.parametrize("k", [8, 32, 64])
+def test_fs_of_binomial_norms_is_the_round_metric(k, b):
+    # sum_j binom(k, j) e^{j(t+b)} = (1 + e^{t+b})^k, so log h_j =
+    # -log binom(k, j) - j b gives psi = log(1 + e^{t+b}) exactly: t(mu) =
+    # logit(mu) - b, S = 2 mu (1-mu), v = v_0(mu) - b mu and S'' = -4; b != 0
+    # starts the inversion away from its root
+    mu = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
+    phi = FSPotential(k, np.array([-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
+    assert np.max(np.abs(phi.t_of_mu(mu) - (np.log(mu / (1.0 - mu)) - b))) <= 1e-11
+    assert np.max(np.abs(phi.S(mu) - 2.0 * mu * (1.0 - mu))) <= 1e-13
+    assert np.max(np.abs(phi.v(mu) - (mu * np.log(mu) + (1.0 - mu) * np.log(1.0 - mu) - b * mu))) <= 1e-13
+    assert np.max(np.abs(phi.d2S(mu) + 4.0)) <= 1e-8
 
 
 def test_blend_potential_is_affine_in_psi():
