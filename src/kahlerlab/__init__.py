@@ -3,7 +3,7 @@ surfaces and its S^1-reduced quantization toy model.
 
 Module map
 ----------
-numerics       quadrature, least squares
+numerics       quadrature, Chebyshev projection, least squares
 calabi         momentum profiles, weighted scalar curvature, admissibility
 ckem           boundary-value solver, Futaki curve, existence classification
 mabuchi        energy functional, gradients, unboundedness probes, paths

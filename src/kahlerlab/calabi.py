@@ -17,10 +17,11 @@ curvature for Killing potential f = z+b and exponent p is
 
     Scal_{(xi,b,p)} = f^2 Scal - 2(p-1) f Delta_g f - p(p-1) Theta.
 
-Profiles are stored either exactly (numerator polynomial P with
-Theta = P/(z+kappa)) or as grid data interpolated through the bounded ratio
-G(z) = Theta/(1-z^2); G(+-1) = 1 encodes the boundary conditions, so the grid
-representation is tailored to boundary-vanishing profiles.
+A profile is stored as Theta = ((1-z^2) N(z) + l(z))/(z+kappa), N a numpy
+series and l linear. The solver's exact numerator P splits as
+P = (1-z^2) N + l; a sampled profile interpolates the bounded ratio
+G = Theta/(1-z^2) at Chebyshev nodes and takes N = (z+kappa) G, l = 0
+(G(+-1) = 1 encodes the boundary conditions).
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import NonFiniteCurvature, NotAdmissible, OutOfDomain
-from .numerics import gauss_legendre, integrate
+from .numerics import chebyshev_coefficients, gauss_legendre, integrate
 from .tolerances import TOL
 
 __all__ = [
@@ -95,92 +96,61 @@ class KillingData:
             raise OutOfDomain("p must be finite")
 
 
-def _chebpts1(n: int) -> np.ndarray:
-    return cheb.chebpts1(n)
-
-
 class Profile:
-    """Momentum profile Theta(z) on [-1, 1].
+    """Momentum profile Theta(z) = ((1-z^2) N(z) + l(z)) / (z+kappa) on [-1, 1].
 
-    Either polynomial kind (exact: numerator P with Theta = P/(z+kappa)) or
-    grid kind (Chebyshev interpolant of G = Theta/(1-z^2) through sampled
-    values).
+    N is a numpy series and l a linear polynomial; (z+kappa) Theta is the
+    numerator whose second derivative enters the scalar curvature. The
+    (1-z^2) factor stays explicit so that Theta keeps its relative accuracy
+    next to the endpoints. N and its derivatives are fixed at construction.
     """
 
-    def __init__(
-        self,
-        kappa: float,
-        *,
-        poly: Polynomial | None = None,
-        gcoef: np.ndarray | None = None,
-    ):
+    def __init__(self, kappa: float, N, ell: Polynomial = Polynomial([0.0])):
         if not kappa > 1.0:
             raise OutOfDomain("kappa must be > 1")
-        if (poly is None) == (gcoef is None):
-            raise ValueError("exactly one of poly/gcoef must be given")
         self.kappa = float(kappa)
-        self.poly = poly
-        self._gcoef = gcoef
+        self._N = (N, N.deriv(), N.deriv(2))
+        self._ell = (ell, ell.deriv())
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_numerator(P: Polynomial, kappa: float) -> "Profile":
-        return Profile(kappa, poly=P)
+        """Theta = P/(z+kappa), split as P = (1-z^2) N + l."""
+        N, ell = divmod(P, Polynomial([1.0, 0.0, -1.0]))
+        return Profile(kappa, N, ell)
 
     @staticmethod
-    def from_callable(theta_fn: Callable, kappa: float, n: int = 96) -> "Profile":
-        """Sample Theta at n interior Chebyshev nodes and interpolate
-        G = Theta/(1-z^2)."""
-        z = _chebpts1(n)
+    def from_callable(theta_fn: Callable, kappa: float) -> "Profile":
+        """Interpolate G = Theta/(1-z^2) through 96 interior Chebyshev
+        nodes; N = (z+kappa) G and l = 0."""
+        z = cheb.chebpts1(96)
         g = np.asarray(theta_fn(z), dtype=float) / (1.0 - z * z)
-        return Profile(kappa, gcoef=cheb.chebfit(z, g, min(n - 1, 96)))
+        return Profile(kappa, Chebyshev(chebyshev_coefficients(g, 95)) * Chebyshev([kappa, 1.0]))
 
     # -- evaluation ---------------------------------------------------------
 
+    def _numerator(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z+kappa) Theta and its first two derivatives."""
+        N, dN, d2N = (f(z) for f in self._N)
+        ell, dell = (f(z) for f in self._ell)
+        w = 1.0 - z * z
+        return w * N + ell, w * dN - 2.0 * z * N + dell, w * d2N - 4.0 * z * dN - 2.0 * N
+
     def theta(self, z):
         z = np.asarray(z, dtype=float)
-        if self.poly is not None:
-            return self.poly(z) / (z + self.kappa)
-        return (1.0 - z * z) * cheb.chebval(z, self._gcoef)
+        w = 1.0 - z * z
+        return (w * self._N[0](z) + self._ell[0](z)) / (z + self.kappa)
 
     def dtheta(self, z):
         z = np.asarray(z, dtype=float)
-        if self.poly is not None:
-            P, dP = self.poly, self.poly.deriv()
-            t = z + self.kappa
-            return (dP(z) * t - P(z)) / t**2
-        g = cheb.chebval(z, self._gcoef)
-        gp = cheb.chebval(z, cheb.chebder(self._gcoef))
-        return -2.0 * z * g + (1.0 - z * z) * gp
-
-    def d2theta(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.poly is not None:
-            P = self.poly
-            dP = P.deriv()
-            d2P = dP.deriv()
-            t = z + self.kappa
-            return (d2P(z) * t * t - 2.0 * dP(z) * t + 2.0 * P(z)) / t**3
-        c = self._gcoef
-        g = cheb.chebval(z, c)
-        gp = cheb.chebval(z, cheb.chebder(c))
-        gpp = cheb.chebval(z, cheb.chebder(cheb.chebder(c)))
-        return -2.0 * g - 4.0 * z * gp + (1.0 - z * z) * gpp
-
-    def numerator(self, z):
-        """P(z) = (z+kappa) Theta(z)."""
-        z = np.asarray(z, dtype=float)
-        if self.poly is not None:
-            return self.poly(z)
-        return (z + self.kappa) * self.theta(z)
+        A, dA, _ = self._numerator(z)
+        t = z + self.kappa
+        return (dA * t - A) / t**2
 
     def d2_numerator(self, z):
-        """((z+kappa) Theta)'' = 2 Theta' + (z+kappa) Theta''."""
-        z = np.asarray(z, dtype=float)
-        if self.poly is not None:
-            return self.poly.deriv().deriv()(z)
-        return 2.0 * self.dtheta(z) + (z + self.kappa) * self.d2theta(z)
+        """((z+kappa) Theta)''."""
+        return self._numerator(np.asarray(z, dtype=float))[2]
 
 
 @dataclass(frozen=True)
@@ -268,18 +238,20 @@ def weighted_average_c(
 
 
 def to_symplectic(profile: Profile):
-    """Fibre-wise symplectic potential: u''(z) = 1/Theta(z).
+    """Fibre-wise symplectic potential: u''(z) = 1/Theta(z), held as the
+    Chebyshev interpolant of D = (1-z^2) u'' = (1-z^2)/Theta.
 
     Raises NotAdmissible if Theta is not strictly positive at the interior
     sample nodes.
     """
     from .mabuchi import SymplecticPotential  # local import avoids a cycle
 
-    z = _chebpts1(128)
+    z = cheb.chebpts1(128)
     th = np.asarray(profile.theta(z), dtype=float)
     if np.any(th <= 0.0):
         raise NotAdmissible("Theta must be positive on the interior to invert")
-    return SymplecticPotential.from_values(z, 1.0 / th, profile.kappa)
+    coef = chebyshev_coefficients((1.0 - z * z) / th, 120)
+    return SymplecticPotential(lambda x: cheb.chebval(np.asarray(x, dtype=float), coef), profile.kappa)
 
 
 def random_admissible_profile(

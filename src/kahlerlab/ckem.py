@@ -176,16 +176,16 @@ def futaki_residual(kappa: float, X: RuledSurfaceData | None = None) -> Callable
     return residual
 
 
-def interior_min(P: Polynomial, edge: float = 1e-9) -> tuple[float, float]:
+def interior_min(P: Polynomial) -> tuple[float, float]:
     """Minimum of P over its interior critical points in (-1, 1).
 
-    Critical points are the real roots of P' in [-1+edge, 1-edge]; the
+    Critical points are the real roots of P' in [-1+1e-9, 1-1e-9]; the
     endpoints (where P vanishes on the Futaki curve by construction) are
     excluded. Returns (min value, argmin); (+inf, nan) if no interior
     critical point exists.
     """
     roots = P.deriv().roots()
-    crits = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) <= 1.0 - edge)]
+    crits = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) <= 1.0 - 1e-9)]
     if crits.size == 0:
         return math.inf, math.nan
     pv = P(crits)
@@ -201,8 +201,6 @@ def _m_of_kappa(kappa: float, X: RuledSurfaceData | None) -> tuple[float, float]
 def kappa_zero(
     X: RuledSurfaceData | None = None,
     tol: float = TOL.kappa_zero_tol,
-    lo: float = 1.0 + 1e-3,
-    hi: float = 1.0e4,
 ) -> float:
     """Threshold kappa_0: bisection on m(kappa) = interior min of P_kappa.
 
@@ -212,6 +210,7 @@ def kappa_zero(
     """
     if not tol > 0.0:
         raise OutOfDomain("tol must be positive")
+    lo, hi = 1.0 + 1e-3, 1.0e4
     m_lo, _ = _m_of_kappa(lo, X)
     m_hi, _ = _m_of_kappa(hi, X)
     for _ in range(8):
@@ -236,17 +235,15 @@ def kappa_zero(
             raise SearchFailed("bisection interval collapsed before |m| < tol")
 
 
-def classify(
-    kappa: float, X: RuledSurfaceData | None = None, tol: float = TOL.classify_tol
-) -> ClassLabel:
+def classify(kappa: float, X: RuledSurfaceData | None = None) -> ClassLabel:
     """Existence classification by the sign pattern of P_kappa on (-1, 1)."""
-    return _label(_m_of_kappa(kappa, X)[0], tol)
+    return _label(_m_of_kappa(kappa, X)[0])
 
 
-def _label(m: float, tol: float) -> ClassLabel:
+def _label(m: float) -> ClassLabel:
     """Label from the interior minimum m of P; the |m| <= tol band wins over
     the sign tests (double-root tie-break)."""
-    if abs(m) <= tol:
+    if abs(m) <= TOL.classify_tol:
         return ClassLabel.DOUBLE_ROOT
     if m < 0.0:
         return ClassLabel.NEGATIVE_SOMEWHERE
@@ -267,11 +264,7 @@ class SweepRow:
     label: ClassLabel
 
 
-def sweep(
-    kappas: Iterable[float],
-    X: RuledSurfaceData | None = None,
-    tol: float = TOL.classify_tol,
-) -> list[SweepRow]:
+def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None) -> list[SweepRow]:
     rows = []
     for kappa in kappas:
         bk = b_kappa(kappa)
@@ -285,7 +278,7 @@ def sweep(
                 futaki_residual=sol.futaki_residual,
                 min_P=m,
                 argmin_z=zm,
-                label=_label(m, tol),
+                label=_label(m),
             )
         )
     return rows

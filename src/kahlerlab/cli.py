@@ -96,8 +96,11 @@ class RunConfig:
         if "b0" in p and not (p["b0"] == math.inf or p["b0"] >= 0.0):
             raise ConfigError("b0 must be >= 0 or inf")
         if "k_list" in p:
-            if not p["k_list"] or min(p["k_list"]) < 1:
-                raise ConfigError("k values must be >= 1")
+            # the probe's k scales a direction (k = 0 is the reference); the
+            # quantized commands' k is a tensor power
+            k_min = 0 if self.command == "mabuchi-probe" else 1
+            if not p["k_list"] or min(p["k_list"]) < k_min:
+                raise ConfigError(f"k values must be >= {k_min}")
         if "genus" in p and p["genus"] < 2:
             raise ConfigError("genus must be >= 2")
         if "degree" in p and p["degree"] < 1:
@@ -260,7 +263,7 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
             "kappa": args.kappa,
             "genus": args.genus,
             "degree": args.degree,
-            "k_list": [max(k, 1) for k in ks],
+            "k_list": ks,
         },
     )
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)

@@ -82,14 +82,13 @@ def aubin_path(
     phi_b: RadialPotential,
     k: int,
     model: ToyModel,
-    s_order: int = TOL.quad_order_path,
 ) -> float:
     """Integral of the Aubin 1-form along the straight psi-blend a -> b."""
     ck = c_k_constant(k, model)
     t, tw = _t_grid()
     da, db = phi_a.at_t(t), phi_b.at_t(t)
     dot = 0.5 * (db.psi - da.psi)  # phi-dot = (psi_b - psi_a)/2, fixed along the blend
-    srule = gauss_legendre(s_order, 0.0, 1.0)
+    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
     total = 0.0
     for s, ws in zip(srule.nodes, srule.weights):
         mu_s = (1.0 - s) * da.mu + s * db.mu
@@ -104,11 +103,10 @@ def aubin_I(
     k: int,
     model: ToyModel,
     ref: RadialPotential | None = None,
-    s_order: int = TOL.quad_order_path,
 ) -> float:
     """𝕀(phi): Aubin functional, path integral from the reference potential
     (𝕀(reference) = 0)."""
-    return aubin_path(round_potential() if ref is None else ref, phi, k, model, s_order)
+    return aubin_path(round_potential() if ref is None else ref, phi, k, model)
 
 
 def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:
@@ -125,7 +123,6 @@ def toy_mabuchi(
     phi: RadialPotential,
     model: ToyModel,
     ref: RadialPotential | None = None,
-    s_order: int = TOL.quad_order_path,
 ) -> float:
     """Weighted Mabuchi energy of the toy, 𝓜(reference) = 0, via the path
     integral of -∫ phi-dot (Scal_p - c) f^{-(p+1)} vol_omega along the
@@ -137,7 +134,7 @@ def toy_mabuchi(
     dot = 0.5 * (db.psi - da.psi)
     c = c_top_exact(model)
     p = model.p
-    srule = gauss_legendre(s_order, 0.0, 1.0)
+    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
     total = 0.0
     for s, ws in zip(srule.nodes, srule.weights):
         mu_s = (1.0 - s) * da.mu + s * db.mu

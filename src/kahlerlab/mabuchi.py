@@ -39,7 +39,7 @@ from numpy.polynomial import chebyshev as cheb
 from .calabi import KillingData, Profile, weighted_average_c, weighted_scalar_curvature
 from .ckem import PKappaSolution
 from .errors import BadDirection, NotAdmissible, OutOfDomain
-from .numerics import gauss_legendre, graded_rule
+from .numerics import chebyshev_coefficients, gauss_legendre, graded_rule
 from .tolerances import TOL
 
 __all__ = [
@@ -63,12 +63,12 @@ __all__ = [
 class SymplecticPotential:
     """Potential u on (-1,1) represented by D(z) = (1-z^2) u''(z).
 
-    D is held as an exact callable: grid data enters only through the
-    `from_values` constructor (Chebyshev interpolation), while perturbed and
-    closed-form potentials keep closures, so rough directions (mollifier
-    bumps) never suffer fit ringing. Admissibility: u'' > 0 on the check grid
-    and D(+-1) = 1 within TOL.u2_boundary (the boundary behavior forced by an
-    admissible profile).
+    D is held as an exact callable: grid data enters only through
+    `calabi.to_symplectic` (Chebyshev interpolation of sampled 1/Theta),
+    while perturbed and closed-form potentials keep closures, so rough
+    directions (mollifier bumps) never suffer fit ringing. Admissibility:
+    u'' > 0 on the check grid and D(+-1) = 1 within TOL.u2_boundary (the
+    boundary behavior forced by an admissible profile).
     """
 
     def __init__(self, dfun: Callable, kappa: float):
@@ -88,20 +88,6 @@ class SymplecticPotential:
                 )
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_values(z: np.ndarray, u2: np.ndarray, kappa: float) -> "SymplecticPotential":
-        """Fit D = (1-z^2) u'' through interior samples of u''."""
-        z = np.asarray(z, dtype=float)
-        u2 = np.asarray(u2, dtype=float)
-        if np.any(np.abs(z) >= 1.0):
-            raise OutOfDomain("sample nodes must lie strictly inside (-1, 1)")
-        if np.any(u2 <= 0.0):
-            raise NotAdmissible("u'' must be positive at the sample nodes")
-        d = (1.0 - z * z) * u2
-        deg = min(len(z) - 1, 120)
-        coef = cheb.chebfit(z, d, deg)
-        return SymplecticPotential(lambda x: cheb.chebval(np.asarray(x, dtype=float), coef), kappa)
 
     @staticmethod
     def reference(kappa: float) -> "SymplecticPotential":
@@ -343,13 +329,13 @@ def _udot_on(zq: np.ndarray, prof: Profile, theta_dot_vals_at) -> np.ndarray:
     zc = cheb.chebpts1(192)
     th = prof.theta(zc)
     w = -theta_dot_vals_at(zc) * (1.0 - zc * zc) / th**2
-    wc = cheb.chebfit(zc, w, 170)
+    wc = chebyshev_coefficients(w, 170)
     w_m = float(cheb.chebval(-1.0, wc))
     w_p = float(cheb.chebval(1.0, wc))
     # linear part carrying the endpoint values
     ell = 0.5 * w_m * (1.0 - zc) + 0.5 * w_p * (1.0 + zc)
     r = (w - ell) / (1.0 - zc * zc)
-    rc = cheb.chebfit(zc, r, 170)
+    rc = chebyshev_coefficients(r, 170)
     s2 = cheb.chebint(cheb.chebint(rc))
     s0 = cheb.chebval(0.0, s2)
     s1 = cheb.chebval(0.0, cheb.chebder(s2))
@@ -368,7 +354,6 @@ def mabuchi_path_integral(
     family: PathFamily,
     k: KillingData,
     sol: PKappaSolution,
-    t_order: int = TOL.quad_order_path,
 ) -> float:
     """Integrate the 1-form int u_dot (Scal_p - c) f^{-(p+1)} (z+kappa) dz
     along the path. c is frozen from the class average at the path start.
@@ -379,7 +364,7 @@ def mabuchi_path_integral(
     c = weighted_average_c(prof0, X, k, order=TOL.quad_order_mabuchi)
     zrule = graded_rule()
     zq = zrule.nodes
-    trule = gauss_legendre(t_order, 0.0, 1.0)
+    trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
 
     total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):

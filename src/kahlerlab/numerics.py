@@ -1,4 +1,4 @@
-"""Shared numeric kernels: quadrature and least squares.
+"""Shared numeric kernels: quadrature, Chebyshev projection, least squares.
 
 Everything here is pure and immutable after construction; callers are free
 to use these objects concurrently. Endpoint-singular integrands are the
@@ -21,6 +21,7 @@ __all__ = [
     "gauss_legendre",
     "graded_rule",
     "integrate",
+    "chebyshev_coefficients",
     "solve_least_squares",
 ]
 
@@ -112,6 +113,39 @@ def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> fl
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand is not finite at a quadrature node")
     return float(np.dot(rule.weights, vals))
+
+
+@lru_cache(maxsize=16)
+def _cheb_projector(n: int, deg: int) -> np.ndarray:
+    """(2/n) V^T with its first row halved, V = chebvander(chebpts1(n), deg).
+
+    chebpts1(n) lists x_k = cos(theta_k), theta_k = (2k+1) pi/(2n), for
+    k = n-1, ..., 0, so V[k, j] = T_j(x_k) = cos(j theta_k). The angle
+    j (2k+1) pi/(2n) is reduced mod 2 pi in integers before the cosine;
+    the three-term recurrence of chebvander would round each entry ~j
+    times instead.
+    """
+    k = np.arange(n - 1, -1, -1)
+    m = np.outer(np.arange(deg + 1), 2 * k + 1) % (4 * n)
+    P = np.cos(m * (0.5 * np.pi / n)) * (2.0 / n)
+    P[0] *= 0.5
+    P.flags.writeable = False
+    return P
+
+
+def chebyshev_coefficients(values: np.ndarray, deg: int) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_deg of samples taken at chebpts1(n).
+
+    On these n nodes the T_j (j < n) are discretely orthogonal, so
+    c_j = (2/n) sum_k f(x_k) T_j(x_k), with c_0 halved: the least-squares
+    fit of degree deg with no linear solve, which for deg = n-1
+    interpolates (Trefethen, Approximation Theory and Approximation
+    Practice, ch. 3).
+    """
+    f = np.asarray(values, dtype=float)
+    if f.ndim != 1 or not 0 <= deg < len(f):
+        raise ValueError("need 1-d samples and 0 <= deg < len(values)")
+    return _cheb_projector(len(f), int(deg)) @ f
 
 
 def solve_least_squares(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -36,13 +36,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
-from .numerics import gauss_legendre
+from .numerics import chebyshev_coefficients, gauss_legendre
 from .tolerances import TOL
 
 __all__ = [
@@ -292,15 +293,15 @@ class ProfilePotential(RadialPotential):
 
     _N = 160
 
-    def __init__(self, q_fn: Callable, validate: bool = True):
+    def __init__(self, q_fn: Callable):
         x = cheb.chebpts1(self._N)
         mu = 0.5 * (x + 1.0)
         qv = np.asarray(q_fn(mu), dtype=float)
         if np.any(qv <= 0.0):
             raise NotAdmissible("q = S/S_round must be positive")
-        qc = cheb.chebfit(x, qv, self._N - 10)
+        qc = chebyshev_coefficients(qv, self._N - 10)
         r = (1.0 - qv) / (qv * mu * (1.0 - mu))
-        rc = cheb.chebfit(x, r, self._N - 10)
+        rc = chebyshev_coefficients(r, self._N - 10)
         Rc = cheb.chebint(cheb.chebint(rc)) * 0.25  # d/dmu = 2 d/dx
         # columns q, q', q'', R, R' (in mu), zero-padded to one length so a
         # single Clenshaw pass evaluates all five
@@ -310,11 +311,11 @@ class ProfilePotential(RadialPotential):
         self._series = np.zeros((len(Rc), len(cols)))
         for i, c in enumerate(cols):
             self._series[: len(c), i] = c
+        self._series.flags.writeable = False
         self._R_aff = (float(cheb.chebval(0.0, Rc)), float(cheb.chebval(0.0, dR)))
-        if validate:
-            rep = boundary_report(self)
-            if not rep.passes:
-                raise NotAdmissible(f"profile boundary defects too large: {rep.defects}")
+        rep = boundary_report(self)
+        if not rep.passes:
+            raise NotAdmissible(f"profile boundary defects too large: {rep.defects}")
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
@@ -412,9 +413,15 @@ def shift_potential(phi: RadialPotential, s: float) -> RadialPotential:
     return _ShiftedPotential(phi, s)
 
 
-def round_potential() -> ProfilePotential:
-    """The reference metric: S_0 = 2 mu (1-mu), psi_0 = log(1 + e^t)."""
+@lru_cache(maxsize=1)
+def _round_potential() -> ProfilePotential:
     return ProfilePotential(lambda mu: np.ones_like(np.asarray(mu, dtype=float)))
+
+
+def round_potential() -> ProfilePotential:
+    """The reference metric: S_0 = 2 mu (1-mu), psi_0 = log(1 + e^t).
+    Built once; potentials are immutable after construction."""
+    return _round_potential()
 
 
 def random_potential(rng: np.random.Generator, scale: float = 0.8, degree: int = 3) -> ProfilePotential:

@@ -72,6 +72,14 @@ def test_weighted_scal_constant_on_solver_profile():
     np.testing.assert_allclose(vals, sol.c, atol=1e-9)
 
 
+def test_sampled_profile_matches_the_exact_one():
+    sol = solve_P(1.6, b_kappa(1.6))
+    exact = sol.profile()
+    sampled = Profile.from_callable(exact.theta, 1.6)
+    for name, atol in (("theta", 1e-13), ("dtheta", 1e-10), ("d2_numerator", 1e-7)):
+        np.testing.assert_allclose(getattr(sampled, name)(ZGRID), getattr(exact, name)(ZGRID), rtol=0, atol=atol)
+
+
 def test_to_symplectic_roundtrip():
     rng = np.random.default_rng(4)
     prof = random_admissible_profile(rng, 1.5)

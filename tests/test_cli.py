@@ -119,6 +119,24 @@ def test_mabuchi_probe_default_kappa_follows_the_surface(workdir, capsys):
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
+def test_mabuchi_probe_cache_key_is_the_k_list_as_given(workdir):
+    def run(name, k_range):
+        assert main(["mabuchi-probe", "--kappa", "1.005", "--k-range", k_range, "--out", str(workdir / name)]) == 0
+        rows = (workdir / name).read_text().splitlines()[1:-1]
+        return json.loads((workdir / f"{name}.record.json").read_text()), [row.split(",")[0] for row in rows]
+
+    first, ks0 = run("a.csv", "0,1,2")
+    second, ks1 = run("b.csv", "1,1,2")
+    assert ks0 == ["0.0", "1.0", "2.0"] and ks1 == ["1.0", "1.0", "2.0"]
+    assert not second["cache_hit"]
+    assert second["input_hash"] != first["input_hash"]
+
+
+def test_mabuchi_probe_rejects_negative_k(workdir, capsys):
+    assert main(["mabuchi-probe", "--kappa", "1.005", "--k-range=-1,2", "--no-cache"]) == 2
+    assert "k values must be >= 0" in capsys.readouterr().err
+
+
 def test_cache_key_follows_the_source_fingerprint(workdir, monkeypatch):
     def run(name):
         assert main(["pkappa", "--kappa", "1.25", "--out", str(workdir / name)]) == 0

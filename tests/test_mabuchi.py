@@ -83,16 +83,18 @@ def test_probe_diverges_below_threshold():
 
 
 def test_path_integral_closes_on_loops():
-    kappa = 1.25
-    sol = _sol(kappa)
-    kd = KillingData(b=sol.b, p=4.0)
-    rng = np.random.default_rng(11)
-    profs = [random_admissible_profile(rng, kappa, degree=3) for _ in range(3)]
-    loop = sum(
-        mabuchi_path_integral(straight_theta_path(profs[i], profs[(i + 1) % 3]), kd, sol)
-        for i in range(3)
-    )
-    assert abs(loop) < 1e-8
+    # kappa = 1.001: the profiles' relative accuracy next to z = +-1 matters
+    # at the graded rule's innermost nodes
+    for kappa in (1.25, 1.001):
+        sol = _sol(kappa)
+        kd = KillingData(b=sol.b, p=4.0)
+        rng = np.random.default_rng(11)
+        profs = [random_admissible_profile(rng, kappa, degree=3) for _ in range(3)]
+        loop = sum(
+            mabuchi_path_integral(straight_theta_path(profs[i], profs[(i + 1) % 3]), kd, sol)
+            for i in range(3)
+        )
+        assert abs(loop) < 1e-8, kappa
 
 
 def test_path_independence_theta_vs_potential_paths():

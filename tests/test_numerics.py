@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from numpy.polynomial import chebyshev as cheb
+
 from kahlerlab.numerics import (
     QuadratureRule,
+    chebyshev_coefficients,
     gauss_legendre,
     graded_rule,
     integrate,
@@ -59,3 +62,29 @@ def test_least_squares_rank_deficient():
     A = np.ones((10, 2))
     with pytest.raises(RankDeficient):
         solve_least_squares(A, np.ones(10))
+
+
+CHEB_SIZES = [(96, 95), (128, 120), (160, 150), (192, 170)]
+
+
+@pytest.mark.parametrize("n, deg", CHEB_SIZES)
+def test_chebyshev_coefficients_match_least_squares(n, deg):
+    x = cheb.chebpts1(n)
+    for f in (np.exp(np.sin(3.0 * x)), 1.0 / (1.0 + 4.0 * x * x), np.abs(x) ** 3):
+        np.testing.assert_allclose(chebyshev_coefficients(f, deg), cheb.chebfit(x, f, deg), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, deg", CHEB_SIZES)
+def test_chebyshev_coefficients_reproduce_polynomials(n, deg):
+    rng = np.random.default_rng(n)
+    x = cheb.chebpts1(n)
+    for d in (0, deg // 2, deg):
+        c = rng.normal(size=d + 1) / (1.0 + np.arange(d + 1))
+        got = chebyshev_coefficients(cheb.chebval(x, c), deg)
+        np.testing.assert_allclose(got, np.pad(c, (0, deg - d)), rtol=0, atol=1e-13)
+
+
+def test_chebyshev_coefficients_validate_degree():
+    for deg in (-1, 8):
+        with pytest.raises(ValueError):
+            chebyshev_coefficients(np.ones(8), deg)
