@@ -44,10 +44,9 @@ from .ckem import (
     write_sweep_csv,
 )
 from .mabuchi import (
-    BumpDirection,
     fit_probe_slope,
+    probe_bump,
     probe_summary,
-    scale_bump_for_slope,
     unboundedness_probe,
     write_probe_csv,
 )
@@ -274,12 +273,7 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         kappa = args.kappa if args.kappa is not None else 0.5 * (1.0 + kappa_zero(X))
         sol = solve_P(kappa, b_kappa(kappa), X)
         label = str(classify(kappa, X))
-        _, zm = interior_min(sol.P)
-        # near kappa0 the region P < 0 is narrower than the default bump:
-        # keep the bump within half the distance from the argmin to a root
-        gap = min(abs(r.real - zm) for r in sol.P.roots() if abs(r.imag) < 1e-9)
-        bump = scale_bump_for_slope(sol, BumpDirection(zm, min(0.08, 0.5 * gap)), target=-2.0)
-        energies = unboundedness_probe(sol, bump, [float(k) for k in ks])
+        energies = unboundedness_probe(sol, probe_bump(sol), [float(k) for k in ks])
         slope = fit_probe_slope([float(k) for k in ks], energies)
         buf = io.StringIO()
         write_probe_csv([float(k) for k in ks], energies, slope, buf)

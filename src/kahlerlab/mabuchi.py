@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .calabi import KillingData, Profile, weighted_average_c, weighted_scalar_curvature
-from .ckem import PKappaSolution
+from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, NotAdmissible, OutOfDomain
 from .numerics import chebyshev_coefficients, gauss_legendre, graded_rule
 from .tolerances import TOL
@@ -49,6 +49,7 @@ __all__ = [
     "mabuchi_gradient_amt",
     "unboundedness_probe",
     "scale_bump_for_slope",
+    "probe_bump",
     "probe_slope",
     "mabuchi_path_integral",
     "PathFamily",
@@ -226,6 +227,15 @@ def scale_bump_for_slope(
     if not s < 0.0:
         raise BadDirection("bump does not see the negativity region of P")
     return BumpDirection(bump.center, bump.radius, target / s)
+
+
+def probe_bump(sol: PKappaSolution) -> BumpDirection:
+    """The probe direction: a bump at the argmin of P of radius 0.08, cut to
+    half the distance from there to the nearest real root of P (near kappa0
+    the region P < 0 is narrower), scaled to leading slope -2."""
+    _, zm = interior_min(sol.P)
+    gap = min(abs(r.real - zm) for r in sol.P.roots() if abs(r.imag) < 1e-9)
+    return scale_bump_for_slope(sol, BumpDirection(zm, min(0.08, 0.5 * gap)), target=-2.0)
 
 
 def unboundedness_probe(

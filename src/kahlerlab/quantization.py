@@ -363,16 +363,17 @@ class FSPotential(_TNativePotential):
         # absolute rounding of logsumexp (~|sc| eps) into every weight, and
         # the cumulant cancellations of psi'''' amplify it
         w = e / tot
-        j = self._j[:, None]
-        m1 = np.sum(w * j, axis=0)
-        d = j - m1[None, :]
-        k2 = np.sum(w * d * d, axis=0)
+        m1 = self._j @ w
+        # central moments from products only: float `pow` costs ~7x the rest
+        d = self._j[:, None] - m1[None, :]
+        wd2 = w * d * d
+        k2 = np.sum(wd2, axis=0)
         s = TSample(
             mu=m1 / self.k,
             psi=(np.log(tot) + top - self.log_ck) / self.k,
             psi2=k2 / self.k,
-            psi3=np.sum(w * d**3, axis=0) / self.k,
-            psi4=(np.sum(w * d**4, axis=0) - 3.0 * k2 * k2) / self.k,
+            psi3=np.sum(wd2 * d, axis=0) / self.k,
+            psi4=(np.sum(wd2 * d * d, axis=0) - 3.0 * k2 * k2) / self.k,
         )
         return TSample(*(f.reshape(t.shape) for f in s))
 
@@ -587,9 +588,11 @@ def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
     return HermitianNorms(k=k, log_h=log_g - np.log(spec.lam_p))
 
 
+@lru_cache(maxsize=None)
 def c_k_constant(k: int, model: ToyModel) -> float:
     """C_k = sum_j lambda_j(p) / int f^{1-p} vol_{k omega}; the volume
-    bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2})."""
+    bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). Memoized: `fs`
+    needs it on every balanced step."""
     spec = eigenvalues(k, model, check_weights=False)
     rule = _mu_rule()
     den = 2.0 * math.pi * k * float(np.dot(rule.weights, model.f(rule.nodes) ** (1.0 - model.p)))
@@ -713,6 +716,9 @@ class BalancedResult:
     n_iter: int
 
 
+_ANDERSON_DEPTH = 8  # residual differences the balanced mixing keeps
+
+
 def balanced_iterate(
     phi0: RadialPotential,
     k: int,
@@ -721,27 +727,56 @@ def balanced_iterate(
     tol: float = TOL.balanced_tol,
     damping: float = 0.0,
 ) -> BalancedResult:
-    """Plain fixed-point iteration H -> hilb(fs(H)) from H_0 = hilb(phi_0).
+    """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0),
+    by Anderson mixing on x = log h (Walker-Ni, SIAM J. Numer. Anal. 2011).
 
-    Converged when sup_j |log h^{n+1}_j - log h^n_j| < tol. `damping` blends
-    log h^{n+1} = (1-d) log T(h) + d log h (0 = plain; exposed in case of
-    oscillation). Raises NoConvergence after max_iter."""
+    Each step evaluates g = T(x) - x. T commutes with the gauge
+    log h -> log h + k a + j b, so its fixed points form an orbit (and in the
+    weighted mode there is only a relative fixed point, a steady gauge
+    drift); the mixing coefficients gamma therefore fit g by the last
+    _ANDERSON_DEPTH differences of g in least squares modulo span{1, j}.
+    The next iterate is x + beta g - (dX + beta dG) gamma with mixing weight
+    beta = 1 - damping; with no history that is the damped plain step
+    (1-d) T(x) + d x.
+
+    Converged when the raw step sup_j |g_j| < tol: H = x + beta g is then
+    within sup|g| / (1 - r) of the fixed-point set, r the contraction rate
+    of T. Raises NoConvergence after max_iter, naming the last raw step and
+    the last step modulo span{1, j}."""
     if not 0.0 <= damping < 1.0:
         raise OutOfDomain("damping must be in [0, 1)")
-    H = hilb(phi0, k, model)
+    beta = 1.0 - damping
+    j = np.arange(k + 1, dtype=float)
+    gauge = np.linalg.qr(np.stack([np.ones_like(j), j], axis=1))[0]
+    x = hilb(phi0, k, model).log_h
+    dX: list[np.ndarray] = []
+    dG: list[np.ndarray] = []
     history = []
+    step = quotient = math.nan
     for n in range(max_iter):
-        phi = fs(H, k, model)
-        H_next = hilb(phi, k, model)
-        new_log = (1.0 - damping) * H_next.log_h + damping * H.log_h
-        step = float(np.max(np.abs(new_log - H.log_h)))
+        g = hilb(fs(HermitianNorms(k=k, log_h=x), k, model), k, model).log_h - x
+        step = float(np.max(np.abs(g)))
         history.append(step)
-        H = HermitianNorms(k=k, log_h=new_log)
         if step < tol:
+            H = HermitianNorms(k=k, log_h=x + beta * g)
             return BalancedResult(
                 H=H, phi=fs(H, k, model), converged=True, history=tuple(history), n_iter=n + 1
             )
-    raise NoConvergence(f"balanced iteration did not reach tol={tol:g} in {max_iter} steps")
+        gq = g - gauge @ (gauge.T @ g)
+        quotient = float(np.max(np.abs(gq)))
+        if n:
+            dX = [*dX, x - x_prev][-_ANDERSON_DEPTH:]
+            dG = [*dG, g - g_prev][-_ANDERSON_DEPTH:]
+        x_prev, g_prev = x, g
+        x = x + beta * g
+        if dG:
+            DX, DG = np.stack(dX, axis=1), np.stack(dG, axis=1)
+            gamma = np.linalg.lstsq(DG - gauge @ (gauge.T @ DG), gq, rcond=None)[0]
+            x = x - (DX + beta * DG) @ gamma
+    raise NoConvergence(
+        f"balanced iteration did not reach tol={tol:g} in {max_iter} steps: last raw step "
+        f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}"
+    )
 
 
 def balanced_residual(H: HermitianNorms, k: int, model: ToyModel) -> float:

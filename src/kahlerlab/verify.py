@@ -47,8 +47,8 @@ from .mabuchi import (
     fit_probe_slope,
     mabuchi_gradient_amt,
     mabuchi_path_integral,
+    probe_bump,
     probe_slope,
-    scale_bump_for_slope,
     straight_theta_path,
     unboundedness_probe,
 )
@@ -188,18 +188,14 @@ def _chk_probe_slope(breach: bool) -> CheckResult:
     k0 = kappa_zero()
     kappa = 0.5 * (1.0 + k0)
     sol = solve_P(kappa, b_kappa(kappa))
-    _, zm = interior_min(sol.P)
-    radius = 0.08
-    for _ in range(3):
-        try:
-            bump = scale_bump_for_slope(sol, BumpDirection(zm, radius), target=-2.0)
-            ks = [4.0, 8.0, 16.0, 32.0, 64.0]
-            fitted = fit_probe_slope(ks, unboundedness_probe(sol, bump, ks))
-            rel = abs(fitted - probe_slope(sol, bump)) / abs(probe_slope(sol, bump))
-            return _upper("probe-slope", "mabuchi", rel, TOL.probe_slope_rel, breach)
-        except BadDirection:
-            radius *= 0.5
-    return CheckResult("probe-slope", "mabuchi", False, "no admissible bump found")
+    try:
+        bump = probe_bump(sol)
+        ks = [4.0, 8.0, 16.0, 32.0, 64.0]
+        fitted = fit_probe_slope(ks, unboundedness_probe(sol, bump, ks))
+    except BadDirection:
+        return CheckResult("probe-slope", "mabuchi", False, "no admissible bump found")
+    rel = abs(fitted - probe_slope(sol, bump)) / abs(probe_slope(sol, bump))
+    return _upper("probe-slope", "mabuchi", rel, TOL.probe_slope_rel, breach)
 
 
 def _chk_rho_identity(breach: bool) -> CheckResult:

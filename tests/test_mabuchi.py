@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahlerlab.calabi import KillingData, random_admissible_profile, to_symplectic
+from kahlerlab.calabi import KillingData, RuledSurfaceData, random_admissible_profile, to_symplectic
 from kahlerlab.ckem import b_kappa, kappa_zero, solve_P
 from kahlerlab.errors import BadDirection, NotAdmissible, OutOfDomain
 from kahlerlab.mabuchi import (
@@ -13,6 +13,7 @@ from kahlerlab.mabuchi import (
     mabuchi_energy_amt,
     mabuchi_gradient_amt,
     mabuchi_path_integral,
+    probe_bump,
     probe_slope,
     scale_bump_for_slope,
     straight_potential_path,
@@ -80,6 +81,21 @@ def test_probe_diverges_below_threshold():
     assert all(b < a for a, b in zip(energies[1:], energies[2:]))
     fitted = fit_probe_slope(ks, energies)
     np.testing.assert_allclose(fitted, probe_slope(sol, bump), rtol=2e-2)
+
+
+def test_probe_bump_stays_inside_the_negative_region():
+    # midway to kappa0 of the standard surface half the root gap of P is
+    # 0.0985, so the radius stays 0.08; at that of (2, 5) P < 0 only on
+    # (-0.988, -0.820) around the argmin -0.879, so the bump shrinks
+    X5 = RuledSurfaceData.standard(1.5, genus=2, degree=5)
+    kappa = 0.5 * (1.0 + kappa_zero(X5))
+    sols = [_sol(0.5 * (1.0 + kappa_zero())), solve_P(kappa, b_kappa(kappa), X5)]
+    bumps = [probe_bump(sol) for sol in sols]
+    assert bumps[0].radius == 0.08 and bumps[1].radius < 0.08
+    for sol, bump in zip(sols, bumps):
+        z = np.linspace(bump.center - bump.radius, bump.center + bump.radius, 1001)
+        assert np.max(sol.P(z)) < 0.0
+        np.testing.assert_allclose(probe_slope(sol, bump), -2.0, rtol=1e-12)
 
 
 def test_path_integral_closes_on_loops():

@@ -6,6 +6,7 @@ the exact (2 pi) C_k = 1 - 1/k^2 identity in the unweighted mode.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ def test_fs_of_binomial_norms_is_the_round_metric(k, b):
     assert np.max(np.abs(phi.S(mu) - 2.0 * mu * (1.0 - mu))) <= 1e-13
     assert np.max(np.abs(phi.v(mu) - (mu * np.log(mu) + (1.0 - mu) * np.log(1.0 - mu) - b * mu))) <= 1e-13
     assert np.max(np.abs(phi.d2S(mu) + 4.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
+@pytest.mark.parametrize("k", [8, 64, 512])
+def test_fs_cumulants_of_binomial_norms(k, b):
+    # psi = log(1 + e^{t+b}) here, so mu and the t-derivatives psi'' to
+    # psi'''' are those of the logistic sigma = 1/(1 + e^{-(t+b)})
+    t = np.linspace(-30.0, 30.0, 241)
+    phi = FSPotential(k, np.array([-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
+    s = phi.at_t(t)
+    sig = 1.0 / (1.0 + np.exp(-(t + b)))
+    assert np.max(np.abs(s.mu - sig)) <= 1e-11
+    assert np.max(np.abs(s.psi2 - sig * (1.0 - sig))) <= 1e-11
+    assert np.max(np.abs(s.psi3 - sig * (1.0 - sig) * (1.0 - 2.0 * sig))) <= 1e-11
+    assert np.max(np.abs(s.psi4 - sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig))) <= 1e-11
 
 
 def test_blend_potential_is_affine_in_psi():
@@ -345,6 +361,46 @@ def test_balanced_no_fixed_point_in_weighted_mode():
     model = ToyModel(b0=1.0, p=4.0)
     with pytest.raises(NoConvergence):
         balanced_iterate(round_potential(), 4, model, max_iter=60)
+
+
+def _affine_defect_from_beta_norms(log_h, k):
+    # the unweighted balanced metric is the round one, whose norms are Beta
+    # integrals; the iteration fixes them only up to log h -> log h + a + b j
+    j = np.arange(k + 1, dtype=float)
+    d = log_h - betaln(j + 1.0, k - j + 1.0)
+    A = np.stack([np.ones_like(j), j], axis=1)
+    coef, *_ = np.linalg.lstsq(A, d, rcond=None)
+    return float(np.max(np.abs(d - A @ coef)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("k", [8, 12, 16])
+def test_balanced_random_starts_converge_in_few_steps(k, seed):
+    phi0 = random_potential(np.random.default_rng(seed), scale=0.6)
+    res = balanced_iterate(phi0, k, ToyModel(p=1.0), max_iter=40)
+    assert res.converged and res.n_iter <= 40
+    assert _affine_defect_from_beta_norms(res.H.log_h, k) < 1e-8
+
+
+def test_balanced_k16_converges_under_default_max_iter():
+    # the plain map needs about 520 steps here, beyond the default 500
+    k = 16
+    res = balanced_iterate(random_potential(np.random.default_rng(9), scale=0.6), k, ToyModel(p=1.0))
+    assert res.converged
+    assert _affine_defect_from_beta_norms(res.H.log_h, k) < 1e-8
+
+
+def test_balanced_weighted_failure_is_gauge_drift():
+    # The weighted mode has only a relative fixed point: the iteration gives
+    # up on the raw step, which stays at a pure gauge drift, while the step
+    # modulo span{1, j} reaches rounding level. The mu<->t inversion, whose
+    # NoConvergence reads differently, does not fail.
+    with pytest.raises(NoConvergence, match="balanced iteration did not reach") as err:
+        balanced_iterate(round_potential(), 4, ToyModel(b0=1.0, p=4.0), max_iter=60)
+    found = re.search(r"last raw step (\S+), last step modulo span\{1, j\} (\S+)", str(err.value))
+    raw, quotient = float(found.group(1)), float(found.group(2))
+    assert raw > 1e-2
+    assert quotient < 1e-10
 
 
 def test_balanced_damping_reaches_same_point():
