@@ -44,7 +44,7 @@ __all__ = [
     "BoundaryReport",
     "check_boundary",
     "ansatz_scalar_curvature",
-    "momentum_laplacian",
+    "scal_p_on",
     "weighted_scalar_curvature",
     "weighted_average_c",
     "to_symplectic",
@@ -130,27 +130,20 @@ class Profile:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _numerator(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(z+kappa) Theta and its first two derivatives."""
+    def jet(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Theta, Theta' and ((z+kappa) Theta)'' at z, in one pass."""
+        z = np.asarray(z, dtype=float)
         N, dN, d2N = (f(z) for f in self._N)
         ell, dell = (f(z) for f in self._ell)
         w = 1.0 - z * z
-        return w * N + ell, w * dN - 2.0 * z * N + dell, w * d2N - 4.0 * z * dN - 2.0 * N
+        A, dA = w * N + ell, w * dN - 2.0 * z * N + dell
+        t = z + self.kappa
+        return A / t, (dA * t - A) / t**2, w * d2N - 4.0 * z * dN - 2.0 * N
 
     def theta(self, z):
         z = np.asarray(z, dtype=float)
         w = 1.0 - z * z
         return (w * self._N[0](z) + self._ell[0](z)) / (z + self.kappa)
-
-    def dtheta(self, z):
-        z = np.asarray(z, dtype=float)
-        A, dA, _ = self._numerator(z)
-        t = z + self.kappa
-        return (dA * t - A) / t**2
-
-    def d2_numerator(self, z):
-        """((z+kappa) Theta)''."""
-        return self._numerator(np.asarray(z, dtype=float))[2]
 
 
 @dataclass(frozen=True)
@@ -161,53 +154,45 @@ class BoundaryReport:
 
 def check_boundary(profile: Profile, tol: float = TOL.boundary_defect) -> BoundaryReport:
     """Defects (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2)."""
-    d = (
-        float(profile.theta(-1.0)),
-        float(profile.theta(1.0)),
-        float(profile.dtheta(-1.0)) - 2.0,
-        float(profile.dtheta(1.0)) + 2.0,
-    )
+    (th_m, th_p), (dth_m, dth_p), _ = profile.jet(np.array([-1.0, 1.0]))
+    d = (float(th_m), float(th_p), float(dth_m) - 2.0, float(dth_p) + 2.0)
     return BoundaryReport(passes=bool(max(abs(x) for x in d) < tol), defects=d)
+
+
+def _scal(z, d2num, X: RuledSurfaceData, kappa: float) -> np.ndarray:
+    out = (X.base_scal - d2num) / (z + kappa)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteCurvature("scalar curvature is not finite on the grid")
+    return out
 
 
 def ansatz_scalar_curvature(profile: Profile, X: RuledSurfaceData) -> Callable:
     """Scal(z) = (s_C - ((z+kappa) Theta)'') / (z+kappa)."""
-    sC = X.base_scal
-    kappa = profile.kappa
 
     def scal(z):
         z = np.asarray(z, dtype=float)
-        out = (sC - profile.d2_numerator(z)) / (z + kappa)
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteCurvature("scalar curvature is not finite on the grid")
+        out = _scal(z, profile.jet(z)[2], X, profile.kappa)
         return out if out.ndim else float(out)
 
     return scal
 
 
-def momentum_laplacian(profile: Profile, kappa: float | None = None) -> Callable:
-    """Delta_g z = -Theta'(z) - Theta(z)/(z+kappa)."""
-    kap = profile.kappa if kappa is None else float(kappa)
-
-    def lap(z):
-        z = np.asarray(z, dtype=float)
-        out = -profile.dtheta(z) - profile.theta(z) / (z + kap)
-        return out if out.ndim else float(out)
-
-    return lap
+def scal_p_on(z, jet, X: RuledSurfaceData, k: KillingData, kappa: float) -> np.ndarray:
+    """Scal_{(xi,b,p)} = f^2 Scal - 2(p-1) f Delta_g f - p(p-1) |xi|^2 at z,
+    from the samples jet = (Theta, Theta', ((z+kappa) Theta)'') there; f = z+b,
+    Delta_g f = Delta_g z = -Theta' - Theta/(z+kappa) and |xi|^2 = Theta."""
+    theta, dtheta, d2num = jet
+    f = z + k.b
+    lap = -dtheta - theta / (z + kappa)
+    return f * f * _scal(z, d2num, X, kappa) - 2.0 * (k.p - 1.0) * f * lap - k.p * (k.p - 1.0) * theta
 
 
 def weighted_scalar_curvature(profile: Profile, X: RuledSurfaceData, k: KillingData) -> Callable:
-    """Scal_{(xi,b,p)}(z) = f^2 Scal - 2(p-1) f Delta_g f - p(p-1) |xi|^2,
-    with f = z+b, Delta_g f = Delta_g z and |xi|^2 = Theta."""
-    scal = ansatz_scalar_curvature(profile, X)
-    lap = momentum_laplacian(profile)
-    b, p = k.b, k.p
+    """Scal_{(xi,b,p)}(z) of the profile (see scal_p_on)."""
 
     def wscal(z):
         z = np.asarray(z, dtype=float)
-        f = z + b
-        out = f * f * scal(z) - 2.0 * (p - 1.0) * f * lap(z) - p * (p - 1.0) * profile.theta(z)
+        out = scal_p_on(z, profile.jet(z), X, k, profile.kappa)
         return out if out.ndim else float(out)
 
     return wscal
@@ -226,15 +211,9 @@ def weighted_average_c(
     that invariance is a tested property, not an input assumption.
     """
     rule = gauss_legendre(order)
-    wscal = weighted_scalar_curvature(profile, X, k)
-    kap = profile.kappa
-
-    def weight(z):
-        return (z + k.b) ** (-(k.p + 1.0)) * (z + kap)
-
-    num = integrate(rule, lambda z: wscal(z) * weight(z))
-    den = integrate(rule, weight)
-    return num / den
+    weight = (rule.nodes + k.b) ** (-(k.p + 1.0)) * (rule.nodes + profile.kappa)
+    num = integrate(rule, lambda z: scal_p_on(z, profile.jet(z), X, k, profile.kappa) * weight)
+    return num / float(np.dot(rule.weights, weight))
 
 
 def to_symplectic(profile: Profile):

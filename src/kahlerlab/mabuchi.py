@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .calabi import KillingData, Profile, weighted_average_c, weighted_scalar_curvature
+from .calabi import KillingData, Profile, scal_p_on, weighted_average_c
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, NotAdmissible, OutOfDomain
 from .numerics import chebyshev_coefficients, gauss_legendre, graded_rule
@@ -133,10 +133,6 @@ class SymplecticPotential:
     def D(self, z):
         return np.asarray(self._dfun(np.asarray(z, dtype=float)), dtype=float)
 
-    def u2(self, z):
-        z = np.asarray(z, dtype=float)
-        return self.D(z) / (1.0 - z * z)
-
     def theta(self, z):
         z = np.asarray(z, dtype=float)
         return (1.0 - z * z) / self.D(z)
@@ -170,19 +166,26 @@ class BumpDirection:
         return out if out.ndim else float(out)
 
 
-def _energy_rule():
-    return gauss_legendre(TOL.quad_order_mabuchi)
+def _same_class(kappa: float, sol: PKappaSolution) -> None:
+    if kappa != sol.kappa:
+        raise OutOfDomain(f"kappa {kappa!r} is not the class of the solution (kappa {sol.kappa!r})")
+
+
+def _energy_samples(u: SymplecticPotential, sol: PKappaSolution):
+    """The energy's quadrature rule, D and f^{-3} = (z+b)^{-3} on its nodes."""
+    _same_class(u.kappa, sol)
+    rule = gauss_legendre(TOL.quad_order_mabuchi)
+    D = u.D(rule.nodes)
+    if np.any(D <= 0.0):
+        raise NotAdmissible("u'' must be positive")
+    return rule, D, (rule.nodes + sol.b) ** (-3.0)
 
 
 def mabuchi_energy_amt(u: SymplecticPotential, sol: PKappaSolution) -> float:
     """Closed-form energy; M(reference) = 0. `sol` should sit on the Futaki
     curve (b = b_kappa) for the energy to be the potential of the 1-form."""
-    rule = _energy_rule()
+    rule, D, f3 = _energy_samples(u, sol)
     z = rule.nodes
-    D = u.D(z)
-    if np.any(D <= 0.0):
-        raise NotAdmissible("u'' must be positive")
-    f3 = (z + sol.b) ** (-3.0)
     # u'' - u_ref'' = (D - 1)/(1-z^2); P/(1-z^2) is bounded since P(+-1)=0.
     first = float(np.dot(rule.weights, sol.P(z) * f3 * (D - 1.0) / (1.0 - z * z)))
     second = float(np.dot(rule.weights, (z + sol.kappa) * f3 * np.log(D)))
@@ -198,13 +201,9 @@ def mabuchi_gradient_amt(
     Uses the same quadrature rule as the energy so finite differences of
     mabuchi_energy_amt converge to it exactly.
     """
-    rule = _energy_rule()
+    rule, D, f3 = _energy_samples(u, sol)
     z = rule.nodes
-    D = u.D(z)
-    if np.any(D <= 0.0):
-        raise NotAdmissible("u'' must be positive")
     v2v = np.asarray(v2(z), dtype=float)
-    f3 = (z + sol.b) ** (-3.0)
     integrand = sol.P(z) * f3 * v2v - (z + sol.kappa) * f3 * v2v * (1.0 - z * z) / D
     return float(np.dot(rule.weights, integrand))
 
@@ -250,7 +249,7 @@ def unboundedness_probe(
     zs = np.linspace(bump.center - bump.radius, bump.center + bump.radius, 257)
     if np.max(sol.P(zs)) >= 0.0:
         raise BadDirection("bump support must lie inside the region where P < 0")
-    rule = _energy_rule()
+    rule = gauss_legendre(TOL.quad_order_mabuchi)
     z = rule.nodes
     f3 = (z + sol.b) ** (-3.0)
     bz = bump(z)
@@ -281,69 +280,88 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 # -- path integral ----------------------------------------------------------
 
 
+# u_dot is projected from its samples on these nodes (see _udot_on)
+_UDOT_Z = cheb.chebpts1(192)
+
+
 @dataclass(frozen=True)
 class PathFamily:
-    """A path t in [0,1] -> Profile, with the exact t-derivative of Theta."""
+    """A path t in [0,1] -> Theta_t, as the 1-form reads it.
 
-    at: Callable[[float], Profile]
-    theta_dot: Callable[[float, np.ndarray], np.ndarray]
+    `start` is the profile at t = 0 (c is read from it). `at(t)` returns the
+    jet (Theta_t, Theta_t', ((z+kappa) Theta_t)'') on the nodes of
+    `graded_rule()` and W_t = -Theta_dot (1-z^2)/Theta_t^2 on _UDOT_Z, where
+    u_dot'' = W_t/(1-z^2). The straight paths sample their endpoints once and
+    combine the samples per node.
+    """
+
+    start: Profile
+    at: Callable[[float], tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
 
 
 def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
-    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree)."""
+    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree): the jet is
+    affine in t and Theta_dot = Theta_1 - Theta_0."""
     if p0.kappa != p1.kappa:
         raise OutOfDomain("profiles must share kappa")
+    zq = graded_rule().nodes
+    j0, j1 = p0.jet(zq), p1.jet(zq)
+    th0, th1 = p0.theta(_UDOT_Z), p1.theta(_UDOT_Z)
+    dw = (th0 - th1) * (1.0 - _UDOT_Z * _UDOT_Z)
 
-    def at(t: float) -> Profile:
-        return Profile.from_callable(
-            lambda z: (1.0 - t) * p0.theta(z) + t * p1.theta(z), p0.kappa
-        )
+    def at(t: float):
+        jet = tuple((1.0 - t) * a + t * b for a, b in zip(j0, j1))
+        return jet, dw / ((1.0 - t) * th0 + t * th1) ** 2
 
-    def theta_dot(t: float, z: np.ndarray) -> np.ndarray:
-        return p1.theta(z) - p0.theta(z)
-
-    return PathFamily(at=at, theta_dot=theta_dot)
+    return PathFamily(start=p0, at=at)
 
 
 def straight_potential_path(
     u0: SymplecticPotential, u1: SymplecticPotential
 ) -> PathFamily:
-    """u_t'' = (1-t) u_0'' + t u_1'' — i.e. D_t = (1-t) D_0 + t D_1."""
+    """u_t'' = (1-t) u_0'' + t u_1'', i.e. D_t = (1-t) D_0 + t D_1.
+
+    Each D is projected once as `calabi.to_symplectic` fits it (128 nodes,
+    degree 120; exact on its potentials). Theta_t = (1-z^2)/D_t takes its
+    derivatives by the quotient rule, and W = D_1 - D_0 for every t.
+    """
     if u0.kappa != u1.kappa:
         raise OutOfDomain("potentials must share kappa")
+    zq = graded_rule().nodes
+    zf = cheb.chebpts1(128)
+    fits = [chebyshev_coefficients(u.D(zf), 120) for u in (u0, u1)]
+    d0, d1 = ([cheb.chebval(zq, cheb.chebder(c, m)) for m in range(3)] for c in fits)
+    w = cheb.chebval(_UDOT_Z, fits[1]) - cheb.chebval(_UDOT_Z, fits[0])
+    # (z+kappa) Theta_t = a/D_t with a = (z+kappa)(1-z^2)
+    s, zk = 1.0 - zq * zq, zq + u0.kappa
+    a, da, d2a = zk * s, s - 2.0 * zq * zk, -6.0 * zq - 2.0 * u0.kappa
 
-    def dt_vals(t: float, z: np.ndarray) -> np.ndarray:
-        return (1.0 - t) * u0.D(z) + t * u1.D(z)
-
-    def at(t: float) -> Profile:
-        return Profile.from_callable(
-            lambda z: (1.0 - z * z) / dt_vals(t, z), u0.kappa
+    def at(t: float):
+        D, dD, d2D = ((1.0 - t) * x + t * y for x, y in zip(d0, d1))
+        jet = (
+            s / D,
+            (-2.0 * zq * D - s * dD) / D**2,
+            d2a / D - (2.0 * da * dD + a * d2D) / D**2 + 2.0 * a * dD * dD / D**3,
         )
+        return jet, w
 
-    def theta_dot(t: float, z: np.ndarray) -> np.ndarray:
-        # Theta = (1-z^2)/D_t  =>  dTheta/dt = -(1-z^2) (D_1 - D_0)/D_t^2
-        return -(1.0 - z * z) * (u1.D(z) - u0.D(z)) / dt_vals(t, z) ** 2
-
-    return PathFamily(at=at, theta_dot=theta_dot)
+    return PathFamily(start=u0.profile(), at=at)
 
 
-def _udot_on(zq: np.ndarray, prof: Profile, theta_dot_vals_at) -> np.ndarray:
-    """u_dot on the quadrature nodes zq, from Theta_dot via u'' = 1/Theta.
+def _udot_on(zq: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u_dot on the quadrature nodes zq from W = (1-z^2) u_dot'' on _UDOT_Z.
 
-    u_dot'' = -Theta_dot/Theta^2 = W(z)/(1-z^2) with W bounded; split off the
-    endpoint values of W (each contributing an exact (1-+z) log(1-+z) term)
-    and double-integrate the smooth remainder as a Chebyshev series. The
-    affine gauge (fixed by u_dot(0) = u_dot'(0) = 0) is immaterial: the
-    1-form kills affine directions on the Futaki curve.
+    W is bounded; split off its endpoint values (each contributing an exact
+    (1-+z) log(1-+z) term) and double-integrate the smooth remainder as a
+    Chebyshev series. The affine gauge (fixed by u_dot(0) = u_dot'(0) = 0)
+    is immaterial: the 1-form kills affine directions on the Futaki curve.
     """
-    zc = cheb.chebpts1(192)
-    th = prof.theta(zc)
-    w = -theta_dot_vals_at(zc) * (1.0 - zc * zc) / th**2
+    zc = _UDOT_Z
     wc = chebyshev_coefficients(w, 170)
-    w_m = float(cheb.chebval(-1.0, wc))
-    w_p = float(cheb.chebval(1.0, wc))
-    # linear part carrying the endpoint values
-    ell = 0.5 * w_m * (1.0 - zc) + 0.5 * w_p * (1.0 + zc)
+    # halves of W's endpoint values: the linear part A (1-z) + B (1+z) carries them
+    A = 0.5 * float(cheb.chebval(-1.0, wc))
+    B = 0.5 * float(cheb.chebval(1.0, wc))
+    ell = A * (1.0 - zc) + B * (1.0 + zc)
     r = (w - ell) / (1.0 - zc * zc)
     rc = chebyshev_coefficients(r, 170)
     s2 = cheb.chebint(cheb.chebint(rc))
@@ -352,8 +370,6 @@ def _udot_on(zq: np.ndarray, prof: Profile, theta_dot_vals_at) -> np.ndarray:
     smooth = cheb.chebval(zq, s2) - s0 - s1 * zq
     # A/(1+z): double integral (anchored at 0) = (1+z)log(1+z) - z
     # B/(1-z): double integral (anchored at 0) = (1-z)log(1-z) + z
-    A = 0.5 * w_m
-    B = 0.5 * w_p
     with np.errstate(divide="ignore", invalid="ignore"):
         gp = np.where(zq > -1.0, (1.0 + zq) * np.log1p(zq), 0.0) - zq
         gm = np.where(zq < 1.0, (1.0 - zq) * np.log1p(-zq), 0.0) + zq
@@ -368,24 +384,22 @@ def mabuchi_path_integral(
     """Integrate the 1-form int u_dot (Scal_p - c) f^{-(p+1)} (z+kappa) dz
     along the path. c is frozen from the class average at the path start.
     """
-    X = sol.surface
-    kappa = sol.kappa
-    prof0 = family.at(0.0)
-    c = weighted_average_c(prof0, X, k, order=TOL.quad_order_mabuchi)
+    _same_class(family.start.kappa, sol)
+    X, kappa = sol.surface, sol.kappa
+    c = weighted_average_c(family.start, X, k, order=TOL.quad_order_mabuchi)
     zrule = graded_rule()
     zq = zrule.nodes
+    fw = (zq + k.b) ** (-(k.p + 1.0))
     trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
 
     total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):
-        prof = family.at(float(t))
-        tdot = lambda z, _t=float(t): np.asarray(family.theta_dot(_t, z), dtype=float)
-        th = prof.theta(zq)
-        if np.any(th <= 0.0):
+        jet, w = family.at(float(t))
+        if np.any(jet[0] <= 0.0):
             raise NotAdmissible("intermediate profile is not positive")
-        udot = _udot_on(zq, prof, tdot)
-        scal_p = weighted_scalar_curvature(prof, X, k)(zq)
-        wgt = (scal_p - c) * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
+        udot = _udot_on(zq, w)
+        scal_p = scal_p_on(zq, jet, X, k, kappa)
+        wgt = (scal_p - c) * fw * (zq + kappa)
         total += wt * float(np.dot(zrule.weights, udot * wgt))
     return total
 

@@ -220,9 +220,6 @@ class RadialPotential(ABC):
         psi'' = S/2,   psi''' = S S'/4,   psi'''' = S (S'^2 + S S'')/8,
         S = 2 psi'',   S' = 2 psi'''/psi'',
         S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
-
-    The one-quantity methods below are views of a sample; a caller that
-    needs several quantities at the same points takes one sample.
     """
 
     @abstractmethod
@@ -230,36 +227,6 @@ class RadialPotential(ABC):
 
     @abstractmethod
     def at_t(self, t) -> TSample: ...
-
-    def S(self, mu):
-        return self.at_mu(mu).S
-
-    def dS(self, mu):
-        return self.at_mu(mu).dS
-
-    def d2S(self, mu):
-        return self.at_mu(mu).d2S
-
-    def v(self, mu):
-        return self.at_mu(mu).v
-
-    def t_of_mu(self, mu):
-        return self.at_mu(mu).t
-
-    def psi(self, t):
-        return self.at_t(t).psi
-
-    def mu_of_t(self, t):
-        return self.at_t(t).mu
-
-    def psi2(self, t):
-        return self.at_t(t).psi2
-
-    def psi3(self, t):
-        return self.at_t(t).psi3
-
-    def psi4(self, t):
-        return self.at_t(t).psi4
 
 
 class _TNativePotential(RadialPotential):

@@ -236,7 +236,7 @@ def _chk_fs_hilb_round(breach: bool) -> CheckResult:
     phi = round_potential()
     psi_back = fs(hilb(phi, k, model), k, model)
     t = np.linspace(-8.0, 8.0, 161)
-    gap = float(np.max(np.abs(psi_back.psi(t) - phi.psi(t))))
+    gap = float(np.max(np.abs(psi_back.at_t(t).psi - phi.at_t(t).psi)))
     return _upper("fs-hilb-round", "quant", gap, 1e-12, breach)
 
 

@@ -76,8 +76,9 @@ def test_sampled_profile_matches_the_exact_one():
     sol = solve_P(1.6, b_kappa(1.6))
     exact = sol.profile()
     sampled = Profile.from_callable(exact.theta, 1.6)
-    for name, atol in (("theta", 1e-13), ("dtheta", 1e-10), ("d2_numerator", 1e-7)):
-        np.testing.assert_allclose(getattr(sampled, name)(ZGRID), getattr(exact, name)(ZGRID), rtol=0, atol=atol)
+    # jet = (Theta, Theta', ((z+kappa) Theta)'')
+    for got, want, atol in zip(sampled.jet(ZGRID), exact.jet(ZGRID), (1e-13, 1e-10, 1e-7)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 def test_to_symplectic_roundtrip():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kahlerlab.calabi import KillingData, RuledSurfaceData, random_admissible_profile, to_symplectic
+from kahlerlab.calabi import KillingData, Profile, RuledSurfaceData, random_admissible_profile, to_symplectic
 from kahlerlab.ckem import b_kappa, kappa_zero, solve_P
 from kahlerlab.errors import BadDirection, NotAdmissible, OutOfDomain
 from kahlerlab.mabuchi import (
@@ -153,3 +153,63 @@ def test_theta_path_requires_matching_kappa():
 def test_symplectic_admissibility():
     with pytest.raises(NotAdmissible):
         SymplecticPotential(lambda z: np.asarray(z) * 0.0 - 1.0, 1.5)
+
+
+def test_potential_path_equals_amt_energy():
+    # the closed-form energy shares no code with the path integral; the
+    # potential path is exact on to_symplectic's potentials
+    for kappa in (1.25, 1.001):
+        sol = _sol(kappa)
+        kd = KillingData(b=sol.b, p=4.0)
+        ref = SymplecticPotential.reference(kappa)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            u = to_symplectic(random_admissible_profile(rng, kappa, degree=3, scale=0.35))
+            path = mabuchi_path_integral(straight_potential_path(ref, u), kd, sol)
+            np.testing.assert_allclose(path, mabuchi_energy_amt(u, sol), rtol=1e-10)
+
+
+def test_path_integral_fits_at_most_one_profile(monkeypatch):
+    # the straight paths sample their endpoints once: no refit per path node
+    kappa = 1.25
+    sol = _sol(kappa)
+    kd = KillingData(b=sol.b, p=4.0)
+    rng = np.random.default_rng(29)
+    p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
+    u0, u1 = to_symplectic(p0), to_symplectic(p1)
+    fit = Profile.from_callable
+    calls = []
+
+    def counted(theta_fn, kap):
+        calls.append(kap)
+        return fit(theta_fn, kap)
+
+    monkeypatch.setattr(Profile, "from_callable", staticmethod(counted))
+    for build, a, b in ((straight_theta_path, p0, p1), (straight_potential_path, u0, u1)):
+        calls.clear()
+        mabuchi_path_integral(build(a, b), kd, sol)
+        assert len(calls) <= 1, (build.__name__, len(calls))
+
+
+def test_path_integral_rejects_a_mixed_class():
+    # profiles and potentials at kappa = 1.5 against the solution at 1.25
+    sol = _sol(1.25)
+    kd = KillingData(b=sol.b, p=4.0)
+    rng = np.random.default_rng(31)
+    p0, p1 = (random_admissible_profile(rng, 1.5, degree=3) for _ in range(2))
+    with pytest.raises(OutOfDomain):
+        mabuchi_path_integral(straight_theta_path(p0, p1), kd, sol)
+
+
+def test_energy_rejects_a_mixed_class():
+    sol = _sol(1.25)
+    u = to_symplectic(random_admissible_profile(np.random.default_rng(37), 1.5, degree=3))
+    with pytest.raises(OutOfDomain):
+        mabuchi_energy_amt(u, sol)
+
+
+def test_gradient_rejects_a_mixed_class():
+    sol = _sol(1.25)
+    u = to_symplectic(random_admissible_profile(np.random.default_rng(41), 1.5, degree=3))
+    with pytest.raises(OutOfDomain):
+        mabuchi_gradient_amt(u, sol, BumpDirection(0.2, 0.25, 0.8))

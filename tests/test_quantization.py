@@ -61,10 +61,11 @@ def test_model_validation():
 
 def test_round_potential_closed_forms():
     phi = round_potential()
-    np.testing.assert_allclose(phi.S(MU), 2.0 * MU * (1.0 - MU), atol=1e-12)
-    np.testing.assert_allclose(phi.v(0.5), -math.log(2.0), atol=1e-13)
-    np.testing.assert_allclose(phi.t_of_mu(MU), np.log(MU / (1.0 - MU)), atol=1e-11)
-    np.testing.assert_allclose(phi.psi(TT), np.logaddexp(0.0, TT), atol=1e-12)
+    m = phi.at_mu(MU)
+    np.testing.assert_allclose(m.S, 2.0 * MU * (1.0 - MU), atol=1e-12)
+    np.testing.assert_allclose(phi.at_mu(0.5).v, -math.log(2.0), atol=1e-13)
+    np.testing.assert_allclose(m.t, np.log(MU / (1.0 - MU)), atol=1e-11)
+    np.testing.assert_allclose(phi.at_t(TT).psi, np.logaddexp(0.0, TT), atol=1e-12)
     assert boundary_report(phi).passes
 
 
@@ -75,9 +76,9 @@ def test_profile_potential_rejects_nonpositive_q():
 
 def test_mu_t_inversion_roundtrip():
     phi = random_potential(np.random.default_rng(0))
-    np.testing.assert_allclose(phi.mu_of_t(phi.t_of_mu(MU)), MU, atol=1e-11)
+    np.testing.assert_allclose(phi.at_t(phi.at_mu(MU).t).mu, MU, atol=1e-11)
     with pytest.raises(OutOfDomain):
-        phi.t_of_mu(np.array([0.0, 0.5]))
+        phi.at_mu(np.array([0.0, 0.5]))
 
 
 def test_potential_derivative_chain():
@@ -86,13 +87,14 @@ def test_potential_derivative_chain():
     phi = random_potential(np.random.default_rng(1))
     t = np.linspace(-4.0, 4.0, 41)
     h = 1e-4
-    d2 = (phi.psi(t + h) - 2.0 * phi.psi(t) + phi.psi(t - h)) / h**2
-    np.testing.assert_allclose(phi.psi2(t), d2, atol=1e-6)
-    np.testing.assert_allclose(phi.psi2(t), phi.S(phi.mu_of_t(t)) / 2.0, atol=1e-10)
-    d3 = (phi.psi2(t + h) - phi.psi2(t - h)) / (2.0 * h)
-    np.testing.assert_allclose(phi.psi3(t), d3, atol=1e-6)
-    d4 = (phi.psi3(t + h) - phi.psi3(t - h)) / (2.0 * h)
-    np.testing.assert_allclose(phi.psi4(t), d4, atol=1e-5)
+    s, sp, sm = phi.at_t(t), phi.at_t(t + h), phi.at_t(t - h)
+    d2 = (sp.psi - 2.0 * s.psi + sm.psi) / h**2
+    np.testing.assert_allclose(s.psi2, d2, atol=1e-6)
+    np.testing.assert_allclose(s.psi2, phi.at_mu(s.mu).S / 2.0, atol=1e-10)
+    d3 = (sp.psi2 - sm.psi2) / (2.0 * h)
+    np.testing.assert_allclose(s.psi3, d3, atol=1e-6)
+    d4 = (sp.psi3 - sm.psi3) / (2.0 * h)
+    np.testing.assert_allclose(s.psi4, d4, atol=1e-5)
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
@@ -104,10 +106,11 @@ def test_fs_of_binomial_norms_is_the_round_metric(k, b):
     # starts the inversion away from its root
     mu = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
     phi = FSPotential(k, np.array([-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
-    assert np.max(np.abs(phi.t_of_mu(mu) - (np.log(mu / (1.0 - mu)) - b))) <= 1e-11
-    assert np.max(np.abs(phi.S(mu) - 2.0 * mu * (1.0 - mu))) <= 1e-13
-    assert np.max(np.abs(phi.v(mu) - (mu * np.log(mu) + (1.0 - mu) * np.log(1.0 - mu) - b * mu))) <= 1e-13
-    assert np.max(np.abs(phi.d2S(mu) + 4.0)) <= 1e-8
+    s = phi.at_mu(mu)
+    assert np.max(np.abs(s.t - (np.log(mu / (1.0 - mu)) - b))) <= 1e-11
+    assert np.max(np.abs(s.S - 2.0 * mu * (1.0 - mu))) <= 1e-13
+    assert np.max(np.abs(s.v - (mu * np.log(mu) + (1.0 - mu) * np.log(1.0 - mu) - b * mu))) <= 1e-13
+    assert np.max(np.abs(s.d2S + 4.0)) <= 1e-8
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
@@ -129,12 +132,9 @@ def test_blend_potential_is_affine_in_psi():
     rng = np.random.default_rng(2)
     a, b = round_potential(), random_potential(rng)
     blend = BlendPotential([(0.3, a), (0.7, b)])
-    np.testing.assert_allclose(
-        blend.psi(TT), 0.3 * a.psi(TT) + 0.7 * b.psi(TT), atol=1e-13
-    )
-    np.testing.assert_allclose(
-        blend.psi2(TT), 0.3 * a.psi2(TT) + 0.7 * b.psi2(TT), atol=1e-13
-    )
+    s, sa, sb = blend.at_t(TT), a.at_t(TT), b.at_t(TT)
+    np.testing.assert_allclose(s.psi, 0.3 * sa.psi + 0.7 * sb.psi, atol=1e-13)
+    np.testing.assert_allclose(s.psi2, 0.3 * sa.psi2 + 0.7 * sb.psi2, atol=1e-13)
 
 
 def test_shift_potential_moves_log_norms_exactly():
@@ -228,7 +228,7 @@ def test_fs_hilb_fixes_round_potential():
     phi = round_potential()
     for k in (2, 5, 12):
         back = fs(hilb(phi, k, model), k, model)
-        np.testing.assert_allclose(back.psi(TT), phi.psi(TT), atol=1e-12)
+        np.testing.assert_allclose(back.at_t(TT).psi, phi.at_t(TT).psi, atol=1e-12)
 
 
 def test_fs_validates_k():
