@@ -23,6 +23,10 @@ admissible u); energy integrands are written in terms of D - 1 and log D,
 which are bounded. Along a path, u_dot generically picks up
 (1 -+ z) log(1 -+ z) endpoint terms; the path integrand is bounded but has
 endpoint derivative blow-up, integrated on a geometrically graded mesh.
+u_dot is linear in W = (1-z^2) u_dot'', so it is one precomputed
+half-operator (built once per process, the rows for z > 0 only; z < 0
+reads it on W reversed): a path node costs one matrix product, not a
+Chebyshev fit, integration and evaluation.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,7 +44,7 @@ from numpy.polynomial import chebyshev as cheb
 from .calabi import KillingData, Profile, scal_p_on, weighted_average_c
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, NotAdmissible, OutOfDomain
-from .numerics import chebyshev_coefficients, gauss_legendre, graded_rule
+from .numerics import _cheb_projector, chebyshev_coefficients, gauss_legendre, graded_rule
 from .tolerances import TOL
 
 __all__ = [
@@ -280,8 +285,10 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 # -- path integral ----------------------------------------------------------
 
 
-# u_dot is projected from its samples on these nodes (see _udot_on)
+# u_dot is read from W on these nodes by one precomputed half-operator,
+# built once per process from a degree-_UDOT_DEG projection (_udot_half_operator)
 _UDOT_Z = cheb.chebpts1(192)
+_UDOT_DEG = 170
 
 
 @dataclass(frozen=True)
@@ -348,32 +355,50 @@ def straight_potential_path(
     return PathFamily(start=u0.profile(), at=at)
 
 
-def _udot_on(zq: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u_dot on the quadrature nodes zq from W = (1-z^2) u_dot'' on _UDOT_Z.
+@lru_cache(maxsize=1)
+def _udot_half_operator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, G, E), the read-only parts of the linear map W -> u_dot on the
+    graded nodes z > 0, where W = (1-z^2) u_dot'' is sampled on _UDOT_Z.
 
-    W is bounded; split off its endpoint values (each contributing an exact
-    (1-+z) log(1-+z) term) and double-integrate the smooth remainder as a
-    Chebyshev series. The affine gauge (fixed by u_dot(0) = u_dot'(0) = 0)
-    is immaterial: the 1-form kills affine directions on the Futaki curve.
+    A, B = E @ W are the halves of the endpoint values of W's
+    degree-_UDOT_DEG projection. They carry the exact terms A g+ + B g-,
+    g+-(z) = (1+-z) log(1+-z) -+ z (G's columns). K @ r projects the bounded
+    remainder r = (W - A(1-z) - B(1+z))/(1-z^2) to the same degree and
+    integrates it twice; `chebint` anchors both integrals at 0, fixing the
+    affine gauge u_dot(0) = u_dot'(0) = 0, which the 1-form ignores on the
+    Futaki curve. r is formed from each W's samples: folding the division by
+    1-z^2 into K cancels terms of size 1/(1-z^2) after rounding them, 20x the
+    error on W with nonzero endpoint values. The graded nodes and _UDOT_Z
+    mirror under z -> -z and the map commutes with it, so K keeps only the
+    rows for z > 0 (see _udot_on).
     """
-    zc = _UDOT_Z
-    wc = chebyshev_coefficients(w, 170)
-    # halves of W's endpoint values: the linear part A (1-z) + B (1+z) carries them
-    A = 0.5 * float(cheb.chebval(-1.0, wc))
-    B = 0.5 * float(cheb.chebval(1.0, wc))
-    ell = A * (1.0 - zc) + B * (1.0 + zc)
-    r = (w - ell) / (1.0 - zc * zc)
-    rc = chebyshev_coefficients(r, 170)
-    s2 = cheb.chebint(cheb.chebint(rc))
-    s0 = cheb.chebval(0.0, s2)
-    s1 = cheb.chebval(0.0, cheb.chebder(s2))
-    smooth = cheb.chebval(zq, s2) - s0 - s1 * zq
-    # A/(1+z): double integral (anchored at 0) = (1+z)log(1+z) - z
-    # B/(1-z): double integral (anchored at 0) = (1-z)log(1-z) + z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gp = np.where(zq > -1.0, (1.0 + zq) * np.log1p(zq), 0.0) - zq
-        gm = np.where(zq < 1.0, (1.0 - zq) * np.log1p(-zq), 0.0) + zq
-    return smooth + A * gp + B * gm
+    pj = _cheb_projector.__wrapped__(len(_UDOT_Z), _UDOT_DEG)  # build-only, kept out of its cache
+    E = 0.5 * cheb.chebvander(np.array([-1.0, 1.0]), _UDOT_DEG) @ pj
+    s2 = cheb.chebint(pj, m=2)
+    del pj
+    zq = graded_rule().nodes
+    zr = zq[len(zq) // 2 :]
+    K = np.empty((len(zr), len(_UDOT_Z)))
+    for i in range(0, len(zr), 32):  # row chunks keep the build's temporaries small
+        np.matmul(cheb.chebvander(zr[i : i + 32], _UDOT_DEG + 2), s2, out=K[i : i + 32])
+    G = np.stack(((1.0 + zr) * np.log1p(zr) - zr, (1.0 - zr) * np.log1p(-zr) + zr), axis=1)
+    for x in (K, G, E):
+        x.flags.writeable = False
+    return K, G, E
+
+
+def _udot_on(w: np.ndarray) -> np.ndarray:
+    """u_dot on all graded nodes from W = (1-z^2) u_dot'' on _UDOT_Z.
+
+    Reversing W mirrors u_dot and swaps A and B, so the nodes z < 0 read the
+    half-operator on W reversed: both halves are one (n/2 x 192) @ (192 x 2)
+    product.
+    """
+    K, G, E = _udot_half_operator()
+    A, B = E @ w
+    r = (w - A * (1.0 - _UDOT_Z) - B * (1.0 + _UDOT_Z)) / (1.0 - _UDOT_Z * _UDOT_Z)
+    out = K @ np.stack((r[::-1], r), axis=1) + G @ np.array([[B, A], [A, B]])
+    return np.concatenate((out[::-1, 0], out[:, 1]))
 
 
 def mabuchi_path_integral(
@@ -397,7 +422,7 @@ def mabuchi_path_integral(
         jet, w = family.at(float(t))
         if np.any(jet[0] <= 0.0):
             raise NotAdmissible("intermediate profile is not positive")
-        udot = _udot_on(zq, w)
+        udot = _udot_on(w)
         scal_p = scal_p_on(zq, jet, X, k, kappa)
         wgt = (scal_p - c) * fw * (zq + kappa)
         total += wt * float(np.dot(zrule.weights, udot * wgt))

@@ -70,6 +70,7 @@ def gauss_legendre(order: int, lo: float = -1.0, hi: float = 1.0) -> QuadratureR
     return QuadratureRule(nodes=mid + half * x, weights=half * w, order=int(order), lo=lo, hi=hi)
 
 
+@lru_cache(maxsize=16)
 def graded_rule(
     lo: float = -1.0, hi: float = 1.0, order: int = 16, levels: int = 40
 ) -> QuadratureRule:
@@ -78,7 +79,8 @@ def graded_rule(
     Panel widths halve toward each endpoint, so bounded integrands whose
     derivatives blow up only at the endpoints (x log x type) are integrated
     to near machine accuracy. The innermost panels have width (hi-lo)/2^levels;
-    anything a bounded integrand does there is below roundoff.
+    anything a bounded integrand does there is below roundoff. Memoized: the
+    returned rule is shared, and its arrays are read-only.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -96,13 +98,16 @@ def graded_rule(
         panel = gauss_legendre(order, float(a), float(b))
         nodes.append(panel.nodes)
         weights.append(panel.weights)
-    return QuadratureRule(
+    rule = QuadratureRule(
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
         order=int(order),
         lo=float(lo),
         hi=float(hi),
     )
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> float:

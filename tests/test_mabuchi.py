@@ -6,6 +6,7 @@ import pytest
 from kahlerlab.calabi import KillingData, Profile, RuledSurfaceData, random_admissible_profile, to_symplectic
 from kahlerlab.ckem import b_kappa, kappa_zero, solve_P
 from kahlerlab.errors import BadDirection, NotAdmissible, OutOfDomain
+from kahlerlab import mabuchi
 from kahlerlab.mabuchi import (
     BumpDirection,
     SymplecticPotential,
@@ -20,6 +21,7 @@ from kahlerlab.mabuchi import (
     straight_theta_path,
     unboundedness_probe,
 )
+from kahlerlab.numerics import graded_rule
 
 
 def _sol(kappa):
@@ -213,3 +215,43 @@ def test_gradient_rejects_a_mixed_class():
     u = to_symplectic(random_admissible_profile(np.random.default_rng(41), 1.5, degree=3))
     with pytest.raises(OutOfDomain):
         mabuchi_gradient_amt(u, sol, BumpDirection(0.2, 0.25, 0.8))
+
+
+def test_udot_operator_matches_closed_forms():
+    # W = (1-z^2) u_dot'' with u_dot(0) = u_dot'(0) = 0, integrated by hand:
+    # polynomial, exponential and both endpoint-log kinds
+    cases = [
+        (lambda z: 1.0 - z * z, lambda z: 0.5 * z * z),
+        (lambda z: z * (1.0 - z * z), lambda z: z**3 / 6.0),
+        (lambda z: (1.0 - z * z) * np.exp(z), lambda z: np.exp(z) - 1.0 - z),
+        (
+            lambda z: np.ones_like(z),
+            lambda z: 0.5 * ((1.0 + z) * np.log1p(z) + (1.0 - z) * np.log1p(-z)),
+        ),
+        (lambda z: 0.5 * (1.0 + z), lambda z: 0.5 * ((1.0 - z) * np.log1p(-z) + z)),
+    ]
+    zq = graded_rule().nodes
+    assert len(zq) == 1312
+    for W, u in cases:
+        got = mabuchi._udot_on(W(mabuchi._UDOT_Z))
+        assert np.max(np.abs(got - u(zq))) < 1e-12
+
+
+def test_reversed_w_mirrors_udot():
+    rng = np.random.default_rng(43)
+    z = mabuchi._UDOT_Z
+    w = 1.0 + 0.3 * z + 0.2 * np.sin(3.0 * z) + 0.1 * rng.normal() * z * z
+    np.testing.assert_allclose(mabuchi._udot_on(w[::-1]), mabuchi._udot_on(w)[::-1], rtol=0, atol=1e-13)
+
+
+def test_udot_operator_is_built_once():
+    kappa = 1.25
+    sol = _sol(kappa)
+    kd = KillingData(b=sol.b, p=4.0)
+    rng = np.random.default_rng(47)
+    p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
+    mabuchi._udot_half_operator.cache_clear()
+    for a, b in ((p0, p1), (p1, p0)):
+        mabuchi_path_integral(straight_theta_path(a, b), kd, sol)
+    assert mabuchi._udot_half_operator.cache_info().misses == 1
+    assert all(not x.flags.writeable for x in mabuchi._udot_half_operator())

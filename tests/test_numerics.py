@@ -43,6 +43,16 @@ def test_graded_rule_log_singularity():
     np.testing.assert_allclose(val, 4.0 * np.log(2.0) - 4.0, atol=1e-12)
 
 
+def test_graded_rule_is_memoized_and_read_only():
+    rule = graded_rule()
+    again = graded_rule()
+    assert again is rule
+    for arr in (rule.nodes, rule.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_integrate_scalar_callable():
     rule = gauss_legendre(16, 0.0, np.pi)
     got = integrate(rule, lambda z: float(np.sin(z)) if np.isscalar(z) else np.sin(z))
