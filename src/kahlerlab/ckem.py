@@ -20,6 +20,17 @@ vanishes exactly on the curve kappa = (1+b^2)/(2b), i.e. at b = b_kappa(kappa),
 and is bounded away from zero off the curve. Rows are expressed directly as
 the Theta-defects (the same four numbers `check_boundary` reports), which
 keeps the obstruction well-scaled uniformly in (kappa, b).
+
+kappa_0 is closed-form. On the curve P = (z^2-1) Q, Q quadratic with
+Q(+-1) = -(kappa+-1) < 0, so P < 0 somewhere in (-1, 1) iff Q has two real
+roots there; at kappa_0 they meet. In b (sympy, three rows; the fourth holds)
+
+    c = 6 (b^2-1)(b^2 + s_C b - 1)/(3b^2 - 1),   disc Q ~ (b^2 + s_C b - 1) q(b),
+    q(b) = 6 b^4 - 7 b^2 + s_C b + 1   (positive factor omitted).
+
+The first factor is c = 0, where Q = -(z+b)^2/(2b) has its double root at
+z = -b < -1: no threshold. q(1) = s_C < 0 and q'' > 0 on [1, inf), so q has
+one root b_0 > 1 (below the c = 0 point, where q > 0): kappa_0 = (1+b_0^2)/(2b_0).
 """
 
 from __future__ import annotations
@@ -151,7 +162,7 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     # Column equilibration: for large kappa the (alpha, beta, c) columns span
     # many orders of magnitude. Rescaling columns leaves the column space --
     # hence the least-squares residual -- unchanged, but keeps the solve
-    # well-conditioned across the whole bisection window.
+    # well-conditioned for every kappa > 1.
     scale = np.linalg.norm(A, axis=0)
     x_s, _ = solve_least_squares(A / scale, y)
     x = x_s / scale
@@ -198,41 +209,24 @@ def _m_of_kappa(kappa: float, X: RuledSurfaceData | None) -> tuple[float, float]
     return interior_min(sol.P)
 
 
-def kappa_zero(
-    X: RuledSurfaceData | None = None,
-    tol: float = TOL.kappa_zero_tol,
-) -> float:
-    """Threshold kappa_0: bisection on m(kappa) = interior min of P_kappa.
-
-    At kappa_0 the minimum is an interior double root (P = P' = 0 there).
-    The initial window widens automatically if it does not bracket a sign
-    change; SearchFailed if widening is exhausted.
+def kappa_zero(X: RuledSurfaceData | None = None, tol: float = TOL.kappa_zero_tol) -> float:
+    """Threshold kappa_0 = (1+b_0^2)/(2b_0), b_0 > 1 the root of the quartic
+    q(b) = 6b^4 - 7b^2 + s_C b + 1; disc Q's other factor, c = 0, puts the
+    double root at z = -b outside [-1, 1] (module docstring). b_0 is the top
+    real part of q's roots (the rest are < 1 or complex with Re < 0), Newton-
+    polished twice, then checked once: SearchFailed if |min P| > tol there.
     """
     if not tol > 0.0:
         raise OutOfDomain("tol must be positive")
-    lo, hi = 1.0 + 1e-3, 1.0e4
-    m_lo, _ = _m_of_kappa(lo, X)
-    m_hi, _ = _m_of_kappa(hi, X)
-    for _ in range(8):
-        if m_lo < 0.0 < m_hi:
-            break
-        lo = 1.0 + (lo - 1.0) / 10.0
-        hi = hi * 10.0
-        m_lo, _ = _m_of_kappa(lo, X)
-        m_hi, _ = _m_of_kappa(hi, X)
-    else:
-        raise SearchFailed("no sign change of m(kappa) over the widened window")
-    while True:
-        mid = 0.5 * (lo + hi)
-        m_mid, _ = _m_of_kappa(mid, X)
-        if abs(m_mid) < tol:
-            return mid
-        if m_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * max(1.0, abs(hi)):
-            raise SearchFailed("bisection interval collapsed before |m| < tol")
+    sC = _surface(2.0, X).base_scal  # s_C alone fixes kappa_0; 2.0 is a placeholder kappa
+    b0 = float(np.roots([6.0, 0.0, -7.0, sC, 1.0]).real.max())
+    for _ in range(2):  # Newton on q, with q' = 24b^3 - 14b + s_C
+        b0 -= (((6.0 * b0 * b0 - 7.0) * b0 + sC) * b0 + 1.0) / ((24.0 * b0 * b0 - 14.0) * b0 + sC)
+    kappa0 = 0.5 * (b0 + 1.0 / b0)
+    m, _ = _m_of_kappa(kappa0, X)
+    if not abs(m) <= tol:
+        raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds tol = {tol:.3e}")
+    return kappa0
 
 
 def classify(kappa: float, X: RuledSurfaceData | None = None) -> ClassLabel:

@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(fn=cmd_pkappa)
 
-    sp = sub.add_parser("kappa0", help="existence threshold by bisection (JSON verdict)")
+    sp = sub.add_parser("kappa0", help="existence threshold kappa0 in closed form (JSON verdict)")
     _add_surface(sp)
     _add_tol(sp)
     _add_common(sp)

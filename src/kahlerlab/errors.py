@@ -28,7 +28,7 @@ class OutOfDomain(KahlerLabError):
 
 
 class SearchFailed(KahlerLabError):
-    """A bracketing search could not find the required sign change."""
+    """The threshold kappa0 failed its check: |min P| > tol there."""
 
 
 class NotAdmissible(KahlerLabError):

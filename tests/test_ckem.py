@@ -18,9 +18,11 @@ from kahlerlab.ckem import (
     sweep,
     write_sweep_csv,
 )
-from kahlerlab.errors import OutOfDomain
+from kahlerlab.calabi import RuledSurfaceData
+from kahlerlab.errors import OutOfDomain, SearchFailed
 
-# Derived once by the bisection test below and frozen as a regression anchor.
+# Frozen from the former bisection, which stopped at |min P| < 1e-8; the closed
+# form gives 1.0270383116905197 (tests/test_kappa0_oracle.py checks it).
 KAPPA0 = 1.0270383184529654
 
 
@@ -76,6 +78,20 @@ def test_kappa_zero_matches_frozen_value():
     m, zm = interior_min(solve_P(k0, b_kappa(k0)).P)
     assert abs(m) < 1e-8
     assert -1.0 < zm < 1.0
+
+
+def test_kappa_zero_tol_bounds_min_P_at_the_threshold():
+    # tol is the bound on |min P| at the returned kappa0: the closed form is
+    # checked once, and a tol below the |min P| it reaches fails that check
+    X = RuledSurfaceData.standard(1.5, genus=5, degree=1)
+    k0 = kappa_zero(X)
+    m = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
+    assert 0.0 < m < 1e-13
+    assert kappa_zero(X, tol=m) == k0
+    with pytest.raises(SearchFailed):
+        kappa_zero(X, tol=0.5 * m)
+    with pytest.raises(OutOfDomain):
+        kappa_zero(X, tol=0.0)
 
 
 def test_classification_brackets_the_threshold():

@@ -13,7 +13,7 @@ import kahlerlab
 import kahlerlab.cli as cli
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.cli import build_parser, main
-from kahlerlab.ckem import SWEEP_CSV_HEADER, b_kappa, kappa_zero, sweep
+from kahlerlab.ckem import SWEEP_CSV_HEADER, b_kappa, interior_min, kappa_zero, solve_P, sweep
 
 
 @pytest.fixture()
@@ -54,6 +54,21 @@ def test_kappa0_record_and_cache_roundtrip(workdir):
     assert verdict["label_below"] == "NegativeSomewhere"
     assert verdict["label_above"] == "ExistsCKEM"
     assert 1.0 < verdict["kappa0"] < 1.1
+
+
+def test_kappa0_tol_below_the_reached_min_P_fails(workdir, capsys):
+    # --tol bounds |min P| at the returned kappa0; below what it reaches on
+    # (5, 1) the command exits with SearchFailed's code
+    X = RuledSurfaceData.standard(1.5, genus=5, degree=1)
+    k0 = kappa_zero(X)
+    m = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
+    assert m > 0.0
+    flags = ["kappa0", "--genus", "5", "--degree", "1", "--no-cache", "--tol"]
+    capsys.readouterr()
+    assert main([*flags, repr(0.5 * m)]) == cli.EXIT_FAIL
+    assert capsys.readouterr().err.startswith("SearchFailed: ")
+    assert main([*flags, repr(m)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["kappa0"] == k0
 
 
 def test_quant_expansion_header_and_payload(workdir, capsys):

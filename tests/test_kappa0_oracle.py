@@ -1,0 +1,105 @@
+"""kappa0 against a 40-digit mpmath oracle that shares no code with kahlerlab.
+
+The oracle solves the numerator P = (z+kappa) Theta of the constant
+weighted-curvature profile from the curvature formula itself. With
+f = z+b, w = z+kappa and p = 4, Scal_p = c reads, times w,
+
+    f^2 (s_C - P'') + 2(p-1) f P' - p(p-1) P = c w,
+
+to which the boundary conditions add P(+-1) = 0, P'(-1) = 2(kappa-1) and
+P'(1) = -2(kappa+1). On the Futaki curve b = kappa + sqrt(kappa^2-1) this
+system in (p_0..p_4, c) is consistent; it is solved by QR least squares.
+kappa0 is where P gets an interior double root: a bisection on the interior
+minimum of P brackets it, and Newton on (P, P') = 0 in (kappa, z) finishes.
+"""
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from kahlerlab.calabi import RuledSurfaceData
+from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P
+
+DPS = 40
+P_WEIGHT = 4
+# the (genus, degree) surfaces of the benchmark grid, s_C = 4(1-g)/d distinct
+GRID = ((2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (5, 1), (4, 5), (2, 5))
+
+
+def _numerator(kappa, s_c):
+    """(p_0..p_4 ascending, least-squares residual) on the Futaki curve."""
+    b = kappa + mp.sqrt(kappa * kappa - 1)
+    p = P_WEIGHT
+    rows, rhs = [], []
+    # coefficient of z^n in the identity, unknowns p_i and c; at p = 4 the
+    # z^3 and z^4 rows vanish identically (f^3, f^4 solve the homogeneous part)
+    for n in range(3):
+        row = []
+        for i in range(5):
+            if i == n + 2:
+                row.append(-b * b * i * (i - 1))
+            elif i == n + 1:
+                row.append(-2 * b * i * (i - 1) + 2 * (p - 1) * b * i)
+            elif i == n:
+                row.append(mp.mpf(-(i - p) * (i - p + 1)))
+            else:
+                row.append(mp.mpf(0))
+        row.append(-kappa if n == 0 else mp.mpf(-1 if n == 1 else 0))
+        rows.append(row)
+        rhs.append(-s_c * (b * b, 2 * b, 1)[n])
+    for z0, slope in ((-1, 2 * (kappa - 1)), (1, -2 * (kappa + 1))):
+        rows.append([mp.mpf(z0) ** i for i in range(5)] + [0])
+        rhs.append(0)
+        rows.append([i * mp.mpf(z0) ** (i - 1) for i in range(5)] + [0])
+        rhs.append(slope)
+    x, res = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))
+    return [x[i] for i in range(5)], res
+
+
+def _poly(coef, z):
+    return mp.polyval(coef[::-1], z)
+
+
+def _interior_min(coef):
+    """(min P, argmin) over the real critical points of P in (-1, 1)."""
+    dcoef = [i * coef[i] for i in range(1, 5)]
+    crits = [
+        mp.re(r)
+        for r in mp.polyroots(dcoef[::-1], maxsteps=200, extraprec=2 * DPS)
+        if abs(mp.im(r)) < mp.mpf(10) ** (-DPS // 2) and -1 < mp.re(r) < 1
+    ]
+    return min(((_poly(coef, z), z) for z in crits), default=(mp.inf, None))
+
+
+def _oracle_kappa0(genus, degree):
+    with mp.workdps(DPS):
+        s_c = mp.mpf(4 * (1 - genus)) / degree
+
+        def m(kappa):
+            return _interior_min(_numerator(kappa, s_c)[0])
+
+        lo, hi = 1 + mp.mpf(10) ** -8, mp.mpf(2)
+        assert m(lo)[0] < 0 < m(hi)[0]
+        for _ in range(24):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if m(mid)[0] < 0 else (lo, mid)
+
+        def double_root(kappa, z):
+            coef = _numerator(kappa, s_c)[0]
+            return _poly(coef, z), mp.polyval([i * coef[i] for i in range(4, 0, -1)], z)
+
+        k0, _ = mp.findroot(double_root, ((lo + hi) / 2, m((lo + hi) / 2)[1]))
+        assert _numerator(k0, s_c)[1] < mp.mpf(10) ** (-DPS + 8)
+        return float(k0)
+
+
+@pytest.mark.parametrize("genus,degree", GRID)
+def test_kappa_zero_matches_the_mpmath_oracle(genus, degree):
+    X = RuledSurfaceData.standard(1.5, genus=genus, degree=degree)
+    k0 = kappa_zero(X)
+    oracle = _oracle_kappa0(genus, degree)
+    np.testing.assert_allclose(k0, oracle, rtol=1e-13, atol=0)
+    P = solve_P(k0, b_kappa(k0), X).P
+    m, zm = interior_min(P)
+    assert abs(m) < 1e-13
+    assert abs(P.deriv()(zm)) < 1e-13
