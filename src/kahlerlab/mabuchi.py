@@ -299,8 +299,7 @@ class PathFamily:
     jet (Theta_t, Theta_t', ((z+kappa) Theta_t)'') on the nodes of
     `graded_rule()` and W_t = -Theta_dot (1-z^2)/Theta_t^2 on _UDOT_Z, where
     u_dot'' = W_t/(1-z^2). The straight paths sample their endpoints once and
-    combine the samples per node. `at` may return one W array for every t
-    (the potential path does: its u_dot is computed once), never mutated.
+    combine the samples per node.
     """
 
     start: Profile
@@ -418,13 +417,12 @@ def mabuchi_path_integral(
     fw = (zq + k.b) ** (-(k.p + 1.0))
     trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
 
-    total, w_prev = 0.0, None
+    total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):
         jet, w = family.at(float(t))
         if np.any(jet[0] <= 0.0):
             raise NotAdmissible("intermediate profile is not positive")
-        if w is not w_prev:  # a potential path hands back one W for every t
-            udot, w_prev = _udot_on(w), w
+        udot = _udot_on(w)
         scal_p = scal_p_on(zq, jet, X, k, kappa)
         wgt = (scal_p - c) * fw * (zq + kappa)
         total += wt * float(np.dot(zrule.weights, udot * wgt))

@@ -22,7 +22,6 @@ from kahlerlab.mabuchi import (
     unboundedness_probe,
 )
 from kahlerlab.numerics import graded_rule
-from kahlerlab.tolerances import TOL
 
 
 def _sol(kappa):
@@ -256,41 +255,3 @@ def test_udot_operator_is_built_once():
         mabuchi_path_integral(straight_theta_path(a, b), kd, sol)
     assert mabuchi._udot_half_operator.cache_info().misses == 1
     assert all(not x.flags.writeable for x in mabuchi._udot_half_operator())
-
-
-def _potential_and_theta_paths(seed):
-    kappa = 1.25
-    sol = _sol(kappa)
-    rng = np.random.default_rng(seed)
-    p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
-    paths = (straight_potential_path(to_symplectic(p0), to_symplectic(p1)), straight_theta_path(p0, p1))
-    return sol, KillingData(b=sol.b, p=4.0), paths
-
-
-def test_udot_runs_once_per_potential_path(monkeypatch):
-    # W = D_1 - D_0 is one array for every t on a potential path; on a theta
-    # path W_t changes with t
-    sol, kd, paths = _potential_and_theta_paths(53)
-    udot_on = mabuchi._udot_on
-    calls = []
-
-    def counted(w):
-        calls.append(w)
-        return udot_on(w)
-
-    monkeypatch.setattr(mabuchi, "_udot_on", counted)
-    for family, n in zip(paths, (1, TOL.quad_order_path)):
-        calls.clear()
-        mabuchi_path_integral(family, kd, sol)
-        assert len(calls) == n
-
-
-def test_reused_udot_is_bit_identical_to_recomputing_it():
-    sol, kd, (family, _) = _potential_and_theta_paths(59)
-
-    def fresh_w(t):
-        jet, w = family.at(t)
-        return jet, w.copy()
-
-    recomputed = mabuchi.PathFamily(start=family.start, at=fresh_w)
-    assert mabuchi_path_integral(family, kd, sol) == mabuchi_path_integral(recomputed, kd, sol)
