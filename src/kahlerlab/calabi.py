@@ -152,11 +152,11 @@ class BoundaryReport:
     defects: tuple[float, float, float, float]
 
 
-def check_boundary(profile: Profile, tol: float = TOL.boundary_defect) -> BoundaryReport:
+def check_boundary(profile: Profile) -> BoundaryReport:
     """Defects (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2)."""
     (th_m, th_p), (dth_m, dth_p), _ = profile.jet(np.array([-1.0, 1.0]))
     d = (float(th_m), float(th_p), float(dth_m) - 2.0, float(dth_p) + 2.0)
-    return BoundaryReport(passes=bool(max(abs(x) for x in d) < tol), defects=d)
+    return BoundaryReport(passes=bool(max(abs(x) for x in d) < TOL.boundary_defect), defects=d)
 
 
 def _scal(z, d2num, X: RuledSurfaceData, kappa: float) -> np.ndarray:

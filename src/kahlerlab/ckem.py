@@ -209,23 +209,22 @@ def _m_of_kappa(kappa: float, X: RuledSurfaceData | None) -> tuple[float, float]
     return interior_min(sol.P)
 
 
-def kappa_zero(X: RuledSurfaceData | None = None, tol: float = TOL.kappa_zero_tol) -> float:
+def kappa_zero(X: RuledSurfaceData | None = None) -> float:
     """Threshold kappa_0 = (1+b_0^2)/(2b_0), b_0 > 1 the root of the quartic
     q(b) = 6b^4 - 7b^2 + s_C b + 1; disc Q's other factor, c = 0, puts the
     double root at z = -b outside [-1, 1] (module docstring). b_0 is the top
     real part of q's roots (the rest are < 1 or complex with Re < 0), Newton-
-    polished twice, then checked once: SearchFailed if |min P| > tol there.
+    polished twice, then checked once: SearchFailed if |min P| exceeds
+    TOL.kappa_zero_tol there.
     """
-    if not tol > 0.0:
-        raise OutOfDomain("tol must be positive")
     sC = _surface(2.0, X).base_scal  # s_C alone fixes kappa_0; 2.0 is a placeholder kappa
     b0 = float(np.roots([6.0, 0.0, -7.0, sC, 1.0]).real.max())
     for _ in range(2):  # Newton on q, with q' = 24b^3 - 14b + s_C
         b0 -= (((6.0 * b0 * b0 - 7.0) * b0 + sC) * b0 + 1.0) / ((24.0 * b0 * b0 - 14.0) * b0 + sC)
     kappa0 = 0.5 * (b0 + 1.0 / b0)
     m, _ = _m_of_kappa(kappa0, X)
-    if not abs(m) <= tol:
-        raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds tol = {tol:.3e}")
+    if not abs(m) <= TOL.kappa_zero_tol:
+        raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds {TOL.kappa_zero_tol:.3e}")
     return kappa0
 
 

@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -150,6 +150,14 @@ def _emit(payload: str, rec: RunRecord, out: str | None) -> None:
             fh.write(rec.to_json() + "\n")
 
 
+def _cached(cfg: RunConfig, produce: Callable[[], str], suffix: str, args: argparse.Namespace) -> int:
+    """Take the payload from the result cache (or make and store it), emit it
+    with its run record, and return EXIT_OK."""
+    payload, hit = ResultCache(enabled=not args.no_cache).get_or_make(cfg.hash(), produce, suffix=suffix)
+    _emit(payload, _record(cfg, hit, True, args.out), args.out)
+    return EXIT_OK
+
+
 # -- range parsing -----------------------------------------------------------
 
 
@@ -207,7 +215,6 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
         {"kappas": kappas, "genus": args.genus, "degree": args.degree},
     )
     X = RuledSurfaceData.standard(kappas[0], genus=args.genus, degree=args.degree)
-    cache = ResultCache(enabled=not args.no_cache)
 
     def produce() -> str:
         buf = io.StringIO()
@@ -223,22 +230,15 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
             buf.write(f"{kap!r},nan,nan,nan,nan,nan,Error:{name}\n")
         return buf.getvalue()
 
-    payload, hit = cache.get_or_make(cfg.hash(), produce, suffix=".csv")
-    _emit(payload, _record(cfg, hit, True, args.out), args.out)
-    return EXIT_OK
+    return _cached(cfg, produce, ".csv", args)
 
 
 def cmd_kappa0(args: argparse.Namespace) -> int:
-    tol = args.tol if args.tol is not None else TOL.kappa_zero_tol
-    cfg = RunConfig(
-        "kappa0",
-        {"genus": args.genus, "degree": args.degree, "tol": tol},
-    )
+    cfg = RunConfig("kappa0", {"genus": args.genus, "degree": args.degree})
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
-    cache = ResultCache(enabled=not args.no_cache)
 
     def produce() -> str:
-        k0 = kappa_zero(X, tol=tol)
+        k0 = kappa_zero(X)
         m, zm = interior_min(solve_P(k0, b_kappa(k0), X).P)
         rec = {
             "kappa0": k0,
@@ -249,9 +249,7 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
         }
         return json.dumps(rec, sort_keys=True) + "\n"
 
-    payload, hit = cache.get_or_make(cfg.hash(), produce, suffix=".json")
-    _emit(payload, _record(cfg, hit, True, args.out), args.out)
-    return EXIT_OK
+    return _cached(cfg, produce, ".json", args)
 
 
 def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
@@ -266,7 +264,6 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         },
     )
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
-    cache = ResultCache(enabled=not args.no_cache)
 
     def produce() -> str:
         # default kappa: midpoint of (1, kappa0) of the surface the flags name
@@ -280,9 +277,7 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         buf.write(probe_summary(kappa, label, energies, slope) + "\n")
         return buf.getvalue()
 
-    payload, hit = cache.get_or_make(cfg.hash(), produce, suffix=".csv")
-    _emit(payload, _record(cfg, hit, True, args.out), args.out)
-    return EXIT_OK
+    return _cached(cfg, produce, ".csv", args)
 
 
 def cmd_quant_balanced(args: argparse.Namespace) -> int:
@@ -294,7 +289,6 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
         {"b0": b0, "p": args.p, "k_list": ks, "tol": tol},
     )
     model = ToyModel(b0=b0, p=args.p)
-    cache = ResultCache(enabled=not args.no_cache)
 
     def produce() -> str:
         phi0 = round_potential()
@@ -309,9 +303,7 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
             lines.append(f"{k},{res.n_iter},{resid!r},{dev!r}")
         return "\n".join(lines) + "\n"
 
-    payload, hit = cache.get_or_make(cfg.hash(), produce, suffix=".csv")
-    _emit(payload, _record(cfg, hit, True, args.out), args.out)
-    return EXIT_OK
+    return _cached(cfg, produce, ".csv", args)
 
 
 def cmd_quant_expansion(args: argparse.Namespace) -> int:
@@ -319,7 +311,6 @@ def cmd_quant_expansion(args: argparse.Namespace) -> int:
     ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32, 64]
     cfg = RunConfig("quant-expansion", {"b0": b0, "p": args.p, "k_list": ks})
     model = ToyModel(b0=b0, p=args.p)
-    cache = ResultCache(enabled=not args.no_cache)
 
     def produce() -> str:
         rep = expansion_check(round_potential(), model, ks)
@@ -331,9 +322,7 @@ def cmd_quant_expansion(args: argparse.Namespace) -> int:
         lines.append(json.dumps({"slope": rep.slope, "leading_slope": rep.leading_slope}, sort_keys=True))
         return "\n".join(lines) + "\n"
 
-    payload, hit = cache.get_or_make(cfg.hash(), produce, suffix=".csv")
-    _emit(payload, _record(cfg, hit, True, args.out), args.out)
-    return EXIT_OK
+    return _cached(cfg, produce, ".csv", args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -369,10 +358,6 @@ def _add_surface(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--degree", type=int, default=1)
 
 
-def _add_tol(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--tol", type=float, default=None, help="override the command's tolerance")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kahlerlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"kahlerlab {__version__}")
@@ -387,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("kappa0", help="existence threshold kappa0 in closed form (JSON verdict)")
     _add_surface(sp)
-    _add_tol(sp)
     _add_common(sp)
     sp.set_defaults(fn=cmd_kappa0)
 
@@ -402,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b0", type=str, default="inf", help="weight offset; 'inf' for the unweighted mode")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--k-range", type=str, default=None)
-    _add_tol(sp)
+    sp.add_argument("--tol", type=float, default=None, help="balanced stopping tolerance (default TOL.balanced_tol)")
     _add_common(sp)
     sp.set_defaults(fn=cmd_quant_balanced)
 

@@ -28,7 +28,7 @@ class OutOfDomain(KahlerLabError):
 
 
 class SearchFailed(KahlerLabError):
-    """The threshold kappa0 failed its check: |min P| > tol there."""
+    """The threshold kappa0 failed its check: |min P| > TOL.kappa_zero_tol there."""
 
 
 class NotAdmissible(KahlerLabError):

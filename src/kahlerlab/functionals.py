@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .quantization import (
     fs,
     hilb,
     round_potential,
+    _s_jet,
+    _scal_p,
 )
 from .tolerances import TOL
 
@@ -77,6 +79,22 @@ def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
     return float(np.dot(spectrum.lam_p, H.log_h))
 
 
+def _blend_integral(phi_a: RadialPotential, phi_b: RadialPotential, fields: tuple[str, ...], density: Callable) -> float:
+    """Integral over s in [0, 1] and t of density(phi-dot, *fields) along the
+    straight psi-blend (1-s) psi_a + s psi_b, with phi-dot = (psi_b - psi_a)/2
+    fixed along it. Each endpoint is sampled once; only the named TSample
+    fields are blended."""
+    t, tw = _t_grid()
+    da, db = phi_a.at_t(t), phi_b.at_t(t)
+    dot = 0.5 * (db.psi - da.psi)
+    ends = [(getattr(da, name), getattr(db, name)) for name in fields]
+    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    total = 0.0
+    for s, ws in zip(srule.nodes, srule.weights):
+        total += ws * float(np.dot(tw, density(dot, *((1.0 - s) * a + s * b for a, b in ends))))
+    return total
+
+
 def aubin_path(
     phi_a: RadialPotential,
     phi_b: RadialPotential,
@@ -85,28 +103,17 @@ def aubin_path(
 ) -> float:
     """Integral of the Aubin 1-form along the straight psi-blend a -> b."""
     ck = c_k_constant(k, model)
-    t, tw = _t_grid()
-    da, db = phi_a.at_t(t), phi_b.at_t(t)
-    dot = 0.5 * (db.psi - da.psi)  # phi-dot = (psi_b - psi_a)/2, fixed along the blend
-    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
-    total = 0.0
-    for s, ws in zip(srule.nodes, srule.weights):
-        mu_s = (1.0 - s) * da.mu + s * db.mu
-        p2_s = (1.0 - s) * da.psi2 + s * db.psi2
-        inner = float(np.dot(tw, dot * model.f(mu_s) ** (1.0 - model.p) * p2_s))
-        total += ws * inner
-    return 2.0 * k * ck * 2.0 * math.pi * k * total
+
+    def density(dot, mu, p2):
+        return dot * model.f(mu) ** (1.0 - model.p) * p2
+
+    return 2.0 * k * ck * 2.0 * math.pi * k * _blend_integral(phi_a, phi_b, ("mu", "psi2"), density)
 
 
-def aubin_I(
-    phi: RadialPotential,
-    k: int,
-    model: ToyModel,
-    ref: RadialPotential | None = None,
-) -> float:
-    """𝕀(phi): Aubin functional, path integral from the reference potential
-    (𝕀(reference) = 0)."""
-    return aubin_path(round_potential() if ref is None else ref, phi, k, model)
+def aubin_I(phi: RadialPotential, k: int, model: ToyModel) -> float:
+    """𝕀(phi): Aubin functional, path integral from the round potential
+    (𝕀(round) = 0)."""
+    return aubin_path(round_potential(), phi, k, model)
 
 
 def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:
@@ -119,39 +126,19 @@ def functional_Z(H: HermitianNorms, k: int, model: ToyModel) -> float:
     return aubin_I(fs(H, k, model), k, model) + functional_I(H, eigenvalues(k, model))
 
 
-def toy_mabuchi(
-    phi: RadialPotential,
-    model: ToyModel,
-    ref: RadialPotential | None = None,
-) -> float:
-    """Weighted Mabuchi energy of the toy, 𝓜(reference) = 0, via the path
+def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
+    """Weighted Mabuchi energy of the toy, 𝓜(round) = 0, via the path
     integral of -∫ phi-dot (Scal_p - c) f^{-(p+1)} vol_omega along the
     straight psi-blend. Scal_p on the blend comes from the chain rules in
     the blended psi-derivatives, so no inversions are needed."""
-    phi_a = round_potential() if ref is None else ref
-    t, tw = _t_grid()
-    da, db = phi_a.at_t(t), phi.at_t(t)
-    dot = 0.5 * (db.psi - da.psi)
     c = c_top_exact(model)
-    p = model.p
-    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
-    total = 0.0
-    for s, ws in zip(srule.nodes, srule.weights):
-        mu_s = (1.0 - s) * da.mu + s * db.mu
-        p2 = (1.0 - s) * da.psi2 + s * db.psi2
-        p3 = (1.0 - s) * da.psi3 + s * db.psi3
-        p4 = (1.0 - s) * da.psi4 + s * db.psi4
-        S = 2.0 * p2
-        d2S = 2.0 * (p4 * p2 - p3 * p3) / p2**3
-        if model.xi_zero:
-            scal_p = -d2S
-        else:
-            f = model.f(mu_s)
-            dS = 2.0 * p3 / p2
-            scal_p = f * f * (-d2S) + 2.0 * (p - 1.0) * f * dS - p * (p - 1.0) * S
-        wgt = model.f(mu_s) ** (-(p + 1.0))
-        total += ws * float(np.dot(tw, dot * (scal_p - c) * wgt * p2))
-    return -2.0 * math.pi * total
+
+    def density(dot, mu, p2, p3, p4):
+        scal_p = _scal_p(model, mu, *_s_jet(p2, p3, p4))
+        return dot * (scal_p - c) * model.f(mu) ** (-(model.p + 1.0)) * p2
+
+    fields = ("mu", "psi2", "psi3", "psi4")
+    return -2.0 * math.pi * _blend_integral(round_potential(), phi, fields, density)
 
 
 def geodesic(H0: HermitianNorms, A: Sequence[float], t: float, model: ToyModel) -> HermitianNorms:

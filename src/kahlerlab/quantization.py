@@ -237,14 +237,12 @@ class _TNativePotential(RadialPotential):
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
         t, s = _invert(self.at_t, lambda s: (s.mu, s.psi2), np.log(mu / (1.0 - mu)), mu, -np.inf, np.inf)
-        p2, p3, p4 = s.psi2, s.psi3, s.psi4
-        return MuSample(
-            t=t,
-            v=mu * t - s.psi,
-            S=2.0 * p2,
-            dS=2.0 * p3 / p2,
-            d2S=2.0 * (p4 * p2 - p3 * p3) / p2**3,
-        )
+        return MuSample(t, mu * t - s.psi, *_s_jet(s.psi2, s.psi3, s.psi4))
+
+
+def _s_jet(p2, p3, p4) -> tuple:
+    """S, S', S'' from psi'', psi''', psi'''' by the chain rules of RadialPotential."""
+    return 2.0 * p2, 2.0 * p3 / p2, 2.0 * (p4 * p2 - p3 * p3) / p2**3
 
 
 class ProfilePotential(RadialPotential):
@@ -413,7 +411,7 @@ class ToyBoundaryReport:
     defects: tuple[float, float, float, float]
 
 
-def boundary_report(phi: RadialPotential, tol: float = TOL.boundary_defect) -> ToyBoundaryReport:
+def boundary_report(phi: RadialPotential) -> ToyBoundaryReport:
     """Defects (S(0), S(1), S'(0)-2, S'(1)+2), endpoint values obtained by
     Richardson extrapolation from interior samples (t-native potentials
     cannot be evaluated at the closed endpoints)."""
@@ -422,7 +420,7 @@ def boundary_report(phi: RadialPotential, tol: float = TOL.boundary_defect) -> T
     S0, S1 = 2.0 * s.S[0] - s.S[1], 2.0 * s.S[2] - s.S[3]
     dS0, dS1 = 2.0 * s.dS[0] - s.dS[1], 2.0 * s.dS[2] - s.dS[3]
     d = (float(S0), float(S1), float(dS0) - 2.0, float(dS1) + 2.0)
-    return ToyBoundaryReport(passes=bool(max(abs(x) for x in d) < tol), defects=d)
+    return ToyBoundaryReport(passes=bool(max(abs(x) for x in d) < TOL.boundary_defect), defects=d)
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +520,19 @@ def weighted_scalar_toy(phi: RadialPotential, model: ToyModel) -> Callable:
     def scal_p(mu):
         mu = np.asarray(mu, dtype=float)
         s = phi.at_mu(mu)
-        if model.xi_zero:
-            out = -s.d2S
-        else:
-            f = model.f(mu)
-            out = f * f * (-s.d2S) + 2.0 * (model.p - 1.0) * f * s.dS - model.p * (model.p - 1.0) * s.S
+        out = _scal_p(model, mu, s.S, s.dS, s.d2S)
         return out if out.ndim else float(out)
 
     return scal_p
+
+
+def _scal_p(model: ToyModel, mu, S, dS, d2S):
+    """Scal_p at the momenta mu from the profile jet S, S', S''."""
+    if model.xi_zero:
+        return -d2S
+    f = model.f(mu)
+    p = model.p
+    return f * f * (-d2S) + 2.0 * (p - 1.0) * f * dS - p * (p - 1.0) * S
 
 
 def _log_section_densities(phi: RadialPotential, k: int, mu: np.ndarray) -> np.ndarray:
@@ -692,7 +695,6 @@ def balanced_iterate(
     model: ToyModel,
     max_iter: int = 500,
     tol: float = TOL.balanced_tol,
-    damping: float = 0.0,
 ) -> BalancedResult:
     """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0),
     by Anderson mixing on x = log h (Walker-Ni, SIAM J. Numer. Anal. 2011).
@@ -702,17 +704,13 @@ def balanced_iterate(
     weighted mode there is only a relative fixed point, a steady gauge
     drift); the mixing coefficients gamma therefore fit g by the last
     _ANDERSON_DEPTH differences of g in least squares modulo span{1, j}.
-    The next iterate is x + beta g - (dX + beta dG) gamma with mixing weight
-    beta = 1 - damping; with no history that is the damped plain step
-    (1-d) T(x) + d x.
+    The next iterate is x + g - (dX + dG) gamma; with no history that is
+    the plain step T(x).
 
-    Converged when the raw step sup_j |g_j| < tol: H = x + beta g is then
+    Converged when the raw step sup_j |g_j| < tol: H = x + g is then
     within sup|g| / (1 - r) of the fixed-point set, r the contraction rate
     of T. Raises NoConvergence after max_iter, naming the last raw step and
     the last step modulo span{1, j}."""
-    if not 0.0 <= damping < 1.0:
-        raise OutOfDomain("damping must be in [0, 1)")
-    beta = 1.0 - damping
     j = np.arange(k + 1, dtype=float)
     gauge = np.linalg.qr(np.stack([np.ones_like(j), j], axis=1))[0]
     x = hilb(phi0, k, model).log_h
@@ -725,7 +723,7 @@ def balanced_iterate(
         step = float(np.max(np.abs(g)))
         history.append(step)
         if step < tol:
-            H = HermitianNorms(k=k, log_h=x + beta * g)
+            H = HermitianNorms(k=k, log_h=x + g)
             return BalancedResult(
                 H=H, phi=fs(H, k, model), converged=True, history=tuple(history), n_iter=n + 1
             )
@@ -735,11 +733,11 @@ def balanced_iterate(
             dX = [*dX, x - x_prev][-_ANDERSON_DEPTH:]
             dG = [*dG, g - g_prev][-_ANDERSON_DEPTH:]
         x_prev, g_prev = x, g
-        x = x + beta * g
+        x = x + g
         if dG:
             DX, DG = np.stack(dX, axis=1), np.stack(dG, axis=1)
             gamma = np.linalg.lstsq(DG - gauge @ (gauge.T @ DG), gq, rcond=None)[0]
-            x = x - (DX + beta * DG) @ gamma
+            x = x - (DX + DG) @ gamma
     raise NoConvergence(
         f"balanced iteration did not reach tol={tol:g} in {max_iter} steps: last raw step "
         f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}"

@@ -66,7 +66,7 @@ from kahlerlab.functionals import (
 )
 from kahlerlab.cli import main
 
-KAPPA0 = 1.0270383184529654  # derived output of criterion 3
+KAPPA0 = 1.0270383116905197  # criterion 3's kappa0, in closed form
 
 
 def _verdict(num: int, detail: str) -> None:

@@ -1,11 +1,14 @@
 """Boundary-value solver, Futaki curve, and the existence threshold."""
 
+import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from kahlerlab import ckem
 from kahlerlab.ckem import (
     SWEEP_CSV_HEADER,
     ClassLabel,
@@ -21,9 +24,9 @@ from kahlerlab.ckem import (
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.errors import OutOfDomain, SearchFailed
 
-# Frozen from the former bisection, which stopped at |min P| < 1e-8; the closed
-# form gives 1.0270383116905197 (tests/test_kappa0_oracle.py checks it).
-KAPPA0 = 1.0270383184529654
+# The closed form's kappa0 at genus 2, degree 1 (|min P| = 1.1e-16 there);
+# tests/test_kappa0_oracle.py checks it against an independent oracle.
+KAPPA0 = 1.0270383116905197
 
 
 def test_b_kappa_inverts_the_curve():
@@ -80,19 +83,18 @@ def test_kappa_zero_matches_frozen_value():
     assert -1.0 < zm < 1.0
 
 
-def test_kappa_zero_tol_bounds_min_P_at_the_threshold():
-    # tol is the bound on |min P| at the returned kappa0: the closed form is
-    # checked once, and a tol below the |min P| it reaches fails that check
+def test_kappa_zero_tol_bounds_min_P_at_the_threshold(monkeypatch):
+    # TOL.kappa_zero_tol is the bound on |min P| at the returned kappa0: the
+    # closed form is checked once, and a bound below the |min P| it reaches
+    # (the next float down, negative if that |min P| is 0) fails that check
     X = RuledSurfaceData.standard(1.5, genus=5, degree=1)
     k0 = kappa_zero(X)
-    assert kappa_zero(X, tol=1e-13) == k0
-    with pytest.raises(OutOfDomain):
-        kappa_zero(X, tol=0.0)
-    tol = 0.5 * abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
-    if tol == 0.0:
-        pytest.skip("|min P| at kappa0 rounds to 0 on (5, 1): no positive tol lies below it")
+    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=1e-13))
+    assert kappa_zero(X) == k0
+    reached = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
+    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=math.nextafter(reached, -math.inf)))
     with pytest.raises(SearchFailed):
-        kappa_zero(X, tol=tol)
+        kappa_zero(X)
 
 
 def test_classification_brackets_the_threshold():

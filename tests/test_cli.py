@@ -1,6 +1,8 @@
 """Front-end plumbing: dispatch,validation, records, caching, exit codes."""
 
+import dataclasses
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import kahlerlab
 import kahlerlab.cli as cli
+from kahlerlab import ckem
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.cli import build_parser, main
 from kahlerlab.ckem import SWEEP_CSV_HEADER, b_kappa, interior_min, kappa_zero, solve_P, sweep
@@ -56,19 +59,19 @@ def test_kappa0_record_and_cache_roundtrip(workdir):
     assert 1.0 < verdict["kappa0"] < 1.1
 
 
-def test_kappa0_tol_below_the_reached_min_P_fails(workdir, capsys):
-    # --tol bounds |min P| at the returned kappa0; below what it reaches on
-    # (5, 1) the command exits with SearchFailed's code
+def test_kappa0_tol_below_the_reached_min_P_fails(workdir, capsys, monkeypatch):
+    # TOL.kappa_zero_tol bounds |min P| at the returned kappa0; below what it
+    # reaches on (5, 1) the command exits with SearchFailed's code
     X = RuledSurfaceData.standard(1.5, genus=5, degree=1)
     k0 = kappa_zero(X)
-    flags = ["kappa0", "--genus", "5", "--degree", "1", "--no-cache", "--tol"]
+    flags = ["kappa0", "--genus", "5", "--degree", "1", "--no-cache"]
     capsys.readouterr()
-    assert main([*flags, "1e-13"]) == cli.EXIT_OK
+    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=1e-13))
+    assert main(flags) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["kappa0"] == k0
-    tol = 0.5 * abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
-    if tol == 0.0:
-        pytest.skip("|min P| at kappa0 rounds to 0 on (5, 1): no positive tol lies below it")
-    assert main([*flags, repr(tol)]) == cli.EXIT_FAIL
+    reached = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
+    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=math.nextafter(reached, -math.inf)))
+    assert main(flags) == cli.EXIT_FAIL
     assert capsys.readouterr().err.startswith("SearchFailed: ")
 
 
@@ -216,7 +219,7 @@ def test_k_range_rejects_lo_below_one(k_range):
     "argv",
     [
         *([cmd, "--seed", "1"] for cmd in ("pkappa", "kappa0", "mabuchi-probe", "quant-balanced", "quant-expansion", "verify")),
-        *([cmd, "--tol", "1e-9"] for cmd in ("pkappa", "mabuchi-probe", "quant-expansion", "verify")),
+        *([cmd, "--tol", "1e-9"] for cmd in ("pkappa", "kappa0", "mabuchi-probe", "quant-expansion", "verify")),
         *([cmd, flag, "2"] for cmd in ("quant-balanced", "quant-expansion", "verify") for flag in ("--genus", "--degree")),
     ],
     ids=" ".join,

@@ -19,6 +19,7 @@ from kahlerlab.functionals import (
     z_prime,
 )
 from kahlerlab.quantization import (
+    FSPotential,
     HermitianNorms,
     ToyModel,
     c_k_constant,
@@ -198,9 +199,34 @@ def test_each_consumer_inverts_each_potential_once(monkeypatch):
         (lambda: quant.bergman_density(phi, k, MW, Psi=np.sqrt, Phi=np.sqrt), ["FSPotential"]),
         (lambda: quant.weighted_scalar_toy(phi, MW)(mu), ["FSPotential"]),
         (lambda: aubin_path(prof, phi, k, MW), ["ProfilePotential"]),
-        (lambda: toy_mabuchi(phi, MW, ref=prof), ["ProfilePotential"]),
+        (lambda: toy_mabuchi(phi, MW), ["ProfilePotential"]),  # the round reference
     ]
     for run, expected in runs:
         calls.clear()
         run()
         assert calls == expected
+
+
+@pytest.mark.parametrize(
+    "b0, p, F",
+    [
+        (1.0, 4.0, 3.0 * math.pi / 10.0),
+        (1.0, 3.0, 3.0 * math.pi / 14.0),
+        (3.0, 4.0, 49.0 * math.pi / 5400.0),
+        (1.0, 2.0, 0.0),
+        (math.inf, 4.0, 0.0),
+    ],
+    ids=["b0=1,p=4", "b0=1,p=3", "b0=3,p=4", "b0=1,p=2", "xi=0,p=4"],
+)
+def test_toy_mabuchi_is_linear_along_the_xi_flow(b0, p, F):
+    # psi_0(t + s) = (1/k) log sum_j C(k, j) e^{j (t + s)} is the round metric
+    # moved by the flow of xi; there phi-dot = mu/2 and the profile stays
+    # S = 2 mu (1 - mu), so the Mabuchi energy is s F, F the closed form of
+    # -pi int_0^1 mu (Scal_p - c) f^{-(p+1)} dmu (zero at p = 2 and xi = 0)
+    k = 8
+    j = np.arange(k + 1, dtype=float)
+    log_binom = np.array([math.log(math.comb(k, i)) for i in range(k + 1)])
+    model = ToyModel(b0=b0, p=p)
+    for s in (-0.5, 0.3, 1.0):
+        moved = FSPotential(k, -log_binom - j * s, 0.0)
+        np.testing.assert_allclose(toy_mabuchi(moved, model), s * F, rtol=0, atol=1e-11)
