@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .calabi import Profile, RuledSurfaceData
-from .errors import OutOfDomain, SearchFailed
+from .errors import OutOfDomain, RankDeficient, SearchFailed
 from .numerics import solve_least_squares
 from .tolerances import TOL
 
@@ -106,43 +106,52 @@ def b_kappa(kappa: float) -> float:
     return kappa + math.sqrt(kappa * kappa - 1.0)
 
 
-def _boundary_system(kappa: float, b: float, sC: float) -> tuple[np.ndarray, np.ndarray]:
-    """Theta-form boundary rows, linear in x = (alpha, beta, c).
+def _boundary_system(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray]:
+    """Theta-form boundary rows (n, 4, 3), linear in x = (alpha, beta, c), and
+    right-hand sides (n, 4), for stacks of (kappa, b).
 
     P-form residuals r = (P(-1), P(1), P'(-1)-2(kappa-1), P'(1)+2(kappa+1))
     map to Theta-defects d = (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2)
-    by d1 = r1/km, d2 = r2/kp, d3 = r3/km - r1/km^2, d4 = r4/kp - r2/kp^2
+    by d1 = r1/km, d2 = r2/kp, d3 = (r3 - d1)/km, d4 = (r4 - d2)/kp
     with km = kappa-1, kp = kappa+1.
     """
-    tm, tp = b - 1.0, b + 1.0
-    km, kp = kappa - 1.0, kappa + 1.0
+    t = np.stack([b - 1.0, b + 1.0], axis=1)  # t = z + b at z = -1, 1
+    k = np.stack([kappa - 1.0, kappa + 1.0], axis=1)
     # P(z0) = (sC/2) t0^2 + alpha t0^3 + beta t0^4 + c (-t0/6 - (kappa-b)/12)
     # P'(z0) = sC t0 + alpha 3 t0^2 + beta 4 t0^3 + c (-1/6)
-    A_p = np.array(
-        [
-            [tm**3, tm**4, -tm / 6.0 - (kappa - b) / 12.0],
-            [tp**3, tp**4, -tp / 6.0 - (kappa - b) / 12.0],
-            [3.0 * tm**2, 4.0 * tm**3, -1.0 / 6.0],
-            [3.0 * tp**2, 4.0 * tp**3, -1.0 / 6.0],
-        ]
-    )
-    y_p = np.array(
-        [
-            -sC / 2.0 * tm**2,
-            -sC / 2.0 * tp**2,
-            2.0 * km - sC * tm,
-            -2.0 * kp - sC * tp,
-        ]
-    )
-    T = np.array(
-        [
-            [1.0 / km, 0.0, 0.0, 0.0],
-            [0.0, 1.0 / kp, 0.0, 0.0],
-            [-1.0 / km**2, 0.0, 1.0 / km, 0.0],
-            [0.0, -1.0 / kp**2, 0.0, 1.0 / kp],
-        ]
-    )
-    return T @ A_p, T @ y_p
+    val = np.stack([t * t * t, t * t * t * t, -t / 6.0 - (kappa - b)[:, None] / 12.0], axis=2) / k[..., None]
+    der = np.stack([3.0 * t * t, 4.0 * t * t * t, np.full_like(t, -1.0 / 6.0)], axis=2)
+    y_val = -sC / 2.0 * t * t / k
+    y_der = 2.0 * k * np.array([1.0, -1.0]) - sC * t
+    A = np.concatenate([val, (der - val) / k[..., None]], axis=1)
+    return A, np.concatenate([y_val, (y_der - y_val) / k], axis=1)
+
+
+def _solve_stack(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundary solve for stacks of (kappa, b): P's coefficients in z,
+    ascending (n, 5), c (n,) and the Futaki defect ||Ax - y|| (n,). Raises
+    OutOfDomain where kappa is not finite and > 1, b is not > 0 or a boundary
+    row is not finite, and RankDeficient from the solve; both name the slices.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A, y = _boundary_system(kappa, b, sC)
+        ok = np.isfinite(kappa) & (kappa > 1.0) & (b > 0.0) & np.isfinite(A).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+        # Column equilibration: for large kappa the (alpha, beta, c) columns span
+        # many orders of magnitude. Rescaling columns leaves the column space --
+        # hence the least-squares residual -- unchanged, but keeps the solve
+        # well-conditioned for every kappa > 1.
+        scale = np.sqrt(np.sum(A * A, axis=1))
+    if not ok.all():
+        raise OutOfDomain("kappa must be finite and > 1, b > 0, with finite boundary rows", slices=np.flatnonzero(~ok))
+    x = solve_least_squares(A / scale[:, None, :], y)[0] / scale
+    res = np.sum(A * x[:, None, :], axis=2) - y
+    alpha, beta, c = x.T
+    # P is a quartic in t = z + b; a Taylor shift by b (Horner) gives it in z
+    coef = np.stack([-c * (kappa - b) / 12.0, -c / 6.0, np.full_like(c, sC / 2.0), alpha, beta], axis=1)
+    for i in range(4):
+        for j in range(3, i - 1, -1):
+            coef[:, j] += b * coef[:, j + 1]
+    return coef, c, np.sqrt(np.sum(res * res, axis=1))
 
 
 def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappaSolution:
@@ -152,33 +161,13 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     scan probes b slightly below 1); geometric admissibility of the resulting
     metric additionally needs b > 1 and a positive profile.
     """
-    if not kappa > 1.0:
-        raise OutOfDomain("solve_P requires kappa > 1")
-    if not b > 0.0:
-        raise OutOfDomain("solve_P requires b > 0")
     surf = _surface(kappa, X)
-    sC = surf.base_scal
-    A, y = _boundary_system(kappa, b, sC)
-    # Column equilibration: for large kappa the (alpha, beta, c) columns span
-    # many orders of magnitude. Rescaling columns leaves the column space --
-    # hence the least-squares residual -- unchanged, but keeps the solve
-    # well-conditioned for every kappa > 1.
-    scale = np.linalg.norm(A, axis=0)
-    x_s, _ = solve_least_squares(A / scale, y)
-    x = x_s / scale
-    alpha, beta, c = (float(v) for v in x)
-    defect = float(np.linalg.norm(A @ x - y))
-    # P is a quartic in t = z + b; compose to get its coefficients in z
-    P = Polynomial([-c * (kappa - b) / 12.0, -c / 6.0, sC / 2.0, alpha, beta])(
-        Polynomial([b, 1.0])
-    )
-    return PKappaSolution(P=P, c=c, futaki_residual=defect, kappa=kappa, b=b, surface=surf)
+    coef, c, defect = _solve_stack(np.array([kappa], dtype=float), np.array([b], dtype=float), surf.base_scal)
+    return PKappaSolution(P=Polynomial(coef[0]), c=float(c[0]), futaki_residual=float(defect[0]), kappa=kappa, b=b, surface=surf)
 
 
 def futaki_residual(kappa: float, X: RuledSurfaceData | None = None) -> Callable[[float], float]:
     """The boundary-system defect as a function of b (a norm, hence >= 0)."""
-    if not kappa > 1.0:
-        raise OutOfDomain("futaki_residual requires kappa > 1")
     surf = _surface(kappa, X)
 
     def residual(b: float) -> float:
@@ -195,13 +184,36 @@ def interior_min(P: Polynomial) -> tuple[float, float]:
     excluded. Returns (min value, argmin); (+inf, nan) if no interior
     critical point exists.
     """
-    roots = P.deriv().roots()
-    crits = roots.real[(roots.imag == 0.0) & (np.abs(roots.real) <= 1.0 - 1e-9)]
-    if crits.size == 0:
+    coef = np.trim_zeros(P.convert().coef if P.mapparms() != (0.0, 1.0) else P.coef, "b")
+    if coef.size < 3:  # P' constant
         return math.inf, math.nan
-    pv = P(crits)
-    i = int(np.argmin(pv))
-    return float(pv[i]), float(crits[i])
+    m, zm = _interior_min(coef[None, :])
+    return float(m[0]), float(zm[0])
+
+
+def _interior_min(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """interior_min for the rows of coef (n, deg+1), ascending, deg >= 2 and
+    the last column nonzero (the quartic's beta < 0 on kappa in (1, 1e6]): the
+    critical points are the eigenvalues of the companion matrices of P'
+    (polycompanion's layout, rotated as polyroots does), sorted; P is
+    evaluated there by Horner."""
+    n, d = coef.shape[0], coef.shape[1] - 1
+    dc = coef[:, 1:] * np.arange(1.0, d + 1.0)
+    comp = np.zeros((n, d - 1, d - 1))
+    comp[:, 1:, :-1] = np.eye(d - 2)
+    comp[:, :, -1] = -dc[:, :-1] / dc[:, -1:]
+    roots = np.sort(np.linalg.eigvals(comp[:, ::-1, ::-1]), axis=1)
+    z = roots.real
+    crit = (roots.imag == 0.0) & (np.abs(z) <= 1.0 - 1e-9)
+    pv = coef[:, -1:] + z * 0.0
+    for j in range(d - 1, -1, -1):
+        pv = coef[:, j : j + 1] + pv * z
+    i = np.argmin(np.where(crit, pv, np.inf), axis=1)[:, None]
+    found = crit.any(axis=1)
+    return (
+        np.where(found, np.take_along_axis(pv, i, axis=1)[:, 0], math.inf),
+        np.where(found, np.take_along_axis(z, i, axis=1)[:, 0], math.nan),
+    )
 
 
 def _m_of_kappa(kappa: float, X: RuledSurfaceData | None) -> tuple[float, float]:
@@ -257,24 +269,33 @@ class SweepRow:
     label: ClassLabel
 
 
-def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None) -> list[SweepRow]:
-    rows = []
-    for kappa in kappas:
-        bk = b_kappa(kappa)
-        sol = solve_P(kappa, bk, X)
-        m, zm = interior_min(sol.P)
-        rows.append(
-            SweepRow(
-                kappa=float(kappa),
-                b_kappa=bk,
-                c=sol.c,
-                futaki_residual=sol.futaki_residual,
-                min_P=m,
-                argmin_z=zm,
-                label=_label(m),
-            )
-        )
-    return rows
+def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: list | None = None) -> list[SweepRow]:
+    """One row per kappa, at b = b_kappa(kappa), from one stacked solve.
+
+    A kappa the solve rejects raises its error; given a list `errors`, it is
+    left out of the rows instead and appended there as (kappa, error name),
+    in the order of kappas."""
+    sC = _surface(2.0, X).base_scal  # 2.0 is a placeholder kappa, as in kappa_zero
+    k = np.fromiter(kappas, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = k + np.sqrt(k * k - 1.0)
+    keep = np.ones(k.size, dtype=bool)
+    failed = []
+    while True:  # each failed pass drops the kappas its error names
+        try:
+            coef, c, defect = _solve_stack(k[keep], b[keep], sC)
+            break
+        except (OutOfDomain, RankDeficient) as exc:
+            if errors is None or not exc.slices:
+                raise
+            idx = np.flatnonzero(keep)[list(exc.slices)]
+            failed += [(int(i), type(exc).__name__) for i in idx]
+            keep[idx] = False
+    if errors is not None:
+        errors.extend((float(k[i]), name) for i, name in sorted(failed))
+    m, zm = _interior_min(coef)
+    cols = (k[keep], b[keep], c, defect, m, zm)
+    return [SweepRow(*row, label=_label(row[4])) for row in zip(*(col.tolist() for col in cols))]
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], stream: io.TextIOBase) -> None:
@@ -282,14 +303,5 @@ def write_sweep_csv(rows: Sequence[SweepRow], stream: io.TextIOBase) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER.split(","))
     for r in rows:
-        writer.writerow(
-            [
-                repr(r.kappa),
-                repr(r.b_kappa),
-                repr(r.c),
-                repr(r.futaki_residual),
-                repr(r.min_P),
-                repr(r.argmin_z),
-                str(r.label),
-            ]
-        )
+        floats = (r.kappa, r.b_kappa, r.c, r.futaki_residual, r.min_P, r.argmin_z)
+        writer.writerow([*map(repr, floats), str(r.label)])

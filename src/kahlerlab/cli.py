@@ -210,22 +210,13 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
         kappas = [args.kappa]
     else:
         raise ConfigError("pkappa needs --kappa or --kappa-range")
-    cfg = RunConfig(
-        "pkappa",
-        {"kappas": kappas, "genus": args.genus, "degree": args.degree},
-    )
-    X = RuledSurfaceData.standard(kappas[0], genus=args.genus, degree=args.degree)
+    cfg = RunConfig("pkappa", {"kappas": kappas, "genus": args.genus, "degree": args.degree})
+    X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
 
     def produce() -> str:
         buf = io.StringIO()
-        good: list = []
         errors: list[tuple[float, str]] = []
-        for kap in kappas:
-            try:
-                good.extend(sweep([kap], X))
-            except KahlerLabError as exc:
-                errors.append((kap, type(exc).__name__))
-        write_sweep_csv(good, buf)
+        write_sweep_csv(sweep(kappas, X, errors), buf)
         for kap, name in errors:
             buf.write(f"{kap!r},nan,nan,nan,nan,nan,Error:{name}\n")
         return buf.getvalue()
@@ -284,10 +275,7 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
     b0 = _parse_b0(args.b0)
     ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32]
     tol = args.tol if args.tol is not None else TOL.balanced_tol
-    cfg = RunConfig(
-        "quant-balanced",
-        {"b0": b0, "p": args.p, "k_list": ks, "tol": tol},
-    )
+    cfg = RunConfig("quant-balanced", {"b0": b0, "p": args.p, "k_list": ks, "tol": tol})
     model = ToyModel(b0=b0, p=args.p)
 
     def produce() -> str:
@@ -327,11 +315,7 @@ def cmd_quant_expansion(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tags = args.tags.split(",") if args.tags else None
-    cfg = RunConfig(
-        "verify",
-        {"tags": tags, "breach": args.breach},
-    )
-
+    cfg = RunConfig("verify", {"tags": tags, "breach": args.breach})
     try:
         results = run_checks(tags=tags, breach=args.breach)
     except OutOfDomain as exc:

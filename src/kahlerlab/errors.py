@@ -8,7 +8,12 @@ from __future__ import annotations
 
 
 class KahlerLabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. An error raised by a
+    stacked computation names the failing entries of the stack in `slices`."""
+
+    def __init__(self, *args, slices=()):
+        super().__init__(*args)
+        self.slices = tuple(int(i) for i in slices)
 
 
 class NonFiniteIntegrand(KahlerLabError):

@@ -30,6 +30,7 @@ from .quantization import (
     HermitianNorms,
     RadialPotential,
     SpectrumData,
+    TSample,
     ToyModel,
     c_k_constant,
     c_top_exact,
@@ -71,6 +72,16 @@ def _t_grid() -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+@lru_cache(maxsize=1)
+def _round_t_sample() -> TSample:
+    """The round reference on the t-grid, inverted once per process; its
+    arrays are read-only."""
+    sample = round_potential().at_t(_t_grid()[0])
+    for a in sample:
+        a.flags.writeable = False
+    return sample
+
+
 def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
     """I(H) = sum_j lambda_j(p) log h_j (the norms are diagonal, so each
     block's log det is the sum of its log h's)."""
@@ -82,10 +93,10 @@ def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
 def _blend_integral(phi_a: RadialPotential, phi_b: RadialPotential, fields: tuple[str, ...], density: Callable) -> float:
     """Integral over s in [0, 1] and t of density(phi-dot, *fields) along the
     straight psi-blend (1-s) psi_a + s psi_b, with phi-dot = (psi_b - psi_a)/2
-    fixed along it. Each endpoint is sampled once; only the named TSample
-    fields are blended."""
+    fixed along it. Each endpoint is sampled once (the round reference once
+    per process); only the named TSample fields are blended."""
     t, tw = _t_grid()
-    da, db = phi_a.at_t(t), phi_b.at_t(t)
+    da, db = (_round_t_sample() if phi is round_potential() else phi.at_t(t) for phi in (phi_a, phi_b))
     dot = 0.5 * (db.psi - da.psi)
     ends = [(getattr(da, name), getattr(db, name)) for name in fields]
     srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)

@@ -153,21 +153,28 @@ def chebyshev_coefficients(values: np.ndarray, deg: int) -> np.ndarray:
     return _cheb_projector(len(f), int(deg)) @ f
 
 
-def solve_least_squares(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ||Ax - y||_2 for a full-column-rank A (rows >= cols).
+def solve_least_squares(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||Ax - y||_2 for each full-column-rank A (rows >= cols) of a stack.
 
-    Returns (x, residual). Rank deficiency raises RankDeficient. The residual
-    is orthogonal to the column span: ||A^T(Ax-y)|| < 1e-10 ||A|| ||y||.
+    A is (..., m, n) and y (..., m); each matrix gets one Householder QR,
+    x = R^{-1} Q^T y (Golub & Van Loan, Matrix Computations, sec. 5.3).
+    Returns (x, residual norms). A diagonal entry of R at most
+    eps max(m, n) max|R_ii| raises RankDeficient, naming those matrices (flat
+    indices into the stack). The residual is orthogonal to the column span:
+    ||A^T(Ax-y)|| < 1e-10 ||A|| ||y||.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
-    r, c = A.shape
+    if A.ndim < 2 or y.shape != A.shape[:-1]:
+        raise ValueError("need A of shape (..., m, n) and y of shape (..., m)")
+    r, c = A.shape[-2:]
     if r < c:
         raise ValueError("need at least as many rows as columns")
-    x, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < c:
-        raise RankDeficient(f"column rank {rank} < {c}")
-    return x, float(np.linalg.norm(A @ x - y))
-
+    Q, R = np.linalg.qr(A)
+    d = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    low = ~np.all(d > np.finfo(float).eps * max(r, c) * d.max(axis=-1, keepdims=True), axis=-1)
+    if np.any(low):
+        raise RankDeficient(f"column rank < {c}", slices=np.flatnonzero(low))
+    x = np.linalg.solve(R, np.sum(Q * y[..., None], axis=-2)[..., None])[..., 0]
+    res = np.sum(A * x[..., None, :], axis=-1) - y
+    return x, np.sqrt(np.sum(res * res, axis=-1))

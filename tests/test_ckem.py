@@ -75,6 +75,42 @@ def test_interior_min_of_known_polynomial():
     np.testing.assert_allclose(quartic.deriv()(zm), 0.0, atol=1e-12)
 
 
+def test_interior_min_ignores_vanishing_top_coefficients():
+    padded = interior_min(Polynomial([-0.25, 0.0, 1.0, 0.0, 0.0]))
+    assert padded == interior_min(Polynomial([-0.25, 0.0, 1.0]))
+    np.testing.assert_allclose(padded, (-0.25, 0.0), atol=1e-12)
+
+
+def test_sweep_rows_equal_single_solves_bit_for_bit():
+    # the stacked solve treats each kappa alone: a row does not depend on
+    # the other kappas of its sweep, nor on the path (sweep, or solve_P and
+    # interior_min) that reaches it
+    rng = np.random.default_rng(17)
+    for genus, degree in ((2, 1), (4, 5)):
+        X = RuledSurfaceData.standard(1.5, genus=genus, degree=degree)
+        ks = np.sort(1.0 + np.exp(rng.uniform(math.log(1e-4), math.log(20.0), 40)))
+        for k, row in zip(ks, sweep(ks, X)):
+            assert row == sweep([k], X)[0]
+            sol = solve_P(k, b_kappa(k), X)
+            m, zm = interior_min(sol.P)
+            assert (row.b_kappa, row.c, row.futaki_residual) == (b_kappa(k), sol.c, sol.futaki_residual)
+            assert (row.min_P, row.argmin_z, row.label) == (m, zm, classify(k, X))
+
+
+def test_sweep_names_each_rejected_kappa():
+    kappas = [1.5, math.inf, 1e200, 1e10, math.nan, 2.0]
+    errors = []
+    rows = sweep(kappas, errors=errors)
+    assert [r.kappa for r in rows] == [1.5, 2.0]
+    assert rows == sweep([1.5, 2.0])
+    assert [name for _, name in errors] == ["OutOfDomain", "OutOfDomain", "RankDeficient", "OutOfDomain"]
+    assert [k for k, _ in errors][:3] == [math.inf, 1e200, 1e10]
+    with pytest.raises(OutOfDomain):
+        sweep(kappas)
+    with pytest.raises(OutOfDomain):
+        solve_P(math.inf, 2.0)
+
+
 def test_kappa_zero_matches_frozen_value():
     k0 = kappa_zero()
     np.testing.assert_allclose(k0, KAPPA0, atol=1e-6)

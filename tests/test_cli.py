@@ -43,6 +43,14 @@ def test_pkappa_rejects_bad_kappa(workdir, capsys):
     assert main(["pkappa", "--no-cache"]) == 2  # neither --kappa nor range
 
 
+@pytest.mark.parametrize("bad", ["inf", "1e200", "nan"])
+def test_pkappa_writes_an_error_row_for_a_kappa_it_cannot_solve(bad, workdir, capsys):
+    assert main(["pkappa", "--kappa-range", f"1.5,{bad}", "--no-cache"]) == cli.EXIT_OK
+    header, good, err = capsys.readouterr().out.splitlines()
+    assert header == SWEEP_CSV_HEADER and good.endswith(",ExistsCKEM")
+    assert err == f"{float(bad)!r},nan,nan,nan,nan,nan,Error:OutOfDomain"
+
+
 def test_kappa0_record_and_cache_roundtrip(workdir):
     out1 = workdir / "a.json"
     out2 = workdir / "b.json"

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kahlerlab import functionals
 from kahlerlab.errors import NotTraceless, OutOfDomain
 from kahlerlab.functionals import (
     almost_balanced_check,
@@ -199,12 +200,15 @@ def test_each_consumer_inverts_each_potential_once(monkeypatch):
         (lambda: quant.bergman_density(phi, k, MW, Psi=np.sqrt, Phi=np.sqrt), ["FSPotential"]),
         (lambda: quant.weighted_scalar_toy(phi, MW)(mu), ["FSPotential"]),
         (lambda: aubin_path(prof, phi, k, MW), ["ProfilePotential"]),
-        (lambda: toy_mabuchi(phi, MW), ["ProfilePotential"]),  # the round reference
+        # the round reference: inverted on the t-grid once per process, then read from the memo
+        (lambda: (functionals._round_t_sample.cache_clear(), toy_mabuchi(phi, MW)), ["ProfilePotential"]),
+        (lambda: toy_mabuchi(phi, MW), []),
     ]
     for run, expected in runs:
         calls.clear()
         run()
         assert calls == expected
+    assert not any(a.flags.writeable for a in functionals._round_t_sample())
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from kahlerlab.calabi import RuledSurfaceData
-from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P
+from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
 
 DPS = 40
 P_WEIGHT = 4
@@ -103,3 +103,18 @@ def test_kappa_zero_matches_the_mpmath_oracle(genus, degree):
     m, zm = interior_min(P)
     assert abs(m) < 1e-13
     assert abs(P.deriv()(zm)) < 1e-13
+
+
+@pytest.mark.parametrize("genus,degree", [(2, 1), (4, 5)])
+def test_sweep_matches_the_mpmath_oracle(genus, degree):
+    X = RuledSurfaceData.standard(1.5, genus=genus, degree=degree)
+    kappas = 1.0 + np.geomspace(1e-3, 2.0, 30)
+    for kappa, row in zip(kappas, sweep(kappas, X)):
+        with mp.workdps(DPS):
+            coef, _ = _numerator(mp.mpf(kappa), mp.mpf(4 * (1 - genus)) / degree)
+            m, zm = _interior_min(coef)
+        oracle = np.array([float(v) for v in coef])
+        got = solve_P(kappa, row.b_kappa, X).P.coef
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        np.testing.assert_allclose(row.min_P, float(m), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row.argmin_z, float(zm), rtol=0, atol=1e-12)

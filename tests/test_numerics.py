@@ -74,6 +74,19 @@ def test_least_squares_rank_deficient():
         solve_least_squares(A, np.ones(10))
 
 
+def test_least_squares_solves_a_stack():
+    rng = np.random.default_rng(1)
+    A = rng.normal(size=(3, 40, 5))
+    x = rng.normal(size=(3, 5))
+    sol, resid = solve_least_squares(A, np.einsum("sij,sj->si", A, x))
+    np.testing.assert_allclose(sol, x, atol=1e-11)
+    assert resid.shape == (3,) and np.all(resid < 1e-11)
+    A[1, :, 3] = A[1, :, 0] - 2.0 * A[1, :, 4]  # slice 1 loses a column
+    with pytest.raises(RankDeficient) as err:
+        solve_least_squares(A, np.ones((3, 40)))
+    assert err.value.slices == (1,)
+
+
 CHEB_SIZES = [(96, 95), (128, 120), (160, 150), (192, 170)]
 
 
