@@ -25,8 +25,9 @@ which are bounded. Along a path, u_dot generically picks up
 endpoint derivative blow-up, integrated on a geometrically graded mesh.
 u_dot is linear in W = (1-z^2) u_dot'', so it is one precomputed
 half-operator (built once per process, the rows for z > 0 only; z < 0
-reads it on W reversed): a path node costs one matrix product, not a
-Chebyshev fit, integration and evaluation.
+reads it on W reversed). With Scal_p affine in the jet, the t-integral of
+a straight path folds into two u_dot products (theta path) or one
+(potential path), not one per node of the t-rule.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from numpy.polynomial import chebyshev as cheb
 
 from .calabi import KillingData, Profile, scal_p_on, weighted_average_c
 from .ckem import PKappaSolution, interior_min
-from .errors import BadDirection, NotAdmissible, OutOfDomain
-from .numerics import _cheb_projector, chebyshev_coefficients, gauss_legendre, graded_rule
+from .errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
+from .numerics import QuadratureRule, _cheb_projector, chebyshev_coefficients, gauss_legendre, graded_rule
 from .tolerances import TOL
 
 __all__ = [
@@ -271,11 +272,14 @@ def unboundedness_probe(
 
 
 def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float:
-    """Fit E(k) ~ a + s k + g log k on the tail (k >= the median) and
-    return s, the affine slope."""
+    """Fit E(k) ~ a + s k + g log k on the tail (k > 0 and >= the median
+    of those) and return s, the affine slope. ConfigError unless the tail
+    has 3 distinct k: fewer leave the fit underdetermined."""
     k = np.asarray(k_list, dtype=float)
     E = np.asarray(energies, dtype=float)
-    mask = k >= np.median(k[k > 0])
+    mask = k >= (np.median(k[k > 0]) if np.any(k > 0) else np.inf)
+    if np.unique(k[mask]).size < 3:
+        raise ConfigError(f"the probe slope fit needs 3 distinct k in its tail, got {k[mask].tolist()}")
     k, E = k[mask], E[mask]
     A = np.stack([np.ones_like(k), k, np.log(k)], axis=1)
     coef, *_ = np.linalg.lstsq(A, E, rcond=None)
@@ -295,20 +299,24 @@ _UDOT_DEG = 170
 class PathFamily:
     """A path t in [0,1] -> Theta_t, as the 1-form reads it.
 
-    `start` is the profile at t = 0 (c is read from it). `at(t)` returns the
-    jet (Theta_t, Theta_t', ((z+kappa) Theta_t)'') on the nodes of
-    `graded_rule()` and W_t = -Theta_dot (1-z^2)/Theta_t^2 on _UDOT_Z, where
-    u_dot'' = W_t/(1-z^2). The straight paths sample their endpoints once and
-    combine the samples per node.
+    `start` is the profile at t = 0 (c is read from it). `reduce(trule)`
+    folds the t-integral over `trule` into a few pairs (jet, W): a jet
+    (Theta, Theta', ((z+kappa) Theta)'') on the nodes of `graded_rule()` and a
+    W = (1-z^2) u_dot'' on _UDOT_Z (W_t = -Theta_dot (1-z^2)/Theta_t^2 along
+    the path). The integral is exactly the sum of the 1-form over the pairs:
+    u_dot is linear in W, Scal_p is affine in the jet and the t-weights sum
+    to 1. The straight paths sample their endpoints once, when built.
     """
 
     start: Profile
-    at: Callable[[float], tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
+    reduce: Callable[[QuadratureRule], list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]]
 
 
 def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
-    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree): the jet is
-    affine in t and Theta_dot = Theta_1 - Theta_0."""
+    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree). The jet is
+    affine in t, so two pairs: (jet_0, sum_t w_t (1-t) W_t) and
+    (jet_1, sum_t w_t t W_t). Theta_t is a convex blend: positive endpoints
+    are enough."""
     if p0.kappa != p1.kappa:
         raise OutOfDomain("profiles must share kappa")
     zq = graded_rule().nodes
@@ -316,21 +324,23 @@ def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
     th0, th1 = p0.theta(_UDOT_Z), p1.theta(_UDOT_Z)
     dw = (th0 - th1) * (1.0 - _UDOT_Z * _UDOT_Z)
 
-    def at(t: float):
-        jet = tuple((1.0 - t) * a + t * b for a, b in zip(j0, j1))
-        return jet, dw / ((1.0 - t) * th0 + t * th1) ** 2
+    def reduce(trule):
+        if np.any(j0[0] <= 0.0) or np.any(j1[0] <= 0.0):
+            raise NotAdmissible("path endpoint profile is not positive")
+        tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
+        W = dw / (tt @ np.stack((th0, th1))) ** 2
+        return list(zip((j0, j1), (trule.weights[:, None] * tt).T @ W))
 
-    return PathFamily(start=p0, at=at)
+    return PathFamily(start=p0, reduce=reduce)
 
 
-def straight_potential_path(
-    u0: SymplecticPotential, u1: SymplecticPotential
-) -> PathFamily:
+def straight_potential_path(u0: SymplecticPotential, u1: SymplecticPotential) -> PathFamily:
     """u_t'' = (1-t) u_0'' + t u_1'', i.e. D_t = (1-t) D_0 + t D_1.
 
     Each D is projected once as `calabi.to_symplectic` fits it (128 nodes,
     degree 120; exact on its potentials). Theta_t = (1-z^2)/D_t takes its
-    derivatives by the quotient rule, and W = D_1 - D_0 for every t.
+    derivatives by the quotient rule. W = D_1 - D_0 for every t, so one pair:
+    (sum_t w_t jet_t, W). D_t is a convex blend: D_0, D_1 > 0 are enough.
     """
     if u0.kappa != u1.kappa:
         raise OutOfDomain("potentials must share kappa")
@@ -343,16 +353,19 @@ def straight_potential_path(
     s, zk = 1.0 - zq * zq, zq + u0.kappa
     a, da, d2a = zk * s, s - 2.0 * zq * zk, -6.0 * zq - 2.0 * u0.kappa
 
-    def at(t: float):
-        D, dD, d2D = ((1.0 - t) * x + t * y for x, y in zip(d0, d1))
+    def reduce(trule):
+        if np.any(d0[0] <= 0.0) or np.any(d1[0] <= 0.0):
+            raise NotAdmissible("path endpoint u'' is not positive")
+        tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
+        D, dD, d2D = (tt @ np.stack(ends) for ends in zip(d0, d1))
         jet = (
             s / D,
             (-2.0 * zq * D - s * dD) / D**2,
             d2a / D - (2.0 * da * dD + a * d2D) / D**2 + 2.0 * a * dD * dD / D**3,
         )
-        return jet, w
+        return [(tuple(trule.weights @ x for x in jet), w)]
 
-    return PathFamily(start=u0.profile(), at=at)
+    return PathFamily(start=u0.profile(), reduce=reduce)
 
 
 @lru_cache(maxsize=1)
@@ -401,32 +414,19 @@ def _udot_on(w: np.ndarray) -> np.ndarray:
     return np.concatenate((out[::-1, 0], out[:, 1]))
 
 
-def mabuchi_path_integral(
-    family: PathFamily,
-    k: KillingData,
-    sol: PKappaSolution,
-) -> float:
+def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolution) -> float:
     """Integrate the 1-form int u_dot (Scal_p - c) f^{-(p+1)} (z+kappa) dz
-    along the path. c is frozen from the class average at the path start.
+    along the path, as the sum over the pairs `family.reduce` folds the
+    t-rule into. c is frozen from the class average at the path start.
     """
     _same_class(family.start.kappa, sol)
     X, kappa = sol.surface, sol.kappa
     c = weighted_average_c(family.start, X, k, order=TOL.quad_order_mabuchi)
     zrule = graded_rule()
     zq = zrule.nodes
-    fw = (zq + k.b) ** (-(k.p + 1.0))
-    trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
-
-    total = 0.0
-    for t, wt in zip(trule.nodes, trule.weights):
-        jet, w = family.at(float(t))
-        if np.any(jet[0] <= 0.0):
-            raise NotAdmissible("intermediate profile is not positive")
-        udot = _udot_on(w)
-        scal_p = scal_p_on(zq, jet, X, k, kappa)
-        wgt = (scal_p - c) * fw * (zq + kappa)
-        total += wt * float(np.dot(zrule.weights, udot * wgt))
-    return total
+    wgt = zrule.weights * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
+    pairs = family.reduce(gauss_legendre(TOL.quad_order_path, 0.0, 1.0))
+    return sum(float(np.dot(_udot_on(w), (scal_p_on(zq, jet, X, k, kappa) - c) * wgt)) for jet, w in pairs)
 
 
 # -- emission ---------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_verify_exit_codes(workdir, capsys):
 
 def test_mabuchi_probe_explicit_kappa(workdir, capsys):
     code = main(
-        ["mabuchi-probe", "--kappa", "1.0135", "--k-range", "0,1,2,4,8", "--no-cache"]
+        ["mabuchi-probe", "--kappa", "1.0135", "--k-range", "0,1,2,4,8,16", "--no-cache"]
     )
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
@@ -152,11 +152,19 @@ def test_mabuchi_probe_cache_key_is_the_k_list_as_given(workdir):
         rows = (workdir / name).read_text().splitlines()[1:-1]
         return json.loads((workdir / f"{name}.record.json").read_text()), [row.split(",")[0] for row in rows]
 
-    first, ks0 = run("a.csv", "0,1,2")
-    second, ks1 = run("b.csv", "1,1,2")
-    assert ks0 == ["0.0", "1.0", "2.0"] and ks1 == ["1.0", "1.0", "2.0"]
+    first, ks0 = run("a.csv", "0,1,2,4,8,16")
+    second, ks1 = run("b.csv", "1,1,2,4,8,16")
+    tail = ["2.0", "4.0", "8.0", "16.0"]
+    assert ks0 == ["0.0", "1.0"] + tail and ks1 == ["1.0", "1.0"] + tail
     assert not second["cache_hit"]
     assert second["input_hash"] != first["input_hash"]
+
+
+def test_mabuchi_probe_rejects_a_tail_too_short_to_fit(workdir, capsys):
+    # the slope fit has three unknowns; the tail k >= median of 0,1,2,4,8
+    # holds only k = 4 and 8
+    assert main(["mabuchi-probe", "--kappa", "1.0135", "--k-range", "0,1,2,4,8", "--no-cache"]) == 2
+    assert "3 distinct k" in capsys.readouterr().err
 
 
 def test_mabuchi_probe_rejects_negative_k(workdir, capsys):

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
-from kahlerlab.calabi import KillingData, Profile, RuledSurfaceData, random_admissible_profile, to_symplectic
+from kahlerlab.calabi import (
+    KillingData,
+    Profile,
+    RuledSurfaceData,
+    random_admissible_profile,
+    scal_p_on,
+    to_symplectic,
+    weighted_average_c,
+)
 from kahlerlab.ckem import b_kappa, kappa_zero, solve_P
-from kahlerlab.errors import BadDirection, NotAdmissible, OutOfDomain
+from kahlerlab.errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
 from kahlerlab import mabuchi
 from kahlerlab.mabuchi import (
     BumpDirection,
@@ -21,7 +30,8 @@ from kahlerlab.mabuchi import (
     straight_theta_path,
     unboundedness_probe,
 )
-from kahlerlab.numerics import graded_rule
+from kahlerlab.numerics import chebyshev_coefficients, gauss_legendre, graded_rule
+from kahlerlab.tolerances import TOL
 
 
 def _sol(kappa):
@@ -83,6 +93,17 @@ def test_probe_diverges_below_threshold():
     assert all(b < a for a, b in zip(energies[1:], energies[2:]))
     fitted = fit_probe_slope(ks, energies)
     np.testing.assert_allclose(fitted, probe_slope(sol, bump), rtol=2e-2)
+
+
+def test_probe_slope_fit_needs_three_tail_points():
+    # the tail of 0,1,2,4,8 is k = 4, 8: two points for three unknowns
+    ks = [0.0, 1.0, 2.0, 4.0, 8.0]
+    with pytest.raises(ConfigError):
+        fit_probe_slope(ks, [-k for k in ks])
+    with pytest.raises(ConfigError):
+        fit_probe_slope([0.0, 0.0], [0.0, 0.0])
+    ks = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
+    np.testing.assert_allclose(fit_probe_slope(ks, [1.0 - 3.0 * k for k in ks]), -3.0, rtol=1e-12)
 
 
 def test_probe_bump_stays_inside_the_negative_region():
@@ -255,3 +276,89 @@ def test_udot_operator_is_built_once():
         mabuchi_path_integral(straight_theta_path(a, b), kd, sol)
     assert mabuchi._udot_half_operator.cache_info().misses == 1
     assert all(not x.flags.writeable for x in mabuchi._udot_half_operator())
+
+
+def _per_node_path_integral(ends, potential, kd, sol):
+    """The 1-form summed node by node over the t-rule, written apart from
+    PathFamily: blend the endpoint samples at each t, form W_t, then one
+    u_dot product and one Scal_p evaluation per node."""
+    zrule, zu = graded_rule(), mabuchi._UDOT_Z
+    zq, kappa = zrule.nodes, sol.kappa
+    if potential:
+        fits = [chebyshev_coefficients(u.D(cheb.chebpts1(128)), 120) for u in ends]
+        start = ends[0].profile()
+    else:
+        start = ends[0]
+    c = weighted_average_c(start, sol.surface, kd, order=TOL.quad_order_mabuchi)
+    wgt = zrule.weights * (zq + kd.b) ** (-(kd.p + 1.0)) * (zq + kappa)
+    trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    total = 0.0
+    for t, wt in zip(trule.nodes, trule.weights):
+        if potential:
+            D, dD, d2D = (cheb.chebval(zq, cheb.chebder((1.0 - t) * fits[0] + t * fits[1], m)) for m in range(3))
+            s, num = 1.0 - zq * zq, (zq + kappa) * (1.0 - zq * zq)
+            dnum, d2num = 1.0 - 2.0 * kappa * zq - 3.0 * zq * zq, -2.0 * kappa - 6.0 * zq
+            jet = (
+                s / D,
+                (-2.0 * zq * D - s * dD) / D**2,
+                d2num / D - (2.0 * dnum * dD + num * d2D) / D**2 + 2.0 * num * dD**2 / D**3,
+            )
+            W = cheb.chebval(zu, fits[1]) - cheb.chebval(zu, fits[0])
+        else:
+            j0, j1 = (p.jet(zq) for p in ends)
+            jet = tuple((1.0 - t) * a + t * b for a, b in zip(j0, j1))
+            th0, th1 = (p.theta(zu) for p in ends)
+            W = (th0 - th1) * (1.0 - zu * zu) / ((1.0 - t) * th0 + t * th1) ** 2
+        scal = scal_p_on(zq, jet, sol.surface, kd, kappa)
+        total += wt * float(np.dot(mabuchi._udot_on(W), (scal - c) * wgt))
+    return total
+
+
+def test_path_reduction_matches_the_per_node_sum():
+    for kappa in (1.25, 1.001):
+        sol = _sol(kappa)
+        kd = KillingData(b=sol.b, p=4.0)
+        rng = np.random.default_rng(53)
+        ref = SymplecticPotential.reference(kappa)
+        for _ in range(2):
+            prof = random_admissible_profile(rng, kappa, degree=3, scale=0.35)
+            for build, ends, potential in (
+                (straight_theta_path, (ref.profile(), prof), False),
+                (straight_potential_path, (ref, to_symplectic(prof)), True),
+            ):
+                got = mabuchi_path_integral(build(*ends), kd, sol)
+                want = _per_node_path_integral(ends, potential, kd, sol)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"{build.__name__} {kappa}")
+
+
+def test_udot_runs_twice_per_theta_path_and_once_per_potential_path(monkeypatch):
+    kappa = 1.25
+    sol = _sol(kappa)
+    kd = KillingData(b=sol.b, p=4.0)
+    rng = np.random.default_rng(59)
+    p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
+    udot = mabuchi._udot_on
+    calls = []
+
+    def counted(w):
+        calls.append(w.shape)
+        return udot(w)
+
+    monkeypatch.setattr(mabuchi, "_udot_on", counted)
+    for build, ends, n in ((straight_theta_path, (p0, p1), 2), (straight_potential_path, (to_symplectic(p0), to_symplectic(p1)), 1)):
+        calls.clear()
+        mabuchi_path_integral(build(*ends), kd, sol)
+        assert calls == [mabuchi._UDOT_Z.shape] * n, build.__name__
+
+
+def test_theta_path_through_a_negative_profile_is_not_admissible():
+    # midway to kappa0, Theta = P_kappa/(z+kappa) is negative where P is
+    kappa = 1.0 + 0.5 * (kappa_zero() - 1.0)
+    sol = _sol(kappa)
+    kd = KillingData(b=sol.b, p=4.0)
+    bad = Profile.from_numerator(sol.P, kappa)
+    assert np.min(bad.theta(graded_rule().nodes)) < 0.0
+    ref = SymplecticPotential.reference(kappa).profile()
+    for ends in ((ref, bad), (bad, ref)):
+        with pytest.raises(NotAdmissible):
+            mabuchi_path_integral(straight_theta_path(*ends), kd, sol)
