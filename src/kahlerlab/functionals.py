@@ -6,8 +6,8 @@ All potential-level integrals run on a fixed log-radial quadrature grid
 e^{-|t|}, so the truncated tail is below 1e-12 of the integrand scale).
 Along a straight psi-blend the grid data of the two endpoints combine
 affinely — psi, mu = psi', psi'', psi''', psi'''' are each linear in the
-blend weight — so path integrals cost vector algebra per path node, with the
-endpoint potentials evaluated once.
+blend weight — so a path integral is one array evaluation on the grid of
+path nodes x t-nodes, with the endpoint potentials evaluated once.
 
 Conventions: vol_omega = 2 pi dmu, vol_{k omega} = 2 pi k dmu; the reference
 potential is the round one and every path functional is normalized to vanish
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import NotTraceless, OutOfDomain
-from .numerics import gauss_legendre
+from .numerics import QuadratureRule, composite_gauss, gauss_legendre
 from .quantization import (
     HermitianNorms,
     RadialPotential,
@@ -38,6 +38,8 @@ from .quantization import (
     fs,
     hilb,
     round_potential,
+    _hilb,
+    _mu_sample,
     _s_jet,
     _scal_p,
 )
@@ -62,21 +64,15 @@ _T_ORDER = 24
 
 
 @lru_cache(maxsize=1)
-def _t_grid() -> tuple[np.ndarray, np.ndarray]:
-    cuts = np.linspace(-_T_MAX, _T_MAX, _T_PANELS + 1)
-    nodes, weights = [], []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        rule = gauss_legendre(_T_ORDER, float(a), float(b))
-        nodes.append(rule.nodes)
-        weights.append(rule.weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _t_grid() -> QuadratureRule:
+    return composite_gauss(np.linspace(-_T_MAX, _T_MAX, _T_PANELS + 1), _T_ORDER)
 
 
 @lru_cache(maxsize=1)
 def _round_t_sample() -> TSample:
     """The round reference on the t-grid, inverted once per process; its
     arrays are read-only."""
-    sample = round_potential().at_t(_t_grid()[0])
+    sample = round_potential().at_t(_t_grid().nodes)
     for a in sample:
         a.flags.writeable = False
     return sample
@@ -94,16 +90,14 @@ def _blend_integral(phi_a: RadialPotential, phi_b: RadialPotential, fields: tupl
     """Integral over s in [0, 1] and t of density(phi-dot, *fields) along the
     straight psi-blend (1-s) psi_a + s psi_b, with phi-dot = (psi_b - psi_a)/2
     fixed along it. Each endpoint is sampled once (the round reference once
-    per process); only the named TSample fields are blended."""
-    t, tw = _t_grid()
-    da, db = (_round_t_sample() if phi is round_potential() else phi.at_t(t) for phi in (phi_a, phi_b))
-    dot = 0.5 * (db.psi - da.psi)
-    ends = [(getattr(da, name), getattr(db, name)) for name in fields]
+    per process); the named TSample fields are blended on the whole
+    (s-node x t-node) grid, and density is evaluated there once."""
+    trule = _t_grid()
+    da, db = (_round_t_sample() if phi is round_potential() else phi.at_t(trule.nodes) for phi in (phi_a, phi_b))
     srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
-    total = 0.0
-    for s, ws in zip(srule.nodes, srule.weights):
-        total += ws * float(np.dot(tw, density(dot, *((1.0 - s) * a + s * b for a, b in ends))))
-    return total
+    s = srule.nodes[:, None]
+    blend = ((1.0 - s) * getattr(da, name) + s * getattr(db, name) for name in fields)
+    return float(srule.weights @ (density(0.5 * (db.psi - da.psi), *blend) @ trule.weights))
 
 
 def aubin_path(
@@ -194,10 +188,9 @@ def almost_balanced_check(
     part): how far phi_star is from minimizing Z through the quantization, at
     each level k. Decays to 0 when phi_star has constant weighted curvature."""
     ks = sorted(int(k) for k in k_range)
+    s, s_star = _mu_sample(phi), _mu_sample(phi_star)  # one sample each serves every k
     out = []
     for k in ks:
-        diff = functional_Z(hilb(phi, k, model), k, model) - functional_Z(
-            hilb(phi_star, k, model), k, model
-        )
+        diff = functional_Z(_hilb(s, k, model), k, model) - functional_Z(_hilb(s_star, k, model), k, model)
         out.append(max(0.0, -diff) / k)
     return AlmostBalancedReport(k_list=tuple(ks), eps_hat=tuple(out))

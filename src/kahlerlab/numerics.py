@@ -19,6 +19,7 @@ from .errors import NonFiniteIntegrand, RankDeficient
 __all__ = [
     "QuadratureRule",
     "gauss_legendre",
+    "composite_gauss",
     "graded_rule",
     "integrate",
     "chebyshev_coefficients",
@@ -50,24 +51,36 @@ class QuadratureRule:
             raise ValueError("nodes must be strictly increasing")
 
 
+def _read_only(rule: QuadratureRule) -> QuadratureRule:
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
+
+
 @lru_cache(maxsize=64)
-def _leggauss_cached(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return tuple(x), tuple(w)
-
-
 def gauss_legendre(order: int, lo: float = -1.0, hi: float = 1.0) -> QuadratureRule:
-    """Gauss–Legendre rule with `order` nodes mapped affinely onto [lo, hi]."""
+    """Gauss–Legendre rule with `order` nodes mapped affinely onto [lo, hi].
+    Memoized: the returned rule is shared, and its arrays are read-only."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if not hi > lo:
         raise ValueError("need hi > lo")
-    x, w = _leggauss_cached(int(order))
-    x = np.asarray(x)
-    w = np.asarray(w)
+    x, w = np.polynomial.legendre.leggauss(int(order))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return QuadratureRule(nodes=mid + half * x, weights=half * w, order=int(order), lo=lo, hi=hi)
+    return _read_only(QuadratureRule(nodes=mid + half * x, weights=half * w, order=int(order), lo=lo, hi=hi))
+
+
+def composite_gauss(breaks, order: int) -> QuadratureRule:
+    """Gauss–Legendre rule of `order` nodes on each panel [breaks[i], breaks[i+1]]
+    of an increasing mesh, each panel the affine image of gauss_legendre(order).
+    Its arrays are read-only."""
+    ref = gauss_legendre(order)
+    b = np.asarray(breaks, dtype=float)
+    half = 0.5 * (b[1:] - b[:-1])[:, None]
+    mid = 0.5 * (b[1:] + b[:-1])[:, None]
+    nodes, weights = (mid + half * ref.nodes).ravel(), (half * ref.weights).ravel()
+    return _read_only(QuadratureRule(nodes=nodes, weights=weights, order=int(order), lo=float(b[0]), hi=float(b[-1])))
 
 
 @lru_cache(maxsize=16)
@@ -91,23 +104,7 @@ def graded_rule(
     # cuts now runs mid, ..., approaching hi; mirror for the lo side
     right = np.array(cuts + [hi])
     left = (lo + hi) - right[::-1]
-    breaks = np.concatenate([left[:-1], right])
-    nodes = []
-    weights = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        panel = gauss_legendre(order, float(a), float(b))
-        nodes.append(panel.nodes)
-        weights.append(panel.weights)
-    rule = QuadratureRule(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        order=int(order),
-        lo=float(lo),
-        hi=float(hi),
-    )
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    return composite_gauss(np.concatenate([left[:-1], right]), order)
 
 
 def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> float:

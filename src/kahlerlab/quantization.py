@@ -88,12 +88,6 @@ def _mu_rule():
     return gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log sum exp(a) along `axis`, shifted by the maximum so exp cannot overflow."""
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-
-
 def _xlogx(x: np.ndarray) -> np.ndarray:
     """x log x, with its limit 0 at x = 0."""
     return x * np.log(np.where(x == 0.0, 1.0, x))
@@ -535,26 +529,47 @@ def _scal_p(model: ToyModel, mu, S, dS, d2S):
     return f * f * (-d2S) + 2.0 * (p - 1.0) * f * dS - p * (p - 1.0) * S
 
 
-def _log_section_densities(phi: RadialPotential, k: int, mu: np.ndarray) -> np.ndarray:
-    """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = k v + (j - k mu) t."""
-    s = phi.at_mu(mu)
+def _log_section_densities(s: MuSample, k: int, mu: np.ndarray) -> np.ndarray:
+    """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = k v + (j - k mu) t,
+    from the sample s = phi.at_mu(mu)."""
     j = np.arange(k + 1, dtype=float)[:, None]
     return k * s.v[None, :] + (j - k * mu[None, :]) * s.t[None, :]
 
 
-def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
-    """log G_j, G_j = int |s_j|^2 f^{1-p} vol_{k omega} = 2 pi k int e^{E_j} f^{1-p} dmu."""
+@lru_cache(maxsize=1)
+def _round_mu_sample() -> MuSample:
+    """The round reference on the momentum nodes of _mu_rule(), sampled once
+    per process; its arrays are read-only."""
+    sample = round_potential().at_mu(_mu_rule().nodes)
+    for a in sample:
+        a.flags.writeable = False
+    return sample
+
+
+def _mu_sample(phi: RadialPotential) -> MuSample:
+    """phi on the momentum nodes of _mu_rule(): the one sample its Gram
+    matrices need, for every k (the round reference from the memo)."""
+    return _round_mu_sample() if phi is round_potential() else phi.at_mu(_mu_rule().nodes)
+
+
+def _log_gram(s: MuSample, k: int, log_psi: np.ndarray) -> np.ndarray:
+    """log G_j, G_j = int |s_j|^2 Psi(f) vol_{k omega} = 2 pi k int e^{E_j} Psi(f) dmu,
+    from s = _mu_sample(phi) and log Psi(f) on the nodes of _mu_rule()."""
     rule = _mu_rule()
-    mu = rule.nodes
-    E = _log_section_densities(phi, k, mu)
-    logw = np.log(rule.weights) + (1.0 - model.p) * np.log(model.f(mu))
-    return _logsumexp(E + logw[None, :], axis=1) + math.log(2.0 * math.pi * k)
+    a = _log_section_densities(s, k, rule.nodes) + (np.log(rule.weights) + log_psi)[None, :]
+    m = np.max(a, axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
+    return np.log(np.sum(np.exp(a - m), axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
 
 
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
     """h_j = (1/lambda_j(p)) int |s_j|^2_{k phi} f^{1-p} vol_{k omega}."""
+    return _hilb(_mu_sample(phi), k, model)
+
+
+def _hilb(s: MuSample, k: int, model: ToyModel) -> HermitianNorms:
+    """hilb of the potential sampled as s = _mu_sample(phi)."""
     spec = eigenvalues(k, model)
-    log_g = _log_gram(phi, k, model)
+    log_g = _log_gram(s, k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
     return HermitianNorms(k=k, log_h=log_g - np.log(spec.lam_p))
 
 
@@ -591,19 +606,15 @@ def bergman_density(
     """B(mu) = Psi(f) sum_j Phi(lambda_j) |s_j|^2 / G_j with G_j the squared
     norms for the weighted product int |.|^2 Psi(f) vol_{k omega}."""
     spec = eigenvalues(k, model, check_weights=False)
-    rule = _mu_rule()
-    muq = rule.nodes
-    Eq = _log_section_densities(phi, k, muq)
-    logw = np.log(rule.weights) + np.log(np.asarray(Psi(model.f(muq)), dtype=float))
-    log_g = _logsumexp(Eq + logw[None, :], axis=1) + math.log(2.0 * math.pi * k)
+    log_psi = np.log(np.asarray(Psi(model.f(_mu_rule().nodes)), dtype=float))
+    log_g = _log_gram(_mu_sample(phi), k, log_psi)
     phi_lam = np.asarray(Phi(spec.lam), dtype=float)
 
     def B(mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        E = _log_section_densities(phi, k, mu)
+        E = _log_section_densities(phi.at_mu(mu), k, mu)
         dens = np.exp(E - log_g[:, None])
-        out = np.asarray(Psi(model.f(mu)), dtype=float) * np.einsum("j,jq->q", phi_lam, dens)
-        return out
+        return np.asarray(Psi(model.f(mu)), dtype=float) * np.einsum("j,jq->q", phi_lam, dens)
 
     return B
 
@@ -612,14 +623,13 @@ def rho_p(phi: RadialPotential, k: int, model: ToyModel) -> Callable:
     """rho(mu) = f^{1-p} sum_j lambda_j(p) |s_j|^2 / G_j (Hilb-orthonormal
     section density)."""
     spec = eigenvalues(k, model)
-    log_g = _log_gram(phi, k, model)
-    p = model.p
+    log_g = _log_gram(_mu_sample(phi), k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
 
     def rho(mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        E = _log_section_densities(phi, k, mu)
+        E = _log_section_densities(phi.at_mu(mu), k, mu)
         dens = np.exp(E - log_g[:, None])
-        return model.f(mu) ** (1.0 - p) * np.einsum("j,jq->q", spec.lam_p, dens)
+        return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", spec.lam_p, dens)
 
     return rho
 

@@ -8,6 +8,8 @@ import pytest
 
 from kahlerlab import functionals
 from kahlerlab.errors import NotTraceless, OutOfDomain
+from kahlerlab.numerics import gauss_legendre
+from kahlerlab.tolerances import TOL
 from kahlerlab.functionals import (
     almost_balanced_check,
     aubin_I,
@@ -209,6 +211,67 @@ def test_each_consumer_inverts_each_potential_once(monkeypatch):
         run()
         assert calls == expected
     assert not any(a.flags.writeable for a in functionals._round_t_sample())
+
+
+def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
+    import kahlerlab.quantization as quant
+
+    rnd = round_potential()
+    phi = random_potential(np.random.default_rng(32), scale=0.5)
+    functionals._round_t_sample()  # the t-side memo inverts the round reference through at_mu
+    sampled = []
+    at_mu = quant.ProfilePotential.at_mu
+
+    def counting(self, mu):
+        sampled.append(self)
+        return at_mu(self, mu)
+
+    monkeypatch.setattr(quant.ProfilePotential, "at_mu", counting)
+    quant._round_mu_sample.cache_clear()
+    hilb(rnd, 8, M0)
+    assert sampled == [rnd]  # fills the memo
+    sampled.clear()
+    for k in (8, 16, 32, 64):
+        hilb(rnd, k, M0)
+    assert sampled == []
+    almost_balanced_check(rnd, phi, [8, 16, 32, 64], M0)
+    assert sampled == [phi]
+    assert not any(a.flags.writeable for a in quant._round_mu_sample())
+
+
+def _loop_blend_integral(phi_a, phi_b, fields, density):
+    # the straight-blend integral one path node at a time, as it was before
+    # the (s, t) grid: the reference the array evaluation must reproduce
+    trule = functionals._t_grid()
+    da, db = phi_a.at_t(trule.nodes), phi_b.at_t(trule.nodes)
+    dot = 0.5 * (db.psi - da.psi)
+    ends = [(getattr(da, name), getattr(db, name)) for name in fields]
+    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    total = 0.0
+    for s, ws in zip(srule.nodes, srule.weights):
+        total += ws * float(np.dot(trule.weights, density(dot, *((1.0 - s) * a + s * b for a, b in ends))))
+    return total
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ToyModel(p=4.0), ToyModel(b0=1.0, p=4.0), ToyModel(b0=0.5, p=2.0), ToyModel(p=1.0)],
+    ids=["xi=0,p=4", "b0=1,p=4", "b0=0.5,p=2", "xi=0,p=1"],
+)
+def test_blend_grid_matches_the_per_node_loop(model, monkeypatch):
+    k = 8
+    prof = random_potential(np.random.default_rng(33), scale=0.5)
+    fsp = fs(hilb(random_potential(np.random.default_rng(34), scale=0.5), k, model), k, model)
+    runs = [
+        lambda: aubin_path(prof, fsp, k, model),
+        lambda: aubin_path(fsp, prof, k, model),
+        lambda: toy_mabuchi(prof, model),
+        lambda: toy_mabuchi(fsp, model),
+    ]
+    got = [run() for run in runs]
+    monkeypatch.setattr(functionals, "_blend_integral", _loop_blend_integral)
+    want = [run() for run in runs]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from numpy.polynomial import chebyshev as cheb
 from kahlerlab.numerics import (
     QuadratureRule,
     chebyshev_coefficients,
+    composite_gauss,
     gauss_legendre,
     graded_rule,
     integrate,
@@ -33,6 +34,25 @@ def test_gauss_weights_sum_to_length():
 def test_gauss_bad_order():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+def test_gauss_legendre_is_memoized_and_read_only():
+    rule = gauss_legendre(24, 0.0, 1.0)
+    assert gauss_legendre(24, 0.0, 1.0) is rule
+    for arr in (rule.nodes, rule.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_composite_gauss_panels_are_the_mapped_rules():
+    breaks = [-2.0, 0.5, 1.0, 4.0]
+    rule = composite_gauss(breaks, 8)
+    for i, (a, b) in enumerate(zip(breaks[:-1], breaks[1:])):
+        panel = gauss_legendre(8, a, b)
+        np.testing.assert_array_equal(rule.nodes[8 * i : 8 * i + 8], panel.nodes)
+        np.testing.assert_array_equal(rule.weights[8 * i : 8 * i + 8], panel.weights)
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
 
 
 def test_graded_rule_log_singularity():
