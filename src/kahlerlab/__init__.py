@@ -3,9 +3,9 @@ surfaces and its S^1-reduced quantization toy model.
 
 Module map
 ----------
-numerics       quadrature, Chebyshev projection, least squares
+numerics       quadrature, Chebyshev projection
 calabi         momentum profiles, weighted scalar curvature, admissibility
-ckem           boundary-value solver, Futaki curve, existence classification
+ckem           closed-form CKEM profiles, Futaki defect, existence classification
 mabuchi        energy functional, gradients, unboundedness probes, paths
 quantization   weighted Bergman densities, Hilb/FS maps, balanced iteration
 functionals    I/L/Z functionals, geodesics, quantized energy comparisons
@@ -23,7 +23,6 @@ from .errors import (
     NotAdmissible,
     NotTraceless,
     OutOfDomain,
-    RankDeficient,
     SearchFailed,
     WeightSignError,
 )

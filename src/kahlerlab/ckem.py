@@ -14,19 +14,34 @@ The four first-order boundary conditions on Theta = P/(z+kappa),
 
     Theta(-1) = Theta(1) = 0,   Theta'(-1) = 2,   Theta'(1) = -2,
 
-are linear in the unknowns (alpha, beta, c), giving an overdetermined 4x3
-system. Its least-squares defect is the numerical Futaki obstruction: it
-vanishes exactly on the curve kappa = (1+b^2)/(2b), i.e. at b = b_kappa(kappa),
-and is bounded away from zero off the curve. Rows are expressed directly as
-the Theta-defects (the same four numbers `check_boundary` reports), which
-keeps the obstruction well-scaled uniformly in (kappa, b).
+are linear in the unknowns (alpha, beta, c): an overdetermined 4x3 system
+A x = y, its rows the Theta-defects (the four numbers `check_boundary`
+reports). Its least-squares residual is the Futaki defect. A has full rank,
+so the residual is |n.y|/|n|, n the signed 3x3 cofactors of A (its left null
+vector). In closed form (sympy), up to one positive factor,
 
-kappa_0 is closed-form. On the curve P = (z^2-1) Q, Q quadratic with
+    n = (-(b+1)^2 Q_0, (b-1)^2 Q_1, -(b+1)^2 (kappa-1) Q_2, -(b-1)^2 (kappa+1) Q_3),
+    n.y = 2 (b^2 - 2 kappa b + 1)(4 kappa b^2 - s_C (b^2-1) - 4b),
+
+Q_i polynomials of degree <= 2 in kappa and in b (`_futaki_defect`). For
+kappa > 1 and b > 1 the second factor of n.y is positive, so the defect
+vanishes exactly on the curve kappa = (1+b^2)/(2b), i.e. at b = b_kappa(kappa).
+
+On the curve the system has the solution (sympy; D = 3b^2 - 1)
+
+    P(z) = p0 + z + p2 z^2 - z^3 + p4 z^4,   c = 6 (b^2-1)(b^2 + s_C b - 1)/D,
+    p0 = (6b^4 - b^2 + s_C b - 1)/(4bD),  p2 = -(3b^3 - 3b + s_C)/(2D),
+    p4 = (-5b^2 + s_C b + 1)/(4bD),
+
+evaluated in u = 1/b so that no power of b past b^2 is formed
+(`_closed_form`). As s_C < 0, p4 < 0 for every b > 1: P is a quartic.
+
+kappa_0 is closed-form too. On the curve P = (z^2-1) Q, Q quadratic with
 Q(+-1) = -(kappa+-1) < 0, so P < 0 somewhere in (-1, 1) iff Q has two real
-roots there; at kappa_0 they meet. In b (sympy, three rows; the fourth holds)
+roots there; at kappa_0 they meet. In b,
 
-    c = 6 (b^2-1)(b^2 + s_C b - 1)/(3b^2 - 1),   disc Q ~ (b^2 + s_C b - 1) q(b),
-    q(b) = 6 b^4 - 7 b^2 + s_C b + 1   (positive factor omitted).
+    disc Q ~ (b^2 + s_C b - 1) q(b),   q(b) = 6 b^4 - 7 b^2 + s_C b + 1
+    (positive factor omitted).
 
 The first factor is c = 0, where Q = -(z+b)^2/(2b) has its double root at
 z = -b < -1: no threshold. q(1) = s_C < 0 and q'' > 0 on [1, inf), so q has
@@ -46,8 +61,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .calabi import Profile, RuledSurfaceData
-from .errors import OutOfDomain, RankDeficient, SearchFailed
-from .numerics import solve_least_squares
+from .errors import OutOfDomain, SearchFailed
 from .tolerances import TOL
 
 __all__ = [
@@ -76,7 +90,8 @@ def _surface(kappa: float, X: RuledSurfaceData | None) -> RuledSurfaceData:
 
 @dataclass(frozen=True)
 class PKappaSolution:
-    """Least-squares solution of the boundary system at fixed (kappa, b)."""
+    """The closed-form solution on the Futaki curve through b, with the
+    boundary system's Futaki defect at (kappa, b)."""
 
     P: Polynomial
     c: float
@@ -106,72 +121,71 @@ def b_kappa(kappa: float) -> float:
     return kappa + math.sqrt(kappa * kappa - 1.0)
 
 
-def _boundary_system(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray]:
-    """Theta-form boundary rows (n, 4, 3), linear in x = (alpha, beta, c), and
-    right-hand sides (n, 4), for stacks of (kappa, b).
-
-    P-form residuals r = (P(-1), P(1), P'(-1)-2(kappa-1), P'(1)+2(kappa+1))
-    map to Theta-defects d = (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2)
-    by d1 = r1/km, d2 = r2/kp, d3 = (r3 - d1)/km, d4 = (r4 - d2)/kp
-    with km = kappa-1, kp = kappa+1.
-    """
-    t = np.stack([b - 1.0, b + 1.0], axis=1)  # t = z + b at z = -1, 1
-    k = np.stack([kappa - 1.0, kappa + 1.0], axis=1)
-    # P(z0) = (sC/2) t0^2 + alpha t0^3 + beta t0^4 + c (-t0/6 - (kappa-b)/12)
-    # P'(z0) = sC t0 + alpha 3 t0^2 + beta 4 t0^3 + c (-1/6)
-    val = np.stack([t * t * t, t * t * t * t, -t / 6.0 - (kappa - b)[:, None] / 12.0], axis=2) / k[..., None]
-    der = np.stack([3.0 * t * t, 4.0 * t * t * t, np.full_like(t, -1.0 / 6.0)], axis=2)
-    y_val = -sC / 2.0 * t * t / k
-    y_der = 2.0 * k * np.array([1.0, -1.0]) - sC * t
-    A = np.concatenate([val, (der - val) / k[..., None]], axis=1)
-    return A, np.concatenate([y_val, (y_der - y_val) / k], axis=1)
-
-
-def _solve_stack(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The boundary solve for stacks of (kappa, b): P's coefficients in z,
-    ascending (n, 5), c (n,) and the Futaki defect ||Ax - y|| (n,). Raises
-    OutOfDomain where kappa is not finite and > 1, b is not > 0 or a boundary
-    row is not finite, and RankDeficient from the solve; both name the slices.
-    """
+def _futaki_defect(kappa: np.ndarray, b: np.ndarray, sC: float) -> np.ndarray:
+    """The boundary system's least-squares residual |n.y|/|n| for stacks of
+    (kappa, b), n its signed 3x3 cofactors (module docstring); nan where kappa
+    is not finite and > 1 or b is not > 0. n and n.y are scaled by b^-6 and
+    written in u = 1/b, r = kappa/b, so that every factor is O(1)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        A, y = _boundary_system(kappa, b, sC)
-        ok = np.isfinite(kappa) & (kappa > 1.0) & (b > 0.0) & np.isfinite(A).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
-        # Column equilibration: for large kappa the (alpha, beta, c) columns span
-        # many orders of magnitude. Rescaling columns leaves the column space --
-        # hence the least-squares residual -- unchanged, but keeps the solve
-        # well-conditioned for every kappa > 1.
-        scale = np.sqrt(np.sum(A * A, axis=1))
-    if not ok.all():
-        raise OutOfDomain("kappa must be finite and > 1, b > 0, with finite boundary rows", slices=np.flatnonzero(~ok))
-    x = solve_least_squares(A / scale[:, None, :], y)[0] / scale
-    res = np.sum(A * x[:, None, :], axis=2) - y
-    alpha, beta, c = x.T
-    # P is a quartic in t = z + b; a Taylor shift by b (Horner) gives it in z
-    coef = np.stack([-c * (kappa - b) / 12.0, -c / 6.0, np.full_like(c, sC / 2.0), alpha, beta], axis=1)
-    for i in range(4):
-        for j in range(3, i - 1, -1):
-            coef[:, j] += b * coef[:, j + 1]
-    return coef, c, np.sqrt(np.sum(res * res, axis=1))
+        u, r = 1.0 / b, kappa / b
+        # Q_0, Q_1 times b^-4 and Q_2, Q_3 times b^-3
+        q0 = 3.0 * r * r * (1.0 - u) ** 2 + 2.0 * r * u * u * (u - 2.0) + u * u * (1.0 + u * (4.0 - 3.0 * u))
+        q1 = 3.0 * r * r * (1.0 + u) ** 2 - 2.0 * r * u * u * (u + 2.0) + u * u * (1.0 - u * (4.0 + 3.0 * u))
+        q2 = r * (3.0 - u * (2.0 - u)) + u * (1.0 - u * (4.0 - u))
+        q3 = r * (3.0 + u * (2.0 + u)) - u * (1.0 + u * (4.0 + u))
+        up, um = (1.0 + u) ** 2, (1.0 - u) ** 2  # (b+1)^2 and (b-1)^2 times b^-2
+        n = np.stack([-up * q0, um * q1, -up * (r - u) * q2, -um * (r + u) * q3], axis=1)
+        ny = 2.0 * u * (1.0 - 2.0 * r + u * u) * (4.0 * r - u * (sC * (1.0 - u * u) + 4.0 * u))
+        d = np.abs(ny) / np.sqrt(np.sum(n * n, axis=1))
+    return np.where(np.isfinite(kappa) & (kappa > 1.0) & (b > 0.0), d, math.nan)
+
+
+def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For stacks of (kappa, b): P's coefficients in z, ascending (n, 5), and c
+    (n,) on the Futaki curve through b (module docstring), the Futaki defect
+    at (kappa, b) (n,), and where all three are finite (n,). Written in
+    u = 1/b, so that no power of b above b^2 is formed."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = 1.0 / b
+        e = 3.0 - u * u  # D / b^2
+        one = np.ones_like(u)
+        coef = np.stack(
+            [
+                b * (6.0 - u * u * (1.0 - u * (sC - u))) / (4.0 * e),
+                one,
+                -b * (3.0 - u * u * (3.0 - sC * u)) / (2.0 * e),
+                -one,
+                u * (u * (u + sC) - 5.0) / (4.0 * e),
+            ],
+            axis=1,
+        )
+        c = 6.0 * b * b * (1.0 - u * u) * (1.0 + u * (sC - u)) / e
+    defect = _futaki_defect(kappa, b, sC)
+    return coef, c, defect, np.isfinite(coef).all(axis=1) & np.isfinite(c) & np.isfinite(defect)
 
 
 def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappaSolution:
-    """Solve the 4x3 boundary system at (kappa, b) by least squares.
-
-    b > 0 is accepted (the system is an algebraic continuation; the Futaki
-    scan probes b slightly below 1); geometric admissibility of the resulting
-    metric additionally needs b > 1 and a positive profile.
+    """P and c in closed form on the Futaki curve through b, with the
+    boundary system's Futaki defect at (kappa, b): 0 up to rounding on the
+    curve kappa = (1+b^2)/(2b), where P solves the system exactly. OutOfDomain
+    unless kappa is finite and > 1, b > 0 and all three are finite.
     """
     surf = _surface(kappa, X)
-    coef, c, defect = _solve_stack(np.array([kappa], dtype=float), np.array([b], dtype=float), surf.base_scal)
+    coef, c, defect, ok = _closed_form(np.array([kappa], dtype=float), np.array([b], dtype=float), surf.base_scal)
+    if not ok[0]:
+        raise OutOfDomain(f"no finite solution at kappa = {kappa!r}, b = {b!r}: need kappa finite and > 1, b > 0")
     return PKappaSolution(P=Polynomial(coef[0]), c=float(c[0]), futaki_residual=float(defect[0]), kappa=kappa, b=b, surface=surf)
 
 
 def futaki_residual(kappa: float, X: RuledSurfaceData | None = None) -> Callable[[float], float]:
-    """The boundary-system defect as a function of b (a norm, hence >= 0)."""
-    surf = _surface(kappa, X)
+    """The boundary system's least-squares defect as a function of b (>= 0)."""
+    sC = _surface(kappa, X).base_scal
 
     def residual(b: float) -> float:
-        return solve_P(kappa, b, surf).futaki_residual
+        d = float(_futaki_defect(np.array([kappa], dtype=float), np.array([b], dtype=float), sC)[0])
+        if not math.isfinite(d):
+            raise OutOfDomain(f"no finite Futaki defect at kappa = {kappa!r}, b = {b!r}")
+        return d
 
     return residual
 
@@ -193,7 +207,7 @@ def interior_min(P: Polynomial) -> tuple[float, float]:
 
 def _interior_min(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """interior_min for the rows of coef (n, deg+1), ascending, deg >= 2 and
-    the last column nonzero (the quartic's beta < 0 on kappa in (1, 1e6]): the
+    the last column nonzero (p4 < 0 for every b > 1, module docstring): the
     critical points are the eigenvalues of the companion matrices of P'
     (polycompanion's layout, rotated as polyroots does), sorted; P is
     evaluated there by Horner."""
@@ -206,8 +220,9 @@ def _interior_min(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = roots.real
     crit = (roots.imag == 0.0) & (np.abs(z) <= 1.0 - 1e-9)
     pv = coef[:, -1:] + z * 0.0
-    for j in range(d - 1, -1, -1):
-        pv = coef[:, j : j + 1] + pv * z
+    with np.errstate(over="ignore"):  # at a root far outside [-1, 1]
+        for j in range(d - 1, -1, -1):
+            pv = coef[:, j : j + 1] + pv * z
     i = np.argmin(np.where(crit, pv, np.inf), axis=1)[:, None]
     found = crit.any(axis=1)
     return (
@@ -270,31 +285,23 @@ class SweepRow:
 
 
 def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: list | None = None) -> list[SweepRow]:
-    """One row per kappa, at b = b_kappa(kappa), from one stacked solve.
+    """One row per kappa, at b = b_kappa(kappa), all from one stacked closed form.
 
-    A kappa the solve rejects raises its error; given a list `errors`, it is
-    left out of the rows instead and appended there as (kappa, error name),
-    in the order of kappas."""
+    A kappa that is not finite and > 1, or whose row is not finite (c ~ 8
+    kappa^2 overflows near 1e154), raises OutOfDomain; given a list `errors`,
+    it is left out of the rows instead and appended there as
+    (kappa, "OutOfDomain"), in the order of kappas."""
     sC = _surface(2.0, X).base_scal  # 2.0 is a placeholder kappa, as in kappa_zero
     k = np.fromiter(kappas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         b = k + np.sqrt(k * k - 1.0)
-    keep = np.ones(k.size, dtype=bool)
-    failed = []
-    while True:  # each failed pass drops the kappas its error names
-        try:
-            coef, c, defect = _solve_stack(k[keep], b[keep], sC)
-            break
-        except (OutOfDomain, RankDeficient) as exc:
-            if errors is None or not exc.slices:
-                raise
-            idx = np.flatnonzero(keep)[list(exc.slices)]
-            failed += [(int(i), type(exc).__name__) for i in idx]
-            keep[idx] = False
-    if errors is not None:
-        errors.extend((float(k[i]), name) for i, name in sorted(failed))
-    m, zm = _interior_min(coef)
-    cols = (k[keep], b[keep], c, defect, m, zm)
+    coef, c, defect, ok = _closed_form(k, b, sC)
+    if not ok.all():
+        if errors is None:
+            raise OutOfDomain(f"no finite solution at kappa = {k[~ok].tolist()}: need kappa finite and > 1")
+        errors.extend((kap, "OutOfDomain") for kap in k[~ok].tolist())
+    m, zm = _interior_min(coef[ok])
+    cols = (k[ok], b[ok], c[ok], defect[ok], m, zm)
     return [SweepRow(*row, label=_label(row[4])) for row in zip(*(col.tolist() for col in cols))]
 
 

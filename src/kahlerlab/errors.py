@@ -8,12 +8,7 @@ from __future__ import annotations
 
 
 class KahlerLabError(Exception):
-    """Base class for all errors raised by this package. An error raised by a
-    stacked computation names the failing entries of the stack in `slices`."""
-
-    def __init__(self, *args, slices=()):
-        super().__init__(*args)
-        self.slices = tuple(int(i) for i in slices)
+    """Base class for all errors raised by this package."""
 
 
 class NonFiniteIntegrand(KahlerLabError):
@@ -22,10 +17,6 @@ class NonFiniteIntegrand(KahlerLabError):
 
 class NoConvergence(KahlerLabError):
     """An iterative method exhausted its iteration budget."""
-
-
-class RankDeficient(KahlerLabError):
-    """A least-squares matrix does not have full column rank."""
 
 
 class OutOfDomain(KahlerLabError):

@@ -1,4 +1,4 @@
-"""Shared numeric kernels: quadrature, Chebyshev projection, least squares.
+"""Shared numeric kernels: quadrature and Chebyshev projection.
 
 Everything here is pure and immutable after construction; callers are free
 to use these objects concurrently. Endpoint-singular integrands are the
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteIntegrand, RankDeficient
+from .errors import NonFiniteIntegrand
 
 __all__ = [
     "QuadratureRule",
@@ -23,7 +23,6 @@ __all__ = [
     "graded_rule",
     "integrate",
     "chebyshev_coefficients",
-    "solve_least_squares",
 ]
 
 
@@ -148,30 +147,3 @@ def chebyshev_coefficients(values: np.ndarray, deg: int) -> np.ndarray:
     if f.ndim != 1 or not 0 <= deg < len(f):
         raise ValueError("need 1-d samples and 0 <= deg < len(values)")
     return _cheb_projector(len(f), int(deg)) @ f
-
-
-def solve_least_squares(A: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ||Ax - y||_2 for each full-column-rank A (rows >= cols) of a stack.
-
-    A is (..., m, n) and y (..., m); each matrix gets one Householder QR,
-    x = R^{-1} Q^T y (Golub & Van Loan, Matrix Computations, sec. 5.3).
-    Returns (x, residual norms). A diagonal entry of R at most
-    eps max(m, n) max|R_ii| raises RankDeficient, naming those matrices (flat
-    indices into the stack). The residual is orthogonal to the column span:
-    ||A^T(Ax-y)|| < 1e-10 ||A|| ||y||.
-    """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if A.ndim < 2 or y.shape != A.shape[:-1]:
-        raise ValueError("need A of shape (..., m, n) and y of shape (..., m)")
-    r, c = A.shape[-2:]
-    if r < c:
-        raise ValueError("need at least as many rows as columns")
-    Q, R = np.linalg.qr(A)
-    d = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    low = ~np.all(d > np.finfo(float).eps * max(r, c) * d.max(axis=-1, keepdims=True), axis=-1)
-    if np.any(low):
-        raise RankDeficient(f"column rank < {c}", slices=np.flatnonzero(low))
-    x = np.linalg.solve(R, np.sum(Q * y[..., None], axis=-2)[..., None])[..., 0]
-    res = np.sum(A * x[..., None, :], axis=-1) - y
-    return x, np.sqrt(np.sum(res * res, axis=-1))

@@ -722,7 +722,8 @@ def balanced_iterate(
     of T. Raises NoConvergence after max_iter, naming the last raw step and
     the last step modulo span{1, j}."""
     j = np.arange(k + 1, dtype=float)
-    gauge = np.linalg.qr(np.stack([np.ones_like(j), j], axis=1))[0]
+    gauge = np.stack([np.ones_like(j), j - 0.5 * k], axis=1)  # orthogonal: sum(j - k/2) = 0
+    gauge /= np.sqrt(np.sum(gauge * gauge, axis=0))
     x = hilb(phi0, k, model).log_h
     dX: list[np.ndarray] = []
     dG: list[np.ndarray] = []

@@ -98,17 +98,49 @@ def test_sweep_rows_equal_single_solves_bit_for_bit():
 
 
 def test_sweep_names_each_rejected_kappa():
+    # the closed form stays finite up to kappa ~ 6.7e153, where c ~ 8 kappa^2
+    # overflows; 1e10 is a solved row
     kappas = [1.5, math.inf, 1e200, 1e10, math.nan, 2.0]
     errors = []
     rows = sweep(kappas, errors=errors)
-    assert [r.kappa for r in rows] == [1.5, 2.0]
-    assert rows == sweep([1.5, 2.0])
-    assert [name for _, name in errors] == ["OutOfDomain", "OutOfDomain", "RankDeficient", "OutOfDomain"]
-    assert [k for k, _ in errors][:3] == [math.inf, 1e200, 1e10]
+    assert [r.kappa for r in rows] == [1.5, 1e10, 2.0]
+    assert rows == sweep([1.5, 1e10, 2.0])
+    np.testing.assert_allclose(rows[1].min_P, 1e10, rtol=1e-12)
+    assert [name for _, name in errors] == ["OutOfDomain"] * 3
+    assert [k for k, _ in errors][:2] == [math.inf, 1e200] and math.isnan(errors[2][0])
     with pytest.raises(OutOfDomain):
         sweep(kappas)
     with pytest.raises(OutOfDomain):
         solve_P(math.inf, 2.0)
+
+
+def _theta_rows(kappa, b, sC):
+    """The boundary system written out afresh: rows (Theta(z0), Theta'(z0) + -2)
+    for z0 = -1, 1, Theta = P/(z+kappa), in the unknowns (alpha, beta, c) of
+    P = (sC/2) t^2 + alpha t^3 + beta t^4 + c (-t/6 - (kappa-b)/12), t = z+b."""
+    vals, ders = [], []
+    for z0, slope in ((-1.0, 2.0 * (kappa - 1.0)), (1.0, -2.0 * (kappa + 1.0))):
+        t, w = b + z0, kappa + z0
+        p_cols, p_rhs = np.array([t**3, t**4, -t / 6.0 - (kappa - b) / 12.0]), -sC / 2.0 * t * t
+        dp_cols, dp_rhs = np.array([3.0 * t * t, 4.0 * t**3, -1.0 / 6.0]), slope - sC * t
+        vals.append((p_cols / w, p_rhs / w))
+        ders.append(((dp_cols - p_cols / w) / w, (dp_rhs - p_rhs / w) / w))
+    A, y = zip(*vals, *ders)
+    return np.array(A), np.array(y)
+
+
+@pytest.mark.parametrize("genus,degree", [(2, 1), (4, 5)])
+def test_futaki_defect_matches_lstsq_off_the_curve(genus, degree):
+    # a different algorithm as the reference: lstsq's residual is good to about
+    # cond(A) eps (cond up to 7e6 at kappa = 10), while the closed-form defect
+    # agrees with a 50-digit QR to 2e-13; rtol = 10 cond(A) eps covers both
+    X = RuledSurfaceData.standard(1.5, genus=genus, degree=degree)
+    for kappa in (1.001, 1.25, 2.0, 10.0):
+        for b in (b_kappa(kappa) - 0.1, b_kappa(kappa) + 0.1):
+            A, y = _theta_rows(kappa, b, X.base_scal)
+            x = np.linalg.lstsq(A, y, rcond=None)[0]
+            rtol = 10.0 * np.linalg.cond(A) * np.finfo(float).eps
+            np.testing.assert_allclose(futaki_residual(kappa, X)(b), np.linalg.norm(A @ x - y), rtol=rtol)
 
 
 def test_kappa_zero_matches_frozen_value():
@@ -131,6 +163,28 @@ def test_kappa_zero_tol_bounds_min_P_at_the_threshold(monkeypatch):
     monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=math.nextafter(reached, -math.inf)))
     with pytest.raises(SearchFailed):
         kappa_zero(X)
+
+
+def test_kappa_zero_follows_its_small_s_C_law():
+    # kappa0 - 1 ~ s_C^2/200 as s_C -> 0^-; the ratio rises to 1 (0.954 at
+    # degree 40, 1 - 4.9e-5 at 40,000)
+    surfaces = [RuledSurfaceData.standard(1.5, genus=2, degree=d) for d in (40, 400, 4000, 40000)]
+    ratios = [(kappa_zero(X) - 1.0) / (X.base_scal**2 / 200.0) for X in surfaces]
+    assert all(a < b < 1.0 for a, b in zip(ratios, ratios[1:])), ratios
+    assert 1.0 - ratios[-1] < 1e-4
+
+
+def test_kappa_zero_follows_its_large_s_C_law():
+    # kappa0 ~ (|s_C|/48)^(1/3) as s_C -> -inf; the ratio falls to 1 (1.083 at
+    # genus 100), and |min P| stays within TOL.kappa_zero_tol at genus 10^5
+    # and 10^6, where a least-squares solve of the boundary system did not
+    surfaces = [RuledSurfaceData.standard(1.5, genus=g, degree=1) for g in (100, 1000, 10**4, 10**5, 10**6)]
+    k0s = [kappa_zero(X) for X in surfaces]
+    ratios = [k0 / (abs(X.base_scal) / 48.0) ** (1.0 / 3.0) for k0, X in zip(k0s, surfaces)]
+    assert all(a > b > 1.0 for a, b in zip(ratios, ratios[1:])), ratios
+    assert ratios[-1] - 1.0 < 1e-3
+    for k0, X in zip(k0s[-2:], surfaces[-2:]):
+        assert abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0]) <= ckem.TOL.kappa_zero_tol
 
 
 def test_classification_brackets_the_threshold():

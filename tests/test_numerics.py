@@ -10,9 +10,7 @@ from kahlerlab.numerics import (
     gauss_legendre,
     graded_rule,
     integrate,
-    solve_least_squares,
 )
-from kahlerlab.errors import RankDeficient
 
 
 def test_gauss_exactness_to_degree_2n_minus_1():
@@ -77,34 +75,6 @@ def test_integrate_scalar_callable():
     rule = gauss_legendre(16, 0.0, np.pi)
     got = integrate(rule, lambda z: float(np.sin(z)) if np.isscalar(z) else np.sin(z))
     np.testing.assert_allclose(got, 2.0, rtol=1e-12)
-
-
-def test_least_squares_recovers_exact_solution():
-    rng = np.random.default_rng(0)
-    A = rng.normal(size=(40, 5))
-    x = rng.normal(size=5)
-    sol, resid = solve_least_squares(A, A @ x)
-    np.testing.assert_allclose(sol, x, atol=1e-11)
-    assert resid < 1e-11
-
-
-def test_least_squares_rank_deficient():
-    A = np.ones((10, 2))
-    with pytest.raises(RankDeficient):
-        solve_least_squares(A, np.ones(10))
-
-
-def test_least_squares_solves_a_stack():
-    rng = np.random.default_rng(1)
-    A = rng.normal(size=(3, 40, 5))
-    x = rng.normal(size=(3, 5))
-    sol, resid = solve_least_squares(A, np.einsum("sij,sj->si", A, x))
-    np.testing.assert_allclose(sol, x, atol=1e-11)
-    assert resid.shape == (3,) and np.all(resid < 1e-11)
-    A[1, :, 3] = A[1, :, 0] - 2.0 * A[1, :, 4]  # slice 1 loses a column
-    with pytest.raises(RankDeficient) as err:
-        solve_least_squares(A, np.ones((3, 40)))
-    assert err.value.slices == (1,)
 
 
 CHEB_SIZES = [(96, 95), (128, 120), (160, 150), (192, 170)]
