@@ -3,7 +3,7 @@ surfaces and its S^1-reduced quantization toy model.
 
 Module map
 ----------
-numerics       quadrature, Chebyshev projection
+numerics       quadrature, power integrals, Chebyshev projection
 calabi         momentum profiles, weighted scalar curvature, admissibility
 ckem           closed-form CKEM profiles, Futaki defect, existence classification
 mabuchi        energy functional, gradients, unboundedness probes, paths
@@ -19,7 +19,6 @@ from .errors import (
     BadDirection,
     NoConvergence,
     NonFiniteCurvature,
-    NonFiniteIntegrand,
     NotAdmissible,
     NotTraceless,
     OutOfDomain,

@@ -17,6 +17,10 @@ curvature for Killing potential f = z+b and exponent p is
 
     Scal_{(xi,b,p)} = f^2 Scal - 2(p-1) f Delta_g f - p(p-1) Theta.
 
+Its average c against f^{-(p+1)} (z+kappa) dz is fixed by the class and the
+weight: the integrand is s_C f^{1-p} plus an exact derivative, so
+`weighted_average_c` is a closed form in power integrals of f.
+
 A profile is stored as Theta = ((1-z^2) N(z) + l(z))/(z+kappa), N a numpy
 series and l linear. The solver's exact numerator P splits as
 P = (1-z^2) N + l; a sampled profile interpolates the bounded ratio
@@ -34,7 +38,7 @@ from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import NonFiniteCurvature, NotAdmissible, OutOfDomain
-from .numerics import chebyshev_coefficients, gauss_legendre, integrate
+from .numerics import chebyshev_coefficients, power_integral
 from .tolerances import TOL
 
 __all__ = [
@@ -198,22 +202,23 @@ def weighted_scalar_curvature(profile: Profile, X: RuledSurfaceData, k: KillingD
     return wscal
 
 
-def weighted_average_c(
-    profile: Profile,
-    X: RuledSurfaceData,
-    k: KillingData,
-    order: int = TOL.quad_order_default,
-) -> float:
-    """c = ∫ Scal_p f^{-(p+1)} (z+kappa) dz / ∫ f^{-(p+1)} (z+kappa) dz.
+def weighted_average_c(X: RuledSurfaceData, k: KillingData) -> float:
+    """c = ∫ Scal_p f^{-(p+1)} (z+kappa) dz / ∫ f^{-(p+1)} (z+kappa) dz over
+    [-1, 1], in closed form; kappa = X.kappa.
 
-    The reduced volume form is proportional to (z+kappa) dz; constant factors
-    cancel in the ratio. Independent of the profile within a fixed class —
-    that invariance is a tested property, not an input assumption.
+    With A = (z+kappa) Theta the numerator's integrand is
+    s_C f^{1-p} + d/dz[-f^{1-p} A' + (p-1) f^{-p} A], and A(+-1) = 0,
+    A'(+-1) = -+2 (kappa +- 1), so c depends on the class and the weight
+    only, not on the profile:
+
+        c = [s_C ∫f^{1-p} + 2(kappa+1)(b+1)^{1-p} + 2(kappa-1)(b-1)^{1-p}]
+            / [∫f^{-p} + (kappa-b) ∫f^{-(p+1)}].
     """
-    rule = gauss_legendre(order)
-    weight = (rule.nodes + k.b) ** (-(k.p + 1.0)) * (rule.nodes + profile.kappa)
-    num = integrate(rule, lambda z: scal_p_on(z, profile.jet(z), X, k, profile.kappa) * weight)
-    return num / float(np.dot(rule.weights, weight))
+    b, p, kappa = k.b, k.p, X.kappa
+    lo, hi = b - 1.0, b + 1.0
+    ends = 2.0 * (kappa + 1.0) * hi ** (1.0 - p) + 2.0 * (kappa - 1.0) * lo ** (1.0 - p)
+    num = X.base_scal * power_integral(lo, hi, 1.0 - p) + ends
+    return num / (power_integral(lo, hi, -p) + (kappa - b) * power_integral(lo, hi, -(p + 1.0)))
 
 
 def to_symplectic(profile: Profile):

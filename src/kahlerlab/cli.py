@@ -92,8 +92,8 @@ class RunConfig:
                 raise ConfigError("all kappa values must be > 1")
         if "p" in p and not math.isfinite(p["p"]):
             raise ConfigError("p must be finite")
-        if "b0" in p and not (p["b0"] == math.inf or p["b0"] >= 0.0):
-            raise ConfigError("b0 must be >= 0 or inf")
+        if "b0" in p and not (p["b0"] == math.inf or p["b0"] > 0.0):
+            raise ConfigError("b0 must be > 0 or inf")
         if "k_list" in p:
             # the probe's k scales a direction (k = 0 is the reference); the
             # quantized commands' k is a tensor power
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_mabuchi_probe)
 
     sp = sub.add_parser("quant-balanced", help="balanced-metric iteration scan over k")
-    sp.add_argument("--b0", type=str, default="inf", help="weight offset; 'inf' for the unweighted mode")
+    sp.add_argument("--b0", type=str, default="inf", help="weight offset b0 > 0; 'inf' for the unweighted mode")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--k-range", type=str, default=None)
     sp.add_argument("--tol", type=float, default=None, help="balanced stopping tolerance (default TOL.balanced_tol)")
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_quant_balanced)
 
     sp = sub.add_parser("quant-expansion", help="density expansion residual fit over k")
-    sp.add_argument("--b0", type=str, default="1", help="weight offset; 'inf' for the unweighted mode")
+    sp.add_argument("--b0", type=str, default="1", help="weight offset b0 > 0; 'inf' for the unweighted mode")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--k-range", type=str, default=None)
     _add_common(sp)

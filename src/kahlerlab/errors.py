@@ -11,10 +11,6 @@ class KahlerLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonFiniteIntegrand(KahlerLabError):
-    """An integrand evaluated to NaN or infinity at a quadrature node."""
-
-
 class NoConvergence(KahlerLabError):
     """An iterative method exhausted its iteration budget."""
 

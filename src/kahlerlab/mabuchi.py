@@ -9,7 +9,9 @@ u''(z) = 1/Theta(z): the closed-form energy
 its gradient, the divergence probe along u_k'' = u_ref'' + k * bump, and the
 path integral of the 1-form
 
-    (dM)(u_dot) = int u_dot (Scal_{(xi,b,4)} - c) (z+b)^{-(p+1)} (z+kappa) dz.
+    (dM)(u_dot) = int u_dot (Scal_{(xi,b,4)} - c) (z+b)^{-(p+1)} (z+kappa) dz,
+
+with c the class constant in closed form (`calabi.weighted_average_c`).
 
 Conventions fixed here (and validated by the closedness/proportionality
 tests): the reduced volume element is (z+kappa) dz, the reference potential
@@ -72,8 +74,8 @@ class SymplecticPotential:
 
     D is held as an exact callable: grid data enters only through
     `calabi.to_symplectic` (Chebyshev interpolation of sampled 1/Theta),
-    while perturbed and closed-form potentials keep closures, so rough
-    directions (mollifier bumps) never suffer fit ringing. Admissibility:
+    while closed-form potentials keep closures, so rough directions
+    (mollifier bumps) never suffer fit ringing. Admissibility:
     u'' > 0 on the check grid and D(+-1) = 1 within TOL.u2_boundary (the
     boundary behavior forced by an admissible profile).
     """
@@ -124,15 +126,6 @@ class SymplecticPotential:
             return out if out.ndim else float(out)
 
         return SymplecticPotential(dfun, kappa)
-
-    def perturbed(self, v2: Callable, eps: float) -> "SymplecticPotential":
-        """The potential with u'' + eps * v'' (v'' compactly supported)."""
-
-        def dfun(z, base=self._dfun):
-            z = np.asarray(z, dtype=float)
-            return base(z) + eps * (1.0 - z * z) * np.asarray(v2(z), dtype=float)
-
-        return SymplecticPotential(dfun, self.kappa)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -299,8 +292,8 @@ _UDOT_DEG = 170
 class PathFamily:
     """A path t in [0,1] -> Theta_t, as the 1-form reads it.
 
-    `start` is the profile at t = 0 (c is read from it). `reduce(trule)`
-    folds the t-integral over `trule` into a few pairs (jet, W): a jet
+    `kappa` is the class of every Theta_t. `reduce(trule)` folds the
+    t-integral over `trule` into a few pairs (jet, W): a jet
     (Theta, Theta', ((z+kappa) Theta)'') on the nodes of `graded_rule()` and a
     W = (1-z^2) u_dot'' on _UDOT_Z (W_t = -Theta_dot (1-z^2)/Theta_t^2 along
     the path). The integral is exactly the sum of the 1-form over the pairs:
@@ -308,7 +301,7 @@ class PathFamily:
     to 1. The straight paths sample their endpoints once, when built.
     """
 
-    start: Profile
+    kappa: float
     reduce: Callable[[QuadratureRule], list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]]
 
 
@@ -331,7 +324,7 @@ def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
         W = dw / (tt @ np.stack((th0, th1))) ** 2
         return list(zip((j0, j1), (trule.weights[:, None] * tt).T @ W))
 
-    return PathFamily(start=p0, reduce=reduce)
+    return PathFamily(kappa=p0.kappa, reduce=reduce)
 
 
 def straight_potential_path(u0: SymplecticPotential, u1: SymplecticPotential) -> PathFamily:
@@ -365,7 +358,7 @@ def straight_potential_path(u0: SymplecticPotential, u1: SymplecticPotential) ->
         )
         return [(tuple(trule.weights @ x for x in jet), w)]
 
-    return PathFamily(start=u0.profile(), reduce=reduce)
+    return PathFamily(kappa=u0.kappa, reduce=reduce)
 
 
 @lru_cache(maxsize=1)
@@ -417,11 +410,12 @@ def _udot_on(w: np.ndarray) -> np.ndarray:
 def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolution) -> float:
     """Integrate the 1-form int u_dot (Scal_p - c) f^{-(p+1)} (z+kappa) dz
     along the path, as the sum over the pairs `family.reduce` folds the
-    t-rule into. c is frozen from the class average at the path start.
+    t-rule into. c is the class constant in closed form: it depends on the
+    class and the weight only, so it is the same at every point of the path.
     """
-    _same_class(family.start.kappa, sol)
+    _same_class(family.kappa, sol)
     X, kappa = sol.surface, sol.kappa
-    c = weighted_average_c(family.start, X, k, order=TOL.quad_order_mabuchi)
+    c = weighted_average_c(X, k)
     zrule = graded_rule()
     zq = zrule.nodes
     wgt = zrule.weights * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)

@@ -1,4 +1,4 @@
-"""Shared numeric kernels: quadrature and Chebyshev projection.
+"""Shared numeric kernels: quadrature, power integrals and Chebyshev projection.
 
 Everything here is pure and immutable after construction; callers are free
 to use these objects concurrently. Endpoint-singular integrands are the
@@ -8,20 +8,18 @@ kernel stays generic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-
-from .errors import NonFiniteIntegrand
 
 __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "composite_gauss",
     "graded_rule",
-    "integrate",
+    "power_integral",
     "chebyshev_coefficients",
 ]
 
@@ -106,14 +104,16 @@ def graded_rule(
     return composite_gauss(np.concatenate([left[:-1], right]), order)
 
 
-def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sum w_i f(z_i) for a vectorized `f`."""
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.broadcast_to(vals, rule.nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrand("integrand is not finite at a quadrature node")
-    return float(np.dot(rule.weights, vals))
+def power_integral(lo: float, hi: float, m: float) -> float:
+    """int_lo^hi x^m dx for 0 < lo < hi, as lo^{m+1} expm1((m+1) L)/(m+1)
+    with L = log(hi/lo) = log1p((hi-lo)/lo); L itself at m = -1.
+
+    No difference of powers is formed, so nothing cancels when hi/lo is
+    near 1, and the value is continuous in m through m = -1.
+    """
+    L = math.log1p((hi - lo) / lo)
+    n = m + 1.0
+    return lo**n * math.expm1(n * L) / n if n else L
 
 
 @lru_cache(maxsize=16)

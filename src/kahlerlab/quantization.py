@@ -43,7 +43,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
-from .numerics import chebyshev_coefficients, gauss_legendre
+from .numerics import chebyshev_coefficients, gauss_legendre, power_integral
 from .tolerances import TOL
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "SpectrumData",
     "HermitianNorms",
     "eigenvalues",
-    "c_top",
     "c_top_exact",
     "hilb",
     "fs",
@@ -97,17 +96,19 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 class ToyModel:
     """Weight data: Killing potential f = mu + b0 and exponent p.
 
-    b0 = math.inf selects the degenerate (xi = 0) mode: the weight field
-    vanishes, f is normalized to the constant 1, and the spectrum collapses
-    to a single (k+1)-dimensional block.
+    b0 > 0 keeps f positive on [0, 1], so the weight f^{-(p+1)} of the class
+    constant is integrable for every p. b0 = math.inf selects the degenerate
+    (xi = 0) mode: the weight field vanishes, f is normalized to the
+    constant 1, and the spectrum collapses to a single (k+1)-dimensional
+    block.
     """
 
     b0: float = math.inf
     p: float = 4.0
 
     def __post_init__(self) -> None:
-        if not (self.b0 == math.inf or self.b0 >= 0.0):
-            raise OutOfDomain("b0 must be >= 0 (or inf for the xi=0 mode)")
+        if not (self.b0 == math.inf or self.b0 > 0.0):
+            raise OutOfDomain("b0 must be > 0 (or inf for the xi=0 mode)")
         if not np.isfinite(self.p):
             raise OutOfDomain("p must be finite")
 
@@ -482,29 +483,15 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
 
 
 def c_top_exact(model: ToyModel) -> float:
-    """Class constant in closed form (from the exact total derivative
-    [-S' f^{1-p} + (p-1) S f^{-p}]' of the weighted-curvature integrand):
-    c = 2p (a0^{1-p} + a1^{1-p}) / (a0^{-p} - a1^{-p}); 4 in the xi=0 mode."""
+    """Class constant c = int Scal_p f^{-(p+1)} dmu / int f^{-(p+1)} dmu in
+    closed form. Scal_p f^{-(p+1)} is the exact derivative of
+    -S' f^{1-p} + (p-1) S f^{-p}, so with S(0) = S(1) = 0, S'(0) = 2 and
+    S'(1) = -2, c = 2 (a0^{1-p} + a1^{1-p}) / int_{a0}^{a1} x^{-(p+1)} dx;
+    4 in the xi=0 mode."""
     if model.xi_zero:
         return 4.0
     a0, a1, p = model.a0, model.a1, model.p
-    if p == 0.0:
-        # limit p -> 0 of the closed form
-        return 2.0 * (a0 + a1) / (a0 * a1 * math.log(a1 / a0)) * (a1 - a0)
-    return 2.0 * p * (a0 ** (1.0 - p) + a1 ** (1.0 - p)) / (a0 ** (-p) - a1 ** (-p))
-
-
-def c_top(phi: RadialPotential, model: ToyModel) -> float:
-    """Class constant by quadrature of its defining ratio
-    int Scal_p f^{-(p+1)} vol / int f^{-(p+1)} vol (metric-independence is a
-    tested invariant; c_top_exact is the closed form)."""
-    rule = _mu_rule()
-    mu = rule.nodes
-    scal_p = weighted_scalar_toy(phi, model)(mu)
-    w = model.f(mu) ** (-(model.p + 1.0))
-    num = float(np.dot(rule.weights, scal_p * w))
-    den = float(np.dot(rule.weights, w))
-    return num / den
+    return 2.0 * (a0 ** (1.0 - p) + a1 ** (1.0 - p)) / power_integral(a0, a1, -(p + 1.0))
 
 
 def weighted_scalar_toy(phi: RadialPotential, model: ToyModel) -> Callable:

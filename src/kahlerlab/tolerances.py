@@ -16,7 +16,7 @@ class Tolerances:
 
     # profiles / curvature
     boundary_defect: float = 1e-9      # momentum-profile boundary conditions
-    c_invariance: float = 1e-8         # profile-independence of the average c
+    c_invariance: float = 1e-8         # quadrature of the average c vs its closed form
     p1_reduction: float = 1e-13        # p=1 specialization identity
 
     # ckem solver
@@ -40,7 +40,6 @@ class Tolerances:
     z_prime: float = 1e-9              # |Z'(0)| at balanced
 
     # quadrature orders
-    quad_order_default: int = 64
     quad_order_mabuchi: int = 128
     quad_order_quant: int = 256
     quad_order_path: int = 64          # nodes along a path parameter

@@ -1,7 +1,9 @@
 """Profiles, curvature formulas, and admissibility on the ruled surface."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from kahlerlab.calabi import (
     KillingData,
@@ -10,12 +12,14 @@ from kahlerlab.calabi import (
     ansatz_scalar_curvature,
     check_boundary,
     random_admissible_profile,
+    scal_p_on,
     to_symplectic,
     weighted_average_c,
     weighted_scalar_curvature,
 )
 from kahlerlab.ckem import b_kappa, solve_P
 from kahlerlab.errors import NotAdmissible
+from kahlerlab.numerics import gauss_legendre
 
 ZGRID = np.linspace(-0.97, 0.97, 389)
 
@@ -45,12 +49,68 @@ def test_boundary_conditions_random_profiles():
         assert rep.passes, rep.defects
 
 
+def _quadrature_c(profile, X, kd):
+    """The defining ratio int Scal_p f^{-(p+1)} (z+kappa) dz / int f^{-(p+1)}
+    (z+kappa) dz by Gauss quadrature of the profile's Scal_p."""
+    rule = gauss_legendre(128)
+    z = rule.nodes
+    w = rule.weights * (z + kd.b) ** (-(kd.p + 1.0)) * (z + X.kappa)
+    return float(np.dot(scal_p_on(z, profile.jet(z), X, kd, X.kappa), w)) / float(w.sum())
+
+
 def test_weighted_average_c_profile_independent():
     X = RuledSurfaceData.standard(1.25)
     kd = KillingData(b=2.0, p=4.0)
     rng = np.random.default_rng(2)
-    cs = [weighted_average_c(random_admissible_profile(rng, 1.25), X, kd) for _ in range(4)]
-    assert max(cs) - min(cs) < 1e-10
+    cs = [_quadrature_c(random_admissible_profile(rng, 1.25), X, kd) for _ in range(4)]
+    c = weighted_average_c(X, kd)
+    assert max(abs(x - c) for x in cs) < 1e-10
+
+
+@pytest.mark.parametrize("genus, degree", [(2, 1), (5, 3), (100, 1)])
+def test_weighted_average_c_matches_the_solver_constant(genus, degree):
+    # On the Futaki curve Scal_p = c exactly, and ckem's c is sympy-derived.
+    for kappa in (1.01, 1.25, 1.6, 3.0, 100.0, 1e4):
+        sol = solve_P(kappa, b_kappa(kappa), RuledSurfaceData.standard(kappa, genus, degree))
+        c = weighted_average_c(sol.surface, KillingData(b=sol.b, p=4.0))
+        np.testing.assert_allclose(c, sol.c, rtol=1e-14, atol=0.0, err_msg=f"kappa={kappa}")
+
+
+def _mpmath_c(kappa, s_c, b, p, g):
+    """The defining ratio of c by mpmath quadrature for the profile
+    Theta = (1-z^2) exp((1-z^2) g), g a polynomial, with the jet of
+    A = (z+kappa) Theta by hand: Scal_p (z+kappa) = f^2 (s_C - A'')
+    + 2(p-1) f A' - p(p-1) A, f = z+b."""
+    kappa, s_c, b, p = (mp.mpf(x) for x in (kappa, s_c, b, p))
+    series = [[mp.mpf(x) for x in g.deriv(m).coef[::-1]] for m in range(3)]
+
+    def terms(z):
+        s = 1 - z * z
+        g0, g1, g2 = (mp.polyval(c, z) for c in series)
+        h1 = -2 * z * g0 + s * g1  # derivatives of h = s g
+        h2 = -2 * g0 - 4 * z * g1 + s * g2
+        e = mp.exp(s * g0)
+        th, dth, d2th = s * e, e * (-2 * z + s * h1), e * (-2 - 4 * z * h1 + s * h1 * h1 + s * h2)
+        A, dA, d2A = (z + kappa) * th, th + (z + kappa) * dth, 2 * dth + (z + kappa) * d2th
+        f = z + b
+        weight = f ** (-(p + 1))
+        return (f * f * (s_c - d2A) + 2 * (p - 1) * f * dA - p * (p - 1) * A) * weight, (z + kappa) * weight
+
+    with mp.workdps(30):
+        num = mp.quad(lambda z: terms(z)[0], [-1, 0, 1])
+        den = mp.quad(lambda z: terms(z)[1], [-1, 0, 1])
+        return float(num / den)
+
+
+@pytest.mark.parametrize("b, p", [(1.3, 0.0), (2.0, 1.0), (2.2, 2.0), (2.0, 4.0), (7.0, 4.5)])
+def test_weighted_average_c_matches_mpmath_quadrature(b, p):
+    rng = np.random.default_rng(17)
+    for kappa, genus, degree in ((1.25, 2, 1), (3.0, 5, 3)):
+        X = RuledSurfaceData.standard(kappa, genus, degree)
+        g = Polynomial(rng.normal(size=4) * 0.4 / (1.0 + np.arange(4)))
+        want = _mpmath_c(kappa, X.base_scal, b, p, g)
+        got = weighted_average_c(X, KillingData(b=b, p=p))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"kappa={kappa}")
 
 
 def test_p_equals_one_reduces_to_conformal_rescaling():

@@ -113,6 +113,13 @@ def test_quant_balanced_rejects_bad_b0(workdir):
     assert main(["quant-balanced", "--b0", "what", "--no-cache"]) == 2
 
 
+def test_quant_commands_reject_b0_zero(workdir, capsys):
+    # f = mu + b0 vanishes at mu = 0, where f^{-(p+1)} is not integrable
+    for cmd in ("quant-balanced", "quant-expansion"):
+        assert main([cmd, "--b0", "0", "--no-cache"]) == 2
+        assert "b0 must be > 0" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(workdir, capsys):
     assert main(["verify", "--tags", "numerics", "--no-cache"]) == 0
     capsys.readouterr()

@@ -9,7 +9,7 @@ from kahlerlab.numerics import (
     composite_gauss,
     gauss_legendre,
     graded_rule,
-    integrate,
+    power_integral,
 )
 
 
@@ -71,10 +71,20 @@ def test_graded_rule_is_memoized_and_read_only():
             arr[0] = 0.0
 
 
-def test_integrate_scalar_callable():
-    rule = gauss_legendre(16, 0.0, np.pi)
-    got = integrate(rule, lambda z: float(np.sin(z)) if np.isscalar(z) else np.sin(z))
-    np.testing.assert_allclose(got, 2.0, rtol=1e-12)
+def test_power_integral_closed_forms():
+    np.testing.assert_allclose(power_integral(1.0, 2.0, 2.0), 7.0 / 3.0, rtol=1e-15)
+    np.testing.assert_allclose(power_integral(0.5, 1.5, -1.0), np.log(3.0), rtol=1e-15)
+    np.testing.assert_allclose(power_integral(2.0, 3.0, -2.0), 1.0 / 6.0, rtol=1e-15)
+    # near hi/lo = 1 the difference hi^{m+1} - lo^{m+1} loses digits; the
+    # integral is 1/(lo hi) for m = -2
+    lo = 1e6
+    np.testing.assert_allclose(power_integral(lo, lo + 1.0, -2.0), 1.0 / (lo * (lo + 1.0)), rtol=1e-15)
+
+
+def test_power_integral_is_continuous_through_m_minus_one():
+    for eps in (1e-6, 1e-9, 1e-12):
+        for m in (-1.0 - eps, -1.0 + eps):
+            np.testing.assert_allclose(power_integral(1.0, 2.0, m), np.log(2.0), rtol=2.0 * eps)
 
 
 CHEB_SIZES = [(96, 95), (128, 120), (160, 150), (192, 170)]

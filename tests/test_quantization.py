@@ -18,6 +18,7 @@ from kahlerlab.errors import (
     OutOfDomain,
     WeightSignError,
 )
+from kahlerlab.numerics import gauss_legendre
 from kahlerlab.quantization import (
     BlendPotential,
     FSPotential,
@@ -29,7 +30,6 @@ from kahlerlab.quantization import (
     bergman_density,
     boundary_report,
     c_k_constant,
-    c_top,
     c_top_exact,
     eigenvalues,
     expansion_check,
@@ -42,6 +42,7 @@ from kahlerlab.quantization import (
     sup_grid,
     weighted_scalar_toy,
 )
+from kahlerlab.tolerances import TOL
 
 MU = np.linspace(0.03, 0.97, 173)
 TT = np.linspace(-9.0, 9.0, 181)
@@ -55,6 +56,8 @@ def test_model_validation():
     assert not ToyModel(b0=1.0).xi_zero
     with pytest.raises(OutOfDomain):
         ToyModel(b0=-0.5)
+    with pytest.raises(OutOfDomain):
+        ToyModel(b0=0.0)  # f^{-(p+1)} is not integrable at mu = 0
     with pytest.raises(OutOfDomain):
         ToyModel(p=math.inf)
 
@@ -178,14 +181,28 @@ def test_c_top_closed_forms():
     np.testing.assert_allclose(c_top_exact(ToyModel(b0=1.0, p=1.0)), 8.0, rtol=1e-14)
     for p in (1.0, 2.0, 4.0):
         np.testing.assert_allclose(c_top_exact(ToyModel(p=p)), 4.0, rtol=1e-14)
+    # p = 0: c = 2 (a0 + a1) / log(a1/a0)
+    np.testing.assert_allclose(c_top_exact(ToyModel(b0=1.0, p=0.0)), 6.0 / math.log(2.0), rtol=1e-14)
+    np.testing.assert_allclose(c_top_exact(ToyModel(b0=0.5, p=0.0)), 4.0 / math.log(3.0), rtol=1e-14)
+    # p = 1: c = 4 a0 a1 / (a1 - a0), with a1 - a0 = 1
+    np.testing.assert_allclose(c_top_exact(ToyModel(b0=1e6, p=1.0)), 4.0 * 1e6 * (1e6 + 1.0), rtol=1e-14)
+
+
+def _c_top_quadrature(phi, model):
+    """The defining ratio int Scal_p f^{-(p+1)} dmu / int f^{-(p+1)} dmu by
+    Gauss quadrature of the profile's Scal_p."""
+    rule = gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
+    w = rule.weights * model.f(rule.nodes) ** (-(model.p + 1.0))
+    return float(np.dot(weighted_scalar_toy(phi, model)(rule.nodes), w)) / float(w.sum())
 
 
 def test_c_top_quadrature_is_metric_independent():
-    model = ToyModel(b0=1.0, p=4.0)
-    rng = np.random.default_rng(4)
-    vals = [c_top(round_potential(), model), c_top(random_potential(rng), model)]
-    np.testing.assert_allclose(vals[0], c_top_exact(model), rtol=1e-11)
-    np.testing.assert_allclose(vals[1], c_top_exact(model), rtol=1e-11)
+    for p in (4.0, 0.0):
+        model = ToyModel(b0=1.0, p=p)
+        rng = np.random.default_rng(4)
+        vals = [_c_top_quadrature(round_potential(), model), _c_top_quadrature(random_potential(rng), model)]
+        np.testing.assert_allclose(vals[0], c_top_exact(model), rtol=1e-11)
+        np.testing.assert_allclose(vals[1], c_top_exact(model), rtol=1e-11)
 
 
 def test_round_is_extremal_for_p2_weight():
@@ -272,8 +289,6 @@ def test_rho_decomposition_pointwise():
 
 
 def test_rho_trace_recovers_weighted_dimension():
-    from kahlerlab.numerics import gauss_legendre
-
     model = ToyModel(b0=1.0, p=4.0)
     k = 8
     phi = random_potential(np.random.default_rng(6))
