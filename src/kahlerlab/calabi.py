@@ -21,11 +21,13 @@ Its average c against f^{-(p+1)} (z+kappa) dz is fixed by the class and the
 weight: the integrand is s_C f^{1-p} plus an exact derivative, so
 `weighted_average_c` is a closed form in power integrals of f.
 
-A profile is stored as Theta = ((1-z^2) N(z) + l(z))/(z+kappa), N a numpy
-series and l linear. The solver's exact numerator P splits as
-P = (1-z^2) N + l; a sampled profile interpolates the bounded ratio
-G = Theta/(1-z^2) at Chebyshev nodes and takes N = (z+kappa) G, l = 0
-(G(+-1) = 1 encodes the boundary conditions).
+A profile is stored as Theta = (1-z^2) N(z)/(z+kappa), N a numpy series.
+On the Futaki curve the solver's numerator is P = (1-z^2) N exactly, N a
+quadratic (`ckem.PKappaSolution.profile`); a sampled profile interpolates
+the bounded ratio G = Theta/(1-z^2) at Chebyshev nodes and takes
+N = (z+kappa) G (G(+-1) = 1 encodes the boundary conditions). The
+symplectic potential reads D = (1-z^2) u'' = (z+kappa)/N off the same
+series (`to_symplectic`).
 """
 
 from __future__ import annotations
@@ -101,53 +103,40 @@ class KillingData:
 
 
 class Profile:
-    """Momentum profile Theta(z) = ((1-z^2) N(z) + l(z)) / (z+kappa) on [-1, 1].
+    """Momentum profile Theta(z) = (1-z^2) N(z) / (z+kappa) on [-1, 1].
 
-    N is a numpy series and l a linear polynomial; (z+kappa) Theta is the
-    numerator whose second derivative enters the scalar curvature. The
-    (1-z^2) factor stays explicit so that Theta keeps its relative accuracy
-    next to the endpoints. N and its derivatives are fixed at construction.
+    N is a numpy series; (z+kappa) Theta = (1-z^2) N is the numerator whose
+    second derivative enters the scalar curvature. The (1-z^2) factor stays
+    explicit so that Theta keeps its relative accuracy next to the
+    endpoints. N and its derivatives are fixed at construction.
     """
 
-    def __init__(self, kappa: float, N, ell: Polynomial = Polynomial([0.0])):
+    def __init__(self, kappa: float, N):
         if not kappa > 1.0:
             raise OutOfDomain("kappa must be > 1")
         self.kappa = float(kappa)
         self._N = (N, N.deriv(), N.deriv(2))
-        self._ell = (ell, ell.deriv())
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_numerator(P: Polynomial, kappa: float) -> "Profile":
-        """Theta = P/(z+kappa), split as P = (1-z^2) N + l."""
-        N, ell = divmod(P, Polynomial([1.0, 0.0, -1.0]))
-        return Profile(kappa, N, ell)
 
     @staticmethod
     def from_callable(theta_fn: Callable, kappa: float) -> "Profile":
         """Interpolate G = Theta/(1-z^2) through 96 interior Chebyshev
-        nodes; N = (z+kappa) G and l = 0."""
+        nodes; N = (z+kappa) G."""
         z = cheb.chebpts1(96)
         g = np.asarray(theta_fn(z), dtype=float) / (1.0 - z * z)
         return Profile(kappa, Chebyshev(chebyshev_coefficients(g, 95)) * Chebyshev([kappa, 1.0]))
-
-    # -- evaluation ---------------------------------------------------------
 
     def jet(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Theta, Theta' and ((z+kappa) Theta)'' at z, in one pass."""
         z = np.asarray(z, dtype=float)
         N, dN, d2N = (f(z) for f in self._N)
-        ell, dell = (f(z) for f in self._ell)
         w = 1.0 - z * z
-        A, dA = w * N + ell, w * dN - 2.0 * z * N + dell
+        A, dA = w * N, w * dN - 2.0 * z * N
         t = z + self.kappa
         return A / t, (dA * t - A) / t**2, w * d2N - 4.0 * z * dN - 2.0 * N
 
     def theta(self, z):
         z = np.asarray(z, dtype=float)
-        w = 1.0 - z * z
-        return (w * self._N[0](z) + self._ell[0](z)) / (z + self.kappa)
+        return (1.0 - z * z) * self._N[0](z) / (z + self.kappa)
 
 
 @dataclass(frozen=True)
@@ -222,20 +211,18 @@ def weighted_average_c(X: RuledSurfaceData, k: KillingData) -> float:
 
 
 def to_symplectic(profile: Profile):
-    """Fibre-wise symplectic potential: u''(z) = 1/Theta(z), held as the
-    Chebyshev interpolant of D = (1-z^2) u'' = (1-z^2)/Theta.
+    """Fibre-wise symplectic potential: u''(z) = 1/Theta(z), held as
+    D = (1-z^2) u'' = (z+kappa)/N, read off the profile's series N.
 
-    Raises NotAdmissible if Theta is not strictly positive at the interior
-    sample nodes.
+    Raises NotAdmissible if N (so Theta) is not strictly positive at the
+    interior sample nodes.
     """
     from .mabuchi import SymplecticPotential  # local import avoids a cycle
 
-    z = cheb.chebpts1(128)
-    th = np.asarray(profile.theta(z), dtype=float)
-    if np.any(th <= 0.0):
+    N, kappa = profile._N[0], profile.kappa
+    if np.any(N(cheb.chebpts1(128)) <= 0.0):
         raise NotAdmissible("Theta must be positive on the interior to invert")
-    coef = chebyshev_coefficients((1.0 - z * z) / th, 120)
-    return SymplecticPotential(lambda x: cheb.chebval(np.asarray(x, dtype=float), coef), profile.kappa)
+    return SymplecticPotential(lambda z: (np.asarray(z, dtype=float) + kappa) / N(z), kappa)
 
 
 def random_admissible_profile(

@@ -36,9 +36,9 @@ On the curve the system has the solution (sympy; D = 3b^2 - 1)
 evaluated in u = 1/b so that no power of b past b^2 is formed
 (`_closed_form`). As s_C < 0, p4 < 0 for every b > 1: P is a quartic.
 
-kappa_0 is closed-form too. On the curve P = (z^2-1) Q, Q quadratic with
-Q(+-1) = -(kappa+-1) < 0, so P < 0 somewhere in (-1, 1) iff Q has two real
-roots there; at kappa_0 they meet. In b,
+kappa_0 is closed-form too. As p2 = -(p0 + p4) for every b, P = (z^2-1) Q
+with Q = p4 z^2 - z - p0 and Q(+-1) = -(kappa+-1) < 0, so P < 0 somewhere
+in (-1, 1) iff Q has two real roots there; at kappa_0 they meet. In b,
 
     disc Q ~ (b^2 + s_C b - 1) q(b),   q(b) = 6 b^4 - 7 b^2 + s_C b + 1
     (positive factor omitted).
@@ -101,8 +101,11 @@ class PKappaSolution:
     surface: RuledSurfaceData
 
     def profile(self) -> Profile:
-        """Momentum profile Theta = P/(z+kappa) (polynomial kind)."""
-        return Profile.from_numerator(self.P, self.kappa)
+        """Momentum profile Theta = P/(z+kappa) = (1-z^2) N/(z+kappa), with
+        N = p0 + z - p4 z^2: P = (1-z^2) N exactly, since p2 = -(p0 + p4)
+        for every b (module docstring)."""
+        p0, p4 = self.P.coef[0], self.P.coef[4]
+        return Profile(self.kappa, Polynomial([p0, 1.0, -p4]))
 
 
 class ClassLabel(str, enum.Enum):
@@ -191,12 +194,14 @@ def futaki_residual(kappa: float, X: RuledSurfaceData | None = None) -> Callable
 
 
 def interior_min(P: Polynomial) -> tuple[float, float]:
-    """Minimum of P over its interior critical points in (-1, 1).
+    """P at its lowest interior critical point: (value, location).
 
     Critical points are the real roots of P' in [-1+1e-9, 1-1e-9]; the
     endpoints (where P vanishes on the Futaki curve by construction) are
-    excluded. Returns (min value, argmin); (+inf, nan) if no interior
-    critical point exists.
+    excluded. Returns (+inf, nan) if no interior critical point exists.
+    This is the minimum of P on (-1, 1) only where P has an interior local
+    minimum: on the Futaki curve with kappa > kappa_0 the one interior
+    critical point is the maximum of P (1.4617 at kappa = 1.5).
     """
     coef = np.trim_zeros(P.convert().coef if P.mapparms() != (0.0, 1.0) else P.coef, "b")
     if coef.size < 3:  # P' constant
@@ -275,6 +280,10 @@ SWEEP_CSV_HEADER = "kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label"
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep row. min_P and argmin_z are P at its lowest interior
+    critical point and where it lies (`interior_min`); in ExistsCKEM rows
+    that point is the interior maximum of P."""
+
     kappa: float
     b_kappa: float
     c: float

@@ -82,9 +82,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         p = self.params
-        for key in ("kappa",):
-            if key in p and p[key] is not None and not p[key] > 1.0:
-                raise ConfigError(f"{key} must be > 1 (got {p[key]!r})")
+        if p.get("kappa") is not None and not 1.0 < p["kappa"] < math.inf:
+            raise ConfigError(f"kappa must be finite and > 1 (got {p['kappa']!r})")
         if "kappas" in p:
             if not p["kappas"]:
                 raise ConfigError("empty kappa range")
@@ -225,6 +224,9 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
 
 
 def cmd_kappa0(args: argparse.Namespace) -> int:
+    """JSON: kappa0; min_P and argmin_z, P at its lowest interior critical
+    point there (`interior_min`; ~0 at the double root); the labels at the
+    midpoint of (1, kappa0) and at kappa0 + 0.5."""
     cfg = RunConfig("kappa0", {"genus": args.genus, "degree": args.degree})
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
 

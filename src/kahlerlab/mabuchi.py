@@ -27,9 +27,9 @@ which are bounded. Along a path, u_dot generically picks up
 endpoint derivative blow-up, integrated on a geometrically graded mesh.
 u_dot is linear in W = (1-z^2) u_dot'', so it is one precomputed
 half-operator (built once per process, the rows for z > 0 only; z < 0
-reads it on W reversed). With Scal_p affine in the jet, the t-integral of
-a straight path folds into two u_dot products (theta path) or one
-(potential path), not one per node of the t-rule.
+reads it on W reversed). Paths are straight in Theta; with Scal_p affine
+in the jet, the t-integral folds into two u_dot products, not one per node
+of the t-rule.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .calabi import KillingData, Profile, scal_p_on, weighted_average_c
+from .calabi import KillingData, Profile, scal_p_on, to_symplectic, weighted_average_c
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
-from .numerics import QuadratureRule, _cheb_projector, chebyshev_coefficients, gauss_legendre, graded_rule
+from .numerics import _cheb_projector, gauss_legendre, graded_rule
 from .tolerances import TOL
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "mabuchi_path_integral",
     "PathFamily",
     "straight_theta_path",
-    "straight_potential_path",
     "fit_probe_slope",
     "write_probe_csv",
     "probe_summary",
@@ -72,10 +71,10 @@ __all__ = [
 class SymplecticPotential:
     """Potential u on (-1,1) represented by D(z) = (1-z^2) u''(z).
 
-    D is held as an exact callable: grid data enters only through
-    `calabi.to_symplectic` (Chebyshev interpolation of sampled 1/Theta),
-    while closed-form potentials keep closures, so rough directions
-    (mollifier bumps) never suffer fit ringing. Admissibility:
+    D is held as an exact callable: a profile's potential reads
+    D = (z+kappa)/N off its series (`calabi.to_symplectic`), while
+    closed-form potentials keep closures, so rough directions (mollifier
+    bumps) never suffer fit ringing. Admissibility:
     u'' > 0 on the check grid and D(+-1) = 1 within TOL.u2_boundary (the
     boundary behavior forced by an admissible profile).
     """
@@ -105,27 +104,12 @@ class SymplecticPotential:
 
     @staticmethod
     def euler_lagrange(sol: PKappaSolution) -> "SymplecticPotential":
-        """The critical potential u*'' = (z+kappa)/P_kappa (needs P > 0 inside).
-
-        D* = (1-z^2)(z+kappa)/P is 0/0 at the endpoints (P(+-1) = 0 on the
-        Futaki curve); the limit is taken with the derivative ratio there.
-        """
-        zc = cheb.chebpts1(160)
-        if np.any(sol.P(zc) <= 0.0):
+        """The critical potential u*'' = (z+kappa)/P_kappa (needs P > 0 inside):
+        D* = (1-z^2)(z+kappa)/P = (z+kappa)/N, N the solver profile's series,
+        so the endpoint values need no limit."""
+        if np.any(sol.P(cheb.chebpts1(160)) <= 0.0):
             raise NotAdmissible("P_kappa must be positive on (-1,1)")
-        kappa = sol.kappa
-        P, dP = sol.P, sol.P.deriv()
-
-        def dfun(z):
-            z = np.asarray(z, dtype=float)
-            at_edge = np.abs(z) == 1.0
-            zin = np.where(at_edge, 0.0, z)
-            inner = (1.0 - zin * zin) * (zin + kappa) / P(zin)
-            edge = (-2.0 * z * (z + kappa) + (1.0 - z * z)) / dP(z)
-            out = np.where(at_edge, edge, inner)
-            return out if out.ndim else float(out)
-
-        return SymplecticPotential(dfun, kappa)
+        return to_symplectic(sol.profile())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -290,75 +274,30 @@ _UDOT_DEG = 170
 
 @dataclass(frozen=True)
 class PathFamily:
-    """A path t in [0,1] -> Theta_t, as the 1-form reads it.
+    """The straight path Theta_t = (1-t) Theta_0 + t Theta_1, as the 1-form
+    reads it: the endpoints' samples, taken once when the path is built.
 
-    `kappa` is the class of every Theta_t. `reduce(trule)` folds the
-    t-integral over `trule` into a few pairs (jet, W): a jet
-    (Theta, Theta', ((z+kappa) Theta)'') on the nodes of `graded_rule()` and a
-    W = (1-z^2) u_dot'' on _UDOT_Z (W_t = -Theta_dot (1-z^2)/Theta_t^2 along
-    the path). The integral is exactly the sum of the 1-form over the pairs:
-    u_dot is linear in W, Scal_p is affine in the jet and the t-weights sum
-    to 1. The straight paths sample their endpoints once, when built.
+    `kappa` is the class of every Theta_t; `jets` the two endpoint jets
+    (Theta, Theta', ((z+kappa) Theta)'') on the nodes of `graded_rule()`;
+    `thetas` the two endpoint Theta on _UDOT_Z.
     """
 
     kappa: float
-    reduce: Callable[[QuadratureRule], list[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]]
+    jets: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    thetas: tuple[np.ndarray, np.ndarray]
 
 
 def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
-    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree). The jet is
-    affine in t, so two pairs: (jet_0, sum_t w_t (1-t) W_t) and
-    (jet_1, sum_t w_t t W_t). Theta_t is a convex blend: positive endpoints
-    are enough."""
+    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree). Theta_t is a
+    convex blend: positive endpoints are enough."""
     if p0.kappa != p1.kappa:
         raise OutOfDomain("profiles must share kappa")
     zq = graded_rule().nodes
-    j0, j1 = p0.jet(zq), p1.jet(zq)
-    th0, th1 = p0.theta(_UDOT_Z), p1.theta(_UDOT_Z)
-    dw = (th0 - th1) * (1.0 - _UDOT_Z * _UDOT_Z)
-
-    def reduce(trule):
-        if np.any(j0[0] <= 0.0) or np.any(j1[0] <= 0.0):
-            raise NotAdmissible("path endpoint profile is not positive")
-        tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
-        W = dw / (tt @ np.stack((th0, th1))) ** 2
-        return list(zip((j0, j1), (trule.weights[:, None] * tt).T @ W))
-
-    return PathFamily(kappa=p0.kappa, reduce=reduce)
-
-
-def straight_potential_path(u0: SymplecticPotential, u1: SymplecticPotential) -> PathFamily:
-    """u_t'' = (1-t) u_0'' + t u_1'', i.e. D_t = (1-t) D_0 + t D_1.
-
-    Each D is projected once as `calabi.to_symplectic` fits it (128 nodes,
-    degree 120; exact on its potentials). Theta_t = (1-z^2)/D_t takes its
-    derivatives by the quotient rule. W = D_1 - D_0 for every t, so one pair:
-    (sum_t w_t jet_t, W). D_t is a convex blend: D_0, D_1 > 0 are enough.
-    """
-    if u0.kappa != u1.kappa:
-        raise OutOfDomain("potentials must share kappa")
-    zq = graded_rule().nodes
-    zf = cheb.chebpts1(128)
-    fits = [chebyshev_coefficients(u.D(zf), 120) for u in (u0, u1)]
-    d0, d1 = ([cheb.chebval(zq, cheb.chebder(c, m)) for m in range(3)] for c in fits)
-    w = cheb.chebval(_UDOT_Z, fits[1]) - cheb.chebval(_UDOT_Z, fits[0])
-    # (z+kappa) Theta_t = a/D_t with a = (z+kappa)(1-z^2)
-    s, zk = 1.0 - zq * zq, zq + u0.kappa
-    a, da, d2a = zk * s, s - 2.0 * zq * zk, -6.0 * zq - 2.0 * u0.kappa
-
-    def reduce(trule):
-        if np.any(d0[0] <= 0.0) or np.any(d1[0] <= 0.0):
-            raise NotAdmissible("path endpoint u'' is not positive")
-        tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
-        D, dD, d2D = (tt @ np.stack(ends) for ends in zip(d0, d1))
-        jet = (
-            s / D,
-            (-2.0 * zq * D - s * dD) / D**2,
-            d2a / D - (2.0 * da * dD + a * d2D) / D**2 + 2.0 * a * dD * dD / D**3,
-        )
-        return [(tuple(trule.weights @ x for x in jet), w)]
-
-    return PathFamily(kappa=u0.kappa, reduce=reduce)
+    return PathFamily(
+        kappa=p0.kappa,
+        jets=(p0.jet(zq), p1.jet(zq)),
+        thetas=(p0.theta(_UDOT_Z), p1.theta(_UDOT_Z)),
+    )
 
 
 @lru_cache(maxsize=1)
@@ -409,18 +348,30 @@ def _udot_on(w: np.ndarray) -> np.ndarray:
 
 def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolution) -> float:
     """Integrate the 1-form int u_dot (Scal_p - c) f^{-(p+1)} (z+kappa) dz
-    along the path, as the sum over the pairs `family.reduce` folds the
-    t-rule into. c is the class constant in closed form: it depends on the
-    class and the weight only, so it is the same at every point of the path.
+    along the path. c is the class constant in closed form: it depends on
+    the class and the weight only, so it is the same at every point of the
+    path.
+
+    The t-rule folds into two terms: along the path
+    W_t = (1-z^2) u_dot'' = -Theta_dot (1-z^2)/Theta_t^2, u_dot is linear in
+    W, Scal_p is affine in the jet (which is affine in t) and the t-weights
+    sum to 1, so the integral is exactly the 1-form at (jet_0, sum_t w_t
+    (1-t) W_t) plus the 1-form at (jet_1, sum_t w_t t W_t).
     """
     _same_class(family.kappa, sol)
+    (j0, j1), (th0, th1) = family.jets, family.thetas
+    if np.any(j0[0] <= 0.0) or np.any(j1[0] <= 0.0):
+        raise NotAdmissible("path endpoint profile is not positive")
     X, kappa = sol.surface, sol.kappa
     c = weighted_average_c(X, k)
     zrule = graded_rule()
     zq = zrule.nodes
     wgt = zrule.weights * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
-    pairs = family.reduce(gauss_legendre(TOL.quad_order_path, 0.0, 1.0))
-    return sum(float(np.dot(_udot_on(w), (scal_p_on(zq, jet, X, k, kappa) - c) * wgt)) for jet, w in pairs)
+    trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
+    W = (th0 - th1) * (1.0 - _UDOT_Z * _UDOT_Z) / (tt @ np.stack((th0, th1))) ** 2
+    ws = (trule.weights[:, None] * tt).T @ W
+    return sum(float(np.dot(_udot_on(w), (scal_p_on(zq, jet, X, k, kappa) - c) * wgt)) for jet, w in zip((j0, j1), ws))
 
 
 # -- emission ---------------------------------------------------------------

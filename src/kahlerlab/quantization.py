@@ -42,7 +42,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
+from .errors import ConfigError, NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
 from .numerics import chebyshev_coefficients, gauss_legendre, power_integral
 from .tolerances import TOL
 
@@ -647,10 +647,11 @@ class ExpansionReport:
 def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int]) -> ExpansionReport:
     """Residual r_k = sup |(2 pi) rho - f^{1-p} - (1/4k) f^{-(p+1)} (Scal_p - c)|
     on the interior grid, with its log-log slope (the expansion is O(k^{-2}));
-    also the leading-term-only residual (slope ~ -1)."""
-    ks = sorted(int(k) for k in k_range)
+    also the leading-term-only residual (slope ~ -1). One row per distinct
+    k; ConfigError unless there are 4 distinct k to fit."""
+    ks = sorted({int(k) for k in k_range})
     if len(ks) < 4:
-        raise OutOfDomain("need at least 4 values of k")
+        raise ConfigError(f"the expansion fit needs 4 distinct k, got {ks}")
     mu = sup_grid()
     f = model.f(mu)
     scal_p = weighted_scalar_toy(phi, model)(mu)

@@ -95,6 +95,12 @@ def test_quant_expansion_header_and_payload(workdir, capsys):
     assert -2.3 < tail["slope"] < -1.7
 
 
+@pytest.mark.parametrize("k_range", ["8,8,8,8", "8,16,32"])
+def test_quant_expansion_needs_four_distinct_k(k_range, workdir, capsys):
+    assert main(["quant-expansion", "--k-range", k_range, "--no-cache"]) == cli.EXIT_CONFIG
+    assert "4 distinct k" in capsys.readouterr().err
+
+
 def test_quant_balanced_round_start(workdir, capsys):
     code = main(
         ["quant-balanced", "--b0", "inf", "--p", "1", "--k-range", "4,8", "--no-cache"]
@@ -172,6 +178,12 @@ def test_mabuchi_probe_rejects_a_tail_too_short_to_fit(workdir, capsys):
     # holds only k = 4 and 8
     assert main(["mabuchi-probe", "--kappa", "1.0135", "--k-range", "0,1,2,4,8", "--no-cache"]) == 2
     assert "3 distinct k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_mabuchi_probe_rejects_a_kappa_that_is_not_finite_and_above_one(kappa, workdir, capsys):
+    assert main(["mabuchi-probe", "--kappa", kappa, "--no-cache"]) == cli.EXIT_CONFIG
+    assert "kappa must be finite and > 1" in capsys.readouterr().err
 
 
 def test_mabuchi_probe_rejects_negative_k(workdir, capsys):

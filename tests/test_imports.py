@@ -1,0 +1,38 @@
+"""No module of the package imports a name it never uses or exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kahlerlab
+
+MODULES = sorted(p for p in Path(kahlerlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _bound_names(tree: ast.Module) -> dict[str, int]:
+    """Name -> line for every name an import statement binds."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out[a.asname or a.name] = node.lineno
+    return out
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    keep = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+    unused = {name: line for name, line in _bound_names(tree).items() if name not in keep}
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -1,4 +1,5 @@
-"""kappa0 against a 40-digit mpmath oracle that shares no code with kahlerlab.
+"""kappa0, the sweep and the solver's profile and critical potential against
+a 40-digit mpmath oracle that shares no code with kahlerlab.
 
 The oracle solves the numerator P = (z+kappa) Theta of the constant
 weighted-curvature profile from the curvature formula itself. With
@@ -20,6 +21,7 @@ import pytest
 
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
+from kahlerlab.mabuchi import SymplecticPotential
 
 DPS = 40
 P_WEIGHT = 4
@@ -61,6 +63,10 @@ def _poly(coef, z):
     return mp.polyval(coef[::-1], z)
 
 
+def _dpoly(coef, z):
+    return mp.polyval([i * coef[i] for i in range(4, 0, -1)], z)
+
+
 def _interior_min(coef):
     """(min P, argmin) over the real critical points of P in (-1, 1)."""
     dcoef = [i * coef[i] for i in range(1, 5)]
@@ -87,7 +93,7 @@ def _oracle_kappa0(genus, degree):
 
         def double_root(kappa, z):
             coef = _numerator(kappa, s_c)[0]
-            return _poly(coef, z), mp.polyval([i * coef[i] for i in range(4, 0, -1)], z)
+            return _poly(coef, z), _dpoly(coef, z)
 
         k0, _ = mp.findroot(double_root, ((lo + hi) / 2, m((lo + hi) / 2)[1]))
         assert _numerator(k0, s_c)[1] < mp.mpf(10) ** (-DPS + 8)
@@ -123,3 +129,39 @@ def test_sweep_matches_the_mpmath_oracle(genus, degree):
         scale_m, scale_z = (1.0, 1.0) if kappa <= 3.0 else (abs(m), abs(zm))
         assert abs(row.min_P - m) <= 1e-12 * scale_m
         assert abs(row.argmin_z - zm) <= 1e-12 * scale_z
+
+
+# interior nodes down to 1e-12 from each endpoint, where a remainder term of
+# rounding size in Theta's numerator would swamp Theta/(1-z^2)
+EDGE_Z = np.concatenate([-1.0 + np.geomspace(1e-12, 0.1, 12), np.linspace(-0.9, 0.9, 37), 1.0 - np.geomspace(0.1, 1e-12, 12)])
+
+
+def _oracle_on(zs, kappa, fn):
+    """fn(P, P', z) at 40 digits for z in zs, P the oracle's numerator on
+    the Futaki curve of the standard surface (s_C = -4)."""
+    with mp.workdps(DPS):
+        coef, _ = _numerator(mp.mpf(kappa), mp.mpf(-4))
+        return np.array([float(fn(lambda x: _poly(coef, x), lambda x: _dpoly(coef, x), mp.mpf(z))) for z in zs])
+
+
+@pytest.mark.parametrize("kappa", [1.01, 1.25, 3.0, 1e5])
+def test_solver_profile_is_the_oracle_numerator_over_z_plus_kappa(kappa):
+    # Theta = (1-z^2) N/(z+kappa) vanishes exactly at z = +-1, and
+    # G = Theta/(1-z^2) = N/(z+kappa) matches P/((1-z^2)(z+kappa)) of the
+    # oracle up to the endpoints (at 1.01 < kappa0, G changes sign inside)
+    prof = solve_P(kappa, b_kappa(kappa)).profile()
+    assert prof.theta(-1.0) == 0.0 and prof.theta(1.0) == 0.0
+    want = _oracle_on(EDGE_Z, kappa, lambda P, dP, z: P(z) / ((1 - z * z) * (z + kappa)))
+    got = prof.theta(EDGE_Z) / (1.0 - EDGE_Z * EDGE_Z)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kappa", [1.25, 3.0, 1e5])
+def test_euler_lagrange_potential_matches_the_oracle(kappa):
+    # D* = (1-z^2)(z+kappa)/P inside; at z = +-1 the limit -2z(z+kappa)/P'(z)
+    def exact(P, dP, z):
+        return -2 * z * (z + kappa) / dP(z) if abs(z) == 1 else (1 - z * z) * (z + kappa) / P(z)
+
+    zs = np.array([-1.0, *EDGE_Z, 1.0])
+    got = SymplecticPotential.euler_lagrange(solve_P(kappa, b_kappa(kappa))).D(zs)
+    np.testing.assert_allclose(got, _oracle_on(zs, kappa, exact), rtol=1e-14, atol=0.0)

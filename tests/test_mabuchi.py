@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.polynomial import chebyshev as cheb
 
 from kahlerlab.calabi import (
     KillingData,
@@ -25,11 +24,10 @@ from kahlerlab.mabuchi import (
     probe_bump,
     probe_slope,
     scale_bump_for_slope,
-    straight_potential_path,
     straight_theta_path,
     unboundedness_probe,
 )
-from kahlerlab.numerics import chebyshev_coefficients, gauss_legendre, graded_rule
+from kahlerlab.numerics import gauss_legendre, graded_rule
 from kahlerlab.tolerances import TOL
 
 
@@ -137,33 +135,20 @@ def test_path_integral_closes_on_loops():
         assert abs(loop) < 1e-8, kappa
 
 
-def test_path_independence_theta_vs_potential_paths():
-    kappa = 1.25
-    sol = _sol(kappa)
-    kd = KillingData(b=sol.b, p=4.0)
-    rng = np.random.default_rng(13)
-    p0 = random_admissible_profile(rng, kappa, degree=3)
-    p1 = random_admissible_profile(rng, kappa, degree=3)
-    v_theta = mabuchi_path_integral(straight_theta_path(p0, p1), kd, sol)
-    v_pot = mabuchi_path_integral(
-        straight_potential_path(to_symplectic(p0), to_symplectic(p1)), kd, sol
-    )
-    np.testing.assert_allclose(v_theta, v_pot, atol=1e-8)
-
-
 def test_path_integral_equals_amt_energy():
     # The closed-form energy and the 1-form integrated from the reference
-    # profile agree with constant exactly 1 in this normalization.
-    kappa = 1.25
-    sol = _sol(kappa)
-    kd = KillingData(b=sol.b, p=4.0)
-    ref_prof = SymplecticPotential.reference(kappa).profile()
-    rng = np.random.default_rng(17)
-    for _ in range(3):
-        prof = random_admissible_profile(rng, kappa, degree=3, scale=0.35)
-        amt = mabuchi_energy_amt(to_symplectic(prof), sol)
-        path = mabuchi_path_integral(straight_theta_path(ref_prof, prof), kd, sol)
-        np.testing.assert_allclose(path, amt, rtol=1e-10)
+    # profile agree with constant exactly 1 in this normalization. At
+    # kappa = 1.001 the energy's (z+kappa) weight nearly vanishes at z = -1.
+    for kappa in (1.25, 1.001):
+        sol = _sol(kappa)
+        kd = KillingData(b=sol.b, p=4.0)
+        ref_prof = SymplecticPotential.reference(kappa).profile()
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            prof = random_admissible_profile(rng, kappa, degree=3, scale=0.35)
+            amt = mabuchi_energy_amt(to_symplectic(prof), sol)
+            path = mabuchi_path_integral(straight_theta_path(ref_prof, prof), kd, sol)
+            np.testing.assert_allclose(path, amt, rtol=1e-10, err_msg=str(kappa))
 
 
 def test_theta_path_requires_matching_kappa():
@@ -179,28 +164,13 @@ def test_symplectic_admissibility():
         SymplecticPotential(lambda z: np.asarray(z) * 0.0 - 1.0, 1.5)
 
 
-def test_potential_path_equals_amt_energy():
-    # the closed-form energy shares no code with the path integral; the
-    # potential path is exact on to_symplectic's potentials
-    for kappa in (1.25, 1.001):
-        sol = _sol(kappa)
-        kd = KillingData(b=sol.b, p=4.0)
-        ref = SymplecticPotential.reference(kappa)
-        rng = np.random.default_rng(17)
-        for _ in range(3):
-            u = to_symplectic(random_admissible_profile(rng, kappa, degree=3, scale=0.35))
-            path = mabuchi_path_integral(straight_potential_path(ref, u), kd, sol)
-            np.testing.assert_allclose(path, mabuchi_energy_amt(u, sol), rtol=1e-10)
-
-
 def test_path_integral_fits_at_most_one_profile(monkeypatch):
-    # the straight paths sample their endpoints once: no refit per path node
+    # a straight path samples its endpoints once: no refit per path node
     kappa = 1.25
     sol = _sol(kappa)
     kd = KillingData(b=sol.b, p=4.0)
     rng = np.random.default_rng(29)
     p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
-    u0, u1 = to_symplectic(p0), to_symplectic(p1)
     fit = Profile.from_callable
     calls = []
 
@@ -209,10 +179,8 @@ def test_path_integral_fits_at_most_one_profile(monkeypatch):
         return fit(theta_fn, kap)
 
     monkeypatch.setattr(Profile, "from_callable", staticmethod(counted))
-    for build, a, b in ((straight_theta_path, p0, p1), (straight_potential_path, u0, u1)):
-        calls.clear()
-        mabuchi_path_integral(build(a, b), kd, sol)
-        assert len(calls) <= 1, (build.__name__, len(calls))
+    mabuchi_path_integral(straight_theta_path(p0, p1), kd, sol)
+    assert len(calls) <= 1, len(calls)
 
 
 def test_path_integral_rejects_a_mixed_class():
@@ -279,38 +247,22 @@ def test_udot_operator_is_built_once():
     assert all(not x.flags.writeable for x in mabuchi._udot_half_operator())
 
 
-def _per_node_path_integral(ends, potential, kd, sol):
+def _per_node_path_integral(ends, kd, sol):
     """The 1-form summed node by node over the t-rule, written apart from
-    PathFamily: blend the endpoint samples at each t, form W_t, then one
-    u_dot product and one Scal_p evaluation per node."""
+    mabuchi_path_integral's fold: blend the endpoint samples at each t, form
+    W_t, then one u_dot product and one Scal_p evaluation per node."""
     zrule, zu = graded_rule(), mabuchi._UDOT_Z
     zq, kappa = zrule.nodes, sol.kappa
-    if potential:
-        fits = [chebyshev_coefficients(u.D(cheb.chebpts1(128)), 120) for u in ends]
-        start = ends[0].profile()
-    else:
-        start = ends[0]
     wgt = zrule.weights * (zq + kd.b) ** (-(kd.p + 1.0)) * (zq + kappa)
     # c by quadrature of its defining ratio on the start profile
-    c = float(np.dot(scal_p_on(zq, start.jet(zq), sol.surface, kd, kappa), wgt)) / float(wgt.sum())
+    c = float(np.dot(scal_p_on(zq, ends[0].jet(zq), sol.surface, kd, kappa), wgt)) / float(wgt.sum())
+    j0, j1 = (p.jet(zq) for p in ends)
+    th0, th1 = (p.theta(zu) for p in ends)
     trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
     total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):
-        if potential:
-            D, dD, d2D = (cheb.chebval(zq, cheb.chebder((1.0 - t) * fits[0] + t * fits[1], m)) for m in range(3))
-            s, num = 1.0 - zq * zq, (zq + kappa) * (1.0 - zq * zq)
-            dnum, d2num = 1.0 - 2.0 * kappa * zq - 3.0 * zq * zq, -2.0 * kappa - 6.0 * zq
-            jet = (
-                s / D,
-                (-2.0 * zq * D - s * dD) / D**2,
-                d2num / D - (2.0 * dnum * dD + num * d2D) / D**2 + 2.0 * num * dD**2 / D**3,
-            )
-            W = cheb.chebval(zu, fits[1]) - cheb.chebval(zu, fits[0])
-        else:
-            j0, j1 = (p.jet(zq) for p in ends)
-            jet = tuple((1.0 - t) * a + t * b for a, b in zip(j0, j1))
-            th0, th1 = (p.theta(zu) for p in ends)
-            W = (th0 - th1) * (1.0 - zu * zu) / ((1.0 - t) * th0 + t * th1) ** 2
+        jet = tuple((1.0 - t) * a + t * b for a, b in zip(j0, j1))
+        W = (th0 - th1) * (1.0 - zu * zu) / ((1.0 - t) * th0 + t * th1) ** 2
         scal = scal_p_on(zq, jet, sol.surface, kd, kappa)
         total += wt * float(np.dot(mabuchi._udot_on(W), (scal - c) * wgt))
     return total
@@ -321,19 +273,15 @@ def test_path_reduction_matches_the_per_node_sum():
         sol = _sol(kappa)
         kd = KillingData(b=sol.b, p=4.0)
         rng = np.random.default_rng(53)
-        ref = SymplecticPotential.reference(kappa)
+        ref = SymplecticPotential.reference(kappa).profile()
         for _ in range(2):
             prof = random_admissible_profile(rng, kappa, degree=3, scale=0.35)
-            for build, ends, potential in (
-                (straight_theta_path, (ref.profile(), prof), False),
-                (straight_potential_path, (ref, to_symplectic(prof)), True),
-            ):
-                got = mabuchi_path_integral(build(*ends), kd, sol)
-                want = _per_node_path_integral(ends, potential, kd, sol)
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"{build.__name__} {kappa}")
+            got = mabuchi_path_integral(straight_theta_path(ref, prof), kd, sol)
+            want = _per_node_path_integral((ref, prof), kd, sol)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=str(kappa))
 
 
-def test_udot_runs_twice_per_theta_path_and_once_per_potential_path(monkeypatch):
+def test_udot_runs_twice_per_theta_path(monkeypatch):
     kappa = 1.25
     sol = _sol(kappa)
     kd = KillingData(b=sol.b, p=4.0)
@@ -347,10 +295,8 @@ def test_udot_runs_twice_per_theta_path_and_once_per_potential_path(monkeypatch)
         return udot(w)
 
     monkeypatch.setattr(mabuchi, "_udot_on", counted)
-    for build, ends, n in ((straight_theta_path, (p0, p1), 2), (straight_potential_path, (to_symplectic(p0), to_symplectic(p1)), 1)):
-        calls.clear()
-        mabuchi_path_integral(build(*ends), kd, sol)
-        assert calls == [mabuchi._UDOT_Z.shape] * n, build.__name__
+    mabuchi_path_integral(straight_theta_path(p0, p1), kd, sol)
+    assert calls == [mabuchi._UDOT_Z.shape] * 2
 
 
 def test_theta_path_through_a_negative_profile_is_not_admissible():
@@ -358,7 +304,7 @@ def test_theta_path_through_a_negative_profile_is_not_admissible():
     kappa = 1.0 + 0.5 * (kappa_zero() - 1.0)
     sol = _sol(kappa)
     kd = KillingData(b=sol.b, p=4.0)
-    bad = Profile.from_numerator(sol.P, kappa)
+    bad = sol.profile()
     assert np.min(bad.theta(graded_rule().nodes)) < 0.0
     ref = SymplecticPotential.reference(kappa).profile()
     for ends in ((ref, bad), (bad, ref)):

@@ -13,6 +13,7 @@ import pytest
 from scipy.special import betaln
 
 from kahlerlab.errors import (
+    ConfigError,
     NoConvergence,
     NotAdmissible,
     OutOfDomain,
@@ -325,8 +326,12 @@ def test_expansion_exact_in_unweighted_round_case():
 
 
 def test_expansion_needs_four_points():
-    with pytest.raises(OutOfDomain):
-        expansion_check(round_potential(), ToyModel(p=1.0), [8, 16, 32])
+    # four distinct k: a repeated k adds no point to the fit
+    for ks in ([8, 16, 32], [8, 8, 8, 8], [8, 16, 16, 32]):
+        with pytest.raises(ConfigError):
+            expansion_check(round_potential(), ToyModel(p=1.0), ks)
+    rep = expansion_check(round_potential(), ToyModel(p=1.0), [32, 8, 16, 8, 4])
+    assert rep.k_list == (4, 8, 16, 32)
 
 
 def test_expansion_weighted_slopes():
