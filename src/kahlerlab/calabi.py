@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import NonFiniteCurvature, NotAdmissible, OutOfDomain
+from .errors import NonFiniteCurvature, OutOfDomain
 from .numerics import chebyshev_coefficients, power_integral
 from .tolerances import TOL
 
@@ -120,10 +120,10 @@ class Profile:
     @staticmethod
     def from_callable(theta_fn: Callable, kappa: float) -> "Profile":
         """Interpolate G = Theta/(1-z^2) through 96 interior Chebyshev
-        nodes; N = (z+kappa) G."""
+        nodes, the series chopped at its rounding plateau; N = (z+kappa) G."""
         z = cheb.chebpts1(96)
         g = np.asarray(theta_fn(z), dtype=float) / (1.0 - z * z)
-        return Profile(kappa, Chebyshev(chebyshev_coefficients(g, 95)) * Chebyshev([kappa, 1.0]))
+        return Profile(kappa, Chebyshev(chebyshev_coefficients(g)) * Chebyshev([kappa, 1.0]))
 
     def jet(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Theta, Theta' and ((z+kappa) Theta)'' at z, in one pass."""
@@ -214,14 +214,12 @@ def to_symplectic(profile: Profile):
     """Fibre-wise symplectic potential: u''(z) = 1/Theta(z), held as
     D = (1-z^2) u'' = (z+kappa)/N, read off the profile's series N.
 
-    Raises NotAdmissible if N (so Theta) is not strictly positive at the
-    interior sample nodes.
+    Raises NotAdmissible if N (so Theta) is not strictly positive on the
+    potential's check grid (`SymplecticPotential`).
     """
     from .mabuchi import SymplecticPotential  # local import avoids a cycle
 
     N, kappa = profile._N[0], profile.kappa
-    if np.any(N(cheb.chebpts1(128)) <= 0.0):
-        raise NotAdmissible("Theta must be positive on the interior to invert")
     return SymplecticPotential(lambda z: (np.asarray(z, dtype=float) + kappa) / N(z), kappa)
 
 

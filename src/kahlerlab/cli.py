@@ -203,12 +203,9 @@ def _parse_b0(text: str) -> float:
 
 
 def cmd_pkappa(args: argparse.Namespace) -> int:
-    if args.kappa_range:
-        kappas = _parse_kappa_range(args.kappa_range)
-    elif args.kappa is not None:
-        kappas = [args.kappa]
-    else:
-        raise ConfigError("pkappa needs --kappa or --kappa-range")
+    if (args.kappa is None) == (args.kappa_range is None):
+        raise ConfigError("pkappa needs exactly one of --kappa and --kappa-range")
+    kappas = [args.kappa] if args.kappa_range is None else _parse_kappa_range(args.kappa_range)
     cfg = RunConfig("pkappa", {"kappas": kappas, "genus": args.genus, "degree": args.degree})
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
 

@@ -106,9 +106,7 @@ class SymplecticPotential:
     def euler_lagrange(sol: PKappaSolution) -> "SymplecticPotential":
         """The critical potential u*'' = (z+kappa)/P_kappa (needs P > 0 inside):
         D* = (1-z^2)(z+kappa)/P = (z+kappa)/N, N the solver profile's series,
-        so the endpoint values need no limit."""
-        if np.any(sol.P(cheb.chebpts1(160)) <= 0.0):
-            raise NotAdmissible("P_kappa must be positive on (-1,1)")
+        so the endpoint values need no limit; its D > 0 check is P > 0."""
         return to_symplectic(sol.profile())
 
     # -- evaluation ---------------------------------------------------------
@@ -267,9 +265,8 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 
 
 # u_dot is read from W on these nodes by one precomputed half-operator,
-# built once per process from a degree-_UDOT_DEG projection (_udot_half_operator)
+# built once per process from the interpolant there (_udot_half_operator)
 _UDOT_Z = cheb.chebpts1(192)
-_UDOT_DEG = 170
 
 
 @dataclass(frozen=True)
@@ -305,10 +302,10 @@ def _udot_half_operator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, G, E), the read-only parts of the linear map W -> u_dot on the
     graded nodes z > 0, where W = (1-z^2) u_dot'' is sampled on _UDOT_Z.
 
-    A, B = E @ W are the halves of the endpoint values of W's
-    degree-_UDOT_DEG projection. They carry the exact terms A g+ + B g-,
-    g+-(z) = (1+-z) log(1+-z) -+ z (G's columns). K @ r projects the bounded
-    remainder r = (W - A(1-z) - B(1+z))/(1-z^2) to the same degree and
+    A, B = E @ W are the halves of the endpoint values of W's interpolant
+    (degree 191, unchopped: the map is linear). They carry the exact terms
+    A g+ + B g-, g+-(z) = (1+-z) log(1+-z) -+ z (G's columns). K @ r
+    interpolates the bounded remainder r = (W - A(1-z) - B(1+z))/(1-z^2) and
     integrates it twice; `chebint` anchors both integrals at 0, fixing the
     affine gauge u_dot(0) = u_dot'(0) = 0, which the 1-form ignores on the
     Futaki curve. r is formed from each W's samples: folding the division by
@@ -317,15 +314,16 @@ def _udot_half_operator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mirror under z -> -z and the map commutes with it, so K keeps only the
     rows for z > 0 (see _udot_on).
     """
-    pj = _cheb_projector.__wrapped__(len(_UDOT_Z), _UDOT_DEG)  # build-only, kept out of its cache
-    E = 0.5 * cheb.chebvander(np.array([-1.0, 1.0]), _UDOT_DEG) @ pj
+    n = len(_UDOT_Z)
+    pj = _cheb_projector.__wrapped__(n)  # build-only, kept out of its cache
+    E = 0.5 * cheb.chebvander(np.array([-1.0, 1.0]), n - 1) @ pj
     s2 = cheb.chebint(pj, m=2)
     del pj
     zq = graded_rule().nodes
     zr = zq[len(zq) // 2 :]
-    K = np.empty((len(zr), len(_UDOT_Z)))
+    K = np.empty((len(zr), n))
     for i in range(0, len(zr), 32):  # row chunks keep the build's temporaries small
-        np.matmul(cheb.chebvander(zr[i : i + 32], _UDOT_DEG + 2), s2, out=K[i : i + 32])
+        np.matmul(cheb.chebvander(zr[i : i + 32], n + 1), s2, out=K[i : i + 32])
     G = np.stack(((1.0 + zr) * np.log1p(zr) - zr, (1.0 - zr) * np.log1p(-zr) + zr), axis=1)
     for x in (K, G, E):
         x.flags.writeable = False

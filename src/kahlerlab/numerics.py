@@ -1,4 +1,5 @@
-"""Shared numeric kernels: quadrature, power integrals and Chebyshev projection.
+"""Shared numeric kernels: quadrature, power integrals and Chebyshev
+interpolation, each series cut where it reaches rounding level.
 
 Everything here is pure and immutable after construction; callers are free
 to use these objects concurrently. Endpoint-singular integrands are the
@@ -117,8 +118,8 @@ def power_integral(lo: float, hi: float, m: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _cheb_projector(n: int, deg: int) -> np.ndarray:
-    """(2/n) V^T with its first row halved, V = chebvander(chebpts1(n), deg).
+def _cheb_projector(n: int) -> np.ndarray:
+    """(2/n) V^T with its first row halved, V = chebvander(chebpts1(n), n-1).
 
     chebpts1(n) lists x_k = cos(theta_k), theta_k = (2k+1) pi/(2n), for
     k = n-1, ..., 0, so V[k, j] = T_j(x_k) = cos(j theta_k). The angle
@@ -127,23 +128,43 @@ def _cheb_projector(n: int, deg: int) -> np.ndarray:
     times instead.
     """
     k = np.arange(n - 1, -1, -1)
-    m = np.outer(np.arange(deg + 1), 2 * k + 1) % (4 * n)
+    m = np.outer(np.arange(n), 2 * k + 1) % (4 * n)
     P = np.cos(m * (0.5 * np.pi / n)) * (2.0 / n)
     P[0] *= 0.5
     P.flags.writeable = False
     return P
 
 
-def chebyshev_coefficients(values: np.ndarray, deg: int) -> np.ndarray:
-    """Chebyshev coefficients c_0..c_deg of samples taken at chebpts1(n).
+def _chop(c: np.ndarray) -> int:
+    """How many leading coefficients of c to keep: Chebfun's standardChop at
+    tol = eps (Aurentz & Trefethen, Chopping a Chebyshev series, ACM TOMS 43,
+    2017). Fewer than 17 coefficients, or no plateau, keep all of them."""
+    tol, n = np.finfo(float).eps, len(c)
+    env = np.maximum.accumulate(np.abs(c)[::-1])[::-1]  # monotone envelope
+    if n < 17 or env[0] == 0.0:
+        return n if n < 17 else 1
+    env = env / env[0]
+    # plateau after j-1 (1-based): env(j2)/env(j) > r, j2 = round(1.25 j + 5),
+    # r rising from 0 at env(j) = tol to 1 at env(j) = tol^(2/3)
+    for j in range(2, n + 1):
+        j2, e1 = int(1.25 * j + 5.5), env[j - 1]
+        if j2 > n:
+            return n
+        if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
+            break
+    if env[j - 2] == 0.0:
+        return j - 1
+    j3 = int(np.count_nonzero(env >= tol ** (7 / 6)))
+    if j3 < j2:
+        j2, env[j3] = j3 + 1, tol ** (7 / 6)
+    # cut where log10 env plus a ramp that favours short series is least
+    return max(int(np.argmin(np.log10(env[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2))), 1)
 
-    On these n nodes the T_j (j < n) are discretely orthogonal, so
-    c_j = (2/n) sum_k f(x_k) T_j(x_k), with c_0 halved: the least-squares
-    fit of degree deg with no linear solve, which for deg = n-1
-    interpolates (Trefethen, Approximation Theory and Approximation
-    Practice, ch. 3).
-    """
-    f = np.asarray(values, dtype=float)
-    if f.ndim != 1 or not 0 <= deg < len(f):
-        raise ValueError("need 1-d samples and 0 <= deg < len(values)")
-    return _cheb_projector(len(f), int(deg)) @ f
+
+def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of samples at chebpts1(n),
+    chopped at their rounding plateau (_chop). On these nodes the T_j (j < n)
+    are discretely orthogonal: c_j = (2/n) sum_k f(x_k) T_j(x_k), c_0 halved,
+    with no linear solve (Trefethen, ATAP, ch. 3)."""
+    c = _cheb_projector(len(values)) @ np.asarray(values, dtype=float)
+    return c[: _chop(c)]

@@ -245,10 +245,12 @@ class ProfilePotential(RadialPotential):
 
     The symplectic potential is reconstructed from v'' = 2/S:
     v = v_0 + R with v_0 = mu log mu + (1-mu) log(1-mu), R'' = r,
-    r = (1-q)/(q mu (1-mu)) (bounded), anchored R(1/2) = R'(1/2) = 0.
-    The log-radial side inverts t(mu) (dt/dmu = 2/S), started at the round
-    value mu = 1/(1+e^{-t}); above t ~ 36.7 that value rounds to 1 and the
-    inversion raises OutOfDomain.
+    r = (1-q)/(q mu (1-mu)) (bounded), anchored R(1/2) = R'(1/2) = 0. q and
+    r are interpolated at _N Chebyshev nodes and chopped at their rounding
+    plateau (q of the round potential is 1 term), so no noise tail reaches
+    S''. The log-radial side inverts t(mu) (dt/dmu = 2/S), started at the
+    round value mu = 1/(1+e^{-t}); above t ~ 36.7 that value rounds to 1 and
+    the inversion raises OutOfDomain.
     """
 
     _N = 160
@@ -259,16 +261,15 @@ class ProfilePotential(RadialPotential):
         qv = np.asarray(q_fn(mu), dtype=float)
         if np.any(qv <= 0.0):
             raise NotAdmissible("q = S/S_round must be positive")
-        qc = chebyshev_coefficients(qv, self._N - 10)
+        qc = chebyshev_coefficients(qv)
         r = (1.0 - qv) / (qv * mu * (1.0 - mu))
-        rc = chebyshev_coefficients(r, self._N - 10)
-        Rc = cheb.chebint(cheb.chebint(rc)) * 0.25  # d/dmu = 2 d/dx
-        # columns q, q', q'', R, R' (in mu), zero-padded to one length so a
+        Rc = cheb.chebint(cheb.chebint(chebyshev_coefficients(r))) * 0.25  # d/dmu = 2 d/dx
+        # columns q, q', q'', R, R' (in mu), zero-padded to the longest so a
         # single Clenshaw pass evaluates all five
         dq = 2.0 * cheb.chebder(qc)
         dR = 2.0 * cheb.chebder(Rc)
         cols = (qc, dq, 2.0 * cheb.chebder(dq), Rc, dR)
-        self._series = np.zeros((len(Rc), len(cols)))
+        self._series = np.zeros((max(map(len, cols)), len(cols)))
         for i, c in enumerate(cols):
             self._series[: len(c), i] = c
         self._series.flags.writeable = False

@@ -19,6 +19,7 @@ from kahlerlab.calabi import (
 )
 from kahlerlab.ckem import b_kappa, solve_P
 from kahlerlab.errors import NotAdmissible
+from kahlerlab.mabuchi import SymplecticPotential
 from kahlerlab.numerics import gauss_legendre
 
 ZGRID = np.linspace(-0.97, 0.97, 389)
@@ -139,6 +140,30 @@ def test_sampled_profile_matches_the_exact_one():
     # jet = (Theta, Theta', ((z+kappa) Theta)'')
     for got, want, atol in zip(sampled.jet(ZGRID), exact.jet(ZGRID), (1e-13, 1e-10, 1e-7)):
         np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("kappa", [1.03, 1.6, 3.0])
+def test_sampled_profile_numerator_d2_matches_mpmath(kappa):
+    # ((z+kappa) Theta)'' of random_admissible_profile's chopped fit against
+    # a 40-digit derivative of (z+kappa)(1-z^2) exp((1-z^2) g), g as drawn there
+    z = np.linspace(-0.95, 0.95, 21)
+    for seed in range(100, 106):
+        for scale in (0.4, 0.8):
+            prof = random_admissible_profile(np.random.default_rng(seed), kappa, scale=scale)
+            co = np.random.default_rng(seed).normal(size=5) * scale / (1.0 + np.arange(5))
+            g, k = [mp.mpf(c) for c in co[::-1]], mp.mpf(kappa)
+            with mp.workdps(40):
+                want = np.array([float(mp.diff(lambda x: (x + k) * (1 - x * x) * mp.exp((1 - x * x) * mp.polyval(g, x)), mp.mpf(t), 2)) for t in z])
+            err = np.abs(prof.jet(z)[2] - want) / np.maximum(1.0, np.abs(want))
+            assert np.max(err) < 1e-11, (seed, scale, np.max(err))
+
+
+def test_reference_profile_is_z_plus_kappa():
+    # Theta = 1 - z^2 gives G = 1: the chopped fit is that constant, so N is
+    # z + kappa, two coefficients, each to rounding
+    for kappa in (1.03, 1.6, 3.0):
+        coef = SymplecticPotential.reference(kappa).profile()._N[0].coef
+        np.testing.assert_allclose(coef, [kappa, 1.0], rtol=1e-15, atol=0.0)
 
 
 def test_to_symplectic_roundtrip():

@@ -43,6 +43,13 @@ def test_pkappa_rejects_bad_kappa(workdir, capsys):
     assert main(["pkappa", "--no-cache"]) == 2  # neither --kappa nor range
 
 
+def test_pkappa_rejects_kappa_with_kappa_range(workdir, capsys):
+    # both flags at once is a config error, not a silent choice of one
+    assert main(["pkappa", "--kappa", "1.3", "--kappa-range", "1.5,2", "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "exactly one of --kappa and --kappa-range" in err
+
+
 @pytest.mark.parametrize("bad", ["inf", "1e200", "nan"])
 def test_pkappa_writes_an_error_row_for_a_kappa_it_cannot_solve(bad, workdir, capsys):
     assert main(["pkappa", "--kappa-range", f"1.5,{bad}", "--no-cache"]) == cli.EXIT_OK

@@ -159,6 +159,17 @@ def test_theta_path_requires_matching_kappa():
         straight_theta_path(p0, p1)
 
 
+@pytest.mark.parametrize("below", ["midpoint", 1e-3, 1e-6])
+def test_potential_below_kappa0_is_not_admissible(below):
+    # P < 0 somewhere inside; at kappa0 - 1e-6 only one node of the check grid sees it
+    k0 = kappa_zero()
+    sol = _sol(0.5 * (1.0 + k0) if below == "midpoint" else k0 - below)
+    with pytest.raises(NotAdmissible):
+        SymplecticPotential.euler_lagrange(sol)
+    with pytest.raises(NotAdmissible):
+        to_symplectic(sol.profile())
+
+
 def test_symplectic_admissibility():
     with pytest.raises(NotAdmissible):
         SymplecticPotential(lambda z: np.asarray(z) * 0.0 - 1.0, 1.5)

@@ -5,6 +5,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from kahlerlab.numerics import (
     QuadratureRule,
+    _cheb_projector,
     chebyshev_coefficients,
     composite_gauss,
     gauss_legendre,
@@ -87,27 +88,34 @@ def test_power_integral_is_continuous_through_m_minus_one():
             np.testing.assert_allclose(power_integral(1.0, 2.0, m), np.log(2.0), rtol=2.0 * eps)
 
 
-CHEB_SIZES = [(96, 95), (128, 120), (160, 150), (192, 170)]
+CHEB_NODES = [96, 128, 160, 192]
 
 
-@pytest.mark.parametrize("n, deg", CHEB_SIZES)
-def test_chebyshev_coefficients_match_least_squares(n, deg):
+@pytest.mark.parametrize("n", CHEB_NODES)
+def test_cheb_projector_is_the_interpolant(n):
     x = cheb.chebpts1(n)
     for f in (np.exp(np.sin(3.0 * x)), 1.0 / (1.0 + 4.0 * x * x), np.abs(x) ** 3):
-        np.testing.assert_allclose(chebyshev_coefficients(f, deg), cheb.chebfit(x, f, deg), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_cheb_projector(n) @ f, cheb.chebfit(x, f, n - 1), rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n, deg", CHEB_SIZES)
-def test_chebyshev_coefficients_reproduce_polynomials(n, deg):
+@pytest.mark.parametrize("n", CHEB_NODES)
+def test_chebyshev_coefficients_chop_polynomials_to_their_length(n):
     rng = np.random.default_rng(n)
     x = cheb.chebpts1(n)
-    for d in (0, deg // 2, deg):
+    for d in (0, n // 4, n // 2):
         c = rng.normal(size=d + 1) / (1.0 + np.arange(d + 1))
-        got = chebyshev_coefficients(cheb.chebval(x, c), deg)
-        np.testing.assert_allclose(got, np.pad(c, (0, deg - d)), rtol=0, atol=1e-13)
+        got = chebyshev_coefficients(cheb.chebval(x, c))
+        assert len(got) == d + 1
+        np.testing.assert_allclose(got, c, rtol=0, atol=1e-14)
 
 
-def test_chebyshev_coefficients_validate_degree():
-    for deg in (-1, 8):
-        with pytest.raises(ValueError):
-            chebyshev_coefficients(np.ones(8), deg)
+@pytest.mark.parametrize("n", CHEB_NODES)
+def test_chebyshev_coefficients_chop_smooth_functions_at_the_plateau(n):
+    # Chebfun represents exp on [-1, 1] with 15 coefficients; |x|^3 and Runge's
+    # function have no plateau by degree n-1, so nothing is cut
+    x = cheb.chebpts1(n)
+    got = chebyshev_coefficients(np.exp(x))
+    assert len(got) == 15
+    np.testing.assert_allclose(cheb.chebval(x, got), np.exp(x), rtol=4e-15, atol=0)
+    for f in (np.abs(x) ** 3, 1.0 / (1.0 + 25.0 * x * x)):
+        assert len(chebyshev_coefficients(f)) == n

@@ -8,6 +8,7 @@ the exact (2 pi) C_k = 1 - 1/k^2 identity in the unweighted mode.
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import betaln
@@ -71,6 +72,26 @@ def test_round_potential_closed_forms():
     np.testing.assert_allclose(m.t, np.log(MU / (1.0 - MU)), atol=1e-11)
     np.testing.assert_allclose(phi.at_t(TT).psi, np.logaddexp(0.0, TT), atol=1e-12)
     assert boundary_report(phi).passes
+
+
+def test_round_potential_carries_a_one_term_q():
+    # q = 1: the chopped fit keeps one coefficient (1 to rounding), no noise tail
+    series = round_potential()._series
+    assert series.shape[0] == 1 and abs(series[0, 0] - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.8])
+def test_profile_potential_d2S_matches_mpmath(scale):
+    # S = 2 mu (1-mu) q with q = exp(mu (1-mu) g) as random_potential draws
+    # it; the oracle differentiates S twice at 40 digits
+    mu = np.linspace(0.05, 0.95, 19)
+    for seed in range(100, 106):
+        phi = random_potential(np.random.default_rng(seed), scale)
+        co = np.random.default_rng(seed).normal(size=4) * scale / (1.0 + np.arange(4))
+        g = [mp.mpf(c) for c in co[::-1]]
+        with mp.workdps(40):
+            want = [float(mp.diff(lambda m: 2 * m * (1 - m) * mp.exp(m * (1 - m) * mp.polyval(g, m)), mp.mpf(x), 2)) for x in mu]
+        np.testing.assert_allclose(phi.at_mu(mu).d2S, want, rtol=0, atol=1e-12, err_msg=f"seed={seed}")
 
 
 def test_profile_potential_rejects_nonpositive_q():
