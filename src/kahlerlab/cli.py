@@ -260,11 +260,12 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         kappa = args.kappa if args.kappa is not None else 0.5 * (1.0 + kappa_zero(X))
         sol = solve_P(kappa, b_kappa(kappa), X)
         label = str(classify(kappa, X))
-        energies = unboundedness_probe(sol, probe_bump(sol), [float(k) for k in ks])
-        slope = fit_probe_slope([float(k) for k in ks], energies)
+        k_list = [float(k) for k in ks]
+        energies = unboundedness_probe(sol, probe_bump(sol), k_list)
+        slope = fit_probe_slope(k_list, energies)
         buf = io.StringIO()
-        write_probe_csv([float(k) for k in ks], energies, slope, buf)
-        buf.write(probe_summary(kappa, label, energies, slope) + "\n")
+        write_probe_csv(k_list, energies, slope, buf)
+        buf.write(probe_summary(kappa, label, k_list, energies, slope) + "\n")
         return buf.getvalue()
 
     return _cached(cfg, produce, ".csv", args)

@@ -1,13 +1,12 @@
 """Quantized functionals on the toy model: I, the Aubin functional, L = I∘Hilb + 𝕀,
 Z = 𝕀∘FS + I, geodesics of Hermitian norms, and the almost-balanced gap.
 
-All potential-level integrals run on a fixed log-radial quadrature grid
-(uniform Gauss panels on [-30, 30]; every admissible psi'' decays like
-e^{-|t|}, so the truncated tail is below 1e-12 of the integrand scale).
-Along a straight psi-blend the grid data of the two endpoints combine
-affinely — psi, mu = psi', psi'', psi''', psi'''' are each linear in the
-blend weight — so a path integral is one array evaluation on the grid of
-path nodes x t-nodes, with the endpoint potentials evaluated once.
+All potential-level integrals run on the t-grid of the quantization module
+(quantization._t_grid) and read each potential through its sample there,
+RadialPotential.t_sample, taken once per potential. Along a straight
+psi-blend the grid data of the two endpoints combine affinely — psi,
+mu = psi', psi'', psi''', psi'''' are each linear in the blend weight — so a
+path integral is one array evaluation on the grid of path nodes x t-nodes.
 
 Conventions: vol_omega = 2 pi dmu, vol_{k omega} = 2 pi k dmu; the reference
 potential is the round one and every path functional is normalized to vanish
@@ -19,18 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import NotTraceless, OutOfDomain
-from .numerics import QuadratureRule, composite_gauss, gauss_legendre
+from .numerics import gauss_legendre
 from .quantization import (
     HermitianNorms,
     RadialPotential,
     SpectrumData,
-    TSample,
     ToyModel,
     c_k_constant,
     c_top_exact,
@@ -38,10 +35,9 @@ from .quantization import (
     fs,
     hilb,
     round_potential,
-    _hilb,
-    _mu_sample,
     _s_jet,
     _scal_p,
+    _t_grid,
 )
 from .tolerances import TOL
 
@@ -58,25 +54,6 @@ __all__ = [
     "almost_balanced_check",
 ]
 
-_T_MAX = 30.0
-_T_PANELS = 10
-_T_ORDER = 24
-
-
-@lru_cache(maxsize=1)
-def _t_grid() -> QuadratureRule:
-    return composite_gauss(np.linspace(-_T_MAX, _T_MAX, _T_PANELS + 1), _T_ORDER)
-
-
-@lru_cache(maxsize=1)
-def _round_t_sample() -> TSample:
-    """The round reference on the t-grid, inverted once per process; its
-    arrays are read-only."""
-    sample = round_potential().at_t(_t_grid().nodes)
-    for a in sample:
-        a.flags.writeable = False
-    return sample
-
 
 def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
     """I(H) = sum_j lambda_j(p) log h_j (the norms are diagonal, so each
@@ -89,15 +66,13 @@ def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
 def _blend_integral(phi_a: RadialPotential, phi_b: RadialPotential, fields: tuple[str, ...], density: Callable) -> float:
     """Integral over s in [0, 1] and t of density(phi-dot, *fields) along the
     straight psi-blend (1-s) psi_a + s psi_b, with phi-dot = (psi_b - psi_a)/2
-    fixed along it. Each endpoint is sampled once (the round reference once
-    per process); the named TSample fields are blended on the whole
-    (s-node x t-node) grid, and density is evaluated there once."""
-    trule = _t_grid()
-    da, db = (_round_t_sample() if phi is round_potential() else phi.at_t(trule.nodes) for phi in (phi_a, phi_b))
+    fixed along it. The named fields of the endpoints' t-samples are blended
+    on the whole (s-node x t-node) grid, and density is evaluated there once."""
+    da, db = phi_a.t_sample, phi_b.t_sample
     srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
     s = srule.nodes[:, None]
     blend = ((1.0 - s) * getattr(da, name) + s * getattr(db, name) for name in fields)
-    return float(srule.weights @ (density(0.5 * (db.psi - da.psi), *blend) @ trule.weights))
+    return float(srule.weights @ (density(0.5 * (db.psi - da.psi), *blend) @ _t_grid().weights))
 
 
 def aubin_path(
@@ -188,9 +163,8 @@ def almost_balanced_check(
     part): how far phi_star is from minimizing Z through the quantization, at
     each level k. Decays to 0 when phi_star has constant weighted curvature."""
     ks = sorted(int(k) for k in k_range)
-    s, s_star = _mu_sample(phi), _mu_sample(phi_star)  # one sample each serves every k
     out = []
     for k in ks:
-        diff = functional_Z(_hilb(s, k, model), k, model) - functional_Z(_hilb(s_star, k, model), k, model)
+        diff = functional_Z(hilb(phi, k, model), k, model) - functional_Z(hilb(phi_star, k, model), k, model)
         out.append(max(0.0, -diff) / k)
     return AlmostBalancedReport(k_list=tuple(ks), eps_hat=tuple(out))

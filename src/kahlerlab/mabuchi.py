@@ -315,7 +315,7 @@ def _udot_half_operator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows for z > 0 (see _udot_on).
     """
     n = len(_UDOT_Z)
-    pj = _cheb_projector.__wrapped__(n)  # build-only, kept out of its cache
+    pj = _cheb_projector(n)
     E = 0.5 * cheb.chebvander(np.array([-1.0, 1.0]), n - 1) @ pj
     s2 = cheb.chebint(pj, m=2)
     del pj
@@ -388,12 +388,14 @@ def write_probe_csv(
 
 
 def probe_summary(
-    kappa: float, label: str, energies: Sequence[float], slope: float
+    kappa: float, label: str, k_list: Sequence[float], energies: Sequence[float], slope: float
 ) -> str:
+    """JSON verdict: diverges when the energy at the largest k lies more
+    than 100 below the energy at the smallest k, in any order of k_list."""
     rec = {
         "kappa": float(kappa),
         "label": str(label),
-        "diverges": bool(energies[-1] < energies[0] - 100.0),
+        "diverges": bool(energies[int(np.argmax(k_list))] < energies[int(np.argmin(k_list))] - 100.0),
         "slope": float(slope),
     }
     return json.dumps(rec, sort_keys=True)

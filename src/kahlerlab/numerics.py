@@ -118,8 +118,8 @@ def power_integral(lo: float, hi: float, m: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _cheb_projector(n: int) -> np.ndarray:
-    """(2/n) V^T with its first row halved, V = chebvander(chebpts1(n), n-1).
+def _cheb_cosines(n: int) -> np.ndarray:
+    """V^T, V = chebvander(chebpts1(n), n-1), unscaled.
 
     chebpts1(n) lists x_k = cos(theta_k), theta_k = (2k+1) pi/(2n), for
     k = n-1, ..., 0, so V[k, j] = T_j(x_k) = cos(j theta_k). The angle
@@ -129,10 +129,22 @@ def _cheb_projector(n: int) -> np.ndarray:
     """
     k = np.arange(n - 1, -1, -1)
     m = np.outer(np.arange(n), 2 * k + 1) % (4 * n)
-    P = np.cos(m * (0.5 * np.pi / n)) * (2.0 / n)
-    P[0] *= 0.5
-    P.flags.writeable = False
-    return P
+    C = np.cos(m * (0.5 * np.pi / n))
+    C.flags.writeable = False
+    return C
+
+
+def _cheb_scale(sums: np.ndarray) -> np.ndarray:
+    """c_0 = s_0/n, c_j = 2 s_j/n from the n cosine sums s = V^T f. Dividing the
+    sums, not fl(2/n)-scaled rows, returns a constant exactly."""
+    c = sums / len(sums)
+    c[1:] *= 2.0
+    return c
+
+
+def _cheb_projector(n: int) -> np.ndarray:
+    """The matrix chebyshev_coefficients applies before chopping, uncached."""
+    return _cheb_scale(_cheb_cosines.__wrapped__(n))
 
 
 def _chop(c: np.ndarray) -> int:
@@ -166,5 +178,5 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     chopped at their rounding plateau (_chop). On these nodes the T_j (j < n)
     are discretely orthogonal: c_j = (2/n) sum_k f(x_k) T_j(x_k), c_0 halved,
     with no linear solve (Trefethen, ATAP, ch. 3)."""
-    c = _cheb_projector(len(values)) @ np.asarray(values, dtype=float)
+    c = _cheb_scale(_cheb_cosines(len(values)) @ np.asarray(values, dtype=float))
     return c[: _chop(c)]

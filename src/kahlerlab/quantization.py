@@ -28,6 +28,10 @@ curvature average of the class. All inner products are diagonal in j, so
 Hermitian data is a vector of (log) norms and every map below is a
 one-dimensional quadrature plus vector algebra.
 
+The toy strand has two fixed rules, the momentum rule _mu_rule() of every
+Gram matrix and the t-grid _t_grid() of every path integral; each potential
+is sampled on each at most once (RadialPotential.mu_sample, .t_sample).
+
 Volume convention: vol_{k omega} = k^m vol_omega with m = 1, i.e. 2 pi k dmu.
 """
 
@@ -36,14 +40,14 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConfigError, NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
-from .numerics import chebyshev_coefficients, gauss_legendre, power_integral
+from .numerics import QuadratureRule, chebyshev_coefficients, composite_gauss, gauss_legendre, power_integral
 from .tolerances import TOL
 
 __all__ = [
@@ -83,8 +87,16 @@ def sup_grid() -> np.ndarray:
     return np.linspace(_MU_LO, _MU_HI, _MU_N)
 
 
-def _mu_rule():
+def _mu_rule() -> QuadratureRule:
     return gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
+
+
+@lru_cache(maxsize=1)
+def _t_grid() -> QuadratureRule:
+    """24-node Gauss panels of width 6 on [-30, 30]: every admissible psi''
+    decays like e^{-|t|}, so the truncated tail is below 1e-12 of the
+    integrand scale."""
+    return composite_gauss(np.linspace(-30.0, 30.0, 11), 24)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -204,6 +216,12 @@ def _invert(sample: Callable, slope: Callable, x: np.ndarray, target: np.ndarray
     raise NoConvergence(f"mu<->t inversion did not converge in {_MAX_ITER} steps")
 
 
+def _read_only(sample):
+    for a in sample:
+        a.flags.writeable = False
+    return sample
+
+
 class RadialPotential(ABC):
     """Invariant potential, exposed on both sides of the Legendre transform.
 
@@ -215,6 +233,9 @@ class RadialPotential(ABC):
         psi'' = S/2,   psi''' = S S'/4,   psi'''' = S (S'^2 + S S'')/8,
         S = 2 psi'',   S' = 2 psi'''/psi'',
         S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
+
+    A potential never changes after construction, so its read-only samples
+    on the two fixed rules, mu_sample and t_sample, are taken once each.
     """
 
     @abstractmethod
@@ -222,6 +243,14 @@ class RadialPotential(ABC):
 
     @abstractmethod
     def at_t(self, t) -> TSample: ...
+
+    @cached_property
+    def mu_sample(self) -> MuSample:
+        return _read_only(self.at_mu(_mu_rule().nodes))
+
+    @cached_property
+    def t_sample(self) -> TSample:
+        return _read_only(self.at_t(_t_grid().nodes))
 
 
 class _TNativePotential(RadialPotential):
@@ -304,11 +333,13 @@ class ProfilePotential(RadialPotential):
 
 class FSPotential(_TNativePotential):
     """psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k): the projective
-    potential induced by Hermitian norms. Always admissible by structure."""
+    potential induced by Hermitian norms. Always admissible by structure.
+    It holds a read-only copy of log_h, so its samples cannot go stale."""
 
     def __init__(self, k: int, log_h: np.ndarray, log_ck: float):
         self.k = int(k)
-        self.log_h = np.asarray(log_h, dtype=float)
+        self.log_h = np.array(log_h, dtype=float)
+        self.log_h.flags.writeable = False
         self.log_ck = float(log_ck)
         self._j = np.arange(self.k + 1, dtype=float)
 
@@ -346,7 +377,7 @@ class BlendPotential(_TNativePotential):
     def __init__(self, parts: Sequence[tuple[float, RadialPotential]]):
         if not parts:
             raise OutOfDomain("need at least one component")
-        self.parts = [(float(w), p) for w, p in parts]
+        self.parts = tuple((float(w), p) for w, p in parts)
 
     def at_t(self, t) -> TSample:
         # every field of a t-sample is linear in psi
@@ -524,40 +555,19 @@ def _log_section_densities(s: MuSample, k: int, mu: np.ndarray) -> np.ndarray:
     return k * s.v[None, :] + (j - k * mu[None, :]) * s.t[None, :]
 
 
-@lru_cache(maxsize=1)
-def _round_mu_sample() -> MuSample:
-    """The round reference on the momentum nodes of _mu_rule(), sampled once
-    per process; its arrays are read-only."""
-    sample = round_potential().at_mu(_mu_rule().nodes)
-    for a in sample:
-        a.flags.writeable = False
-    return sample
-
-
-def _mu_sample(phi: RadialPotential) -> MuSample:
-    """phi on the momentum nodes of _mu_rule(): the one sample its Gram
-    matrices need, for every k (the round reference from the memo)."""
-    return _round_mu_sample() if phi is round_potential() else phi.at_mu(_mu_rule().nodes)
-
-
-def _log_gram(s: MuSample, k: int, log_psi: np.ndarray) -> np.ndarray:
+def _log_gram(phi: RadialPotential, k: int, log_psi: np.ndarray) -> np.ndarray:
     """log G_j, G_j = int |s_j|^2 Psi(f) vol_{k omega} = 2 pi k int e^{E_j} Psi(f) dmu,
-    from s = _mu_sample(phi) and log Psi(f) on the nodes of _mu_rule()."""
+    from phi.mu_sample and log Psi(f) on the nodes of _mu_rule()."""
     rule = _mu_rule()
-    a = _log_section_densities(s, k, rule.nodes) + (np.log(rule.weights) + log_psi)[None, :]
+    a = _log_section_densities(phi.mu_sample, k, rule.nodes) + (np.log(rule.weights) + log_psi)[None, :]
     m = np.max(a, axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
     return np.log(np.sum(np.exp(a - m), axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
 
 
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
     """h_j = (1/lambda_j(p)) int |s_j|^2_{k phi} f^{1-p} vol_{k omega}."""
-    return _hilb(_mu_sample(phi), k, model)
-
-
-def _hilb(s: MuSample, k: int, model: ToyModel) -> HermitianNorms:
-    """hilb of the potential sampled as s = _mu_sample(phi)."""
     spec = eigenvalues(k, model)
-    log_g = _log_gram(s, k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
+    log_g = _log_gram(phi, k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
     return HermitianNorms(k=k, log_h=log_g - np.log(spec.lam_p))
 
 
@@ -595,7 +605,7 @@ def bergman_density(
     norms for the weighted product int |.|^2 Psi(f) vol_{k omega}."""
     spec = eigenvalues(k, model, check_weights=False)
     log_psi = np.log(np.asarray(Psi(model.f(_mu_rule().nodes)), dtype=float))
-    log_g = _log_gram(_mu_sample(phi), k, log_psi)
+    log_g = _log_gram(phi, k, log_psi)
     phi_lam = np.asarray(Phi(spec.lam), dtype=float)
 
     def B(mu):
@@ -611,7 +621,7 @@ def rho_p(phi: RadialPotential, k: int, model: ToyModel) -> Callable:
     """rho(mu) = f^{1-p} sum_j lambda_j(p) |s_j|^2 / G_j (Hilb-orthonormal
     section density)."""
     spec = eigenvalues(k, model)
-    log_g = _log_gram(_mu_sample(phi), k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
+    log_g = _log_gram(phi, k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
 
     def rho(mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))

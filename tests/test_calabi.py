@@ -159,11 +159,11 @@ def test_sampled_profile_numerator_d2_matches_mpmath(kappa):
 
 
 def test_reference_profile_is_z_plus_kappa():
-    # Theta = 1 - z^2 gives G = 1: the chopped fit is that constant, so N is
-    # z + kappa, two coefficients, each to rounding
+    # Theta = 1 - z^2 gives G = 1: the chopped fit is exactly that constant,
+    # so N is z + kappa, two coefficients, bit for bit
     for kappa in (1.03, 1.6, 3.0):
         coef = SymplecticPotential.reference(kappa).profile()._N[0].coef
-        np.testing.assert_allclose(coef, [kappa, 1.0], rtol=1e-15, atol=0.0)
+        assert coef.tolist() == [kappa, 1.0]
 
 
 def test_to_symplectic_roundtrip():

@@ -180,6 +180,22 @@ def test_mabuchi_probe_cache_key_is_the_k_list_as_given(workdir):
     assert second["input_hash"] != first["input_hash"]
 
 
+def test_mabuchi_probe_verdict_does_not_depend_on_the_order_of_k(workdir):
+    # the verdict compares the energies at the largest and the smallest k,
+    # not the last and the first row; the cache key stays the list as given
+    def run(name, k_range):
+        assert main(["mabuchi-probe", "--k-range", k_range, "--out", str(workdir / name)]) == 0
+        lines = (workdir / name).read_text().splitlines()
+        energies = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:-1]}
+        return json.loads(lines[-1]), energies, json.loads((workdir / f"{name}.record.json").read_text())
+
+    fwd, e_fwd, rec_fwd = run("fwd.csv", "0,1,2,4,8,16,32,64")
+    rev, e_rev, rec_rev = run("rev.csv", "64,32,16,8,4,2,1,0")
+    assert e_fwd == e_rev and e_fwd["64.0"] < e_fwd["0.0"] - 100.0
+    assert fwd["diverges"] is True and rev["diverges"] is True
+    assert not rec_rev["cache_hit"] and rec_rev["input_hash"] != rec_fwd["input_hash"]
+
+
 def test_mabuchi_probe_rejects_a_tail_too_short_to_fit(workdir, capsys):
     # the slope fit has three unknowns; the tail k >= median of 0,1,2,4,8
     # holds only k = 4 and 8

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kahlerlab import functionals
+from kahlerlab import quantization as quant
 from kahlerlab.errors import NotTraceless, OutOfDomain
 from kahlerlab.numerics import gauss_legendre
 from kahlerlab.tolerances import TOL
@@ -181,68 +182,156 @@ def test_ck_constant_positive_in_weighted_mode():
         assert c_k_constant(k, MW) > 0.0
 
 
-def test_each_consumer_inverts_each_potential_once(monkeypatch):
-    import kahlerlab.quantization as quant
+def _rule_of(x):
+    """Which fixed toy-strand rule the points x are, if any."""
+    x = np.asarray(x)
+    for name, rule in (("mu", quant._mu_rule()), ("t", quant._t_grid())):
+        if x.shape == rule.nodes.shape and np.array_equal(x, rule.nodes):
+            return name
+    return None
 
+
+def _fresh_potentials():
+    """One potential of each class, none of them sampled yet."""
+    k = 8
+    rng = np.random.default_rng(31)
+    prof = random_potential(rng, scale=0.5)
+    fsp = fs(hilb(random_potential(rng, scale=0.5), k, M0), k, M0)
+    part = fs(hilb(random_potential(rng, scale=0.5), k, M0), k, M0)
+    blend = quant.BlendPotential([(0.3, random_potential(rng, scale=0.5)), (0.7, part)])
+    round_copy = quant.ProfilePotential(lambda mu: np.ones_like(mu))
+    shifted = shift_potential(random_potential(rng, scale=0.5), 0.2)
+    return [prof, fsp, blend, round_copy, shifted]
+
+
+def _consumers():
+    """Every consumer of the two toy-strand rules, each reading all the
+    potentials it is given."""
+    mu = np.linspace(0.05, 0.95, 19)
+    return {
+        "hilb": lambda ps: [hilb(p, k, MW) for p in ps for k in (8, 16)],
+        "rho_p": lambda ps: [quant.rho_p(p, 8, MW)(mu) for p in ps],
+        "bergman": lambda ps: [quant.bergman_density(p, 8, MW, Psi=np.sqrt, Phi=np.sqrt)(mu) for p in ps],
+        "scal": lambda ps: [quant.weighted_scalar_toy(p, MW)(mu) for p in ps],
+        "L": lambda ps: [functional_L(p, 8, MW) for p in ps],
+        "mabuchi": lambda ps: [toy_mabuchi(p, MW) for p in ps],
+        "aubin": lambda ps: [aubin_path(a, b, 8, MW) for a, b in zip(ps, ps[1:])],
+        "almost_balanced": lambda ps: [almost_balanced_check(a, b, [8, 16], M0) for a, b in zip(ps, ps[1:])],
+    }
+
+
+def _orders():
+    names = list(_consumers())
+    shuffled = [names[i] for i in np.random.default_rng(35).permutation(len(names))]
+    return [names, names[::-1], shuffled]
+
+
+def _assert_read_only(pots):
+    for p in pots:
+        for a in (*p.mu_sample, *p.t_sample):
+            assert not a.flags.writeable
+
+
+# inversions of each t-native potential at points off the two rules, per
+# consumer call: the density at mu of rho_p and of bergman_density, and
+# Scal_p at mu; the Grams read the cached momentum sample
+_OFF_RULE = {"rho_p": 1, "bergman": 1, "scal": 1}
+
+
+def test_each_consumer_inverts_each_potential_once(monkeypatch):
+    # a fresh potential is inverted at most once per rule, whatever sequence
+    # of consumers reads it: a profile on the t-grid, a t-native potential on
+    # the momentum nodes, and a second consumer inverts nothing on them; off
+    # the rules a t-native potential is inverted once per evaluation at mu
     calls = []
     invert = quant._invert
 
-    def counting(sample, *args):
-        calls.append(type(sample.__self__).__name__)
-        return invert(sample, *args)
+    def counting(sample, slope, x, target, lo, hi):
+        calls.append((sample.__self__, _rule_of(target)))
+        return invert(sample, slope, x, target, lo, hi)
 
     monkeypatch.setattr(quant, "_invert", counting)
-    k = 8
-    prof = random_potential(np.random.default_rng(31), scale=0.5)
-    phi = fs(hilb(prof, k, M0), k, M0)  # a profile's own side needs no inversion
-    mu = np.linspace(0.05, 0.95, 19)
-    runs = [
-        (lambda: hilb(phi, k, MW), ["FSPotential"]),
-        (lambda: quant.rho_p(phi, k, MW)(mu), ["FSPotential"] * 2),  # the Gram, then the density at mu
-        (lambda: quant.bergman_density(phi, k, MW, Psi=np.sqrt, Phi=np.sqrt), ["FSPotential"]),
-        (lambda: quant.weighted_scalar_toy(phi, MW)(mu), ["FSPotential"]),
-        (lambda: aubin_path(prof, phi, k, MW), ["ProfilePotential"]),
-        # the round reference: inverted on the t-grid once per process, then read from the memo
-        (lambda: (functionals._round_t_sample.cache_clear(), toy_mabuchi(phi, MW)), ["ProfilePotential"]),
-        (lambda: toy_mabuchi(phi, MW), []),
-    ]
-    for run, expected in runs:
+    consumers = _consumers()
+    for order in _orders():
+        pots = _fresh_potentials()[:4]  # the shifted one inverts through its base
+        natives = ("mu", "t", "t", "mu")
         calls.clear()
-        run()
-        assert calls == expected
-    assert not any(a.flags.writeable for a in functionals._round_t_sample())
+        for name in order:
+            start = len(calls)
+            consumers[name](pots)
+            for p, native in zip(pots, natives):
+                for rule in ("mu", "t"):
+                    assert calls.count((p, rule)) <= 1, (order, name, type(p).__name__, rule)
+                off = _OFF_RULE.get(name, 0) if native == "t" else 0
+                assert calls[start:].count((p, None)) == off, (order, name, type(p).__name__)
+        assert [sum(calls.count((p, rule)) for p in pots) for rule in ("mu", "t")] == [2, 2]
+        for p, native in zip(pots, natives):
+            assert calls.count((p, native)) == 0
+        calls.clear()
+        for name in order:
+            start = len(calls)
+            consumers[name](pots)
+            for p, native in zip(pots, natives):
+                off = _OFF_RULE.get(name, 0) if native == "t" else 0
+                assert calls[start:].count((p, None)) == off, (order, name, type(p).__name__)
+        assert not any((p, rule) in calls for p in pots for rule in ("mu", "t"))
+        _assert_read_only(pots)
 
 
 def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
-    import kahlerlab.quantization as quant
-
-    rnd = round_potential()
-    phi = random_potential(np.random.default_rng(32), scale=0.5)
-    functionals._round_t_sample()  # the t-side memo inverts the round reference through at_mu
+    # each fresh potential of every class is evaluated once on the momentum
+    # nodes and once on the t-grid, whatever sequence of consumers reads it,
+    # and a second consumer samples nothing
     sampled = []
-    at_mu = quant.ProfilePotential.at_mu
 
-    def counting(self, mu):
-        sampled.append(self)
-        return at_mu(self, mu)
+    def counting(fn):
+        def wrapped(self, x):
+            sampled.append((self, _rule_of(x)))
+            return fn(self, x)
 
-    monkeypatch.setattr(quant.ProfilePotential, "at_mu", counting)
-    quant._round_mu_sample.cache_clear()
-    hilb(rnd, 8, M0)
-    assert sampled == [rnd]  # fills the memo
-    sampled.clear()
-    for k in (8, 16, 32, 64):
-        hilb(rnd, k, M0)
-    assert sampled == []
-    almost_balanced_check(rnd, phi, [8, 16, 32, 64], M0)
-    assert sampled == [phi]
-    assert not any(a.flags.writeable for a in quant._round_mu_sample())
+        return wrapped
+
+    for cls in (quant.ProfilePotential, quant._TNativePotential, FSPotential, quant.BlendPotential, quant._ShiftedPotential):
+        for meth in ("at_mu", "at_t"):
+            if meth in vars(cls):
+                monkeypatch.setattr(cls, meth, counting(vars(cls)[meth]))
+    consumers = _consumers()
+    for order in _orders():
+        pots = _fresh_potentials()
+        sampled.clear()
+        for name in order:
+            consumers[name](pots)
+            for p in pots:
+                for rule in ("mu", "t"):
+                    assert sampled.count((p, rule)) <= 1, (order, name, type(p).__name__, rule)
+        assert [[sampled.count((p, rule)) for rule in ("mu", "t")] for p in pots] == [[1, 1]] * len(pots)
+        sampled.clear()
+        for name in order:
+            consumers[name](pots)
+        assert not any((p, rule) in sampled for p in pots for rule in ("mu", "t"))
+        _assert_read_only(pots)
+
+
+def test_fs_potential_samples_do_not_follow_its_norms():
+    # FS holds its own read-only copy of log h: mutating the array it was
+    # built from changes neither side of the potential
+    k = 8
+    H = hilb(random_potential(np.random.default_rng(36), scale=0.5), k, M0)
+    log_h = H.log_h.copy()
+    phi = fs(H, k, M0)
+    before = hilb(phi, k, M0).log_h.copy()
+    H.log_h[0] += 1.0
+    assert not phi.log_h.flags.writeable
+    np.testing.assert_array_equal(hilb(phi, k, M0).log_h, before)
+    fresh = fs(HermitianNorms(k=k, log_h=log_h), k, M0)
+    assert toy_mabuchi(phi, MW) == toy_mabuchi(fresh, MW)
+    np.testing.assert_array_equal(phi.t_sample.psi, fresh.t_sample.psi)
 
 
 def _loop_blend_integral(phi_a, phi_b, fields, density):
     # the straight-blend integral one path node at a time, as it was before
     # the (s, t) grid: the reference the array evaluation must reproduce
-    trule = functionals._t_grid()
+    trule = quant._t_grid()
     da, db = phi_a.at_t(trule.nodes), phi_b.at_t(trule.nodes)
     dot = 0.5 * (db.psi - da.psi)
     ends = [(getattr(da, name), getattr(db, name)) for name in fields]
@@ -297,3 +386,27 @@ def test_toy_mabuchi_is_linear_along_the_xi_flow(b0, p, F):
     for s in (-0.5, 0.3, 1.0):
         moved = FSPotential(k, -log_binom - j * s, 0.0)
         np.testing.assert_allclose(toy_mabuchi(moved, model), s * F, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("b0", [0.5, 1.0, 3.0, math.inf], ids=["b0=0.5", "b0=1", "b0=3", "xi=0"])
+def test_toy_mabuchi_is_the_bregman_divergence_from_round_at_p2(b0):
+    # at p = 2 the round profile is critical and the toy energy of
+    # S = 2 mu (1-mu) q is 2 pi int f^{-1} (x - 1 - log x) dmu with
+    # x = S_round/S = 1/q, which is >= 0 pointwise; f^{-1} = 1 in the xi = 0
+    # mode. q is this test's own closure and the integral its own 200-node
+    # Gauss rule. Worst measured error 6.5e-12 relative (bound 1e-10, 15x
+    # headroom).
+    model = ToyModel(b0=b0, p=2.0)
+    x, w = np.polynomial.legendre.leggauss(200)
+    mu, w = 0.5 * (x + 1.0), 0.5 * w
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        co = rng.normal(size=4) * 0.8 / (1.0 + np.arange(4))
+
+        def q(m, co=co):
+            return np.exp(m * (1.0 - m) * np.polynomial.polynomial.polyval(m, co))
+
+        got = toy_mabuchi(quant.ProfilePotential(q), model)
+        want = 2.0 * math.pi * float(np.dot(w, (1.0 / q(mu) - 1.0 + np.log(q(mu))) / model.f(mu)))
+        assert got >= 0.0 and want > 0.0
+        assert abs(got - want) <= 1e-10 * want

@@ -95,7 +95,18 @@ CHEB_NODES = [96, 128, 160, 192]
 def test_cheb_projector_is_the_interpolant(n):
     x = cheb.chebpts1(n)
     for f in (np.exp(np.sin(3.0 * x)), 1.0 / (1.0 + 4.0 * x * x), np.abs(x) ** 3):
-        np.testing.assert_allclose(_cheb_projector(n) @ f, cheb.chebfit(x, f, n - 1), rtol=0, atol=1e-13)
+        want = cheb.chebfit(x, f, n - 1)
+        np.testing.assert_allclose(_cheb_projector(n) @ f, want, rtol=0, atol=1e-13)
+        c = chebyshev_coefficients(f)  # the same map, by sums then scaling, chopped
+        np.testing.assert_allclose(c, want[: len(c)], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [17, 96, 100, 128, 160, 192])
+def test_chebyshev_coefficients_return_a_constant_exactly(n):
+    # row 0 sums n copies of the value exactly when each partial sum is a
+    # float (integers, dyadics), and the division by n is then exact
+    for value in (1.0, -3.0, 0.375):
+        assert chebyshev_coefficients(np.full(n, value)).tolist() == [value]
 
 
 @pytest.mark.parametrize("n", CHEB_NODES)

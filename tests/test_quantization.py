@@ -75,9 +75,9 @@ def test_round_potential_closed_forms():
 
 
 def test_round_potential_carries_a_one_term_q():
-    # q = 1: the chopped fit keeps one coefficient (1 to rounding), no noise tail
+    # q = 1: the chopped fit keeps one coefficient, exactly 1, no noise tail
     series = round_potential()._series
-    assert series.shape[0] == 1 and abs(series[0, 0] - 1.0) < 1e-15
+    assert series.shape[0] == 1 and series[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("scale", [0.5, 0.8])
