@@ -32,8 +32,7 @@ series (`to_symplectic`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
@@ -58,24 +57,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RuledSurfaceData:
-    """Base data: genus >= 2 curve, line-bundle degree, Kähler class parameter."""
-
+class _RuledSurfaceData(NamedTuple):
     genus: int
     degree: int
     kappa: float
     base_scal: float
 
-    def __post_init__(self) -> None:
-        if self.genus < 2:
+
+class RuledSurfaceData(_RuledSurfaceData):
+    """Base data: genus >= 2 curve, line-bundle degree, Kähler class parameter."""
+
+    __slots__ = ()
+    def __new__(cls, genus: int, degree: int, kappa: float, base_scal: float) -> RuledSurfaceData:
+        if genus < 2:
             raise OutOfDomain("genus must be >= 2")
-        if self.degree < 1:
+        if degree < 1:
             raise OutOfDomain("degree must be >= 1")
-        if not self.kappa > 1.0:
+        if not kappa > 1.0:
             raise OutOfDomain("kappa must be > 1")
-        if not self.base_scal < 0.0:
+        if not base_scal < 0.0:
             raise OutOfDomain("base_scal must be negative")
+        return super().__new__(cls, genus, degree, kappa, base_scal)
 
     @staticmethod
     def standard(kappa: float, genus: int = 2, degree: int = 1) -> "RuledSurfaceData":
@@ -88,18 +90,21 @@ class RuledSurfaceData:
         )
 
 
-@dataclass(frozen=True)
-class KillingData:
-    """Killing potential f(z) = z + b (b > 1 keeps f > 0 on [-1,1]) and weight p."""
-
+class _KillingData(NamedTuple):
     b: float
     p: float = 4.0
 
-    def __post_init__(self) -> None:
-        if not self.b > 1.0:
+
+class KillingData(_KillingData):
+    """Killing potential f(z) = z + b (b > 1 keeps f > 0 on [-1,1]) and weight p."""
+
+    __slots__ = ()
+    def __new__(cls, b: float, p: float = 4.0) -> KillingData:
+        if not b > 1.0:
             raise OutOfDomain("b must be > 1 so that f = z+b is positive on [-1,1]")
-        if not np.isfinite(self.p):
+        if not np.isfinite(p):
             raise OutOfDomain("p must be finite")
+        return super().__new__(cls, b, p)
 
 
 class Profile:
@@ -139,8 +144,7 @@ class Profile:
         return (1.0 - z * z) * self._N[0](z) / (z + self.kappa)
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(NamedTuple):
     passes: bool
     defects: tuple[float, float, float, float]
 

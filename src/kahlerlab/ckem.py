@@ -54,8 +54,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -88,8 +87,7 @@ def _surface(kappa: float, X: RuledSurfaceData | None) -> RuledSurfaceData:
     return RuledSurfaceData(genus=X.genus, degree=X.degree, kappa=kappa, base_scal=X.base_scal)
 
 
-@dataclass(frozen=True)
-class PKappaSolution:
+class PKappaSolution(NamedTuple):
     """The closed-form solution on the Futaki curve through b, with the
     boundary system's Futaki defect at (kappa, b)."""
 
@@ -278,8 +276,7 @@ def _label(m: float) -> ClassLabel:
 SWEEP_CSV_HEADER = "kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep row. min_P and argmin_z are P at its lowest interior
     critical point and where it lies (`interior_min`); in ExistsCKEM rows
     that point is the interior maximum of P."""

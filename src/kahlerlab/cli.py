@@ -24,8 +24,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,15 +72,17 @@ EXIT_CONFIG = 2
 # -- config / record ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameter record for one CLI run."""
-
+class _RunConfig(NamedTuple):
     command: str
     params: dict[str, Any]
 
-    def __post_init__(self) -> None:
-        p = self.params
+
+class RunConfig(_RunConfig):
+    """Validated parameter record for one CLI run."""
+
+    __slots__ = ()
+    def __new__(cls, command: str, params: dict[str, Any]) -> RunConfig:
+        p = params
         if p.get("kappa") is not None and not 1.0 < p["kappa"] < math.inf:
             raise ConfigError(f"kappa must be finite and > 1 (got {p['kappa']!r})")
         if "kappas" in p:
@@ -96,7 +97,7 @@ class RunConfig:
         if "k_list" in p:
             # the probe's k scales a direction (k = 0 is the reference); the
             # quantized commands' k is a tensor power
-            k_min = 0 if self.command == "mabuchi-probe" else 1
+            k_min = 0 if command == "mabuchi-probe" else 1
             if not p["k_list"] or min(p["k_list"]) < k_min:
                 raise ConfigError(f"k values must be >= {k_min}")
         if "genus" in p and p["genus"] < 2:
@@ -105,13 +106,13 @@ class RunConfig:
             raise ConfigError("degree must be >= 1")
         if "tol" in p and p["tol"] is not None and not p["tol"] > 0.0:
             raise ConfigError("tol must be positive")
+        return super().__new__(cls, command, params)
 
     def hash(self) -> str:
         return config_hash({"command": self.command, "params": self.params, "code": source_fingerprint()})
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     input_hash: str
     version: str
     created_utc: str
@@ -122,7 +123,7 @@ class RunRecord:
     out_path: str | None
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, default=str)
+        return json.dumps(self._asdict(), sort_keys=True, default=str)
 
 
 def _record(cfg: RunConfig, hit: bool, passed: bool | None, out: str | None) -> RunRecord:

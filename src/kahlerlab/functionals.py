@@ -17,8 +17,7 @@ the toy Mabuchi 1-form is d𝓜(phi-dot) = -∫ phi-dot (Scal_p - c) f^{-(p+1)} 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,8 +146,7 @@ def z_prime(H: HermitianNorms, A: Sequence[float], k: int, model: ToyModel) -> f
     return float(np.dot(spec.lam_p, A * (1.0 - h_ratio)))
 
 
-@dataclass(frozen=True)
-class AlmostBalancedReport:
+class AlmostBalancedReport(NamedTuple):
     k_list: tuple[int, ...]
     eps_hat: tuple[float, ...]
 

@@ -37,9 +37,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -122,20 +121,23 @@ class SymplecticPotential:
         return Profile.from_callable(self.theta, self.kappa)
 
 
-@dataclass(frozen=True)
-class BumpDirection:
-    """Mollifier direction amplitude * exp(-1/(1 - ((z-center)/radius)^2)),
-    zero outside |z - center| < radius. Acts on u'' (it is a v'')."""
-
+class _BumpDirection(NamedTuple):
     center: float
     radius: float
     amplitude: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not self.radius > 0.0:
+
+class BumpDirection(_BumpDirection):
+    """Mollifier direction amplitude * exp(-1/(1 - ((z-center)/radius)^2)),
+    zero outside |z - center| < radius. Acts on u'' (it is a v'')."""
+
+    __slots__ = ()
+    def __new__(cls, center: float, radius: float, amplitude: float = 1.0) -> BumpDirection:
+        if not radius > 0.0:
             raise OutOfDomain("radius must be positive")
-        if abs(self.center) + self.radius >= 1.0:
+        if abs(center) + radius >= 1.0:
             raise OutOfDomain("support must be strictly inside (-1, 1)")
+        return super().__new__(cls, center, radius, amplitude)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -247,15 +249,17 @@ def unboundedness_probe(
 
 
 def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float:
-    """Fit E(k) ~ a + s k + g log k on the tail (k > 0 and >= the median
-    of those) and return s, the affine slope. ConfigError unless the tail
-    has 3 distinct k: fewer leave the fit underdetermined."""
+    """Fit E(k) ~ a + s k + g log k on the tail (k > 0 and >= the median of
+    those), rows sorted by k, and return s, the affine slope. ConfigError
+    unless the tail has 3 distinct k: fewer leave the fit underdetermined."""
     k = np.asarray(k_list, dtype=float)
-    E = np.asarray(energies, dtype=float)
-    mask = k >= (np.median(k[k > 0]) if np.any(k > 0) else np.inf)
-    if np.unique(k[mask]).size < 3:
-        raise ConfigError(f"the probe slope fit needs 3 distinct k in its tail, got {k[mask].tolist()}")
-    k, E = k[mask], E[mask]
+    order = np.argsort(k, kind="stable")
+    k, E = k[order], np.asarray(energies, dtype=float)[order]
+    s = k[k > 0]  # sorted: its median is the mean of the middle two
+    tail = k >= (0.5 * (s[(s.size - 1) // 2] + s[s.size // 2]) if s.size else np.inf)
+    k, E = k[tail], E[tail]
+    if len(set(k.tolist())) < 3:
+        raise ConfigError(f"the probe slope fit needs 3 distinct k in its tail, got {k.tolist()}")
     A = np.stack([np.ones_like(k), k, np.log(k)], axis=1)
     coef, *_ = np.linalg.lstsq(A, E, rcond=None)
     return float(coef[1])
@@ -269,8 +273,7 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 _UDOT_Z = cheb.chebpts1(192)
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """The straight path Theta_t = (1-t) Theta_0 + t Theta_1, as the 1-form
     reads it: the endpoints' samples, taken once when the path is built.
 

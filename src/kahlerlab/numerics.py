@@ -10,8 +10,8 @@ kernel stays generic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class _QuadratureRule(NamedTuple):
+    nodes: np.ndarray
+    weights: np.ndarray
+    order: int
+    lo: float = -1.0
+    hi: float = 1.0
+
+
+class QuadratureRule(_QuadratureRule):
     """Nodes/weights for integration over [lo, hi].
 
     Invariants (tested): weights sum to hi - lo within 1e-13; nodes strictly
@@ -34,19 +41,14 @@ class QuadratureRule:
     exactly within 1e-12.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-    lo: float = -1.0
-    hi: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.nodes.shape != self.weights.shape or self.nodes.ndim != 1:
+    __slots__ = ()
+    def __new__(cls, nodes, weights, order: int, lo: float = -1.0, hi: float = 1.0) -> QuadratureRule:
+        nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
+        if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if np.any(np.diff(self.nodes) <= 0):
+        if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
+        return super().__new__(cls, nodes, weights, order, lo, hi)
 
 
 def _read_only(rule: QuadratureRule) -> QuadratureRule:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -104,8 +103,12 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return x * np.log(np.where(x == 0.0, 1.0, x))
 
 
-@dataclass(frozen=True)
-class ToyModel:
+class _ToyModel(NamedTuple):
+    b0: float = math.inf
+    p: float = 4.0
+
+
+class ToyModel(_ToyModel):
     """Weight data: Killing potential f = mu + b0 and exponent p.
 
     b0 > 0 keeps f positive on [0, 1], so the weight f^{-(p+1)} of the class
@@ -115,14 +118,13 @@ class ToyModel:
     block.
     """
 
-    b0: float = math.inf
-    p: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not (self.b0 == math.inf or self.b0 > 0.0):
+    __slots__ = ()
+    def __new__(cls, b0: float = math.inf, p: float = 4.0) -> ToyModel:
+        if not (b0 == math.inf or b0 > 0.0):
             raise OutOfDomain("b0 must be > 0 (or inf for the xi=0 mode)")
-        if not np.isfinite(self.p):
+        if not np.isfinite(p):
             raise OutOfDomain("p must be finite")
+        return super().__new__(cls, b0, p)
 
     @property
     def xi_zero(self) -> bool:
@@ -432,8 +434,7 @@ def random_potential(rng: np.random.Generator, scale: float = 0.8, degree: int =
     return ProfilePotential(q)
 
 
-@dataclass(frozen=True)
-class ToyBoundaryReport:
+class ToyBoundaryReport(NamedTuple):
     passes: bool
     defects: tuple[float, float, float, float]
 
@@ -455,8 +456,7 @@ def boundary_report(phi: RadialPotential) -> ToyBoundaryReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumData:
+class SpectrumData(NamedTuple):
     lam: np.ndarray      # lambda_j = b0 + j/k  (all 1 in the xi=0 mode)
     lam_p: np.ndarray    # lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)}
     c: float
@@ -475,21 +475,24 @@ class SpectrumData:
         return tuple(tuple(b) for b in out)
 
 
-@dataclass(frozen=True)
-class HermitianNorms:
-    """Diagonal Hermitian data: log h_j for the monomial eigensections."""
-
+class _HermitianNorms(NamedTuple):
     k: int
     log_h: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "log_h", np.asarray(self.log_h, dtype=float))
-        if self.k < 1:
+
+class HermitianNorms(_HermitianNorms):
+    """Diagonal Hermitian data: log h_j for the monomial eigensections."""
+
+    __slots__ = ()
+    def __new__(cls, k: int, log_h) -> HermitianNorms:
+        log_h = np.asarray(log_h, dtype=float)
+        if k < 1:
             raise OutOfDomain("k must be >= 1")
-        if self.log_h.shape != (self.k + 1,):
+        if log_h.shape != (k + 1,):
             raise OutOfDomain("need k+1 norms")
-        if not np.all(np.isfinite(self.log_h)):
+        if not np.all(np.isfinite(log_h)):
             raise OutOfDomain("norms must be positive and finite")
+        return super().__new__(cls, k, log_h)
 
 
 def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> SpectrumData:
@@ -637,8 +640,7 @@ def rho_p(phi: RadialPotential, k: int, model: ToyModel) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionReport:
+class ExpansionReport(NamedTuple):
     k_list: tuple[int, ...]
     residual_sup: tuple[float, ...]
     slope: float
@@ -646,13 +648,8 @@ class ExpansionReport:
     leading_slope: float
 
     def running_slopes(self) -> list[float]:
-        out = []
-        for i in range(1, len(self.k_list)):
-            out.append(
-                math.log(self.residual_sup[i] / self.residual_sup[i - 1])
-                / math.log(self.k_list[i] / self.k_list[i - 1])
-            )
-        return out
+        r, k = self.residual_sup, self.k_list
+        return [math.log(r[i] / r[i - 1]) / math.log(k[i] / k[i - 1]) for i in range(1, len(k))]
 
 
 def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int]) -> ExpansionReport:
@@ -686,8 +683,7 @@ def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int
     )
 
 
-@dataclass(frozen=True)
-class BalancedResult:
+class BalancedResult(NamedTuple):
     H: HermitianNorms
     phi: RadialPotential
     converged: bool

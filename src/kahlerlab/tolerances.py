@@ -1,16 +1,15 @@
 """Central tolerance/configuration record.
 
 All numeric thresholds used by the library (and re-used by the test suite)
-live in one frozen dataclass so that nothing is scattered or duplicated.
+live in one immutable NamedTuple so that nothing is scattered or duplicated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     # numerics
     quad_exactness: float = 1e-12      # Gauss rule on polynomials of deg <= 2n-1
 

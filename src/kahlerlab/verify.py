@@ -15,8 +15,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,8 +74,7 @@ CHECK_CSV_HEADER = "name,tag,passed,detail"
 ALL_TAGS = ("numerics", "calabi", "ckem", "mabuchi", "quant", "functionals")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     tag: str
     passed: bool

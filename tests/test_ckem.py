@@ -1,6 +1,5 @@
 """Boundary-value solver, Futaki curve, and the existence threshold."""
 
-import dataclasses
 import io
 import math
 
@@ -157,10 +156,10 @@ def test_kappa_zero_tol_bounds_min_P_at_the_threshold(monkeypatch):
     # (the next float down, negative if that |min P| is 0) fails that check
     X = RuledSurfaceData.standard(1.5, genus=5, degree=1)
     k0 = kappa_zero(X)
-    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=1e-13))
+    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=1e-13))
     assert kappa_zero(X) == k0
     reached = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
-    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=math.nextafter(reached, -math.inf)))
+    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=math.nextafter(reached, -math.inf)))
     with pytest.raises(SearchFailed):
         kappa_zero(X)
 

@@ -1,6 +1,5 @@
 """Front-end plumbing: dispatch,validation, records, caching, exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -81,11 +80,11 @@ def test_kappa0_tol_below_the_reached_min_P_fails(workdir, capsys, monkeypatch):
     k0 = kappa_zero(X)
     flags = ["kappa0", "--genus", "5", "--degree", "1", "--no-cache"]
     capsys.readouterr()
-    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=1e-13))
+    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=1e-13))
     assert main(flags) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["kappa0"] == k0
     reached = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
-    monkeypatch.setattr(ckem, "TOL", dataclasses.replace(ckem.TOL, kappa_zero_tol=math.nextafter(reached, -math.inf)))
+    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=math.nextafter(reached, -math.inf)))
     assert main(flags) == cli.EXIT_FAIL
     assert capsys.readouterr().err.startswith("SearchFailed: ")
 
@@ -192,7 +191,7 @@ def test_mabuchi_probe_verdict_does_not_depend_on_the_order_of_k(workdir):
     fwd, e_fwd, rec_fwd = run("fwd.csv", "0,1,2,4,8,16,32,64")
     rev, e_rev, rec_rev = run("rev.csv", "64,32,16,8,4,2,1,0")
     assert e_fwd == e_rev and e_fwd["64.0"] < e_fwd["0.0"] - 100.0
-    assert fwd["diverges"] is True and rev["diverges"] is True
+    assert fwd == rev and fwd["diverges"] is True
     assert not rec_rev["cache_hit"] and rec_rev["input_hash"] != rec_fwd["input_hash"]
 
 

@@ -36,3 +36,21 @@ def test_every_imported_name_is_used_or_exported(path):
     keep = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     unused = {name: line for name, line in _bound_names(tree).items() if name not in keep}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples: decorating them as dataclasses took about
+    # a quarter of `import kahlerlab.cli` (after numpy) in every process
+    paths = sorted(Path(kahlerlab.__file__).parent.glob("*.py"))
+    found = [p.name for p in paths if "dataclasses" in _imported_modules(ast.parse(p.read_text()))]
+    assert not found

@@ -1,8 +1,14 @@
 """Energy functional, gradients, probes, and path integrals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kahlerlab
 from kahlerlab.calabi import (
     KillingData,
     Profile,
@@ -103,6 +109,34 @@ def test_probe_slope_fit_needs_three_tail_points():
         fit_probe_slope([0.0, 0.0], [0.0, 0.0])
     ks = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
     np.testing.assert_allclose(fit_probe_slope(ks, [1.0 - 3.0 * k for k in ks]), -3.0, rtol=1e-12)
+
+
+def test_probe_slope_fit_does_not_depend_on_the_order_of_k():
+    # the probe's own energies: forward, reversed and shuffled rows of the
+    # same (k, E) pairs give the same bits (lstsq on rows in another order
+    # can differ in the last digits, so the fit sorts them)
+    sol = _sol(0.5 * (1.0 + kappa_zero()))
+    ks = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    pairs = list(zip(ks, unboundedness_probe(sol, probe_bump(sol), ks)))
+    shuffled = [pairs[i] for i in np.random.default_rng(7).permutation(len(pairs))]
+    slopes = {fit_probe_slope(*zip(*rows)) for rows in (pairs, pairs[::-1], shuffled)}
+    assert len(slopes) == 1
+
+
+def test_probe_slope_fit_loads_no_module():
+    # np.median and np.unique load numpy.ma on their first call (numpy 2.x);
+    # the fit takes its median off the sorted k and counts distinct k in a set
+    code = (
+        "import sys\n"
+        "from kahlerlab.mabuchi import fit_probe_slope\n"
+        "before = set(sys.modules)\n"
+        "fit_probe_slope([0, 1, 2, 4, 8, 16], [1.0 - 3.0 * k for k in (0, 1, 2, 4, 8, 16)])\n"
+        "sys.exit(sorted(set(sys.modules) - before) or 0)\n"
+    )
+    src = str(Path(kahlerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_probe_bump_stays_inside_the_negative_region():
