@@ -92,14 +92,14 @@ class RunConfig(_RunConfig):
                 raise ConfigError("all kappa values must be > 1")
         if "p" in p and not math.isfinite(p["p"]):
             raise ConfigError("p must be finite")
-        if "b0" in p and not (p["b0"] == math.inf or p["b0"] > 0.0):
-            raise ConfigError("b0 must be > 0 or inf")
+        if "b0" in p and not (p["b0"] == math.inf or 0.0 < p["b0"] < p["b0"] + 1.0):
+            raise ConfigError(f"b0 must be > 0 or inf, and a finite b0 must have b0 + 1 > b0 (got {p['b0']!r})")
         if "k_list" in p:
             # the probe's k scales a direction (k = 0 is the reference); the
             # quantized commands' k is a tensor power
             k_min = 0 if command == "mabuchi-probe" else 1
             if not p["k_list"] or min(p["k_list"]) < k_min:
-                raise ConfigError(f"k values must be >= {k_min}")
+                raise ConfigError(f"k values must be >= {k_min}" if p["k_list"] else "empty k range")
         if "genus" in p and p["genus"] < 2:
             raise ConfigError("genus must be >= 2")
         if "degree" in p and p["degree"] < 1:
@@ -143,11 +143,14 @@ def _emit(payload: str, rec: RunRecord, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
         sys.stderr.write(rec.to_json() + "\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
         with open(out + ".record.json", "w", encoding="utf-8") as fh:
             fh.write(rec.to_json() + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {exc.filename!r}: {exc.strerror}") from exc
 
 
 def _cached(cfg: RunConfig, produce: Callable[[], str], suffix: str, args: argparse.Namespace) -> int:

@@ -51,36 +51,59 @@ class QuadratureRule(_QuadratureRule):
         return super().__new__(cls, nodes, weights, order, lo, hi)
 
 
-def _read_only(rule: QuadratureRule) -> QuadratureRule:
-    rule.nodes.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+@lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss–Legendre nodes and weights on [-1, 1], read-only: Newton in theta =
+    arccos x over the nodes in [0, 1) from Tricomi's asymptotic nodes, two steps
+    on P_n(cos theta) = sum_k a_k a_{n-k} cos((n-2k) theta), a_k = C(2k, k)/4^k,
+    then one on Reinsch's recurrence in z = 1 - x, its P_n' moved to the final
+    node by Legendre's equation for w = 2/((1-x^2) P_n'^2). No eigensolve."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    t = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    theta = np.arccos((1 - (n - 1) / (8.0 * n**3) - (39 - 28 / np.sin(t) ** 2) / (384.0 * n**4)) * np.cos(t))
+    a, k = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, n + 1)]), np.arange((n + 1) // 2)
+    c, m, mid = 2.0 * a[k] * a[n - k], n - 2 * k, a[n // 2] ** 2 * (1 - n % 2)
+    for _ in range(2):
+        mt = np.outer(theta, m)
+        theta = theta + (np.cos(mt) @ c + mid) / (np.sin(mt) @ (c * m))
+    z0 = 2.0 * np.sin(0.5 * theta) ** 2
+    p, d = np.ones_like(z0), np.zeros_like(z0)  # P_j(1 - z0) and d = P_j - P_{j-1}
+    for j in range(n):
+        d = (j / (j + 1)) * d - ((2 * j + 1) / (j + 1)) * (z0 * p)
+        p += d
+    s2 = z0 * (2.0 - z0)  # 1 - x^2
+    g = n * (d - z0 * p) / s2  # dP_n/dz = -P_n'(x)
+    dz = p / g
+    g += (2.0 * (1.0 - z0) * g + n * (n + 1) * p) / s2 * dz
+    z = z0 - dz
+    x, w = 1.0 - z, 2.0 / (z * (2.0 - z) * g**2)
+    x[n // 2 :] = 0.0  # an odd rule's middle node
+    nodes, weights = np.concatenate([-x[: n // 2], x[::-1]]), np.concatenate([w[: n // 2], w[::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @lru_cache(maxsize=64)
 def gauss_legendre(order: int, lo: float = -1.0, hi: float = 1.0) -> QuadratureRule:
     """Gauss–Legendre rule with `order` nodes mapped affinely onto [lo, hi].
     Memoized: the returned rule is shared, and its arrays are read-only."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
     if not hi > lo:
         raise ValueError("need hi > lo")
-    x, w = np.polynomial.legendre.leggauss(int(order))
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return _read_only(QuadratureRule(nodes=mid + half * x, weights=half * w, order=int(order), lo=lo, hi=hi))
+    return composite_gauss((lo, hi), order)
 
 
 def composite_gauss(breaks, order: int) -> QuadratureRule:
     """Gauss–Legendre rule of `order` nodes on each panel [breaks[i], breaks[i+1]]
-    of an increasing mesh, each panel the affine image of gauss_legendre(order).
-    Its arrays are read-only."""
-    ref = gauss_legendre(order)
+    of an increasing mesh, each panel the affine image of the one reference
+    rule of that order on [-1, 1]. Its arrays are read-only."""
+    x, w = _legendre_rule(int(order))
     b = np.asarray(breaks, dtype=float)
     half = 0.5 * (b[1:] - b[:-1])[:, None]
     mid = 0.5 * (b[1:] + b[:-1])[:, None]
-    nodes, weights = (mid + half * ref.nodes).ravel(), (half * ref.weights).ravel()
-    return _read_only(QuadratureRule(nodes=nodes, weights=weights, order=int(order), lo=float(b[0]), hi=float(b[-1])))
+    nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights, order=int(order), lo=float(b[0]), hi=float(b[-1]))
 
 
 @lru_cache(maxsize=16)

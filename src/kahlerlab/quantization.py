@@ -120,8 +120,8 @@ class ToyModel(_ToyModel):
 
     __slots__ = ()
     def __new__(cls, b0: float = math.inf, p: float = 4.0) -> ToyModel:
-        if not (b0 == math.inf or b0 > 0.0):
-            raise OutOfDomain("b0 must be > 0 (or inf for the xi=0 mode)")
+        if not (b0 == math.inf or 0.0 < b0 < b0 + 1.0):
+            raise OutOfDomain(f"b0 must be > 0 with b0 + 1 > b0, or inf for the xi=0 mode (got {b0!r})")
         if not np.isfinite(p):
             raise OutOfDomain("p must be finite")
         return super().__new__(cls, b0, p)

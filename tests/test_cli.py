@@ -132,6 +132,29 @@ def test_quant_commands_reject_b0_zero(workdir, capsys):
         assert "b0 must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["quant-expansion", "--b0", "1e16"], ["quant-balanced", "--b0", "1e17", "--k-range", "8"]])
+def test_quant_commands_reject_a_b0_that_absorbs_one(argv, workdir, capsys):
+    # b0 + 1 == b0 in floating point makes the class constant's integral over
+    # [b0, b0 + 1] vanish; it divided by zero
+    assert main([*argv, "--no-cache"]) == cli.EXIT_CONFIG
+    assert "b0 + 1 > b0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["mabuchi-probe", "--k-range", "4:2"], ["quant-balanced", "--k-range", "8:4"]])
+def test_an_empty_doubling_range_is_named_as_such(argv, workdir, capsys):
+    assert main([*argv, "--no-cache"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: empty k range\n"
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_out_to_a_path_that_cannot_be_written_is_a_config_error(target, workdir, capsys):
+    path = str(workdir / target)
+    assert main(["kappa0", "--out", path, "--no-cache"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write --out ") and repr(path) in err
+    assert err.count("\n") == 1
+
+
 def test_verify_exit_codes(workdir, capsys):
     assert main(["verify", "--tags", "numerics", "--no-cache"]) == 0
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,6 +7,7 @@ from numpy.polynomial import chebyshev as cheb
 from kahlerlab.numerics import (
     QuadratureRule,
     _cheb_projector,
+    _legendre_rule,
     chebyshev_coefficients,
     composite_gauss,
     gauss_legendre,
@@ -42,6 +44,43 @@ def test_gauss_legendre_is_memoized_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _mp_legendre_pair(n, x):
+    """P_n(x), P_{n-1}(x) by the three-term recurrence in mpmath."""
+    p0, p1 = mpmath.mpf(1), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, p0
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 16, 24, 64, 128, 256])
+def test_gauss_legendre_matches_mpmath(n):
+    # each node polished by Newton at 40 digits from numpy's leggauss, which
+    # shares no code with the rule; weight 2(1-x^2)/(n P_{n-1}(x))^2
+    rule = gauss_legendre(n)
+    with mpmath.workdps(40):
+        for i, x0 in enumerate(np.polynomial.legendre.leggauss(n)[0]):
+            x = mpmath.mpf(float(x0))
+            for _ in range(3):  # quadratic from within 1e-16
+                p, pm = _mp_legendre_pair(n, x)
+                step = p * (x * x - 1) / (n * (x * p - pm))
+                x -= step
+            assert abs(step) < mpmath.mpf(10) ** -35
+            w = 2 * (1 - x * x) / (n * pm) ** 2
+            assert abs(rule.nodes[i] - x) <= 2e-16
+            assert abs(rule.weights[i] - w) <= 1e-13 * w
+
+
+def test_each_order_builds_its_reference_rule_once():
+    _legendre_rule.cache_clear()
+    gauss_legendre.cache_clear()
+    gauss_legendre(256)
+    gauss_legendre(256, 0.0, 1.0)
+    composite_gauss(np.linspace(-30.0, 30.0, 11), 24)
+    gauss_legendre(24)
+    info = _legendre_rule.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_composite_gauss_panels_are_the_mapped_rules():

@@ -61,6 +61,9 @@ def test_model_validation():
     with pytest.raises(OutOfDomain):
         ToyModel(b0=0.0)  # f^{-(p+1)} is not integrable at mu = 0
     with pytest.raises(OutOfDomain):
+        ToyModel(b0=1e16)  # b0 + 1 == b0: the weight's interval [b0, b0 + 1] is empty
+    assert ToyModel(b0=1e15).a1 == 1e15 + 1.0
+    with pytest.raises(OutOfDomain):
         ToyModel(p=math.inf)
 
 
