@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 __all__ = ["config_hash", "source_fingerprint", "ResultCache"]
 
-DEFAULT_CACHE_DIR = ".artifact-cache"
+CACHE_DIR = Path(".artifact-cache")
 
 
 def config_hash(payload: dict[str, Any]) -> str:
@@ -37,40 +37,25 @@ def source_fingerprint() -> str:
 
 
 class ResultCache:
-    """Text payloads keyed by config hash.
+    """Text payloads keyed by config hash, one file each under CACHE_DIR.
 
-    ``enabled=False`` turns every operation into a no-op (the ``--no-cache``
-    path), so callers never need to branch.
+    ``enabled=False`` (the ``--no-cache`` path) always runs the producer and
+    stores nothing, so callers never need to branch.
     """
 
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR, enabled: bool = True):
-        self.root = Path(root)
+    def __init__(self, enabled: bool):
         self.enabled = enabled
 
-    def _path(self, key: str, suffix: str) -> Path:
-        return self.root / f"{key}{suffix}"
-
-    def load(self, key: str, suffix: str = ".txt") -> str | None:
-        if not self.enabled:
-            return None
-        p = self._path(key, suffix)
-        if not p.is_file():
-            return None
-        return p.read_text(encoding="utf-8")
-
-    def store(self, key: str, text: str, suffix: str = ".txt") -> None:
-        if not self.enabled:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self._path(key, suffix + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(self._path(key, suffix))
-
-    def get_or_make(self, key: str, producer: Callable[[], str], suffix: str = ".txt") -> tuple[str, bool]:
-        """Return (payload, was_hit)."""
-        hit = self.load(key, suffix)
-        if hit is not None:
-            return hit, True
+    def get_or_make(self, key: str, producer: Callable[[], str], suffix: str) -> tuple[str, bool]:
+        """Return (payload, was_hit). A new payload is written to a temporary
+        file and renamed into place, so no reader sees a partial one."""
+        path = CACHE_DIR / f"{key}{suffix}"
+        if self.enabled and path.is_file():
+            return path.read_text(encoding="utf-8"), True
         text = producer()
-        self.store(key, text, suffix)
+        if self.enabled:
+            CACHE_DIR.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_text(text, encoding="utf-8")
+            tmp.replace(path)
         return text, False

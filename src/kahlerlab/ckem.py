@@ -50,11 +50,9 @@ one root b_0 > 1 (below the c = 0 point, where q > 0): kappa_0 = (1+b_0^2)/(2b_0
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -74,8 +72,6 @@ __all__ = [
     "interior_min",
     "SweepRow",
     "sweep",
-    "write_sweep_csv",
-    "SWEEP_CSV_HEADER",
 ]
 
 
@@ -273,9 +269,6 @@ def _label(m: float) -> ClassLabel:
     return ClassLabel.EXISTS_CKEM
 
 
-SWEEP_CSV_HEADER = "kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label"
-
-
 class SweepRow(NamedTuple):
     """One sweep row. min_P and argmin_z are P at its lowest interior
     critical point and where it lies (`interior_min`); in ExistsCKEM rows
@@ -309,12 +302,3 @@ def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: li
     m, zm = _interior_min(coef[ok])
     cols = (k[ok], b[ok], c[ok], defect[ok], m, zm)
     return [SweepRow(*row, label=_label(row[4])) for row in zip(*(col.tolist() for col in cols))]
-
-
-def write_sweep_csv(rows: Sequence[SweepRow], stream: io.TextIOBase) -> None:
-    """Deterministic CSV: repr() floats round-trip and are bit-stable."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER.split(","))
-    for r in rows:
-        floats = (r.kappa, r.b_kappa, r.c, r.futaki_residual, r.min_P, r.argmin_z)
-        writer.writerow([*map(repr, floats), str(r.label)])

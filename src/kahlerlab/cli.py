@@ -19,12 +19,13 @@ Exit codes: 0 success, 1 invariant/computation failure, 2 invalid config.
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime as _dt
 import io
 import json
 import math
 import sys
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,15 +41,8 @@ from .ckem import (
     kappa_zero,
     solve_P,
     sweep,
-    write_sweep_csv,
 )
-from .mabuchi import (
-    fit_probe_slope,
-    probe_bump,
-    probe_summary,
-    unboundedness_probe,
-    write_probe_csv,
-)
+from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
 from .quantization import (
     ToyModel,
     balanced_iterate,
@@ -60,7 +54,7 @@ from .quantization import (
     sup_grid,
     weighted_scalar_toy,
 )
-from .verify import all_passed, run_checks, write_check_csv
+from .verify import run_checks
 
 __all__ = ["main", "RunConfig", "RunRecord"]
 
@@ -153,6 +147,20 @@ def _emit(payload: str, rec: RunRecord, out: str | None) -> None:
         raise ConfigError(f"cannot write --out {exc.filename!r}: {exc.strerror}") from exc
 
 
+def _csv(header: str, rows: Iterable[Sequence[object]]) -> str:
+    """CSV text: `header`, then one line per row. Floats come in as repr()
+    strings, which round-trip and are bit-stable."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header.split(","))
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _json_line(rec: dict[str, Any]) -> str:
+    return json.dumps(rec, sort_keys=True) + "\n"
+
+
 def _cached(cfg: RunConfig, produce: Callable[[], str], suffix: str, args: argparse.Namespace) -> int:
     """Take the payload from the result cache (or make and store it), emit it
     with its run record, and return EXIT_OK."""
@@ -214,12 +222,10 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
 
     def produce() -> str:
-        buf = io.StringIO()
         errors: list[tuple[float, str]] = []
-        write_sweep_csv(sweep(kappas, X, errors), buf)
-        for kap, name in errors:
-            buf.write(f"{kap!r},nan,nan,nan,nan,nan,Error:{name}\n")
-        return buf.getvalue()
+        rows = [[*map(repr, r[:6]), str(r.label)] for r in sweep(kappas, X, errors)]
+        rows += [[repr(kap), *["nan"] * 5, f"Error:{name}"] for kap, name in errors]
+        return _csv("kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label", rows)
 
     return _cached(cfg, produce, ".csv", args)
 
@@ -234,19 +240,22 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
     def produce() -> str:
         k0 = kappa_zero(X)
         m, zm = interior_min(solve_P(k0, b_kappa(k0), X).P)
-        rec = {
+        return _json_line({
             "kappa0": k0,
             "min_P": m,
             "argmin_z": zm,
             "label_below": str(classify(1.0 + 0.5 * (k0 - 1.0), X)),
             "label_above": str(classify(k0 + 0.5, X)),
-        }
-        return json.dumps(rec, sort_keys=True) + "\n"
+        })
 
     return _cached(cfg, produce, ".json", args)
 
 
 def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
+    """CSV (k, energy, slope_fit), then a JSON line: kappa, its label, the
+    fitted slope, and "diverges", true when the energy at the largest k lies
+    more than 100 below the energy at the smallest k, in any order of
+    --k-range."""
     ks = _parse_k_range(args.k_range) if args.k_range else list(range(0, 65))
     cfg = RunConfig(
         "mabuchi-probe",
@@ -267,10 +276,10 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         k_list = [float(k) for k in ks]
         energies = unboundedness_probe(sol, probe_bump(sol), k_list)
         slope = fit_probe_slope(k_list, energies)
-        buf = io.StringIO()
-        write_probe_csv(k_list, energies, slope, buf)
-        buf.write(probe_summary(kappa, label, k_list, energies, slope) + "\n")
-        return buf.getvalue()
+        rows = [[repr(k), repr(E), repr(slope)] for k, E in zip(k_list, energies)]
+        lo, hi = energies[k_list.index(min(k_list))], energies[k_list.index(max(k_list))]
+        verdict = {"kappa": kappa, "label": label, "diverges": hi < lo - 100.0, "slope": slope}
+        return _csv("k,energy,slope_fit", rows) + _json_line(verdict)
 
     return _cached(cfg, produce, ".csv", args)
 
@@ -286,14 +295,14 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
         phi0 = round_potential()
         c = c_top_exact(model)
         mu = sup_grid()
-        lines = ["k,n_iter,residual,scal_dev"]
+        rows = []
         for k in ks:
             res = balanced_iterate(phi0, k, model, tol=tol)
             resid = balanced_residual(res.H, k, model)
             phi_star = fs(res.H, k, model)
             dev = float(np.max(np.abs(weighted_scalar_toy(phi_star, model)(mu) - c)))
-            lines.append(f"{k},{res.n_iter},{resid!r},{dev!r}")
-        return "\n".join(lines) + "\n"
+            rows.append([k, res.n_iter, repr(resid), repr(dev)])
+        return _csv("k,n_iter,residual,scal_dev", rows)
 
     return _cached(cfg, produce, ".csv", args)
 
@@ -306,13 +315,10 @@ def cmd_quant_expansion(args: argparse.Namespace) -> int:
 
     def produce() -> str:
         rep = expansion_check(round_potential(), model, ks)
-        slopes = rep.running_slopes()
-        lines = ["k,residual_sup,slope_running"]
-        for i, k in enumerate(rep.k_list):
-            s = slopes[i - 1] if i else math.nan
-            lines.append(f"{k},{rep.residual_sup[i]!r},{s!r}")
-        lines.append(json.dumps({"slope": rep.slope, "leading_slope": rep.leading_slope}, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        slopes = [math.nan, *rep.running_slopes()]
+        rows = [[k, repr(r), repr(s)] for k, r, s in zip(rep.k_list, rep.residual_sup, slopes)]
+        trailer = {"slope": rep.slope, "leading_slope": rep.leading_slope}
+        return _csv("k,residual_sup,slope_running", rows) + _json_line(trailer)
 
     return _cached(cfg, produce, ".csv", args)
 
@@ -324,10 +330,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = run_checks(tags=tags, breach=args.breach)
     except OutOfDomain as exc:
         raise ConfigError(str(exc)) from exc
-    buf = io.StringIO()
-    write_check_csv(results, buf)
-    payload = buf.getvalue()
-    ok = all_passed(results)
+    payload = _csv("name,tag,passed,detail", ([r.name, r.tag, str(r.passed), r.detail] for r in results))
+    ok = all(r.passed for r in results)
     _emit(payload, _record(cfg, False, ok, args.out), args.out)
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -34,9 +34,6 @@ of the t-rule.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -46,7 +43,7 @@ from numpy.polynomial import chebyshev as cheb
 from .calabi import KillingData, Profile, scal_p_on, to_symplectic, weighted_average_c
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
-from .numerics import _cheb_projector, gauss_legendre, graded_rule
+from .numerics import _cheb_projector, composite_gauss, gauss_legendre, graded_rule
 from .tolerances import TOL
 
 __all__ = [
@@ -62,8 +59,6 @@ __all__ = [
     "PathFamily",
     "straight_theta_path",
     "fit_probe_slope",
-    "write_probe_csv",
-    "probe_summary",
 ]
 
 
@@ -191,9 +186,15 @@ def mabuchi_gradient_amt(
     return float(np.dot(rule.weights, integrand))
 
 
+def _support_rule(bump: BumpDirection):
+    """The probe's quadrature rule, on the bump's support: both probe terms
+    vanish outside it, and a rule on [-1, 1] leaves a narrow bump unresolved."""
+    return composite_gauss((bump.center - bump.radius, bump.center + bump.radius), TOL.quad_order_quant)
+
+
 def probe_slope(sol: PKappaSolution, bump: BumpDirection) -> float:
     """Leading (affine-in-k) slope of the probe: int P f^{-3} bump dz."""
-    rule = gauss_legendre(TOL.quad_order_quant)  # narrow bumps want extra nodes
+    rule = _support_rule(bump)
     z = rule.nodes
     return float(np.dot(rule.weights, sol.P(z) * (z + sol.b) ** (-3.0) * bump(z)))
 
@@ -232,19 +233,19 @@ def unboundedness_probe(
     zs = np.linspace(bump.center - bump.radius, bump.center + bump.radius, 257)
     if np.max(sol.P(zs)) >= 0.0:
         raise BadDirection("bump support must lie inside the region where P < 0")
-    rule = gauss_legendre(TOL.quad_order_mabuchi)
+    rule = _support_rule(bump)
     z = rule.nodes
-    f3 = (z + sol.b) ** (-3.0)
+    weight = rule.weights * (z + sol.kappa) * (z + sol.b) ** (-3.0)
     bz = bump(z)
     # With D_k = 1 + k (1-z^2) bump: M(u_k) = k int P f^{-3} bump
     #                                  - int (z+kappa) f^{-3} log D_k.
-    lead = np.dot(rule.weights, sol.P(z) * f3 * bz)
+    lead = probe_slope(sol, bump)
     out = []
     for k in k_list:
         if k < 0.0:
             raise OutOfDomain("probe parameter k must be >= 0")
         logd = np.log1p(k * (1.0 - z * z) * bz)
-        out.append(float(k * lead - np.dot(rule.weights, (z + sol.kappa) * f3 * logd)))
+        out.append(float(k * lead - np.dot(weight, logd)))
     return out
 
 
@@ -373,32 +374,3 @@ def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolutio
     W = (th0 - th1) * (1.0 - _UDOT_Z * _UDOT_Z) / (tt @ np.stack((th0, th1))) ** 2
     ws = (trule.weights[:, None] * tt).T @ W
     return sum(float(np.dot(_udot_on(w), (scal_p_on(zq, jet, X, k, kappa) - c) * wgt)) for jet, w in zip((j0, j1), ws))
-
-
-# -- emission ---------------------------------------------------------------
-
-
-def write_probe_csv(
-    k_list: Sequence[float],
-    energies: Sequence[float],
-    slope_fit: float,
-    stream: io.TextIOBase,
-) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["k", "energy", "slope_fit"])
-    for k, E in zip(k_list, energies):
-        writer.writerow([repr(float(k)), repr(float(E)), repr(float(slope_fit))])
-
-
-def probe_summary(
-    kappa: float, label: str, k_list: Sequence[float], energies: Sequence[float], slope: float
-) -> str:
-    """JSON verdict: diverges when the energy at the largest k lies more
-    than 100 below the energy at the smallest k, in any order of k_list."""
-    rec = {
-        "kappa": float(kappa),
-        "label": str(label),
-        "diverges": bool(energies[int(np.argmax(k_list))] < energies[int(np.argmin(k_list))] - 100.0),
-        "slope": float(slope),
-    }
-    return json.dumps(rec, sort_keys=True)

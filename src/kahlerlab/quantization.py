@@ -577,12 +577,12 @@ def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
 @lru_cache(maxsize=None)
 def c_k_constant(k: int, model: ToyModel) -> float:
     """C_k = sum_j lambda_j(p) / int f^{1-p} vol_{k omega}; the volume
-    bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). Memoized: `fs`
-    needs it on every balanced step."""
+    bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). int_0^1 f^{1-p} dmu
+    is int_{a0}^{a1} x^{1-p} dx in closed form, 1 in the xi=0 mode. Memoized:
+    `fs` needs it on every balanced step."""
     spec = eigenvalues(k, model, check_weights=False)
-    rule = _mu_rule()
-    den = 2.0 * math.pi * k * float(np.dot(rule.weights, model.f(rule.nodes) ** (1.0 - model.p)))
-    return float(np.sum(spec.lam_p)) / den
+    vol = 1.0 if model.xi_zero else power_integral(model.a0, model.a1, 1.0 - model.p)
+    return float(np.sum(spec.lam_p)) / (2.0 * math.pi * k * vol)
 
 
 def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:

@@ -1,6 +1,5 @@
 """Boundary-value solver, Futaki curve, and the existence threshold."""
 
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from numpy.polynomial import Polynomial
 
 from kahlerlab import ckem
 from kahlerlab.ckem import (
-    SWEEP_CSV_HEADER,
     ClassLabel,
     b_kappa,
     classify,
@@ -18,9 +16,9 @@ from kahlerlab.ckem import (
     kappa_zero,
     solve_P,
     sweep,
-    write_sweep_csv,
 )
 from kahlerlab.calabi import RuledSurfaceData
+from kahlerlab.cli import main
 from kahlerlab.errors import OutOfDomain, SearchFailed
 
 # The closed form's kappa0 at genus 2, degree 1 (|min P| = 1.1e-16 there);
@@ -204,14 +202,13 @@ def test_sweep_rows_and_label_transition():
         assert abs(r.futaki_residual) < 1e-10
 
 
-def test_sweep_csv_deterministic():
-    rows = sweep([1.1, 1.2])
-    bufs = []
+def test_sweep_csv_deterministic(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    outs = []
     for _ in range(2):
-        buf = io.StringIO()
-        write_sweep_csv(rows, buf)
-        bufs.append(buf.getvalue())
-    assert bufs[0] == bufs[1]
-    header, *lines = bufs[0].splitlines()
-    assert header == SWEEP_CSV_HEADER
+        assert main(["pkappa", "--kappa-range", "1.1,1.2", "--no-cache"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    header, *lines = outs[0].splitlines()
+    assert header == "kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label"
     assert len(lines) == 2

@@ -15,7 +15,9 @@ import kahlerlab.cli as cli
 from kahlerlab import ckem
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.cli import build_parser, main
-from kahlerlab.ckem import SWEEP_CSV_HEADER, b_kappa, interior_min, kappa_zero, solve_P, sweep
+from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
+
+SWEEP_HEADER = "kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label"
 
 
 @pytest.fixture()
@@ -28,7 +30,7 @@ def test_pkappa_single_row_matches_library(workdir, capsys):
     code = main(["pkappa", "--kappa", "1.25", "--no-cache"])
     assert code == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == SWEEP_CSV_HEADER
+    assert out[0] == SWEEP_HEADER
     row = sweep([1.25])[0]
     fields = out[1].split(",")
     assert float(fields[0]) == 1.25
@@ -53,7 +55,7 @@ def test_pkappa_rejects_kappa_with_kappa_range(workdir, capsys):
 def test_pkappa_writes_an_error_row_for_a_kappa_it_cannot_solve(bad, workdir, capsys):
     assert main(["pkappa", "--kappa-range", f"1.5,{bad}", "--no-cache"]) == cli.EXIT_OK
     header, good, err = capsys.readouterr().out.splitlines()
-    assert header == SWEEP_CSV_HEADER and good.endswith(",ExistsCKEM")
+    assert header == SWEEP_HEADER and good.endswith(",ExistsCKEM")
     assert err == f"{float(bad)!r},nan,nan,nan,nan,nan,Error:OutOfDomain"
 
 

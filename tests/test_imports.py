@@ -54,3 +54,11 @@ def test_no_module_imports_dataclasses():
     paths = sorted(Path(kahlerlab.__file__).parent.glob("*.py"))
     found = [p.name for p in paths if "dataclasses" in _imported_modules(ast.parse(p.read_text()))]
     assert not found
+
+
+def test_only_the_cli_formats_payloads():
+    # cli.py writes every CSV and JSON payload; cache.py hashes configs as JSON
+    paths = sorted(Path(kahlerlab.__file__).parent.glob("*.py"))
+    mods = {p.name: _imported_modules(ast.parse(p.read_text())) for p in paths}
+    assert [n for n, m in mods.items() if m & {"csv", "io"}] == ["cli.py"]
+    assert [n for n, m in mods.items() if "json" in m] == ["cache.py", "cli.py"]

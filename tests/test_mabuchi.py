@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -152,6 +153,29 @@ def test_probe_bump_stays_inside_the_negative_region():
         z = np.linspace(bump.center - bump.radius, bump.center + bump.radius, 1001)
         assert np.max(sol.P(z)) < 0.0
         np.testing.assert_allclose(probe_slope(sol, bump), -2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("genus, degree", [(2, 1), (2, 5), (5, 1)])
+def test_probe_terms_match_mpmath_on_the_bump_support(genus, degree):
+    # the leading term int P f^{-3} bump and E(64) against 40-digit tanh-sinh
+    # quadrature on the support; at (2, 5) the bump's radius is 0.0295
+    X = RuledSurfaceData.standard(1.5, genus=genus, degree=degree)
+    kappa = 0.5 * (1.0 + kappa_zero(X))
+    sol = solve_P(kappa, b_kappa(kappa), X)
+    bump = probe_bump(sol)
+    with mp.workdps(40):
+        c, r, a, b = (mp.mpf(v) for v in (*bump, sol.b))
+        P = [mp.mpf(v) for v in sol.P.coef[::-1]]
+
+        def bz(z):
+            s = (z - c) / r
+            return a * mp.exp(-1 / (1 - s * s)) if abs(s) < 1 else mp.mpf(0)
+
+        lead = mp.quad(lambda z: mp.polyval(P, z) * (z + b) ** -3 * bz(z), [c - r, c, c + r])
+        logs = mp.quad(lambda z: (z + kappa) * (z + b) ** -3 * mp.log1p(64 * (1 - z * z) * bz(z)), [c - r, c, c + r])
+        want = float(64 * lead - logs)
+    assert abs(probe_slope(sol, bump) - float(lead)) <= 1e-14
+    assert abs(unboundedness_probe(sol, bump, [64.0])[0] - want) <= 1e-12
 
 
 def test_path_integral_closes_on_loops():

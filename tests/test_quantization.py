@@ -102,6 +102,13 @@ def test_profile_potential_rejects_nonpositive_q():
         ProfilePotential(lambda mu: 1.0 - 5.0 * mu * (1.0 - mu))
 
 
+@pytest.mark.parametrize("q", [lambda mu: 1.0 + 0.1 * mu, lambda mu: 1.05 + 0.0 * mu], ids=["q1", "q0-and-q1"])
+def test_profile_potential_rejects_q_off_one_at_an_end(q):
+    # q > 0, but q(0) = 1 and q(1) = 1 fail: S'(0) = 2 q(0) and S'(1) = -2 q(1)
+    with pytest.raises(NotAdmissible):
+        ProfilePotential(q)
+
+
 def test_mu_t_inversion_roundtrip():
     phi = random_potential(np.random.default_rng(0))
     np.testing.assert_allclose(phi.at_t(phi.at_mu(MU).t).mu, MU, atol=1e-11)
@@ -244,6 +251,17 @@ def test_ck_constant_unweighted_identity():
     for k in (2, 3, 4, 8, 16):
         got = 2.0 * math.pi * c_k_constant(k, model)
         np.testing.assert_allclose(got, 1.0 - 1.0 / k**2, rtol=1e-13)
+
+
+@pytest.mark.parametrize("b0, p", [(0.5, 4.0), (1.0, 2.0), (3.0, 4.0), (1e-3, 6.0)])
+def test_ck_constant_weighted_volume_matches_mpmath(b0, p):
+    # C_k's denominator 2 pi k int_0^1 (mu + b0)^{1-p} dmu by 40-digit quadrature
+    model = ToyModel(b0=b0, p=p)
+    with mp.workdps(40):
+        vol = mp.quad(lambda mu: (mu + mp.mpf(b0)) ** (1 - mp.mpf(p)), [0, 1])
+    for k in (4, 8, 16):
+        lam_sum = math.fsum(eigenvalues(k, model, check_weights=False).lam_p)
+        np.testing.assert_allclose(c_k_constant(k, model), lam_sum / float(2 * mp.pi * k * vol), rtol=2e-15)
 
 
 # -- hilb / fs ----------------------------------------------------------------

@@ -1,33 +1,32 @@
-import io
-
 import pytest
 
+from kahlerlab.cli import main
 from kahlerlab.errors import OutOfDomain
-from kahlerlab.verify import (
-    ALL_TAGS,
-    CHECK_CSV_HEADER,
-    all_passed,
-    run_checks,
-    write_check_csv,
-)
+from kahlerlab.verify import ALL_TAGS, run_checks
 
 
-def test_tag_subsets_and_csv_shape():
+def test_tag_subsets_and_csv_shape(tmp_path, monkeypatch, capsys):
     results = run_checks(tags=["numerics", "calabi"])
     assert results and all(r.tag in ("numerics", "calabi") for r in results)
-    assert all_passed(results)
-    buf = io.StringIO()
-    write_check_csv(results, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == CHECK_CSV_HEADER
+    assert all(r.passed for r in results)
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for _ in range(2):
+        assert main(["verify", "--tags", "numerics,calabi", "--no-cache"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    lines = outs[0].splitlines()
+    assert lines[0] == "name,tag,passed,detail"
     assert len(lines) == len(results) + 1
 
 
 def test_breach_fails_exactly_one_check():
-    results = run_checks(tags=["numerics"], breach="quad-exactness")
-    failed = [r for r in results if not r.passed]
-    assert [r.name for r in failed] == ["quad-exactness"]
-    assert not all_passed(results)
+    # the breached bound is -1 for an upper bound and inf for a lower one
+    for tag, name, bound in (("numerics", "quad-exactness", "bound<-1.0e+00"), ("ckem", "futaki-off-curve", "bound>inf")):
+        results = run_checks(tags=[tag], breach=name)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == [name]
+        assert failed[0].detail.endswith(bound)
 
 
 def test_unknown_tag_and_breach_rejected():
