@@ -34,7 +34,7 @@ from .calabi import (
     weighted_average_c,
     weighted_scalar_curvature,
 )
-from .ckem import ClassLabel, b_kappa, classify, futaki_residual, kappa_zero, solve_P, sweep
+from .ckem import ClassLabel, b_kappa, kappa_zero, solve_P, sweep
 from .mabuchi import (
     BumpDirection,
     SymplecticPotential,

@@ -163,15 +163,11 @@ def _scal(z, d2num, X: RuledSurfaceData, kappa: float) -> np.ndarray:
     return out
 
 
-def ansatz_scalar_curvature(profile: Profile, X: RuledSurfaceData) -> Callable:
-    """Scal(z) = (s_C - ((z+kappa) Theta)'') / (z+kappa)."""
-
-    def scal(z):
-        z = np.asarray(z, dtype=float)
-        out = _scal(z, profile.jet(z)[2], X, profile.kappa)
-        return out if out.ndim else float(out)
-
-    return scal
+def ansatz_scalar_curvature(profile: Profile, X: RuledSurfaceData, z):
+    """Scal(z) = (s_C - ((z+kappa) Theta)'') / (z+kappa); a float at a scalar z."""
+    z = np.asarray(z, dtype=float)
+    out = _scal(z, profile.jet(z)[2], X, profile.kappa)
+    return out if out.ndim else float(out)
 
 
 def scal_p_on(z, jet, X: RuledSurfaceData, k: KillingData, kappa: float) -> np.ndarray:
@@ -184,15 +180,11 @@ def scal_p_on(z, jet, X: RuledSurfaceData, k: KillingData, kappa: float) -> np.n
     return f * f * _scal(z, d2num, X, kappa) - 2.0 * (k.p - 1.0) * f * lap - k.p * (k.p - 1.0) * theta
 
 
-def weighted_scalar_curvature(profile: Profile, X: RuledSurfaceData, k: KillingData) -> Callable:
-    """Scal_{(xi,b,p)}(z) of the profile (see scal_p_on)."""
-
-    def wscal(z):
-        z = np.asarray(z, dtype=float)
-        out = scal_p_on(z, profile.jet(z), X, k, profile.kappa)
-        return out if out.ndim else float(out)
-
-    return wscal
+def weighted_scalar_curvature(profile: Profile, X: RuledSurfaceData, k: KillingData, z):
+    """Scal_{(xi,b,p)}(z) of the profile (see scal_p_on); a float at a scalar z."""
+    z = np.asarray(z, dtype=float)
+    out = scal_p_on(z, profile.jet(z), X, k, profile.kappa)
+    return out if out.ndim else float(out)
 
 
 def weighted_average_c(X: RuledSurfaceData, k: KillingData) -> float:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -66,9 +66,7 @@ __all__ = [
     "ClassLabel",
     "b_kappa",
     "solve_P",
-    "futaki_residual",
     "kappa_zero",
-    "classify",
     "interior_min",
     "SweepRow",
     "sweep",
@@ -174,19 +172,6 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     return PKappaSolution(P=Polynomial(coef[0]), c=float(c[0]), futaki_residual=float(defect[0]), kappa=kappa, b=b, surface=surf)
 
 
-def futaki_residual(kappa: float, X: RuledSurfaceData | None = None) -> Callable[[float], float]:
-    """The boundary system's least-squares defect as a function of b (>= 0)."""
-    sC = _surface(kappa, X).base_scal
-
-    def residual(b: float) -> float:
-        d = float(_futaki_defect(np.array([kappa], dtype=float), np.array([b], dtype=float), sC)[0])
-        if not math.isfinite(d):
-            raise OutOfDomain(f"no finite Futaki defect at kappa = {kappa!r}, b = {b!r}")
-        return d
-
-    return residual
-
-
 def interior_min(P: Polynomial) -> tuple[float, float]:
     """P at its lowest interior critical point: (value, location).
 
@@ -230,11 +215,6 @@ def _interior_min(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _m_of_kappa(kappa: float, X: RuledSurfaceData | None) -> tuple[float, float]:
-    sol = solve_P(kappa, b_kappa(kappa), X)
-    return interior_min(sol.P)
-
-
 def kappa_zero(X: RuledSurfaceData | None = None) -> float:
     """Threshold kappa_0 = (1+b_0^2)/(2b_0), b_0 > 1 the root of the quartic
     q(b) = 6b^4 - 7b^2 + s_C b + 1; disc Q's other factor, c = 0, puts the
@@ -248,15 +228,10 @@ def kappa_zero(X: RuledSurfaceData | None = None) -> float:
     for _ in range(2):  # Newton on q, with q' = 24b^3 - 14b + s_C
         b0 -= (((6.0 * b0 * b0 - 7.0) * b0 + sC) * b0 + 1.0) / ((24.0 * b0 * b0 - 14.0) * b0 + sC)
     kappa0 = 0.5 * (b0 + 1.0 / b0)
-    m, _ = _m_of_kappa(kappa0, X)
+    m, _ = interior_min(solve_P(kappa0, b_kappa(kappa0), X).P)
     if not abs(m) <= TOL.kappa_zero_tol:
         raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds {TOL.kappa_zero_tol:.3e}")
     return kappa0
-
-
-def classify(kappa: float, X: RuledSurfaceData | None = None) -> ClassLabel:
-    """Existence classification by the sign pattern of P_kappa on (-1, 1)."""
-    return _label(_m_of_kappa(kappa, X)[0])
 
 
 def _label(m: float) -> ClassLabel:

@@ -34,14 +34,7 @@ from .cache import ResultCache, config_hash, source_fingerprint
 from .errors import ConfigError, KahlerLabError, OutOfDomain
 from .tolerances import TOL
 from .calabi import RuledSurfaceData
-from .ckem import (
-    b_kappa,
-    classify,
-    interior_min,
-    kappa_zero,
-    solve_P,
-    sweep,
-)
+from .ckem import b_kappa, kappa_zero, solve_P, sweep
 from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
 from .quantization import (
     ToyModel,
@@ -49,7 +42,6 @@ from .quantization import (
     balanced_residual,
     c_top_exact,
     expansion_check,
-    fs,
     round_potential,
     sup_grid,
     weighted_scalar_toy,
@@ -82,7 +74,7 @@ class RunConfig(_RunConfig):
         if "kappas" in p:
             if not p["kappas"]:
                 raise ConfigError("empty kappa range")
-            if min(p["kappas"]) <= 1.0:
+            if any(k <= 1.0 for k in p["kappas"]):
                 raise ConfigError("all kappa values must be > 1")
         if "p" in p and not math.isfinite(p["p"]):
             raise ConfigError("p must be finite")
@@ -232,20 +224,20 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
 
 def cmd_kappa0(args: argparse.Namespace) -> int:
     """JSON: kappa0; min_P and argmin_z, P at its lowest interior critical
-    point there (`interior_min`; ~0 at the double root); the labels at the
-    midpoint of (1, kappa0) and at kappa0 + 0.5."""
+    point there (~0 at the double root); the labels at the midpoint of
+    (1, kappa0) and at kappa0 + 0.5. All four come from one `sweep`."""
     cfg = RunConfig("kappa0", {"genus": args.genus, "degree": args.degree})
     X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
 
     def produce() -> str:
         k0 = kappa_zero(X)
-        m, zm = interior_min(solve_P(k0, b_kappa(k0), X).P)
+        at, below, above = sweep([k0, 1.0 + 0.5 * (k0 - 1.0), k0 + 0.5], X)
         return _json_line({
             "kappa0": k0,
-            "min_P": m,
-            "argmin_z": zm,
-            "label_below": str(classify(1.0 + 0.5 * (k0 - 1.0), X)),
-            "label_above": str(classify(k0 + 0.5, X)),
+            "min_P": at.min_P,
+            "argmin_z": at.argmin_z,
+            "label_below": str(below.label),
+            "label_above": str(above.label),
         })
 
     return _cached(cfg, produce, ".json", args)
@@ -272,7 +264,7 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         # default kappa: midpoint of (1, kappa0) of the surface the flags name
         kappa = args.kappa if args.kappa is not None else 0.5 * (1.0 + kappa_zero(X))
         sol = solve_P(kappa, b_kappa(kappa), X)
-        label = str(classify(kappa, X))
+        label = str(sweep([kappa], X)[0].label)
         k_list = [float(k) for k in ks]
         energies = unboundedness_probe(sol, probe_bump(sol), k_list)
         slope = fit_probe_slope(k_list, energies)
@@ -299,8 +291,7 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
         for k in ks:
             res = balanced_iterate(phi0, k, model, tol=tol)
             resid = balanced_residual(res.H, k, model)
-            phi_star = fs(res.H, k, model)
-            dev = float(np.max(np.abs(weighted_scalar_toy(phi_star, model)(mu) - c)))
+            dev = float(np.max(np.abs(weighted_scalar_toy(res.phi, model, mu) - c)))
             rows.append([k, res.n_iter, repr(resid), repr(dev)])
         return _csv("k,n_iter,residual,scal_dev", rows)
 

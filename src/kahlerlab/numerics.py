@@ -106,28 +106,22 @@ def composite_gauss(breaks, order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=int(order), lo=float(b[0]), hi=float(b[-1]))
 
 
-@lru_cache(maxsize=16)
-def graded_rule(
-    lo: float = -1.0, hi: float = 1.0, order: int = 16, levels: int = 40
-) -> QuadratureRule:
-    """Composite Gauss rule on a mesh geometrically refined toward lo and hi.
+_GRADED_ORDER, _GRADED_LEVELS = 16, 40
+
+
+@lru_cache(maxsize=1)
+def graded_rule() -> QuadratureRule:
+    """Composite Gauss rule on [-1, 1], _GRADED_ORDER nodes per panel, on a
+    mesh geometrically refined toward both ends.
 
     Panel widths halve toward each endpoint, so bounded integrands whose
     derivatives blow up only at the endpoints (x log x type) are integrated
-    to near machine accuracy. The innermost panels have width (hi-lo)/2^levels;
+    to near machine accuracy. The innermost panels have width 2^-_GRADED_LEVELS;
     anything a bounded integrand does there is below roundoff. Memoized: the
     returned rule is shared, and its arrays are read-only.
     """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    mid = 0.5 * (lo + hi)
-    cuts = [mid]
-    for j in range(1, levels + 1):
-        cuts.append(mid + 0.5 * (hi - lo) * (0.5 - 2.0 ** -(j + 1)) * 2.0)
-    # cuts now runs mid, ..., approaching hi; mirror for the lo side
-    right = np.array(cuts + [hi])
-    left = (lo + hi) - right[::-1]
-    return composite_gauss(np.concatenate([left[:-1], right]), order)
+    right = np.append(1.0 - 2.0 ** -np.arange(_GRADED_LEVELS + 1.0), 1.0)  # 0, 1/2, 3/4, ..., 1
+    return composite_gauss(np.concatenate([-right[:0:-1], right]), _GRADED_ORDER)
 
 
 def power_integral(lo: float, hi: float, m: float) -> float:

@@ -529,17 +529,13 @@ def c_top_exact(model: ToyModel) -> float:
     return 2.0 * (a0 ** (1.0 - p) + a1 ** (1.0 - p)) / power_integral(a0, a1, -(p + 1.0))
 
 
-def weighted_scalar_toy(phi: RadialPotential, model: ToyModel) -> Callable:
+def weighted_scalar_toy(phi: RadialPotential, model: ToyModel, mu):
     """Scal_p(mu) = f^2 (-S'') + 2(p-1) f S' - p(p-1) S (plain -S'' when
-    the weight field is zero)."""
-
-    def scal_p(mu):
-        mu = np.asarray(mu, dtype=float)
-        s = phi.at_mu(mu)
-        out = _scal_p(model, mu, s.S, s.dS, s.d2S)
-        return out if out.ndim else float(out)
-
-    return scal_p
+    the weight field is zero); a float at a scalar mu."""
+    mu = np.asarray(mu, dtype=float)
+    s = phi.at_mu(mu)
+    out = _scal_p(model, mu, s.S, s.dS, s.d2S)
+    return out if out.ndim else float(out)
 
 
 def _scal_p(model: ToyModel, mu, S, dS, d2S):
@@ -603,36 +599,25 @@ def bergman_density(
     model: ToyModel,
     Psi: Callable[[np.ndarray], np.ndarray],
     Phi: Callable[[np.ndarray], np.ndarray],
-) -> Callable:
+    mu,
+) -> np.ndarray:
     """B(mu) = Psi(f) sum_j Phi(lambda_j) |s_j|^2 / G_j with G_j the squared
     norms for the weighted product int |.|^2 Psi(f) vol_{k omega}."""
     spec = eigenvalues(k, model, check_weights=False)
-    log_psi = np.log(np.asarray(Psi(model.f(_mu_rule().nodes)), dtype=float))
-    log_g = _log_gram(phi, k, log_psi)
-    phi_lam = np.asarray(Phi(spec.lam), dtype=float)
-
-    def B(mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        E = _log_section_densities(phi.at_mu(mu), k, mu)
-        dens = np.exp(E - log_g[:, None])
-        return np.asarray(Psi(model.f(mu)), dtype=float) * np.einsum("j,jq->q", phi_lam, dens)
-
-    return B
+    log_g = _log_gram(phi, k, np.log(np.asarray(Psi(model.f(_mu_rule().nodes)), dtype=float)))
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - log_g[:, None])
+    return np.asarray(Psi(model.f(mu)), dtype=float) * np.einsum("j,jq->q", np.asarray(Phi(spec.lam), dtype=float), dens)
 
 
-def rho_p(phi: RadialPotential, k: int, model: ToyModel) -> Callable:
+def rho_p(phi: RadialPotential, k: int, model: ToyModel, mu) -> np.ndarray:
     """rho(mu) = f^{1-p} sum_j lambda_j(p) |s_j|^2 / G_j (Hilb-orthonormal
     section density)."""
     spec = eigenvalues(k, model)
     log_g = _log_gram(phi, k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
-
-    def rho(mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        E = _log_section_densities(phi.at_mu(mu), k, mu)
-        dens = np.exp(E - log_g[:, None])
-        return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", spec.lam_p, dens)
-
-    return rho
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - log_g[:, None])
+    return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", spec.lam_p, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +647,13 @@ def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int
         raise ConfigError(f"the expansion fit needs 4 distinct k, got {ks}")
     mu = sup_grid()
     f = model.f(mu)
-    scal_p = weighted_scalar_toy(phi, model)(mu)
+    scal_p = weighted_scalar_toy(phi, model, mu)
     c = c_top_exact(model)
     lead = f ** (1.0 - model.p)
     second = f ** (-(model.p + 1.0)) * (scal_p - c)
     res, res_lead = [], []
     for k in ks:
-        dens = 2.0 * math.pi * rho_p(phi, k, model)(mu)
+        dens = 2.0 * math.pi * rho_p(phi, k, model, mu)
         res.append(float(np.max(np.abs(dens - lead - second / (4.0 * k)))))
         res_lead.append(float(np.max(np.abs(dens - lead))))
     logk = np.log(ks)
@@ -755,4 +740,4 @@ def balanced_residual(H: HermitianNorms, k: int, model: ToyModel) -> float:
     phi = fs(H, k, model)
     mu = sup_grid()
     ck = c_k_constant(k, model)
-    return float(np.max(np.abs(rho_p(phi, k, model)(mu) - ck * model.f(mu) ** (1.0 - model.p))))
+    return float(np.max(np.abs(rho_p(phi, k, model, mu) - ck * model.f(mu) ** (1.0 - model.p))))

@@ -31,15 +31,7 @@ from .calabi import (
     weighted_scalar_curvature,
     ansatz_scalar_curvature,
 )
-from .ckem import (
-    ClassLabel,
-    b_kappa,
-    classify,
-    futaki_residual,
-    interior_min,
-    kappa_zero,
-    solve_P,
-)
+from .ckem import ClassLabel, b_kappa, kappa_zero, solve_P, sweep
 from .mabuchi import (
     BumpDirection,
     SymplecticPotential,
@@ -122,29 +114,26 @@ def _chk_p1_reduction() -> float:
     kd = KillingData(b=2.2, p=1.0)
     z = np.linspace(-0.95, 0.95, 301)
     f = z + kd.b
-    return float(np.max(np.abs(weighted_scalar_curvature(prof, X, kd)(z) - f * f * ansatz_scalar_curvature(prof, X)(z))))
+    return float(np.max(np.abs(weighted_scalar_curvature(prof, X, kd, z) - f * f * ansatz_scalar_curvature(prof, X, z))))
 
 
 def _chk_futaki_on_curve() -> float:
     b = 2.0
     kappa = (1.0 + b * b) / (2.0 * b)
-    return abs(futaki_residual(kappa)(b))
+    return abs(solve_P(kappa, b).futaki_residual)
 
 
 def _chk_futaki_off_curve() -> float:
     b = 2.0
     kappa = (1.0 + b * b) / (2.0 * b)
-    return min(abs(futaki_residual(kappa)(b - 0.1)), abs(futaki_residual(kappa)(b + 0.1)))
+    return min(abs(solve_P(kappa, b - 0.1).futaki_residual), abs(solve_P(kappa, b + 0.1).futaki_residual))
 
 
 def _chk_kappa0() -> float:
     k0 = kappa_zero()
-    m, _ = interior_min(solve_P(k0, b_kappa(k0)).P)
-    ok_labels = (
-        classify(1.0 + 0.5 * (k0 - 1.0)) is ClassLabel.NEGATIVE_SOMEWHERE
-        and classify(k0 + 0.5) is ClassLabel.EXISTS_CKEM
-    )
-    return abs(m) if ok_labels else math.inf
+    at, below, above = sweep([k0, 1.0 + 0.5 * (k0 - 1.0), k0 + 0.5])
+    ok_labels = below.label is ClassLabel.NEGATIVE_SOMEWHERE and above.label is ClassLabel.EXISTS_CKEM
+    return abs(at.min_P) if ok_labels else math.inf
 
 
 def _chk_el_gradient() -> float:
@@ -194,9 +183,9 @@ def _chk_rho_identity() -> float:
     phi = round_potential()
     spec = eigenvalues(k, model)
     mu = sup_grid()
-    lhs = rho_p(phi, k, model)(mu)
-    b_main = bergman_density(phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: lam ** (1.0 - model.p))(mu)
-    b_corr = bergman_density(phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: lam ** (-(model.p + 1.0)))(mu)
+    lhs = rho_p(phi, k, model, mu)
+    b_main = bergman_density(phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: lam ** (1.0 - model.p), mu=mu)
+    b_corr = bergman_density(phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: lam ** (-(model.p + 1.0)), mu=mu)
     return float(np.max(np.abs(lhs - (b_main - spec.c / (4.0 * k) * b_corr))))
 
 
@@ -206,7 +195,7 @@ def _chk_trace_identity() -> float:
     phi = round_potential()
     spec = eigenvalues(k, model)
     rule = gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
-    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model)(rule.nodes)))
+    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, rule.nodes)))
     return abs(total - float(np.sum(spec.lam_p))) / float(np.sum(spec.lam_p))
 
 

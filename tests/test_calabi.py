@@ -37,9 +37,8 @@ def test_round_profile_scalar_curvature_closed_form():
     kappa = 1.4
     X = RuledSurfaceData.standard(kappa)
     prof = Profile.from_callable(lambda z: 1.0 - z * z, kappa)
-    scal = ansatz_scalar_curvature(prof, X)
     expected = (X.base_scal + 6.0 * ZGRID + 2.0 * kappa) / (ZGRID + kappa)
-    np.testing.assert_allclose(scal(ZGRID), expected, atol=1e-9)
+    np.testing.assert_allclose(ansatz_scalar_curvature(prof, X, ZGRID), expected, atol=1e-9)
 
 
 def test_boundary_conditions_random_profiles():
@@ -120,8 +119,8 @@ def test_p_equals_one_reduces_to_conformal_rescaling():
     prof = random_admissible_profile(rng, 1.3)
     kd = KillingData(b=2.2, p=1.0)
     f = ZGRID + kd.b
-    lhs = weighted_scalar_curvature(prof, X, kd)(ZGRID)
-    rhs = f * f * ansatz_scalar_curvature(prof, X)(ZGRID)
+    lhs = weighted_scalar_curvature(prof, X, kd, ZGRID)
+    rhs = f * f * ansatz_scalar_curvature(prof, X, ZGRID)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -129,7 +128,7 @@ def test_weighted_scal_constant_on_solver_profile():
     kappa = 1.25
     sol = solve_P(kappa, b_kappa(kappa))
     kd = KillingData(b=sol.b, p=4.0)
-    vals = weighted_scalar_curvature(sol.profile(), sol.surface, kd)(ZGRID)
+    vals = weighted_scalar_curvature(sol.profile(), sol.surface, kd, ZGRID)
     np.testing.assert_allclose(vals, sol.c, atol=1e-9)
 
 

@@ -10,8 +10,6 @@ from kahlerlab import ckem
 from kahlerlab.ckem import (
     ClassLabel,
     b_kappa,
-    classify,
-    futaki_residual,
     interior_min,
     kappa_zero,
     solve_P,
@@ -40,10 +38,9 @@ def test_b_kappa_domain():
 def test_futaki_vanishes_exactly_on_the_curve():
     for b in (1.1, 1.5, 2.0, 3.0):
         kappa = (1.0 + b * b) / (2.0 * b)
-        res = futaki_residual(kappa)
-        assert abs(res(b)) < 1e-10
-        assert abs(res(b - 0.1)) > 1e-4
-        assert abs(res(b + 0.1)) > 1e-4
+        assert abs(solve_P(kappa, b).futaki_residual) < 1e-10
+        assert abs(solve_P(kappa, b - 0.1).futaki_residual) > 1e-4
+        assert abs(solve_P(kappa, b + 0.1).futaki_residual) > 1e-4
 
 
 def test_solve_P_boundary_values():
@@ -91,7 +88,7 @@ def test_sweep_rows_equal_single_solves_bit_for_bit():
             sol = solve_P(k, b_kappa(k), X)
             m, zm = interior_min(sol.P)
             assert (row.b_kappa, row.c, row.futaki_residual) == (b_kappa(k), sol.c, sol.futaki_residual)
-            assert (row.min_P, row.argmin_z, row.label) == (m, zm, classify(k, X))
+            assert (row.min_P, row.argmin_z, row.label) == (m, zm, ckem._label(m))
 
 
 def test_sweep_names_each_rejected_kappa():
@@ -137,7 +134,7 @@ def test_futaki_defect_matches_lstsq_off_the_curve(genus, degree):
             A, y = _theta_rows(kappa, b, X.base_scal)
             x = np.linalg.lstsq(A, y, rcond=None)[0]
             rtol = 10.0 * np.linalg.cond(A) * np.finfo(float).eps
-            np.testing.assert_allclose(futaki_residual(kappa, X)(b), np.linalg.norm(A @ x - y), rtol=rtol)
+            np.testing.assert_allclose(solve_P(kappa, b, X).futaki_residual, np.linalg.norm(A @ x - y), rtol=rtol)
 
 
 def test_kappa_zero_matches_frozen_value():
@@ -185,9 +182,10 @@ def test_kappa_zero_follows_its_large_s_C_law():
 
 
 def test_classification_brackets_the_threshold():
-    assert classify(1.005) is ClassLabel.NEGATIVE_SOMEWHERE
-    assert classify(KAPPA0) is ClassLabel.DOUBLE_ROOT
-    assert classify(1.25) is ClassLabel.EXISTS_CKEM
+    below, at, above = (row.label for row in sweep([1.005, KAPPA0, 1.25]))
+    assert below is ClassLabel.NEGATIVE_SOMEWHERE
+    assert at is ClassLabel.DOUBLE_ROOT
+    assert above is ClassLabel.EXISTS_CKEM
 
 
 def test_sweep_rows_and_label_transition():

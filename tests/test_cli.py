@@ -51,6 +51,14 @@ def test_pkappa_rejects_kappa_with_kappa_range(workdir, capsys):
     assert out == "" and "exactly one of --kappa and --kappa-range" in err
 
 
+@pytest.mark.parametrize("kappa_range", ["0.5,nan", "nan,0.5", "1.5,nan,0.5,inf"])
+def test_pkappa_rejects_a_kappa_at_most_one_in_any_position(kappa_range, workdir, capsys):
+    # a nan before it must not hide it: the check reads every kappa
+    assert main(["pkappa", "--kappa-range", kappa_range, "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "all kappa values must be > 1" in err
+
+
 @pytest.mark.parametrize("bad", ["inf", "1e200", "nan"])
 def test_pkappa_writes_an_error_row_for_a_kappa_it_cannot_solve(bad, workdir, capsys):
     assert main(["pkappa", "--kappa-range", f"1.5,{bad}", "--no-cache"]) == cli.EXIT_OK

@@ -210,9 +210,9 @@ def _consumers():
     mu = np.linspace(0.05, 0.95, 19)
     return {
         "hilb": lambda ps: [hilb(p, k, MW) for p in ps for k in (8, 16)],
-        "rho_p": lambda ps: [quant.rho_p(p, 8, MW)(mu) for p in ps],
-        "bergman": lambda ps: [quant.bergman_density(p, 8, MW, Psi=np.sqrt, Phi=np.sqrt)(mu) for p in ps],
-        "scal": lambda ps: [quant.weighted_scalar_toy(p, MW)(mu) for p in ps],
+        "rho_p": lambda ps: [quant.rho_p(p, 8, MW, mu) for p in ps],
+        "bergman": lambda ps: [quant.bergman_density(p, 8, MW, Psi=np.sqrt, Phi=np.sqrt, mu=mu) for p in ps],
+        "scal": lambda ps: [quant.weighted_scalar_toy(p, MW, mu) for p in ps],
         "L": lambda ps: [functional_L(p, 8, MW) for p in ps],
         "mabuchi": lambda ps: [toy_mabuchi(p, MW) for p in ps],
         "aubin": lambda ps: [aubin_path(a, b, 8, MW) for a, b in zip(ps, ps[1:])],

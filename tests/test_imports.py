@@ -62,3 +62,34 @@ def test_only_the_cli_formats_payloads():
     mods = {p.name: _imported_modules(ast.parse(p.read_text())) for p in paths}
     assert [n for n, m in mods.items() if m & {"csv", "io"}] == ["cli.py"]
     assert [n for n, m in mods.items() if "json" in m] == ["cache.py", "cli.py"]
+
+
+def _returned_inner_functions(tree: ast.Module) -> list[str]:
+    """'outer -> inner' for each function that returns, by name, a function
+    or lambda defined in its own body."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = {n.name for n in ast.walk(fn) if n is not fn and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        inner |= {
+            t.id
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda)
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Return) and isinstance(n.value, ast.Name) and n.value.id in inner:
+                out.append(f"{fn.name} -> {n.value.id}")
+            elif isinstance(n, ast.Return) and isinstance(n.value, ast.Lambda):
+                out.append(f"{fn.name} -> lambda")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_returns_a_closure(path):
+    # evaluators take their points and return values: a function that only
+    # builds an inner function for its caller to evaluate at once is a second
+    # call for one quantity
+    assert not _returned_inner_functions(ast.parse(path.read_text())), path.name

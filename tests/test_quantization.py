@@ -225,7 +225,7 @@ def _c_top_quadrature(phi, model):
     Gauss quadrature of the profile's Scal_p."""
     rule = gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
     w = rule.weights * model.f(rule.nodes) ** (-(model.p + 1.0))
-    return float(np.dot(weighted_scalar_toy(phi, model)(rule.nodes), w)) / float(w.sum())
+    return float(np.dot(weighted_scalar_toy(phi, model, rule.nodes), w)) / float(w.sum())
 
 
 def test_c_top_quadrature_is_metric_independent():
@@ -241,7 +241,7 @@ def test_round_is_extremal_for_p2_weight():
     # At (b0, p) = (1, 2) the round profile solves Scal_p = c exactly:
     # 4 f^2 + 2 f S' - 2 S = 8 identically for S = 2 mu (1 - mu), f = mu + 1.
     model = ToyModel(b0=1.0, p=2.0)
-    vals = weighted_scalar_toy(round_potential(), model)(MU)
+    vals = weighted_scalar_toy(round_potential(), model, MU)
     np.testing.assert_allclose(vals, 8.0, atol=1e-10)
     np.testing.assert_allclose(c_top_exact(model), 8.0, rtol=1e-14)
 
@@ -313,8 +313,8 @@ def test_bergman_unweighted_constant():
     # dimension count: (2 pi) B = (k+1)/k exactly.
     model = ToyModel(p=1.0)
     k = 7
-    B = bergman_density(round_potential(), k, model, Psi=lambda f: np.ones_like(f), Phi=lambda lam: np.ones_like(lam))
-    np.testing.assert_allclose(2.0 * math.pi * B(MU), (k + 1.0) / k, rtol=1e-12)
+    B = bergman_density(round_potential(), k, model, Psi=lambda f: np.ones_like(f), Phi=lambda lam: np.ones_like(lam), mu=MU)
+    np.testing.assert_allclose(2.0 * math.pi * B, (k + 1.0) / k, rtol=1e-12)
 
 
 def test_rho_decomposition_pointwise():
@@ -324,10 +324,10 @@ def test_rho_decomposition_pointwise():
     for phi in (round_potential(), random_potential(rng)):
         spec = eigenvalues(k, model)
         pw = lambda f: f ** (1.0 - model.p)
-        main = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (1.0 - model.p))
-        corr = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (-(model.p + 1.0)))
-        lhs = rho_p(phi, k, model)(MU)
-        rhs = main(MU) - spec.c / (4.0 * k) * corr(MU)
+        main = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (1.0 - model.p), mu=MU)
+        corr = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (-(model.p + 1.0)), mu=MU)
+        lhs = rho_p(phi, k, model, MU)
+        rhs = main - spec.c / (4.0 * k) * corr
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -337,7 +337,7 @@ def test_rho_trace_recovers_weighted_dimension():
     phi = random_potential(np.random.default_rng(6))
     spec = eigenvalues(k, model)
     rule = gauss_legendre(256, 0.0, 1.0)
-    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model)(rule.nodes)))
+    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, rule.nodes)))
     np.testing.assert_allclose(total, float(np.sum(spec.lam_p)), rtol=1e-12)
 
 
@@ -347,11 +347,11 @@ def test_section_dimension_count():
     model = ToyModel(b0=1.0, p=4.0)
     k = 6
     phi = round_potential()
-    B = bergman_density(
-        phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: np.ones_like(lam)
-    )
     rule = gauss_legendre(256, 0.0, 1.0)
-    total = 2.0 * math.pi * k * float(np.dot(rule.weights, B(rule.nodes)))
+    B = bergman_density(
+        phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: np.ones_like(lam), mu=rule.nodes
+    )
+    total = 2.0 * math.pi * k * float(np.dot(rule.weights, B))
     np.testing.assert_allclose(total, k + 1.0, rtol=1e-12)
 
 
