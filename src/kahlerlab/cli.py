@@ -290,7 +290,7 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
         rows = []
         for k in ks:
             res = balanced_iterate(phi0, k, model, tol=tol)
-            resid = balanced_residual(res.H, k, model)
+            resid = balanced_residual(res.phi, k, model)
             dev = float(np.max(np.abs(weighted_scalar_toy(res.phi, model, mu) - c)))
             rows.append([k, res.n_iter, repr(resid), repr(dev)])
         return _csv("k,n_iter,residual,scal_dev", rows)

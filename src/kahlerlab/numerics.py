@@ -28,27 +28,24 @@ __all__ = [
 class _QuadratureRule(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
-    lo: float = -1.0
-    hi: float = 1.0
 
 
 class QuadratureRule(_QuadratureRule):
-    """Nodes/weights for integration over [lo, hi].
+    """Nodes/weights for integration over an interval [lo, hi].
 
     Invariants (tested): weights sum to hi - lo within 1e-13; nodes strictly
-    increasing; Gauss rules integrate polynomials up to degree 2*order - 1
-    exactly within 1e-12.
+    increasing; Gauss rules of n nodes per panel integrate polynomials up to
+    degree 2n - 1 exactly within 1e-12.
     """
 
     __slots__ = ()
-    def __new__(cls, nodes, weights, order: int, lo: float = -1.0, hi: float = 1.0) -> QuadratureRule:
+    def __new__(cls, nodes, weights) -> QuadratureRule:
         nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
-        return super().__new__(cls, nodes, weights, order, lo, hi)
+        return super().__new__(cls, nodes, weights)
 
 
 @lru_cache(maxsize=64)
@@ -103,7 +100,7 @@ def composite_gauss(breaks, order: int) -> QuadratureRule:
     mid = 0.5 * (b[1:] + b[:-1])[:, None]
     nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, order=int(order), lo=float(b[0]), hi=float(b[-1]))
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 _GRADED_ORDER, _GRADED_LEVELS = 16, 40

@@ -677,13 +677,13 @@ class BalancedResult(NamedTuple):
 
 
 _ANDERSON_DEPTH = 8  # residual differences the balanced mixing keeps
+_BALANCED_STEPS = 500  # step budget of the balanced iteration
 
 
 def balanced_iterate(
     phi0: RadialPotential,
     k: int,
     model: ToyModel,
-    max_iter: int = 500,
     tol: float = TOL.balanced_tol,
 ) -> BalancedResult:
     """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0),
@@ -699,8 +699,8 @@ def balanced_iterate(
 
     Converged when the raw step sup_j |g_j| < tol: H = x + g is then
     within sup|g| / (1 - r) of the fixed-point set, r the contraction rate
-    of T. Raises NoConvergence after max_iter, naming the last raw step and
-    the last step modulo span{1, j}."""
+    of T. Raises NoConvergence after _BALANCED_STEPS steps, naming the last
+    raw step and the last step modulo span{1, j}."""
     j = np.arange(k + 1, dtype=float)
     gauge = np.stack([np.ones_like(j), j - 0.5 * k], axis=1)  # orthogonal: sum(j - k/2) = 0
     gauge /= np.sqrt(np.sum(gauge * gauge, axis=0))
@@ -709,7 +709,7 @@ def balanced_iterate(
     dG: list[np.ndarray] = []
     history = []
     step = quotient = math.nan
-    for n in range(max_iter):
+    for n in range(_BALANCED_STEPS):
         g = hilb(fs(HermitianNorms(k=k, log_h=x), k, model), k, model).log_h - x
         step = float(np.max(np.abs(g)))
         history.append(step)
@@ -730,14 +730,13 @@ def balanced_iterate(
             gamma = np.linalg.lstsq(DG - gauge @ (gauge.T @ DG), gq, rcond=None)[0]
             x = x - (DX + DG) @ gamma
     raise NoConvergence(
-        f"balanced iteration did not reach tol={tol:g} in {max_iter} steps: last raw step "
+        f"balanced iteration did not reach tol={tol:g} in {_BALANCED_STEPS} steps: last raw step "
         f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}"
     )
 
 
-def balanced_residual(H: HermitianNorms, k: int, model: ToyModel) -> float:
-    """sup over the interior grid of |rho_p(k phi*) - C_k f^{1-p}| at phi* = FS(H)."""
-    phi = fs(H, k, model)
+def balanced_residual(phi: RadialPotential, k: int, model: ToyModel) -> float:
+    """sup over the interior grid of |rho_p(k phi) - C_k f^{1-p}|, phi = FS(H) of a balanced result."""
     mu = sup_grid()
     ck = c_k_constant(k, model)
     return float(np.max(np.abs(rho_p(phi, k, model, mu) - ck * model.f(mu) ** (1.0 - model.p))))

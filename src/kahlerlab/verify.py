@@ -217,7 +217,7 @@ def _chk_balanced_round() -> float:
     model = ToyModel(p=1.0)
     k = 8
     res = balanced_iterate(round_potential(), k, model)
-    return balanced_residual(res.H, k, model)
+    return balanced_residual(res.phi, k, model)
 
 
 def _chk_z_convexity() -> float:
@@ -289,13 +289,17 @@ def run_checks(tags: Sequence[str] | None = None, breach: str | None = None) -> 
 
     `breach` names a check whose bound is made impossible (-1 for an upper
     bound, inf for a lower one) — used to test the failure path end to end.
+    A breach of a check that `tags` leaves out raises OutOfDomain.
     """
-    if breach is not None and breach not in {row[0] for row in _CHECKS}:
+    tag_of = {row[0]: row[1] for row in _CHECKS}
+    if breach is not None and breach not in tag_of:
         raise OutOfDomain(f"unknown breach target {breach!r}")
     if tags is not None:
         bad = set(tags) - set(ALL_TAGS)
         if bad:
             raise OutOfDomain(f"unknown tags {sorted(bad)!r}")
+        if breach is not None and tag_of[breach] not in tags:
+            raise OutOfDomain(f"breach target {breach!r} has tag {tag_of[breach]!r}, not among {list(tags)!r}")
     out = []
     for name, tag, check, sense, bound in _CHECKS:
         if tags is not None and tag not in tags:

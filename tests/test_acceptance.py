@@ -48,7 +48,6 @@ from kahlerlab.quantization import (
     c_k_constant,
     eigenvalues,
     expansion_check,
-    fs,
     hilb,
     random_potential,
     rho_p,
@@ -251,13 +250,12 @@ def test_criterion_09_balanced_iteration():
     c = 4.0
     devs = {}
     for k in (8, 16, 32, 64):
-        res = balanced_iterate(round_potential(), k, model, tol=1e-10, max_iter=500)
+        res = balanced_iterate(round_potential(), k, model, tol=1e-10)
         assert res.converged
         if k <= 32:
             assert res.n_iter <= 500
-            assert balanced_residual(res.H, k, model) < 1e-8
-        phi_star = fs(res.H, k, model)
-        devs[k] = float(np.max(np.abs(weighted_scalar_toy(phi_star, model, mu) - c)))
+            assert balanced_residual(res.phi, k, model) < 1e-8
+        devs[k] = float(np.max(np.abs(weighted_scalar_toy(res.phi, model, mu) - c)))
     # trend: non-increasing up to 10% noise, with values at numerical zero
     # (below the 1e-8 residual scale) treated as floor ties
     floor = 1e-8
@@ -266,10 +264,10 @@ def test_criterion_09_balanced_iteration():
         assert nxt <= max(1.1 * prev, floor)
     # genuine attraction, not just fixed-point bookkeeping:
     rnd_start = balanced_iterate(
-        random_potential(np.random.default_rng(105), scale=0.6), 8, model, tol=1e-10, max_iter=500
+        random_potential(np.random.default_rng(105), scale=0.6), 8, model, tol=1e-10
     )
     assert rnd_start.converged and rnd_start.n_iter <= 500
-    assert balanced_residual(rnd_start.H, 8, model) < 1e-8
+    assert balanced_residual(rnd_start.phi, 8, model) < 1e-8
     _verdict(
         9,
         f"k<=32 converged, residuals < 1e-8; scal deviations {', '.join(f'{v:.1e}' for v in seq)} at floor; "

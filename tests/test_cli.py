@@ -8,11 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kahlerlab
 import kahlerlab.cli as cli
-from kahlerlab import ckem
+from kahlerlab import ckem, quantization
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.cli import build_parser, main
 from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
@@ -172,6 +173,27 @@ def test_verify_exit_codes(workdir, capsys):
     capsys.readouterr()
     assert main(["verify", "--tags", "bogus", "--no-cache"]) == 2
     assert main(["verify", "--breach", "bogus", "--no-cache"]) == 2
+    capsys.readouterr()
+    # a breach the selected tags leave out would never run: rejected, not ignored
+    assert main(["verify", "--tags", "numerics", "--breach", "futaki-off-curve", "--no-cache"]) == 2
+    assert "'futaki-off-curve' has tag 'ckem'" in capsys.readouterr().err
+
+
+def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, capsys, monkeypatch):
+    # the residual and the scal deviation both read the FS potential the
+    # iteration returns, not a second, equal one built from its norms
+    inverted = []
+    invert = quantization._invert
+
+    def spy(sample, slope, x, target, lo, hi):
+        if np.array_equal(target, quantization.sup_grid()):
+            inverted.append(sample.__self__)
+        return invert(sample, slope, x, target, lo, hi)
+
+    monkeypatch.setattr(quantization, "_invert", spy)
+    assert main(["quant-balanced", "--b0", "inf", "--p", "1", "--k-range", "8,16", "--no-cache"]) == 0
+    assert len({id(phi) for phi in inverted}) == 2
+    assert all(isinstance(phi, quantization.FSPotential) for phi in inverted)
 
 
 def test_mabuchi_probe_explicit_kappa(workdir, capsys):

@@ -1,7 +1,12 @@
-"""No module of the package imports a name it never uses or exports."""
+"""Each name has one import path, its defining module, and no module of
+the package imports a name it never uses or exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -93,3 +98,22 @@ def test_no_function_returns_a_closure(path):
     # builds an inner function for its caller to evaluate at once is a second
     # call for one quantity
     assert not _returned_inner_functions(ast.parse(path.read_text())), path.name
+
+
+def test_package_namespace_holds_only_modules():
+    # every name is imported from the module that defines it
+    public = [n for n, v in vars(kahlerlab).items() if not n.startswith("_") and not isinstance(v, ModuleType)]
+    assert not public
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [("numerics", ["numerics"]), ("quantization", ["errors", "numerics", "quantization", "tolerances"])],
+)
+def test_a_module_loads_only_what_it_imports(module, loaded):
+    # a fresh interpreter: the toy strand loads none of the ruled-surface one
+    src = str(Path(kahlerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys, kahlerlab.{module}; print(*sorted(m for m in sys.modules if m.startswith('kahlerlab.')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
+    assert out.split() == [f"kahlerlab.{m}" for m in loaded]

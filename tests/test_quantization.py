@@ -399,7 +399,7 @@ def test_balanced_round_is_fixed_point():
     model = ToyModel(p=1.0)
     res = balanced_iterate(round_potential(), 8, model)
     assert res.converged and res.n_iter <= 2
-    assert balanced_residual(res.H, 8, model) < 1e-12
+    assert balanced_residual(res.phi, 8, model) < 1e-12
 
 
 def test_balanced_attracts_random_starts():
@@ -408,7 +408,7 @@ def test_balanced_attracts_random_starts():
     phi0 = random_potential(np.random.default_rng(7), scale=0.6)
     res = balanced_iterate(phi0, k, model)
     assert res.converged and res.n_iter <= 500
-    assert balanced_residual(res.H, k, model) < 1e-8
+    assert balanced_residual(res.phi, k, model) < 1e-8
     # Gauge check: the limit agrees with the round norms up to the exact
     # h -> exp(k a + j b) h covariance of the iteration.
     ref = hilb(round_potential(), k, model)
@@ -422,7 +422,7 @@ def test_balanced_attracts_random_starts():
 def test_balanced_no_fixed_point_in_weighted_mode():
     model = ToyModel(b0=1.0, p=4.0)
     with pytest.raises(NoConvergence):
-        balanced_iterate(round_potential(), 4, model, max_iter=60)
+        balanced_iterate(round_potential(), 4, model)
 
 
 def _affine_defect_from_beta_norms(log_h, k):
@@ -439,13 +439,13 @@ def _affine_defect_from_beta_norms(log_h, k):
 @pytest.mark.parametrize("k", [8, 12, 16])
 def test_balanced_random_starts_converge_in_few_steps(k, seed):
     phi0 = random_potential(np.random.default_rng(seed), scale=0.6)
-    res = balanced_iterate(phi0, k, ToyModel(p=1.0), max_iter=40)
+    res = balanced_iterate(phi0, k, ToyModel(p=1.0))
     assert res.converged and res.n_iter <= 40
     assert _affine_defect_from_beta_norms(res.H.log_h, k) < 1e-8
 
 
 def test_balanced_k16_converges_under_default_max_iter():
-    # the plain map needs about 520 steps here, beyond the default 500
+    # the plain map needs about 520 steps here, beyond the 500-step budget
     k = 16
     res = balanced_iterate(random_potential(np.random.default_rng(9), scale=0.6), k, ToyModel(p=1.0))
     assert res.converged
@@ -458,7 +458,7 @@ def test_balanced_weighted_failure_is_gauge_drift():
     # modulo span{1, j} reaches rounding level. The mu<->t inversion, whose
     # NoConvergence reads differently, does not fail.
     with pytest.raises(NoConvergence, match="balanced iteration did not reach") as err:
-        balanced_iterate(round_potential(), 4, ToyModel(b0=1.0, p=4.0), max_iter=60)
+        balanced_iterate(round_potential(), 4, ToyModel(b0=1.0, p=4.0))
     found = re.search(r"last raw step (\S+), last step modulo span\{1, j\} (\S+)", str(err.value))
     raw, quotient = float(found.group(1)), float(found.group(2))
     assert raw > 1e-2

@@ -44,9 +44,9 @@ RECORDS = [
     (tolerances.Tolerances, tuple(TOL_DEFAULTS), TOL_DEFAULTS, {}, None),
     (
         numerics.QuadratureRule,
-        ("nodes", "weights", "order", "lo", "hi"),
-        {"lo": -1.0, "hi": 1.0},
-        dict(nodes=[-1, 1], weights=[1, 1], order=1),
+        ("nodes", "weights"),
+        {},
+        dict(nodes=[-1, 1], weights=[1, 1]),
         (dict(nodes=[1, -1]), ValueError),
     ),
     (
