@@ -30,7 +30,8 @@ one-dimensional quadrature plus vector algebra.
 
 The toy strand has two fixed rules, the momentum rule _mu_rule() of every
 Gram matrix and the t-grid _t_grid() of every path integral; each potential
-is sampled on each at most once (RadialPotential.mu_sample, .t_sample).
+is sampled on each at most once (RadialPotential.gram_sample, .t_sample),
+the Gram rule on its native side, so no Gram matrix inverts mu <-> t.
 
 Volume convention: vol_{k omega} = k^m vol_omega with m = 1, i.e. 2 pi k dmu.
 """
@@ -54,6 +55,7 @@ __all__ = [
     "RadialPotential",
     "MuSample",
     "TSample",
+    "GramSample",
     "ProfilePotential",
     "FSPotential",
     "BlendPotential",
@@ -172,6 +174,16 @@ class TSample(NamedTuple):
     psi4: np.ndarray
 
 
+class GramSample(NamedTuple):
+    """A potential on the Gram rule: momenta mu, t = v'(mu), v, and the log
+    quadrature weights of dmu there."""
+
+    mu: np.ndarray
+    t: np.ndarray
+    v: np.ndarray
+    log_w: np.ndarray
+
+
 # rounding level of a residual or step, relative: the cumulant sums of an
 # FS potential carry up to ~7 eps at k = 512
 _ROUNDING = 16.0 * np.finfo(float).eps
@@ -237,7 +249,9 @@ class RadialPotential(ABC):
         S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
 
     A potential never changes after construction, so its read-only samples
-    on the two fixed rules, mu_sample and t_sample, are taken once each.
+    on the two fixed rules, gram_sample and t_sample, are taken once each;
+    the Gram sample reads at_mu at the momentum nodes, or at_t at their
+    pull-back in _TNativePotential.
     """
 
     @abstractmethod
@@ -247,8 +261,10 @@ class RadialPotential(ABC):
     def at_t(self, t) -> TSample: ...
 
     @cached_property
-    def mu_sample(self) -> MuSample:
-        return _read_only(self.at_mu(_mu_rule().nodes))
+    def gram_sample(self) -> GramSample:
+        rule = _mu_rule()
+        s = self.at_mu(rule.nodes)
+        return _read_only(GramSample(rule.nodes, s.t, s.v, np.log(rule.weights)))
 
     @cached_property
     def t_sample(self) -> TSample:
@@ -258,7 +274,25 @@ class RadialPotential(ABC):
 class _TNativePotential(RadialPotential):
     """Base for potentials native on the log-radial side; the momentum side
     comes from inverting mu(t) = psi'(t) (dmu/dt = psi''), started at the
-    round value t = log(mu/(1-mu))."""
+    round value t = log(mu/(1-mu)).
+
+    The Gram sample needs no inversion: it is one pass at the pull-back
+    t_i = log(u_i/(1-u_i)) + beta of the momentum nodes u_i, where
+    mu_i = psi'(t_i) and the weight of dmu is w_i psi''(t_i)/(u_i(1-u_i)),
+    the same integral after the substitution mu = psi'(logit u + beta).
+    beta is where psi's two asymptotes cross, so the nodes move with the
+    potential under a shift of t; FSPotential sets it, and it is 0 here."""
+
+    beta = 0.0
+
+    @cached_property
+    def gram_sample(self) -> GramSample:
+        rule = _mu_rule()
+        u = rule.nodes
+        t = np.log(u / (1.0 - u)) + self.beta
+        s = self.at_t(t)
+        log_w = np.log(rule.weights * s.psi2 / (u * (1.0 - u)))  # dmu = psi'' dt, dt = du/(u(1-u))
+        return _read_only(GramSample(s.mu, t, s.mu * t - s.psi, log_w))
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
@@ -336,13 +370,17 @@ class ProfilePotential(RadialPotential):
 class FSPotential(_TNativePotential):
     """psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k): the projective
     potential induced by Hermitian norms. Always admissible by structure.
-    It holds a read-only copy of log_h, so its samples cannot go stale."""
+    It holds a read-only copy of log_h, so its samples cannot go stale.
+    psi's asymptotes, -(log h_0 + log C_k)/k and t - (log h_k + log C_k)/k,
+    cross at beta = (log h_k - log h_0)/k, which the gauge
+    log h -> log h + k a + j b moves by b."""
 
     def __init__(self, k: int, log_h: np.ndarray, log_ck: float):
         self.k = int(k)
         self.log_h = np.array(log_h, dtype=float)
         self.log_h.flags.writeable = False
         self.log_ck = float(log_ck)
+        self.beta = float(self.log_h[-1] - self.log_h[0]) / self.k
         self._j = np.arange(self.k + 1, dtype=float)
 
     def at_t(self, t) -> TSample:
@@ -547,18 +585,18 @@ def _scal_p(model: ToyModel, mu, S, dS, d2S):
     return f * f * (-d2S) + 2.0 * (p - 1.0) * f * dS - p * (p - 1.0) * S
 
 
-def _log_section_densities(s: MuSample, k: int, mu: np.ndarray) -> np.ndarray:
+def _log_section_densities(s: MuSample | GramSample, k: int, mu: np.ndarray) -> np.ndarray:
     """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = k v + (j - k mu) t,
     from the sample s = phi.at_mu(mu)."""
     j = np.arange(k + 1, dtype=float)[:, None]
     return k * s.v[None, :] + (j - k * mu[None, :]) * s.t[None, :]
 
 
-def _log_gram(phi: RadialPotential, k: int, log_psi: np.ndarray) -> np.ndarray:
+def _log_gram(phi: RadialPotential, k: int, log_psi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """log G_j, G_j = int |s_j|^2 Psi(f) vol_{k omega} = 2 pi k int e^{E_j} Psi(f) dmu,
-    from phi.mu_sample and log Psi(f) on the nodes of _mu_rule()."""
-    rule = _mu_rule()
-    a = _log_section_densities(phi.mu_sample, k, rule.nodes) + (np.log(rule.weights) + log_psi)[None, :]
+    from phi.gram_sample, with log Psi(f) = log_psi(mu) at the sample's momenta."""
+    s = phi.gram_sample
+    a = _log_section_densities(s, k, s.mu) + (s.log_w + log_psi(s.mu))[None, :]
     m = np.max(a, axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
     return np.log(np.sum(np.exp(a - m), axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
 
@@ -566,7 +604,7 @@ def _log_gram(phi: RadialPotential, k: int, log_psi: np.ndarray) -> np.ndarray:
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
     """h_j = (1/lambda_j(p)) int |s_j|^2_{k phi} f^{1-p} vol_{k omega}."""
     spec = eigenvalues(k, model)
-    log_g = _log_gram(phi, k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
+    log_g = _log_gram(phi, k, lambda m: (1.0 - model.p) * np.log(model.f(m)))
     return HermitianNorms(k=k, log_h=log_g - np.log(spec.lam_p))
 
 
@@ -604,7 +642,7 @@ def bergman_density(
     """B(mu) = Psi(f) sum_j Phi(lambda_j) |s_j|^2 / G_j with G_j the squared
     norms for the weighted product int |.|^2 Psi(f) vol_{k omega}."""
     spec = eigenvalues(k, model, check_weights=False)
-    log_g = _log_gram(phi, k, np.log(np.asarray(Psi(model.f(_mu_rule().nodes)), dtype=float)))
+    log_g = _log_gram(phi, k, lambda m: np.log(np.asarray(Psi(model.f(m)), dtype=float)))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - log_g[:, None])
     return np.asarray(Psi(model.f(mu)), dtype=float) * np.einsum("j,jq->q", np.asarray(Phi(spec.lam), dtype=float), dens)
@@ -614,7 +652,7 @@ def rho_p(phi: RadialPotential, k: int, model: ToyModel, mu) -> np.ndarray:
     """rho(mu) = f^{1-p} sum_j lambda_j(p) |s_j|^2 / G_j (Hilb-orthonormal
     section density)."""
     spec = eigenvalues(k, model)
-    log_g = _log_gram(phi, k, (1.0 - model.p) * np.log(model.f(_mu_rule().nodes)))
+    log_g = _log_gram(phi, k, lambda m: (1.0 - model.p) * np.log(model.f(m)))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - log_g[:, None])
     return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", spec.lam_p, dens)

@@ -182,11 +182,17 @@ def test_ck_constant_positive_in_weighted_mode():
         assert c_k_constant(k, MW) > 0.0
 
 
-def _rule_of(x):
-    """Which fixed toy-strand rule the points x are, if any."""
+def _rule_of(x, phi):
+    """Which fixed toy-strand rule the points x, passed to phi, are, if any.
+    A t-native potential reads the momentum rule at the pull-back
+    log(u/(1-u)) + beta of its nodes u."""
     x = np.asarray(x)
-    for name, rule in (("mu", quant._mu_rule()), ("t", quant._t_grid())):
-        if x.shape == rule.nodes.shape and np.array_equal(x, rule.nodes):
+    u = quant._mu_rule().nodes
+    mu_rule = [u]
+    if isinstance(phi, quant._TNativePotential):
+        mu_rule.append(np.log(u / (1.0 - u)) + phi.beta)
+    for name, points in (*(("mu", m) for m in mu_rule), ("t", quant._t_grid().nodes)):
+        if x.shape == points.shape and np.array_equal(x, points):
             return name
     return None
 
@@ -228,26 +234,28 @@ def _orders():
 
 def _assert_read_only(pots):
     for p in pots:
-        for a in (*p.mu_sample, *p.t_sample):
+        for a in (*p.gram_sample, *p.t_sample):
             assert not a.flags.writeable
 
 
 # inversions of each t-native potential at points off the two rules, per
 # consumer call: the density at mu of rho_p and of bergman_density, and
-# Scal_p at mu; the Grams read the cached momentum sample
+# Scal_p at mu; the Grams read the cached Gram sample, which a t-native
+# potential takes at the pull-back of the momentum nodes with no inversion
 _OFF_RULE = {"rho_p": 1, "bergman": 1, "scal": 1}
 
 
 def test_each_consumer_inverts_each_potential_once(monkeypatch):
     # a fresh potential is inverted at most once per rule, whatever sequence
-    # of consumers reads it: a profile on the t-grid, a t-native potential on
-    # the momentum nodes, and a second consumer inverts nothing on them; off
-    # the rules a t-native potential is inverted once per evaluation at mu
+    # of consumers reads it: a profile once on the t-grid, a t-native
+    # potential never on either rule, and a second consumer inverts nothing
+    # on them; off the rules a t-native potential is inverted once per
+    # evaluation at mu
     calls = []
     invert = quant._invert
 
     def counting(sample, slope, x, target, lo, hi):
-        calls.append((sample.__self__, _rule_of(target)))
+        calls.append((sample.__self__, _rule_of(target, sample.__self__)))
         return invert(sample, slope, x, target, lo, hi)
 
     monkeypatch.setattr(quant, "_invert", counting)
@@ -264,7 +272,8 @@ def test_each_consumer_inverts_each_potential_once(monkeypatch):
                     assert calls.count((p, rule)) <= 1, (order, name, type(p).__name__, rule)
                 off = _OFF_RULE.get(name, 0) if native == "t" else 0
                 assert calls[start:].count((p, None)) == off, (order, name, type(p).__name__)
-        assert [sum(calls.count((p, rule)) for p in pots) for rule in ("mu", "t")] == [2, 2]
+        assert [sum(calls.count((p, rule)) for p in pots) for rule in ("mu", "t")] == [0, 2]
+        assert [[calls.count((p, rule)) for rule in ("mu", "t")] for p in pots] == [[0, 1], [0, 0], [0, 0], [0, 1]]
         for p, native in zip(pots, natives):
             assert calls.count((p, native)) == 0
         calls.clear()
@@ -280,13 +289,18 @@ def test_each_consumer_inverts_each_potential_once(monkeypatch):
 
 def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
     # each fresh potential of every class is evaluated once on the momentum
-    # nodes and once on the t-grid, whatever sequence of consumers reads it,
-    # and a second consumer samples nothing
+    # rule, on its native side (a t-native one at the pull-back of the nodes),
+    # and once on the t-grid, whatever sequence of consumers reads it, and a
+    # second consumer samples nothing
     sampled = []
+    on_rule = []
 
     def counting(fn):
         def wrapped(self, x):
-            sampled.append((self, _rule_of(x)))
+            rule = _rule_of(x, self)
+            sampled.append((self, rule))
+            if rule is not None:
+                on_rule.append((self, fn.__name__, rule))
             return fn(self, x)
 
         return wrapped
@@ -299,12 +313,16 @@ def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
     for order in _orders():
         pots = _fresh_potentials()
         sampled.clear()
+        on_rule.clear()
         for name in order:
             consumers[name](pots)
             for p in pots:
                 for rule in ("mu", "t"):
                     assert sampled.count((p, rule)) <= 1, (order, name, type(p).__name__, rule)
         assert [[sampled.count((p, rule)) for rule in ("mu", "t")] for p in pots] == [[1, 1]] * len(pots)
+        mu_side = ("at_mu", "at_t", "at_t", "at_mu", "at_mu")  # the shifted potential's base is a profile
+        for p, meth in zip(pots, mu_side):
+            assert [m for q, m, rule in on_rule if q is p and rule == "mu"] == [meth], type(p).__name__
         sampled.clear()
         for name in order:
             consumers[name](pots)

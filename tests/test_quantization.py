@@ -298,6 +298,69 @@ def test_fs_validates_k():
         fs(H, 5, model)
 
 
+@pytest.mark.parametrize("model", [ToyModel(p=4.0), ToyModel(b0=1.0, p=4.0)], ids=["xi=0", "b0=1,p=4"])
+@pytest.mark.parametrize("k", [8, 32, 128])
+def test_hilb_fs_is_gauge_equivariant(model, k):
+    # log h -> log h + k a + j b shifts psi by -a and t by b, so hilb(fs(.))
+    # moves by the same k a + j b: the Gram sample of an FS potential must
+    # move its nodes with the potential
+    j = np.arange(k + 1, dtype=float)
+    H = hilb(random_potential(np.random.default_rng(43), scale=0.8), k, model)
+    base = hilb(fs(H, k, model), k, model).log_h
+    a = 0.3
+    for b in (-10.0, 5.0, 20.0):
+        shifted = HermitianNorms(k=k, log_h=H.log_h + k * a + j * b)
+        got = hilb(fs(shifted, k, model), k, model).log_h - (k * a + j * b)
+        np.testing.assert_allclose(got, base, rtol=0.0, atol=2e-12, err_msg=f"b={b}")
+
+
+def _mp_log_gram(log_h, k, model, js, log_ck):
+    # log G_j, G_j = 2 pi k int e^{j t - k psi} f(psi')^{1-p} psi'' dt over
+    # the real line at 30 digits, with e^{-k psi} = C_k / sum_i y^i/h_i
+    # (y = e^t) and psi', psi'' the first two cumulants of i under the
+    # weights y^i/h_i, divided by k
+    with mp.workdps(30):
+        w = [mp.exp(-mp.mpf(float(x))) for x in log_h]
+        mid = mp.mpf(float(log_h[-1]) - float(log_h[0])) / k  # the integrands' window moves with the gauge
+        memo = {}
+
+        def common(t):
+            # y and everything but y^j, shared by the integrands of every j;
+            # moments about the nearer end c of 0..k, so psi'' ~ e^{-|t|}
+            # does not cancel in the tails quad samples
+            if t not in memo:
+                y = mp.exp(t)
+                c = 0 if t < mid else k
+                s0 = s1 = s2 = mp.mpf(0)
+                for i in range(k, -1, -1):
+                    s0, s1, s2 = s0 * y + w[i], s1 * y + (i - c) * w[i], s2 * y + (i - c) ** 2 * w[i]
+                d = s1 / s0
+                f = 1 if model.xi_zero else (c + d) / k + mp.mpf(model.b0)
+                memo[t] = (y, f ** (1 - mp.mpf(model.p)) * (s2 / s0 - d * d) / (k * s0))
+            return memo[t]
+
+        out = []
+        for j in js:
+            val = mp.quad(lambda t: common(t)[0] ** j * common(t)[1], [-mp.inf, mid, mp.inf])
+            out.append(float(mp.log(2 * mp.pi * k * val) + mp.mpf(log_ck)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("b0, p", [(math.inf, 1.0), (1.0, 4.0), (0.5, 2.0)])
+def test_fs_gram_matches_mpmath(b0, p):
+    # the Gram of an FS potential, taken on its t side at the pull-back of
+    # the momentum nodes, against a 30-digit quadrature over the real line
+    # that reads psi in closed form from the norms, off a gauge-shifted start
+    model = ToyModel(b0=b0, p=p)
+    for k, js in ((8, list(range(9))), (32, [0, 1, 16, 31, 32])):
+        j = np.arange(k + 1, dtype=float)
+        H0 = hilb(random_potential(np.random.default_rng(41), scale=0.8), k, model)
+        H = HermitianNorms(k=k, log_h=H0.log_h + 0.3 * k - 2.0 * j)
+        phi = fs(H, k, model)
+        got = hilb(phi, k, model).log_h + np.log(eigenvalues(k, model).lam_p)
+        np.testing.assert_allclose(got[js], _mp_log_gram(H.log_h, k, model, js, phi.log_ck), rtol=0.0, atol=1e-13)
+
+
 def test_norms_validation():
     with pytest.raises(OutOfDomain):
         HermitianNorms(k=3, log_h=np.zeros(3))
