@@ -15,7 +15,6 @@ verify         deterministic invariant suite (drives `kahlerlab verify`)
 cli            argparse front end (pkappa, kappa0, mabuchi-probe, quant-*, verify)
 cache          content-hash result cache used by the CLI
 errors         the error hierarchy, one named error per failure
-tolerances     the tolerances and quadrature orders every module reads
 """
 
 __version__ = "0.1.0"

@@ -40,7 +40,6 @@ from numpy.polynomial import chebyshev as cheb
 
 from .errors import NonFiniteCurvature, OutOfDomain
 from .numerics import chebyshev_coefficients, power_integral
-from .tolerances import TOL
 
 __all__ = [
     "RuledSurfaceData",
@@ -153,7 +152,7 @@ def check_boundary(profile: Profile) -> BoundaryReport:
     """Defects (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2)."""
     (th_m, th_p), (dth_m, dth_p), _ = profile.jet(np.array([-1.0, 1.0]))
     d = (float(th_m), float(th_p), float(dth_m) - 2.0, float(dth_p) + 2.0)
-    return BoundaryReport(passes=bool(max(abs(x) for x in d) < TOL.boundary_defect), defects=d)
+    return BoundaryReport(passes=bool(max(abs(x) for x in d) < 1e-9), defects=d)
 
 
 def _scal(z, d2num, X: RuledSurfaceData, kappa: float) -> np.ndarray:
@@ -201,9 +200,12 @@ def weighted_average_c(X: RuledSurfaceData, k: KillingData) -> float:
     """
     b, p, kappa = k.b, k.p, X.kappa
     lo, hi = b - 1.0, b + 1.0
-    ends = 2.0 * (kappa + 1.0) * hi ** (1.0 - p) + 2.0 * (kappa - 1.0) * lo ** (1.0 - p)
-    num = X.base_scal * power_integral(lo, hi, 1.0 - p) + ends
-    return num / (power_integral(lo, hi, -p) + (kappa - b) * power_integral(lo, hi, -(p + 1.0)))
+    try:
+        ends = 2.0 * (kappa + 1.0) * hi ** (1.0 - p) + 2.0 * (kappa - 1.0) * lo ** (1.0 - p)
+        num = X.base_scal * power_integral(lo, hi, 1.0 - p) + ends
+        return num / (power_integral(lo, hi, -p) + (kappa - b) * power_integral(lo, hi, -(p + 1.0)))
+    except OverflowError as exc:
+        raise OutOfDomain(f"a power of f overflows a float at (b, p) = ({b!r}, {p!r})") from exc
 
 
 def to_symplectic(profile: Profile):

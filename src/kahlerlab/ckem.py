@@ -59,7 +59,6 @@ from numpy.polynomial import Polynomial
 
 from .calabi import Profile, RuledSurfaceData
 from .errors import OutOfDomain, SearchFailed
-from .tolerances import TOL
 
 __all__ = [
     "PKappaSolution",
@@ -71,6 +70,9 @@ __all__ = [
     "SweepRow",
     "sweep",
 ]
+
+_KAPPA_ZERO_TOL = 1e-8  # bound on |min P| at the returned kappa0
+_CLASSIFY_TOL = 1e-8  # |min P| band that a sweep labels DoubleRoot
 
 
 def _surface(kappa: float, X: RuledSurfaceData | None) -> RuledSurfaceData:
@@ -221,7 +223,7 @@ def kappa_zero(X: RuledSurfaceData | None = None) -> float:
     double root at z = -b outside [-1, 1] (module docstring). b_0 is the top
     real part of q's roots (the rest are < 1 or complex with Re < 0), Newton-
     polished twice, then checked once: SearchFailed if |min P| exceeds
-    TOL.kappa_zero_tol there.
+    _KAPPA_ZERO_TOL there.
     """
     sC = _surface(2.0, X).base_scal  # s_C alone fixes kappa_0; 2.0 is a placeholder kappa
     b0 = float(np.roots([6.0, 0.0, -7.0, sC, 1.0]).real.max())
@@ -229,15 +231,15 @@ def kappa_zero(X: RuledSurfaceData | None = None) -> float:
         b0 -= (((6.0 * b0 * b0 - 7.0) * b0 + sC) * b0 + 1.0) / ((24.0 * b0 * b0 - 14.0) * b0 + sC)
     kappa0 = 0.5 * (b0 + 1.0 / b0)
     m, _ = interior_min(solve_P(kappa0, b_kappa(kappa0), X).P)
-    if not abs(m) <= TOL.kappa_zero_tol:
-        raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds {TOL.kappa_zero_tol:.3e}")
+    if not abs(m) <= _KAPPA_ZERO_TOL:
+        raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds {_KAPPA_ZERO_TOL:.3e}")
     return kappa0
 
 
 def _label(m: float) -> ClassLabel:
-    """Label from the interior minimum m of P; the |m| <= tol band wins over
+    """Label from the interior minimum m of P; the |m| <= _CLASSIFY_TOL band wins over
     the sign tests (double-root tie-break)."""
-    if abs(m) <= TOL.classify_tol:
+    if abs(m) <= _CLASSIFY_TOL:
         return ClassLabel.DOUBLE_ROOT
     if m < 0.0:
         return ClassLabel.NEGATIVE_SOMEWHERE

@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .cache import ResultCache, config_hash, source_fingerprint
 from .errors import ConfigError, KahlerLabError, OutOfDomain
-from .tolerances import TOL
 from .calabi import RuledSurfaceData
 from .ckem import b_kappa, kappa_zero, solve_P, sweep
 from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
@@ -45,6 +44,7 @@ from .quantization import (
     round_potential,
     sup_grid,
     weighted_scalar_toy,
+    _BALANCED_TOL,
 )
 from .verify import run_checks
 
@@ -90,8 +90,8 @@ class RunConfig(_RunConfig):
             raise ConfigError("genus must be >= 2")
         if "degree" in p and p["degree"] < 1:
             raise ConfigError("degree must be >= 1")
-        if "tol" in p and p["tol"] is not None and not p["tol"] > 0.0:
-            raise ConfigError("tol must be positive")
+        if "tol" in p and not 0.0 < p["tol"] < math.inf:
+            raise ConfigError(f"tol must be finite and positive (got {p['tol']!r})")
         return super().__new__(cls, command, params)
 
     def hash(self) -> str:
@@ -165,12 +165,14 @@ def _cached(cfg: RunConfig, produce: Callable[[], str], suffix: str, args: argpa
 
 
 def _parse_kappa_range(text: str) -> list[float]:
-    """'a:b:n' -> n equispaced values; 'x,y,z' -> explicit list."""
+    """'a:b:n' -> n equispaced values from finite a to b; 'x,y,z' -> explicit list."""
     try:
         if ":" in text:
             a, b, n = text.split(":")
-            vals = np.linspace(float(a), float(b), int(n))
-            return [float(v) for v in vals]
+            a, b = float(a), float(b)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ConfigError(f"bad kappa range {text!r}: 'a:b:n' needs finite a and b")
+            return [float(v) for v in np.linspace(a, b, int(n))]
         return [float(tok) for tok in text.split(",") if tok]
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad kappa range {text!r}: {exc}") from exc
@@ -279,8 +281,7 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
 def cmd_quant_balanced(args: argparse.Namespace) -> int:
     b0 = _parse_b0(args.b0)
     ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32]
-    tol = args.tol if args.tol is not None else TOL.balanced_tol
-    cfg = RunConfig("quant-balanced", {"b0": b0, "p": args.p, "k_list": ks, "tol": tol})
+    cfg = RunConfig("quant-balanced", {"b0": b0, "p": args.p, "k_list": ks, "tol": args.tol})
     model = ToyModel(b0=b0, p=args.p)
 
     def produce() -> str:
@@ -289,7 +290,7 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
         mu = sup_grid()
         rows = []
         for k in ks:
-            res = balanced_iterate(phi0, k, model, tol=tol)
+            res = balanced_iterate(phi0, k, model, tol=args.tol)
             resid = balanced_residual(res.phi, k, model)
             dev = float(np.max(np.abs(weighted_scalar_toy(res.phi, model, mu) - c)))
             rows.append([k, res.n_iter, repr(resid), repr(dev)])
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b0", type=str, default="inf", help="weight offset b0 > 0; 'inf' for the unweighted mode")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--k-range", type=str, default=None)
-    sp.add_argument("--tol", type=float, default=None, help="balanced stopping tolerance (default TOL.balanced_tol)")
+    sp.add_argument("--tol", type=float, default=_BALANCED_TOL, help="balanced stopping tolerance (default %(default)g)")
     _add_common(sp)
     sp.set_defaults(fn=cmd_quant_balanced)
 

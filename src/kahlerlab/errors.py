@@ -20,7 +20,7 @@ class OutOfDomain(KahlerLabError):
 
 
 class SearchFailed(KahlerLabError):
-    """The threshold kappa0 failed its check: |min P| > TOL.kappa_zero_tol there."""
+    """The threshold kappa0 failed its check: |min P| > ckem._KAPPA_ZERO_TOL there."""
 
 
 class NotAdmissible(KahlerLabError):

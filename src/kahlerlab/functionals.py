@@ -38,7 +38,6 @@ from .quantization import (
     _scal_p,
     _t_grid,
 )
-from .tolerances import TOL
 
 __all__ = [
     "functional_I",
@@ -52,6 +51,8 @@ __all__ = [
     "AlmostBalancedReport",
     "almost_balanced_check",
 ]
+
+_BLEND_ORDER = 64  # Gauss nodes of the s-rule along a blend
 
 
 def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
@@ -68,7 +69,7 @@ def _blend_integral(phi_a: RadialPotential, phi_b: RadialPotential, fields: tupl
     fixed along it. The named fields of the endpoints' t-samples are blended
     on the whole (s-node x t-node) grid, and density is evaluated there once."""
     da, db = phi_a.t_sample, phi_b.t_sample
-    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    srule = gauss_legendre(_BLEND_ORDER, 0.0, 1.0)
     s = srule.nodes[:, None]
     blend = ((1.0 - s) * getattr(da, name) + s * getattr(db, name) for name in fields)
     return float(srule.weights @ (density(0.5 * (db.psi - da.psi), *blend) @ _t_grid().weights))

@@ -44,7 +44,6 @@ from .calabi import KillingData, Profile, scal_p_on, to_symplectic, weighted_ave
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
 from .numerics import _cheb_projector, composite_gauss, gauss_legendre, graded_rule
-from .tolerances import TOL
 
 __all__ = [
     "SymplecticPotential",
@@ -61,6 +60,8 @@ __all__ = [
     "fit_probe_slope",
 ]
 
+_U2_BOUNDARY = 1e-6  # bound on |(1-z^2) u'' - 1| at z = +-1
+
 
 class SymplecticPotential:
     """Potential u on (-1,1) represented by D(z) = (1-z^2) u''(z).
@@ -69,7 +70,7 @@ class SymplecticPotential:
     D = (z+kappa)/N off its series (`calabi.to_symplectic`), while
     closed-form potentials keep closures, so rough directions (mollifier
     bumps) never suffer fit ringing. Admissibility:
-    u'' > 0 on the check grid and D(+-1) = 1 within TOL.u2_boundary (the
+    u'' > 0 on the check grid and D(+-1) = 1 within _U2_BOUNDARY (the
     boundary behavior forced by an admissible profile).
     """
 
@@ -83,7 +84,7 @@ class SymplecticPotential:
             raise NotAdmissible("u'' must be positive on the interior grid")
         for zb in (-1.0, 1.0):
             dv = float(self.D(zb))
-            if abs(dv - 1.0) > TOL.u2_boundary:
+            if abs(dv - 1.0) > _U2_BOUNDARY:
                 raise NotAdmissible(
                     "(1-z^2) u'' must approach 1 at the endpoints "
                     f"(got {dv!r} at z={zb:+.0f})"
@@ -152,7 +153,7 @@ def _same_class(kappa: float, sol: PKappaSolution) -> None:
 def _energy_samples(u: SymplecticPotential, sol: PKappaSolution):
     """The energy's quadrature rule, D and f^{-3} = (z+b)^{-3} on its nodes."""
     _same_class(u.kappa, sol)
-    rule = gauss_legendre(TOL.quad_order_mabuchi)
+    rule = gauss_legendre(128)
     D = u.D(rule.nodes)
     if np.any(D <= 0.0):
         raise NotAdmissible("u'' must be positive")
@@ -189,7 +190,7 @@ def mabuchi_gradient_amt(
 def _support_rule(bump: BumpDirection):
     """The probe's quadrature rule, on the bump's support: both probe terms
     vanish outside it, and a rule on [-1, 1] leaves a narrow bump unresolved."""
-    return composite_gauss((bump.center - bump.radius, bump.center + bump.radius), TOL.quad_order_quant)
+    return composite_gauss((bump.center - bump.radius, bump.center + bump.radius), 256)
 
 
 def probe_slope(sol: PKappaSolution, bump: BumpDirection) -> float:
@@ -272,6 +273,7 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 # u_dot is read from W on these nodes by one precomputed half-operator,
 # built once per process from the interpolant there (_udot_half_operator)
 _UDOT_Z = cheb.chebpts1(192)
+_PATH_ORDER = 64  # Gauss nodes of the t-rule along a path
 
 
 class PathFamily(NamedTuple):
@@ -369,7 +371,7 @@ def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolutio
     zrule = graded_rule()
     zq = zrule.nodes
     wgt = zrule.weights * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
-    trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    trule = gauss_legendre(_PATH_ORDER, 0.0, 1.0)
     tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
     W = (th0 - th1) * (1.0 - _UDOT_Z * _UDOT_Z) / (tt @ np.stack((th0, th1))) ** 2
     ws = (trule.weights[:, None] * tt).T @ W

@@ -48,7 +48,6 @@ from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConfigError, NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
 from .numerics import QuadratureRule, chebyshev_coefficients, composite_gauss, gauss_legendre, power_integral
-from .tolerances import TOL
 
 __all__ = [
     "ToyModel",
@@ -89,7 +88,8 @@ def sup_grid() -> np.ndarray:
 
 
 def _mu_rule() -> QuadratureRule:
-    return gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
+    """256-node Gauss rule on [0, 1], the momentum rule of every Gram matrix."""
+    return gauss_legendre(256, 0.0, 1.0)
 
 
 @lru_cache(maxsize=1)
@@ -486,7 +486,7 @@ def boundary_report(phi: RadialPotential) -> ToyBoundaryReport:
     S0, S1 = 2.0 * s.S[0] - s.S[1], 2.0 * s.S[2] - s.S[3]
     dS0, dS1 = 2.0 * s.dS[0] - s.dS[1], 2.0 * s.dS[2] - s.dS[3]
     d = (float(S0), float(S1), float(dS0) - 2.0, float(dS1) + 2.0)
-    return ToyBoundaryReport(passes=bool(max(abs(x) for x in d) < TOL.boundary_defect), defects=d)
+    return ToyBoundaryReport(passes=bool(max(abs(x) for x in d) < 1e-9), defects=d)
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +560,14 @@ def c_top_exact(model: ToyModel) -> float:
     closed form. Scal_p f^{-(p+1)} is the exact derivative of
     -S' f^{1-p} + (p-1) S f^{-p}, so with S(0) = S(1) = 0, S'(0) = 2 and
     S'(1) = -2, c = 2 (a0^{1-p} + a1^{1-p}) / int_{a0}^{a1} x^{-(p+1)} dx;
-    4 in the xi=0 mode."""
+    4 in the xi=0 mode. OutOfDomain if a power overflows a float."""
     if model.xi_zero:
         return 4.0
     a0, a1, p = model.a0, model.a1, model.p
-    return 2.0 * (a0 ** (1.0 - p) + a1 ** (1.0 - p)) / power_integral(a0, a1, -(p + 1.0))
+    try:
+        return 2.0 * (a0 ** (1.0 - p) + a1 ** (1.0 - p)) / power_integral(a0, a1, -(p + 1.0))
+    except OverflowError as exc:
+        raise OutOfDomain(f"a power of f overflows a float at (b0, p) = ({model.b0!r}, {p!r})") from exc
 
 
 def weighted_scalar_toy(phi: RadialPotential, model: ToyModel, mu):
@@ -615,7 +618,10 @@ def c_k_constant(k: int, model: ToyModel) -> float:
     is int_{a0}^{a1} x^{1-p} dx in closed form, 1 in the xi=0 mode. Memoized:
     `fs` needs it on every balanced step."""
     spec = eigenvalues(k, model, check_weights=False)
-    vol = 1.0 if model.xi_zero else power_integral(model.a0, model.a1, 1.0 - model.p)
+    try:
+        vol = 1.0 if model.xi_zero else power_integral(model.a0, model.a1, 1.0 - model.p)
+    except OverflowError as exc:
+        raise OutOfDomain(f"a power of f overflows a float at (b0, p) = ({model.b0!r}, {model.p!r})") from exc
     return float(np.sum(spec.lam_p)) / (2.0 * math.pi * k * vol)
 
 
@@ -716,13 +722,14 @@ class BalancedResult(NamedTuple):
 
 _ANDERSON_DEPTH = 8  # residual differences the balanced mixing keeps
 _BALANCED_STEPS = 500  # step budget of the balanced iteration
+_BALANCED_TOL = 1e-10  # default stopping bound on the raw step sup_j |g_j|
 
 
 def balanced_iterate(
     phi0: RadialPotential,
     k: int,
     model: ToyModel,
-    tol: float = TOL.balanced_tol,
+    tol: float = _BALANCED_TOL,
 ) -> BalancedResult:
     """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0),
     by Anderson mixing on x = log h (Walker-Ni, SIAM J. Numer. Anal. 2011).

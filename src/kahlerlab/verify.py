@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import gauss_legendre
-from .tolerances import TOL
 from .errors import BadDirection, OutOfDomain
 from .calabi import (
     KillingData,
@@ -56,6 +55,7 @@ from .quantization import (
     rho_p,
     round_potential,
     sup_grid,
+    _mu_rule,
 )
 from .functionals import functional_L, functional_Z, geodesic, z_prime
 
@@ -95,7 +95,7 @@ def _chk_c_invariance() -> float:
     rng = np.random.default_rng(7)
     X = RuledSurfaceData.standard(1.25)
     kd = KillingData(b=2.0, p=4.0)
-    rule = gauss_legendre(TOL.quad_order_mabuchi)
+    rule = gauss_legendre(128)
     z = rule.nodes
     weight = rule.weights * (z + kd.b) ** (-(kd.p + 1.0)) * (z + X.kappa)
     c = weighted_average_c(X, kd)
@@ -194,7 +194,7 @@ def _chk_trace_identity() -> float:
     k = 8
     phi = round_potential()
     spec = eigenvalues(k, model)
-    rule = gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
+    rule = _mu_rule()
     total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, rule.nodes)))
     return abs(total - float(np.sum(spec.lam_p))) / float(np.sum(spec.lam_p))
 
@@ -263,23 +263,23 @@ def _chk_zl_decay() -> float:
 # (name, tag, check, sense, bound): a check passes when its value lies on
 # the `sense` side of `bound`.  Rows stay grouped by tag in ALL_TAGS order.
 _CHECKS: Sequence[tuple[str, str, Callable[[], float], str, float]] = (
-    ("quad-exactness", "numerics", _chk_quad_exactness, "<", TOL.quad_exactness),
-    ("boundary-defects", "calabi", _chk_boundary_round, "<", TOL.boundary_defect),
-    ("c-invariance", "calabi", _chk_c_invariance, "<", TOL.c_invariance),
-    ("p1-reduction", "calabi", _chk_p1_reduction, "<", TOL.p1_reduction),
-    ("futaki-on-curve", "ckem", _chk_futaki_on_curve, "<", TOL.futaki_on_curve),
-    ("futaki-off-curve", "ckem", _chk_futaki_off_curve, ">", TOL.futaki_off_curve),
-    ("kappa0-double-root", "ckem", _chk_kappa0, "<", TOL.kappa_zero_tol),
-    ("el-gradient", "mabuchi", _chk_el_gradient, "<", TOL.el_gradient),
-    ("loop-closure", "mabuchi", _chk_loop_closure, "<", TOL.loop_closure),
-    ("probe-slope", "mabuchi", _chk_probe_slope, "<", TOL.probe_slope_rel),
-    ("rho-identity", "quant", _chk_rho_identity, "<", TOL.rho_identity),
-    ("trace-identity", "quant", _chk_trace_identity, "<", TOL.trace_identity),
+    ("quad-exactness", "numerics", _chk_quad_exactness, "<", 1e-12),
+    ("boundary-defects", "calabi", _chk_boundary_round, "<", 1e-9),
+    ("c-invariance", "calabi", _chk_c_invariance, "<", 1e-8),
+    ("p1-reduction", "calabi", _chk_p1_reduction, "<", 1e-13),
+    ("futaki-on-curve", "ckem", _chk_futaki_on_curve, "<", 1e-10),
+    ("futaki-off-curve", "ckem", _chk_futaki_off_curve, ">", 1e-4),
+    ("kappa0-double-root", "ckem", _chk_kappa0, "<", 1e-8),
+    ("el-gradient", "mabuchi", _chk_el_gradient, "<", 1e-7),
+    ("loop-closure", "mabuchi", _chk_loop_closure, "<", 1e-8),
+    ("probe-slope", "mabuchi", _chk_probe_slope, "<", 0.02),
+    ("rho-identity", "quant", _chk_rho_identity, "<", 1e-12),
+    ("trace-identity", "quant", _chk_trace_identity, "<", 1e-10),
     ("ck-normalization", "quant", _chk_ck_normalization, "<", 1e-13),
     ("fs-hilb-round", "quant", _chk_fs_hilb_round, "<", 1e-12),
-    ("balanced-round", "quant", _chk_balanced_round, "<", TOL.balanced_residual),
-    ("z-convexity", "functionals", _chk_z_convexity, "<", TOL.z_convexity),
-    ("z-prime-balanced", "functionals", _chk_z_prime, "<", TOL.z_prime),
+    ("balanced-round", "quant", _chk_balanced_round, "<", 1e-8),
+    ("z-convexity", "functionals", _chk_z_convexity, "<", 1e-9),
+    ("z-prime-balanced", "functionals", _chk_z_prime, "<", 1e-9),
     ("zl-decay", "functionals", _chk_zl_decay, "<", 1.0),
 )
 

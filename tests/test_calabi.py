@@ -18,7 +18,7 @@ from kahlerlab.calabi import (
     weighted_scalar_curvature,
 )
 from kahlerlab.ckem import b_kappa, solve_P
-from kahlerlab.errors import NotAdmissible
+from kahlerlab.errors import NotAdmissible, OutOfDomain
 from kahlerlab.mabuchi import SymplecticPotential
 from kahlerlab.numerics import gauss_legendre
 
@@ -111,6 +111,13 @@ def test_weighted_average_c_matches_mpmath_quadrature(b, p):
         want = _mpmath_c(kappa, X.base_scal, b, p, g)
         got = weighted_average_c(X, KillingData(b=b, p=p))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"kappa={kappa}")
+
+
+@pytest.mark.parametrize("p", [2000.0, -2000.0])
+def test_weighted_average_c_names_a_weight_whose_powers_overflow(p):
+    # (b - 1)^{1-p} at p = 2000, (b + 1)^{1-p} at p = -2000
+    with pytest.raises(OutOfDomain, match=r"\(b, p\) = \(1\.5, "):
+        weighted_average_c(RuledSurfaceData.standard(1.5), KillingData(b=1.5, p=p))
 
 
 def test_p_equals_one_reduces_to_conformal_rescaling():

@@ -146,15 +146,15 @@ def test_kappa_zero_matches_frozen_value():
 
 
 def test_kappa_zero_tol_bounds_min_P_at_the_threshold(monkeypatch):
-    # TOL.kappa_zero_tol is the bound on |min P| at the returned kappa0: the
+    # ckem._KAPPA_ZERO_TOL is the bound on |min P| at the returned kappa0: the
     # closed form is checked once, and a bound below the |min P| it reaches
     # (the next float down, negative if that |min P| is 0) fails that check
     X = RuledSurfaceData.standard(1.5, genus=5, degree=1)
     k0 = kappa_zero(X)
-    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=1e-13))
+    monkeypatch.setattr(ckem, "_KAPPA_ZERO_TOL", 1e-13)
     assert kappa_zero(X) == k0
     reached = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
-    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=math.nextafter(reached, -math.inf)))
+    monkeypatch.setattr(ckem, "_KAPPA_ZERO_TOL", math.nextafter(reached, -math.inf))
     with pytest.raises(SearchFailed):
         kappa_zero(X)
 
@@ -170,7 +170,7 @@ def test_kappa_zero_follows_its_small_s_C_law():
 
 def test_kappa_zero_follows_its_large_s_C_law():
     # kappa0 ~ (|s_C|/48)^(1/3) as s_C -> -inf; the ratio falls to 1 (1.083 at
-    # genus 100), and |min P| stays within TOL.kappa_zero_tol at genus 10^5
+    # genus 100), and |min P| stays within ckem._KAPPA_ZERO_TOL at genus 10^5
     # and 10^6, where a least-squares solve of the boundary system did not
     surfaces = [RuledSurfaceData.standard(1.5, genus=g, degree=1) for g in (100, 1000, 10**4, 10**5, 10**6)]
     k0s = [kappa_zero(X) for X in surfaces]
@@ -178,7 +178,7 @@ def test_kappa_zero_follows_its_large_s_C_law():
     assert all(a > b > 1.0 for a, b in zip(ratios, ratios[1:])), ratios
     assert ratios[-1] - 1.0 < 1e-3
     for k0, X in zip(k0s[-2:], surfaces[-2:]):
-        assert abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0]) <= ckem.TOL.kappa_zero_tol
+        assert abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0]) <= ckem._KAPPA_ZERO_TOL
 
 
 def test_classification_brackets_the_threshold():

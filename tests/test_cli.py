@@ -85,17 +85,17 @@ def test_kappa0_record_and_cache_roundtrip(workdir):
 
 
 def test_kappa0_tol_below_the_reached_min_P_fails(workdir, capsys, monkeypatch):
-    # TOL.kappa_zero_tol bounds |min P| at the returned kappa0; below what it
+    # ckem._KAPPA_ZERO_TOL bounds |min P| at the returned kappa0; below what it
     # reaches on (5, 1) the command exits with SearchFailed's code
     X = RuledSurfaceData.standard(1.5, genus=5, degree=1)
     k0 = kappa_zero(X)
     flags = ["kappa0", "--genus", "5", "--degree", "1", "--no-cache"]
     capsys.readouterr()
-    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=1e-13))
+    monkeypatch.setattr(ckem, "_KAPPA_ZERO_TOL", 1e-13)
     assert main(flags) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["kappa0"] == k0
     reached = abs(interior_min(solve_P(k0, b_kappa(k0), X).P)[0])
-    monkeypatch.setattr(ckem, "TOL", ckem.TOL._replace(kappa_zero_tol=math.nextafter(reached, -math.inf)))
+    monkeypatch.setattr(ckem, "_KAPPA_ZERO_TOL", math.nextafter(reached, -math.inf))
     assert main(flags) == cli.EXIT_FAIL
     assert capsys.readouterr().err.startswith("SearchFailed: ")
 
@@ -149,6 +149,37 @@ def test_quant_commands_reject_a_b0_that_absorbs_one(argv, workdir, capsys):
     # [b0, b0 + 1] vanish; it divided by zero
     assert main([*argv, "--no-cache"]) == cli.EXIT_CONFIG
     assert "b0 + 1 > b0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quant-balanced", "--b0", "1e-80", "--k-range", "8"],
+        ["quant-balanced", "--b0", "0.5", "--p", "2000", "--k-range", "8"],
+        ["quant-expansion", "--b0", "1e-320"],
+    ],
+)
+def test_weight_data_whose_powers_overflow_is_out_of_domain(argv, workdir, capsys):
+    # a power of f = mu + b0 in the class constant overflows a float; the
+    # failure names (b0, p) instead of escaping as an OverflowError
+    assert main([*argv, "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("OutOfDomain: ") and "(b0, p)" in err
+
+
+@pytest.mark.parametrize("kappa_range", ["1.5:inf:3", "-inf:2:3", "1.5:nan:3"])
+def test_pkappa_rejects_a_range_with_an_endpoint_that_is_not_finite(kappa_range, workdir, capsys):
+    # linspace would turn 0 * inf into a nan kappa where the range names 1.5
+    assert main(["pkappa", f"--kappa-range={kappa_range}", "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "needs finite a and b" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_quant_balanced_rejects_a_tol_that_is_not_finite_and_positive(tol, workdir, capsys):
+    assert main(["quant-balanced", "--tol", tol, "--k-range", "8", "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "tol must be finite and positive" in err
 
 
 @pytest.mark.parametrize("argv", [["mabuchi-probe", "--k-range", "4:2"], ["quant-balanced", "--k-range", "8:4"]])

@@ -10,7 +10,6 @@ from kahlerlab import functionals
 from kahlerlab import quantization as quant
 from kahlerlab.errors import NotTraceless, OutOfDomain
 from kahlerlab.numerics import gauss_legendre
-from kahlerlab.tolerances import TOL
 from kahlerlab.functionals import (
     almost_balanced_check,
     aubin_I,
@@ -353,7 +352,7 @@ def _loop_blend_integral(phi_a, phi_b, fields, density):
     da, db = phi_a.at_t(trule.nodes), phi_b.at_t(trule.nodes)
     dot = 0.5 * (db.psi - da.psi)
     ends = [(getattr(da, name), getattr(db, name)) for name in fields]
-    srule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    srule = gauss_legendre(functionals._BLEND_ORDER, 0.0, 1.0)
     total = 0.0
     for s, ws in zip(srule.nodes, srule.weights):
         total += ws * float(np.dot(trule.weights, density(dot, *((1.0 - s) * a + s * b for a, b in ends))))

@@ -35,7 +35,6 @@ from kahlerlab.mabuchi import (
     unboundedness_probe,
 )
 from kahlerlab.numerics import gauss_legendre, graded_rule
-from kahlerlab.tolerances import TOL
 
 
 def _sol(kappa):
@@ -327,7 +326,7 @@ def _per_node_path_integral(ends, kd, sol):
     c = float(np.dot(scal_p_on(zq, ends[0].jet(zq), sol.surface, kd, kappa), wgt)) / float(wgt.sum())
     j0, j1 = (p.jet(zq) for p in ends)
     th0, th1 = (p.theta(zu) for p in ends)
-    trule = gauss_legendre(TOL.quad_order_path, 0.0, 1.0)
+    trule = gauss_legendre(mabuchi._PATH_ORDER, 0.0, 1.0)
     total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):
         jet = tuple((1.0 - t) * a + t * b for a, b in zip(j0, j1))

@@ -44,7 +44,6 @@ from kahlerlab.quantization import (
     sup_grid,
     weighted_scalar_toy,
 )
-from kahlerlab.tolerances import TOL
 
 MU = np.linspace(0.03, 0.97, 173)
 TT = np.linspace(-9.0, 9.0, 181)
@@ -223,9 +222,19 @@ def test_c_top_closed_forms():
 def _c_top_quadrature(phi, model):
     """The defining ratio int Scal_p f^{-(p+1)} dmu / int f^{-(p+1)} dmu by
     Gauss quadrature of the profile's Scal_p."""
-    rule = gauss_legendre(TOL.quad_order_quant, 0.0, 1.0)
+    rule = gauss_legendre(256, 0.0, 1.0)
     w = rule.weights * model.f(rule.nodes) ** (-(model.p + 1.0))
     return float(np.dot(weighted_scalar_toy(phi, model, rule.nodes), w)) / float(w.sum())
+
+
+def test_class_integrals_name_weight_data_whose_powers_overflow():
+    with pytest.raises(OutOfDomain, match=r"\(b0, p\) = \(1e-320, 4\.0\)"):
+        c_top_exact(ToyModel(b0=1e-320, p=4.0))
+    # c is finite at (1e-80, -2), but C_k's volume, int x^3 dx over
+    # [b0, b0 + 1], overflows inside its closed form b0^4 expm1(4 L) / 4
+    assert math.isfinite(c_top_exact(ToyModel(b0=1e-80, p=-2.0)))
+    with pytest.raises(OutOfDomain, match=r"\(b0, p\) = \(1e-80, -2\.0\)"):
+        c_k_constant(8, ToyModel(b0=1e-80, p=-2.0))
 
 
 def test_c_top_quadrature_is_metric_independent():

@@ -1,5 +1,6 @@
 """The package's records are immutable NamedTuples: their fields, defaults,
-constructor signatures and the named error of each validating one."""
+constructor signatures and the named error of each validating one. Also the
+values of the bounds and quadrature orders the modules state."""
 
 import inspect
 import math
@@ -8,32 +9,30 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from kahlerlab import calabi, ckem, cli, functionals, mabuchi, numerics, quantization, tolerances, verify
+from kahlerlab import calabi, ckem, cli, functionals, mabuchi, numerics, quantization, verify
 from kahlerlab.errors import ConfigError, OutOfDomain
 
-TOL_DEFAULTS = {
-    "quad_exactness": 1e-12,
-    "boundary_defect": 1e-9,
-    "c_invariance": 1e-8,
-    "p1_reduction": 1e-13,
-    "futaki_on_curve": 1e-10,
-    "futaki_off_curve": 1e-4,
-    "kappa_zero_tol": 1e-8,
-    "classify_tol": 1e-8,
-    "el_gradient": 1e-7,
-    "loop_closure": 1e-8,
-    "u2_boundary": 1e-6,
-    "probe_slope_rel": 0.02,
-    "rho_identity": 1e-12,
-    "trace_identity": 1e-10,
-    "balanced_tol": 1e-10,
-    "balanced_residual": 1e-8,
-    "z_convexity": 1e-9,
-    "z_prime": 1e-9,
-    "quad_order_mabuchi": 128,
-    "quad_order_quant": 256,
-    "quad_order_path": 64,
-}
+# every verify row's (name, sense, bound), in suite order
+CHECK_BOUNDS = [
+    ("quad-exactness", "<", 1e-12),
+    ("boundary-defects", "<", 1e-9),
+    ("c-invariance", "<", 1e-8),
+    ("p1-reduction", "<", 1e-13),
+    ("futaki-on-curve", "<", 1e-10),
+    ("futaki-off-curve", ">", 1e-4),
+    ("kappa0-double-root", "<", 1e-8),
+    ("el-gradient", "<", 1e-7),
+    ("loop-closure", "<", 1e-8),
+    ("probe-slope", "<", 0.02),
+    ("rho-identity", "<", 1e-12),
+    ("trace-identity", "<", 1e-10),
+    ("ck-normalization", "<", 1e-13),
+    ("fs-hilb-round", "<", 1e-12),
+    ("balanced-round", "<", 1e-8),
+    ("z-convexity", "<", 1e-9),
+    ("z-prime-balanced", "<", 1e-9),
+    ("zl-decay", "<", 1.0),
+]
 _SURFACE = dict(genus=2, degree=1, kappa=1.5, base_scal=-4.0)
 _X = calabi.RuledSurfaceData(**_SURFACE)
 _H = quantization.HermitianNorms(k=1, log_h=[0.0, 0.0])
@@ -41,7 +40,6 @@ _SWEEP = dict(kappa=1.5, b_kappa=2.6, c=1.0, futaki_residual=0.0, min_P=1.4, arg
 
 # record, fields, defaults, valid arguments, (bad arguments, error) or None
 RECORDS = [
-    (tolerances.Tolerances, tuple(TOL_DEFAULTS), TOL_DEFAULTS, {}, None),
     (
         numerics.QuadratureRule,
         ("nodes", "weights"),
@@ -151,3 +149,13 @@ def test_equal_toy_models_share_the_c_k_constant_cache():
     assert quantization.c_k_constant(5, a) == quantization.c_k_constant(5, b)
     after = quantization.c_k_constant.cache_info()
     assert after.hits - before.hits >= 1 and after.hits + after.misses - before.hits - before.misses == 2
+
+
+def test_bounds_and_orders_keep_their_values():
+    # each bound and quadrature order lives beside its one reader; a value
+    # that changes in a move fails here
+    assert [(name, sense, bound) for name, _, _, sense, bound in verify._CHECKS] == CHECK_BOUNDS
+    assert (ckem._KAPPA_ZERO_TOL, ckem._CLASSIFY_TOL) == (1e-8, 1e-8)
+    assert (quantization._BALANCED_TOL, mabuchi._U2_BOUNDARY) == (1e-10, 1e-6)
+    assert (mabuchi._PATH_ORDER, functionals._BLEND_ORDER) == (64, 64)
+    assert len(quantization._mu_rule().nodes) == 256
