@@ -123,16 +123,15 @@ def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
 
 def geodesic(H0: HermitianNorms, A: Sequence[float], t: float, model: ToyModel) -> HermitianNorms:
     """h_j(t) = h_j(0) e^{t A_j} for A traceless on each block of equal
-    eigenvalues (for a finite weight every block is 1-dimensional, so only
-    the xi=0 mode has nontrivial geodesics)."""
+    eigenvalues: the xi=0 mode has one block of all j, and a finite weight
+    one block per j (lambda_j = b0 + j/k are distinct), so only the xi=0
+    mode has nontrivial geodesics."""
     A = np.asarray(A, dtype=float)
     if A.shape != (H0.k + 1,):
         raise OutOfDomain("direction has wrong length")
-    spec = eigenvalues(H0.k, model, check_weights=False)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    for block in spec.blocks:
-        if abs(float(np.sum(A[list(block)]))) > 1e-12 * scale:
-            raise NotTraceless("direction must be traceless on each eigenvalue block")
+    traces = np.sum(A, keepdims=True) if model.xi_zero else A
+    if np.any(np.abs(traces) > 1e-12 * max(1.0, float(np.max(np.abs(A))))):
+        raise NotTraceless("direction must be traceless on each eigenvalue block")
     return HermitianNorms(k=H0.k, log_h=H0.log_h + t * A)
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "round_potential",
     "shift_potential",
     "random_potential",
-    "boundary_report",
     "SpectrumData",
     "HermitianNorms",
     "eigenvalues",
@@ -327,6 +326,11 @@ class ProfilePotential(RadialPotential):
         if np.any(qv <= 0.0):
             raise NotAdmissible("q = S/S_round must be positive")
         qc = chebyshev_coefficients(qv)
+        # S(0) = S(1) = 0 by the form, and S'(0) - 2 = 2 (q(0) - 1), S'(1) + 2 = -2 (q(1) - 1)
+        q0, q1 = cheb.chebval(np.array([-1.0, 1.0]), qc)
+        d0, d1 = 2.0 * (q0 - 1.0), -2.0 * (q1 - 1.0)
+        if not (abs(d0) < 1e-9 and abs(d1) < 1e-9):
+            raise NotAdmissible(f"profile boundary defects S'(0) - 2 = {d0:.3g}, S'(1) + 2 = {d1:.3g}")
         r = (1.0 - qv) / (qv * mu * (1.0 - mu))
         Rc = cheb.chebint(cheb.chebint(chebyshev_coefficients(r))) * 0.25  # d/dmu = 2 d/dx
         # columns q, q', q'', R, R' (in mu), zero-padded to the longest so a
@@ -339,9 +343,6 @@ class ProfilePotential(RadialPotential):
             self._series[: len(c), i] = c
         self._series.flags.writeable = False
         self._R_aff = (float(cheb.chebval(0.0, Rc)), float(cheb.chebval(0.0, dR)))
-        rep = boundary_report(self)
-        if not rep.passes:
-            raise NotAdmissible(f"profile boundary defects too large: {rep.defects}")
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
@@ -472,23 +473,6 @@ def random_potential(rng: np.random.Generator, scale: float = 0.8, degree: int =
     return ProfilePotential(q)
 
 
-class ToyBoundaryReport(NamedTuple):
-    passes: bool
-    defects: tuple[float, float, float, float]
-
-
-def boundary_report(phi: RadialPotential) -> ToyBoundaryReport:
-    """Defects (S(0), S(1), S'(0)-2, S'(1)+2), endpoint values obtained by
-    Richardson extrapolation from interior samples (t-native potentials
-    cannot be evaluated at the closed endpoints)."""
-    h = 1e-6
-    s = phi.at_mu(np.array([h, 2 * h, 1.0 - h, 1.0 - 2 * h]))
-    S0, S1 = 2.0 * s.S[0] - s.S[1], 2.0 * s.S[2] - s.S[3]
-    dS0, dS1 = 2.0 * s.dS[0] - s.dS[1], 2.0 * s.dS[2] - s.dS[3]
-    d = (float(S0), float(S1), float(dS0) - 2.0, float(dS1) + 2.0)
-    return ToyBoundaryReport(passes=bool(max(abs(x) for x in d) < 1e-9), defects=d)
-
-
 # ---------------------------------------------------------------------------
 # spectrum, norms, quantization maps
 # ---------------------------------------------------------------------------
@@ -496,21 +480,7 @@ def boundary_report(phi: RadialPotential) -> ToyBoundaryReport:
 
 class SpectrumData(NamedTuple):
     lam: np.ndarray      # lambda_j = b0 + j/k  (all 1 in the xi=0 mode)
-    lam_p: np.ndarray    # lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)}
-    c: float
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Indices grouped by distinct eigenvalue."""
-        out: list[list[int]] = []
-        last = None
-        for i, lam in enumerate(self.lam):
-            if last is not None and lam == last:
-                out[-1].append(i)
-            else:
-                out.append([i])
-            last = lam
-        return tuple(tuple(b) for b in out)
+    lam_p: np.ndarray    # lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)}, c = c_top_exact(model)
 
 
 class _HermitianNorms(NamedTuple):
@@ -538,7 +508,8 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
 
     check_weights=False skips the positivity gate on lambda(p) (useful when
     only the raw lambda sequence is wanted; every map that divides by
-    lambda(p) re-checks)."""
+    lambda(p) re-checks). OutOfDomain, before the gate, if a power of
+    lambda overflows a float."""
     if k < 1:
         raise OutOfDomain("k must be >= 1")
     j = np.arange(k + 1, dtype=float)
@@ -547,12 +518,17 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
     else:
         lam = model.b0 + j / k
     c = c_top_exact(model)
-    lam_p = lam ** (1.0 - model.p) - (c / (4.0 * k)) * lam ** (-(model.p + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_p = lam ** (1.0 - model.p) - (c / (4.0 * k)) * lam ** (-(model.p + 1.0))
+    if not np.all(np.isfinite(lam_p)):
+        raise _overflow(model)
     if check_weights and np.any(lam_p <= 0.0):
-        raise WeightSignError(
-            f"lambda(p) has non-positive entries at k={k} (k too small for this (p, b0))"
-        )
-    return SpectrumData(lam=lam, lam_p=lam_p, c=c)
+        raise WeightSignError(f"lambda(p) has non-positive entries at k={k} (k too small for this (p, b0))")
+    return SpectrumData(lam=lam, lam_p=lam_p)
+
+
+def _overflow(model: ToyModel) -> OutOfDomain:
+    return OutOfDomain(f"a power of f overflows a float at (b0, p) = ({model.b0!r}, {model.p!r})")
 
 
 def c_top_exact(model: ToyModel) -> float:
@@ -567,7 +543,7 @@ def c_top_exact(model: ToyModel) -> float:
     try:
         return 2.0 * (a0 ** (1.0 - p) + a1 ** (1.0 - p)) / power_integral(a0, a1, -(p + 1.0))
     except OverflowError as exc:
-        raise OutOfDomain(f"a power of f overflows a float at (b0, p) = ({model.b0!r}, {p!r})") from exc
+        raise _overflow(model) from exc
 
 
 def weighted_scalar_toy(phi: RadialPotential, model: ToyModel, mu):
@@ -595,11 +571,11 @@ def _log_section_densities(s: MuSample | GramSample, k: int, mu: np.ndarray) -> 
     return k * s.v[None, :] + (j - k * mu[None, :]) * s.t[None, :]
 
 
-def _log_gram(phi: RadialPotential, k: int, log_psi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """log G_j, G_j = int |s_j|^2 Psi(f) vol_{k omega} = 2 pi k int e^{E_j} Psi(f) dmu,
-    from phi.gram_sample, with log Psi(f) = log_psi(mu) at the sample's momenta."""
+def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
+    """log G_j, G_j = int |s_j|^2 f^{1-p} vol_{k omega} = 2 pi k int e^{E_j} f^{1-p} dmu,
+    from phi.gram_sample."""
     s = phi.gram_sample
-    a = _log_section_densities(s, k, s.mu) + (s.log_w + log_psi(s.mu))[None, :]
+    a = _log_section_densities(s, k, s.mu) + (s.log_w + (1.0 - model.p) * np.log(model.f(s.mu)))[None, :]
     m = np.max(a, axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
     return np.log(np.sum(np.exp(a - m), axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
 
@@ -607,8 +583,7 @@ def _log_gram(phi: RadialPotential, k: int, log_psi: Callable[[np.ndarray], np.n
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
     """h_j = (1/lambda_j(p)) int |s_j|^2_{k phi} f^{1-p} vol_{k omega}."""
     spec = eigenvalues(k, model)
-    log_g = _log_gram(phi, k, lambda m: (1.0 - model.p) * np.log(model.f(m)))
-    return HermitianNorms(k=k, log_h=log_g - np.log(spec.lam_p))
+    return HermitianNorms(k=k, log_h=_log_gram(phi, k, model) - np.log(spec.lam_p))
 
 
 @lru_cache(maxsize=None)
@@ -621,7 +596,7 @@ def c_k_constant(k: int, model: ToyModel) -> float:
     try:
         vol = 1.0 if model.xi_zero else power_integral(model.a0, model.a1, 1.0 - model.p)
     except OverflowError as exc:
-        raise OutOfDomain(f"a power of f overflows a float at (b0, p) = ({model.b0!r}, {model.p!r})") from exc
+        raise _overflow(model) from exc
     return float(np.sum(spec.lam_p)) / (2.0 * math.pi * k * vol)
 
 
@@ -637,31 +612,18 @@ def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
     return FSPotential(k, H.log_h, math.log(ck))
 
 
-def bergman_density(
-    phi: RadialPotential,
-    k: int,
-    model: ToyModel,
-    Psi: Callable[[np.ndarray], np.ndarray],
-    Phi: Callable[[np.ndarray], np.ndarray],
-    mu,
-) -> np.ndarray:
-    """B(mu) = Psi(f) sum_j Phi(lambda_j) |s_j|^2 / G_j with G_j the squared
-    norms for the weighted product int |.|^2 Psi(f) vol_{k omega}."""
-    spec = eigenvalues(k, model, check_weights=False)
-    log_g = _log_gram(phi, k, lambda m: np.log(np.asarray(Psi(model.f(m)), dtype=float)))
+def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, mu) -> np.ndarray:
+    """B(mu) = f^{1-p} sum_j weights_j |s_j|^2 / G_j with G_j the squared
+    norms of `hilb`'s product int |.|^2 f^{1-p} vol_{k omega}."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - log_g[:, None])
-    return np.asarray(Psi(model.f(mu)), dtype=float) * np.einsum("j,jq->q", np.asarray(Phi(spec.lam), dtype=float), dens)
+    dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - _log_gram(phi, k, model)[:, None])
+    return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", weights, dens)
 
 
 def rho_p(phi: RadialPotential, k: int, model: ToyModel, mu) -> np.ndarray:
     """rho(mu) = f^{1-p} sum_j lambda_j(p) |s_j|^2 / G_j (Hilb-orthonormal
     section density)."""
-    spec = eigenvalues(k, model)
-    log_g = _log_gram(phi, k, lambda m: (1.0 - model.p) * np.log(model.f(m)))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - log_g[:, None])
-    return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", spec.lam_p, dens)
+    return bergman_density(phi, k, model, eigenvalues(k, model).lam_p, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from .quantization import (
     balanced_residual,
     bergman_density,
     c_k_constant,
+    c_top_exact,
     eigenvalues,
     fs,
     hilb,
@@ -184,9 +185,9 @@ def _chk_rho_identity() -> float:
     spec = eigenvalues(k, model)
     mu = sup_grid()
     lhs = rho_p(phi, k, model, mu)
-    b_main = bergman_density(phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: lam ** (1.0 - model.p), mu=mu)
-    b_corr = bergman_density(phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: lam ** (-(model.p + 1.0)), mu=mu)
-    return float(np.max(np.abs(lhs - (b_main - spec.c / (4.0 * k) * b_corr))))
+    b_main = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), mu)
+    b_corr = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), mu)
+    return float(np.max(np.abs(lhs - (b_main - c_top_exact(model) / (4.0 * k) * b_corr))))
 
 
 def _chk_trace_identity() -> float:

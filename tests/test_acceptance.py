@@ -46,6 +46,7 @@ from kahlerlab.quantization import (
     balanced_residual,
     bergman_density,
     c_k_constant,
+    c_top_exact,
     eigenvalues,
     expansion_check,
     hilb,
@@ -192,10 +193,9 @@ def test_criterion_07_bergman_identity():
     rng = np.random.default_rng(104)
     worst_pw = 0.0
     for phi in (round_potential(), random_potential(rng)):
-        pw = lambda f: f ** (1.0 - model.p)
-        main_term = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (1.0 - model.p), mu=mu)
-        corr_term = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (-(model.p + 1.0)), mu=mu)
-        gap = np.abs(rho_p(phi, k, model, mu) - (main_term - spec.c / (4.0 * k) * corr_term))
+        main_term = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), mu)
+        corr_term = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), mu)
+        gap = np.abs(rho_p(phi, k, model, mu) - (main_term - c_top_exact(model) / (4.0 * k) * corr_term))
         worst_pw = max(worst_pw, float(np.max(gap)))
     from kahlerlab.numerics import gauss_legendre
 

@@ -157,11 +157,14 @@ def test_quant_commands_reject_a_b0_that_absorbs_one(argv, workdir, capsys):
         ["quant-balanced", "--b0", "1e-80", "--k-range", "8"],
         ["quant-balanced", "--b0", "0.5", "--p", "2000", "--k-range", "8"],
         ["quant-expansion", "--b0", "1e-320"],
+        ["quant-expansion", "--b0", "1e-62"],
+        ["quant-expansion", "--b0", "0.5", "--p", "1020"],
     ],
 )
 def test_weight_data_whose_powers_overflow_is_out_of_domain(argv, workdir, capsys):
-    # a power of f = mu + b0 in the class constant overflows a float; the
-    # failure names (b0, p) instead of escaping as an OverflowError
+    # a power of f = mu + b0 in the class constant or of an eigenvalue
+    # lambda_j in lambda_j(p) overflows a float; the failure names (b0, p)
+    # instead of escaping as an OverflowError or a numpy RuntimeWarning
     assert main([*argv, "--no-cache"]) == cli.EXIT_FAIL
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("OutOfDomain: ") and "(b0, p)" in err

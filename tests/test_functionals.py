@@ -127,6 +127,28 @@ def test_geodesic_requires_traceless_blocks():
         geodesic(HW, A, 0.5, MW)
 
 
+def test_geodesic_blocks_follow_the_weight_mode():
+    # a finite weight has k+1 distinct eigenvalues b0 + j/k, even where
+    # adjacent ones round to one float (b0 = 1e15, k = 16), so every block
+    # is one index; the xi=0 mode has one block of all k+1
+    k = 16
+    H = HermitianNorms(k=k, log_h=np.zeros(k + 1))
+    e = np.eye(k + 1)
+    with pytest.raises(NotTraceless):
+        geodesic(H, e[0] - e[1], 0.5, ToyModel(b0=1e15, p=4.0))
+    rng = np.random.default_rng(41)
+    traceless = rng.normal(size=k + 1)
+    traceless -= traceless.mean()
+    for A in (e[3], e[0] - e[1], traceless, 1e-6 * traceless):
+        with pytest.raises(NotTraceless):
+            geodesic(H, A, 0.5, ToyModel(b0=1.0, p=4.0))
+    for A in (e[0] - e[1], traceless):
+        np.testing.assert_array_equal(geodesic(H, A, 0.5, M4).log_h, 0.5 * A)
+    for A in (e[3], traceless + 1e-6):
+        with pytest.raises(NotTraceless):
+            geodesic(H, A, 0.5, M4)
+
+
 def test_z_convex_and_critical_at_balanced():
     k = 8
     H = hilb(round_potential(), k, M4)
@@ -216,7 +238,7 @@ def _consumers():
     return {
         "hilb": lambda ps: [hilb(p, k, MW) for p in ps for k in (8, 16)],
         "rho_p": lambda ps: [quant.rho_p(p, 8, MW, mu) for p in ps],
-        "bergman": lambda ps: [quant.bergman_density(p, 8, MW, Psi=np.sqrt, Phi=np.sqrt, mu=mu) for p in ps],
+        "bergman": lambda ps: [quant.bergman_density(p, 8, MW, np.ones(9), mu) for p in ps],
         "scal": lambda ps: [quant.weighted_scalar_toy(p, MW, mu) for p in ps],
         "L": lambda ps: [functional_L(p, 8, MW) for p in ps],
         "mabuchi": lambda ps: [toy_mabuchi(p, MW) for p in ps],

@@ -30,7 +30,6 @@ from kahlerlab.quantization import (
     balanced_iterate,
     balanced_residual,
     bergman_density,
-    boundary_report,
     c_k_constant,
     c_top_exact,
     eigenvalues,
@@ -73,7 +72,8 @@ def test_round_potential_closed_forms():
     np.testing.assert_allclose(phi.at_mu(0.5).v, -math.log(2.0), atol=1e-13)
     np.testing.assert_allclose(m.t, np.log(MU / (1.0 - MU)), atol=1e-11)
     np.testing.assert_allclose(phi.at_t(TT).psi, np.logaddexp(0.0, TT), atol=1e-12)
-    assert boundary_report(phi).passes
+    ends = phi.at_mu(np.array([1e-9, 1.0 - 1e-9]))
+    np.testing.assert_allclose(ends.dS, [2.0, -2.0], atol=1e-8)
 
 
 def test_round_potential_carries_a_one_term_q():
@@ -190,7 +190,6 @@ def test_eigenvalue_ladder():
     np.testing.assert_allclose(spec2.lam, [1.0, 1.5, 2.0])
     spec0 = eigenvalues(5, ToyModel())
     np.testing.assert_allclose(spec0.lam, np.ones(6))
-    assert len(spec0.blocks) == 1 and len(spec2.blocks) == 3
 
 
 def test_weight_sign_guard_at_small_k():
@@ -381,11 +380,11 @@ def test_norms_validation():
 
 
 def test_bergman_unweighted_constant():
-    # With Psi = Phi = 1 in the unweighted mode the density telescopes to the
-    # dimension count: (2 pi) B = (k+1)/k exactly.
+    # With unit weights in the unweighted mode (p = 1, so f^{1-p} = 1) the
+    # density telescopes to the dimension count: (2 pi) B = (k+1)/k exactly.
     model = ToyModel(p=1.0)
     k = 7
-    B = bergman_density(round_potential(), k, model, Psi=lambda f: np.ones_like(f), Phi=lambda lam: np.ones_like(lam), mu=MU)
+    B = bergman_density(round_potential(), k, model, np.ones(k + 1), MU)
     np.testing.assert_allclose(2.0 * math.pi * B, (k + 1.0) / k, rtol=1e-12)
 
 
@@ -395,11 +394,10 @@ def test_rho_decomposition_pointwise():
     rng = np.random.default_rng(5)
     for phi in (round_potential(), random_potential(rng)):
         spec = eigenvalues(k, model)
-        pw = lambda f: f ** (1.0 - model.p)
-        main = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (1.0 - model.p), mu=MU)
-        corr = bergman_density(phi, k, model, Psi=pw, Phi=lambda lam: lam ** (-(model.p + 1.0)), mu=MU)
+        main = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), MU)
+        corr = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), MU)
         lhs = rho_p(phi, k, model, MU)
-        rhs = main - spec.c / (4.0 * k) * corr
+        rhs = main - c_top_exact(model) / (4.0 * k) * corr
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -420,9 +418,7 @@ def test_section_dimension_count():
     k = 6
     phi = round_potential()
     rule = gauss_legendre(256, 0.0, 1.0)
-    B = bergman_density(
-        phi, k, model, Psi=lambda f: f ** (1.0 - model.p), Phi=lambda lam: np.ones_like(lam), mu=rule.nodes
-    )
+    B = bergman_density(phi, k, model, np.ones(k + 1), rule.nodes)
     total = 2.0 * math.pi * k * float(np.dot(rule.weights, B))
     np.testing.assert_allclose(total, k + 1.0, rtol=1e-12)
 

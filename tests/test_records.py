@@ -73,8 +73,7 @@ RECORDS = [
     ),
     (mabuchi.PathFamily, ("kappa", "jets", "thetas"), {}, dict(kappa=1.5, jets=((), ()), thetas=()), None),
     (quantization.ToyModel, ("b0", "p"), {"b0": math.inf, "p": 4.0}, {}, (dict(b0=0), OutOfDomain)),
-    (quantization.ToyBoundaryReport, ("passes", "defects"), {}, dict(passes=True, defects=(0.0,) * 4), None),
-    (quantization.SpectrumData, ("lam", "lam_p", "c"), {}, dict(lam=np.ones(2), lam_p=np.ones(2), c=1.0), None),
+    (quantization.SpectrumData, ("lam", "lam_p"), {}, dict(lam=np.ones(2), lam_p=np.ones(2)), None),
     (
         quantization.HermitianNorms,
         ("k", "log_h"),
