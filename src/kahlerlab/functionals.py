@@ -1,29 +1,28 @@
 """Quantized functionals on the toy model: I, the Aubin functional, L = I∘Hilb + 𝕀,
 Z = 𝕀∘FS + I, geodesics of Hermitian norms, and the almost-balanced gap.
 
-All potential-level integrals run on the t-grid of the quantization module
-(quantization._t_grid) and read each potential through its sample there,
-RadialPotential.t_sample, taken once per potential. Along a straight
-psi-blend the grid data of the two endpoints combine affinely — psi,
-mu = psi', psi'', psi''', psi'''' are each linear in the blend weight — so a
-path integral is one array evaluation on the grid of path nodes x t-nodes.
-
 Conventions: vol_omega = 2 pi dmu, vol_{k omega} = 2 pi k dmu; the reference
 potential is the round one and every path functional is normalized to vanish
 there. The Aubin 1-form is d𝕀(phi-dot) = 2 k C_k ∫ phi-dot f^{1-p} vol_{k omega};
 the toy Mabuchi 1-form is d𝓜(phi-dot) = -∫ phi-dot (Scal_p - c) f^{-(p+1)} vol_omega.
+
+Both 1-forms are exact, and both functionals are evaluated in closed form in
+momentum coordinates, on the one Gram sample each potential holds
+(RadialPotential.gram_sample). At fixed t and mu a variation of psi = 2 phi
+is minus the variation of the symplectic potential v, so phi-dot = -v-dot/2,
+and everything is read off dv = v - v_round, V = f^{1-p} and W = f^{-(p+1)}.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NotTraceless, OutOfDomain
-from .numerics import gauss_legendre
 from .quantization import (
+    GramSample,
     HermitianNorms,
     RadialPotential,
     SpectrumData,
@@ -33,10 +32,7 @@ from .quantization import (
     eigenvalues,
     fs,
     hilb,
-    round_potential,
-    _s_jet,
-    _scal_p,
-    _t_grid,
+    _xlogx,
 )
 
 __all__ = [
@@ -52,9 +48,6 @@ __all__ = [
     "almost_balanced_check",
 ]
 
-_BLEND_ORDER = 64  # Gauss nodes of the s-rule along a blend
-
-
 def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
     """I(H) = sum_j lambda_j(p) log h_j (the norms are diagonal, so each
     block's log det is the sum of its log h's)."""
@@ -63,16 +56,19 @@ def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
     return float(np.dot(spectrum.lam_p, H.log_h))
 
 
-def _blend_integral(phi_a: RadialPotential, phi_b: RadialPotential, fields: tuple[str, ...], density: Callable) -> float:
-    """Integral over s in [0, 1] and t of density(phi-dot, *fields) along the
-    straight psi-blend (1-s) psi_a + s psi_b, with phi-dot = (psi_b - psi_a)/2
-    fixed along it. The named fields of the endpoints' t-samples are blended
-    on the whole (s-node x t-node) grid, and density is evaluated there once."""
-    da, db = phi_a.t_sample, phi_b.t_sample
-    srule = gauss_legendre(_BLEND_ORDER, 0.0, 1.0)
-    s = srule.nodes[:, None]
-    blend = ((1.0 - s) * getattr(da, name) + s * getattr(db, name) for name in fields)
-    return float(srule.weights @ (density(0.5 * (db.psi - da.psi), *blend) @ _t_grid().weights))
+def _delta_v(phi: RadialPotential) -> tuple[GramSample, np.ndarray, np.ndarray]:
+    """phi's Gram sample, its dmu weights and dv = v - v_round there; v_round
+    is subtracted as one sum, so dv of the round potential is exactly 0."""
+    g = phi.gram_sample
+    return g, np.exp(g.log_w), g.v - (_xlogx(g.mu) + _xlogx(1.0 - g.mu))
+
+
+def aubin_I(phi: RadialPotential, k: int, model: ToyModel) -> float:
+    """𝕀(phi) = -2 pi k^2 C_k ∫ dv f^{1-p} dmu: the Aubin 1-form is linear in
+    phi-dot = -v-dot/2, so 𝕀 integrates it in closed form from the round
+    potential (𝕀(round) = 0)."""
+    g, w, dv = _delta_v(phi)
+    return -2.0 * math.pi * k * k * c_k_constant(k, model) * float(w @ (dv * model.f(g.mu) ** (1.0 - model.p)))
 
 
 def aubin_path(
@@ -81,19 +77,8 @@ def aubin_path(
     k: int,
     model: ToyModel,
 ) -> float:
-    """Integral of the Aubin 1-form along the straight psi-blend a -> b."""
-    ck = c_k_constant(k, model)
-
-    def density(dot, mu, p2):
-        return dot * model.f(mu) ** (1.0 - model.p) * p2
-
-    return 2.0 * k * ck * 2.0 * math.pi * k * _blend_integral(phi_a, phi_b, ("mu", "psi2"), density)
-
-
-def aubin_I(phi: RadialPotential, k: int, model: ToyModel) -> float:
-    """𝕀(phi): Aubin functional, path integral from the round potential
-    (𝕀(round) = 0)."""
-    return aubin_path(round_potential(), phi, k, model)
+    """Integral of the Aubin 1-form along any path a -> b: 𝕀(b) - 𝕀(a)."""
+    return aubin_I(phi_b, k, model) - aubin_I(phi_a, k, model)
 
 
 def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:
@@ -107,18 +92,19 @@ def functional_Z(H: HermitianNorms, k: int, model: ToyModel) -> float:
 
 
 def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
-    """Weighted Mabuchi energy of the toy, 𝓜(round) = 0, via the path
-    integral of -∫ phi-dot (Scal_p - c) f^{-(p+1)} vol_omega along the
-    straight psi-blend. Scal_p on the blend comes from the chain rules in
-    the blended psi-derivatives, so no inversions are needed."""
-    c = c_top_exact(model)
+    """Weighted Mabuchi energy of the toy, 𝓜(round) = 0, in closed form.
+    Scal_p W = -(V S)'', so two integrations by parts make its 1-form exact,
+    as in Donaldson's toric formula (J. Differential Geom. 2002):
 
-    def density(dot, mu, p2, p3, p4):
-        scal_p = _scal_p(model, mu, *_s_jet(p2, p3, p4))
-        return dot * (scal_p - c) * model.f(mu) ** (-(model.p + 1.0)) * p2
+        𝓜 = pi [2 V(0) dv(0) + 2 V(1) dv(1) + 2 ∫ V log(S/S_round) dmu - c ∫ dv W dmu],
 
-    fields = ("mu", "psi2", "psi3", "psi4")
-    return -2.0 * math.pi * _blend_integral(round_potential(), phi, fields, density)
+    with S_round = 2 mu (1-mu) and the end values phi.dv_ends."""
+    g, w, dv = _delta_v(phi)
+    f, p = model.f(g.mu), model.p
+    V, W = f ** (1.0 - p), f ** (-(p + 1.0))
+    ends = 2.0 * float(np.dot(model.f(np.array([0.0, 1.0])) ** (1.0 - p), phi.dv_ends))
+    log_q = np.log(g.S / (2.0 * g.mu * (1.0 - g.mu)))
+    return math.pi * (ends + float(w @ (2.0 * V * log_q - c_top_exact(model) * dv * W)))
 
 
 def geodesic(H0: HermitianNorms, A: Sequence[float], t: float, model: ToyModel) -> HermitianNorms:

@@ -28,10 +28,10 @@ curvature average of the class. All inner products are diagonal in j, so
 Hermitian data is a vector of (log) norms and every map below is a
 one-dimensional quadrature plus vector algebra.
 
-The toy strand has two fixed rules, the momentum rule _mu_rule() of every
-Gram matrix and the t-grid _t_grid() of every path integral; each potential
-is sampled on each at most once (RadialPotential.gram_sample, .t_sample),
-the Gram rule on its native side, so no Gram matrix inverts mu <-> t.
+The toy strand has one fixed rule, the momentum rule _mu_rule(). Each
+potential is sampled there at most once (RadialPotential.gram_sample), on
+its native side, so no Gram matrix inverts mu <-> t; the Gram matrices and
+the closed-form functionals of the functionals module all read that sample.
 
 Volume convention: vol_{k omega} = k^m vol_omega with m = 1, i.e. 2 pi k dmu.
 """
@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from .errors import ConfigError, NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
-from .numerics import QuadratureRule, chebyshev_coefficients, composite_gauss, gauss_legendre, power_integral
+from .numerics import QuadratureRule, chebyshev_coefficients, gauss_legendre, power_integral
 
 __all__ = [
     "ToyModel",
@@ -89,14 +89,6 @@ def sup_grid() -> np.ndarray:
 def _mu_rule() -> QuadratureRule:
     """256-node Gauss rule on [0, 1], the momentum rule of every Gram matrix."""
     return gauss_legendre(256, 0.0, 1.0)
-
-
-@lru_cache(maxsize=1)
-def _t_grid() -> QuadratureRule:
-    """24-node Gauss panels of width 6 on [-30, 30]: every admissible psi''
-    decays like e^{-|t|}, so the truncated tail is below 1e-12 of the
-    integrand scale."""
-    return composite_gauss(np.linspace(-30.0, 30.0, 11), 24)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -174,12 +166,13 @@ class TSample(NamedTuple):
 
 
 class GramSample(NamedTuple):
-    """A potential on the Gram rule: momenta mu, t = v'(mu), v, and the log
-    quadrature weights of dmu there."""
+    """A potential on the Gram rule: momenta mu, t = v'(mu), v, the profile
+    S, and the log quadrature weights of dmu there."""
 
     mu: np.ndarray
     t: np.ndarray
     v: np.ndarray
+    S: np.ndarray
     log_w: np.ndarray
 
 
@@ -247,11 +240,14 @@ class RadialPotential(ABC):
         S = 2 psi'',   S' = 2 psi'''/psi'',
         S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
 
-    A potential never changes after construction, so its read-only samples
-    on the two fixed rules, gram_sample and t_sample, are taken once each;
-    the Gram sample reads at_mu at the momentum nodes, or at_t at their
-    pull-back in _TNativePotential.
+    A potential never changes after construction, so its read-only sample
+    on the momentum rule, gram_sample, is taken once; it reads at_mu at the
+    momentum nodes, or at_t at their pull-back in _TNativePotential. Each
+    class also states dv_ends, the values of v - v_round at mu = 0 and 1
+    (v_round vanishes at both).
     """
+
+    dv_ends: tuple[float, float]
 
     @abstractmethod
     def at_mu(self, mu) -> MuSample: ...
@@ -263,11 +259,7 @@ class RadialPotential(ABC):
     def gram_sample(self) -> GramSample:
         rule = _mu_rule()
         s = self.at_mu(rule.nodes)
-        return _read_only(GramSample(rule.nodes, s.t, s.v, np.log(rule.weights)))
-
-    @cached_property
-    def t_sample(self) -> TSample:
-        return _read_only(self.at_t(_t_grid().nodes))
+        return _read_only(GramSample(rule.nodes, s.t, s.v, s.S, np.log(rule.weights)))
 
 
 class _TNativePotential(RadialPotential):
@@ -291,17 +283,13 @@ class _TNativePotential(RadialPotential):
         t = np.log(u / (1.0 - u)) + self.beta
         s = self.at_t(t)
         log_w = np.log(rule.weights * s.psi2 / (u * (1.0 - u)))  # dmu = psi'' dt, dt = du/(u(1-u))
-        return _read_only(GramSample(s.mu, t, s.mu * t - s.psi, log_w))
+        return _read_only(GramSample(s.mu, t, s.mu * t - s.psi, 2.0 * s.psi2, log_w))
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
         t, s = _invert(self.at_t, lambda s: (s.mu, s.psi2), np.log(mu / (1.0 - mu)), mu, -np.inf, np.inf)
-        return MuSample(t, mu * t - s.psi, *_s_jet(s.psi2, s.psi3, s.psi4))
-
-
-def _s_jet(p2, p3, p4) -> tuple:
-    """S, S', S'' from psi'', psi''', psi'''' by the chain rules of RadialPotential."""
-    return 2.0 * p2, 2.0 * p3 / p2, 2.0 * (p4 * p2 - p3 * p3) / p2**3
+        p2, p3, p4 = s.psi2, s.psi3, s.psi4  # S, S', S'' by the chain rules of RadialPotential
+        return MuSample(t, mu * t - s.psi, 2.0 * p2, 2.0 * p3 / p2, 2.0 * (p4 * p2 - p3 * p3) / p2**3)
 
 
 class ProfilePotential(RadialPotential):
@@ -342,7 +330,9 @@ class ProfilePotential(RadialPotential):
         for i, c in enumerate(cols):
             self._series[: len(c), i] = c
         self._series.flags.writeable = False
-        self._R_aff = (float(cheb.chebval(0.0, Rc)), float(cheb.chebval(0.0, dR)))
+        self._R_aff = a, b = (float(cheb.chebval(0.0, Rc)), float(cheb.chebval(0.0, dR)))
+        R0, R1 = cheb.chebval(np.array([-1.0, 1.0]), Rc)
+        self.dv_ends = (float(R0 - a + 0.5 * b), float(R1 - a - 0.5 * b))
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
@@ -374,7 +364,7 @@ class FSPotential(_TNativePotential):
     It holds a read-only copy of log_h, so its samples cannot go stale.
     psi's asymptotes, -(log h_0 + log C_k)/k and t - (log h_k + log C_k)/k,
     cross at beta = (log h_k - log h_0)/k, which the gauge
-    log h -> log h + k a + j b moves by b."""
+    log h -> log h + k a + j b moves by b; they give v at mu = 0 and 1."""
 
     def __init__(self, k: int, log_h: np.ndarray, log_ck: float):
         self.k = int(k)
@@ -382,6 +372,7 @@ class FSPotential(_TNativePotential):
         self.log_h.flags.writeable = False
         self.log_ck = float(log_ck)
         self.beta = float(self.log_h[-1] - self.log_h[0]) / self.k
+        self.dv_ends = ((self.log_h[0] + self.log_ck) / self.k, (self.log_h[-1] + self.log_ck) / self.k)
         self._j = np.arange(self.k + 1, dtype=float)
 
     def at_t(self, t) -> TSample:
@@ -419,6 +410,7 @@ class BlendPotential(_TNativePotential):
         if not parts:
             raise OutOfDomain("need at least one component")
         self.parts = tuple((float(w), p) for w, p in parts)
+        self.dv_ends = tuple(sum(w * p.dv_ends[i] for w, p in self.parts) for i in (0, 1))
 
     def at_t(self, t) -> TSample:
         # every field of a t-sample is linear in psi
@@ -432,6 +424,7 @@ class _ShiftedPotential(RadialPotential):
     def __init__(self, base: RadialPotential, s: float):
         self.base = base
         self.s = float(s)
+        self.dv_ends = tuple(e - 2.0 * self.s for e in base.dv_ends)
 
     def at_mu(self, mu) -> MuSample:
         out = self.base.at_mu(mu)
@@ -521,14 +514,14 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
     with np.errstate(over="ignore", invalid="ignore"):
         lam_p = lam ** (1.0 - model.p) - (c / (4.0 * k)) * lam ** (-(model.p + 1.0))
     if not np.all(np.isfinite(lam_p)):
-        raise _overflow(model)
+        raise _power_error(model)
     if check_weights and np.any(lam_p <= 0.0):
         raise WeightSignError(f"lambda(p) has non-positive entries at k={k} (k too small for this (p, b0))")
     return SpectrumData(lam=lam, lam_p=lam_p)
 
 
-def _overflow(model: ToyModel) -> OutOfDomain:
-    return OutOfDomain(f"a power of f overflows a float at (b0, p) = ({model.b0!r}, {model.p!r})")
+def _power_error(model: ToyModel, how: str = "overflows a float") -> OutOfDomain:
+    return OutOfDomain(f"a power of f {how} at (b0, p) = ({model.b0!r}, {model.p!r})")
 
 
 def c_top_exact(model: ToyModel) -> float:
@@ -536,14 +529,18 @@ def c_top_exact(model: ToyModel) -> float:
     closed form. Scal_p f^{-(p+1)} is the exact derivative of
     -S' f^{1-p} + (p-1) S f^{-p}, so with S(0) = S(1) = 0, S'(0) = 2 and
     S'(1) = -2, c = 2 (a0^{1-p} + a1^{1-p}) / int_{a0}^{a1} x^{-(p+1)} dx;
-    4 in the xi=0 mode. OutOfDomain if a power overflows a float."""
+    4 in the xi=0 mode. OutOfDomain if a power overflows a float, or if the
+    divisor underflows to 0 (the powers above it can only underflow with it)."""
     if model.xi_zero:
         return 4.0
     a0, a1, p = model.a0, model.a1, model.p
     try:
-        return 2.0 * (a0 ** (1.0 - p) + a1 ** (1.0 - p)) / power_integral(a0, a1, -(p + 1.0))
+        num, den = a0 ** (1.0 - p) + a1 ** (1.0 - p), power_integral(a0, a1, -(p + 1.0))
     except OverflowError as exc:
-        raise _overflow(model) from exc
+        raise _power_error(model) from exc
+    if den == 0.0:
+        raise _power_error(model, "underflows to 0")
+    return 2.0 * num / den
 
 
 def weighted_scalar_toy(phi: RadialPotential, model: ToyModel, mu):
@@ -590,13 +587,16 @@ def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
 def c_k_constant(k: int, model: ToyModel) -> float:
     """C_k = sum_j lambda_j(p) / int f^{1-p} vol_{k omega}; the volume
     bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). int_0^1 f^{1-p} dmu
-    is int_{a0}^{a1} x^{1-p} dx in closed form, 1 in the xi=0 mode. Memoized:
-    `fs` needs it on every balanced step."""
+    is int_{a0}^{a1} x^{1-p} dx in closed form, 1 in the xi=0 mode; OutOfDomain
+    if it overflows a float or underflows to 0. Memoized: `fs` needs it on
+    every balanced step."""
     spec = eigenvalues(k, model, check_weights=False)
     try:
         vol = 1.0 if model.xi_zero else power_integral(model.a0, model.a1, 1.0 - model.p)
     except OverflowError as exc:
-        raise _overflow(model) from exc
+        raise _power_error(model) from exc
+    if vol == 0.0:
+        raise _power_error(model, "underflows to 0")
     return float(np.sum(spec.lam_p)) / (2.0 * math.pi * k * vol)
 
 

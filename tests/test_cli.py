@@ -170,6 +170,16 @@ def test_weight_data_whose_powers_overflow_is_out_of_domain(argv, workdir, capsy
     assert out == "" and err.startswith("OutOfDomain: ") and "(b0, p)" in err
 
 
+@pytest.mark.parametrize("b0, p", [("1e3", "120"), ("1e15", "30")])
+def test_weight_data_whose_powers_underflow_is_out_of_domain(b0, p, workdir, capsys):
+    # the class constant's powers of f underflow to 0, where it would divide
+    # 0 by 0; the failure names (b0, p) instead of escaping as a
+    # ZeroDivisionError
+    assert main(["quant-expansion", "--b0", b0, "--p", p, "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("OutOfDomain: ") and "underflows to 0 at (b0, p)" in err
+
+
 @pytest.mark.parametrize("kappa_range", ["1.5:inf:3", "-inf:2:3", "1.5:nan:3"])
 def test_pkappa_rejects_a_range_with_an_endpoint_that_is_not_finite(kappa_range, workdir, capsys):
     # linspace would turn 0 * inf into a nan kappa where the range names 1.5
