@@ -588,15 +588,13 @@ def c_k_constant(k: int, model: ToyModel) -> float:
     """C_k = sum_j lambda_j(p) / int f^{1-p} vol_{k omega}; the volume
     bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). int_0^1 f^{1-p} dmu
     is int_{a0}^{a1} x^{1-p} dx in closed form, 1 in the xi=0 mode; OutOfDomain
-    if it overflows a float or underflows to 0. Memoized: `fs` needs it on
-    every balanced step."""
+    if it overflows a float. It underflows to 0 only where c's divisor
+    int x^{-(p+1)} dx does too, which `eigenvalues` names first. Memoized: `fs` needs it on every balanced step."""
     spec = eigenvalues(k, model, check_weights=False)
     try:
         vol = 1.0 if model.xi_zero else power_integral(model.a0, model.a1, 1.0 - model.p)
     except OverflowError as exc:
         raise _power_error(model) from exc
-    if vol == 0.0:
-        raise _power_error(model, "underflows to 0")
     return float(np.sum(spec.lam_p)) / (2.0 * math.pi * k * vol)
 
 
