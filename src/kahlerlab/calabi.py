@@ -32,6 +32,7 @@ series (`to_symplectic`).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,12 +81,13 @@ class RuledSurfaceData(_RuledSurfaceData):
 
     @staticmethod
     def standard(kappa: float, genus: int = 2, degree: int = 1) -> "RuledSurfaceData":
-        """Normalized base curvature s_C = 4(1-genus)/degree."""
+        """Normalized base curvature s_C = 4(1-genus)/degree. At degree 0 no
+        s_C is formed, and the record's degree rule names the fault."""
         return RuledSurfaceData(
             genus=genus,
             degree=degree,
             kappa=kappa,
-            base_scal=4.0 * (1 - genus) / degree,
+            base_scal=4.0 * (1 - genus) / degree if degree else math.nan,
         )
 
 

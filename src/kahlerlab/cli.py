@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands drive the library modules and print plot-ready CSV or JSON.  No
-numerical work happens here — only argument validation, dispatch, caching,
-and formatting.
+numerical work happens here — only argument parsing, dispatch, caching,
+and formatting.  The records validate their inputs (`ToyModel` b0 and p,
+`RuledSurfaceData` genus and degree); the CLI maps their errors to exit 2.
 
 Output layout
 -------------
@@ -37,13 +38,10 @@ from .ckem import b_kappa, kappa_zero, solve_P, sweep
 from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
 from .quantization import (
     ToyModel,
+    balanced_defects,
     balanced_iterate,
-    balanced_residual,
-    c_top_exact,
     expansion_check,
     round_potential,
-    sup_grid,
-    weighted_scalar_toy,
     _BALANCED_TOL,
 )
 from .verify import run_checks
@@ -64,7 +62,7 @@ class _RunConfig(NamedTuple):
 
 
 class RunConfig(_RunConfig):
-    """Validated parameter record for one CLI run."""
+    """Parameter record for one CLI run; it checks what no library record does."""
 
     __slots__ = ()
     def __new__(cls, command: str, params: dict[str, Any]) -> RunConfig:
@@ -76,20 +74,12 @@ class RunConfig(_RunConfig):
                 raise ConfigError("empty kappa range")
             if any(k <= 1.0 for k in p["kappas"]):
                 raise ConfigError("all kappa values must be > 1")
-        if "p" in p and not math.isfinite(p["p"]):
-            raise ConfigError("p must be finite")
-        if "b0" in p and not (p["b0"] == math.inf or 0.0 < p["b0"] < p["b0"] + 1.0):
-            raise ConfigError(f"b0 must be > 0 or inf, and a finite b0 must have b0 + 1 > b0 (got {p['b0']!r})")
         if "k_list" in p:
             # the probe's k scales a direction (k = 0 is the reference); the
             # quantized commands' k is a tensor power
             k_min = 0 if command == "mabuchi-probe" else 1
             if not p["k_list"] or min(p["k_list"]) < k_min:
                 raise ConfigError(f"k values must be >= {k_min}" if p["k_list"] else "empty k range")
-        if "genus" in p and p["genus"] < 2:
-            raise ConfigError("genus must be >= 2")
-        if "degree" in p and p["degree"] < 1:
-            raise ConfigError("degree must be >= 1")
         if "tol" in p and not 0.0 < p["tol"] < math.inf:
             raise ConfigError(f"tol must be finite and positive (got {p['tol']!r})")
         return super().__new__(cls, command, params)
@@ -205,6 +195,23 @@ def _parse_b0(text: str) -> float:
         raise ConfigError(f"bad b0 {text!r}") from exc
 
 
+# -- library records ---------------------------------------------------------
+
+
+def _validated(record: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """record(*args, **kwargs), its OutOfDomain re-raised as a ConfigError."""
+    try:
+        return record(*args, **kwargs)
+    except OutOfDomain as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _surface(args: argparse.Namespace) -> RuledSurfaceData:
+    """The surface of --genus and --degree. Its kappa 1.5 is a placeholder:
+    every command hands the solvers its own kappa."""
+    return _validated(RuledSurfaceData.standard, 1.5, genus=args.genus, degree=args.degree)
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -212,8 +219,8 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
     if (args.kappa is None) == (args.kappa_range is None):
         raise ConfigError("pkappa needs exactly one of --kappa and --kappa-range")
     kappas = [args.kappa] if args.kappa_range is None else _parse_kappa_range(args.kappa_range)
+    X = _surface(args)
     cfg = RunConfig("pkappa", {"kappas": kappas, "genus": args.genus, "degree": args.degree})
-    X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
 
     def produce() -> str:
         errors: list[tuple[float, str]] = []
@@ -228,8 +235,8 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
     """JSON: kappa0; min_P and argmin_z, P at its lowest interior critical
     point there (~0 at the double root); the labels at the midpoint of
     (1, kappa0) and at kappa0 + 0.5. All four come from one `sweep`."""
+    X = _surface(args)
     cfg = RunConfig("kappa0", {"genus": args.genus, "degree": args.degree})
-    X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
 
     def produce() -> str:
         k0 = kappa_zero(X)
@@ -251,16 +258,8 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
     more than 100 below the energy at the smallest k, in any order of
     --k-range."""
     ks = _parse_k_range(args.k_range) if args.k_range else list(range(0, 65))
-    cfg = RunConfig(
-        "mabuchi-probe",
-        {
-            "kappa": args.kappa,
-            "genus": args.genus,
-            "degree": args.degree,
-            "k_list": ks,
-        },
-    )
-    X = RuledSurfaceData.standard(1.5, genus=args.genus, degree=args.degree)
+    X = _surface(args)
+    cfg = RunConfig("mabuchi-probe", {"kappa": args.kappa, "genus": args.genus, "degree": args.degree, "k_list": ks})
 
     def produce() -> str:
         # default kappa: midpoint of (1, kappa0) of the surface the flags name
@@ -279,20 +278,16 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
 
 
 def cmd_quant_balanced(args: argparse.Namespace) -> int:
-    b0 = _parse_b0(args.b0)
+    model = _validated(ToyModel, b0=_parse_b0(args.b0), p=args.p)
     ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32]
-    cfg = RunConfig("quant-balanced", {"b0": b0, "p": args.p, "k_list": ks, "tol": args.tol})
-    model = ToyModel(b0=b0, p=args.p)
+    cfg = RunConfig("quant-balanced", {**model._asdict(), "k_list": ks, "tol": args.tol})
 
     def produce() -> str:
         phi0 = round_potential()
-        c = c_top_exact(model)
-        mu = sup_grid()
         rows = []
         for k in ks:
             res = balanced_iterate(phi0, k, model, tol=args.tol)
-            resid = balanced_residual(res.phi, k, model)
-            dev = float(np.max(np.abs(weighted_scalar_toy(res.phi, model, mu) - c)))
+            resid, dev = balanced_defects(res.phi, k, model)
             rows.append([k, res.n_iter, repr(resid), repr(dev)])
         return _csv("k,n_iter,residual,scal_dev", rows)
 
@@ -300,10 +295,9 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
 
 
 def cmd_quant_expansion(args: argparse.Namespace) -> int:
-    b0 = _parse_b0(args.b0)
+    model = _validated(ToyModel, b0=_parse_b0(args.b0), p=args.p)
     ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32, 64]
-    cfg = RunConfig("quant-expansion", {"b0": b0, "p": args.p, "k_list": ks})
-    model = ToyModel(b0=b0, p=args.p)
+    cfg = RunConfig("quant-expansion", {**model._asdict(), "k_list": ks})
 
     def produce() -> str:
         rep = expansion_check(round_potential(), model, ks)
@@ -318,10 +312,7 @@ def cmd_quant_expansion(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     tags = args.tags.split(",") if args.tags else None
     cfg = RunConfig("verify", {"tags": tags, "breach": args.breach})
-    try:
-        results = run_checks(tags=tags, breach=args.breach)
-    except OutOfDomain as exc:
-        raise ConfigError(str(exc)) from exc
+    results = _validated(run_checks, tags=tags, breach=args.breach)
     payload = _csv("name,tag,passed,detail", ([r.name, r.tag, str(r.passed), r.detail] for r in results))
     ok = all(r.passed for r in results)
     _emit(payload, _record(cfg, False, ok, args.out), args.out)

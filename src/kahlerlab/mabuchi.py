@@ -40,7 +40,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .calabi import KillingData, Profile, scal_p_on, to_symplectic, weighted_average_c
+from .calabi import KillingData, Profile, scal_p_on, weighted_average_c
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
 from .numerics import _cheb_projector, composite_gauss, gauss_legendre, graded_rule
@@ -96,13 +96,6 @@ class SymplecticPotential:
     def reference(kappa: float) -> "SymplecticPotential":
         """u_ref'' = 1/(1-z^2), i.e. D = 1 (the profile Theta_0 = 1-z^2)."""
         return SymplecticPotential(lambda z: np.ones_like(np.asarray(z, dtype=float)), kappa)
-
-    @staticmethod
-    def euler_lagrange(sol: PKappaSolution) -> "SymplecticPotential":
-        """The critical potential u*'' = (z+kappa)/P_kappa (needs P > 0 inside):
-        D* = (1-z^2)(z+kappa)/P = (z+kappa)/N, N the solver profile's series,
-        so the endpoint values need no limit; its D > 0 check is P > 0."""
-        return to_symplectic(sol.profile())
 
     # -- evaluation ---------------------------------------------------------
 

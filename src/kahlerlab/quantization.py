@@ -59,7 +59,6 @@ __all__ = [
     "FSPotential",
     "BlendPotential",
     "round_potential",
-    "shift_potential",
     "random_potential",
     "SpectrumData",
     "HermitianNorms",
@@ -74,7 +73,8 @@ __all__ = [
     "expansion_check",
     "BalancedResult",
     "balanced_iterate",
-    "balanced_residual",
+    "BalancedDefects",
+    "balanced_defects",
     "sup_grid",
 ]
 
@@ -122,14 +122,6 @@ class ToyModel(_ToyModel):
     @property
     def xi_zero(self) -> bool:
         return self.b0 == math.inf
-
-    @property
-    def a0(self) -> float:
-        return 1.0 if self.xi_zero else self.b0
-
-    @property
-    def a1(self) -> float:
-        return 1.0 if self.xi_zero else self.b0 + 1.0
 
     def f(self, mu):
         mu = np.asarray(mu, dtype=float)
@@ -297,7 +289,8 @@ class ProfilePotential(RadialPotential):
 
     The symplectic potential is reconstructed from v'' = 2/S:
     v = v_0 + R with v_0 = mu log mu + (1-mu) log(1-mu), R'' = r,
-    r = (1-q)/(q mu (1-mu)) (bounded), anchored R(1/2) = R'(1/2) = 0. q and
+    r = (1-q)/(q mu (1-mu)) (bounded), anchored R(1/2) = R'(1/2) = 0 by
+    integrating from x = 2 mu - 1 = 0 (chebint's lower bound). q and
     r are interpolated at _N Chebyshev nodes and chopped at their rounding
     plateau (q of the round potential is 1 term), so no noise tail reaches
     S''. The log-radial side inverts t(mu) (dt/dmu = 2/S), started at the
@@ -330,17 +323,14 @@ class ProfilePotential(RadialPotential):
         for i, c in enumerate(cols):
             self._series[: len(c), i] = c
         self._series.flags.writeable = False
-        self._R_aff = a, b = (float(cheb.chebval(0.0, Rc)), float(cheb.chebval(0.0, dR)))
-        R0, R1 = cheb.chebval(np.array([-1.0, 1.0]), Rc)
-        self.dv_ends = (float(R0 - a + 0.5 * b), float(R1 - a - 0.5 * b))
+        self.dv_ends = tuple(float(e) for e in cheb.chebval(np.array([-1.0, 1.0]), Rc))
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
         q, dq, d2q, R, dR = cheb.chebval(2.0 * mu - 1.0, self._series)
-        a, b = self._R_aff
         return MuSample(
-            t=np.log(mu) - np.log(1.0 - mu) + (dR - b),
-            v=_xlogx(mu) + _xlogx(1.0 - mu) + (R - a - b * (mu - 0.5)),
+            t=np.log(mu) - np.log(1.0 - mu) + dR,
+            v=_xlogx(mu) + _xlogx(1.0 - mu) + R,
             S=2.0 * mu * (1.0 - mu) * q,
             dS=2.0 * (1.0 - 2.0 * mu) * q + 2.0 * mu * (1.0 - mu) * dq,
             d2S=-4.0 * q + 4.0 * (1.0 - 2.0 * mu) * dq + 2.0 * mu * (1.0 - mu) * d2q,
@@ -435,11 +425,6 @@ class _ShiftedPotential(RadialPotential):
         return out._replace(psi=out.psi + 2.0 * self.s)
 
 
-def shift_potential(phi: RadialPotential, s: float) -> RadialPotential:
-    """The potential phi + s (adds the constant 2s to psi = 2 phi)."""
-    return _ShiftedPotential(phi, s)
-
-
 @lru_cache(maxsize=1)
 def _round_potential() -> ProfilePotential:
     return ProfilePotential(lambda mu: np.ones_like(np.asarray(mu, dtype=float)))
@@ -502,7 +487,7 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
     check_weights=False skips the positivity gate on lambda(p) (useful when
     only the raw lambda sequence is wanted; every map that divides by
     lambda(p) re-checks). OutOfDomain, before the gate, if a power of
-    lambda overflows a float."""
+    lambda overflows a float or underflows to 0."""
     if k < 1:
         raise OutOfDomain("k must be >= 1")
     j = np.arange(k + 1, dtype=float)
@@ -512,9 +497,12 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
         lam = model.b0 + j / k
     c = c_top_exact(model)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam_p = lam ** (1.0 - model.p) - (c / (4.0 * k)) * lam ** (-(model.p + 1.0))
+        V, W = lam ** (1.0 - model.p), lam ** (-(model.p + 1.0))
+        lam_p = V - (c / (4.0 * k)) * W
     if not np.all(np.isfinite(lam_p)):
         raise _power_error(model)
+    if 0.0 in (V[0], V[-1], W[0], W[-1]):  # a power is monotone in lambda, so it underflows at an end first
+        raise _power_error(model, "underflows to 0")
     if check_weights and np.any(lam_p <= 0.0):
         raise WeightSignError(f"lambda(p) has non-positive entries at k={k} (k too small for this (p, b0))")
     return SpectrumData(lam=lam, lam_p=lam_p)
@@ -528,14 +516,14 @@ def c_top_exact(model: ToyModel) -> float:
     """Class constant c = int Scal_p f^{-(p+1)} dmu / int f^{-(p+1)} dmu in
     closed form. Scal_p f^{-(p+1)} is the exact derivative of
     -S' f^{1-p} + (p-1) S f^{-p}, so with S(0) = S(1) = 0, S'(0) = 2 and
-    S'(1) = -2, c = 2 (a0^{1-p} + a1^{1-p}) / int_{a0}^{a1} x^{-(p+1)} dx;
+    S'(1) = -2, c = 2 (b0^{1-p} + (b0+1)^{1-p}) / int_{b0}^{b0+1} x^{-(p+1)} dx;
     4 in the xi=0 mode. OutOfDomain if a power overflows a float, or if the
     divisor underflows to 0 (the powers above it can only underflow with it)."""
     if model.xi_zero:
         return 4.0
-    a0, a1, p = model.a0, model.a1, model.p
+    b0, p = model.b0, model.p
     try:
-        num, den = a0 ** (1.0 - p) + a1 ** (1.0 - p), power_integral(a0, a1, -(p + 1.0))
+        num, den = b0 ** (1.0 - p) + (b0 + 1.0) ** (1.0 - p), power_integral(b0, b0 + 1.0, -(p + 1.0))
     except OverflowError as exc:
         raise _power_error(model) from exc
     if den == 0.0:
@@ -587,12 +575,12 @@ def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
 def c_k_constant(k: int, model: ToyModel) -> float:
     """C_k = sum_j lambda_j(p) / int f^{1-p} vol_{k omega}; the volume
     bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). int_0^1 f^{1-p} dmu
-    is int_{a0}^{a1} x^{1-p} dx in closed form, 1 in the xi=0 mode; OutOfDomain
+    is int_{b0}^{b0+1} x^{1-p} dx in closed form, 1 in the xi=0 mode; OutOfDomain
     if it overflows a float. It underflows to 0 only where c's divisor
     int x^{-(p+1)} dx does too, which `eigenvalues` names first. Memoized: `fs` needs it on every balanced step."""
     spec = eigenvalues(k, model, check_weights=False)
     try:
-        vol = 1.0 if model.xi_zero else power_integral(model.a0, model.a1, 1.0 - model.p)
+        vol = 1.0 if model.xi_zero else power_integral(model.b0, model.b0 + 1.0, 1.0 - model.p)
     except OverflowError as exc:
         raise _power_error(model) from exc
     return float(np.sum(spec.lam_p)) / (2.0 * math.pi * k * vol)
@@ -610,11 +598,13 @@ def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
     return FSPotential(k, H.log_h, math.log(ck))
 
 
-def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, mu) -> np.ndarray:
+def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, mu, s: MuSample | None = None) -> np.ndarray:
     """B(mu) = f^{1-p} sum_j weights_j |s_j|^2 / G_j with G_j the squared
-    norms of `hilb`'s product int |.|^2 f^{1-p} vol_{k omega}."""
+    norms of `hilb`'s product int |.|^2 f^{1-p} vol_{k omega}. s is
+    phi.at_mu(mu), taken here unless the caller holds it."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    dens = np.exp(_log_section_densities(phi.at_mu(mu), k, mu) - _log_gram(phi, k, model)[:, None])
+    s = phi.at_mu(mu) if s is None else s
+    dens = np.exp(_log_section_densities(s, k, mu) - _log_gram(phi, k, model)[:, None])
     return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", weights, dens)
 
 
@@ -740,8 +730,19 @@ def balanced_iterate(
     )
 
 
-def balanced_residual(phi: RadialPotential, k: int, model: ToyModel) -> float:
-    """sup over the interior grid of |rho_p(k phi) - C_k f^{1-p}|, phi = FS(H) of a balanced result."""
+class BalancedDefects(NamedTuple):
+    residual: float  # sup |rho_p(k phi) - C_k f^{1-p}|
+    scal_dev: float  # sup |Scal_p - c|
+
+
+def balanced_defects(phi: RadialPotential, k: int, model: ToyModel) -> BalancedDefects:
+    """How far phi = FS(H) of a balanced result is from balanced and from
+    constant weighted curvature: both sups over the interior grid, read off
+    one momentum sample of phi."""
     mu = sup_grid()
-    ck = c_k_constant(k, model)
-    return float(np.max(np.abs(rho_p(phi, k, model, mu) - ck * model.f(mu) ** (1.0 - model.p))))
+    s = phi.at_mu(mu)
+    rho = bergman_density(phi, k, model, eigenvalues(k, model).lam_p, mu, s)
+    return BalancedDefects(
+        residual=float(np.max(np.abs(rho - c_k_constant(k, model) * model.f(mu) ** (1.0 - model.p)))),
+        scal_dev=float(np.max(np.abs(_scal_p(model, mu, s.S, s.dS, s.d2S) - c_top_exact(model)))),
+    )

@@ -26,6 +26,7 @@ from .calabi import (
     check_boundary,
     random_admissible_profile,
     scal_p_on,
+    to_symplectic,
     weighted_average_c,
     weighted_scalar_curvature,
     ansatz_scalar_curvature,
@@ -33,7 +34,6 @@ from .calabi import (
 from .ckem import ClassLabel, b_kappa, kappa_zero, solve_P, sweep
 from .mabuchi import (
     BumpDirection,
-    SymplecticPotential,
     fit_probe_slope,
     mabuchi_gradient_amt,
     mabuchi_path_integral,
@@ -45,7 +45,7 @@ from .mabuchi import (
 from .quantization import (
     ToyModel,
     balanced_iterate,
-    balanced_residual,
+    balanced_defects,
     bergman_density,
     c_k_constant,
     c_top_exact,
@@ -140,7 +140,7 @@ def _chk_kappa0() -> float:
 def _chk_el_gradient() -> float:
     kappa = 1.6
     sol = solve_P(kappa, b_kappa(kappa))
-    u = SymplecticPotential.euler_lagrange(sol)
+    u = to_symplectic(sol.profile())
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(3):
@@ -218,7 +218,7 @@ def _chk_balanced_round() -> float:
     model = ToyModel(p=1.0)
     k = 8
     res = balanced_iterate(round_potential(), k, model)
-    return balanced_residual(res.phi, k, model)
+    return balanced_defects(res.phi, k, model).residual
 
 
 def _chk_z_convexity() -> float:

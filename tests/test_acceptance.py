@@ -43,7 +43,7 @@ from kahlerlab.quantization import (
     HermitianNorms,
     ToyModel,
     balanced_iterate,
-    balanced_residual,
+    balanced_defects,
     bergman_density,
     c_k_constant,
     c_top_exact,
@@ -120,7 +120,7 @@ def test_criterion_03_kappa0_bracketing():
 def test_criterion_04_euler_lagrange_gradient():
     kappa = 1.6
     sol = solve_P(kappa, b_kappa(kappa))
-    u_star = SymplecticPotential.euler_lagrange(sol)
+    u_star = to_symplectic(sol.profile())
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(10):
@@ -254,7 +254,7 @@ def test_criterion_09_balanced_iteration():
         assert res.converged
         if k <= 32:
             assert res.n_iter <= 500
-            assert balanced_residual(res.phi, k, model) < 1e-8
+            assert balanced_defects(res.phi, k, model).residual < 1e-8
         devs[k] = float(np.max(np.abs(weighted_scalar_toy(res.phi, model, mu) - c)))
     # trend: non-increasing up to 10% noise, with values at numerical zero
     # (below the 1e-8 residual scale) treated as floor ties
@@ -267,7 +267,7 @@ def test_criterion_09_balanced_iteration():
         random_potential(np.random.default_rng(105), scale=0.6), 8, model, tol=1e-10
     )
     assert rnd_start.converged and rnd_start.n_iter <= 500
-    assert balanced_residual(rnd_start.phi, 8, model) < 1e-8
+    assert balanced_defects(rnd_start.phi, 8, model).residual < 1e-8
     _verdict(
         9,
         f"k<=32 converged, residuals < 1e-8; scal deviations {', '.join(f'{v:.1e}' for v in seq)} at floor; "

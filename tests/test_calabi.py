@@ -31,6 +31,12 @@ def test_standard_surface_base_scal():
     assert X.base_scal == -4.0
 
 
+def test_standard_surface_of_degree_zero_is_out_of_domain():
+    # s_C = 4(1-genus)/degree would divide by zero before the degree rule ran
+    with pytest.raises(OutOfDomain, match="degree must be >= 1"):
+        RuledSurfaceData.standard(1.5, genus=2, degree=0)
+
+
 def test_round_profile_scalar_curvature_closed_form():
     # Theta = 1 - z^2: ((z+kappa) Theta)'' = -6z - 2 kappa, so
     # Scal = (s_C + 6z + 2 kappa) / (z + kappa).

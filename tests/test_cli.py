@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from kahlerlab import ckem, quantization
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.cli import build_parser, main
 from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
+from kahlerlab.errors import OutOfDomain
+from kahlerlab.quantization import ToyModel
 
 SWEEP_HEADER = "kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label"
 
@@ -180,6 +183,34 @@ def test_weight_data_whose_powers_underflow_is_out_of_domain(b0, p, workdir, cap
     assert out == "" and err.startswith("OutOfDomain: ") and "underflows to 0 at (b0, p)" in err
 
 
+def test_weights_whose_powers_underflow_name_the_underflow(workdir, capsys):
+    # 2^-1099 underflows to 0 in lambda_k^{1-p}; the failure is the weight
+    # data's, not a k too small for lambda(p) > 0
+    assert main(["quant-expansion", "--b0", "1", "--p", "1100", "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err == "OutOfDomain: a power of f underflows to 0 at (b0, p) = (1.0, 1100.0)\n"
+
+
+_RECORD_FAULTS = [
+    (["kappa0", "--genus", "1"], partial(RuledSurfaceData.standard, 1.5, genus=1)),
+    (["pkappa", "--kappa", "1.5", "--degree", "0"], partial(RuledSurfaceData.standard, 1.5, degree=0)),
+    (["mabuchi-probe", "--degree", "0"], partial(RuledSurfaceData.standard, 1.5, degree=0)),
+    (["quant-expansion", "--p", "nan"], partial(ToyModel, b0=1.0, p=math.nan)),
+    (["quant-balanced", "--p", "inf"], partial(ToyModel, p=math.inf)),
+]
+
+
+@pytest.mark.parametrize("argv, build", [pytest.param(a, b, id=" ".join(a)) for a, b in _RECORD_FAULTS])
+def test_a_record_rejects_its_input_as_a_config_error(argv, build, workdir, capsys):
+    # the rule lives on the record that enforces it; the CLI passes the
+    # record's message on and exits 2, with no traceback
+    with pytest.raises(OutOfDomain) as exc:
+        build()
+    assert main([*argv, "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {exc.value}\n"
+
+
 @pytest.mark.parametrize("kappa_range", ["1.5:inf:3", "-inf:2:3", "1.5:nan:3"])
 def test_pkappa_rejects_a_range_with_an_endpoint_that_is_not_finite(kappa_range, workdir, capsys):
     # linspace would turn 0 * inf into a nan kappa where the range names 1.5
@@ -236,7 +267,7 @@ def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, cap
 
     monkeypatch.setattr(quantization, "_invert", spy)
     assert main(["quant-balanced", "--b0", "inf", "--p", "1", "--k-range", "8,16", "--no-cache"]) == 0
-    assert len({id(phi) for phi in inverted}) == 2
+    assert len(inverted) == 2 and len({id(phi) for phi in inverted}) == 2
     assert all(isinstance(phi, quantization.FSPotential) for phi in inverted)
 
 

@@ -32,7 +32,7 @@ from kahlerlab.quantization import (
     hilb,
     random_potential,
     round_potential,
-    shift_potential,
+    _ShiftedPotential,
 )
 
 M0 = ToyModel(p=1.0)
@@ -75,9 +75,9 @@ def test_constant_shift_identities():
     k, s = 8, 0.41
     phi = random_potential(np.random.default_rng(1), scale=0.5)
     spec = eigenvalues(k, MW)
-    d_aubin = aubin_I(shift_potential(phi, s), k, MW) - aubin_I(phi, k, MW)
+    d_aubin = aubin_I(_ShiftedPotential(phi, s), k, MW) - aubin_I(phi, k, MW)
     np.testing.assert_allclose(d_aubin, 2.0 * k * s * float(np.sum(spec.lam_p)), rtol=1e-9)
-    dL = functional_L(shift_potential(phi, s), k, MW) - functional_L(phi, k, MW)
+    dL = functional_L(_ShiftedPotential(phi, s), k, MW) - functional_L(phi, k, MW)
     assert abs(dL) < 1e-8
 
 
@@ -101,7 +101,7 @@ def test_toy_mabuchi_round_is_zero_and_shift_invariant():
     assert toy_mabuchi(round_potential(), M0) == 0.0
     phi = random_potential(np.random.default_rng(3), scale=0.5)
     a = toy_mabuchi(phi, M0)
-    b = toy_mabuchi(shift_potential(phi, 0.3), M0)
+    b = toy_mabuchi(_ShiftedPotential(phi, 0.3), M0)
     np.testing.assert_allclose(a, b, atol=1e-9)
     assert a > 0.0
 
@@ -227,7 +227,7 @@ def _fresh_potentials():
     part = fs(hilb(random_potential(rng, scale=0.5), k, M0), k, M0)
     blend = quant.BlendPotential([(0.3, random_potential(rng, scale=0.5)), (0.7, part)])
     round_copy = quant.ProfilePotential(lambda mu: np.ones_like(mu))
-    shifted = shift_potential(random_potential(rng, scale=0.5), 0.2)
+    shifted = _ShiftedPotential(random_potential(rng, scale=0.5), 0.2)
     return [prof, fsp, blend, round_copy, shifted]
 
 

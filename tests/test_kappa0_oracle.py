@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from kahlerlab.calabi import RuledSurfaceData
+from kahlerlab.calabi import RuledSurfaceData, to_symplectic
 from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
 from kahlerlab.mabuchi import SymplecticPotential, mabuchi_energy_amt
 
@@ -163,7 +163,7 @@ def test_euler_lagrange_potential_matches_the_oracle(kappa):
         return -2 * z * (z + kappa) / dP(z) if abs(z) == 1 else (1 - z * z) * (z + kappa) / P(z)
 
     zs = np.array([-1.0, *EDGE_Z, 1.0])
-    got = SymplecticPotential.euler_lagrange(solve_P(kappa, b_kappa(kappa))).D(zs)
+    got = to_symplectic(solve_P(kappa, b_kappa(kappa)).profile()).D(zs)
     np.testing.assert_allclose(got, _oracle_on(zs, kappa, exact), rtol=1e-14, atol=0.0)
 
 
@@ -182,7 +182,7 @@ def test_mabuchi_gap_is_the_bregman_divergence_from_the_oracle(kappa):
     with mp.workdps(DPS):
         b = float(kappa + mp.sqrt(mp.mpf(kappa) ** 2 - 1))
     sol = solve_P(kappa, b_kappa(kappa))
-    e_star = mabuchi_energy_amt(SymplecticPotential.euler_lagrange(sol), sol)
+    e_star = mabuchi_energy_amt(to_symplectic(sol.profile()), sol)
     rng = np.random.default_rng(8)
     for _ in range(8):
         co = rng.normal(size=5) * 0.8 / (1.0 + np.arange(5))

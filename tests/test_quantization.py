@@ -26,9 +26,10 @@ from kahlerlab.quantization import (
     FSPotential,
     HermitianNorms,
     ProfilePotential,
+    _ShiftedPotential,
     ToyModel,
     balanced_iterate,
-    balanced_residual,
+    balanced_defects,
     bergman_density,
     c_k_constant,
     c_top_exact,
@@ -39,7 +40,6 @@ from kahlerlab.quantization import (
     random_potential,
     rho_p,
     round_potential,
-    shift_potential,
     sup_grid,
     weighted_scalar_toy,
 )
@@ -60,7 +60,7 @@ def test_model_validation():
         ToyModel(b0=0.0)  # f^{-(p+1)} is not integrable at mu = 0
     with pytest.raises(OutOfDomain):
         ToyModel(b0=1e16)  # b0 + 1 == b0: the weight's interval [b0, b0 + 1] is empty
-    assert ToyModel(b0=1e15).a1 == 1e15 + 1.0
+    assert ToyModel(b0=1e15).f(1.0) == 1e15 + 1.0
     with pytest.raises(OutOfDomain):
         ToyModel(p=math.inf)
 
@@ -74,6 +74,15 @@ def test_round_potential_closed_forms():
     np.testing.assert_allclose(phi.at_t(TT).psi, np.logaddexp(0.0, TT), atol=1e-12)
     ends = phi.at_mu(np.array([1e-9, 1.0 - 1e-9]))
     np.testing.assert_allclose(ends.dS, [2.0, -2.0], atol=1e-8)
+
+
+def test_profile_potentials_are_anchored_at_the_midpoint():
+    # R and R' are integrated from mu = 1/2, so there v = v_round = -log 2
+    # and t = 0 with no correction
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        m = random_potential(rng).at_mu(0.5)
+        assert abs(m.t) <= 1e-16 and abs(m.v + math.log(2.0)) <= 1e-16
 
 
 def test_round_potential_carries_a_one_term_q():
@@ -176,7 +185,7 @@ def test_shift_potential_moves_log_norms_exactly():
     phi = random_potential(np.random.default_rng(3))
     k, s = 6, 0.37
     H0 = hilb(phi, k, model)
-    H1 = hilb(shift_potential(phi, s), k, model)
+    H1 = hilb(_ShiftedPotential(phi, s), k, model)
     np.testing.assert_allclose(H1.log_h, H0.log_h - 2.0 * k * s, atol=1e-10)
 
 
@@ -477,7 +486,7 @@ def test_balanced_round_is_fixed_point():
     model = ToyModel(p=1.0)
     res = balanced_iterate(round_potential(), 8, model)
     assert res.converged and res.n_iter <= 2
-    assert balanced_residual(res.phi, 8, model) < 1e-12
+    assert balanced_defects(res.phi, 8, model).residual < 1e-12
 
 
 def test_balanced_attracts_random_starts():
@@ -486,7 +495,7 @@ def test_balanced_attracts_random_starts():
     phi0 = random_potential(np.random.default_rng(7), scale=0.6)
     res = balanced_iterate(phi0, k, model)
     assert res.converged and res.n_iter <= 500
-    assert balanced_residual(res.phi, k, model) < 1e-8
+    assert balanced_defects(res.phi, k, model).residual < 1e-8
     # Gauge check: the limit agrees with the round norms up to the exact
     # h -> exp(k a + j b) h covariance of the iteration.
     ref = hilb(round_potential(), k, model)
