@@ -82,13 +82,13 @@ class RuledSurfaceData(_RuledSurfaceData):
     @staticmethod
     def standard(kappa: float, genus: int = 2, degree: int = 1) -> "RuledSurfaceData":
         """Normalized base curvature s_C = 4(1-genus)/degree. At degree 0 no
-        s_C is formed, and the record's degree rule names the fault."""
-        return RuledSurfaceData(
-            genus=genus,
-            degree=degree,
-            kappa=kappa,
-            base_scal=4.0 * (1 - genus) / degree if degree else math.nan,
-        )
+        s_C is formed, and the record's degree rule names the fault; a genus
+        or degree past the float range is OutOfDomain."""
+        try:
+            base_scal = 4.0 * (1 - genus) / degree if degree else math.nan
+        except OverflowError as exc:
+            raise OutOfDomain("genus and degree must be within the float range to form s_C = 4(1-genus)/degree") from exc
+        return RuledSurfaceData(genus=genus, degree=degree, kappa=kappa, base_scal=base_scal)
 
 
 class _KillingData(NamedTuple):

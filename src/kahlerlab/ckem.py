@@ -223,13 +223,17 @@ def kappa_zero(X: RuledSurfaceData | None = None) -> float:
     double root at z = -b outside [-1, 1] (module docstring). b_0 is the top
     real part of q's roots (the rest are < 1 or complex with Re < 0), Newton-
     polished twice, then checked once: SearchFailed if |min P| exceeds
-    _KAPPA_ZERO_TOL there.
+    _KAPPA_ZERO_TOL there. OutOfDomain if kappa0 rounds to 1, where
+    kappa0 - 1 ~ s_C^2/200 is below float resolution (|s_C| < ~1e-7).
     """
     sC = _surface(2.0, X).base_scal  # s_C alone fixes kappa_0; 2.0 is a placeholder kappa
     b0 = float(np.roots([6.0, 0.0, -7.0, sC, 1.0]).real.max())
     for _ in range(2):  # Newton on q, with q' = 24b^3 - 14b + s_C
         b0 -= (((6.0 * b0 * b0 - 7.0) * b0 + sC) * b0 + 1.0) / ((24.0 * b0 * b0 - 14.0) * b0 + sC)
     kappa0 = 0.5 * (b0 + 1.0 / b0)
+    if not kappa0 > 1.0:
+        raise OutOfDomain(f"kappa0 rounds to 1: kappa0 - 1 ~ s_C^2/200 = {sC * sC / 200.0:.3g} at s_C = {sC!r} "
+                          "is below float resolution")
     m, _ = interior_min(solve_P(kappa0, b_kappa(kappa0), X).P)
     if not abs(m) <= _KAPPA_ZERO_TOL:
         raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds {_KAPPA_ZERO_TOL:.3e}")

@@ -27,6 +27,7 @@ from .quantization import (
     RadialPotential,
     SpectrumData,
     ToyModel,
+    balanced_step,
     c_k_constant,
     c_top_exact,
     eigenvalues,
@@ -125,11 +126,11 @@ def z_prime(H: HermitianNorms, A: Sequence[float], k: int, model: ToyModel) -> f
     """d/dt Z(geodesic(H, A, t)) at t=0, in closed form:
     Z'(0) = sum_j lambda_j(p) A_j (1 - h'_j/h_j) with h' = hilb(fs(H))
     (the Aubin term contributes -sum lambda(p) A h'/h; I contributes
-    sum lambda(p) A). Vanishes at a balanced point, where h' = h."""
+    sum lambda(p) A). Vanishes at a balanced point, where h' = h. log h'/h is
+    balanced_step: log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i."""
     A = np.asarray(A, dtype=float)
     spec = eigenvalues(k, model)
-    h_ratio = np.exp(hilb(fs(H, k, model), k, model).log_h - H.log_h)
-    return float(np.dot(spec.lam_p, A * (1.0 - h_ratio)))
+    return float(np.dot(spec.lam_p, A * (1.0 - np.exp(balanced_step(H, k, model)))))
 
 
 class AlmostBalancedReport(NamedTuple):

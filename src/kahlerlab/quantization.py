@@ -72,6 +72,7 @@ __all__ = [
     "ExpansionReport",
     "expansion_check",
     "BalancedResult",
+    "balanced_step",
     "balanced_iterate",
     "BalancedDefects",
     "balanced_defects",
@@ -89,6 +90,19 @@ def sup_grid() -> np.ndarray:
 def _mu_rule() -> QuadratureRule:
     """256-node Gauss rule on [0, 1], the momentum rule of every Gram matrix."""
     return gauss_legendre(256, 0.0, 1.0)
+
+
+def _read_only(sample):
+    for a in sample:
+        a.flags.writeable = False
+    return sample
+
+
+@lru_cache(maxsize=1)
+def _pullback_rule() -> tuple[np.ndarray, np.ndarray]:
+    """logit(u_i) of the momentum nodes u_i, and the weights w_i/(u_i(1-u_i)) of dt there; read-only."""
+    u, w = _mu_rule()
+    return _read_only((np.log(u / (1.0 - u)), w / (u * (1.0 - u))))
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -214,12 +228,6 @@ def _invert(sample: Callable, slope: Callable, x: np.ndarray, target: np.ndarray
     raise NoConvergence(f"mu<->t inversion did not converge in {_MAX_ITER} steps")
 
 
-def _read_only(sample):
-    for a in sample:
-        a.flags.writeable = False
-    return sample
-
-
 class RadialPotential(ABC):
     """Invariant potential, exposed on both sides of the Legendre transform.
 
@@ -270,12 +278,10 @@ class _TNativePotential(RadialPotential):
 
     @cached_property
     def gram_sample(self) -> GramSample:
-        rule = _mu_rule()
-        u = rule.nodes
-        t = np.log(u / (1.0 - u)) + self.beta
+        logit_u, w_t = _pullback_rule()
+        t = logit_u + self.beta
         s = self.at_t(t)
-        log_w = np.log(rule.weights * s.psi2 / (u * (1.0 - u)))  # dmu = psi'' dt, dt = du/(u(1-u))
-        return _read_only(GramSample(s.mu, t, s.mu * t - s.psi, 2.0 * s.psi2, log_w))
+        return _read_only(GramSample(s.mu, t, s.mu * t - s.psi, 2.0 * s.psi2, np.log(w_t * s.psi2)))  # dmu = psi'' dt
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
@@ -577,7 +583,7 @@ def c_k_constant(k: int, model: ToyModel) -> float:
     bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). int_0^1 f^{1-p} dmu
     is int_{b0}^{b0+1} x^{1-p} dx in closed form, 1 in the xi=0 mode; OutOfDomain
     if it overflows a float. It underflows to 0 only where c's divisor
-    int x^{-(p+1)} dx does too, which `eigenvalues` names first. Memoized: `fs` needs it on every balanced step."""
+    int x^{-(p+1)} dx does too, which `eigenvalues` names first. Memoized: `fs` and `aubin_I` read it per call."""
     spec = eigenvalues(k, model, check_weights=False)
     try:
         vol = 1.0 if model.xi_zero else power_integral(model.b0, model.b0 + 1.0, 1.0 - model.p)
@@ -586,16 +592,54 @@ def c_k_constant(k: int, model: ToyModel) -> float:
     return float(np.sum(spec.lam_p)) / (2.0 * math.pi * k * vol)
 
 
-def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
-    """FS(H): phi(t) = (1/2k) log((1/C_k) sum_j e^{j t}/h_j)."""
+def _check_level(H: HermitianNorms, k: int) -> None:
     if k != H.k:
         raise OutOfDomain(f"k={k} does not match the norms (k={H.k})")
+
+
+def _log_ck(k: int, model: ToyModel) -> float:
     ck = c_k_constant(k, model)
     if ck <= 0.0:
-        raise WeightSignError(
-            f"C_k = {ck:g} is not positive at k={k}; FS is undefined (k too small)"
-        )
-    return FSPotential(k, H.log_h, math.log(ck))
+        raise WeightSignError(f"C_k = {ck:g} is not positive at k={k}; FS is undefined (k too small)")
+    return math.log(ck)
+
+
+def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
+    """FS(H): phi(t) = (1/2k) log((1/C_k) sum_j e^{j t}/h_j)."""
+    _check_level(H, k)
+    return FSPotential(k, H.log_h, _log_ck(k, model))
+
+
+@lru_cache(maxsize=None)
+def _log_step_scale(k: int, model: ToyModel) -> np.ndarray:
+    """log(2 pi k C_k / lambda_j(p)), read-only, with the checks of fs and hilb."""
+    out = math.log(2.0 * math.pi * k) + _log_ck(k, model) - np.log(eigenvalues(k, model).lam_p)
+    out.flags.writeable = False
+    return out
+
+
+def balanced_step(H: HermitianNorms, k: int, model: ToyModel) -> np.ndarray:
+    """g = log hilb(fs(H)) - log H in one softmax pass (Donaldson's T-operator,
+    arXiv:math/0512625): e^{j t - k psi} = C_k h_j W_j(t), W the softmax of j t - log h_j, so
+    g_j = log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i at the Gram nodes t_i, with
+    c_i = w_i psi''_i f^{1-p}(mu_i)/(u_i(1-u_i)), mu_i = E_W[j]/k, psi''_i = Var_W[j]/k. The
+    exponent is shifted by each column's and then each row's maximum r_j, so no row underflows
+    as a whole: the sum is e^{r_j} (E c/tot)_j, tot_i = sum_j e^{r_j} E_ji."""
+    _check_level(H, k)
+    logit_u, w_t = _pullback_rule()
+    j = np.arange(k + 1, dtype=float)
+    a = j[:, None] * (logit_u + (H.log_h[-1] - H.log_h[0]) / k) - H.log_h[:, None]
+    a -= a.max(axis=0)
+    r = a.max(axis=1)
+    a -= r[:, None]
+    e = np.exp(a, out=a)
+    p = e * np.exp(r)[:, None]
+    tot = p.sum(axis=0)
+    m1 = (j @ p) / tot
+    d = j[:, None] - m1
+    p *= d
+    c = w_t * np.einsum("ji,ji->i", p, d) * model.f(m1 / k) ** (1.0 - model.p) / (k * tot * tot)  # c_i / tot_i
+    return _log_step_scale(k, model) + r + np.log(e @ c)
 
 
 def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, mu, s: MuSample | None = None) -> np.ndarray:
@@ -684,7 +728,9 @@ def balanced_iterate(
     """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0),
     by Anderson mixing on x = log h (Walker-Ni, SIAM J. Numer. Anal. 2011).
 
-    Each step evaluates g = T(x) - x. T commutes with the gauge
+    Each step evaluates g = T(x) - x as balanced_step does, in one pass over
+    the FS softmax weights W of x at the Gram nodes t_i: g_j = log(2 pi k C_k
+    / lambda_j(p)) + log sum_i W_ji c_i. T commutes with the gauge
     log h -> log h + k a + j b, so its fixed points form an orbit (and in the
     weighted mode there is only a relative fixed point, a steady gauge
     drift); the mixing coefficients gamma therefore fit g by the last
@@ -705,7 +751,7 @@ def balanced_iterate(
     history = []
     step = quotient = math.nan
     for n in range(_BALANCED_STEPS):
-        g = hilb(fs(HermitianNorms(k=k, log_h=x), k, model), k, model).log_h - x
+        g = balanced_step(HermitianNorms(k=k, log_h=x), k, model)
         step = float(np.max(np.abs(g)))
         history.append(step)
         if step < tol:

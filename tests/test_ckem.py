@@ -168,6 +168,14 @@ def test_kappa_zero_follows_its_small_s_C_law():
     assert 1.0 - ratios[-1] < 1e-4
 
 
+def test_kappa_zero_names_s_C_when_kappa0_rounds_to_one():
+    # kappa0 - 1 ~ s_C^2/200 = 8e-18 at degree 10^8, below float resolution;
+    # degree 10^7 (8e-16) still resolves it
+    assert kappa_zero(RuledSurfaceData.standard(1.5, genus=2, degree=10**7)) > 1.0
+    with pytest.raises(OutOfDomain, match=r"kappa0 rounds to 1: .* s_C = -4e-08 is below float resolution"):
+        kappa_zero(RuledSurfaceData.standard(1.5, genus=2, degree=10**8))
+
+
 def test_kappa_zero_follows_its_large_s_C_law():
     # kappa0 ~ (|s_C|/48)^(1/3) as s_C -> -inf; the ratio falls to 1 (1.083 at
     # genus 100), and |min P| stays within ckem._KAPPA_ZERO_TOL at genus 10^5

@@ -195,6 +195,9 @@ _RECORD_FAULTS = [
     (["kappa0", "--genus", "1"], partial(RuledSurfaceData.standard, 1.5, genus=1)),
     (["pkappa", "--kappa", "1.5", "--degree", "0"], partial(RuledSurfaceData.standard, 1.5, degree=0)),
     (["mabuchi-probe", "--degree", "0"], partial(RuledSurfaceData.standard, 1.5, degree=0)),
+    # 4(1 - genus)/degree overflows a float when its int converts
+    (["kappa0", "--degree", str(10**400)], partial(RuledSurfaceData.standard, 1.5, degree=10**400)),
+    (["kappa0", "--genus", str(10**400)], partial(RuledSurfaceData.standard, 1.5, genus=10**400)),
     (["quant-expansion", "--p", "nan"], partial(ToyModel, b0=1.0, p=math.nan)),
     (["quant-balanced", "--p", "inf"], partial(ToyModel, p=math.inf)),
 ]
@@ -209,6 +212,14 @@ def test_a_record_rejects_its_input_as_a_config_error(argv, build, workdir, caps
     assert main([*argv, "--no-cache"]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and err == f"config error: {exc.value}\n"
+
+
+def test_kappa0_names_s_C_when_kappa0_rounds_to_one(workdir, capsys):
+    # an admissible surface whose kappa0 - 1 is below float resolution: the
+    # solver's failure (exit 1), named by its cause, not by b_kappa's domain
+    assert main(["kappa0", "--degree", str(10**8), "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("OutOfDomain: kappa0 rounds to 1: ") and "s_C = -4e-08" in err
 
 
 @pytest.mark.parametrize("kappa_range", ["1.5:inf:3", "-inf:2:3", "1.5:nan:3"])

@@ -30,6 +30,7 @@ from kahlerlab.quantization import (
     ToyModel,
     balanced_iterate,
     balanced_defects,
+    balanced_step,
     bergman_density,
     c_k_constant,
     c_top_exact,
@@ -377,15 +378,87 @@ def _mp_log_gram(log_h, k, model, js, log_ck):
 def test_fs_gram_matches_mpmath(b0, p):
     # the Gram of an FS potential, taken on its t side at the pull-back of
     # the momentum nodes, against a 30-digit quadrature over the real line
-    # that reads psi in closed form from the norms, off a gauge-shifted start
+    # that reads psi in closed form from the norms, off a gauge-shifted start;
+    # balanced_step's one pass, log hilb(fs(H)) - log H, against the same
     model = ToyModel(b0=b0, p=p)
     for k, js in ((8, list(range(9))), (32, [0, 1, 16, 31, 32])):
         j = np.arange(k + 1, dtype=float)
         H0 = hilb(random_potential(np.random.default_rng(41), scale=0.8), k, model)
         H = HermitianNorms(k=k, log_h=H0.log_h + 0.3 * k - 2.0 * j)
         phi = fs(H, k, model)
-        got = hilb(phi, k, model).log_h + np.log(eigenvalues(k, model).lam_p)
-        np.testing.assert_allclose(got[js], _mp_log_gram(H.log_h, k, model, js, phi.log_ck), rtol=0.0, atol=1e-13)
+        log_lam_p = np.log(eigenvalues(k, model).lam_p)
+        want = _mp_log_gram(H.log_h, k, model, js, phi.log_ck)
+        got = hilb(phi, k, model).log_h + log_lam_p
+        np.testing.assert_allclose(got[js], want, rtol=0.0, atol=1e-13)
+        got = balanced_step(H, k, model) + H.log_h + log_lam_p
+        np.testing.assert_allclose(got[js], want, rtol=0.0, atol=1e-13, err_msg="balanced_step")
+
+
+_MODES = [ToyModel(p=1.0), ToyModel(b0=1.0, p=4.0), ToyModel(b0=0.5, p=2.0)]
+_MODE_IDS = ["xi=0", "b0=1,p=4", "b0=0.5,p=2"]
+
+
+def _step_atol(x, ulps):
+    # both sides form j t_i - x_j, whose absolute rounding is ~eps max|x|
+    # per entry; a gauge shift of b = 60 at k = 256 puts max|x| near 1.5e4
+    return ulps * np.finfo(float).eps * float(np.max(np.abs(x)))
+
+
+@pytest.mark.parametrize("model", _MODES, ids=_MODE_IDS)
+@pytest.mark.parametrize("k", [8, 32, 64, 128, 256])
+def test_balanced_step_matches_the_composition(model, k):
+    # the one pass against hilb(fs(H)) - log H, which builds the FS potential
+    # and samples its Gram: the same 256-node rule, summed in another order.
+    # Smooth starts, and rough ones (random_potential(scale 1.5) plus
+    # 3 N(0, 1) noise, which the rule does not resolve, on either route),
+    # each gauge-shifted by b = -60, 0, 60. The worst gap seen is 8 eps
+    # max|x| (2.2e-12); the bound is 32 eps max|x| (3.4e-12 at k = 256)
+    j = np.arange(k + 1, dtype=float)
+    rng = np.random.default_rng(5)
+    for scale, noise in ((0.8, 0.0), (1.5, 3.0)):
+        x0 = hilb(random_potential(rng, scale=scale), k, model).log_h + noise * rng.normal(size=k + 1)
+        for b in (-60.0, 0.0, 60.0):
+            H = HermitianNorms(k=k, log_h=x0 + 0.3 * k + j * b)
+            want = hilb(fs(H, k, model), k, model).log_h - H.log_h
+            got = balanced_step(H, k, model)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=_step_atol(H.log_h, 32), err_msg=f"noise={noise}, b={b}")
+
+
+@pytest.mark.parametrize("model", _MODES, ids=_MODE_IDS)
+@pytest.mark.parametrize("k", [8, 32, 128, 256])
+def test_balanced_step_is_gauge_invariant(model, k):
+    # g(x + k a + j b) = g(x): the exact symmetry of T = hilb o fs, to the
+    # rounding of the shifted x (worst seen: 0.9 eps max|x|)
+    j = np.arange(k + 1, dtype=float)
+    x = hilb(random_potential(np.random.default_rng(43), scale=0.8), k, model).log_h
+    base = balanced_step(HermitianNorms(k=k, log_h=x), k, model)
+    for a in (0.3, -2.0):
+        for b in (-60.0, -10.0, 5.0, 60.0):
+            shifted = x + k * a + j * b
+            got = balanced_step(HermitianNorms(k=k, log_h=shifted), k, model)
+            np.testing.assert_allclose(got, base, rtol=0.0, atol=_step_atol(shifted, 8), err_msg=f"a={a}, b={b}")
+
+
+def test_balanced_step_keeps_a_row_far_below_the_others():
+    # log h_4 raised by 800 nats: the softmax weight of s_4 is below e^-745 at
+    # every node, so only the row shift keeps log sum_i W_4i c_i finite
+    model, k = ToyModel(p=1.0), 8
+    x = hilb(random_potential(np.random.default_rng(3), scale=0.8), k, model).log_h.copy()
+    x[4] += 800.0
+    H = HermitianNorms(k=k, log_h=x)
+    got = balanced_step(H, k, model)
+    assert np.all(np.isfinite(got)) and got[4] < -790.0
+    want = hilb(fs(H, k, model), k, model).log_h - x
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=_step_atol(x, 32))
+
+
+def test_balanced_step_checks_level_and_weights():
+    model = ToyModel(p=1.0)
+    H = hilb(round_potential(), 4, model)
+    with pytest.raises(OutOfDomain):
+        balanced_step(H, 5, model)
+    with pytest.raises(WeightSignError):
+        balanced_step(HermitianNorms(k=1, log_h=np.zeros(2)), 1, model)
 
 
 def test_norms_validation():
