@@ -39,7 +39,6 @@ from .quantization import (
 __all__ = [
     "functional_I",
     "aubin_I",
-    "aubin_path",
     "functional_L",
     "functional_Z",
     "toy_mabuchi",
@@ -70,16 +69,6 @@ def aubin_I(phi: RadialPotential, k: int, model: ToyModel) -> float:
     potential (𝕀(round) = 0)."""
     g, w, dv = _delta_v(phi)
     return -2.0 * math.pi * k * k * c_k_constant(k, model) * float(w @ (dv * model.f(g.mu) ** (1.0 - model.p)))
-
-
-def aubin_path(
-    phi_a: RadialPotential,
-    phi_b: RadialPotential,
-    k: int,
-    model: ToyModel,
-) -> float:
-    """Integral of the Aubin 1-form along any path a -> b: 𝕀(b) - 𝕀(a)."""
-    return aubin_I(phi_b, k, model) - aubin_I(phi_a, k, model)
 
 
 def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:

@@ -196,49 +196,49 @@ def _momenta(mu) -> np.ndarray:
     return mu
 
 
-def _invert(sample: Callable, slope: Callable, x: np.ndarray, target: np.ndarray, lo: float, hi: float):
-    """Safeguarded Newton for g(x) = target, g increasing, with g and g'
-    read off the native sample: `slope(s)` returns (g, g') of s = sample(x).
+def _invert(phi: _TNativePotential, mu: np.ndarray) -> tuple[np.ndarray, TSample]:
+    """Safeguarded Newton for psi'(t) = mu, with psi' and psi'' read off one
+    sample phi.at_t(t) per step. It starts at t = logit(mu) + phi.beta, the
+    pull-back of the Gram sample, which is the root for the round metric in
+    every gauge log h -> log h + k a + j b.
 
     A step is cut to _MAX_STEP; one that leaves the bracket [a, b] known to
-    hold the root (lo, hi to start, infinite ends allowed) bisects it, and
-    landing exactly on a bracket end is accepted. Once the residual or the
+    hold the root (infinite ends to start) bisects it. Landing exactly on a
+    bracket end is accepted for an uncut step only: a cut one there retraces
+    the step before it, and the two would cycle. Once the residual or the
     step of a point is at rounding level (near |t| = 30 one ulp of mu moves
-    t by ~1e-3, so the residual alone cannot get there), the point takes
-    one more Newton step, which squares the error left within that band,
-    and stops. Returns the root and the native sample at it."""
-    a = np.full(x.shape, lo)
-    b = np.full(x.shape, hi)
-    settled = np.zeros(x.shape, dtype=bool)
+    t by ~1e-3, so the residual alone cannot get there), the point takes one
+    more Newton step, which squares the error left within that band, and
+    stops. Returns the root and the sample at it."""
+    t = np.log(mu / (1.0 - mu)) + phi.beta
+    a = np.full(t.shape, -np.inf)
+    b = np.full(t.shape, np.inf)
+    settled = np.zeros(t.shape, dtype=bool)
     for _ in range(_MAX_ITER):
-        s = sample(x)
-        g, dg = slope(s)
-        r = g - target
+        s = phi.at_t(t)
+        r = s.mu - mu
         done = settled | (r == 0.0)
         if np.all(done):
-            return x, s
-        a = np.where(r < 0.0, x, a)
-        b = np.where(r > 0.0, x, b)
+            return t, s
+        a = np.where(r < 0.0, t, a)
+        b = np.where(r > 0.0, t, b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(r / dg, -_MAX_STEP, _MAX_STEP)
+            step = np.clip(r / s.psi2, -_MAX_STEP, _MAX_STEP)
             mid = 0.5 * (a + b)
-        settled |= (np.abs(r) <= _ROUNDING * np.abs(target)) | (np.abs(step) <= _ROUNDING * np.abs(x))
-        nxt = x - step
-        x = np.where(done, x, np.where((a <= nxt) & (nxt <= b), nxt, mid))
-    raise NoConvergence(f"mu<->t inversion did not converge in {_MAX_ITER} steps")
+        settled |= (np.abs(r) <= _ROUNDING * mu) | (np.abs(step) <= _ROUNDING * np.abs(t))
+        nxt = t - step
+        inside = ((a < nxt) & (nxt < b)) | ((a <= nxt) & (nxt <= b) & (np.abs(step) < _MAX_STEP))
+        t = np.where(done, t, np.where(inside, nxt, mid))
+    raise NoConvergence(f"mu -> t inversion did not converge in {_MAX_ITER} steps")
 
 
 class RadialPotential(ABC):
-    """Invariant potential, exposed on both sides of the Legendre transform.
+    """Invariant potential, sampled on its native side of the Legendre transform.
 
-    Momentum side: profile S (with derivatives), symplectic potential v and
-    t(mu) = v'(mu). Log-radial side: psi(t) = 2 phi(t) with derivatives up
-    to fourth order. A subclass samples its native side in one pass and the
-    other side through one inversion and the chain rules
-
-        psi'' = S/2,   psi''' = S S'/4,   psi'''' = S (S'^2 + S S'')/8,
-        S = 2 psi'',   S' = 2 psi'''/psi'',
-        S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
+    Every potential has the momentum side: profile S (with derivatives),
+    symplectic potential v and t(mu) = v'(mu). _TNativePotential adds the
+    log-radial side, psi(t) = 2 phi(t) with derivatives up to fourth order,
+    and reaches the momentum side through the one inversion.
 
     A potential never changes after construction, so its read-only sample
     on the momentum rule, gram_sample, is taken once; it reads at_mu at the
@@ -252,9 +252,6 @@ class RadialPotential(ABC):
     @abstractmethod
     def at_mu(self, mu) -> MuSample: ...
 
-    @abstractmethod
-    def at_t(self, t) -> TSample: ...
-
     @cached_property
     def gram_sample(self) -> GramSample:
         rule = _mu_rule()
@@ -263,18 +260,23 @@ class RadialPotential(ABC):
 
 
 class _TNativePotential(RadialPotential):
-    """Base for potentials native on the log-radial side; the momentum side
-    comes from inverting mu(t) = psi'(t) (dmu/dt = psi''), started at the
-    round value t = log(mu/(1-mu)).
+    """Base for potentials native on the log-radial side. The momentum side
+    inverts mu(t) = psi'(t) (dmu/dt = psi'') and reads the chain rules
+
+        S = 2 psi'',   S' = 2 psi'''/psi'',   S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
 
     The Gram sample needs no inversion: it is one pass at the pull-back
     t_i = log(u_i/(1-u_i)) + beta of the momentum nodes u_i, where
     mu_i = psi'(t_i) and the weight of dmu is w_i psi''(t_i)/(u_i(1-u_i)),
     the same integral after the substitution mu = psi'(logit u + beta).
     beta is where psi's two asymptotes cross, so the nodes move with the
-    potential under a shift of t; FSPotential sets it, and it is 0 here."""
+    potential under a shift of t; FSPotential and BlendPotential set it,
+    and it is 0 here."""
 
     beta = 0.0
+
+    @abstractmethod
+    def at_t(self, t) -> TSample: ...
 
     @cached_property
     def gram_sample(self) -> GramSample:
@@ -285,8 +287,8 @@ class _TNativePotential(RadialPotential):
 
     def at_mu(self, mu) -> MuSample:
         mu = _momenta(mu)
-        t, s = _invert(self.at_t, lambda s: (s.mu, s.psi2), np.log(mu / (1.0 - mu)), mu, -np.inf, np.inf)
-        p2, p3, p4 = s.psi2, s.psi3, s.psi4  # S, S', S'' by the chain rules of RadialPotential
+        t, s = _invert(self, mu)
+        p2, p3, p4 = s.psi2, s.psi3, s.psi4
         return MuSample(t, mu * t - s.psi, 2.0 * p2, 2.0 * p3 / p2, 2.0 * (p4 * p2 - p3 * p3) / p2**3)
 
 
@@ -299,9 +301,7 @@ class ProfilePotential(RadialPotential):
     integrating from x = 2 mu - 1 = 0 (chebint's lower bound). q and
     r are interpolated at _N Chebyshev nodes and chopped at their rounding
     plateau (q of the round potential is 1 term), so no noise tail reaches
-    S''. The log-radial side inverts t(mu) (dt/dmu = 2/S), started at the
-    round value mu = 1/(1+e^{-t}); above t ~ 36.7 that value rounds to 1 and
-    the inversion raises OutOfDomain.
+    S''.
     """
 
     _N = 160
@@ -342,17 +342,6 @@ class ProfilePotential(RadialPotential):
             d2S=-4.0 * q + 4.0 * (1.0 - 2.0 * mu) * dq + 2.0 * mu * (1.0 - mu) * d2q,
         )
 
-    def at_t(self, t) -> TSample:
-        t = np.asarray(t, dtype=float)
-        mu, s = _invert(self.at_mu, lambda s: (s.t, 2.0 / s.S), 1.0 / (1.0 + np.exp(-t)), t, 0.0, 1.0)
-        return TSample(
-            mu=mu,
-            psi=mu * t - s.v,
-            psi2=s.S / 2.0,
-            psi3=s.S * s.dS / 4.0,
-            psi4=s.S * (s.dS * s.dS + s.S * s.d2S) / 8.0,
-        )
-
 
 class FSPotential(_TNativePotential):
     """psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k): the projective
@@ -375,38 +364,49 @@ class FSPotential(_TNativePotential):
         # psi'..psi'''' are the first four cumulants of j under the softmax
         # weights, divided by k; all five come from one exponential
         t = np.asarray(t, dtype=float)
-        sc = np.outer(self._j, t.ravel()) - self.log_h[:, None]
-        top = np.max(sc, axis=0)
-        e = np.exp(sc - top)
-        tot = np.sum(e, axis=0)
-        # softmax normalized by its sum: exp(sc - logsumexp(sc)) would put the
-        # absolute rounding of logsumexp (~|sc| eps) into every weight, and
-        # the cumulant cancellations of psi'''' amplify it
-        w = e / tot
+        # one (k+1) x n buffer w, updated in place: at k = 64 on the Gram
+        # nodes each temporary of that size is 133 kB, past glibc's 128 kB
+        # mmap threshold, and in some heap layouts every one cost page faults
+        w = np.outer(self._j, t.ravel())
+        w -= self.log_h[:, None]
+        top = np.max(w, axis=0)
+        w -= top
+        np.exp(w, out=w)
+        tot = np.sum(w, axis=0)
+        # softmax normalized by its sum: exp(E - logsumexp(E)), E = j t - log h_j,
+        # would put the absolute rounding of logsumexp (~|E| eps) into every
+        # weight, and the cumulant cancellations of psi'''' amplify it
+        w /= tot
         m1 = self._j @ w
         # central moments from products only: float `pow` costs ~7x the rest
         d = self._j[:, None] - m1[None, :]
-        wd2 = w * d * d
-        k2 = np.sum(wd2, axis=0)
+        w *= d
+        w *= d
+        k2 = np.sum(w, axis=0)
+        w *= d
+        k3 = np.sum(w, axis=0)
+        w *= d
         s = TSample(
             mu=m1 / self.k,
             psi=(np.log(tot) + top - self.log_ck) / self.k,
             psi2=k2 / self.k,
-            psi3=np.sum(wd2 * d, axis=0) / self.k,
-            psi4=(np.sum(wd2 * d * d, axis=0) - 3.0 * k2 * k2) / self.k,
+            psi3=k3 / self.k,
+            psi4=(np.sum(w, axis=0) - 3.0 * k2 * k2) / self.k,
         )
         return TSample(*(f.reshape(t.shape) for f in s))
 
 
 class BlendPotential(_TNativePotential):
-    """Affine combination sum_i w_i psi_i on the log-radial side (the
-    straight lines of the psi-affine structure; convex weights keep psi'' > 0)."""
+    """Affine combination sum_i w_i psi_i of t-native parts on the log-radial
+    side (the straight lines of the psi-affine structure; convex weights keep
+    psi'' > 0)."""
 
-    def __init__(self, parts: Sequence[tuple[float, RadialPotential]]):
+    def __init__(self, parts: Sequence[tuple[float, _TNativePotential]]):
         if not parts:
             raise OutOfDomain("need at least one component")
         self.parts = tuple((float(w), p) for w, p in parts)
         self.dv_ends = tuple(sum(w * p.dv_ends[i] for w, p in self.parts) for i in (0, 1))
+        self.beta = sum(w * p.beta for w, p in self.parts)  # where the blended asymptotes cross (affine weights sum to 1)
 
     def at_t(self, t) -> TSample:
         # every field of a t-sample is linear in psi
@@ -425,10 +425,6 @@ class _ShiftedPotential(RadialPotential):
     def at_mu(self, mu) -> MuSample:
         out = self.base.at_mu(mu)
         return out._replace(v=out.v - 2.0 * self.s)
-
-    def at_t(self, t) -> TSample:
-        out = self.base.at_t(t)
-        return out._replace(psi=out.psi + 2.0 * self.s)
 
 
 @lru_cache(maxsize=1)
@@ -683,6 +679,7 @@ def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int
     ks = sorted({int(k) for k in k_range})
     if len(ks) < 4:
         raise ConfigError(f"the expansion fit needs 4 distinct k, got {ks}")
+    eigenvalues(ks[0], model)  # the power gate: OutOfDomain before a power of f below overflows or underflows
     mu = sup_grid()
     f = model.f(mu)
     scal_p = weighted_scalar_toy(phi, model, mu)

@@ -208,10 +208,9 @@ def _chk_ck_normalization() -> float:
 def _chk_fs_hilb_round() -> float:
     model = ToyModel(p=1.0)
     k = 8
-    phi = round_potential()
-    psi_back = fs(hilb(phi, k, model), k, model)
+    psi_back = fs(hilb(round_potential(), k, model), k, model)
     t = np.linspace(-8.0, 8.0, 161)
-    return float(np.max(np.abs(psi_back.at_t(t).psi - phi.at_t(t).psi)))
+    return float(np.max(np.abs(psi_back.at_t(t).psi - np.logaddexp(0.0, t))))  # round psi = log(1 + e^t)
 
 
 def _chk_balanced_round() -> float:

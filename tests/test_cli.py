@@ -183,6 +183,20 @@ def test_weight_data_whose_powers_underflow_is_out_of_domain(b0, p, workdir, cap
     assert out == "" and err.startswith("OutOfDomain: ") and "underflows to 0 at (b0, p)" in err
 
 
+@pytest.mark.parametrize(
+    "p, how",
+    [("-1e308", "overflows a float at (b0, p) = (1.0, -1e+308)"), ("1e155", "underflows to 0 at (b0, p) = (1.0, 1e+155)")],
+    ids=["p=-1e308", "p=1e155"],
+)
+def test_expansion_names_the_power_error_before_forming_scal_p(p, how, workdir, capsys):
+    # eigenvalues' power gate runs before Scal_p and f^{-(p+1)} (Scal_p - c)
+    # are formed, so no numpy RuntimeWarning (an error under the test
+    # settings) comes before the named error
+    assert main(["quant-expansion", "--b0", "1", f"--p={p}", "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"OutOfDomain: a power of f {how}\n"
+
+
 def test_weights_whose_powers_underflow_name_the_underflow(workdir, capsys):
     # 2^-1099 underflows to 0 in lambda_k^{1-p}; the failure is the weight
     # data's, not a k too small for lambda(p) > 0
@@ -271,10 +285,10 @@ def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, cap
     inverted = []
     invert = quantization._invert
 
-    def spy(sample, slope, x, target, lo, hi):
-        if np.array_equal(target, quantization.sup_grid()):
-            inverted.append(sample.__self__)
-        return invert(sample, slope, x, target, lo, hi)
+    def spy(phi, mu):
+        if np.array_equal(mu, quantization.sup_grid()):
+            inverted.append(phi)
+        return invert(phi, mu)
 
     monkeypatch.setattr(quantization, "_invert", spy)
     assert main(["quant-balanced", "--b0", "inf", "--p", "1", "--k-range", "8,16", "--no-cache"]) == 0

@@ -14,7 +14,6 @@ from kahlerlab.errors import NotTraceless, OutOfDomain
 from kahlerlab.functionals import (
     almost_balanced_check,
     aubin_I,
-    aubin_path,
     functional_I,
     functional_L,
     functional_Z,
@@ -60,14 +59,6 @@ def test_functional_I_validates_length():
 
 def test_aubin_reference_to_itself_vanishes():
     assert aubin_I(round_potential(), 8, MW) == 0.0
-
-
-def test_aubin_path_additive_around_triangles():
-    rng = np.random.default_rng(0)
-    k = 6
-    phis = [random_potential(rng, scale=0.5) for _ in range(3)]
-    loop = sum(aubin_path(phis[i], phis[(i + 1) % 3], k, MW) for i in range(3))
-    assert abs(loop) < 1e-10
 
 
 def test_constant_shift_identities():
@@ -225,7 +216,7 @@ def _fresh_potentials():
     prof = random_potential(rng, scale=0.5)
     fsp = fs(hilb(random_potential(rng, scale=0.5), k, M0), k, M0)
     part = fs(hilb(random_potential(rng, scale=0.5), k, M0), k, M0)
-    blend = quant.BlendPotential([(0.3, random_potential(rng, scale=0.5)), (0.7, part)])
+    blend = quant.BlendPotential([(0.3, fs(hilb(random_potential(rng, scale=0.5), k, M0), k, M0)), (0.7, part)])
     round_copy = quant.ProfilePotential(lambda mu: np.ones_like(mu))
     shifted = _ShiftedPotential(random_potential(rng, scale=0.5), 0.2)
     return [prof, fsp, blend, round_copy, shifted]
@@ -242,7 +233,7 @@ def _consumers():
         "scal": lambda ps: [quant.weighted_scalar_toy(p, MW, mu) for p in ps],
         "L": lambda ps: [functional_L(p, 8, MW) for p in ps],
         "mabuchi": lambda ps: [toy_mabuchi(p, MW) for p in ps],
-        "aubin": lambda ps: [aubin_path(a, b, 8, MW) for a, b in zip(ps, ps[1:])],
+        "aubin": lambda ps: [aubin_I(p, 8, MW) for p in ps],
         "almost_balanced": lambda ps: [almost_balanced_check(a, b, [8, 16], M0) for a, b in zip(ps, ps[1:])],
     }
 
@@ -274,9 +265,9 @@ def test_each_consumer_inverts_each_potential_once(monkeypatch):
     calls = []
     invert = quant._invert
 
-    def counting(sample, slope, x, target, lo, hi):
-        calls.append((sample.__self__, _rule_of(target, sample.__self__)))
-        return invert(sample, slope, x, target, lo, hi)
+    def counting(phi, mu):
+        calls.append((phi, _rule_of(mu, phi)))
+        return invert(phi, mu)
 
     monkeypatch.setattr(quant, "_invert", counting)
     consumers = _consumers()
@@ -321,10 +312,17 @@ def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
 
         return wrapped
 
-    for cls in (quant.ProfilePotential, quant._TNativePotential, FSPotential, quant.BlendPotential, quant._ShiftedPotential):
-        for meth in ("at_mu", "at_t"):
-            if meth in vars(cls):
-                monkeypatch.setattr(cls, meth, counting(vars(cls)[meth]))
+    # every method that samples a potential: each class's native side, and
+    # the inverted momentum side of the t-native ones
+    sampling = (
+        (quant.ProfilePotential, "at_mu"),
+        (quant._TNativePotential, "at_mu"),
+        (FSPotential, "at_t"),
+        (quant.BlendPotential, "at_t"),
+        (quant._ShiftedPotential, "at_mu"),
+    )
+    for cls, meth in sampling:
+        monkeypatch.setattr(cls, meth, counting(vars(cls)[meth]))
     consumers = _consumers()
     for order in _orders():
         pots = _fresh_potentials()

@@ -72,7 +72,6 @@ def test_round_potential_closed_forms():
     np.testing.assert_allclose(m.S, 2.0 * MU * (1.0 - MU), atol=1e-12)
     np.testing.assert_allclose(phi.at_mu(0.5).v, -math.log(2.0), atol=1e-13)
     np.testing.assert_allclose(m.t, np.log(MU / (1.0 - MU)), atol=1e-11)
-    np.testing.assert_allclose(phi.at_t(TT).psi, np.logaddexp(0.0, TT), atol=1e-12)
     ends = phi.at_mu(np.array([1e-9, 1.0 - 1e-9]))
     np.testing.assert_allclose(ends.dS, [2.0, -2.0], atol=1e-8)
 
@@ -118,17 +117,24 @@ def test_profile_potential_rejects_q_off_one_at_an_end(q):
         ProfilePotential(q)
 
 
+def _fs_of_random(seed, k=16, model=ToyModel(p=1.0)):
+    """FS of hilb of a random potential: a t-native potential at whose
+    momenta the inversion does not start at the root."""
+    return fs(hilb(random_potential(np.random.default_rng(seed)), k, model), k, model)
+
+
 def test_mu_t_inversion_roundtrip():
-    phi = random_potential(np.random.default_rng(0))
+    phi = _fs_of_random(0)
     np.testing.assert_allclose(phi.at_t(phi.at_mu(MU).t).mu, MU, atol=1e-11)
     with pytest.raises(OutOfDomain):
         phi.at_mu(np.array([0.0, 0.5]))
 
 
 def test_potential_derivative_chain():
-    # psi''(t) = S(mu)/2 at mu = mu(t), and the higher t-derivatives follow
-    # the chain rules checked here by central differences of psi itself.
-    phi = random_potential(np.random.default_rng(1))
+    # psi''(t) = S(mu)/2 at mu = mu(t), and the t-derivatives of psi are
+    # checked here by central differences of psi itself; S' and S'' of the
+    # momentum-side chain rules by central differences of S
+    phi = _fs_of_random(1)
     t = np.linspace(-4.0, 4.0, 41)
     h = 1e-4
     s, sp, sm = phi.at_t(t), phi.at_t(t + h), phi.at_t(t - h)
@@ -139,22 +145,65 @@ def test_potential_derivative_chain():
     np.testing.assert_allclose(s.psi3, d3, atol=1e-6)
     d4 = (sp.psi3 - sm.psi3) / (2.0 * h)
     np.testing.assert_allclose(s.psi4, d4, atol=1e-5)
+    m, mp_, mm = phi.at_mu(MU), phi.at_mu(MU + h), phi.at_mu(MU - h)
+    np.testing.assert_allclose(m.dS, (mp_.S - mm.S) / (2.0 * h), atol=1e-6)
+    np.testing.assert_allclose(m.d2S, (mp_.dS - mm.dS) / (2.0 * h), atol=1e-5)
 
 
-@pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
+@pytest.mark.parametrize("b", [0.0, 1.5, -4.0, 120.0, -120.0])
 @pytest.mark.parametrize("k", [8, 32, 64])
 def test_fs_of_binomial_norms_is_the_round_metric(k, b):
     # sum_j binom(k, j) e^{j(t+b)} = (1 + e^{t+b})^k, so log h_j =
     # -log binom(k, j) - j b gives psi = log(1 + e^{t+b}) exactly: t(mu) =
-    # logit(mu) - b, S = 2 mu (1-mu), v = v_0(mu) - b mu and S'' = -4; b != 0
-    # starts the inversion away from its root
+    # logit(mu) - b, S = 2 mu (1-mu), v = v_0(mu) - b mu and S'' = -4. The
+    # inversion starts at logit(mu) + beta with beta = -b in every gauge; one
+    # started at logit(mu) did not converge for |b| >= 99 at k = 8
     mu = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
     phi = FSPotential(k, np.array([-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
     s = phi.at_mu(mu)
+    # the softmax exponent j t - log h_j rounds by up to ~k |b| eps, a relative
+    # error of the weights, of which S = 2 Var_W[j]/k <= 1/2 takes at most
+    # half; the bound exceeds 1e-13 only at |b| = 120
+    s_tol = max(1e-13, 0.5 * k * abs(b) * np.finfo(float).eps)
     assert np.max(np.abs(s.t - (np.log(mu / (1.0 - mu)) - b))) <= 1e-11
-    assert np.max(np.abs(s.S - 2.0 * mu * (1.0 - mu))) <= 1e-13
+    assert np.max(np.abs(s.S - 2.0 * mu * (1.0 - mu))) <= s_tol
     assert np.max(np.abs(s.v - (mu * np.log(mu) + (1.0 - mu) * np.log(1.0 - mu) - b * mu))) <= 1e-13
     assert np.max(np.abs(s.d2S + 4.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("b", [120.0, -120.0])
+@pytest.mark.parametrize("k", [8, 32, 64])
+def test_gauge_shifted_fs_potentials_invert(k, b):
+    # log h -> log h + k a + j b maps psi(t) to psi(t - b) - a, so at each mu
+    # t moves by b, v by b mu + a, and S and S'' stay; the start
+    # logit(mu) + beta is off the root here, so Newton steps run
+    model = ToyModel(b0=1.0, p=4.0)
+    mu = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
+    H = hilb(random_potential(np.random.default_rng(5), scale=0.8), k, model)
+    a = 0.3
+    base = fs(H, k, model).at_mu(mu)
+    phi = fs(HermitianNorms(k=k, log_h=H.log_h + k * a + np.arange(k + 1) * b), k, model)
+    s = phi.at_mu(mu)
+    assert np.max(np.abs(np.log(mu / (1.0 - mu)) + phi.beta - s.t)) > 0.4
+    assert np.max(np.abs(s.t - base.t - b)) <= 1e-10
+    assert np.max(np.abs(s.v - base.v - b * mu - a)) <= 1e-12
+    assert np.max(np.abs(s.S - base.S)) <= 0.5 * k * abs(b) * np.finfo(float).eps  # as in the binomial case
+    assert np.max(np.abs(s.d2S - base.d2S)) <= 1e-8
+    assert np.max(np.abs(phi.at_t(s.t).mu - mu)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [16, 64, 256])
+def test_fs_of_uniform_norms_inverts(k):
+    # h_j = 1: psi' = mu(t) climbs from 0 to 1 over |t| ~ 100/k, so Newton
+    # from logit(mu) cuts its steps to 1 in the flat tails; a cut step that
+    # landed on a bracket end retraced the last one, and the inversion
+    # cycled until NoConvergence for every k >= 16. The oracle is the
+    # closed form mu(t) = ((k+1)/(1 - e^{-(k+1)t}) - 1/(1 - e^{-t}))/k
+    mu = np.linspace(0.01, 0.99, 20)  # not 1/2, where t = 0 and the closed form reads 0/0
+    t = FSPotential(k, np.zeros(k + 1), 0.0).at_mu(mu).t
+    with mp.workdps(40):
+        exact = [float(((k + 1) / (1 - mp.exp(-(k + 1) * mp.mpf(x))) - 1 / (1 - mp.exp(-mp.mpf(x)))) / k) for x in t]
+    assert np.max(np.abs(np.array(exact) - mu)) <= 1e-14
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
@@ -173,12 +222,25 @@ def test_fs_cumulants_of_binomial_norms(k, b):
 
 
 def test_blend_potential_is_affine_in_psi():
-    rng = np.random.default_rng(2)
-    a, b = round_potential(), random_potential(rng)
+    a, b = fs(hilb(round_potential(), 8, ToyModel(p=1.0)), 8, ToyModel(p=1.0)), _fs_of_random(2)
     blend = BlendPotential([(0.3, a), (0.7, b)])
     s, sa, sb = blend.at_t(TT), a.at_t(TT), b.at_t(TT)
     np.testing.assert_allclose(s.psi, 0.3 * sa.psi + 0.7 * sb.psi, atol=1e-13)
     np.testing.assert_allclose(s.psi2, 0.3 * sa.psi2 + 0.7 * sb.psi2, atol=1e-13)
+
+
+@pytest.mark.parametrize("b", [0.0, 40.0, -120.0])
+def test_blend_of_a_potential_with_itself_is_that_potential(b):
+    # the blend's Gram nodes and inversion start move with its parts' beta;
+    # at beta = 0 the Gram of a part shifted by b = 40 lost all but 5e-13 of
+    # its dmu mass, and hilb was off by 260 in log h
+    model, k = ToyModel(p=1.0), 8
+    H = hilb(random_potential(np.random.default_rng(1)), k, model)
+    a = fs(HermitianNorms(k=k, log_h=H.log_h + np.arange(k + 1) * b), k, model)
+    blend = BlendPotential([(0.5, a), (0.5, a)])
+    assert blend.beta == a.beta
+    np.testing.assert_allclose(hilb(blend, k, model).log_h, hilb(a, k, model).log_h, atol=1e-12)
+    np.testing.assert_allclose(blend.at_mu(MU).t, a.at_mu(MU).t, atol=1e-12)
 
 
 def test_shift_potential_moves_log_norms_exactly():
@@ -316,7 +378,7 @@ def test_fs_hilb_fixes_round_potential():
     phi = round_potential()
     for k in (2, 5, 12):
         back = fs(hilb(phi, k, model), k, model)
-        np.testing.assert_allclose(back.at_t(TT).psi, phi.at_t(TT).psi, atol=1e-12)
+        np.testing.assert_allclose(back.at_t(TT).psi, np.logaddexp(0.0, TT), atol=1e-12)
 
 
 def test_fs_validates_k():
