@@ -26,7 +26,8 @@ quantized weight are lambda_j = b0 + j/k; the twisted weights are
 lambda_j(p) = lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)} with c the weighted
 curvature average of the class. All inner products are diagonal in j, so
 Hermitian data is a vector of (log) norms and every map below is a
-one-dimensional quadrature plus vector algebra.
+one-dimensional quadrature plus vector algebra; the balanced map, one
+softmax pass, also gives its Jacobian, so Newton's method finds balanced metrics.
 
 The toy strand has one fixed rule, the momentum rule _mu_rule(). Each
 potential is sampled there at most once (RadialPotential.gram_sample), on
@@ -185,7 +186,7 @@ class GramSample(NamedTuple):
 # rounding level of a residual or step, relative: the cumulant sums of an
 # FS potential carry up to ~7 eps at k = 512
 _ROUNDING = 16.0 * np.finfo(float).eps
-_MAX_STEP = 1.0  # longest Newton step: a factor e in mu where mu ~ e^t
+_MAX_STEP = 1.0  # first cut of a Newton step: a factor e in mu where mu ~ e^t
 _MAX_ITER = 100
 
 
@@ -202,17 +203,18 @@ def _invert(phi: _TNativePotential, mu: np.ndarray) -> tuple[np.ndarray, TSample
     pull-back of the Gram sample, which is the root for the round metric in
     every gauge log h -> log h + k a + j b.
 
-    A step is cut to _MAX_STEP; one that leaves the bracket [a, b] known to
-    hold the root (infinite ends to start) bisects it. Landing exactly on a
-    bracket end is accepted for an uncut step only: a cut one there retraces
-    the step before it, and the two would cycle. Once the residual or the
-    step of a point is at rounding level (near |t| = 30 one ulp of mu moves
-    t by ~1e-3, so the residual alone cannot get there), the point takes one
-    more Newton step, which squares the error left within that band, and
-    stops. Returns the root and the sample at it."""
+    A step is cut to a length that starts at _MAX_STEP and doubles after each cut step toward an
+    open end of the bracket [a, b] known to hold the root (infinite ends to start), so a far root
+    is reached; a step that leaves the bracket bisects it. Landing exactly on a bracket end is
+    accepted for an uncut step only: a cut one there retraces the step before it, and the two
+    would cycle. Once the residual or the step of a point is at rounding level (near |t| = 30
+    one ulp of mu moves t by ~1e-3, so the residual alone cannot get there), the point takes
+    one more Newton step, which squares the error left within that band, and stops. Returns
+    the root and the sample at it."""
     t = np.log(mu / (1.0 - mu)) + phi.beta
     a = np.full(t.shape, -np.inf)
     b = np.full(t.shape, np.inf)
+    cut = np.full(t.shape, _MAX_STEP)
     settled = np.zeros(t.shape, dtype=bool)
     for _ in range(_MAX_ITER):
         s = phi.at_t(t)
@@ -223,12 +225,14 @@ def _invert(phi: _TNativePotential, mu: np.ndarray) -> tuple[np.ndarray, TSample
         a = np.where(r < 0.0, t, a)
         b = np.where(r > 0.0, t, b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(r / s.psi2, -_MAX_STEP, _MAX_STEP)
+            step = np.clip(r / s.psi2, -cut, cut)
             mid = 0.5 * (a + b)
         settled |= (np.abs(r) <= _ROUNDING * mu) | (np.abs(step) <= _ROUNDING * np.abs(t))
         nxt = t - step
-        inside = ((a < nxt) & (nxt < b)) | ((a <= nxt) & (nxt <= b) & (np.abs(step) < _MAX_STEP))
+        uncut = np.abs(step) < cut
+        inside = ((a < nxt) & (nxt < b)) | ((a <= nxt) & (nxt <= b) & uncut)
         t = np.where(done, t, np.where(inside, nxt, mid))
+        cut = np.where(uncut | np.isfinite(np.where(step > 0.0, a, b)), cut, 2.0 * cut)
     raise NoConvergence(f"mu -> t inversion did not converge in {_MAX_ITER} steps")
 
 
@@ -569,8 +573,13 @@ def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
 
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
     """h_j = (1/lambda_j(p)) int |s_j|^2_{k phi} f^{1-p} vol_{k omega}."""
-    spec = eigenvalues(k, model)
-    return HermitianNorms(k=k, log_h=_log_gram(phi, k, model) - np.log(spec.lam_p))
+    return HermitianNorms(k=k, log_h=_log_gram(phi, k, model) - _log_lam_p(k, model))
+
+
+@lru_cache(maxsize=None)
+def _log_lam_p(k: int, model: ToyModel) -> np.ndarray:
+    """log lambda_j(p), read-only, with the checks of eigenvalues."""
+    return _read_only((np.log(eigenvalues(k, model).lam_p),))[0]
 
 
 @lru_cache(maxsize=None)
@@ -609,7 +618,7 @@ def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
 @lru_cache(maxsize=None)
 def _log_step_scale(k: int, model: ToyModel) -> np.ndarray:
     """log(2 pi k C_k / lambda_j(p)), read-only, with the checks of fs and hilb."""
-    out = math.log(2.0 * math.pi * k) + _log_ck(k, model) - np.log(eigenvalues(k, model).lam_p)
+    out = math.log(2.0 * math.pi * k) + _log_ck(k, model) - _log_lam_p(k, model)
     out.flags.writeable = False
     return out
 
@@ -622,20 +631,47 @@ def balanced_step(H: HermitianNorms, k: int, model: ToyModel) -> np.ndarray:
     exponent is shifted by each column's and then each row's maximum r_j, so no row underflows
     as a whole: the sum is e^{r_j} (E c/tot)_j, tot_i = sum_j e^{r_j} E_ji."""
     _check_level(H, k)
+    return _balanced_pass(H.log_h, k, model)[0]
+
+
+def _balanced_pass(x: np.ndarray, k: int, model: ToyModel) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """balanced_step's g at x = log h, and a function that forms J = dg/dx once, in the pass's
+    buffers. With d = j - E_W[j], var = Var_W[j], a = (1-p) f'/f(mu)/k: dW_ji/dx_l = W_ji (W_li - delta_jl),
+    dc_i/dx_l = -c_i W_li ((d_li^2 - var_i)/var_i + a_i d_li), so J = (W c M^T)/(W c) - I with
+    M = W (2 - d^2/var - a d), a ratio over the row-shifted E like g. J annihilates 1; the move of
+    the nodes with beta, which would make it annihilate j exactly, is of the rule's error and left out."""
     logit_u, w_t = _pullback_rule()
     j = np.arange(k + 1, dtype=float)
-    a = j[:, None] * (logit_u + (H.log_h[-1] - H.log_h[0]) / k) - H.log_h[:, None]
-    a -= a.max(axis=0)
-    r = a.max(axis=1)
-    a -= r[:, None]
-    e = np.exp(a, out=a)
+    e = j[:, None] * (logit_u + (x[-1] - x[0]) / k)  # one buffer: the exponent, then E
+    e -= x[:, None]
+    e -= e.max(axis=0)
+    r = e.max(axis=1)
+    e -= r[:, None]
+    np.exp(e, out=e)
     p = e * np.exp(r)[:, None]
     tot = p.sum(axis=0)
     m1 = (j @ p) / tot
     d = j[:, None] - m1
     p *= d
-    c = w_t * np.einsum("ji,ji->i", p, d) * model.f(m1 / k) ** (1.0 - model.p) / (k * tot * tot)  # c_i / tot_i
-    return _log_step_scale(k, model) + r + np.log(e @ c)
+    var = np.einsum("ji,ji->i", p, d)
+    c = w_t * var * model.f(m1 / k) ** (1.0 - model.p) / (k * tot * tot)  # c_i / tot_i
+    s = e @ c
+    g = _log_step_scale(k, model) + r + np.log(s)
+
+    def jacobian() -> np.ndarray:
+        # in place: dd = W tot d (d/var + a), then m = W tot (2 - d^2/var - a d) c/tot
+        dd = np.divide(d, var / tot, out=d)
+        if not model.xi_zero:
+            dd += (1.0 - model.p) / (m1 + k * model.b0)
+        dd *= p
+        m = np.multiply(e, 2.0 * np.exp(r)[:, None], out=p)
+        m -= dd
+        m *= c / tot
+        J = e @ m.T / s[:, None]
+        J.flat[:: k + 2] -= 1.0  # the diagonal
+        return J
+
+    return g, jacobian
 
 
 def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, mu, s: MuSample | None = None) -> np.ndarray:
@@ -711,9 +747,17 @@ class BalancedResult(NamedTuple):
     n_iter: int
 
 
-_ANDERSON_DEPTH = 8  # residual differences the balanced mixing keeps
-_BALANCED_STEPS = 500  # step budget of the balanced iteration
+_BALANCED_STEPS = 500  # budget of evaluations of the balanced map
 _BALANCED_TOL = 1e-10  # default stopping bound on the raw step sup_j |g_j|
+_MIN_DAMPING = 2.0**-10  # shortest fraction of a Newton step the backtracking tries
+
+
+@lru_cache(maxsize=None)
+def _gauge_projector(k: int) -> np.ndarray:
+    """Orthogonal projector onto the gauge span{1, j} of log h, read-only."""
+    G = np.stack([np.ones(k + 1), np.arange(k + 1) - 0.5 * k], axis=1)  # orthogonal columns
+    G /= np.linalg.norm(G, axis=0)
+    return _read_only((G @ G.T,))[0]
 
 
 def balanced_iterate(
@@ -722,55 +766,41 @@ def balanced_iterate(
     model: ToyModel,
     tol: float = _BALANCED_TOL,
 ) -> BalancedResult:
-    """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0),
-    by Anderson mixing on x = log h (Walker-Ni, SIAM J. Numer. Anal. 2011).
+    """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0), by Newton's method
+    on g = T(x) - x, with g and its Jacobian J from balanced_step's one pass. T commutes with the
+    gauge log h -> log h + k a + j b, so J annihilates span{1, j} (the weighted mode has only a
+    relative fixed point, a steady gauge drift). A step solves (J + P) delta = -g, P the projector
+    onto the gauge, and halves (Armijo, 1e-4 of the slope of |g - P g|^2) down to _MIN_DAMPING,
+    where it takes the last trial. n_iter and history count every evaluation of g, trials included.
 
-    Each step evaluates g = T(x) - x as balanced_step does, in one pass over
-    the FS softmax weights W of x at the Gram nodes t_i: g_j = log(2 pi k C_k
-    / lambda_j(p)) + log sum_i W_ji c_i. T commutes with the gauge
-    log h -> log h + k a + j b, so its fixed points form an orbit (and in the
-    weighted mode there is only a relative fixed point, a steady gauge
-    drift); the mixing coefficients gamma therefore fit g by the last
-    _ANDERSON_DEPTH differences of g in least squares modulo span{1, j}.
-    The next iterate is x + g - (dX + dG) gamma; with no history that is
-    the plain step T(x).
-
-    Converged when the raw step sup_j |g_j| < tol: H = x + g is then
-    within sup|g| / (1 - r) of the fixed-point set, r the contraction rate
-    of T. Raises NoConvergence after _BALANCED_STEPS steps, naming the last
-    raw step and the last step modulo span{1, j}."""
-    j = np.arange(k + 1, dtype=float)
-    gauge = np.stack([np.ones_like(j), j - 0.5 * k], axis=1)  # orthogonal: sum(j - k/2) = 0
-    gauge /= np.sqrt(np.sum(gauge * gauge, axis=0))
+    Converged when the raw step sup_j |g_j| < tol: H = x + g is then within sup|g| / (1 - r)
+    of the fixed-point set, r the contraction rate of T. Raises NoConvergence, naming the last
+    raw step and the last step modulo span{1, j}, once the latter is below tol and the former
+    is not (the relative fixed point), or after _BALANCED_STEPS evaluations."""
+    P = _gauge_projector(k)
     x = hilb(phi0, k, model).log_h
-    dX: list[np.ndarray] = []
-    dG: list[np.ndarray] = []
-    history = []
-    step = quotient = math.nan
-    for n in range(_BALANCED_STEPS):
-        g = balanced_step(HermitianNorms(k=k, log_h=x), k, model)
-        step = float(np.max(np.abs(g)))
+    history, damping, base_merit = [], 1.0, math.inf
+    for n in range(1, _BALANCED_STEPS + 1):
+        g, jacobian = _balanced_pass(x, k, model)
+        step = float(abs(g).max())
         history.append(step)
         if step < tol:
             H = HermitianNorms(k=k, log_h=x + g)
-            return BalancedResult(
-                H=H, phi=fs(H, k, model), converged=True, history=tuple(history), n_iter=n + 1
-            )
-        gq = g - gauge @ (gauge.T @ g)
-        quotient = float(np.max(np.abs(gq)))
-        if n:
-            dX = [*dX, x - x_prev][-_ANDERSON_DEPTH:]
-            dG = [*dG, g - g_prev][-_ANDERSON_DEPTH:]
-        x_prev, g_prev = x, g
-        x = x + g
-        if dG:
-            DX, DG = np.stack(dX, axis=1), np.stack(dG, axis=1)
-            gamma = np.linalg.lstsq(DG - gauge @ (gauge.T @ DG), gq, rcond=None)[0]
-            x = x - (DX + DG) @ gamma
-    raise NoConvergence(
-        f"balanced iteration did not reach tol={tol:g} in {_BALANCED_STEPS} steps: last raw step "
-        f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}"
-    )
+            return BalancedResult(H=H, phi=fs(H, k, model), converged=True, history=tuple(history), n_iter=n)
+        gq = g - P @ g
+        quotient = float(abs(gq).max())
+        merit = float(gq @ gq)
+        if not merit <= (1.0 - 2e-4 * damping) * base_merit and damping > _MIN_DAMPING:
+            damping *= 0.5
+            x = base + damping * delta
+            continue
+        if quotient < tol:
+            break
+        base, base_merit, damping = x, merit, 1.0
+        delta = np.linalg.solve(jacobian() + P, -g)
+        x = base + delta
+    raise NoConvergence(f"balanced iteration did not reach tol={tol:g} in {n} steps: last raw step "
+                        f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}")
 
 
 class BalancedDefects(NamedTuple):

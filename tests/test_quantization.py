@@ -28,6 +28,7 @@ from kahlerlab.quantization import (
     ProfilePotential,
     _ShiftedPotential,
     ToyModel,
+    _balanced_pass,
     balanced_iterate,
     balanced_defects,
     balanced_step,
@@ -204,6 +205,19 @@ def test_fs_of_uniform_norms_inverts(k):
     with mp.workdps(40):
         exact = [float(((k + 1) / (1 - mp.exp(-(k + 1) * mp.mpf(x))) - 1 / (1 - mp.exp(-mp.mpf(x)))) / k) for x in t]
     assert np.max(np.abs(np.array(exact) - mu)) <= 1e-14
+
+
+def test_rough_fs_potentials_invert():
+    # log h = 50 N(0, 1) + 0.97 j: psi'' is ~1e-49 over long stretches, so a
+    # root lies far beyond the start with no sign change to bracket it; with
+    # every step cut to 1 the inversion raised NoConvergence on draws 6 and 9
+    k = 8
+    rng = np.random.default_rng(0)
+    mu = np.linspace(0.01, 0.99, 99)
+    for _ in range(25):
+        phi = FSPotential(k, 50.0 * rng.normal(size=k + 1) + 0.97 * np.arange(k + 1), 0.0)
+        s = phi.at_mu(mu)
+        assert np.max(np.abs(phi.at_t(s.t).mu - mu)) <= 1e-13
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
@@ -691,3 +705,94 @@ def test_sup_grid_window():
     g = sup_grid()
     assert g[0] == pytest.approx(0.02) and g[-1] == pytest.approx(0.98)
     assert len(g) == 193
+
+
+# -- Newton on the balanced map ------------------------------------------------
+
+
+def _central_jacobian(x, k, model, h):
+    J = np.empty((k + 1, k + 1))
+    for l in range(k + 1):
+        e = np.zeros(k + 1)
+        e[l] = h
+        hi = balanced_step(HermitianNorms(k=k, log_h=x + e), k, model)
+        J[:, l] = (hi - balanced_step(HermitianNorms(k=k, log_h=x - e), k, model)) / (2.0 * h)
+    return J
+
+
+_NEWTON_MODES = [ToyModel(p=1.0), ToyModel(b0=1.0, p=4.0), ToyModel(b0=1.0, p=2.0)]
+
+
+@pytest.mark.parametrize("model", _NEWTON_MODES, ids=["xi=0", "b0=1,p=4", "b0=1,p=2"])
+@pytest.mark.parametrize("k", [8, 32, 128, 256])
+def test_balanced_jacobian_matches_central_differences(model, k):
+    # the closed-form Jacobian of g = balanced_step against central
+    # differences (h = 1e-5), off a gauge-shifted start and off one with the
+    # middle row 800 nats below the others. The differences round g, which
+    # carries ~eps max|x|, so they err by up to ~eps max|x|/h (worst seen:
+    # 0.4 of it); J annihilates 1 exactly and j up to the rule's error (the
+    # move of the nodes with beta, left out of J; worst seen 2e-13)
+    h = 1e-5
+    j = np.arange(k + 1, dtype=float)
+    x0 = hilb(random_potential(np.random.default_rng(3), scale=0.8), k, model).log_h
+    for x in (x0 + 0.3 * k - 2.0 * j, x0 + 800.0 * (j == k // 2)):
+        J = _balanced_pass(x, k, model)[1]()
+        atol = 2.0 * np.finfo(float).eps * float(np.max(np.abs(x))) / h
+        np.testing.assert_allclose(J, _central_jacobian(x, k, model, h), rtol=0.0, atol=atol)
+        assert np.max(np.abs(J @ np.ones(k + 1))) <= 1e-14
+        assert np.max(np.abs(J @ j)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [8, 32, 64, 128, 256])
+def test_balanced_newton_converges_in_few_evaluations_at_every_k(k):
+    # Newton's quadratic rate makes the count independent of k. tol is
+    # 1e-12 here: H = x + g lies within sup|g| / (1 - r) of the fixed-point
+    # set, and 1 - r (the smallest nonzero |eigenvalue| of J) falls to 1.8e-4
+    # at k = 256, so the default 1e-10 bounds that distance by ~5e-7 only
+    for seed in range(3):
+        res = balanced_iterate(random_potential(np.random.default_rng(seed), scale=0.6), k, ToyModel(p=1.0), tol=1e-12)
+        assert res.converged and res.n_iter <= 8 and len(res.history) == res.n_iter
+        assert _affine_defect_from_beta_norms(res.H.log_h, k) < 1e-8
+
+
+def test_balanced_newton_converges_where_t_contracts_slowly():
+    # the 10th draw of default_rng(5) at k = 128, where 1 - r is ~7e-4: a
+    # fixed-point mixing of T stalled there at a raw step of 1.84e-10
+    rng = np.random.default_rng(5)
+    phi0 = [random_potential(rng, scale=0.6) for _ in range(10)][-1]
+    res = balanced_iterate(phi0, 128, ToyModel(p=1.0))
+    assert res.converged and res.n_iter <= 8
+    assert _affine_defect_from_beta_norms(res.H.log_h, 128) < 1e-8
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_balanced_newton_converges_from_rough_starts(k, monkeypatch):
+    # FS of hilb(random_potential(scale 1.5)) + 3 N(0, 1) noise: far from
+    # balanced, so some full Newton steps fail the Armijo test and the
+    # backtracking runs (worst seen: 12 evaluations over 30 such starts)
+    model = ToyModel(p=1.0)
+    rng = np.random.default_rng(2)
+    solve = np.linalg.solve
+    steps = []
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: steps.append(1) or solve(*a))
+    rejected = 0
+    for _ in range(5):
+        x = hilb(random_potential(rng, scale=1.5), k, model).log_h + 3.0 * rng.normal(size=k + 1)
+        steps.clear()
+        res = balanced_iterate(fs(HermitianNorms(k=k, log_h=x), k, model), k, model)
+        assert res.converged and res.n_iter <= 20
+        assert _affine_defect_from_beta_norms(res.H.log_h, k) < 1e-8
+        rejected += res.n_iter - 1 - len(steps)  # evaluations that were not followed by a Newton step
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("k", [4, 32])
+def test_balanced_weighted_failure_is_named_early(k):
+    # at the relative fixed point the step modulo span{1, j} is below tol
+    # while the raw step, a pure gauge drift, is not: the iteration stops
+    # there and does not spend the rest of its 500-evaluation budget
+    with pytest.raises(NoConvergence, match=r"balanced iteration did not reach tol=1e-10 in (\d+) steps") as err:
+        balanced_iterate(round_potential(), k, ToyModel(b0=1.0, p=4.0))
+    found = re.search(r"in (\d+) steps: last raw step (\S+), last step modulo span\{1, j\} (\S+)", str(err.value))
+    n, raw, quotient = int(found.group(1)), float(found.group(2)), float(found.group(3))
+    assert n <= 40 and raw > 1e-2 and quotient < 1e-10
