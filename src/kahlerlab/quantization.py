@@ -29,10 +29,13 @@ Hermitian data is a vector of (log) norms and every map below is a
 one-dimensional quadrature plus vector algebra; the balanced map, one
 softmax pass, also gives its Jacobian, so Newton's method finds balanced metrics.
 
-The toy strand has one fixed rule, the momentum rule _mu_rule(). Each
-potential is sampled there at most once (RadialPotential.gram_sample), on
-its native side, so no Gram matrix inverts mu <-> t; the Gram matrices and
-the closed-form functionals of the functionals module all read that sample.
+Nothing inverts mu <-> t. A potential is sampled at points u in (0, 1)
+(RadialPotential.jet): a momentum-native one at mu = u, a t-native one at
+the pull-back t = logit(u) + beta, where mu = psi'(t). On the one fixed rule,
+the momentum rule _mu_rule(), that sample is taken at most once
+(RadialPotential.gram_sample); the Gram matrices and the closed-form
+functionals of the functionals module all read it, and the pointwise
+evaluators (Scal_p, the Bergman densities) read a jet their caller takes.
 
 Volume convention: vol_{k omega} = k^m vol_omega with m = 1, i.e. 2 pi k dmu.
 """
@@ -84,7 +87,7 @@ _MU_LO, _MU_HI, _MU_N = 0.02, 0.98, 193
 
 
 def sup_grid() -> np.ndarray:
-    """Uniform interior momentum grid on which sup-norms are reported."""
+    """Uniform interior grid of u in (0, 1) at whose jets sup-norms are reported."""
     return np.linspace(_MU_LO, _MU_HI, _MU_N)
 
 
@@ -153,8 +156,9 @@ class ToyModel(_ToyModel):
 
 
 class MuSample(NamedTuple):
-    """A potential on the momentum side: t(mu) = v'(mu), v, S, S', S''."""
+    """A potential's jet on the momentum side: momenta mu, t(mu) = v'(mu), v, S, S', S''."""
 
+    mu: np.ndarray
     t: np.ndarray
     v: np.ndarray
     S: np.ndarray
@@ -183,69 +187,24 @@ class GramSample(NamedTuple):
     log_w: np.ndarray
 
 
-# rounding level of a residual or step, relative: the cumulant sums of an
-# FS potential carry up to ~7 eps at k = 512
-_ROUNDING = 16.0 * np.finfo(float).eps
-_MAX_STEP = 1.0  # first cut of a Newton step: a factor e in mu where mu ~ e^t
-_MAX_ITER = 100
-
-
-def _momenta(mu) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0.0) or np.any(mu >= 1.0):
-        raise OutOfDomain("momentum-side evaluation requires mu in (0,1)")
-    return mu
-
-
-def _invert(phi: _TNativePotential, mu: np.ndarray) -> tuple[np.ndarray, TSample]:
-    """Safeguarded Newton for psi'(t) = mu, with psi' and psi'' read off one
-    sample phi.at_t(t) per step. It starts at t = logit(mu) + phi.beta, the
-    pull-back of the Gram sample, which is the root for the round metric in
-    every gauge log h -> log h + k a + j b.
-
-    A step is cut to a length that starts at _MAX_STEP and doubles after each cut step toward an
-    open end of the bracket [a, b] known to hold the root (infinite ends to start), so a far root
-    is reached; a step that leaves the bracket bisects it. Landing exactly on a bracket end is
-    accepted for an uncut step only: a cut one there retraces the step before it, and the two
-    would cycle. Once the residual or the step of a point is at rounding level (near |t| = 30
-    one ulp of mu moves t by ~1e-3, so the residual alone cannot get there), the point takes
-    one more Newton step, which squares the error left within that band, and stops. Returns
-    the root and the sample at it."""
-    t = np.log(mu / (1.0 - mu)) + phi.beta
-    a = np.full(t.shape, -np.inf)
-    b = np.full(t.shape, np.inf)
-    cut = np.full(t.shape, _MAX_STEP)
-    settled = np.zeros(t.shape, dtype=bool)
-    for _ in range(_MAX_ITER):
-        s = phi.at_t(t)
-        r = s.mu - mu
-        done = settled | (r == 0.0)
-        if np.all(done):
-            return t, s
-        a = np.where(r < 0.0, t, a)
-        b = np.where(r > 0.0, t, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(r / s.psi2, -cut, cut)
-            mid = 0.5 * (a + b)
-        settled |= (np.abs(r) <= _ROUNDING * mu) | (np.abs(step) <= _ROUNDING * np.abs(t))
-        nxt = t - step
-        uncut = np.abs(step) < cut
-        inside = ((a < nxt) & (nxt < b)) | ((a <= nxt) & (nxt <= b) & uncut)
-        t = np.where(done, t, np.where(inside, nxt, mid))
-        cut = np.where(uncut | np.isfinite(np.where(step > 0.0, a, b)), cut, 2.0 * cut)
-    raise NoConvergence(f"mu -> t inversion did not converge in {_MAX_ITER} steps")
+def _interior(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise OutOfDomain("a jet takes points u in (0,1)")
+    return u
 
 
 class RadialPotential(ABC):
     """Invariant potential, sampled on its native side of the Legendre transform.
 
-    Every potential has the momentum side: profile S (with derivatives),
-    symplectic potential v and t(mu) = v'(mu). _TNativePotential adds the
-    log-radial side, psi(t) = 2 phi(t) with derivatives up to fourth order,
-    and reaches the momentum side through the one inversion.
+    Every potential has the momentum side, read by jet(u) at points u in
+    (0, 1): momenta mu, profile S (with derivatives), symplectic potential v
+    and t(mu) = v'(mu). _TNativePotential adds the log-radial side,
+    psi(t) = 2 phi(t) with derivatives up to fourth order, and takes its jet
+    at the pull-back of u, so mu = u only for a momentum-native potential.
 
     A potential never changes after construction, so its read-only sample
-    on the momentum rule, gram_sample, is taken once; it reads at_mu at the
+    on the momentum rule, gram_sample, is taken once; it reads the jet at the
     momentum nodes, or at_t at their pull-back in _TNativePotential. Each
     class also states dv_ends, the values of v - v_round at mu = 0 and 1
     (v_round vanishes at both).
@@ -254,28 +213,27 @@ class RadialPotential(ABC):
     dv_ends: tuple[float, float]
 
     @abstractmethod
-    def at_mu(self, mu) -> MuSample: ...
+    def jet(self, u) -> MuSample: ...
 
     @cached_property
     def gram_sample(self) -> GramSample:
         rule = _mu_rule()
-        s = self.at_mu(rule.nodes)
-        return _read_only(GramSample(rule.nodes, s.t, s.v, s.S, np.log(rule.weights)))
+        s = self.jet(rule.nodes)
+        return _read_only(GramSample(s.mu, s.t, s.v, s.S, np.log(rule.weights)))
 
 
 class _TNativePotential(RadialPotential):
-    """Base for potentials native on the log-radial side. The momentum side
-    inverts mu(t) = psi'(t) (dmu/dt = psi'') and reads the chain rules
+    """Base for potentials native on the log-radial side. The jet at u is one
+    pass at the pull-back t = log(u/(1-u)) + beta, where mu = psi'(t)
+    (dmu/dt = psi''), with the chain rules
 
         S = 2 psi'',   S' = 2 psi'''/psi'',   S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
 
-    The Gram sample needs no inversion: it is one pass at the pull-back
-    t_i = log(u_i/(1-u_i)) + beta of the momentum nodes u_i, where
-    mu_i = psi'(t_i) and the weight of dmu is w_i psi''(t_i)/(u_i(1-u_i)),
-    the same integral after the substitution mu = psi'(logit u + beta).
-    beta is where psi's two asymptotes cross, so the nodes move with the
-    potential under a shift of t; FSPotential and BlendPotential set it,
-    and it is 0 here."""
+    The Gram sample is the same pass at the momentum nodes u_i, where the
+    weight of dmu is w_i psi''(t_i)/(u_i(1-u_i)): the same integral after the
+    substitution mu = psi'(logit u + beta). beta is where psi's two
+    asymptotes cross, so the points move with the potential under a shift
+    of t; FSPotential and BlendPotential set it, and it is 0 here."""
 
     beta = 0.0
 
@@ -289,11 +247,12 @@ class _TNativePotential(RadialPotential):
         s = self.at_t(t)
         return _read_only(GramSample(s.mu, t, s.mu * t - s.psi, 2.0 * s.psi2, np.log(w_t * s.psi2)))  # dmu = psi'' dt
 
-    def at_mu(self, mu) -> MuSample:
-        mu = _momenta(mu)
-        t, s = _invert(self, mu)
+    def jet(self, u) -> MuSample:
+        u = _interior(u)
+        t = np.log(u / (1.0 - u)) + self.beta
+        s = self.at_t(t)
         p2, p3, p4 = s.psi2, s.psi3, s.psi4
-        return MuSample(t, mu * t - s.psi, 2.0 * p2, 2.0 * p3 / p2, 2.0 * (p4 * p2 - p3 * p3) / p2**3)
+        return MuSample(s.mu, t, s.mu * t - s.psi, 2.0 * p2, 2.0 * p3 / p2, 2.0 * (p4 * p2 - p3 * p3) / p2**3)
 
 
 class ProfilePotential(RadialPotential):
@@ -335,10 +294,11 @@ class ProfilePotential(RadialPotential):
         self._series.flags.writeable = False
         self.dv_ends = tuple(float(e) for e in cheb.chebval(np.array([-1.0, 1.0]), Rc))
 
-    def at_mu(self, mu) -> MuSample:
-        mu = _momenta(mu)
+    def jet(self, u) -> MuSample:
+        mu = _interior(u)
         q, dq, d2q, R, dR = cheb.chebval(2.0 * mu - 1.0, self._series)
         return MuSample(
+            mu=mu,
             t=np.log(mu) - np.log(1.0 - mu) + dR,
             v=_xlogx(mu) + _xlogx(1.0 - mu) + R,
             S=2.0 * mu * (1.0 - mu) * q,
@@ -426,8 +386,8 @@ class _ShiftedPotential(RadialPotential):
         self.s = float(s)
         self.dv_ends = tuple(e - 2.0 * self.s for e in base.dv_ends)
 
-    def at_mu(self, mu) -> MuSample:
-        out = self.base.at_mu(mu)
+    def jet(self, u) -> MuSample:
+        out = self.base.jet(u)
         return out._replace(v=out.v - 2.0 * self.s)
 
 
@@ -537,36 +497,28 @@ def c_top_exact(model: ToyModel) -> float:
     return 2.0 * num / den
 
 
-def weighted_scalar_toy(phi: RadialPotential, model: ToyModel, mu):
-    """Scal_p(mu) = f^2 (-S'') + 2(p-1) f S' - p(p-1) S (plain -S'' when
-    the weight field is zero); a float at a scalar mu."""
-    mu = np.asarray(mu, dtype=float)
-    s = phi.at_mu(mu)
-    out = _scal_p(model, mu, s.S, s.dS, s.d2S)
-    return out if out.ndim else float(out)
-
-
-def _scal_p(model: ToyModel, mu, S, dS, d2S):
-    """Scal_p at the momenta mu from the profile jet S, S', S''."""
+def weighted_scalar_toy(s: MuSample, model: ToyModel) -> np.ndarray:
+    """Scal_p = f^2 (-S'') + 2(p-1) f S' - p(p-1) S (plain -S'' when the
+    weight field is zero) at the momenta of the jet s = phi.jet(u)."""
     if model.xi_zero:
-        return -d2S
-    f = model.f(mu)
+        return -s.d2S
+    f = model.f(s.mu)
     p = model.p
-    return f * f * (-d2S) + 2.0 * (p - 1.0) * f * dS - p * (p - 1.0) * S
+    return f * f * (-s.d2S) + 2.0 * (p - 1.0) * f * s.dS - p * (p - 1.0) * s.S
 
 
-def _log_section_densities(s: MuSample | GramSample, k: int, mu: np.ndarray) -> np.ndarray:
-    """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = k v + (j - k mu) t,
-    from the sample s = phi.at_mu(mu)."""
+def _log_section_densities(s: MuSample | GramSample, k: int) -> np.ndarray:
+    """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = k v + (j - k mu) t
+    at the momenta mu_q of a jet or a Gram sample s."""
     j = np.arange(k + 1, dtype=float)[:, None]
-    return k * s.v[None, :] + (j - k * mu[None, :]) * s.t[None, :]
+    return k * s.v + (j - k * s.mu) * s.t
 
 
 def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
     """log G_j, G_j = int |s_j|^2 f^{1-p} vol_{k omega} = 2 pi k int e^{E_j} f^{1-p} dmu,
     from phi.gram_sample."""
     s = phi.gram_sample
-    a = _log_section_densities(s, k, s.mu) + (s.log_w + (1.0 - model.p) * np.log(model.f(s.mu)))[None, :]
+    a = _log_section_densities(s, k) + (s.log_w + (1.0 - model.p) * np.log(model.f(s.mu)))[None, :]
     m = np.max(a, axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
     return np.log(np.sum(np.exp(a - m), axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
 
@@ -674,20 +626,18 @@ def _balanced_pass(x: np.ndarray, k: int, model: ToyModel) -> tuple[np.ndarray, 
     return g, jacobian
 
 
-def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, mu, s: MuSample | None = None) -> np.ndarray:
-    """B(mu) = f^{1-p} sum_j weights_j |s_j|^2 / G_j with G_j the squared
-    norms of `hilb`'s product int |.|^2 f^{1-p} vol_{k omega}. s is
-    phi.at_mu(mu), taken here unless the caller holds it."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    s = phi.at_mu(mu) if s is None else s
-    dens = np.exp(_log_section_densities(s, k, mu) - _log_gram(phi, k, model)[:, None])
-    return model.f(mu) ** (1.0 - model.p) * np.einsum("j,jq->q", weights, dens)
+def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, s: MuSample) -> np.ndarray:
+    """B(mu) = f^{1-p} sum_j weights_j |s_j|^2 / G_j at the momenta of the
+    jet s = phi.jet(u), with G_j the squared norms of `hilb`'s product
+    int |.|^2 f^{1-p} vol_{k omega}."""
+    dens = np.exp(_log_section_densities(s, k) - _log_gram(phi, k, model)[:, None])
+    return model.f(s.mu) ** (1.0 - model.p) * np.einsum("j,jq->q", weights, dens)
 
 
-def rho_p(phi: RadialPotential, k: int, model: ToyModel, mu) -> np.ndarray:
+def rho_p(phi: RadialPotential, k: int, model: ToyModel, s: MuSample) -> np.ndarray:
     """rho(mu) = f^{1-p} sum_j lambda_j(p) |s_j|^2 / G_j (Hilb-orthonormal
-    section density)."""
-    return bergman_density(phi, k, model, eigenvalues(k, model).lam_p, mu)
+    section density) at the momenta of the jet s = phi.jet(u)."""
+    return bergman_density(phi, k, model, eigenvalues(k, model).lam_p, s)
 
 
 # ---------------------------------------------------------------------------
@@ -709,22 +659,23 @@ class ExpansionReport(NamedTuple):
 
 def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int]) -> ExpansionReport:
     """Residual r_k = sup |(2 pi) rho - f^{1-p} - (1/4k) f^{-(p+1)} (Scal_p - c)|
-    on the interior grid, with its log-log slope (the expansion is O(k^{-2}));
-    also the leading-term-only residual (slope ~ -1). One row per distinct
-    k; ConfigError unless there are 4 distinct k to fit."""
+    at the momenta of one jet of phi on sup_grid(), which every k reads, with
+    its log-log slope (the expansion is O(k^{-2})); also the leading-term-only
+    residual (slope ~ -1). One row per distinct k; ConfigError unless there
+    are 4 distinct k to fit."""
     ks = sorted({int(k) for k in k_range})
     if len(ks) < 4:
         raise ConfigError(f"the expansion fit needs 4 distinct k, got {ks}")
     eigenvalues(ks[0], model)  # the power gate: OutOfDomain before a power of f below overflows or underflows
-    mu = sup_grid()
-    f = model.f(mu)
-    scal_p = weighted_scalar_toy(phi, model, mu)
+    s = phi.jet(sup_grid())
+    f = model.f(s.mu)
+    scal_p = weighted_scalar_toy(s, model)
     c = c_top_exact(model)
     lead = f ** (1.0 - model.p)
     second = f ** (-(model.p + 1.0)) * (scal_p - c)
     res, res_lead = [], []
     for k in ks:
-        dens = 2.0 * math.pi * rho_p(phi, k, model, mu)
+        dens = 2.0 * math.pi * rho_p(phi, k, model, s)
         res.append(float(np.max(np.abs(dens - lead - second / (4.0 * k)))))
         res_lead.append(float(np.max(np.abs(dens - lead))))
     logk = np.log(ks)
@@ -810,12 +761,12 @@ class BalancedDefects(NamedTuple):
 
 def balanced_defects(phi: RadialPotential, k: int, model: ToyModel) -> BalancedDefects:
     """How far phi = FS(H) of a balanced result is from balanced and from
-    constant weighted curvature: both sups over the interior grid, read off
-    one momentum sample of phi."""
-    mu = sup_grid()
-    s = phi.at_mu(mu)
-    rho = bergman_density(phi, k, model, eigenvalues(k, model).lam_p, mu, s)
+    constant weighted curvature, both read off one jet of phi: the sups run
+    over the momenta psi'(logit u + beta) for u on sup_grid() (u itself for
+    a momentum-native phi)."""
+    s = phi.jet(sup_grid())
+    rho = rho_p(phi, k, model, s)
     return BalancedDefects(
-        residual=float(np.max(np.abs(rho - c_k_constant(k, model) * model.f(mu) ** (1.0 - model.p)))),
-        scal_dev=float(np.max(np.abs(_scal_p(model, mu, s.S, s.dS, s.d2S) - c_top_exact(model)))),
+        residual=float(np.max(np.abs(rho - c_k_constant(k, model) * model.f(s.mu) ** (1.0 - model.p)))),
+        scal_dev=float(np.max(np.abs(weighted_scalar_toy(s, model) - c_top_exact(model)))),
     )

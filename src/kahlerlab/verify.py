@@ -183,10 +183,10 @@ def _chk_rho_identity() -> float:
     k = 8
     phi = round_potential()
     spec = eigenvalues(k, model)
-    mu = sup_grid()
-    lhs = rho_p(phi, k, model, mu)
-    b_main = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), mu)
-    b_corr = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), mu)
+    s = phi.jet(sup_grid())
+    lhs = rho_p(phi, k, model, s)
+    b_main = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), s)
+    b_corr = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), s)
     return float(np.max(np.abs(lhs - (b_main - c_top_exact(model) / (4.0 * k) * b_corr))))
 
 
@@ -196,7 +196,7 @@ def _chk_trace_identity() -> float:
     phi = round_potential()
     spec = eigenvalues(k, model)
     rule = _mu_rule()
-    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, rule.nodes)))
+    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, phi.jet(rule.nodes))))
     return abs(total - float(np.sum(spec.lam_p))) / float(np.sum(spec.lam_p))
 
 

@@ -193,14 +193,15 @@ def test_criterion_07_bergman_identity():
     rng = np.random.default_rng(104)
     worst_pw = 0.0
     for phi in (round_potential(), random_potential(rng)):
-        main_term = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), mu)
-        corr_term = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), mu)
-        gap = np.abs(rho_p(phi, k, model, mu) - (main_term - c_top_exact(model) / (4.0 * k) * corr_term))
+        s = phi.jet(mu)
+        main_term = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), s)
+        corr_term = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), s)
+        gap = np.abs(rho_p(phi, k, model, s) - (main_term - c_top_exact(model) / (4.0 * k) * corr_term))
         worst_pw = max(worst_pw, float(np.max(gap)))
     from kahlerlab.numerics import gauss_legendre
 
     rule = gauss_legendre(256, 0.0, 1.0)
-    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(round_potential(), k, model, rule.nodes)))
+    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(round_potential(), k, model, round_potential().jet(rule.nodes))))
     trace_rel = abs(total - float(np.sum(spec.lam_p))) / float(np.sum(spec.lam_p))
     ks = [8, 16, 32, 64]
     gaps = [abs(2.0 * math.pi * c_k_constant(kk, model) - 1.0) for kk in ks]
@@ -226,7 +227,7 @@ def test_criterion_08_expansion_order():
         slopes[p] = rep.slope
         f1p = model.f(inner) ** (1.0 - p)
         lead = [
-            float(np.max(np.abs(2.0 * math.pi * rho_p(round_potential(), kk, model, inner) - f1p)))
+            float(np.max(np.abs(2.0 * math.pi * rho_p(round_potential(), kk, model, round_potential().jet(inner)) - f1p)))
             for kk in ks
         ]
         k_err = [kk * e for kk, e in zip(ks, lead)]
@@ -246,7 +247,7 @@ def test_criterion_08_expansion_order():
 
 def test_criterion_09_balanced_iteration():
     model = ToyModel(p=1.0)
-    mu = sup_grid()
+    u = sup_grid()
     c = 4.0
     devs = {}
     for k in (8, 16, 32, 64):
@@ -255,7 +256,7 @@ def test_criterion_09_balanced_iteration():
         if k <= 32:
             assert res.n_iter <= 500
             assert balanced_defects(res.phi, k, model).residual < 1e-8
-        devs[k] = float(np.max(np.abs(weighted_scalar_toy(res.phi, model, mu) - c)))
+        devs[k] = float(np.max(np.abs(weighted_scalar_toy(res.phi.jet(u), model) - c)))
     # trend: non-increasing up to 10% noise, with values at numerical zero
     # (below the 1e-8 residual scale) treated as floor ties
     floor = 1e-8

@@ -280,20 +280,21 @@ def test_verify_exit_codes(workdir, capsys):
 
 
 def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, capsys, monkeypatch):
-    # the residual and the scal deviation both read the FS potential the
-    # iteration returns, not a second, equal one built from its norms
-    inverted = []
-    invert = quantization._invert
+    # the residual and the scal deviation both read one jet on sup_grid() of
+    # the FS potential the iteration returns, not of a second, equal one
+    # built from its norms
+    sampled = []
+    jet = quantization._TNativePotential.jet
 
-    def spy(phi, mu):
-        if np.array_equal(mu, quantization.sup_grid()):
-            inverted.append(phi)
-        return invert(phi, mu)
+    def spy(phi, u):
+        if np.array_equal(u, quantization.sup_grid()):
+            sampled.append(phi)
+        return jet(phi, u)
 
-    monkeypatch.setattr(quantization, "_invert", spy)
+    monkeypatch.setattr(quantization._TNativePotential, "jet", spy)
     assert main(["quant-balanced", "--b0", "inf", "--p", "1", "--k-range", "8,16", "--no-cache"]) == 0
-    assert len(inverted) == 2 and len({id(phi) for phi in inverted}) == 2
-    assert all(isinstance(phi, quantization.FSPotential) for phi in inverted)
+    assert len(sampled) == 2 and len({id(phi) for phi in sampled}) == 2
+    assert all(isinstance(phi, quantization.FSPotential) for phi in sampled)
 
 
 def test_mabuchi_probe_explicit_kappa(workdir, capsys):

@@ -228,9 +228,9 @@ def _consumers():
     mu = np.linspace(0.05, 0.95, 19)
     return {
         "hilb": lambda ps: [hilb(p, k, MW) for p in ps for k in (8, 16)],
-        "rho_p": lambda ps: [quant.rho_p(p, 8, MW, mu) for p in ps],
-        "bergman": lambda ps: [quant.bergman_density(p, 8, MW, np.ones(9), mu) for p in ps],
-        "scal": lambda ps: [quant.weighted_scalar_toy(p, MW, mu) for p in ps],
+        "rho_p": lambda ps: [quant.rho_p(p, 8, MW, p.jet(mu)) for p in ps],
+        "bergman": lambda ps: [quant.bergman_density(p, 8, MW, np.ones(9), p.jet(mu)) for p in ps],
+        "scal": lambda ps: [quant.weighted_scalar_toy(p.jet(mu), MW) for p in ps],
         "L": lambda ps: [functional_L(p, 8, MW) for p in ps],
         "mabuchi": lambda ps: [toy_mabuchi(p, MW) for p in ps],
         "aubin": lambda ps: [aubin_I(p, 8, MW) for p in ps],
@@ -250,96 +250,56 @@ def _assert_read_only(pots):
             assert not a.flags.writeable
 
 
-# inversions of each t-native potential at points off the momentum rule,
-# per consumer call: the density at mu of rho_p and of bergman_density, and
-# Scal_p at mu; the Grams and the toy functionals read the cached Gram
-# sample, which a t-native potential takes at the pull-back of the momentum
-# nodes with no inversion
+# jets of each potential that a consumer call takes off the momentum rule:
+# rho_p, bergman_density and Scal_p read the one jet their caller takes at
+# mu, and every other consumer reads the cached Gram sample only
 _OFF_RULE = {"rho_p": 1, "bergman": 1, "scal": 1}
-
-
-def test_each_consumer_inverts_each_potential_once(monkeypatch):
-    # no consumer inverts any potential on the momentum rule, whatever
-    # sequence of consumers reads it, so no toy functional inverts anything;
-    # off the rule a t-native potential is inverted once per evaluation at mu
-    calls = []
-    invert = quant._invert
-
-    def counting(phi, mu):
-        calls.append((phi, _rule_of(mu, phi)))
-        return invert(phi, mu)
-
-    monkeypatch.setattr(quant, "_invert", counting)
-    consumers = _consumers()
-    for order in _orders():
-        pots = _fresh_potentials()[:4]  # the shifted one inverts through its base
-        natives = ("mu", "t", "t", "mu")
-        calls.clear()
-        for name in order:
-            start = len(calls)
-            consumers[name](pots)
-            for p, native in zip(pots, natives):
-                assert calls.count((p, "mu")) == 0, (order, name, type(p).__name__)
-                off = _OFF_RULE.get(name, 0) if native == "t" else 0
-                assert calls[start:].count((p, None)) == off, (order, name, type(p).__name__)
-        assert all(rule is None for _, rule in calls)
-        calls.clear()
-        for name in order:
-            start = len(calls)
-            consumers[name](pots)
-            for p, native in zip(pots, natives):
-                off = _OFF_RULE.get(name, 0) if native == "t" else 0
-                assert calls[start:].count((p, None)) == off, (order, name, type(p).__name__)
-        assert all(rule is None for _, rule in calls)
-        _assert_read_only(pots)
 
 
 def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
     # each fresh potential of every class is evaluated exactly once on the
     # momentum rule, on its native side (a t-native one at the pull-back of
     # the nodes), whatever sequence of consumers reads it, and a second
-    # consumer samples nothing on it
+    # consumer samples nothing on it; off the rule, each consumer call takes
+    # only the jets _OFF_RULE counts
     sampled = []
-    on_rule = []
 
     def counting(fn):
         def wrapped(self, x):
-            rule = _rule_of(x, self)
-            sampled.append((self, rule))
-            if rule is not None:
-                on_rule.append((self, fn.__name__, rule))
+            sampled.append((self, fn.__name__, _rule_of(x, self)))
             return fn(self, x)
 
         return wrapped
 
-    # every method that samples a potential: each class's native side, and
-    # the inverted momentum side of the t-native ones
+    # every method that samples a potential: the jet of each class, and the
+    # native side of the t-native ones
     sampling = (
-        (quant.ProfilePotential, "at_mu"),
-        (quant._TNativePotential, "at_mu"),
+        (quant.ProfilePotential, "jet"),
+        (quant._TNativePotential, "jet"),
         (FSPotential, "at_t"),
         (quant.BlendPotential, "at_t"),
-        (quant._ShiftedPotential, "at_mu"),
+        (quant._ShiftedPotential, "jet"),
     )
     for cls, meth in sampling:
         monkeypatch.setattr(cls, meth, counting(vars(cls)[meth]))
+
+    def on_rule(p):
+        return [m for q, m, rule in sampled if q is p and rule == "mu"]
+
     consumers = _consumers()
+    mu_side = ("jet", "at_t", "at_t", "jet", "jet")  # the shifted potential's base is a profile
     for order in _orders():
         pots = _fresh_potentials()
-        sampled.clear()
-        on_rule.clear()
-        for name in order:
-            consumers[name](pots)
-            for p in pots:
-                assert sampled.count((p, "mu")) <= 1, (order, name, type(p).__name__)
-        assert [sampled.count((p, "mu")) for p in pots] == [1] * len(pots)
-        mu_side = ("at_mu", "at_t", "at_t", "at_mu", "at_mu")  # the shifted potential's base is a profile
-        for p, meth in zip(pots, mu_side):
-            assert [m for q, m, rule in on_rule if q is p and rule == "mu"] == [meth], type(p).__name__
-        sampled.clear()
-        for name in order:
-            consumers[name](pots)
-        assert not any((p, "mu") in sampled for p in pots)
+        for first in (True, False):
+            sampled.clear()
+            for name in order:
+                start = len(sampled)
+                consumers[name](pots)
+                for p in pots:
+                    assert len(on_rule(p)) <= 1, (order, name, type(p).__name__)
+                    off = [m for q, m, rule in sampled[start:] if q is p and m == "jet" and rule is None]
+                    assert len(off) == _OFF_RULE.get(name, 0), (order, name, type(p).__name__)
+            assert [on_rule(p) for p in pots] == ([[m] for m in mu_side] if first else [[]] * len(pots))
         _assert_read_only(pots)
 
 

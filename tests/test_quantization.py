@@ -69,11 +69,11 @@ def test_model_validation():
 
 def test_round_potential_closed_forms():
     phi = round_potential()
-    m = phi.at_mu(MU)
+    m = phi.jet(MU)
     np.testing.assert_allclose(m.S, 2.0 * MU * (1.0 - MU), atol=1e-12)
-    np.testing.assert_allclose(phi.at_mu(0.5).v, -math.log(2.0), atol=1e-13)
+    np.testing.assert_allclose(phi.jet(0.5).v, -math.log(2.0), atol=1e-13)
     np.testing.assert_allclose(m.t, np.log(MU / (1.0 - MU)), atol=1e-11)
-    ends = phi.at_mu(np.array([1e-9, 1.0 - 1e-9]))
+    ends = phi.jet(np.array([1e-9, 1.0 - 1e-9]))
     np.testing.assert_allclose(ends.dS, [2.0, -2.0], atol=1e-8)
 
 
@@ -82,7 +82,7 @@ def test_profile_potentials_are_anchored_at_the_midpoint():
     # and t = 0 with no correction
     rng = np.random.default_rng(0)
     for _ in range(200):
-        m = random_potential(rng).at_mu(0.5)
+        m = random_potential(rng).jet(0.5)
         assert abs(m.t) <= 1e-16 and abs(m.v + math.log(2.0)) <= 1e-16
 
 
@@ -103,7 +103,7 @@ def test_profile_potential_d2S_matches_mpmath(scale):
         g = [mp.mpf(c) for c in co[::-1]]
         with mp.workdps(40):
             want = [float(mp.diff(lambda m: 2 * m * (1 - m) * mp.exp(m * (1 - m) * mp.polyval(g, m)), mp.mpf(x), 2)) for x in mu]
-        np.testing.assert_allclose(phi.at_mu(mu).d2S, want, rtol=0, atol=1e-12, err_msg=f"seed={seed}")
+        np.testing.assert_allclose(phi.jet(mu).d2S, want, rtol=0, atol=1e-12, err_msg=f"seed={seed}")
 
 
 def test_profile_potential_rejects_nonpositive_q():
@@ -119,54 +119,59 @@ def test_profile_potential_rejects_q_off_one_at_an_end(q):
 
 
 def _fs_of_random(seed, k=16, model=ToyModel(p=1.0)):
-    """FS of hilb of a random potential: a t-native potential at whose
-    momenta the inversion does not start at the root."""
+    """FS of hilb of a random potential: a t-native potential whose momenta
+    at the pulled-back points differ from the points u."""
     return fs(hilb(random_potential(np.random.default_rng(seed)), k, model), k, model)
 
 
-def test_mu_t_inversion_roundtrip():
-    phi = _fs_of_random(0)
-    np.testing.assert_allclose(phi.at_t(phi.at_mu(MU).t).mu, MU, atol=1e-11)
-    with pytest.raises(OutOfDomain):
-        phi.at_mu(np.array([0.0, 0.5]))
+def test_jets_reject_points_outside_the_open_interval():
+    # every comparison with NaN is false, so the gate must require u > 0 and
+    # u < 1, not reject u <= 0 or u >= 1, which would pass NaN on
+    for phi in (random_potential(np.random.default_rng(0)), _fs_of_random(0)):
+        for u in ([math.nan, 0.5], [0.0, 0.5], [0.5, 1.0], math.nan):
+            with pytest.raises(OutOfDomain):
+                phi.jet(np.array(u))
 
 
 def test_potential_derivative_chain():
-    # psi''(t) = S(mu)/2 at mu = mu(t), and the t-derivatives of psi are
-    # checked here by central differences of psi itself; S' and S'' of the
-    # momentum-side chain rules by central differences of S
+    # the t-derivatives of psi are checked by central differences of psi
+    # itself; S' and S'' of the jet's chain rules by central differences
+    # along t, as dS/dmu = (S(t + h) - S(t - h)) / (mu(t + h) - mu(t - h))
     phi = _fs_of_random(1)
     t = np.linspace(-4.0, 4.0, 41)
     h = 1e-4
     s, sp, sm = phi.at_t(t), phi.at_t(t + h), phi.at_t(t - h)
     d2 = (sp.psi - 2.0 * s.psi + sm.psi) / h**2
     np.testing.assert_allclose(s.psi2, d2, atol=1e-6)
-    np.testing.assert_allclose(s.psi2, phi.at_mu(s.mu).S / 2.0, atol=1e-10)
     d3 = (sp.psi2 - sm.psi2) / (2.0 * h)
     np.testing.assert_allclose(s.psi3, d3, atol=1e-6)
     d4 = (sp.psi3 - sm.psi3) / (2.0 * h)
     np.testing.assert_allclose(s.psi4, d4, atol=1e-5)
-    m, mp_, mm = phi.at_mu(MU), phi.at_mu(MU + h), phi.at_mu(MU - h)
-    np.testing.assert_allclose(m.dS, (mp_.S - mm.S) / (2.0 * h), atol=1e-6)
-    np.testing.assert_allclose(m.d2S, (mp_.dS - mm.dS) / (2.0 * h), atol=1e-5)
+    m = phi.jet(MU)
+    up, dn = (phi.jet(1.0 / (1.0 + np.exp(phi.beta - m.t - d))) for d in (h, -h))  # logit(u) + beta = t +- h
+    np.testing.assert_allclose(up.t - dn.t, 2.0 * h, atol=1e-12)
+    dmu = up.mu - dn.mu
+    np.testing.assert_allclose(m.dS, (up.S - dn.S) / dmu, atol=1e-6)
+    np.testing.assert_allclose(m.d2S, (up.dS - dn.dS) / dmu, atol=1e-5)
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0, 120.0, -120.0])
 @pytest.mark.parametrize("k", [8, 32, 64])
 def test_fs_of_binomial_norms_is_the_round_metric(k, b):
     # sum_j binom(k, j) e^{j(t+b)} = (1 + e^{t+b})^k, so log h_j =
-    # -log binom(k, j) - j b gives psi = log(1 + e^{t+b}) exactly: t(mu) =
-    # logit(mu) - b, S = 2 mu (1-mu), v = v_0(mu) - b mu and S'' = -4. The
-    # inversion starts at logit(mu) + beta with beta = -b in every gauge; one
-    # started at logit(mu) did not converge for |b| >= 99 at k = 8
-    mu = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
+    # -log binom(k, j) - j b gives psi = log(1 + e^{t+b}) exactly, with
+    # beta = -b: the pulled-back point t = logit(u) - b has mu = u, and there
+    # S = 2 mu (1-mu), v = v_0(mu) - b mu and S'' = -4
+    u = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
     phi = FSPotential(k, np.array([-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
-    s = phi.at_mu(mu)
+    s = phi.jet(u)
+    mu = s.mu
     # the softmax exponent j t - log h_j rounds by up to ~k |b| eps, a relative
-    # error of the weights, of which S = 2 Var_W[j]/k <= 1/2 takes at most
-    # half; the bound exceeds 1e-13 only at |b| = 120
+    # error of the weights, of which mu = E_W[j]/k and S = 2 Var_W[j]/k <= 1/2
+    # take at most half; the bound exceeds 1e-13 only at |b| = 120
     s_tol = max(1e-13, 0.5 * k * abs(b) * np.finfo(float).eps)
-    assert np.max(np.abs(s.t - (np.log(mu / (1.0 - mu)) - b))) <= 1e-11
+    assert np.max(np.abs(s.t - (np.log(u / (1.0 - u)) - b))) <= 1e-11
+    assert np.max(np.abs(mu - u)) <= s_tol
     assert np.max(np.abs(s.S - 2.0 * mu * (1.0 - mu))) <= s_tol
     assert np.max(np.abs(s.v - (mu * np.log(mu) + (1.0 - mu) * np.log(1.0 - mu) - b * mu))) <= 1e-13
     assert np.max(np.abs(s.d2S + 4.0)) <= 1e-8
@@ -174,50 +179,37 @@ def test_fs_of_binomial_norms_is_the_round_metric(k, b):
 
 @pytest.mark.parametrize("b", [120.0, -120.0])
 @pytest.mark.parametrize("k", [8, 32, 64])
-def test_gauge_shifted_fs_potentials_invert(k, b):
-    # log h -> log h + k a + j b maps psi(t) to psi(t - b) - a, so at each mu
-    # t moves by b, v by b mu + a, and S and S'' stay; the start
-    # logit(mu) + beta is off the root here, so Newton steps run
+def test_gauge_shifted_fs_potentials_sample_covariantly(k, b):
+    # log h -> log h + k a + j b maps psi(t) to psi(t - b) - a and moves beta
+    # by b, so at the same u the jet has the same mu, S, S' and S'', its t
+    # moves by b and its v by b mu + a, up to the rounding of the shifted
+    # exponent j t - log h_j (~k |b| eps, amplified in S'' by the 1/psi''^2
+    # of its cumulant cancellation)
     model = ToyModel(b0=1.0, p=4.0)
-    mu = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
+    u = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
     H = hilb(random_potential(np.random.default_rng(5), scale=0.8), k, model)
     a = 0.3
-    base = fs(H, k, model).at_mu(mu)
-    phi = fs(HermitianNorms(k=k, log_h=H.log_h + k * a + np.arange(k + 1) * b), k, model)
-    s = phi.at_mu(mu)
-    assert np.max(np.abs(np.log(mu / (1.0 - mu)) + phi.beta - s.t)) > 0.4
-    assert np.max(np.abs(s.t - base.t - b)) <= 1e-10
-    assert np.max(np.abs(s.v - base.v - b * mu - a)) <= 1e-12
-    assert np.max(np.abs(s.S - base.S)) <= 0.5 * k * abs(b) * np.finfo(float).eps  # as in the binomial case
-    assert np.max(np.abs(s.d2S - base.d2S)) <= 1e-8
-    assert np.max(np.abs(phi.at_t(s.t).mu - mu)) <= 1e-13
+    base = fs(H, k, model).jet(u)
+    s = fs(HermitianNorms(k=k, log_h=H.log_h + k * a + np.arange(k + 1) * b), k, model).jet(u)
+    ulp = k * abs(b) * np.finfo(float).eps
+    assert np.max(np.abs(s.mu - base.mu)) <= 0.5 * ulp
+    assert np.max(np.abs(s.S - base.S)) <= 0.5 * ulp
+    assert np.max(np.abs(s.dS - base.dS)) <= 4.0 * ulp
+    assert np.max(np.abs(s.d2S - base.d2S)) <= 1e3 * ulp
+    assert np.max(np.abs(s.t - base.t - b)) <= 4.0 * abs(b) * np.finfo(float).eps
+    assert np.max(np.abs(s.v - base.v - b * s.mu - a)) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [16, 64, 256])
-def test_fs_of_uniform_norms_inverts(k):
-    # h_j = 1: psi' = mu(t) climbs from 0 to 1 over |t| ~ 100/k, so Newton
-    # from logit(mu) cuts its steps to 1 in the flat tails; a cut step that
-    # landed on a bracket end retraced the last one, and the inversion
-    # cycled until NoConvergence for every k >= 16. The oracle is the
-    # closed form mu(t) = ((k+1)/(1 - e^{-(k+1)t}) - 1/(1 - e^{-t}))/k
-    mu = np.linspace(0.01, 0.99, 20)  # not 1/2, where t = 0 and the closed form reads 0/0
-    t = FSPotential(k, np.zeros(k + 1), 0.0).at_mu(mu).t
+def test_fs_of_uniform_norms_matches_the_closed_form(k):
+    # h_j = 1: psi' = mu(t) climbs from 0 to 1 over |t| ~ 100/k; its closed
+    # form mu(t) = ((k+1)/(1 - e^{-(k+1)t}) - 1/(1 - e^{-t}))/k, read at the
+    # jet's own t, is the jet's mu
+    u = np.linspace(0.01, 0.99, 20)  # not 1/2, where t = 0 and the closed form reads 0/0
+    s = FSPotential(k, np.zeros(k + 1), 0.0).jet(u)
     with mp.workdps(40):
-        exact = [float(((k + 1) / (1 - mp.exp(-(k + 1) * mp.mpf(x))) - 1 / (1 - mp.exp(-mp.mpf(x)))) / k) for x in t]
-    assert np.max(np.abs(np.array(exact) - mu)) <= 1e-14
-
-
-def test_rough_fs_potentials_invert():
-    # log h = 50 N(0, 1) + 0.97 j: psi'' is ~1e-49 over long stretches, so a
-    # root lies far beyond the start with no sign change to bracket it; with
-    # every step cut to 1 the inversion raised NoConvergence on draws 6 and 9
-    k = 8
-    rng = np.random.default_rng(0)
-    mu = np.linspace(0.01, 0.99, 99)
-    for _ in range(25):
-        phi = FSPotential(k, 50.0 * rng.normal(size=k + 1) + 0.97 * np.arange(k + 1), 0.0)
-        s = phi.at_mu(mu)
-        assert np.max(np.abs(phi.at_t(s.t).mu - mu)) <= 1e-13
+        exact = [float(((k + 1) / (1 - mp.exp(-(k + 1) * mp.mpf(x))) - 1 / (1 - mp.exp(-mp.mpf(x)))) / k) for x in s.t]
+    assert np.max(np.abs(np.array(exact) - s.mu)) <= 1e-14
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
@@ -245,7 +237,7 @@ def test_blend_potential_is_affine_in_psi():
 
 @pytest.mark.parametrize("b", [0.0, 40.0, -120.0])
 def test_blend_of_a_potential_with_itself_is_that_potential(b):
-    # the blend's Gram nodes and inversion start move with its parts' beta;
+    # the blend's Gram nodes and jet points move with its parts' beta;
     # at beta = 0 the Gram of a part shifted by b = 40 lost all but 5e-13 of
     # its dmu mass, and hilb was off by 260 in log h
     model, k = ToyModel(p=1.0), 8
@@ -254,7 +246,8 @@ def test_blend_of_a_potential_with_itself_is_that_potential(b):
     blend = BlendPotential([(0.5, a), (0.5, a)])
     assert blend.beta == a.beta
     np.testing.assert_allclose(hilb(blend, k, model).log_h, hilb(a, k, model).log_h, atol=1e-12)
-    np.testing.assert_allclose(blend.at_mu(MU).t, a.at_mu(MU).t, atol=1e-12)
+    for x, y in zip(blend.jet(MU), a.jet(MU)):
+        np.testing.assert_allclose(x, y, atol=1e-12)
 
 
 def test_shift_potential_moves_log_norms_exactly():
@@ -309,7 +302,7 @@ def _c_top_quadrature(phi, model):
     Gauss quadrature of the profile's Scal_p."""
     rule = gauss_legendre(256, 0.0, 1.0)
     w = rule.weights * model.f(rule.nodes) ** (-(model.p + 1.0))
-    return float(np.dot(weighted_scalar_toy(phi, model, rule.nodes), w)) / float(w.sum())
+    return float(np.dot(weighted_scalar_toy(phi.jet(rule.nodes), model), w)) / float(w.sum())
 
 
 def test_class_integrals_name_weight_data_whose_powers_overflow():
@@ -345,7 +338,7 @@ def test_round_is_extremal_for_p2_weight():
     # At (b0, p) = (1, 2) the round profile solves Scal_p = c exactly:
     # 4 f^2 + 2 f S' - 2 S = 8 identically for S = 2 mu (1 - mu), f = mu + 1.
     model = ToyModel(b0=1.0, p=2.0)
-    vals = weighted_scalar_toy(round_potential(), model, MU)
+    vals = weighted_scalar_toy(round_potential().jet(MU), model)
     np.testing.assert_allclose(vals, 8.0, atol=1e-10)
     np.testing.assert_allclose(c_top_exact(model), 8.0, rtol=1e-14)
 
@@ -552,7 +545,7 @@ def test_bergman_unweighted_constant():
     # density telescopes to the dimension count: (2 pi) B = (k+1)/k exactly.
     model = ToyModel(p=1.0)
     k = 7
-    B = bergman_density(round_potential(), k, model, np.ones(k + 1), MU)
+    B = bergman_density(round_potential(), k, model, np.ones(k + 1), round_potential().jet(MU))
     np.testing.assert_allclose(2.0 * math.pi * B, (k + 1.0) / k, rtol=1e-12)
 
 
@@ -562,9 +555,10 @@ def test_rho_decomposition_pointwise():
     rng = np.random.default_rng(5)
     for phi in (round_potential(), random_potential(rng)):
         spec = eigenvalues(k, model)
-        main = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), MU)
-        corr = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), MU)
-        lhs = rho_p(phi, k, model, MU)
+        s = phi.jet(MU)
+        main = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), s)
+        corr = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), s)
+        lhs = rho_p(phi, k, model, s)
         rhs = main - c_top_exact(model) / (4.0 * k) * corr
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -575,7 +569,7 @@ def test_rho_trace_recovers_weighted_dimension():
     phi = random_potential(np.random.default_rng(6))
     spec = eigenvalues(k, model)
     rule = gauss_legendre(256, 0.0, 1.0)
-    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, rule.nodes)))
+    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, phi.jet(rule.nodes))))
     np.testing.assert_allclose(total, float(np.sum(spec.lam_p)), rtol=1e-12)
 
 
@@ -586,7 +580,7 @@ def test_section_dimension_count():
     k = 6
     phi = round_potential()
     rule = gauss_legendre(256, 0.0, 1.0)
-    B = bergman_density(phi, k, model, np.ones(k + 1), rule.nodes)
+    B = bergman_density(phi, k, model, np.ones(k + 1), phi.jet(rule.nodes))
     total = 2.0 * math.pi * k * float(np.dot(rule.weights, B))
     np.testing.assert_allclose(total, k + 1.0, rtol=1e-12)
 
@@ -691,8 +685,7 @@ def test_balanced_k16_converges_under_default_max_iter():
 def test_balanced_weighted_failure_is_gauge_drift():
     # The weighted mode has only a relative fixed point: the iteration gives
     # up on the raw step, which stays at a pure gauge drift, while the step
-    # modulo span{1, j} reaches rounding level. The mu<->t inversion, whose
-    # NoConvergence reads differently, does not fail.
+    # modulo span{1, j} reaches rounding level.
     with pytest.raises(NoConvergence, match="balanced iteration did not reach") as err:
         balanced_iterate(round_potential(), 4, ToyModel(b0=1.0, p=4.0))
     found = re.search(r"last raw step (\S+), last step modulo span\{1, j\} (\S+)", str(err.value))
