@@ -46,6 +46,11 @@ in (-1, 1) iff Q has two real roots there; at kappa_0 they meet. In b,
 The first factor is c = 0, where Q = -(z+b)^2/(2b) has its double root at
 z = -b < -1: no threshold. q(1) = s_C < 0 and q'' > 0 on [1, inf), so q has
 one root b_0 > 1 (below the c = 0 point, where q > 0): kappa_0 = (1+b_0^2)/(2b_0).
+As q is convex there, Newton's method from any b > b_0 decreases monotonically
+to b_0; b = a + 2, a = (-s_C/6)^(1/3), is such a start, as q = 6b(b^3 - a^3)
+- 7b^2 + 1 >= 12b^3 - 7b^2 + 1 > 0 there. `kappa_zero` then reads min P at
+kappa_0 off the closed form and bounds it relative to P's largest coefficient:
+1 while |s_C| <= 34.5, and about kappa_0 as |s_C| grows.
 """
 
 from __future__ import annotations
@@ -71,8 +76,13 @@ __all__ = [
     "sweep",
 ]
 
-_KAPPA_ZERO_TOL = 1e-8  # bound on |min P| at the returned kappa0
+_KAPPA_ZERO_TOL = 1e-8  # bound on |min P| at the returned kappa0, per unit of P's largest |coefficient|
 _CLASSIFY_TOL = 1e-8  # |min P| band that a sweep labels DoubleRoot
+
+
+def _base_scal(X: RuledSurfaceData | None) -> float:
+    """s_C of X, or of the standard surface: s_C alone fixes kappa0 and the sweep."""
+    return RuledSurfaceData.standard(2.0).base_scal if X is None else X.base_scal
 
 
 def _surface(kappa: float, X: RuledSurfaceData | None) -> RuledSurfaceData:
@@ -119,10 +129,11 @@ def b_kappa(kappa: float) -> float:
 
 
 def _futaki_defect(kappa: np.ndarray, b: np.ndarray, sC: float) -> np.ndarray:
-    """The boundary system's least-squares residual |n.y|/|n| for stacks of
-    (kappa, b), n its signed 3x3 cofactors (module docstring); nan where kappa
-    is not finite and > 1 or b is not > 0. n and n.y are scaled by b^-6 and
-    written in u = 1/b, r = kappa/b, so that every factor is O(1)."""
+    """The boundary system's least-squares residual |n.y|/|n| for (kappa, b),
+    float64 scalars or stacks, n its signed 3x3 cofactors (module docstring);
+    nan where kappa is not finite and > 1 or b is not > 0. n and n.y are
+    scaled by b^-6 and written in u = 1/b, r = kappa/b, so that every factor
+    is O(1)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u, r = 1.0 / b, kappa / b
         # Q_0, Q_1 times b^-4 and Q_2, Q_3 times b^-3
@@ -131,17 +142,17 @@ def _futaki_defect(kappa: np.ndarray, b: np.ndarray, sC: float) -> np.ndarray:
         q2 = r * (3.0 - u * (2.0 - u)) + u * (1.0 - u * (4.0 - u))
         q3 = r * (3.0 + u * (2.0 + u)) - u * (1.0 + u * (4.0 + u))
         up, um = (1.0 + u) ** 2, (1.0 - u) ** 2  # (b+1)^2 and (b-1)^2 times b^-2
-        n = np.stack([-up * q0, um * q1, -up * (r - u) * q2, -um * (r + u) * q3], axis=1)
+        n = np.stack([-up * q0, um * q1, -up * (r - u) * q2, -um * (r + u) * q3], axis=-1)
         ny = 2.0 * u * (1.0 - 2.0 * r + u * u) * (4.0 * r - u * (sC * (1.0 - u * u) + 4.0 * u))
-        d = np.abs(ny) / np.sqrt(np.sum(n * n, axis=1))
+        d = np.abs(ny) / np.sqrt(np.sum(n * n, axis=-1))
     return np.where(np.isfinite(kappa) & (kappa > 1.0) & (b > 0.0), d, math.nan)
 
 
 def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For stacks of (kappa, b): P's coefficients in z, ascending (n, 5), and c
-    (n,) on the Futaki curve through b (module docstring), the Futaki defect
-    at (kappa, b) (n,), and where all three are finite (n,). Written in
-    u = 1/b, so that no power of b above b^2 is formed."""
+    """For (kappa, b), float64 scalars or stacks of shape (n,): P's coefficients
+    in z, ascending, along a last axis of 5, and c on the Futaki curve through
+    b (module docstring), the Futaki defect at (kappa, b), and where all three
+    are finite. Written in u = 1/b, so that no power of b above b^2 is formed."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = 1.0 / b
         e = 3.0 - u * u  # D / b^2
@@ -154,11 +165,11 @@ def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarra
                 -one,
                 u * (u * (u + sC) - 5.0) / (4.0 * e),
             ],
-            axis=1,
+            axis=-1,
         )
         c = 6.0 * b * b * (1.0 - u * u) * (1.0 + u * (sC - u)) / e
     defect = _futaki_defect(kappa, b, sC)
-    return coef, c, defect, np.isfinite(coef).all(axis=1) & np.isfinite(c) & np.isfinite(defect)
+    return coef, c, defect, np.isfinite(coef).all(axis=-1) & np.isfinite(c) & np.isfinite(defect)
 
 
 def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappaSolution:
@@ -168,10 +179,10 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     unless kappa is finite and > 1, b > 0 and all three are finite.
     """
     surf = _surface(kappa, X)
-    coef, c, defect, ok = _closed_form(np.array([kappa], dtype=float), np.array([b], dtype=float), surf.base_scal)
-    if not ok[0]:
+    coef, c, defect, ok = _closed_form(np.float64(kappa), np.float64(b), surf.base_scal)
+    if not ok:
         raise OutOfDomain(f"no finite solution at kappa = {kappa!r}, b = {b!r}: need kappa finite and > 1, b > 0")
-    return PKappaSolution(P=Polynomial(coef[0]), c=float(c[0]), futaki_residual=float(defect[0]), kappa=kappa, b=b, surface=surf)
+    return PKappaSolution(P=Polynomial(coef), c=float(c), futaki_residual=float(defect), kappa=kappa, b=b, surface=surf)
 
 
 def interior_min(P: Polynomial) -> tuple[float, float]:
@@ -209,34 +220,47 @@ def _interior_min(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):  # at a root far outside [-1, 1]
         for j in range(d - 1, -1, -1):
             pv = coef[:, j : j + 1] + pv * z
-    i = np.argmin(np.where(crit, pv, np.inf), axis=1)[:, None]
-    found = crit.any(axis=1)
-    return (
-        np.where(found, np.take_along_axis(pv, i, axis=1)[:, 0], math.inf),
-        np.where(found, np.take_along_axis(z, i, axis=1)[:, 0], math.nan),
-    )
+    pv[~crit], z[~crit] = math.inf, math.nan  # a row with no critical point reads (+inf, nan)
+    i = np.arange(n), np.argmin(pv, axis=1)
+    return pv[i], z[i]
 
 
 def kappa_zero(X: RuledSurfaceData | None = None) -> float:
-    """Threshold kappa_0 = (1+b_0^2)/(2b_0), b_0 > 1 the root of the quartic
-    q(b) = 6b^4 - 7b^2 + s_C b + 1; disc Q's other factor, c = 0, puts the
-    double root at z = -b outside [-1, 1] (module docstring). b_0 is the top
-    real part of q's roots (the rest are < 1 or complex with Re < 0), Newton-
-    polished twice, then checked once: SearchFailed if |min P| exceeds
-    _KAPPA_ZERO_TOL there. OutOfDomain if kappa0 rounds to 1, where
-    kappa0 - 1 ~ s_C^2/200 is below float resolution (|s_C| < ~1e-7).
+    """Threshold kappa_0 = (1+b_0^2)/(2b_0), b_0 > 1 the root of the convex
+    quartic q(b) = 6b^4 - 7b^2 + s_C b + 1 (module docstring): Newton from
+    b = 2 + (-s_C/6)^(1/3) until a step no longer decreases b, then two
+    polishing steps. Checked once, off the closed-form coefficient row at
+    (kappa_0, b_kappa(kappa_0)): SearchFailed unless |min P|, P at its lowest
+    interior critical point, is within _KAPPA_ZERO_TOL times P's largest
+    |coefficient|. OutOfDomain if q overflows a float near b_0 (|s_C| beyond
+    ~1e241), or if kappa0 rounds to 1, where kappa0 - 1 ~ s_C^2/200 is below
+    float resolution (|s_C| < ~1e-7).
     """
-    sC = _surface(2.0, X).base_scal  # s_C alone fixes kappa_0; 2.0 is a placeholder kappa
-    b0 = float(np.roots([6.0, 0.0, -7.0, sC, 1.0]).real.max())
-    for _ in range(2):  # Newton on q, with q' = 24b^3 - 14b + s_C
-        b0 -= (((6.0 * b0 * b0 - 7.0) * b0 + sC) * b0 + 1.0) / ((24.0 * b0 * b0 - 14.0) * b0 + sC)
+    sC = _base_scal(X)
+
+    def newton(b: float) -> float:  # a Newton step on q, with q' = 24b^3 - 14b + s_C
+        return b - (((6.0 * b * b - 7.0) * b + sC) * b + 1.0) / ((24.0 * b * b - 14.0) * b + sC)
+
+    a = (-sC / 6.0) ** (1.0 / 3.0)
+    b0 = a + 2.0
+    # a step is nan once q overflows, and it may rise from the first b where
+    # a + 2 rounds to a: either ends the loop
+    while (b1 := newton(b0)) < b0:
+        b0 = b1
+    b0 = newton(newton(b1))
     kappa0 = 0.5 * (b0 + 1.0 / b0)
+    if not math.isfinite(kappa0):
+        raise OutOfDomain(f"q(b) = 6b^4 - 7b^2 + s_C b + 1 overflows a float near its root b0 ~ (-s_C/6)^(1/3) = "
+                          f"{a:.3g} at s_C = {sC!r}")
     if not kappa0 > 1.0:
         raise OutOfDomain(f"kappa0 rounds to 1: kappa0 - 1 ~ s_C^2/200 = {sC * sC / 200.0:.3g} at s_C = {sC!r} "
                           "is below float resolution")
-    m, _ = interior_min(solve_P(kappa0, b_kappa(kappa0), X).P)
-    if not abs(m) <= _KAPPA_ZERO_TOL:
-        raise SearchFailed(f"|min P| = {abs(m):.3e} at kappa0 = {kappa0!r} exceeds {_KAPPA_ZERO_TOL:.3e}")
+    coef, _, _, _ = _closed_form(np.float64(kappa0), np.float64(b_kappa(kappa0)), sC)
+    m = abs(float(_interior_min(coef[None, :])[0][0]))
+    scale = float(np.abs(coef).max())  # 1 unless |p0|, |p2| or |p4| exceeds 1
+    if not m <= _KAPPA_ZERO_TOL * scale:
+        raise SearchFailed(f"|min P| = {m:.3e} at kappa0 = {kappa0!r} exceeds {_KAPPA_ZERO_TOL:.3e} times P's "
+                           f"largest |coefficient|, {scale:.3g}")
     return kappa0
 
 
@@ -271,7 +295,7 @@ def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: li
     kappa^2 overflows near 1e154), raises OutOfDomain; given a list `errors`,
     it is left out of the rows instead and appended there as
     (kappa, "OutOfDomain"), in the order of kappas."""
-    sC = _surface(2.0, X).base_scal  # 2.0 is a placeholder kappa, as in kappa_zero
+    sC = _base_scal(X)
     k = np.fromiter(kappas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         b = k + np.sqrt(k * k - 1.0)

@@ -91,6 +91,20 @@ def test_sweep_rows_equal_single_solves_bit_for_bit():
             assert (row.min_P, row.argmin_z, row.label) == (m, zm, ckem._label(m))
 
 
+def test_solve_P_on_scalars_is_the_stacked_closed_form_bit_for_bit():
+    # one closed form serves a single kappa and a stack: P's coefficients,
+    # c and the Futaki defect of solve_P equal the stacked rows of sweep
+    rng = np.random.default_rng(33)
+    X = RuledSurfaceData.standard(1.5, genus=3, degree=2)
+    ks = 1.0 + np.exp(rng.uniform(math.log(1e-3), math.log(1e8), 50))
+    rows = sweep(ks, X)
+    coef = ckem._closed_form(ks, np.array([r.b_kappa for r in rows]), X.base_scal)[0]
+    for k, row, want in zip(ks, rows, coef, strict=True):
+        sol = solve_P(k, row.b_kappa, X)
+        assert sol.P.coef.tobytes() == want.tobytes()
+        assert (sol.c, sol.futaki_residual) == (row.c, row.futaki_residual)
+
+
 def test_sweep_names_each_rejected_kappa():
     # the closed form stays finite up to kappa ~ 6.7e153, where c ~ 8 kappa^2
     # overflows; 1e10 is a solved row
@@ -174,6 +188,14 @@ def test_kappa_zero_names_s_C_when_kappa0_rounds_to_one():
     assert kappa_zero(RuledSurfaceData.standard(1.5, genus=2, degree=10**7)) > 1.0
     with pytest.raises(OutOfDomain, match=r"kappa0 rounds to 1: .* s_C = -4e-08 is below float resolution"):
         kappa_zero(RuledSurfaceData.standard(1.5, genus=2, degree=10**8))
+
+
+def test_kappa_zero_names_the_overflow_of_q_at_huge_s_C():
+    # at s_C = -4e300, q(b) = 6b^4 - ... overflows a float near its root
+    # b0 ~ 8.7e99: the fault is the overflow, not a kappa0 that rounds to 1
+    with pytest.raises(OutOfDomain, match=r"overflows a float .* = 8.74e\+99 at s_C = -4e\+300$") as exc:
+        kappa_zero(RuledSurfaceData.standard(1.5, genus=10**300, degree=1))
+    assert "rounds to 1" not in str(exc.value)
 
 
 def test_kappa_zero_follows_its_large_s_C_law():

@@ -236,6 +236,14 @@ def test_kappa0_names_s_C_when_kappa0_rounds_to_one(workdir, capsys):
     assert out == "" and err.startswith("OutOfDomain: kappa0 rounds to 1: ") and "s_C = -4e-08" in err
 
 
+def test_kappa0_names_the_overflow_of_q_at_huge_s_C(workdir, capsys):
+    # genus 10^300: q overflows a float near its root, and the command says
+    # so (exit 1), where it said that kappa0 rounds to 1
+    assert main(["kappa0", "--genus", "1" + "0" * 300, "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("OutOfDomain: ") and "overflows a float" in err and "rounds to 1" not in err
+
+
 @pytest.mark.parametrize("kappa_range", ["1.5:inf:3", "-inf:2:3", "1.5:nan:3"])
 def test_pkappa_rejects_a_range_with_an_endpoint_that_is_not_finite(kappa_range, workdir, capsys):
     # linspace would turn 0 * inf into a nan kappa where the range names 1.5

@@ -13,12 +13,18 @@ system in (p_0..p_4, c) is consistent; the oracle solves it by 40-digit QR
 (mpmath), where kahlerlab writes P and c in closed form in 1/b. kappa0 is
 where P gets an interior double root: a bisection on the interior minimum of
 P brackets it, and Newton on (P, P') = 0 in (kappa, z) finishes.
+
+A second oracle reads kappa0 off the quartic q(b) = 6b^4 - 7b^2 + s_C b + 1,
+whose root b0 > 1 gives kappa0 = (1+b0^2)/(2b0): a bisection at 50 digits,
+to a relative width of 1e-30, at the exact s_C = 4(1-genus)/degree, over a
+scan of surfaces up to |s_C| ~ 4e39.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from kahlerlab import ckem
 from kahlerlab.calabi import RuledSurfaceData, to_symplectic
 from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
 from kahlerlab.mabuchi import SymplecticPotential, mabuchi_energy_amt
@@ -27,6 +33,10 @@ DPS = 40
 P_WEIGHT = 4
 # the (genus, degree) surfaces of the benchmark grid, s_C = 4(1-g)/d distinct
 GRID = ((2, 1), (3, 1), (2, 2), (4, 1), (2, 3), (5, 1), (4, 5), (2, 5))
+# the (genus, degree) scan of the q-root oracle: 960 surfaces, s_C from -4e-7 to -4e39
+SCAN = [
+    (g, d) for g in (*range(2, 60), *(10**e for e in range(2, 40))) for d in (1, 2, 3, 5, 7, 10, 10**2, 10**3, 10**5, 10**7)
+]
 
 
 def _numerator(kappa, s_c):
@@ -98,6 +108,48 @@ def _oracle_kappa0(genus, degree):
         k0, _ = mp.findroot(double_root, ((lo + hi) / 2, m((lo + hi) / 2)[1]))
         assert _numerator(k0, s_c)[1] < mp.mpf(10) ** (-DPS + 8)
         return float(k0)
+
+
+def _q_root_kappa0(genus, degree):
+    """kappa0 = (1+b0^2)/(2b0) to 1e-30, b0 the root in (1, inf) of
+    q(b) = 6b^4 - 7b^2 + s_C b + 1 by bisection: with a = (-s_C/6)^(1/3),
+    q < 0 at max(1, a) (q(1) = s_C, q(a) = 1 - 7a^2) and q > 0 at a + 2."""
+    with mp.workdps(50):
+        s_c = mp.mpf(4 * (1 - genus)) / degree
+        a = (-s_c / 6) ** (mp.mpf(1) / 3)
+        lo, hi = max(mp.mpf(1), a), a + 2
+        while hi - lo > hi * mp.mpf(10) ** -30:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if ((6 * mid * mid - 7) * mid + s_c) * mid + 1 < 0 else (lo, mid)
+        b0 = (lo + hi) / 2
+        return (1 + b0 * b0) / (2 * b0)
+
+
+def test_kappa_zero_matches_the_q_root_over_the_scan():
+    # worst and mean relative error of kappa0 against the bisected root, no
+    # worse than those of the root the companion eigenvalues of q gave, with
+    # the same Newton polish (1.85e-16 and 5.75e-17 over the scan); 74 of the
+    # 960 kappa0 move by one ulp between the two, and none raises
+    errs = []
+    for genus, degree in SCAN:
+        oracle = _q_root_kappa0(genus, degree)
+        k0 = kappa_zero(RuledSurfaceData.standard(1.5, genus=genus, degree=degree))
+        with mp.workdps(50):
+            errs.append(float(abs(k0 - oracle) / oracle))
+    assert max(errs) <= 1.8454532496732187e-16
+    assert np.mean(errs) <= 5.745278497069703e-17
+
+
+def test_kappa_zero_at_genus_10_to_the_23_meets_its_scaled_bound():
+    # P's largest |coefficient| is about kappa0 ~ 2e7 here, and |min P| at
+    # kappa0 reads 1.2e-8: a bound of 1e-8 per unit of that coefficient holds,
+    # where an absolute one failed with kappa0 within 1e-16 of the root
+    X = RuledSurfaceData.standard(1.5, genus=10**23, degree=1)
+    k0 = kappa_zero(X)
+    with mp.workdps(50):
+        assert float(abs(k0 - _q_root_kappa0(10**23, 1)) / k0) <= 2.0**-52
+    P = solve_P(k0, b_kappa(k0), X).P
+    assert abs(interior_min(P)[0]) <= ckem._KAPPA_ZERO_TOL * np.max(np.abs(P.coef))
 
 
 @pytest.mark.parametrize("genus,degree", GRID)
