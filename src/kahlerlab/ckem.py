@@ -176,12 +176,14 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     """P and c in closed form on the Futaki curve through b, with the
     boundary system's Futaki defect at (kappa, b): 0 up to rounding on the
     curve kappa = (1+b^2)/(2b), where P solves the system exactly. OutOfDomain
-    unless kappa is finite and > 1, b > 0 and all three are finite.
+    unless kappa is finite and > 1, b > 0 and all three are finite; it names an overflow.
     """
     surf = _surface(kappa, X)
     coef, c, defect, ok = _closed_form(np.float64(kappa), np.float64(b), surf.base_scal)
-    if not ok:
+    if not (math.isfinite(kappa) and kappa > 1.0 and b > 0.0):
         raise OutOfDomain(f"no finite solution at kappa = {kappa!r}, b = {b!r}: need kappa finite and > 1, b > 0")
+    if not ok:
+        raise OutOfDomain(f"the closed form overflows a float at kappa = {kappa!r}, s_C = {surf.base_scal!r}")
     return PKappaSolution(P=Polynomial(coef), c=float(c), futaki_residual=float(defect), kappa=kappa, b=b, surface=surf)
 
 
@@ -291,10 +293,10 @@ class SweepRow(NamedTuple):
 def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: list | None = None) -> list[SweepRow]:
     """One row per kappa, at b = b_kappa(kappa), all from one stacked closed form.
 
-    A kappa that is not finite and > 1, or whose row is not finite (c ~ 8
-    kappa^2 overflows near 1e154), raises OutOfDomain; given a list `errors`,
-    it is left out of the rows instead and appended there as
-    (kappa, "OutOfDomain"), in the order of kappas."""
+    A kappa that is not finite and > 1, or else whose row overflows (c ~ 8
+    kappa^2 + 4 s_C kappa: near 1e154, or sooner at huge |s_C|), raises an
+    OutOfDomain that names the cause; given a list `errors`, it is left out of
+    the rows and appended there as (kappa, "OutOfDomain"), in their order."""
     sC = _base_scal(X)
     k = np.fromiter(kappas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,7 +304,9 @@ def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: li
     coef, c, defect, ok = _closed_form(k, b, sC)
     if not ok.all():
         if errors is None:
-            raise OutOfDomain(f"no finite solution at kappa = {k[~ok].tolist()}: need kappa finite and > 1")
+            if (bad := ~(np.isfinite(k) & (k > 1.0))).any():
+                raise OutOfDomain(f"no finite solution at kappa = {k[bad].tolist()}: need kappa finite and > 1")
+            raise OutOfDomain(f"the closed form overflows a float at kappa = {k[~ok].tolist()}, s_C = {sC!r}")
         errors.extend((kap, "OutOfDomain") for kap in k[~ok].tolist())
     m, zm = _interior_min(coef[ok])
     cols = (k[ok], b[ok], c[ok], defect[ok], m, zm)

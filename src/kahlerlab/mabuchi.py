@@ -6,8 +6,8 @@ u''(z) = 1/Theta(z): the closed-form energy
     M(u) = int P_k(z) (z+b)^{-3} (u'' - u_ref'') dz
          - int (z+kappa) (z+b)^{-3} log(u''/u_ref'') dz,
 
-its gradient, the divergence probe along u_k'' = u_ref'' + k * bump, and the
-path integral of the 1-form
+its gradient, the divergence probe along u_k'' = u_ref'' + k * bump (every k
+on one sample of the bump's support), and the path integral of the 1-form
 
     (dM)(u_dot) = int u_dot (Scal_{(xi,b,4)} - c) (z+b)^{-(p+1)} (z+kappa) dz,
 
@@ -218,29 +218,25 @@ def probe_bump(sol: PKappaSolution) -> BumpDirection:
 def unboundedness_probe(
     sol: PKappaSolution, bump: BumpDirection, k_list: Iterable[float]
 ) -> list[float]:
-    """Energies M(u_k), u_k'' = u_ref'' + k * bump.
+    """Energies M(u_k), u_k'' = u_ref'' + k * bump; k = 0 gives M(reference) = 0.
 
-    Requires P_kappa < 0 on the closed support of the bump (the divergence
-    mechanism needs the first integral's slope to be negative); BadDirection
-    otherwise. k = 0 gives M(reference) = 0.
+    OutOfDomain if some k < 0, checked first. P, the bump and f^{-3} are sampled
+    once, on `_support_rule`'s nodes; BadDirection unless P < 0 there and at the
+    support's two ends (P = (1-z^2) N, N convex: the ends decide the sign).
     """
-    zs = np.linspace(bump.center - bump.radius, bump.center + bump.radius, 257)
-    if np.max(sol.P(zs)) >= 0.0:
+    k = np.fromiter(k_list, dtype=float)
+    if np.any(k < 0.0):
+        raise OutOfDomain("probe parameter k must be >= 0")
+    z, w = _support_rule(bump)
+    P = sol.P(np.concatenate((z, (bump.center - bump.radius, bump.center + bump.radius))))
+    if np.max(P) >= 0.0:
         raise BadDirection("bump support must lie inside the region where P < 0")
-    rule = _support_rule(bump)
-    z = rule.nodes
-    weight = rule.weights * (z + sol.kappa) * (z + sol.b) ** (-3.0)
-    bz = bump(z)
+    f3, bz = (z + sol.b) ** (-3.0), bump(z)
     # With D_k = 1 + k (1-z^2) bump: M(u_k) = k int P f^{-3} bump
     #                                  - int (z+kappa) f^{-3} log D_k.
-    lead = probe_slope(sol, bump)
-    out = []
-    for k in k_list:
-        if k < 0.0:
-            raise OutOfDomain("probe parameter k must be >= 0")
-        logd = np.log1p(k * (1.0 - z * z) * bz)
-        out.append(float(k * lead - np.dot(weight, logd)))
-    return out
+    lead = float(np.dot(w, P[:-2] * f3 * bz))
+    logd = np.log1p(k[:, None] * (1.0 - z * z) * bz)
+    return (k * lead - logd @ (w * (z + sol.kappa) * f3)).tolist()
 
 
 def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float:

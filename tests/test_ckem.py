@@ -198,6 +198,20 @@ def test_kappa_zero_names_the_overflow_of_q_at_huge_s_C():
     assert "rounds to 1" not in str(exc.value)
 
 
+def test_solve_P_and_sweep_name_the_overflow_of_the_closed_form():
+    # at genus 10^235 kappa_zero returns kappa0 ~ 9.4e77, a finite kappa > 1,
+    # but c ~ 8 kappa^2 + 4 s_C kappa overflows a float: the error names the
+    # overflow and s_C, not the domain of kappa
+    X = RuledSurfaceData.standard(1.5, genus=10**235, degree=1)
+    k0 = kappa_zero(X)
+    for solve in (lambda: solve_P(k0, b_kappa(k0), X), lambda: sweep([k0], X)):
+        with pytest.raises(OutOfDomain, match=r"overflows a float at kappa = .*, s_C = -4e\+235$") as exc:
+            solve()
+        assert "need kappa finite" not in str(exc.value)
+    errors = []
+    assert [r.kappa for r in sweep([k0, 1.5], X, errors=errors)] == [1.5] and errors == [(k0, "OutOfDomain")]
+
+
 def test_kappa_zero_follows_its_large_s_C_law():
     # kappa0 ~ (|s_C|/48)^(1/3) as s_C -> -inf; the ratio falls to 1 (1.083 at
     # genus 100), and |min P| stays within ckem._KAPPA_ZERO_TOL at genus 10^5

@@ -244,6 +244,16 @@ def test_kappa0_names_the_overflow_of_q_at_huge_s_C(workdir, capsys):
     assert out == "" and err.startswith("OutOfDomain: ") and "overflows a float" in err and "rounds to 1" not in err
 
 
+def test_kappa0_names_the_overflow_of_the_closed_form(workdir, capsys):
+    # genus 10^235: kappa_zero returns kappa0 ~ 9.4e77, but the sweep's closed
+    # form overflows there; the command names the overflow (exit 1), where it
+    # said that kappa must be finite and > 1
+    assert main(["kappa0", "--genus", "1" + "0" * 235, "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("OutOfDomain: the closed form overflows a float at kappa = ")
+    assert "s_C = -4e+235" in err and "need kappa finite" not in err
+
+
 @pytest.mark.parametrize("kappa_range", ["1.5:inf:3", "-inf:2:3", "1.5:nan:3"])
 def test_pkappa_rejects_a_range_with_an_endpoint_that_is_not_finite(kappa_range, workdir, capsys):
     # linspace would turn 0 * inf into a nan kappa where the range names 1.5

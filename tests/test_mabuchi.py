@@ -85,6 +85,41 @@ def test_probe_requires_negative_region():
         unboundedness_probe(sol, BumpDirection(0.0, 0.2), [1.0])
 
 
+def test_probe_samples_its_support_once(monkeypatch):
+    # one call builds the support rule once and calls the bump once: the P < 0
+    # gate, the leading term and every k read that one sample
+    sol = _sol(0.5 * (1.0 + kappa_zero()))
+    bump = probe_bump(sol)
+    calls = {"rule": 0, "bump": 0}
+    rule, call = mabuchi._support_rule, BumpDirection.__call__
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mabuchi, "_support_rule", counted("rule", rule))
+    monkeypatch.setattr(BumpDirection, "__call__", counted("bump", call))
+    energies = unboundedness_probe(sol, bump, [float(k) for k in range(65)])
+    assert calls == {"rule": 1, "bump": 1} and len(energies) == 65
+
+
+def test_probe_rejects_a_negative_k_before_sampling(monkeypatch):
+    # a negative k anywhere in the list is named before any rule is built,
+    # and before a bad support (here P > 0 on it) is
+    def no_rule(bump):
+        raise AssertionError("support rule built before the k were checked")
+
+    sol = _sol(0.5 * (1.0 + kappa_zero()))
+    bump = probe_bump(sol)
+    monkeypatch.setattr(mabuchi, "_support_rule", no_rule)
+    with pytest.raises(OutOfDomain, match="k must be >= 0"):
+        unboundedness_probe(sol, bump, [1.0, -1.0])
+    with pytest.raises(OutOfDomain, match="k must be >= 0"):
+        unboundedness_probe(_sol(1.5), BumpDirection(0.0, 0.2), [1.0, -1.0])
+
+
 def test_probe_diverges_below_threshold():
     k0 = kappa_zero()
     sol = _sol(0.5 * (1.0 + k0))
@@ -156,8 +191,9 @@ def test_probe_bump_stays_inside_the_negative_region():
 
 @pytest.mark.parametrize("genus, degree", [(2, 1), (2, 5), (5, 1)])
 def test_probe_terms_match_mpmath_on_the_bump_support(genus, degree):
-    # the leading term int P f^{-3} bump and E(64) against 40-digit tanh-sinh
-    # quadrature on the support; at (2, 5) the bump's radius is 0.0295
+    # the leading term int P f^{-3} bump and E(k) at k = 0, 0.5, 8 and 64, all
+    # from one probe call, against 40-digit tanh-sinh quadrature on the
+    # support; at (2, 5) the bump's radius is 0.0295
     X = RuledSurfaceData.standard(1.5, genus=genus, degree=degree)
     kappa = 0.5 * (1.0 + kappa_zero(X))
     sol = solve_P(kappa, b_kappa(kappa), X)
@@ -171,10 +207,17 @@ def test_probe_terms_match_mpmath_on_the_bump_support(genus, degree):
             return a * mp.exp(-1 / (1 - s * s)) if abs(s) < 1 else mp.mpf(0)
 
         lead = mp.quad(lambda z: mp.polyval(P, z) * (z + b) ** -3 * bz(z), [c - r, c, c + r])
-        logs = mp.quad(lambda z: (z + kappa) * (z + b) ** -3 * mp.log1p(64 * (1 - z * z) * bz(z)), [c - r, c, c + r])
-        want = float(64 * lead - logs)
+
+        def energy(k):
+            k = mp.mpf(k)
+            logs = mp.quad(lambda z: (z + kappa) * (z + b) ** -3 * mp.log1p(k * (1 - z * z) * bz(z)), [c - r, c, c + r])
+            return float(k * lead - logs)
+
+        ks = [0.0, 0.5, 8.0, 64.0]
+        want = [energy(k) for k in ks]
     assert abs(probe_slope(sol, bump) - float(lead)) <= 1e-14
-    assert abs(unboundedness_probe(sol, bump, [64.0])[0] - want) <= 1e-12
+    got = unboundedness_probe(sol, bump, ks)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (got, want)
 
 
 def test_path_integral_closes_on_loops():
