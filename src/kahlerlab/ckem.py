@@ -174,8 +174,9 @@ def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarra
 
 def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappaSolution:
     """P and c in closed form on the Futaki curve through b, with the
-    boundary system's Futaki defect at (kappa, b): 0 up to rounding on the
-    curve kappa = (1+b^2)/(2b), where P solves the system exactly. OutOfDomain
+    boundary system's Futaki defect at (kappa, b). The defect is absolute:
+    on the curve kappa = (1+b^2)/(2b), where P solves the system exactly, it
+    is the rounding of terms of size |s_C|, about 1.2e-17 |s_C|. OutOfDomain
     unless kappa is finite and > 1, b > 0 and all three are finite; it names an overflow.
     """
     surf = _surface(kappa, X)
@@ -291,7 +292,8 @@ class SweepRow(NamedTuple):
 
 
 def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: list | None = None) -> list[SweepRow]:
-    """One row per kappa, at b = b_kappa(kappa), all from one stacked closed form.
+    """One row per kappa, at b = b_kappa(kappa), all from one stacked closed
+    form; each row's Futaki defect is absolute, about 1.2e-17 |s_C| (`solve_P`).
 
     A kappa that is not finite and > 1, or else whose row overflows (c ~ 8
     kappa^2 + 4 s_C kappa: near 1e154, or sooner at huge |s_C|), raises an

@@ -22,14 +22,12 @@ all the energy ever sees).
 Numerically, u'' blows up like 1/(1-z^2) at the endpoints, so potentials are
 stored through the bounded ratio D(z) = (1-z^2) u''(z) (D(+-1) = 1 for
 admissible u); energy integrands are written in terms of D - 1 and log D,
-which are bounded. Along a path, u_dot generically picks up
-(1 -+ z) log(1 -+ z) endpoint terms; the path integrand is bounded but has
-endpoint derivative blow-up, integrated on a geometrically graded mesh.
-u_dot is linear in W = (1-z^2) u_dot'', so it is one precomputed
-half-operator (built once per process, the rows for z > 0 only; z < 0
-reads it on W reversed). Paths are straight in Theta; with Scal_p affine
-in the jet, the t-integral folds into two u_dot products, not one per node
-of the t-rule.
+which are bounded. Paths are straight in Theta between admissible profiles,
+whose Theta_dot vanishes to second order at z = +-1, so u_dot'' =
+-Theta_dot/Theta_t^2 is bounded and smooth: u_dot is one precomputed linear
+map of its samples (built once per process), and the path integrand is
+integrated on one Gauss rule. With Scal_p affine in the jet, the t-integral
+folds into two u_dot columns, not one per node of the t-rule.
 """
 
 from __future__ import annotations
@@ -40,10 +38,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .calabi import KillingData, Profile, scal_p_on, weighted_average_c
+from .calabi import KillingData, Profile, check_boundary, scal_p_on, weighted_average_c
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
-from .numerics import _cheb_projector, composite_gauss, gauss_legendre, graded_rule
+from .numerics import _cheb_projector, composite_gauss, gauss_legendre
 
 __all__ = [
     "SymplecticPotential",
@@ -259,9 +257,10 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 # -- path integral ----------------------------------------------------------
 
 
-# u_dot is read from W on these nodes by one precomputed half-operator,
-# built once per process from the interpolant there (_udot_half_operator)
-_UDOT_Z = cheb.chebpts1(192)
+# u_dot'' is sampled on _UDOT_Z and u_dot read on the z-rule's nodes by one
+# precomputed operator (_udot_operator)
+_UDOT_Z = cheb.chebpts1(128)
+_Z_ORDER = 256  # Gauss nodes of the z-rule on [-1, 1]
 _PATH_ORDER = 64  # Gauss nodes of the t-rule along a path
 
 
@@ -270,8 +269,8 @@ class PathFamily(NamedTuple):
     reads it: the endpoints' samples, taken once when the path is built.
 
     `kappa` is the class of every Theta_t; `jets` the two endpoint jets
-    (Theta, Theta', ((z+kappa) Theta)'') on the nodes of `graded_rule()`;
-    `thetas` the two endpoint Theta on _UDOT_Z.
+    (Theta, Theta', ((z+kappa) Theta)'') on the nodes of the z-rule
+    (`gauss_legendre(_Z_ORDER)`); `thetas` the two endpoint Theta on _UDOT_Z.
     """
 
     kappa: float
@@ -280,11 +279,17 @@ class PathFamily(NamedTuple):
 
 
 def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
-    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree). Theta_t is a
-    convex blend: positive endpoints are enough."""
+    """Theta_t = (1-t) Theta_0 + t Theta_1 (kappa must agree). NotAdmissible
+    unless both endpoints pass `check_boundary`: Theta(+-1) = 0 and
+    Theta'(+-1) = -+2 on both make u_dot'' smooth up to z = +-1. Theta_t is
+    a convex blend, so positive endpoints keep it positive."""
     if p0.kappa != p1.kappa:
         raise OutOfDomain("profiles must share kappa")
-    zq = graded_rule().nodes
+    for p in (p0, p1):
+        report = check_boundary(p)
+        if not report.passes:
+            raise NotAdmissible(f"path endpoint fails the boundary conditions (defects {report.defects!r})")
+    zq = gauss_legendre(_Z_ORDER).nodes
     return PathFamily(
         kappa=p0.kappa,
         jets=(p0.jet(zq), p1.jet(zq)),
@@ -293,50 +298,16 @@ def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
 
 
 @lru_cache(maxsize=1)
-def _udot_half_operator() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(K, G, E), the read-only parts of the linear map W -> u_dot on the
-    graded nodes z > 0, where W = (1-z^2) u_dot'' is sampled on _UDOT_Z.
-
-    A, B = E @ W are the halves of the endpoint values of W's interpolant
-    (degree 191, unchopped: the map is linear). They carry the exact terms
-    A g+ + B g-, g+-(z) = (1+-z) log(1+-z) -+ z (G's columns). K @ r
-    interpolates the bounded remainder r = (W - A(1-z) - B(1+z))/(1-z^2) and
-    integrates it twice; `chebint` anchors both integrals at 0, fixing the
+def _udot_operator() -> np.ndarray:
+    """The read-only linear map from u_dot'' on _UDOT_Z to u_dot on the
+    z-rule's nodes: interpolate (degree 127, unchopped: the map is linear)
+    and integrate twice. `chebint` anchors both integrals at 0, fixing the
     affine gauge u_dot(0) = u_dot'(0) = 0, which the 1-form ignores on the
-    Futaki curve. r is formed from each W's samples: folding the division by
-    1-z^2 into K cancels terms of size 1/(1-z^2) after rounding them, 20x the
-    error on W with nonzero endpoint values. The graded nodes and _UDOT_Z
-    mirror under z -> -z and the map commutes with it, so K keeps only the
-    rows for z > 0 (see _udot_on).
-    """
+    Futaki curve."""
     n = len(_UDOT_Z)
-    pj = _cheb_projector(n)
-    E = 0.5 * cheb.chebvander(np.array([-1.0, 1.0]), n - 1) @ pj
-    s2 = cheb.chebint(pj, m=2)
-    del pj
-    zq = graded_rule().nodes
-    zr = zq[len(zq) // 2 :]
-    K = np.empty((len(zr), n))
-    for i in range(0, len(zr), 32):  # row chunks keep the build's temporaries small
-        np.matmul(cheb.chebvander(zr[i : i + 32], n + 1), s2, out=K[i : i + 32])
-    G = np.stack(((1.0 + zr) * np.log1p(zr) - zr, (1.0 - zr) * np.log1p(-zr) + zr), axis=1)
-    for x in (K, G, E):
-        x.flags.writeable = False
-    return K, G, E
-
-
-def _udot_on(w: np.ndarray) -> np.ndarray:
-    """u_dot on all graded nodes from W = (1-z^2) u_dot'' on _UDOT_Z.
-
-    Reversing W mirrors u_dot and swaps A and B, so the nodes z < 0 read the
-    half-operator on W reversed: both halves are one (n/2 x 192) @ (192 x 2)
-    product.
-    """
-    K, G, E = _udot_half_operator()
-    A, B = E @ w
-    r = (w - A * (1.0 - _UDOT_Z) - B * (1.0 + _UDOT_Z)) / (1.0 - _UDOT_Z * _UDOT_Z)
-    out = K @ np.stack((r[::-1], r), axis=1) + G @ np.array([[B, A], [A, B]])
-    return np.concatenate((out[::-1, 0], out[:, 1]))
+    K = cheb.chebvander(gauss_legendre(_Z_ORDER).nodes, n + 1) @ cheb.chebint(_cheb_projector(n), m=2)
+    K.flags.writeable = False
+    return K
 
 
 def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolution) -> float:
@@ -346,10 +317,11 @@ def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolutio
     path.
 
     The t-rule folds into two terms: along the path
-    W_t = (1-z^2) u_dot'' = -Theta_dot (1-z^2)/Theta_t^2, u_dot is linear in
-    W, Scal_p is affine in the jet (which is affine in t) and the t-weights
-    sum to 1, so the integral is exactly the 1-form at (jet_0, sum_t w_t
-    (1-t) W_t) plus the 1-form at (jet_1, sum_t w_t t W_t).
+    u_dot'' = -Theta_dot/Theta_t^2, u_dot is linear in u_dot'', Scal_p is
+    affine in the jet (which is affine in t) and the t-weights sum to 1, so
+    the integral is exactly the 1-form at (jet_0, sum_t w_t (1-t) u_dot_t)
+    plus the 1-form at (jet_1, sum_t w_t t u_dot_t): one product of
+    `_udot_operator()` with two columns.
     """
     _same_class(family.kappa, sol)
     (j0, j1), (th0, th1) = family.jets, family.thetas
@@ -357,11 +329,11 @@ def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolutio
         raise NotAdmissible("path endpoint profile is not positive")
     X, kappa = sol.surface, sol.kappa
     c = weighted_average_c(X, k)
-    zrule = graded_rule()
+    zrule = gauss_legendre(_Z_ORDER)
     zq = zrule.nodes
     wgt = zrule.weights * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
     trule = gauss_legendre(_PATH_ORDER, 0.0, 1.0)
     tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
-    W = (th0 - th1) * (1.0 - _UDOT_Z * _UDOT_Z) / (tt @ np.stack((th0, th1))) ** 2
-    ws = (trule.weights[:, None] * tt).T @ W
-    return sum(float(np.dot(_udot_on(w), (scal_p_on(zq, jet, X, k, kappa) - c) * wgt)) for jet, w in zip((j0, j1), ws))
+    ws = (trule.weights[:, None] * tt).T @ ((th0 - th1) / (tt @ np.stack((th0, th1))) ** 2)
+    udot = _udot_operator() @ ws.T
+    return sum(float(np.dot(u, (scal_p_on(zq, jet, X, k, kappa) - c) * wgt)) for jet, u in zip((j0, j1), udot.T))

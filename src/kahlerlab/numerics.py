@@ -19,7 +19,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_legendre",
     "composite_gauss",
-    "graded_rule",
     "power_integral",
     "chebyshev_coefficients",
 ]
@@ -101,24 +100,6 @@ def composite_gauss(breaks, order: int) -> QuadratureRule:
     nodes, weights = (mid + half * x).ravel(), (half * w).ravel()
     nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)
-
-
-_GRADED_ORDER, _GRADED_LEVELS = 16, 40
-
-
-@lru_cache(maxsize=1)
-def graded_rule() -> QuadratureRule:
-    """Composite Gauss rule on [-1, 1], _GRADED_ORDER nodes per panel, on a
-    mesh geometrically refined toward both ends.
-
-    Panel widths halve toward each endpoint, so bounded integrands whose
-    derivatives blow up only at the endpoints (x log x type) are integrated
-    to near machine accuracy. The innermost panels have width 2^-_GRADED_LEVELS;
-    anything a bounded integrand does there is below roundoff. Memoized: the
-    returned rule is shared, and its arrays are read-only.
-    """
-    right = np.append(1.0 - 2.0 ** -np.arange(_GRADED_LEVELS + 1.0), 1.0)  # 0, 1/2, 3/4, ..., 1
-    return composite_gauss(np.concatenate([-right[:0:-1], right]), _GRADED_ORDER)
 
 
 def power_integral(lo: float, hi: float, m: float) -> float:

@@ -34,7 +34,7 @@ from kahlerlab.mabuchi import (
     straight_theta_path,
     unboundedness_probe,
 )
-from kahlerlab.numerics import gauss_legendre, graded_rule
+from kahlerlab.numerics import gauss_legendre
 
 
 def _sol(kappa):
@@ -222,7 +222,7 @@ def test_probe_terms_match_mpmath_on_the_bump_support(genus, degree):
 
 def test_path_integral_closes_on_loops():
     # kappa = 1.001: the profiles' relative accuracy next to z = +-1 matters
-    # at the graded rule's innermost nodes
+    # at the outermost u_dot'' samples
     for kappa in (1.25, 1.001):
         sol = _sol(kappa)
         kd = KillingData(b=sol.b, p=4.0)
@@ -238,8 +238,9 @@ def test_path_integral_closes_on_loops():
 def test_path_integral_equals_amt_energy():
     # The closed-form energy and the 1-form integrated from the reference
     # profile agree with constant exactly 1 in this normalization. At
-    # kappa = 1.001 the energy's (z+kappa) weight nearly vanishes at z = -1.
-    for kappa in (1.25, 1.001):
+    # kappa = 1.001 and 1.0001 the energy's (z+kappa) weight nearly vanishes
+    # at z = -1.
+    for kappa in (1.25, 1.001, 1.0001):
         sol = _sol(kappa)
         kd = KillingData(b=sol.b, p=4.0)
         ref_prof = SymplecticPotential.reference(kappa).profile()
@@ -317,22 +318,17 @@ def test_gradient_rejects_a_mixed_class():
 
 
 def test_udot_operator_matches_closed_forms():
-    # W = (1-z^2) u_dot'' with u_dot(0) = u_dot'(0) = 0, integrated by hand:
-    # polynomial, exponential and both endpoint-log kinds
+    # u_dot'' with u_dot(0) = u_dot'(0) = 0, integrated by hand: polynomial
+    # and exponential
     cases = [
-        (lambda z: 1.0 - z * z, lambda z: 0.5 * z * z),
-        (lambda z: z * (1.0 - z * z), lambda z: z**3 / 6.0),
-        (lambda z: (1.0 - z * z) * np.exp(z), lambda z: np.exp(z) - 1.0 - z),
-        (
-            lambda z: np.ones_like(z),
-            lambda z: 0.5 * ((1.0 + z) * np.log1p(z) + (1.0 - z) * np.log1p(-z)),
-        ),
-        (lambda z: 0.5 * (1.0 + z), lambda z: 0.5 * ((1.0 - z) * np.log1p(-z) + z)),
+        (lambda z: np.ones_like(z), lambda z: 0.5 * z * z),
+        (lambda z: z, lambda z: z**3 / 6.0),
+        (np.exp, lambda z: np.exp(z) - 1.0 - z),
     ]
-    zq = graded_rule().nodes
-    assert len(zq) == 1312
-    for W, u in cases:
-        got = mabuchi._udot_on(W(mabuchi._UDOT_Z))
+    zq = gauss_legendre(256).nodes
+    assert mabuchi._udot_operator().shape == (256, 128)
+    for u2, u in cases:
+        got = mabuchi._udot_operator() @ u2(mabuchi._UDOT_Z)
         assert np.max(np.abs(got - u(zq))) < 1e-12
 
 
@@ -340,7 +336,8 @@ def test_reversed_w_mirrors_udot():
     rng = np.random.default_rng(43)
     z = mabuchi._UDOT_Z
     w = 1.0 + 0.3 * z + 0.2 * np.sin(3.0 * z) + 0.1 * rng.normal() * z * z
-    np.testing.assert_allclose(mabuchi._udot_on(w[::-1]), mabuchi._udot_on(w)[::-1], rtol=0, atol=1e-13)
+    K = mabuchi._udot_operator()
+    np.testing.assert_allclose(K @ w[::-1], (K @ w)[::-1], rtol=0, atol=1e-13)
 
 
 def test_udot_operator_is_built_once():
@@ -349,18 +346,18 @@ def test_udot_operator_is_built_once():
     kd = KillingData(b=sol.b, p=4.0)
     rng = np.random.default_rng(47)
     p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
-    mabuchi._udot_half_operator.cache_clear()
+    mabuchi._udot_operator.cache_clear()
     for a, b in ((p0, p1), (p1, p0)):
         mabuchi_path_integral(straight_theta_path(a, b), kd, sol)
-    assert mabuchi._udot_half_operator.cache_info().misses == 1
-    assert all(not x.flags.writeable for x in mabuchi._udot_half_operator())
+    assert mabuchi._udot_operator.cache_info().misses == 1
+    assert not mabuchi._udot_operator().flags.writeable
 
 
 def _per_node_path_integral(ends, kd, sol):
     """The 1-form summed node by node over the t-rule, written apart from
     mabuchi_path_integral's fold: blend the endpoint samples at each t, form
-    W_t, then one u_dot product and one Scal_p evaluation per node."""
-    zrule, zu = graded_rule(), mabuchi._UDOT_Z
+    u_dot_t'', then one u_dot product and one Scal_p evaluation per node."""
+    zrule, zu = gauss_legendre(256), mabuchi._UDOT_Z
     zq, kappa = zrule.nodes, sol.kappa
     wgt = zrule.weights * (zq + kd.b) ** (-(kd.p + 1.0)) * (zq + kappa)
     # c by quadrature of its defining ratio on the start profile
@@ -371,9 +368,9 @@ def _per_node_path_integral(ends, kd, sol):
     total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):
         jet = tuple((1.0 - t) * a + t * b for a, b in zip(j0, j1))
-        W = (th0 - th1) * (1.0 - zu * zu) / ((1.0 - t) * th0 + t * th1) ** 2
+        u2 = (th0 - th1) / ((1.0 - t) * th0 + t * th1) ** 2
         scal = scal_p_on(zq, jet, sol.surface, kd, kappa)
-        total += wt * float(np.dot(mabuchi._udot_on(W), (scal - c) * wgt))
+        total += wt * float(np.dot(mabuchi._udot_operator() @ u2, (scal - c) * wgt))
     return total
 
 
@@ -391,21 +388,34 @@ def test_path_reduction_matches_the_per_node_sum():
 
 
 def test_udot_runs_twice_per_theta_path(monkeypatch):
+    # two u_dot columns per path, in one operator product: not one per t-node
     kappa = 1.25
     sol = _sol(kappa)
     kd = KillingData(b=sol.b, p=4.0)
     rng = np.random.default_rng(59)
     p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
-    udot = mabuchi._udot_on
+    K = mabuchi._udot_operator()
     calls = []
 
-    def counted(w):
-        calls.append(w.shape)
-        return udot(w)
+    class Counted:
+        def __matmul__(self, w):
+            calls.append(np.shape(w))
+            return K @ w
 
-    monkeypatch.setattr(mabuchi, "_udot_on", counted)
+    monkeypatch.setattr(mabuchi, "_udot_operator", Counted)
     mabuchi_path_integral(straight_theta_path(p0, p1), kd, sol)
-    assert calls == [mabuchi._UDOT_Z.shape] * 2
+    assert calls == [(len(mabuchi._UDOT_Z), 2)]
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_theta_path_rejects_an_endpoint_off_the_boundary_conditions(end):
+    # Theta = 2(1-z^2) has Theta'(+-1) = -+4, so u_dot'' is unbounded at z = +-1
+    rng = np.random.default_rng(61)
+    good = random_admissible_profile(rng, 1.25, degree=3)
+    bad = Profile.from_callable(lambda z: 2 * (1 - z * z), 1.25)
+    ends = (bad, good) if end == 0 else (good, bad)
+    with pytest.raises(NotAdmissible):
+        straight_theta_path(*ends)
 
 
 def test_theta_path_through_a_negative_profile_is_not_admissible():
@@ -414,7 +424,7 @@ def test_theta_path_through_a_negative_profile_is_not_admissible():
     sol = _sol(kappa)
     kd = KillingData(b=sol.b, p=4.0)
     bad = sol.profile()
-    assert np.min(bad.theta(graded_rule().nodes)) < 0.0
+    assert np.min(bad.theta(gauss_legendre(256).nodes)) < 0.0
     ref = SymplecticPotential.reference(kappa).profile()
     for ends in ((ref, bad), (bad, ref)):
         with pytest.raises(NotAdmissible):

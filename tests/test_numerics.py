@@ -11,7 +11,6 @@ from kahlerlab.numerics import (
     chebyshev_coefficients,
     composite_gauss,
     gauss_legendre,
-    graded_rule,
     power_integral,
 )
 
@@ -91,24 +90,6 @@ def test_composite_gauss_panels_are_the_mapped_rules():
         np.testing.assert_array_equal(rule.nodes[8 * i : 8 * i + 8], panel.nodes)
         np.testing.assert_array_equal(rule.weights[8 * i : 8 * i + 8], panel.weights)
     assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
-
-
-def test_graded_rule_log_singularity():
-    # int_{-1}^{1} log(1 - z^2) dz = 4 log 2 - 4; plain Gauss of the same cost
-    # misses this by orders of magnitude.
-    rule = graded_rule()
-    val = float(np.dot(rule.weights, np.log1p(-rule.nodes**2)))
-    np.testing.assert_allclose(val, 4.0 * np.log(2.0) - 4.0, atol=1e-12)
-
-
-def test_graded_rule_is_memoized_and_read_only():
-    rule = graded_rule()
-    again = graded_rule()
-    assert again is rule
-    for arr in (rule.nodes, rule.weights):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
 
 
 def test_power_integral_closed_forms():

@@ -156,5 +156,5 @@ def test_bounds_and_orders_keep_their_values():
     assert [(name, sense, bound) for name, _, _, sense, bound in verify._CHECKS] == CHECK_BOUNDS
     assert (ckem._KAPPA_ZERO_TOL, ckem._CLASSIFY_TOL) == (1e-8, 1e-8)
     assert (quantization._BALANCED_TOL, mabuchi._U2_BOUNDARY) == (1e-10, 1e-6)
-    assert mabuchi._PATH_ORDER == 64
+    assert (len(mabuchi._UDOT_Z), mabuchi._Z_ORDER, mabuchi._PATH_ORDER) == (128, 256, 64)
     assert len(quantization._mu_rule().nodes) == 256
