@@ -21,13 +21,13 @@ Its average c against f^{-(p+1)} (z+kappa) dz is fixed by the class and the
 weight: the integrand is s_C f^{1-p} plus an exact derivative, so
 `weighted_average_c` is a closed form in power integrals of f.
 
-A profile is stored as Theta = (1-z^2) N(z)/(z+kappa), N a numpy series.
-On the Futaki curve the solver's numerator is P = (1-z^2) N exactly, N a
-quadratic (`ckem.PKappaSolution.profile`); a sampled profile interpolates
-the bounded ratio G = Theta/(1-z^2) at Chebyshev nodes and takes
-N = (z+kappa) G (G(+-1) = 1 encodes the boundary conditions). The
+A profile is stored as Theta = (1-z^2) N(z)/(z+kappa), N by its Chebyshev
+coefficients. On the Futaki curve the solver's numerator is P = (1-z^2) N
+exactly, N a quadratic (`ckem.PKappaSolution.profile`); a sampled profile
+interpolates the bounded ratio G = Theta/(1-z^2) at Chebyshev nodes and
+takes N = (z+kappa) G (G(+-1) = 1 encodes the boundary conditions). The
 symplectic potential reads D = (1-z^2) u'' = (z+kappa)/N off the same
-series (`to_symplectic`).
+coefficients (`to_symplectic`), and `check_boundary` reads N(+-1) off them.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
 from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial.polynomial import polyval
 
 from .errors import NonFiniteCurvature, OutOfDomain
 from .numerics import chebyshev_coefficients, power_integral
@@ -111,17 +111,19 @@ class KillingData(_KillingData):
 class Profile:
     """Momentum profile Theta(z) = (1-z^2) N(z) / (z+kappa) on [-1, 1].
 
-    N is a numpy series; (z+kappa) Theta = (1-z^2) N is the numerator whose
-    second derivative enters the scalar curvature. The (1-z^2) factor stays
-    explicit so that Theta keeps its relative accuracy next to the
-    endpoints. N and its derivatives are fixed at construction.
+    (z+kappa) Theta = (1-z^2) N is the numerator whose second derivative
+    enters the scalar curvature. The (1-z^2) factor stays explicit so that
+    Theta keeps its relative accuracy next to the endpoints. `coef` is the
+    read-only (n, 3) matrix of the Chebyshev coefficients of N, N', N''.
     """
 
     def __init__(self, kappa: float, N):
         if not kappa > 1.0:
             raise OutOfDomain("kappa must be > 1")
         self.kappa = float(kappa)
-        self._N = (N, N.deriv(), N.deriv(2))
+        c = np.append(np.asarray(N, dtype=float), (0.0, 0.0))  # two zeros: every column has len(N) rows
+        self.coef = np.stack([cheb.chebder(c, m)[: len(c) - 2] for m in range(3)], axis=1)
+        self.coef.flags.writeable = False
 
     @staticmethod
     def from_callable(theta_fn: Callable, kappa: float) -> "Profile":
@@ -129,12 +131,12 @@ class Profile:
         nodes, the series chopped at its rounding plateau; N = (z+kappa) G."""
         z = cheb.chebpts1(96)
         g = np.asarray(theta_fn(z), dtype=float) / (1.0 - z * z)
-        return Profile(kappa, Chebyshev(chebyshev_coefficients(g)) * Chebyshev([kappa, 1.0]))
+        return Profile(kappa, cheb.chebmul(chebyshev_coefficients(g), [kappa, 1.0]))
 
     def jet(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Theta, Theta' and ((z+kappa) Theta)'' at z, in one pass."""
         z = np.asarray(z, dtype=float)
-        N, dN, d2N = (f(z) for f in self._N)
+        N, dN, d2N = cheb.chebval(z, self.coef)
         w = 1.0 - z * z
         A, dA = w * N, w * dN - 2.0 * z * N
         t = z + self.kappa
@@ -142,7 +144,7 @@ class Profile:
 
     def theta(self, z):
         z = np.asarray(z, dtype=float)
-        return (1.0 - z * z) * self._N[0](z) / (z + self.kappa)
+        return (1.0 - z * z) * cheb.chebval(z, self.coef[:, 0]) / (z + self.kappa)
 
 
 class BoundaryReport(NamedTuple):
@@ -151,9 +153,11 @@ class BoundaryReport(NamedTuple):
 
 
 def check_boundary(profile: Profile) -> BoundaryReport:
-    """Defects (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2)."""
-    (th_m, th_p), (dth_m, dth_p), _ = profile.jet(np.array([-1.0, 1.0]))
-    d = (float(th_m), float(th_p), float(dth_m) - 2.0, float(dth_p) + 2.0)
+    """Defects (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2) in closed form:
+    Theta(+-1) = 0, Theta'(+-1) = -+2 N(+-1)/(kappa+-1), N(+-1) = sum c_n (+-1)^n."""
+    c, kappa = profile.coef[:, 0], profile.kappa
+    n_lo, n_hi = float(c[::2].sum() - c[1::2].sum()), float(c.sum())
+    d = (0.0, 0.0, 2.0 * n_lo / (kappa - 1.0) - 2.0, 2.0 - 2.0 * n_hi / (kappa + 1.0))
     return BoundaryReport(passes=bool(max(abs(x) for x in d) < 1e-9), defects=d)
 
 
@@ -212,15 +216,15 @@ def weighted_average_c(X: RuledSurfaceData, k: KillingData) -> float:
 
 def to_symplectic(profile: Profile):
     """Fibre-wise symplectic potential: u''(z) = 1/Theta(z), held as
-    D = (1-z^2) u'' = (z+kappa)/N, read off the profile's series N.
+    D = (1-z^2) u'' = (z+kappa)/N, read off column 0 of the profile's matrix.
 
     Raises NotAdmissible if N (so Theta) is not strictly positive on the
     potential's check grid (`SymplecticPotential`).
     """
     from .mabuchi import SymplecticPotential  # local import avoids a cycle
 
-    N, kappa = profile._N[0], profile.kappa
-    return SymplecticPotential(lambda z: (np.asarray(z, dtype=float) + kappa) / N(z), kappa)
+    c, kappa = profile.coef[:, 0], profile.kappa
+    return SymplecticPotential(lambda z: (np.asarray(z, dtype=float) + kappa) / cheb.chebval(z, c), kappa)
 
 
 def random_admissible_profile(
@@ -235,9 +239,8 @@ def random_admissible_profile(
     is automatic. Used by the property tests.
     """
     coefs = rng.normal(size=degree + 1) * scale / (1.0 + np.arange(degree + 1))
-    g = Polynomial(coefs)
 
     def theta_fn(z):
-        return (1.0 - z * z) * np.exp((1.0 - z * z) * g(z))
+        return (1.0 - z * z) * np.exp((1.0 - z * z) * polyval(z, coefs))
 
     return Profile.from_callable(theta_fn, kappa)

@@ -106,10 +106,10 @@ class PKappaSolution(NamedTuple):
 
     def profile(self) -> Profile:
         """Momentum profile Theta = P/(z+kappa) = (1-z^2) N/(z+kappa), with
-        N = p0 + z - p4 z^2: P = (1-z^2) N exactly, since p2 = -(p0 + p4)
-        for every b (module docstring)."""
+        N = p0 + z - p4 z^2 = (p0 - p4/2) T_0 + T_1 - (p4/2) T_2: P = (1-z^2) N
+        exactly, since p2 = -(p0 + p4) for every b (module docstring)."""
         p0, p4 = self.P.coef[0], self.P.coef[4]
-        return Profile(self.kappa, Polynomial([p0, 1.0, -p4]))
+        return Profile(self.kappa, [p0 - 0.5 * p4, 1.0, -0.5 * p4])
 
 
 class ClassLabel(str, enum.Enum):

@@ -51,6 +51,7 @@ __all__ = ["main", "RunConfig", "RunRecord"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+_K_MAX = 4096  # largest tensor power k: the balanced solve's (k+1)^2 Jacobian takes ~134 MB
 
 
 # -- config / record ---------------------------------------------------------
@@ -80,6 +81,8 @@ class RunConfig(_RunConfig):
             k_min = 0 if command == "mabuchi-probe" else 1
             if not p["k_list"] or min(p["k_list"]) < k_min:
                 raise ConfigError(f"k values must be >= {k_min}" if p["k_list"] else "empty k range")
+            if k_min and max(p["k_list"]) > _K_MAX:
+                raise ConfigError(f"k values must be <= {_K_MAX} (got {max(p['k_list'])})")
         if "tol" in p and not 0.0 < p["tol"] < math.inf:
             raise ConfigError(f"tol must be finite and positive (got {p['tol']!r})")
         return super().__new__(cls, command, params)
@@ -310,7 +313,7 @@ def cmd_quant_expansion(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tags = args.tags.split(",") if args.tags else None
+    tags = args.tags.split(",") if args.tags is not None else None
     cfg = RunConfig("verify", {"tags": tags, "breach": args.breach})
     results = _validated(run_checks, tags=tags, breach=args.breach)
     payload = _csv("name,tag,passed,detail", ([r.name, r.tag, str(r.passed), r.detail] for r in results))

@@ -22,12 +22,12 @@ all the energy ever sees).
 Numerically, u'' blows up like 1/(1-z^2) at the endpoints, so potentials are
 stored through the bounded ratio D(z) = (1-z^2) u''(z) (D(+-1) = 1 for
 admissible u); energy integrands are written in terms of D - 1 and log D,
-which are bounded. Paths are straight in Theta between admissible profiles,
-whose Theta_dot vanishes to second order at z = +-1, so u_dot'' =
+which are bounded; every z-integral and check reads the z-rule
+`gauss_legendre(_Z_ORDER)`. Paths are straight in Theta between admissible
+profiles, whose Theta_dot vanishes to second order at z = +-1, so u_dot'' =
 -Theta_dot/Theta_t^2 is bounded and smooth: u_dot is one precomputed linear
-map of its samples (built once per process), and the path integrand is
-integrated on one Gauss rule. With Scal_p affine in the jet, the t-integral
-folds into two u_dot columns, not one per node of the t-rule.
+map of its samples (built once per process), read on the z-rule. With
+Scal_p affine in the jet, the t-integral folds into two u_dot columns.
 """
 
 from __future__ import annotations
@@ -59,17 +59,18 @@ __all__ = [
 ]
 
 _U2_BOUNDARY = 1e-6  # bound on |(1-z^2) u'' - 1| at z = +-1
+_Z_ORDER = 256  # Gauss nodes of the z-rule on [-1, 1]: every z-integral and check
 
 
 class SymplecticPotential:
     """Potential u on (-1,1) represented by D(z) = (1-z^2) u''(z).
 
     D is held as an exact callable: a profile's potential reads
-    D = (z+kappa)/N off its series (`calabi.to_symplectic`), while
+    D = (z+kappa)/N off its coefficients (`calabi.to_symplectic`), while
     closed-form potentials keep closures, so rough directions (mollifier
-    bumps) never suffer fit ringing. Admissibility:
-    u'' > 0 on the check grid and D(+-1) = 1 within _U2_BOUNDARY (the
-    boundary behavior forced by an admissible profile).
+    bumps) never suffer fit ringing. Admissibility: u'' > 0 on the z-rule's
+    nodes, the one sample of D there that the energy reads, and D(+-1) = 1
+    within _U2_BOUNDARY (the boundary behavior of an admissible profile).
     """
 
     def __init__(self, dfun: Callable, kappa: float):
@@ -77,16 +78,12 @@ class SymplecticPotential:
             raise OutOfDomain("kappa must be > 1")
         self.kappa = float(kappa)
         self._dfun = dfun
-        z = cheb.chebpts1(160)
-        if np.any(self.D(z) <= 0.0):
+        self._d_rule = self.D(gauss_legendre(_Z_ORDER).nodes)
+        if np.any(self._d_rule <= 0.0):
             raise NotAdmissible("u'' must be positive on the interior grid")
-        for zb in (-1.0, 1.0):
-            dv = float(self.D(zb))
+        for zb, dv in zip((-1.0, 1.0), self.D(np.array([-1.0, 1.0])).tolist()):
             if abs(dv - 1.0) > _U2_BOUNDARY:
-                raise NotAdmissible(
-                    "(1-z^2) u'' must approach 1 at the endpoints "
-                    f"(got {dv!r} at z={zb:+.0f})"
-                )
+                raise NotAdmissible(f"(1-z^2) u'' must approach 1 at the endpoints (got {dv!r} at z={zb:+.0f})")
 
     # -- constructors -------------------------------------------------------
 
@@ -142,13 +139,10 @@ def _same_class(kappa: float, sol: PKappaSolution) -> None:
 
 
 def _energy_samples(u: SymplecticPotential, sol: PKappaSolution):
-    """The energy's quadrature rule, D and f^{-3} = (z+b)^{-3} on its nodes."""
+    """The z-rule, D on its nodes (sampled when u was built) and f^{-3} there."""
     _same_class(u.kappa, sol)
-    rule = gauss_legendre(128)
-    D = u.D(rule.nodes)
-    if np.any(D <= 0.0):
-        raise NotAdmissible("u'' must be positive")
-    return rule, D, (rule.nodes + sol.b) ** (-3.0)
+    rule = gauss_legendre(_Z_ORDER)
+    return rule, u._d_rule, (rule.nodes + sol.b) ** (-3.0)
 
 
 def mabuchi_energy_amt(u: SymplecticPotential, sol: PKappaSolution) -> float:
@@ -260,7 +254,6 @@ def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float
 # u_dot'' is sampled on _UDOT_Z and u_dot read on the z-rule's nodes by one
 # precomputed operator (_udot_operator)
 _UDOT_Z = cheb.chebpts1(128)
-_Z_ORDER = 256  # Gauss nodes of the z-rule on [-1, 1]
 _PATH_ORDER = 64  # Gauss nodes of the t-rule along a path
 
 

@@ -172,10 +172,21 @@ def test_sampled_profile_numerator_d2_matches_mpmath(kappa):
 
 def test_reference_profile_is_z_plus_kappa():
     # Theta = 1 - z^2 gives G = 1: the chopped fit is exactly that constant,
-    # so N is z + kappa, two coefficients, bit for bit
+    # so N is z + kappa, two coefficients, bit for bit; the matrix's columns
+    # are N, N' = 1 and N'' = 0, and it is read-only
     for kappa in (1.03, 1.6, 3.0):
-        coef = SymplecticPotential.reference(kappa).profile()._N[0].coef
-        assert coef.tolist() == [kappa, 1.0]
+        coef = SymplecticPotential.reference(kappa).profile().coef
+        assert coef.tolist() == [[kappa, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        assert not coef.flags.writeable
+
+
+@pytest.mark.parametrize("kappa", [1.03, 1.6, 3.0])
+def test_check_boundary_defects_in_closed_form(kappa):
+    # Theta = 2(1-z^2): N = 2(z+kappa), so Theta'(-1) = 4 and Theta'(1) = -4;
+    # the defects (Theta(-1), Theta(1), Theta'(-1)-2, Theta'(1)+2) are exact
+    rep = check_boundary(Profile.from_callable(lambda z: 2.0 * (1.0 - z * z), kappa))
+    assert rep.defects == (0.0, 0.0, 2.0, -2.0)
+    assert not rep.passes
 
 
 def test_to_symplectic_roundtrip():

@@ -297,6 +297,13 @@ def test_verify_exit_codes(workdir, capsys):
     assert "'futaki-off-curve' has tag 'ckem'" in capsys.readouterr().err
 
 
+def test_verify_rejects_an_empty_tag_list(workdir, capsys):
+    # '' is one unknown tag, as 'bogus' is, not the whole suite
+    assert main(["verify", "--tags", "", "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: unknown tags ['']\n"
+
+
 def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, capsys, monkeypatch):
     # the residual and the scal deviation both read one jet on sup_grid() of
     # the FS potential the iteration returns, not of a second, equal one
@@ -444,6 +451,28 @@ def test_k_range_rejects_lo_below_one(k_range):
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
     assert proc.returncode == 2
     assert "k range" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["quant-balanced", "quant-expansion"])
+def test_a_tensor_power_above_the_cap_is_a_config_error(command):
+    # a fresh process with a memory limit: a (k+1)^2 Jacobian at k = 100000
+    # would take ~80 GB; the cap names itself before anything is allocated
+    src = str(Path(kahlerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "kahlerlab.cli", command, "--k-range=8,100000", "--no-cache"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"config error: k values must be <= {cli._K_MAX} (got 100000)\n"
+
+
+def test_the_k_cap_binds_the_tensor_power_only():
+    assert cli._K_MAX == 4096
+    for command in ("quant-balanced", "quant-expansion"):
+        cli.RunConfig(command, {"k_list": [cli._K_MAX]})
+        with pytest.raises(cli.ConfigError, match="k values must be <= 4096"):
+            cli.RunConfig(command, {"k_list": [cli._K_MAX + 1]})
+    # the probe's k scales a direction: no cap
+    cli.RunConfig("mabuchi-probe", {"k_list": [0, 10 * cli._K_MAX]})
 
 
 @pytest.mark.parametrize(

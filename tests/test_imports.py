@@ -61,6 +61,14 @@ def test_no_module_imports_dataclasses():
     assert not found
 
 
+def test_no_module_imports_the_chebyshev_class():
+    # a profile holds one matrix of Chebyshev coefficients, evaluated by
+    # chebval; no module builds numpy's Chebyshev series objects
+    paths = sorted(Path(kahlerlab.__file__).parent.glob("*.py"))
+    found = [p.name for p in paths if "Chebyshev" in _bound_names(ast.parse(p.read_text()))]
+    assert not found
+
+
 def test_only_the_cli_formats_payloads():
     # cli.py writes every CSV and JSON payload; cache.py hashes configs as JSON
     paths = sorted(Path(kahlerlab.__file__).parent.glob("*.py"))
