@@ -73,8 +73,8 @@ class RunConfig(_RunConfig):
         if "kappas" in p:
             if not p["kappas"]:
                 raise ConfigError("empty kappa range")
-            if any(k <= 1.0 for k in p["kappas"]):
-                raise ConfigError("all kappa values must be > 1")
+            if not all(1.0 < k < math.inf for k in p["kappas"]):
+                raise ConfigError("all kappa values must be > 1 and finite")
         if "k_list" in p:
             # the probe's k scales a direction (k = 0 is the reference); the
             # quantized commands' k is a tensor power

@@ -33,9 +33,11 @@ Nothing inverts mu <-> t. A potential is sampled at points u in (0, 1)
 (RadialPotential.jet): a momentum-native one at mu = u, a t-native one at
 the pull-back t = logit(u) + beta, where mu = psi'(t). On the one fixed rule,
 the momentum rule _mu_rule(), that sample is taken at most once
-(RadialPotential.gram_sample); the Gram matrices and the closed-form
-functionals of the functionals module all read it, and the pointwise
-evaluators (Scal_p, the Bergman densities) read a jet their caller takes.
+(RadialPotential.gram_sample) and holds mu, t, v and S only, so an FS
+potential's softmax pass stops there at psi''; the Gram matrices and the
+closed-form functionals of the functionals module all read it, and the
+pointwise evaluators (Scal_p, the Bergman densities) read a jet their
+caller takes. The spectrum (eigenvalues) is built once per (k, model).
 
 Volume convention: vol_{k omega} = k^m vol_omega with m = 1, i.e. 2 pi k dmu.
 """
@@ -205,9 +207,9 @@ class RadialPotential(ABC):
 
     A potential never changes after construction, so its read-only sample
     on the momentum rule, gram_sample, is taken once; it reads the jet at the
-    momentum nodes, or at_t at their pull-back in _TNativePotential. Each
-    class also states dv_ends, the values of v - v_round at mu = 0 and 1
-    (v_round vanishes at both).
+    momentum nodes, or mu, psi and psi'' at their pull-back in
+    _TNativePotential. Each class also states dv_ends, the values of
+    v - v_round at mu = 0 and 1 (v_round vanishes at both).
     """
 
     dv_ends: tuple[float, float]
@@ -229,9 +231,10 @@ class _TNativePotential(RadialPotential):
 
         S = 2 psi'',   S' = 2 psi'''/psi'',   S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
 
-    The Gram sample is the same pass at the momentum nodes u_i, where the
-    weight of dmu is w_i psi''(t_i)/(u_i(1-u_i)): the same integral after the
-    substitution mu = psi'(logit u + beta). beta is where psi's two
+    The Gram sample reads mu, psi and psi'' only, from _up_to_psi2 at the
+    pull-back of the momentum nodes u_i, where the weight of dmu is
+    w_i psi''(t_i)/(u_i(1-u_i)): the same integral after the substitution
+    mu = psi'(logit u + beta). beta is where psi's two
     asymptotes cross, so the points move with the potential under a shift
     of t; FSPotential and BlendPotential set it, and it is 0 here."""
 
@@ -240,12 +243,17 @@ class _TNativePotential(RadialPotential):
     @abstractmethod
     def at_t(self, t) -> TSample: ...
 
+    def _up_to_psi2(self, t) -> tuple:
+        """A sample at t whose first three fields are mu, psi and psi'', all
+        the Gram sample reads: here the whole of at_t."""
+        return self.at_t(t)
+
     @cached_property
     def gram_sample(self) -> GramSample:
         logit_u, w_t = _pullback_rule()
         t = logit_u + self.beta
-        s = self.at_t(t)
-        return _read_only(GramSample(s.mu, t, s.mu * t - s.psi, 2.0 * s.psi2, np.log(w_t * s.psi2)))  # dmu = psi'' dt
+        mu, psi, psi2 = self._up_to_psi2(t)[:3]
+        return _read_only(GramSample(mu, t, mu * t - psi, 2.0 * psi2, np.log(w_t * psi2)))  # dmu = psi'' dt
 
     def jet(self, u) -> MuSample:
         u = _interior(u)
@@ -324,10 +332,12 @@ class FSPotential(_TNativePotential):
         self.dv_ends = ((self.log_h[0] + self.log_ck) / self.k, (self.log_h[-1] + self.log_ck) / self.k)
         self._j = np.arange(self.k + 1, dtype=float)
 
-    def at_t(self, t) -> TSample:
+    def _up_to_psi2(self, t) -> tuple:
+        """mu, psi and psi'' at the points t (flattened), then the buffers
+        at_t continues from: w, the softmax weights times d^2 with
+        d = j - E[j], d itself, and k2 = Var[j]. The Gram sample stops here."""
         # psi'..psi'''' are the first four cumulants of j under the softmax
         # weights, divided by k; all five come from one exponential
-        t = np.asarray(t, dtype=float)
         # one (k+1) x n buffer w, updated in place: at k = 64 on the Gram
         # nodes each temporary of that size is 133 kB, past glibc's 128 kB
         # mmap threshold, and in some heap layouts every one cost page faults
@@ -347,16 +357,15 @@ class FSPotential(_TNativePotential):
         w *= d
         w *= d
         k2 = np.sum(w, axis=0)
+        return m1 / self.k, (np.log(tot) + top - self.log_ck) / self.k, k2 / self.k, w, d, k2
+
+    def at_t(self, t) -> TSample:
+        t = np.asarray(t, dtype=float)
+        mu, psi, psi2, w, d, k2 = self._up_to_psi2(t)
         w *= d
         k3 = np.sum(w, axis=0)
         w *= d
-        s = TSample(
-            mu=m1 / self.k,
-            psi=(np.log(tot) + top - self.log_ck) / self.k,
-            psi2=k2 / self.k,
-            psi3=k3 / self.k,
-            psi4=(np.sum(w, axis=0) - 3.0 * k2 * k2) / self.k,
-        )
+        s = TSample(mu, psi, psi2, k3 / self.k, (np.sum(w, axis=0) - 3.0 * k2 * k2) / self.k)
         return TSample(*(f.reshape(t.shape) for f in s))
 
 
@@ -447,13 +456,15 @@ class HermitianNorms(_HermitianNorms):
         return super().__new__(cls, k, log_h)
 
 
+@lru_cache(maxsize=None)
 def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> SpectrumData:
-    """lambda_j = b0 + j/k and the twisted weights lambda_j(p).
+    """lambda_j = b0 + j/k and the twisted weights lambda_j(p), read-only.
 
     check_weights=False skips the positivity gate on lambda(p) (useful when
     only the raw lambda sequence is wanted; every map that divides by
     lambda(p) re-checks). OutOfDomain, before the gate, if a power of
-    lambda overflows a float or underflows to 0."""
+    lambda overflows a float or underflows to 0. Memoized, as the
+    functionals read it per call; an error is not, so every call raises it."""
     if k < 1:
         raise OutOfDomain("k must be >= 1")
     j = np.arange(k + 1, dtype=float)
@@ -471,7 +482,7 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
         raise _power_error(model, "underflows to 0")
     if check_weights and np.any(lam_p <= 0.0):
         raise WeightSignError(f"lambda(p) has non-positive entries at k={k} (k too small for this (p, b0))")
-    return SpectrumData(lam=lam, lam_p=lam_p)
+    return _read_only(SpectrumData(lam=lam, lam_p=lam_p))
 
 
 def _power_error(model: ToyModel, how: str = "overflows a float") -> OutOfDomain:

@@ -272,11 +272,12 @@ def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
         return wrapped
 
     # every method that samples a potential: the jet of each class, and the
-    # native side of the t-native ones
+    # native side of the t-native ones (an FS potential's softmax pass, which
+    # its Gram sample stops after psi'' and its at_t continues)
     sampling = (
         (quant.ProfilePotential, "jet"),
         (quant._TNativePotential, "jet"),
-        (FSPotential, "at_t"),
+        (FSPotential, "_up_to_psi2"),
         (quant.BlendPotential, "at_t"),
         (quant._ShiftedPotential, "jet"),
     )
@@ -287,7 +288,7 @@ def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
         return [m for q, m, rule in sampled if q is p and rule == "mu"]
 
     consumers = _consumers()
-    mu_side = ("jet", "at_t", "at_t", "jet", "jet")  # the shifted potential's base is a profile
+    mu_side = ("jet", "_up_to_psi2", "at_t", "jet", "jet")  # the shifted potential's base is a profile
     for order in _orders():
         pots = _fresh_potentials()
         for first in (True, False):

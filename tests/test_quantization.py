@@ -227,6 +227,26 @@ def test_fs_cumulants_of_binomial_norms(k, b):
     assert np.max(np.abs(s.psi4 - sig * (1.0 - sig) * (1.0 - 6.0 * sig + 6.0 * sig * sig))) <= 1e-11
 
 
+@pytest.mark.parametrize("model", [ToyModel(p=1.0), ToyModel(b0=1.0, p=4.0)], ids=["xi=0", "b0=1"])
+@pytest.mark.parametrize("k", [8, 64, 256])
+def test_fs_gram_sample_is_at_t_at_the_pulled_back_nodes(k, model):
+    # the Gram sample stops the softmax pass at psi'', where at_t goes on to
+    # psi''' and psi'''': each field it keeps is bit for bit the one built
+    # from at_t at t_i = logit(u_i) + beta, with the dmu weights
+    # w_i psi''(t_i)/(u_i(1-u_i)); on smooth and rough norms, and in a gauge
+    u, w = gauss_legendre(256, 0.0, 1.0)
+    rng = np.random.default_rng(37)
+    smooth = hilb(random_potential(rng, 1.5), k, model).log_h
+    rough = smooth + rng.normal(size=k + 1)
+    for log_h in (smooth, rough, rough + 0.3 * k + 2.5 * np.arange(k + 1)):
+        phi = fs(HermitianNorms(k=k, log_h=log_h), k, model)
+        t = np.log(u / (1.0 - u)) + phi.beta
+        s = phi.at_t(t)
+        want = (s.mu, t, s.mu * t - s.psi, 2.0 * s.psi2, np.log(w / (u * (1.0 - u)) * s.psi2))
+        for got, ref in zip(phi.gram_sample, want, strict=True):
+            np.testing.assert_array_equal(got, ref)
+
+
 def test_blend_potential_is_affine_in_psi():
     a, b = fs(hilb(round_potential(), 8, ToyModel(p=1.0)), 8, ToyModel(p=1.0)), _fs_of_random(2)
     blend = BlendPotential([(0.3, a), (0.7, b)])
@@ -276,6 +296,25 @@ def test_weight_sign_guard_at_small_k():
         for p in (1.0, 2.0, 4.0):
             with pytest.raises(WeightSignError):
                 eigenvalues(k, ToyModel(b0=1.0, p=p))
+
+
+def test_the_spectrum_is_built_once_and_its_errors_raise_on_every_call():
+    # memoized: a second call returns the same read-only arrays; an error is
+    # not memoized, so the weight-sign gate and the domain checks raise again
+    model = ToyModel(b0=1.0, p=4.0)
+    spec = eigenvalues(8, model)
+    for a, b in zip(spec, eigenvalues(8, model), strict=True):
+        assert a is b and not a.flags.writeable
+    with pytest.raises(ValueError):
+        spec.lam_p[0] = 1.0
+    for _ in range(2):
+        with pytest.raises(WeightSignError):
+            eigenvalues(2, model)
+        with pytest.raises(OutOfDomain, match="k must be >= 1"):
+            eigenvalues(0, model)
+        with pytest.raises(OutOfDomain, match="overflows a float"):
+            eigenvalues(8, ToyModel(b0=0.5, p=2000.0))
+    assert eigenvalues(2, model, check_weights=False).lam_p[0] <= 0.0
 
 
 def test_fs_rejects_k1_in_unweighted_mode():
