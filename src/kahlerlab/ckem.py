@@ -196,9 +196,10 @@ def interior_min(P: Polynomial) -> tuple[float, float]:
     excluded. Returns (+inf, nan) if no interior critical point exists.
     This is the minimum of P on (-1, 1) only where P has an interior local
     minimum: on the Futaki curve with kappa > kappa_0 the one interior
-    critical point is the maximum of P (1.4617 at kappa = 1.5).
+    critical point is the maximum of P (1.4617 at kappa = 1.5). P.coef is
+    read in z, as every Polynomial here has the default domain and window.
     """
-    coef = np.trim_zeros(P.convert().coef if P.mapparms() != (0.0, 1.0) else P.coef, "b")
+    coef = np.trim_zeros(P.coef, "b")
     if coef.size < 3:  # P' constant
         return math.inf, math.nan
     m, zm = _interior_min(coef[None, :])

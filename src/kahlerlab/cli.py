@@ -2,17 +2,20 @@
 
 Subcommands drive the library modules and print plot-ready CSV or JSON.  No
 numerical work happens here — only argument parsing, dispatch, caching,
-and formatting.  The records validate their inputs (`ToyModel` b0 and p,
-`RuledSurfaceData` genus and degree); the CLI maps their errors to exit 2.
+and formatting.  The library records validate their inputs (`ToyModel` b0
+and p, `RuledSurfaceData` genus and degree), and the CLI maps their errors
+to exit 2; each command checks the rest of its flags (kappa, the k list,
+--tol) where it parses them.  The CLI keeps no record class of its own.
 
 Output layout
 -------------
 Each command produces one text payload (CSV for sweeps and k-scans, JSON for
 verdict-style results).  With ``--out PATH`` the payload is written to PATH
-and a JSON run record (input hash, version, timestamps, pass flag) is
-written next to it as ``PATH.record.json``; without ``--out`` the payload
-goes to stdout and the record to stderr.  Payload bytes are deterministic
-for a fixed config; records carry timestamps and are not.
+and the run record, one JSON object (input hash, version, timestamp,
+command, parameters, cache status, pass flag, out path), is written next
+to it as ``PATH.record.json``; without ``--out`` the payload goes to
+stdout and the record to stderr.  Payload bytes are deterministic for a
+fixed config; records carry timestamps and are not.
 
 Exit codes: 0 success, 1 invariant/computation failure, 2 invalid config.
 """
@@ -26,7 +29,7 @@ import io
 import json
 import math
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from .quantization import (
 )
 from .verify import run_checks
 
-__all__ = ["main", "RunConfig", "RunRecord"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,80 +57,32 @@ EXIT_CONFIG = 2
 _K_MAX = 4096  # largest tensor power k: the balanced solve's (k+1)^2 Jacobian takes ~134 MB
 
 
-# -- config / record ---------------------------------------------------------
+# -- run record --------------------------------------------------------------
 
 
-class _RunConfig(NamedTuple):
-    command: str
-    params: dict[str, Any]
+def _input_hash(command: str, params: dict[str, Any]) -> str:
+    """The run's cache key: a hash of the command, its parameters and the package source."""
+    return config_hash({"command": command, "params": params, "code": source_fingerprint()})
 
 
-class RunConfig(_RunConfig):
-    """Parameter record for one CLI run; it checks what no library record does."""
-
-    __slots__ = ()
-    def __new__(cls, command: str, params: dict[str, Any]) -> RunConfig:
-        p = params
-        if p.get("kappa") is not None and not 1.0 < p["kappa"] < math.inf:
-            raise ConfigError(f"kappa must be finite and > 1 (got {p['kappa']!r})")
-        if "kappas" in p:
-            if not p["kappas"]:
-                raise ConfigError("empty kappa range")
-            if not all(1.0 < k < math.inf for k in p["kappas"]):
-                raise ConfigError("all kappa values must be > 1 and finite")
-        if "k_list" in p:
-            # the probe's k scales a direction (k = 0 is the reference); the
-            # quantized commands' k is a tensor power
-            k_min = 0 if command == "mabuchi-probe" else 1
-            if not p["k_list"] or min(p["k_list"]) < k_min:
-                raise ConfigError(f"k values must be >= {k_min}" if p["k_list"] else "empty k range")
-            if k_min and max(p["k_list"]) > _K_MAX:
-                raise ConfigError(f"k values must be <= {_K_MAX} (got {max(p['k_list'])})")
-        if "tol" in p and not 0.0 < p["tol"] < math.inf:
-            raise ConfigError(f"tol must be finite and positive (got {p['tol']!r})")
-        return super().__new__(cls, command, params)
-
-    def hash(self) -> str:
-        return config_hash({"command": self.command, "params": self.params, "code": source_fingerprint()})
+def _record(key: str, command: str, params: dict[str, Any], hit: bool, passed: bool | None, out: str | None) -> str:
+    """The run record, one JSON object; `key` is the run's input hash."""
+    created = _dt.datetime.now(_dt.timezone.utc).isoformat()
+    rec = dict(input_hash=key, version=__version__, created_utc=created, command=command, params=params,
+               cache_hit=hit, passed=passed, out_path=out)
+    return json.dumps(rec, sort_keys=True, default=str)
 
 
-class RunRecord(NamedTuple):
-    input_hash: str
-    version: str
-    created_utc: str
-    command: str
-    params: dict[str, Any]
-    cache_hit: bool
-    passed: bool | None
-    out_path: str | None
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), sort_keys=True, default=str)
-
-
-def _record(cfg: RunConfig, hit: bool, passed: bool | None, out: str | None) -> RunRecord:
-    return RunRecord(
-        input_hash=cfg.hash(),
-        version=__version__,
-        created_utc=_dt.datetime.now(_dt.timezone.utc).isoformat(),
-        command=cfg.command,
-        params=cfg.params,
-        cache_hit=hit,
-        passed=passed,
-        out_path=out,
-    )
-
-
-def _emit(payload: str, rec: RunRecord, out: str | None) -> None:
+def _emit(payload: str, rec: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
-        sys.stderr.write(rec.to_json() + "\n")
+        sys.stderr.write(rec + "\n")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
         with open(out + ".record.json", "w", encoding="utf-8") as fh:
-            fh.write(rec.to_json() + "\n")
+            fh.write(rec + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write --out {exc.filename!r}: {exc.strerror}") from exc
 
@@ -146,11 +101,14 @@ def _json_line(rec: dict[str, Any]) -> str:
     return json.dumps(rec, sort_keys=True) + "\n"
 
 
-def _cached(cfg: RunConfig, produce: Callable[[], str], suffix: str, args: argparse.Namespace) -> int:
+def _cached(
+    command: str, params: dict[str, Any], produce: Callable[[], str], suffix: str, args: argparse.Namespace
+) -> int:
     """Take the payload from the result cache (or make and store it), emit it
     with its run record, and return EXIT_OK."""
-    payload, hit = ResultCache(enabled=not args.no_cache).get_or_make(cfg.hash(), produce, suffix=suffix)
-    _emit(payload, _record(cfg, hit, True, args.out), args.out)
+    key = _input_hash(command, params)
+    payload, hit = ResultCache(enabled=not args.no_cache).get_or_make(key, produce, suffix=suffix)
+    _emit(payload, _record(key, command, params, hit, True, args.out), args.out)
     return EXIT_OK
 
 
@@ -171,22 +129,33 @@ def _parse_kappa_range(text: str) -> list[float]:
         raise ConfigError(f"bad kappa range {text!r}: {exc}") from exc
 
 
-def _parse_k_range(text: str) -> list[int]:
-    """'lo:hi' -> doublings lo, 2lo, ... <= hi; 'a,b,c' -> explicit list."""
+def _parse_k_range(text: str | None, default: list[int], k_min: int, k_max: float) -> list[int]:
+    """'lo:hi' -> doublings lo, 2lo, ... <= hi; 'a,b,c' -> explicit list;
+    `default` when no range is given. ConfigError unless the list is not
+    empty and lies in [k_min, k_max]."""
+    if not text:
+        return default
     try:
         if ":" in text:
             lo, hi = (int(tok) for tok in text.split(":"))
             if lo < 1:
                 raise ConfigError(f"bad k range {text!r}: 'lo:hi' doubles lo, which must be >= 1")
-            out = []
+            ks = []
             k = lo
             while k <= hi:
-                out.append(k)
+                ks.append(k)
                 k *= 2
-            return out
-        return [int(tok) for tok in text.split(",") if tok]
+        else:
+            ks = [int(tok) for tok in text.split(",") if tok]
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad k range {text!r}: {exc}") from exc
+    if not ks:
+        raise ConfigError("empty k range")
+    if min(ks) < k_min:
+        raise ConfigError(f"k values must be >= {k_min}")
+    if max(ks) > k_max:
+        raise ConfigError(f"k values must be <= {k_max} (got {max(ks)})")
+    return ks
 
 
 def _parse_b0(text: str) -> float:
@@ -222,8 +191,11 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
     if (args.kappa is None) == (args.kappa_range is None):
         raise ConfigError("pkappa needs exactly one of --kappa and --kappa-range")
     kappas = [args.kappa] if args.kappa_range is None else _parse_kappa_range(args.kappa_range)
+    if not kappas:
+        raise ConfigError("empty kappa range")
+    if not all(1.0 < k < math.inf for k in kappas):
+        raise ConfigError("all kappa values must be > 1 and finite")
     X = _surface(args)
-    cfg = RunConfig("pkappa", {"kappas": kappas, "genus": args.genus, "degree": args.degree})
 
     def produce() -> str:
         errors: list[tuple[float, str]] = []
@@ -231,7 +203,7 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
         rows += [[repr(kap), *["nan"] * 5, f"Error:{name}"] for kap, name in errors]
         return _csv("kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label", rows)
 
-    return _cached(cfg, produce, ".csv", args)
+    return _cached("pkappa", {"kappas": kappas, "genus": args.genus, "degree": args.degree}, produce, ".csv", args)
 
 
 def cmd_kappa0(args: argparse.Namespace) -> int:
@@ -239,7 +211,6 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
     point there (~0 at the double root); the labels at the midpoint of
     (1, kappa0) and at kappa0 + 0.5. All four come from one `sweep`."""
     X = _surface(args)
-    cfg = RunConfig("kappa0", {"genus": args.genus, "degree": args.degree})
 
     def produce() -> str:
         k0 = kappa_zero(X)
@@ -252,7 +223,7 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
             "label_above": str(above.label),
         })
 
-    return _cached(cfg, produce, ".json", args)
+    return _cached("kappa0", {"genus": args.genus, "degree": args.degree}, produce, ".json", args)
 
 
 def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
@@ -260,9 +231,11 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
     fitted slope, and "diverges", true when the energy at the largest k lies
     more than 100 below the energy at the smallest k, in any order of
     --k-range."""
-    ks = _parse_k_range(args.k_range) if args.k_range else list(range(0, 65))
+    if args.kappa is not None and not 1.0 < args.kappa < math.inf:
+        raise ConfigError(f"kappa must be finite and > 1 (got {args.kappa!r})")
+    # the probe's k scales a direction (k = 0 is the reference): no cap
+    ks = _parse_k_range(args.k_range, list(range(0, 65)), 0, math.inf)
     X = _surface(args)
-    cfg = RunConfig("mabuchi-probe", {"kappa": args.kappa, "genus": args.genus, "degree": args.degree, "k_list": ks})
 
     def produce() -> str:
         # default kappa: midpoint of (1, kappa0) of the surface the flags name
@@ -277,13 +250,15 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         verdict = {"kappa": kappa, "label": label, "diverges": hi < lo - 100.0, "slope": slope}
         return _csv("k,energy,slope_fit", rows) + _json_line(verdict)
 
-    return _cached(cfg, produce, ".csv", args)
+    params = {"kappa": args.kappa, "genus": args.genus, "degree": args.degree, "k_list": ks}
+    return _cached("mabuchi-probe", params, produce, ".csv", args)
 
 
 def cmd_quant_balanced(args: argparse.Namespace) -> int:
     model = _validated(ToyModel, b0=_parse_b0(args.b0), p=args.p)
-    ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32]
-    cfg = RunConfig("quant-balanced", {**model._asdict(), "k_list": ks, "tol": args.tol})
+    ks = _parse_k_range(args.k_range, [8, 16, 32], 1, _K_MAX)
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive (got {args.tol!r})")
 
     def produce() -> str:
         phi0 = round_potential()
@@ -294,13 +269,12 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
             rows.append([k, res.n_iter, repr(resid), repr(dev)])
         return _csv("k,n_iter,residual,scal_dev", rows)
 
-    return _cached(cfg, produce, ".csv", args)
+    return _cached("quant-balanced", {**model._asdict(), "k_list": ks, "tol": args.tol}, produce, ".csv", args)
 
 
 def cmd_quant_expansion(args: argparse.Namespace) -> int:
     model = _validated(ToyModel, b0=_parse_b0(args.b0), p=args.p)
-    ks = _parse_k_range(args.k_range) if args.k_range else [8, 16, 32, 64]
-    cfg = RunConfig("quant-expansion", {**model._asdict(), "k_list": ks})
+    ks = _parse_k_range(args.k_range, [8, 16, 32, 64], 1, _K_MAX)
 
     def produce() -> str:
         rep = expansion_check(round_potential(), model, ks)
@@ -309,16 +283,16 @@ def cmd_quant_expansion(args: argparse.Namespace) -> int:
         trailer = {"slope": rep.slope, "leading_slope": rep.leading_slope}
         return _csv("k,residual_sup,slope_running", rows) + _json_line(trailer)
 
-    return _cached(cfg, produce, ".csv", args)
+    return _cached("quant-expansion", {**model._asdict(), "k_list": ks}, produce, ".csv", args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tags = args.tags.split(",") if args.tags is not None else None
-    cfg = RunConfig("verify", {"tags": tags, "breach": args.breach})
-    results = _validated(run_checks, tags=tags, breach=args.breach)
+    params = {"tags": tags, "breach": args.breach}
+    results = run_checks(tags=tags, breach=args.breach)
     payload = _csv("name,tag,passed,detail", ([r.name, r.tag, str(r.passed), r.detail] for r in results))
     ok = all(r.passed for r in results)
-    _emit(payload, _record(cfg, False, ok, args.out), args.out)
+    _emit(payload, _record(_input_hash("verify", params), "verify", params, False, ok, args.out), args.out)
     return EXIT_OK if ok else EXIT_FAIL
 
 

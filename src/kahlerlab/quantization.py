@@ -51,6 +51,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError, NoConvergence, NotAdmissible, OutOfDomain, WeightSignError
 from .numerics import QuadratureRule, chebyshev_coefficients, gauss_legendre, power_integral
@@ -206,22 +207,18 @@ class RadialPotential(ABC):
     at the pull-back of u, so mu = u only for a momentum-native potential.
 
     A potential never changes after construction, so its read-only sample
-    on the momentum rule, gram_sample, is taken once; it reads the jet at the
-    momentum nodes, or mu, psi and psi'' at their pull-back in
-    _TNativePotential. Each class also states dv_ends, the values of
-    v - v_round at mu = 0 and 1 (v_round vanishes at both).
+    on the momentum rule, gram_sample, is taken once: ProfilePotential reads
+    its jet at the momentum nodes, _TNativePotential mu, psi and psi'' at
+    their pull-back, and a shifted potential its base's sample. Each class
+    also states dv_ends, the values of v - v_round at mu = 0 and 1 (v_round
+    vanishes at both).
     """
 
     dv_ends: tuple[float, float]
+    gram_sample: GramSample
 
     @abstractmethod
     def jet(self, u) -> MuSample: ...
-
-    @cached_property
-    def gram_sample(self) -> GramSample:
-        rule = _mu_rule()
-        s = self.jet(rule.nodes)
-        return _read_only(GramSample(s.mu, s.t, s.v, s.S, np.log(rule.weights)))
 
 
 class _TNativePotential(RadialPotential):
@@ -301,6 +298,12 @@ class ProfilePotential(RadialPotential):
             self._series[: len(c), i] = c
         self._series.flags.writeable = False
         self.dv_ends = tuple(float(e) for e in cheb.chebval(np.array([-1.0, 1.0]), Rc))
+
+    @cached_property
+    def gram_sample(self) -> GramSample:
+        rule = _mu_rule()
+        s = self.jet(rule.nodes)
+        return _read_only(GramSample(s.mu, s.t, s.v, s.S, np.log(rule.weights)))
 
     def jet(self, u) -> MuSample:
         mu = _interior(u)
@@ -395,6 +398,13 @@ class _ShiftedPotential(RadialPotential):
         self.s = float(s)
         self.dv_ends = tuple(e - 2.0 * self.s for e in base.dv_ends)
 
+    @cached_property
+    def gram_sample(self) -> GramSample:
+        # the base's own sample: a t-native base is sampled at the pull-back
+        # of the nodes, where mu is not u
+        g = self.base.gram_sample
+        return _read_only(g._replace(v=g.v - 2.0 * self.s))
+
     def jet(self, u) -> MuSample:
         out = self.base.jet(u)
         return out._replace(v=out.v - 2.0 * self.s)
@@ -418,10 +428,7 @@ def random_potential(rng: np.random.Generator, scale: float = 0.8, degree: int =
 
     def q(mu):
         mu = np.asarray(mu, dtype=float)
-        g = np.zeros_like(mu)
-        for c in co[::-1]:
-            g = g * mu + c
-        return np.exp(mu * (1.0 - mu) * g)
+        return np.exp(mu * (1.0 - mu) * polyval(mu, co))
 
     return ProfilePotential(q)
 

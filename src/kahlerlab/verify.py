@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import gauss_legendre
-from .errors import BadDirection, OutOfDomain
+from .errors import BadDirection, ConfigError
 from .calabi import (
     KillingData,
     RuledSurfaceData,
@@ -290,17 +290,18 @@ def run_checks(tags: Sequence[str] | None = None, breach: str | None = None) -> 
 
     `breach` names a check whose bound is made impossible (-1 for an upper
     bound, inf for a lower one) — used to test the failure path end to end.
-    A breach of a check that `tags` leaves out raises OutOfDomain.
+    ConfigError for an unknown tag or breach target, and for a breach of a
+    check that `tags` leaves out.
     """
     tag_of = {row[0]: row[1] for row in _CHECKS}
     if breach is not None and breach not in tag_of:
-        raise OutOfDomain(f"unknown breach target {breach!r}")
+        raise ConfigError(f"unknown breach target {breach!r}")
     if tags is not None:
         bad = set(tags) - set(ALL_TAGS)
         if bad:
-            raise OutOfDomain(f"unknown tags {sorted(bad)!r}")
+            raise ConfigError(f"unknown tags {sorted(bad)!r}")
         if breach is not None and tag_of[breach] not in tags:
-            raise OutOfDomain(f"breach target {breach!r} has tag {tag_of[breach]!r}, not among {list(tags)!r}")
+            raise ConfigError(f"breach target {breach!r} has tag {tag_of[breach]!r}, not among {list(tags)!r}")
     out = []
     for name, tag, check, sense, bound in _CHECKS:
         if tags is not None and tag not in tags:

@@ -14,7 +14,7 @@ import pytest
 
 import kahlerlab
 import kahlerlab.cli as cli
-from kahlerlab import ckem, quantization
+from kahlerlab import ckem, quantization, verify
 from kahlerlab.calabi import RuledSurfaceData
 from kahlerlab.cli import build_parser, main
 from kahlerlab.ckem import b_kappa, interior_min, kappa_zero, solve_P, sweep
@@ -315,6 +315,18 @@ def test_verify_rejects_an_empty_tag_list(workdir, capsys):
     assert out == "" and err == "config error: unknown tags ['']\n"
 
 
+def test_a_check_that_raises_exits_1_under_its_own_error_name(workdir, capsys, monkeypatch):
+    # a numerical failure inside a check is not a config error: an
+    # OutOfDomain raised by a check exits 1 and names itself
+    def failing() -> float:
+        raise OutOfDomain("a check left its domain")
+
+    monkeypatch.setattr(verify, "_CHECKS", (("failing", "numerics", failing, "<", 1.0),))
+    assert main(["verify", "--no-cache"]) == cli.EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert out == "" and err == "OutOfDomain: a check left its domain\n"
+
+
 def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, capsys, monkeypatch):
     # the residual and the scal deviation both read one jet on sup_grid() of
     # the FS potential the iteration returns, not of a second, equal one
@@ -476,14 +488,22 @@ def test_a_tensor_power_above_the_cap_is_a_config_error(command):
     assert proc.stderr == f"config error: k values must be <= {cli._K_MAX} (got 100000)\n"
 
 
-def test_the_k_cap_binds_the_tensor_power_only():
+def test_the_k_cap_binds_the_tensor_power_only(monkeypatch):
+    # _parse_k_range checks each command's floor and cap: the quantized
+    # commands' k is a tensor power in [1, _K_MAX]; the probe's k scales a
+    # direction (k = 0 is the reference) and has no cap
     assert cli._K_MAX == 4096
-    for command in ("quant-balanced", "quant-expansion"):
-        cli.RunConfig(command, {"k_list": [cli._K_MAX]})
-        with pytest.raises(cli.ConfigError, match="k values must be <= 4096"):
-            cli.RunConfig(command, {"k_list": [cli._K_MAX + 1]})
-    # the probe's k scales a direction: no cap
-    cli.RunConfig("mabuchi-probe", {"k_list": [0, 10 * cli._K_MAX]})
+    parse = cli._parse_k_range
+    assert parse(str(cli._K_MAX), [8], 1, cli._K_MAX) == [cli._K_MAX]
+    with pytest.raises(cli.ConfigError, match="k values must be <= 4096"):
+        parse(str(cli._K_MAX + 1), [8], 1, cli._K_MAX)
+    assert parse(f"0,{10 * cli._K_MAX}", [], 0, math.inf) == [0, 10 * cli._K_MAX]
+    # each command hands it its own default, floor and cap
+    calls = []
+    monkeypatch.setattr(cli, "_parse_k_range", lambda text, *rest: calls.append(rest) or parse(text, *rest))
+    for command in ("quant-balanced", "quant-expansion", "mabuchi-probe"):
+        assert main([command, "--k-range", "4:2", "--no-cache"]) == cli.EXIT_CONFIG
+    assert calls == [([8, 16, 32], 1, cli._K_MAX), ([8, 16, 32, 64], 1, cli._K_MAX), (list(range(65)), 0, math.inf)]
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,23 @@ def test_toy_mabuchi_round_is_zero_and_shift_invariant():
     assert a > 0.0
 
 
+@pytest.mark.parametrize("kind", ["profile", "fs"])
+def test_a_constant_shift_moves_log_h_only_on_either_base(kind):
+    # phi + s leaves the metric: log h moves by -2 k s, and the Mabuchi
+    # energy and L do not move. The shifted potential's Gram sample is its
+    # base's, which an FS base takes at the pull-back of the nodes, where
+    # mu is not u; read as a jet at the nodes, log h was off by 0.26 and the
+    # energy moved by 0.64
+    k, s = 8, 0.37
+    phi = random_potential(np.random.default_rng(3))
+    if kind == "fs":
+        phi = fs(hilb(phi, k, MW), k, MW)
+    shifted = _ShiftedPotential(phi, s)
+    np.testing.assert_allclose(hilb(shifted, k, MW).log_h, hilb(phi, k, MW).log_h - 2.0 * k * s, atol=1e-10)
+    np.testing.assert_allclose(toy_mabuchi(shifted, MW), toy_mabuchi(phi, MW), atol=1e-9)
+    np.testing.assert_allclose(functional_L(shifted, k, MW), functional_L(phi, k, MW), atol=1e-9)
+
+
 def test_geodesic_moves_log_norms_affinely():
     k = 5
     H = hilb(round_potential(), k, M0)
@@ -259,9 +276,9 @@ _OFF_RULE = {"rho_p": 1, "bergman": 1, "scal": 1}
 def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
     # each fresh potential of every class is evaluated exactly once on the
     # momentum rule, on its native side (a t-native one at the pull-back of
-    # the nodes), whatever sequence of consumers reads it, and a second
-    # consumer samples nothing on it; off the rule, each consumer call takes
-    # only the jets _OFF_RULE counts
+    # the nodes, a shifted one through its base's sample), whatever sequence
+    # of consumers reads it, and a second consumer samples nothing on it; off
+    # the rule, each consumer call takes only the jets _OFF_RULE counts
     sampled = []
 
     def counting(fn):
@@ -285,7 +302,8 @@ def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
         monkeypatch.setattr(cls, meth, counting(vars(cls)[meth]))
 
     def on_rule(p):
-        return [m for q, m, rule in sampled if q is p and rule == "mu"]
+        # a shifted potential's Gram sample is its base's
+        return [m for q, m, rule in sampled if q in (p, getattr(p, "base", None)) and rule == "mu"]
 
     consumers = _consumers()
     mu_side = ("jet", "_up_to_psi2", "at_t", "jet", "jet")  # the shifted potential's base is a profile

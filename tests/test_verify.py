@@ -1,7 +1,7 @@
 import pytest
 
 from kahlerlab.cli import main
-from kahlerlab.errors import OutOfDomain
+from kahlerlab.errors import ConfigError
 from kahlerlab.verify import ALL_TAGS, run_checks
 
 
@@ -30,10 +30,12 @@ def test_breach_fails_exactly_one_check():
 
 
 def test_unknown_tag_and_breach_rejected():
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ConfigError, match="unknown tags"):
         run_checks(tags=["nope"])
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(ConfigError, match="unknown breach target"):
         run_checks(breach="nope")
+    with pytest.raises(ConfigError, match="has tag 'ckem'"):
+        run_checks(tags=["numerics"], breach="futaki-off-curve")
 
 
 def test_all_tags_covered_by_registry():
