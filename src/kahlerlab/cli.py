@@ -131,9 +131,9 @@ def _parse_kappa_range(text: str) -> list[float]:
 
 def _parse_k_range(text: str | None, default: list[int], k_min: int, k_max: float) -> list[int]:
     """'lo:hi' -> doublings lo, 2lo, ... <= hi; 'a,b,c' -> explicit list;
-    `default` when no range is given. ConfigError unless the list is not
-    empty and lies in [k_min, k_max]."""
-    if not text:
+    `default` when no range is given (an empty one is empty). ConfigError
+    unless the list is not empty and lies in [k_min, k_max]."""
+    if text is None:
         return default
     try:
         if ":" in text:

@@ -8,7 +8,7 @@ the toy Mabuchi 1-form is d𝓜(phi-dot) = -∫ phi-dot (Scal_p - c) f^{-(p+1)} 
 
 Both 1-forms are exact, and both functionals are evaluated in closed form in
 momentum coordinates, on the one Gram sample each potential holds
-(RadialPotential.gram_sample). At fixed t and mu a variation of psi = 2 phi
+(RadialPotential.gram_sample, with gram_dv). At fixed t and mu a variation of psi = 2 phi
 is minus the variation of the symplectic potential v, so phi-dot = -v-dot/2,
 and everything is read off dv = v - v_round, V = f^{1-p} and W = f^{-(p+1)}.
 """
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import NotTraceless, OutOfDomain
 from .quantization import (
-    GramSample,
     HermitianNorms,
     RadialPotential,
     SpectrumData,
@@ -33,7 +32,6 @@ from .quantization import (
     eigenvalues,
     fs,
     hilb,
-    _xlogx,
 )
 
 __all__ = [
@@ -56,19 +54,12 @@ def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
     return float(np.dot(spectrum.lam_p, H.log_h))
 
 
-def _delta_v(phi: RadialPotential) -> tuple[GramSample, np.ndarray, np.ndarray]:
-    """phi's Gram sample, its dmu weights and dv = v - v_round there; v_round
-    is subtracted as one sum, so dv of the round potential is exactly 0."""
-    g = phi.gram_sample
-    return g, np.exp(g.log_w), g.v - (_xlogx(g.mu) + _xlogx(1.0 - g.mu))
-
-
 def aubin_I(phi: RadialPotential, k: int, model: ToyModel) -> float:
     """𝕀(phi) = -2 pi k^2 C_k ∫ dv f^{1-p} dmu: the Aubin 1-form is linear in
     phi-dot = -v-dot/2, so 𝕀 integrates it in closed form from the round
     potential (𝕀(round) = 0)."""
-    g, w, dv = _delta_v(phi)
-    return -2.0 * math.pi * k * k * c_k_constant(k, model) * float(w @ (dv * model.f(g.mu) ** (1.0 - model.p)))
+    (w, dv), mu = phi.gram_dv, phi.gram_sample.mu
+    return -2.0 * math.pi * k * k * c_k_constant(k, model) * float(w @ (dv * model.f(mu) ** (1.0 - model.p)))
 
 
 def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:
@@ -89,10 +80,10 @@ def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
         𝓜 = pi [2 V(0) dv(0) + 2 V(1) dv(1) + 2 ∫ V log(S/S_round) dmu - c ∫ dv W dmu],
 
     with S_round = 2 mu (1-mu) and the end values phi.dv_ends."""
-    g, w, dv = _delta_v(phi)
+    g, (w, dv) = phi.gram_sample, phi.gram_dv
     f, p = model.f(g.mu), model.p
     V, W = f ** (1.0 - p), f ** (-(p + 1.0))
-    ends = 2.0 * float(np.dot(model.f(np.array([0.0, 1.0])) ** (1.0 - p), phi.dv_ends))
+    ends = 2.0 * float(np.sum(model.f(np.array([0.0, 1.0])) ** (1.0 - p) * np.array(phi.dv_ends)))  # f may be 1.0
     log_q = np.log(g.S / (2.0 * g.mu * (1.0 - g.mu)))
     return math.pi * (ends + float(w @ (2.0 * V * log_q - c_top_exact(model) * dv * W)))
 

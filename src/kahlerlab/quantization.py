@@ -38,6 +38,8 @@ potential's softmax pass stops there at psi''; the Gram matrices and the
 closed-form functionals of the functionals module all read it, and the
 pointwise evaluators (Scal_p, the Bergman densities) read a jet their
 caller takes. The spectrum (eigenvalues) is built once per (k, model).
+Each (k+1) x n pass holds the fewest full-size buffers and works in them in
+place: from k = 64 each one passes glibc's 128 kB mmap threshold and faults.
 
 Volume convention: vol_{k omega} = k^m vol_omega with m = 1, i.e. 2 pi k dmu.
 """
@@ -145,11 +147,10 @@ class ToyModel(_ToyModel):
         return self.b0 == math.inf
 
     def f(self, mu):
-        mu = np.asarray(mu, dtype=float)
+        """f(mu) = mu + b0; the float 1 in the xi=0 mode, so no power of f builds an array there."""
         if self.xi_zero:
-            out = np.ones_like(mu)
-        else:
-            out = mu + self.b0
+            return 1.0
+        out = np.asarray(mu, dtype=float) + self.b0
         return out if out.ndim else float(out)
 
 
@@ -211,7 +212,7 @@ class RadialPotential(ABC):
     its jet at the momentum nodes, _TNativePotential mu, psi and psi'' at
     their pull-back, and a shifted potential its base's sample. Each class
     also states dv_ends, the values of v - v_round at mu = 0 and 1 (v_round
-    vanishes at both).
+    vanishes at both); gram_dv holds v - v_round on the nodes.
     """
 
     dv_ends: tuple[float, float]
@@ -219,6 +220,13 @@ class RadialPotential(ABC):
 
     @abstractmethod
     def jet(self, u) -> MuSample: ...
+
+    @cached_property
+    def gram_dv(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dmu weights of gram_sample and dv = v - v_round there, read-only. v_round is
+        subtracted as one sum, so dv of the round potential is exactly 0."""
+        g = self.gram_sample
+        return _read_only((np.exp(g.log_w), g.v - (_xlogx(g.mu) + _xlogx(1.0 - g.mu))))
 
 
 class _TNativePotential(RadialPotential):
@@ -458,7 +466,7 @@ class HermitianNorms(_HermitianNorms):
             raise OutOfDomain("k must be >= 1")
         if log_h.shape != (k + 1,):
             raise OutOfDomain("need k+1 norms")
-        if not np.all(np.isfinite(log_h)):
+        if not np.isfinite(log_h).all():
             raise OutOfDomain("norms must be positive and finite")
         return super().__new__(cls, k, log_h)
 
@@ -525,20 +533,25 @@ def weighted_scalar_toy(s: MuSample, model: ToyModel) -> np.ndarray:
     return f * f * (-s.d2S) + 2.0 * (p - 1.0) * f * s.dS - p * (p - 1.0) * s.S
 
 
-def _log_section_densities(s: MuSample | GramSample, k: int) -> np.ndarray:
-    """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = k v + (j - k mu) t
-    at the momenta mu_q of a jet or a Gram sample s."""
-    j = np.arange(k + 1, dtype=float)[:, None]
-    return k * s.v + (j - k * s.mu) * s.t
+def _log_section_densities(s: MuSample | GramSample, k: int, row=0.0) -> np.ndarray:
+    """Matrix E with E[j, q] = log |s_j|^2_{k phi}(mu_q) = (j - k mu) t + k v, plus a per-node
+    `row`, at the momenta mu_q of a jet or a Gram sample s, in one new buffer; j - k mu is
+    formed first, as j t + k (v - mu t) would cancel terms ~|k t| at the ends of the rule."""
+    E = np.subtract.outer(np.arange(k + 1, dtype=float), k * s.mu)
+    E *= s.t
+    E += k * s.v + row
+    return E
 
 
 def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
     """log G_j, G_j = int |s_j|^2 f^{1-p} vol_{k omega} = 2 pi k int e^{E_j} f^{1-p} dmu,
-    from phi.gram_sample."""
+    from phi.gram_sample, in one buffer. The weight stays in log space, (1-p) log f,
+    as f^{1-p} can overflow a float where G does not."""
     s = phi.gram_sample
-    a = _log_section_densities(s, k) + (s.log_w + (1.0 - model.p) * np.log(model.f(s.mu)))[None, :]
-    m = np.max(a, axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
-    return np.log(np.sum(np.exp(a - m), axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
+    a = _log_section_densities(s, k, s.log_w if model.xi_zero else s.log_w + (1.0 - model.p) * np.log(model.f(s.mu)))
+    m = a.max(axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
+    a -= m
+    return np.log(np.exp(a, out=a).sum(axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
 
 
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
@@ -605,39 +618,41 @@ def balanced_step(H: HermitianNorms, k: int, model: ToyModel) -> np.ndarray:
 
 
 def _balanced_pass(x: np.ndarray, k: int, model: ToyModel) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """balanced_step's g at x = log h, and a function that forms J = dg/dx once, in the pass's
-    buffers. With d = j - E_W[j], var = Var_W[j], a = (1-p) f'/f(mu)/k: dW_ji/dx_l = W_ji (W_li - delta_jl),
-    dc_i/dx_l = -c_i W_li ((d_li^2 - var_i)/var_i + a_i d_li), so J = (W c M^T)/(W c) - I with
-    M = W (2 - d^2/var - a d), a ratio over the row-shifted E like g. J annihilates 1; the move of
-    the nodes with beta, which would make it annihilate j exactly, is of the rule's error and left out."""
+    """balanced_step's g at x = log h, and a function that forms J = dg/dx once from E, the one
+    (k+1) x n buffer the pass keeps. With d = j - E_W[j], var = Var_W[j], a = (1-p) f'/f(mu)/k:
+    dW_ji/dx_l = W_ji (W_li - delta_jl), dc_i/dx_l = -c_i W_li ((d_li^2 - var_i)/var_i + a_i d_li), so
+    J = (W c M^T)/(W c) - I with M = W (2 - d^2/var - a d), a ratio over the row-shifted E like g. J annihilates 1;
+    the move of the nodes with beta, which would make it annihilate j exactly, is of the rule's error and left out."""
     logit_u, w_t = _pullback_rule()
     j = np.arange(k + 1, dtype=float)
-    e = j[:, None] * (logit_u + (x[-1] - x[0]) / k)  # one buffer: the exponent, then E
+    e = np.outer(j, logit_u + (x[-1] - x[0]) / k)
     e -= x[:, None]
     e -= e.max(axis=0)
     r = e.max(axis=1)
     e -= r[:, None]
     np.exp(e, out=e)
-    p = e * np.exp(r)[:, None]
-    tot = p.sum(axis=0)
-    m1 = (j @ p) / tot
-    d = j[:, None] - m1
-    p *= d
-    var = np.einsum("ji,ji->i", p, d)
+    er = np.exp(r)
+    tot = er @ e  # W = e^r E / tot
+    m1 = ((j * er) @ e) / tot
+    sq = np.subtract(j[:, None], m1)
+    sq *= sq
+    sq *= e
+    var = er @ sq  # tot Var_W[j]
     c = w_t * var * model.f(m1 / k) ** (1.0 - model.p) / (k * tot * tot)  # c_i / tot_i
     s = e @ c
     g = _log_step_scale(k, model) + r + np.log(s)
 
     def jacobian() -> np.ndarray:
-        # in place: dd = W tot d (d/var + a), then m = W tot (2 - d^2/var - a d) c/tot
-        dd = np.divide(d, var / tot, out=d)
-        if not model.xi_zero:
-            dd += (1.0 - model.p) / (m1 + k * model.b0)
-        dd *= p
-        m = np.multiply(e, 2.0 * np.exp(r)[:, None], out=p)
-        m -= dd
+        # m = W tot (2 - d^2/Var - a d) c/tot, Var = var/tot, in the buffer of d = j - E_W[j]
+        a = 0.0 if model.xi_zero else (1.0 - model.p) / (m1 + k * model.b0)
+        m = np.subtract(j[:, None], m1)
+        m *= m / (var / tot) + a  # its temporary is freed before J is taken
+        np.subtract(2.0, m, out=m)
+        m *= e
+        m *= er[:, None]
         m *= c / tot
-        J = e @ m.T / s[:, None]
+        J = e @ m.T
+        J /= s[:, None]
         J.flat[:: k + 2] -= 1.0  # the diagonal
         return J
 
@@ -647,9 +662,11 @@ def _balanced_pass(x: np.ndarray, k: int, model: ToyModel) -> tuple[np.ndarray, 
 def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, s: MuSample) -> np.ndarray:
     """B(mu) = f^{1-p} sum_j weights_j |s_j|^2 / G_j at the momenta of the
     jet s = phi.jet(u), with G_j the squared norms of `hilb`'s product
-    int |.|^2 f^{1-p} vol_{k omega}."""
-    dens = np.exp(_log_section_densities(s, k) - _log_gram(phi, k, model)[:, None])
-    return model.f(s.mu) ** (1.0 - model.p) * np.einsum("j,jq->q", weights, dens)
+    int |.|^2 f^{1-p} vol_{k omega}; one buffer, once the Gram's is freed."""
+    log_g = _log_gram(phi, k, model)
+    dens = _log_section_densities(s, k)
+    dens -= log_g[:, None]
+    return model.f(s.mu) ** (1.0 - model.p) * np.dot(weights, np.exp(dens, out=dens))
 
 
 def rho_p(phi: RadialPotential, k: int, model: ToyModel, s: MuSample) -> np.ndarray:
@@ -766,7 +783,8 @@ def balanced_iterate(
         if quotient < tol:
             break
         base, base_merit, damping = x, merit, 1.0
-        delta = np.linalg.solve(jacobian() + P, -g)
+        J = jacobian()
+        delta = np.linalg.solve(np.add(J, P, out=J), -g)  # one (k+1)^2 matrix per step
         x = base + delta
     raise NoConvergence(f"balanced iteration did not reach tol={tol:g} in {n} steps: last raw step "
                         f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}")

@@ -286,6 +286,13 @@ def test_an_empty_doubling_range_is_named_as_such(argv, workdir, capsys):
     assert capsys.readouterr().err == "config error: empty k range\n"
 
 
+@pytest.mark.parametrize("command", ["mabuchi-probe", "quant-balanced", "quant-expansion"])
+def test_an_empty_k_range_is_not_the_default(command, workdir, capsys):
+    # only a missing --k-range means the command's default list
+    assert main([command, "--k-range=", "--no-cache"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "config error: empty k range\n")
+
+
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
 def test_out_to_a_path_that_cannot_be_written_is_a_config_error(target, workdir, capsys):
     path = str(workdir / target)

@@ -7,6 +7,7 @@ the exact (2 pi) C_k = 1 - 1/k^2 identity in the unweighted mode.
 
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -405,18 +406,50 @@ def test_ck_constant_weighted_volume_matches_mpmath(b0, p):
 
 def test_hilb_round_matches_beta_integrals():
     # Unweighted round norms: h_j = 2 pi k B(j+1, k-j+1) / lambda_j(p), and
-    # lambda_j(p) = 1 - 1/k here (unit eigenvalues, c = 4).
+    # lambda_j(p) = 1 - 1/k here (unit eigenvalues, c = 4). From k = 64 the
+    # Gram's (k+1) x 256 buffer passes glibc's 128 kB mmap threshold; |log h|
+    # grows like k, and its rounding with it (1.7e-12 at k = 1024)
     model = ToyModel(p=1.0)
-    k = 9
-    H = hilb(round_potential(), k, model)
-    j = np.arange(k + 1)
-    expected = (
-        math.log(2.0 * math.pi * k)
-        + betaln(j + 1.0, k - j + 1.0)
-        - math.log(1.0 - 1.0 / k)
-    )
-    np.testing.assert_allclose(H.log_h, expected, atol=1e-12)
-    np.testing.assert_allclose(H.log_h, H.log_h[::-1], atol=1e-12)
+    for k in (9, 64, 256, 1024):
+        H = hilb(round_potential(), k, model)
+        j = np.arange(k + 1)
+        expected = (
+            math.log(2.0 * math.pi * k)
+            + betaln(j + 1.0, k - j + 1.0)
+            - math.log(1.0 - 1.0 / k)
+        )
+        atol = max(1e-12, 4e-15 * k)
+        np.testing.assert_allclose(H.log_h, expected, atol=atol)
+        np.testing.assert_allclose(H.log_h, H.log_h[::-1], atol=atol)
+
+
+def _traced_peak_in_buffers(fn, k: int) -> float:
+    """Traced peak of one warm call of fn, in (k+1) x 256 float64 buffers."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / ((k + 1) * 256 * 8)
+
+
+@pytest.mark.parametrize("model", [ToyModel(p=1.0), ToyModel(b0=1.0, p=4.0)], ids=["xi=0", "b0=1,p=4"])
+def test_each_gram_pass_holds_few_full_size_buffers(model):
+    # every (k+1) x 256 float temporary passes glibc's mmap threshold from
+    # k = 64 and costs page faults per call. hilb works in one buffer; rho_p
+    # frees the Gram's before it takes one on the jet (193 momenta); a
+    # balanced pass keeps only E, and its Jacobian adds m and J, whose
+    # (k+1)^2 floats are 4.0 buffers at this k
+    k = 1024
+    phi = random_potential(np.random.default_rng(3), scale=0.6)
+    s = phi.jet(sup_grid())
+    x = hilb(phi, k, model).log_h
+    assert _traced_peak_in_buffers(lambda: hilb(phi, k, model), k) < 1.5
+    assert _traced_peak_in_buffers(lambda: rho_p(phi, k, model, s), k) < 2.5
+    assert _traced_peak_in_buffers(lambda: _balanced_pass(x, k, model)[1](), k) < 6.5
 
 
 def test_fs_hilb_fixes_round_potential():
