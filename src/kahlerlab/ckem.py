@@ -34,7 +34,7 @@ On the curve the system has the solution (sympy; D = 3b^2 - 1)
     p4 = (-5b^2 + s_C b + 1)/(4bD),
 
 evaluated in u = 1/b so that no power of b past b^2 is formed
-(`_closed_form`). As s_C < 0, p4 < 0 for every b > 1: P is a quartic.
+(`_coefficients`). As s_C < 0, p4 < 0 for every b > 1: P is a quartic.
 
 kappa_0 is closed-form too. As p2 = -(p0 + p4) for every b, P = (z^2-1) Q
 with Q = p4 z^2 - z - p0 and Q(+-1) = -(kappa+-1) < 0, so P < 0 somewhere
@@ -148,16 +148,15 @@ def _futaki_defect(kappa: np.ndarray, b: np.ndarray, sC: float) -> np.ndarray:
     return np.where(np.isfinite(kappa) & (kappa > 1.0) & (b > 0.0), d, math.nan)
 
 
-def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """For (kappa, b), float64 scalars or stacks of shape (n,): P's coefficients
-    in z, ascending, along a last axis of 5, and c on the Futaki curve through
-    b (module docstring), the Futaki defect at (kappa, b), and where all three
-    are finite. Written in u = 1/b, so that no power of b above b^2 is formed."""
+def _coefficients(b: np.ndarray, sC: float) -> np.ndarray:
+    """P's coefficients in z, ascending, along a last axis of 5, on the Futaki curve
+    through b (module docstring), for b a float64 scalar or a stack of shape (n,).
+    Written in u = 1/b, so that no power of b above b^2 is formed."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = 1.0 / b
         e = 3.0 - u * u  # D / b^2
         one = np.ones_like(u)
-        coef = np.stack(
+        return np.stack(
             [
                 b * (6.0 - u * u * (1.0 - u * (sC - u))) / (4.0 * e),
                 one,
@@ -167,7 +166,16 @@ def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarra
             ],
             axis=-1,
         )
-        c = 6.0 * b * b * (1.0 - u * u) * (1.0 + u * (sC - u)) / e
+
+
+def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For (kappa, b), float64 scalars or stacks of shape (n,): P's coefficients
+    (`_coefficients`) and c on the Futaki curve through b, the Futaki defect at
+    (kappa, b), and where all three are finite."""
+    coef = _coefficients(b, sC)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = 1.0 / b
+        c = 6.0 * b * b * (1.0 - u * u) * (1.0 + u * (sC - u)) / (3.0 - u * u)
     defect = _futaki_defect(kappa, b, sC)
     return coef, c, defect, np.isfinite(coef).all(axis=-1) & np.isfinite(c) & np.isfinite(defect)
 
@@ -259,7 +267,7 @@ def kappa_zero(X: RuledSurfaceData | None = None) -> float:
     if not kappa0 > 1.0:
         raise OutOfDomain(f"kappa0 rounds to 1: kappa0 - 1 ~ s_C^2/200 = {sC * sC / 200.0:.3g} at s_C = {sC!r} "
                           "is below float resolution")
-    coef, _, _, _ = _closed_form(np.float64(kappa0), np.float64(b_kappa(kappa0)), sC)
+    coef = _coefficients(np.float64(b_kappa(kappa0)), sC)
     m = abs(float(_interior_min(coef[None, :])[0][0]))
     scale = float(np.abs(coef).max())  # 1 unless |p0|, |p2| or |p4| exceeds 1
     if not m <= _KAPPA_ZERO_TOL * scale:

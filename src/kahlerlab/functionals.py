@@ -8,7 +8,9 @@ the toy Mabuchi 1-form is d𝓜(phi-dot) = -∫ phi-dot (Scal_p - c) f^{-(p+1)} 
 
 Both 1-forms are exact, and both functionals are evaluated in closed form in
 momentum coordinates, on the one Gram sample each potential holds
-(RadialPotential.gram_sample, with gram_dv). At fixed t and mu a variation of psi = 2 phi
+(RadialPotential.gram_sample, with gram_dv). Z reads 𝕀(fs(H)) off one softmax pass
+over log h at the pulled-back Gram nodes, as balanced_step does: the pass of fs(H)'s
+Gram sample, with no FS potential built. At fixed t and mu a variation of psi = 2 phi
 is minus the variation of the symplectic potential v, so phi-dot = -v-dot/2,
 and everything is read off dv = v - v_round, V = f^{1-p} and W = f^{-(p+1)}.
 """
@@ -30,8 +32,8 @@ from .quantization import (
     c_k_constant,
     c_top_exact,
     eigenvalues,
-    fs,
     hilb,
+    _fs_gram_dv,
 )
 
 __all__ = [
@@ -59,6 +61,11 @@ def aubin_I(phi: RadialPotential, k: int, model: ToyModel) -> float:
     phi-dot = -v-dot/2, so 𝕀 integrates it in closed form from the round
     potential (𝕀(round) = 0)."""
     (w, dv), mu = phi.gram_dv, phi.gram_sample.mu
+    return _aubin(w, dv, mu, k, model)
+
+
+def _aubin(w: np.ndarray, dv: np.ndarray, mu: np.ndarray, k: int, model: ToyModel) -> float:
+    """-2 pi k^2 C_k sum_i w_i dv_i f(mu_i)^{1-p}, the Aubin functional on a Gram sample."""
     return -2.0 * math.pi * k * k * c_k_constant(k, model) * float(w @ (dv * model.f(mu) ** (1.0 - model.p)))
 
 
@@ -68,8 +75,11 @@ def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:
 
 
 def functional_Z(H: HermitianNorms, k: int, model: ToyModel) -> float:
-    """Z(H) = 𝕀(fs(H)) + I(H)."""
-    return aubin_I(fs(H, k, model), k, model) + functional_I(H, eigenvalues(k, model))
+    """Z(H) = 𝕀(fs(H)) + I(H), with 𝕀(fs(H)) read off one softmax pass over log h at the
+    pulled-back Gram nodes, as balanced_step reads it: the same mu, psi and psi'' as
+    fs(H).gram_sample, with no FS potential built."""
+    w, mu, dv = _fs_gram_dv(H, k, model)
+    return _aubin(w, dv, mu, k, model) + functional_I(H, eigenvalues(k, model))
 
 
 def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
@@ -107,8 +117,11 @@ def z_prime(H: HermitianNorms, A: Sequence[float], k: int, model: ToyModel) -> f
     Z'(0) = sum_j lambda_j(p) A_j (1 - h'_j/h_j) with h' = hilb(fs(H))
     (the Aubin term contributes -sum lambda(p) A h'/h; I contributes
     sum lambda(p) A). Vanishes at a balanced point, where h' = h. log h'/h is
-    balanced_step: log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i."""
+    balanced_step: log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i. OutOfDomain, as in
+    geodesic, unless A has one entry per norm."""
     A = np.asarray(A, dtype=float)
+    if A.shape != (H.k + 1,):
+        raise OutOfDomain("direction has wrong length")
     spec = eigenvalues(k, model)
     return float(np.dot(spec.lam_p, A * (1.0 - np.exp(balanced_step(H, k, model)))))
 

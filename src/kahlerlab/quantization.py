@@ -34,8 +34,9 @@ Nothing inverts mu <-> t. A potential is sampled at points u in (0, 1)
 the pull-back t = logit(u) + beta, where mu = psi'(t). On the one fixed rule,
 the momentum rule _mu_rule(), that sample is taken at most once
 (RadialPotential.gram_sample) and holds mu, t, v and S only, so an FS
-potential's softmax pass stops there at psi''; the Gram matrices and the
-closed-form functionals of the functionals module all read it, and the
+potential's softmax pass (_fs_pass) stops there at psi''; the Gram matrices and the
+closed-form functionals of the functionals module all read it (functional_Z takes
+that one pass straight from log h, with no FS potential), and the
 pointwise evaluators (Scal_p, the Bergman densities) read a jet their
 caller takes. The spectrum (eigenvalues) is built once per (k, model).
 Each (k+1) x n pass holds the fewest full-size buffers and works in them in
@@ -223,10 +224,45 @@ class RadialPotential(ABC):
 
     @cached_property
     def gram_dv(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dmu weights of gram_sample and dv = v - v_round there, read-only. v_round is
-        subtracted as one sum, so dv of the round potential is exactly 0."""
+        """The dmu weights of gram_sample and dv = v - v_round there, read-only."""
         g = self.gram_sample
-        return _read_only((np.exp(g.log_w), g.v - (_xlogx(g.mu) + _xlogx(1.0 - g.mu))))
+        return _read_only((np.exp(g.log_w), _minus_v_round(g.mu, g.v)))
+
+
+def _minus_v_round(mu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """dv = v - v_round at the momenta mu. v_round is subtracted as one sum, so dv of the
+    round potential is exactly 0."""
+    return v - (_xlogx(mu) + _xlogx(1.0 - mu))
+
+
+def _fs_pass(log_h: np.ndarray, t, log_ck: float) -> tuple:
+    """mu, psi and psi'' of psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k) at the points t
+    (flattened), then the buffers FSPotential.at_t continues from: w, the softmax weights
+    times d^2 with d = j - E[j], d itself, and k2 = Var[j]. The Gram sample stops here."""
+    # psi'..psi'''' are the first four cumulants of j under the softmax
+    # weights, divided by k; all five come from one exponential
+    # one (k+1) x n buffer w, updated in place: at k = 64 on the Gram
+    # nodes each temporary of that size is 133 kB, past glibc's 128 kB
+    # mmap threshold, and in some heap layouts every one cost page faults
+    k = log_h.size - 1
+    j = np.arange(k + 1, dtype=float)
+    w = np.outer(j, t.ravel())
+    w -= log_h[:, None]
+    top = np.max(w, axis=0)
+    w -= top
+    np.exp(w, out=w)
+    tot = np.sum(w, axis=0)
+    # softmax normalized by its sum: exp(E - logsumexp(E)), E = j t - log h_j,
+    # would put the absolute rounding of logsumexp (~|E| eps) into every
+    # weight, and the cumulant cancellations of psi'''' amplify it
+    w /= tot
+    m1 = j @ w
+    # central moments from products only: float `pow` costs ~7x the rest
+    d = j[:, None] - m1[None, :]
+    w *= d
+    w *= d
+    k2 = np.sum(w, axis=0)
+    return m1 / k, (np.log(tot) + top - log_ck) / k, k2 / k, w, d, k2
 
 
 class _TNativePotential(RadialPotential):
@@ -337,38 +373,16 @@ class FSPotential(_TNativePotential):
     def __init__(self, k: int, log_h: np.ndarray, log_ck: float):
         self.k = int(k)
         self.log_h = np.array(log_h, dtype=float)
+        if self.log_h.shape != (self.k + 1,):  # _fs_pass reads k off log_h
+            raise OutOfDomain("need k+1 norms")
         self.log_h.flags.writeable = False
         self.log_ck = float(log_ck)
         self.beta = float(self.log_h[-1] - self.log_h[0]) / self.k
         self.dv_ends = ((self.log_h[0] + self.log_ck) / self.k, (self.log_h[-1] + self.log_ck) / self.k)
-        self._j = np.arange(self.k + 1, dtype=float)
 
     def _up_to_psi2(self, t) -> tuple:
-        """mu, psi and psi'' at the points t (flattened), then the buffers
-        at_t continues from: w, the softmax weights times d^2 with
-        d = j - E[j], d itself, and k2 = Var[j]. The Gram sample stops here."""
-        # psi'..psi'''' are the first four cumulants of j under the softmax
-        # weights, divided by k; all five come from one exponential
-        # one (k+1) x n buffer w, updated in place: at k = 64 on the Gram
-        # nodes each temporary of that size is 133 kB, past glibc's 128 kB
-        # mmap threshold, and in some heap layouts every one cost page faults
-        w = np.outer(self._j, t.ravel())
-        w -= self.log_h[:, None]
-        top = np.max(w, axis=0)
-        w -= top
-        np.exp(w, out=w)
-        tot = np.sum(w, axis=0)
-        # softmax normalized by its sum: exp(E - logsumexp(E)), E = j t - log h_j,
-        # would put the absolute rounding of logsumexp (~|E| eps) into every
-        # weight, and the cumulant cancellations of psi'''' amplify it
-        w /= tot
-        m1 = self._j @ w
-        # central moments from products only: float `pow` costs ~7x the rest
-        d = self._j[:, None] - m1[None, :]
-        w *= d
-        w *= d
-        k2 = np.sum(w, axis=0)
-        return m1 / self.k, (np.log(tot) + top - self.log_ck) / self.k, k2 / self.k, w, d, k2
+        """_fs_pass of log_h at t: mu, psi, psi'' and the buffers at_t continues from."""
+        return _fs_pass(self.log_h, t, self.log_ck)
 
     def at_t(self, t) -> TSample:
         t = np.asarray(t, dtype=float)
@@ -571,7 +585,7 @@ def c_k_constant(k: int, model: ToyModel) -> float:
     bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). int_0^1 f^{1-p} dmu
     is int_{b0}^{b0+1} x^{1-p} dx in closed form, 1 in the xi=0 mode; OutOfDomain
     if it overflows a float. It underflows to 0 only where c's divisor
-    int x^{-(p+1)} dx does too, which `eigenvalues` names first. Memoized: `fs` and `aubin_I` read it per call."""
+    int x^{-(p+1)} dx does too, which `eigenvalues` names first. Memoized: `fs`, `aubin_I` and `functional_Z` read it per call."""
     spec = eigenvalues(k, model, check_weights=False)
     try:
         vol = 1.0 if model.xi_zero else power_integral(model.b0, model.b0 + 1.0, 1.0 - model.p)
@@ -596,6 +610,17 @@ def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
     """FS(H): phi(t) = (1/2k) log((1/C_k) sum_j e^{j t}/h_j)."""
     _check_level(H, k)
     return FSPotential(k, H.log_h, _log_ck(k, model))
+
+
+def _fs_gram_dv(H: HermitianNorms, k: int, model: ToyModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dmu weights w_i psi''_i/(u_i(1-u_i)), the momenta and dv = v - v_round of fs(H)'s
+    Gram sample, with the checks of fs, from the one pass of its Gram sample over log h:
+    no FS potential, and the weights are formed directly, not as the exp of their log."""
+    _check_level(H, k)
+    logit_u, w_t = _pullback_rule()
+    t = logit_u + float(H.log_h[-1] - H.log_h[0]) / k
+    mu, psi, psi2 = _fs_pass(H.log_h, t, _log_ck(k, model))[:3]
+    return w_t * psi2, mu, _minus_v_round(mu, mu * t - psi)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ import pytest
 import sympy as sp
 
 from kahlerlab import quantization as quant
-from kahlerlab.errors import NotTraceless, OutOfDomain
+from kahlerlab.errors import NotTraceless, OutOfDomain, WeightSignError
 from kahlerlab.functionals import (
     almost_balanced_check,
     aubin_I,
@@ -183,6 +183,83 @@ def test_z_prime_matches_finite_differences_off_balance():
         - functional_Z(geodesic(H, A, -eps, M4), k, M4)
     ) / (2.0 * eps)
     np.testing.assert_allclose(z_prime(H, A, k, M4), fd, atol=1e-7)
+
+
+def test_z_prime_rejects_a_direction_of_the_wrong_shape():
+    # as geodesic does: a length-1 or scalar direction broadcast and returned
+    # a number, and a length-3 one raised numpy's ValueError
+    k = 8
+    H = hilb(round_potential(), k, M4)
+    for A in ([0.1], 0.3, [0.1, -0.2, 0.1]):
+        with pytest.raises(OutOfDomain, match="direction has wrong length"):
+            z_prime(H, A, k, M4)
+
+
+def _z_by_fs(H, k, model):
+    """Z(H) = 𝕀(fs(H)) + I(H) through an FS potential and its Gram sample, and 𝕀(fs(H))."""
+    aubin = aubin_I(fs(H, k, model), k, model)
+    return aubin + functional_I(H, eigenvalues(k, model)), aubin
+
+
+def _z_test_norms(k, model):
+    """log h of three seeds: smooth (the Gram norms of random_potential(rng, 0.6), which
+    every k has), rough (of random_potential(rng, 1.5), plus 3 N(0, 1)), and both moved
+    by the gauge j b, b = +-60."""
+    j = np.arange(k + 1)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        smooth = quant._log_gram(random_potential(rng, 0.6), k, model)
+        rough = quant._log_gram(random_potential(rng, 1.5), k, model) + 3.0 * rng.normal(size=k + 1)
+        for x in (smooth, rough):
+            yield from (x, x + 60.0 * j, x - 60.0 * j)
+
+
+@pytest.mark.parametrize("model", [M0, MW], ids=["xi=0,p=1", "b0=1,p=4"])
+@pytest.mark.parametrize("k", [1, 2, 8, 64, 256, 1024])
+def test_Z_is_the_aubin_functional_of_fs_plus_I(k, model):
+    # functional_Z reads one softmax pass over log h, with no FS potential;
+    # its momenta and dv are bit for bit those of fs(H)'s Gram sample, and
+    # its dmu weights w psi'' are the ones whose log that sample keeps. Z
+    # then differs from 𝕀(fs(H)) + I(H) by the rounding of exp(log w):
+    # worst measured 2.4e-16 of |𝕀(fs(H))| (bound 2e-15). Where fs or the
+    # spectrum is undefined (k = 1, and k = 2 with a weight) both name the
+    # same error
+    w_t = quant._pullback_rule()[1]
+    for x in _z_test_norms(k, model):
+        H = HermitianNorms(k=k, log_h=x)
+        try:
+            want, aubin = _z_by_fs(H, k, model)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                functional_Z(H, k, model)
+            assert str(got.value) == str(exc)
+            assert (k, type(exc)) in ((1, WeightSignError), (2, WeightSignError))
+            continue
+        phi = fs(H, k, model)
+        w, mu, dv = quant._fs_gram_dv(H, k, model)
+        np.testing.assert_array_equal(mu, phi.gram_sample.mu)
+        np.testing.assert_array_equal(w, w_t * (0.5 * phi.gram_sample.S))
+        np.testing.assert_array_equal(dv, phi.gram_dv[1])
+        assert abs(functional_Z(H, k, model) - want) <= 2e-15 * abs(aubin)
+
+
+@pytest.mark.parametrize(
+    "level, k, model, error, message",
+    [
+        (8, 9, M0, OutOfDomain, "k=9 does not match the norms"),
+        (1, 1, M0, WeightSignError, "C_k = 0 is not positive"),
+        (2, 2, MW, WeightSignError, "lambda(p) has non-positive entries at k=2"),
+        (8, 8, ToyModel(b0=1e-80, p=4.0), OutOfDomain, "a power of f overflows a float"),
+    ],
+    ids=["level", "C_k", "spectrum", "power"],
+)
+def test_Z_names_the_errors_of_fs_and_the_spectrum(level, k, model, error, message):
+    # the level check and C_k's sign of fs, and the gate of eigenvalues
+    H = HermitianNorms(k=level, log_h=np.zeros(level + 1))
+    for route in (functional_Z, _z_by_fs):
+        with pytest.raises(error) as got:
+            route(H, k, model)
+        assert str(got.value).startswith(message)
 
 
 def test_almost_balanced_defect_vanishes_at_round_reference():
@@ -465,10 +542,30 @@ def test_aubin_and_mabuchi_match_an_mpmath_oracle(model):
             np.testing.assert_allclose(aubin_I(phi, k, model), want_aubin[k], rtol=2e-13, atol=0.0)
         if i == 0:
             for k in (8, 32):
-                fsp = fs(hilb(phi, k, model), k, model)
-                want_aubin_fs, want_mab_fs = _mp_fs_functionals(fsp, k, model)
+                H, (want_aubin_fs, want_mab_fs) = _fs_oracle(k, model)
+                fsp = fs(H, k, model)
                 np.testing.assert_allclose(aubin_I(fsp, k, model), want_aubin_fs, rtol=2e-13, atol=0.0)
                 assert abs(toy_mabuchi(fsp, model) - want_mab_fs) <= 3e-14
+
+
+@lru_cache(maxsize=None)
+def _fs_oracle(k, model):
+    """The norms hilb(phi) of the first oracle profile, and (𝕀, 𝓜) of their FS
+    potential from _mp_fs_functionals."""
+    co = _oracle_coefficients()[0]
+    H = hilb(quant.ProfilePotential(lambda mu: np.exp(_log_q(co, mu))), k, model)
+    return H, _mp_fs_functionals(fs(H, k, model), k, model)
+
+
+@pytest.mark.parametrize("model", _ORACLE_MODES, ids=["xi=0,p=1", "b0=1,p=4", "b0=0.5,p=2"])
+@pytest.mark.parametrize("k", [8, 32])
+def test_Z_matches_the_mpmath_oracle(k, model):
+    # Z's one pass over log h against 𝕀 of the FS potential from its norms
+    # alone, in t, plus I(H). Worst measured error 5.6e-16 relative (b0=1,
+    # p=4, k = 8), so the bound of 𝕀's oracle check leaves 350x headroom
+    H, (want_aubin, _) = _fs_oracle(k, model)
+    want = want_aubin + functional_I(H, eigenvalues(k, model))
+    np.testing.assert_allclose(functional_Z(H, k, model), want, rtol=2e-13, atol=0.0)
 
 
 def _sympy_xi_flow_slope(b0, p):

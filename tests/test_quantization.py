@@ -213,6 +213,14 @@ def test_fs_of_uniform_norms_matches_the_closed_form(k):
     assert np.max(np.abs(np.array(exact) - s.mu)) <= 1e-14
 
 
+def test_fs_potential_takes_k_plus_1_norms():
+    # its softmax pass reads k off the norms, while beta and the end values
+    # divide by the k it is given: the two must agree
+    for log_h in (np.zeros(10), np.zeros(8), np.zeros((3, 3))):
+        with pytest.raises(OutOfDomain, match=r"need k\+1 norms"):
+            FSPotential(8, log_h, 0.0)
+
+
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
 @pytest.mark.parametrize("k", [8, 64, 512])
 def test_fs_cumulants_of_binomial_norms(k, b):
