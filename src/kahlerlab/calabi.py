@@ -163,7 +163,7 @@ def check_boundary(profile: Profile) -> BoundaryReport:
 
 def _scal(z, d2num, X: RuledSurfaceData, kappa: float) -> np.ndarray:
     out = (X.base_scal - d2num) / (z + kappa)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFiniteCurvature("scalar curvature is not finite on the grid")
     return out
 
@@ -176,9 +176,9 @@ def ansatz_scalar_curvature(profile: Profile, X: RuledSurfaceData, z):
 
 
 def scal_p_on(z, jet, X: RuledSurfaceData, k: KillingData, kappa: float) -> np.ndarray:
-    """Scal_{(xi,b,p)} = f^2 Scal - 2(p-1) f Delta_g f - p(p-1) |xi|^2 at z,
-    from the samples jet = (Theta, Theta', ((z+kappa) Theta)'') there; f = z+b,
-    Delta_g f = Delta_g z = -Theta' - Theta/(z+kappa) and |xi|^2 = Theta."""
+    """Scal_{(xi,b,p)} = f^2 Scal - 2(p-1) f Delta_g f - p(p-1) |xi|^2 at z, from the
+    samples jet = (Theta, Theta', ((z+kappa) Theta)'') there, or stacks of them over z;
+    f = z+b, Delta_g f = Delta_g z = -Theta' - Theta/(z+kappa) and |xi|^2 = Theta."""
     theta, dtheta, d2num = jet
     f = z + k.b
     lap = -dtheta - theta / (z + kappa)

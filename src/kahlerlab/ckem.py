@@ -155,17 +155,13 @@ def _coefficients(b: np.ndarray, sC: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = 1.0 / b
         e = 3.0 - u * u  # D / b^2
-        one = np.ones_like(u)
-        return np.stack(
-            [
-                b * (6.0 - u * u * (1.0 - u * (sC - u))) / (4.0 * e),
-                one,
-                -b * (3.0 - u * u * (3.0 - sC * u)) / (2.0 * e),
-                -one,
-                u * (u * (u + sC) - 5.0) / (4.0 * e),
-            ],
-            axis=-1,
-        )
+        out = np.empty(np.shape(b) + (5,))
+        out[..., 0] = b * (6.0 - u * u * (1.0 - u * (sC - u))) / (4.0 * e)
+        out[..., 1] = 1.0
+        out[..., 2] = -b * (3.0 - u * u * (3.0 - sC * u)) / (2.0 * e)
+        out[..., 3] = -1.0
+        out[..., 4] = u * (u * (u + sC) - 5.0) / (4.0 * e)
+        return out
 
 
 def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -26,8 +26,8 @@ which are bounded; every z-integral and check reads the z-rule
 `gauss_legendre(_Z_ORDER)`. Paths are straight in Theta between admissible
 profiles, whose Theta_dot vanishes to second order at z = +-1, so u_dot'' =
 -Theta_dot/Theta_t^2 is bounded and smooth: u_dot is one precomputed linear
-map of its samples (built once per process), read on the z-rule. With
-Scal_p affine in the jet, the t-integral folds into two u_dot columns.
+map of its samples (built once per process), read on the z-rule. Scal_p is affine
+in the jet, so the t-integral folds into one pass over a path's stacked samples.
 """
 
 from __future__ import annotations
@@ -148,11 +148,10 @@ def _energy_samples(u: SymplecticPotential, sol: PKappaSolution):
 def mabuchi_energy_amt(u: SymplecticPotential, sol: PKappaSolution) -> float:
     """Closed-form energy; M(reference) = 0. `sol` should sit on the Futaki
     curve (b = b_kappa) for the energy to be the potential of the 1-form."""
-    rule, D, f3 = _energy_samples(u, sol)
-    z = rule.nodes
+    (z, w), D, f3 = _energy_samples(u, sol)
     # u'' - u_ref'' = (D - 1)/(1-z^2); P/(1-z^2) is bounded since P(+-1)=0.
-    first = float(np.dot(rule.weights, sol.P(z) * f3 * (D - 1.0) / (1.0 - z * z)))
-    second = float(np.dot(rule.weights, (z + sol.kappa) * f3 * np.log(D)))
+    first = float(np.dot(w, sol.P(z) * f3 * (D - 1.0) / (1.0 - z * z)))
+    second = float(np.dot(w, (z + sol.kappa) * f3 * np.log(D)))
     return first - second
 
 
@@ -165,11 +164,10 @@ def mabuchi_gradient_amt(
     Uses the same quadrature rule as the energy so finite differences of
     mabuchi_energy_amt converge to it exactly.
     """
-    rule, D, f3 = _energy_samples(u, sol)
-    z = rule.nodes
+    (z, w), D, f3 = _energy_samples(u, sol)
     v2v = np.asarray(v2(z), dtype=float)
     integrand = sol.P(z) * f3 * v2v - (z + sol.kappa) * f3 * v2v * (1.0 - z * z) / D
-    return float(np.dot(rule.weights, integrand))
+    return float(np.dot(w, integrand))
 
 
 def _support_rule(bump: BumpDirection):
@@ -180,9 +178,8 @@ def _support_rule(bump: BumpDirection):
 
 def probe_slope(sol: PKappaSolution, bump: BumpDirection) -> float:
     """Leading (affine-in-k) slope of the probe: int P f^{-3} bump dz."""
-    rule = _support_rule(bump)
-    z = rule.nodes
-    return float(np.dot(rule.weights, sol.P(z) * (z + sol.b) ** (-3.0) * bump(z)))
+    z, w = _support_rule(bump)
+    return float(np.dot(w, sol.P(z) * (z + sol.b) ** (-3.0) * bump(z)))
 
 
 def scale_bump_for_slope(
@@ -261,14 +258,14 @@ class PathFamily(NamedTuple):
     """The straight path Theta_t = (1-t) Theta_0 + t Theta_1, as the 1-form
     reads it: the endpoints' samples, taken once when the path is built.
 
-    `kappa` is the class of every Theta_t; `jets` the two endpoint jets
-    (Theta, Theta', ((z+kappa) Theta)'') on the nodes of the z-rule
-    (`gauss_legendre(_Z_ORDER)`); `thetas` the two endpoint Theta on _UDOT_Z.
+    `kappa` is the class of every Theta_t; `jets` the read-only (3, 2, 256) stack of
+    (Theta, Theta', ((z+kappa) Theta)'') of endpoints 0 and 1 on the z-rule's nodes;
+    `thetas` the read-only (2, 128) stack of the endpoints' Theta on _UDOT_Z.
     """
 
     kappa: float
-    jets: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
-    thetas: tuple[np.ndarray, np.ndarray]
+    jets: np.ndarray
+    thetas: np.ndarray
 
 
 def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
@@ -279,15 +276,13 @@ def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
     if p0.kappa != p1.kappa:
         raise OutOfDomain("profiles must share kappa")
     for p in (p0, p1):
-        report = check_boundary(p)
-        if not report.passes:
+        if not (report := check_boundary(p)).passes:
             raise NotAdmissible(f"path endpoint fails the boundary conditions (defects {report.defects!r})")
     zq = gauss_legendre(_Z_ORDER).nodes
-    return PathFamily(
-        kappa=p0.kappa,
-        jets=(p0.jet(zq), p1.jet(zq)),
-        thetas=(p0.theta(_UDOT_Z), p1.theta(_UDOT_Z)),
-    )
+    jets = np.array(tuple(zip(p0.jet(zq), p1.jet(zq))))
+    thetas = np.array((p0.theta(_UDOT_Z), p1.theta(_UDOT_Z)))
+    jets.flags.writeable = thetas.flags.writeable = False
+    return PathFamily(kappa=p0.kappa, jets=jets, thetas=thetas)
 
 
 @lru_cache(maxsize=1)
@@ -303,6 +298,15 @@ def _udot_operator() -> np.ndarray:
     return K
 
 
+@lru_cache(maxsize=1)
+def _t_fold() -> np.ndarray:
+    """The read-only (2, 2, _PATH_ORDER) t-fold: blends (1-t, t) at the t-rule's nodes, then times its weights."""
+    t, w = gauss_legendre(_PATH_ORDER, 0.0, 1.0)
+    fold = np.array(((1.0 - t, t), (w * (1.0 - t), w * t)))
+    fold.flags.writeable = False
+    return fold
+
+
 def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolution) -> float:
     """Integrate the 1-form int u_dot (Scal_p - c) f^{-(p+1)} (z+kappa) dz
     along the path. c is the class constant in closed form: it depends on
@@ -314,19 +318,16 @@ def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolutio
     affine in the jet (which is affine in t) and the t-weights sum to 1, so
     the integral is exactly the 1-form at (jet_0, sum_t w_t (1-t) u_dot_t)
     plus the 1-form at (jet_1, sum_t w_t t u_dot_t): one product of
-    `_udot_operator()` with two columns.
+    `_udot_operator()` with two columns, and one Scal_p pass over both jets.
     """
-    _same_class(family.kappa, sol)
-    (j0, j1), (th0, th1) = family.jets, family.thetas
-    if np.any(j0[0] <= 0.0) or np.any(j1[0] <= 0.0):
+    kappa, jets, thetas = family
+    _same_class(kappa, sol)
+    if (jets[0] <= 0.0).any():
         raise NotAdmissible("path endpoint profile is not positive")
-    X, kappa = sol.surface, sol.kappa
-    c = weighted_average_c(X, k)
-    zrule = gauss_legendre(_Z_ORDER)
-    zq = zrule.nodes
-    wgt = zrule.weights * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
-    trule = gauss_legendre(_PATH_ORDER, 0.0, 1.0)
-    tt = np.stack((1.0 - trule.nodes, trule.nodes), axis=1)
-    ws = (trule.weights[:, None] * tt).T @ ((th0 - th1) / (tt @ np.stack((th0, th1))) ** 2)
+    c = weighted_average_c(sol.surface, k)
+    zq, zw = gauss_legendre(_Z_ORDER)
+    wgt = zw * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
+    blend, wblend = _t_fold()
+    ws = wblend @ ((thetas[0] - thetas[1]) / (blend.T @ thetas) ** 2)
     udot = _udot_operator() @ ws.T
-    return sum(float(np.dot(u, (scal_p_on(zq, jet, X, k, kappa) - c) * wgt)) for jet, u in zip((j0, j1), udot.T))
+    return float((udot.T * ((scal_p_on(zq, jets, sol.surface, k, kappa) - c) * wgt)).sum())

@@ -372,6 +372,8 @@ class FSPotential(_TNativePotential):
 
     def __init__(self, k: int, log_h: np.ndarray, log_ck: float):
         self.k = int(k)
+        if self.k < 1:  # beta and dv_ends divide by k
+            raise OutOfDomain("k must be >= 1")
         self.log_h = np.array(log_h, dtype=float)
         if self.log_h.shape != (self.k + 1,):  # _fs_pass reads k off log_h
             raise OutOfDomain("need k+1 norms")

@@ -19,7 +19,7 @@ from kahlerlab.calabi import (
     to_symplectic,
 )
 from kahlerlab.ckem import b_kappa, kappa_zero, solve_P
-from kahlerlab.errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
+from kahlerlab.errors import BadDirection, ConfigError, NonFiniteCurvature, NotAdmissible, OutOfDomain
 from kahlerlab import mabuchi
 from kahlerlab.mabuchi import (
     BumpDirection,
@@ -375,16 +375,75 @@ def _per_node_path_integral(ends, kd, sol):
 
 
 def test_path_reduction_matches_the_per_node_sum():
+    # legs from the reference profile, and one between two random profiles
     for kappa in (1.25, 1.001):
         sol = _sol(kappa)
         kd = KillingData(b=sol.b, p=4.0)
         rng = np.random.default_rng(53)
         ref = SymplecticPotential.reference(kappa).profile()
-        for _ in range(2):
-            prof = random_admissible_profile(rng, kappa, degree=3, scale=0.35)
-            got = mabuchi_path_integral(straight_theta_path(ref, prof), kd, sol)
-            want = _per_node_path_integral((ref, prof), kd, sol)
+        profs = [random_admissible_profile(rng, kappa, degree=3, scale=0.35) for _ in range(3)]
+        for ends in ((ref, profs[0]), (ref, profs[1]), (profs[1], profs[2])):
+            got = mabuchi_path_integral(straight_theta_path(*ends), kd, sol)
+            want = _per_node_path_integral(ends, kd, sol)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=str(kappa))
+
+
+def test_theta_path_stores_read_only_stacks():
+    # jets[i, e] is field i of endpoint e's jet on the z-rule, thetas[e] its Theta on _UDOT_Z
+    rng = np.random.default_rng(67)
+    ends = [random_admissible_profile(rng, 1.25, degree=3) for _ in range(2)]
+    path = straight_theta_path(*ends)
+    zq = gauss_legendre(256).nodes
+    assert path.jets.shape == (3, 2, 256) and path.thetas.shape == (2, len(mabuchi._UDOT_Z))
+    assert not path.jets.flags.writeable and not path.thetas.flags.writeable
+    for e, p in enumerate(ends):
+        for i, field in enumerate(p.jet(zq)):
+            assert np.array_equal(path.jets[i, e], field)
+        assert np.array_equal(path.thetas[e], p.theta(mabuchi._UDOT_Z))
+
+
+def test_reversed_path_negates_the_1_form():
+    # the t-rule is symmetric about t = 1/2, so reversing a leg only negates it
+    for kappa in (1.25, 1.001):
+        sol = _sol(kappa)
+        kd = KillingData(b=sol.b, p=4.0)
+        rng = np.random.default_rng(71)
+        for _ in range(3):
+            p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
+            fwd = mabuchi_path_integral(straight_theta_path(p0, p1), kd, sol)
+            back = mabuchi_path_integral(straight_theta_path(p1, p0), kd, sol)
+            np.testing.assert_allclose(back, -fwd, rtol=1e-13, atol=0.0, err_msg=str(kappa))
+
+
+def test_t_fold_is_built_once():
+    kappa = 1.25
+    sol = _sol(kappa)
+    kd = KillingData(b=sol.b, p=4.0)
+    rng = np.random.default_rng(73)
+    p0, p1 = (random_admissible_profile(rng, kappa, degree=3) for _ in range(2))
+    mabuchi._t_fold.cache_clear()
+    for a, b in ((p0, p1), (p1, p0)):
+        mabuchi_path_integral(straight_theta_path(a, b), kd, sol)
+    assert mabuchi._t_fold.cache_info().misses == 1
+    fold = mabuchi._t_fold()
+    assert fold.shape == (2, 2, mabuchi._PATH_ORDER) and not fold.flags.writeable
+    t, w = gauss_legendre(mabuchi._PATH_ORDER, 0.0, 1.0)
+    assert np.array_equal(fold[0], [1.0 - t, t]) and np.array_equal(fold[1], [w * (1.0 - t), w * t])
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_path_integral_checks_each_endpoints_samples(end):
+    # the 1-form itself checks the stored samples: Theta > 0 and a finite Scal_p
+    kappa = 1.25
+    sol = _sol(kappa)
+    kd = KillingData(b=sol.b, p=4.0)
+    rng = np.random.default_rng(79)
+    path = straight_theta_path(*(random_admissible_profile(rng, kappa, degree=3) for _ in range(2)))
+    for field, value, error in ((0, 0.0, NotAdmissible), (2, np.nan, NonFiniteCurvature)):
+        jets = path.jets.copy()
+        jets[field, end, 100] = value
+        with pytest.raises(error):
+            mabuchi_path_integral(path._replace(jets=jets), kd, sol)
 
 
 def test_udot_runs_twice_per_theta_path(monkeypatch):

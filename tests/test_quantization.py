@@ -221,6 +221,13 @@ def test_fs_potential_takes_k_plus_1_norms():
             FSPotential(8, log_h, 0.0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_fs_potential_rejects_k_below_1(k):
+    # beta and the end values divide by k: a named error before any division
+    with pytest.raises(OutOfDomain, match="k must be >= 1"):
+        FSPotential(k, np.zeros(1), 0.0)
+
+
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
 @pytest.mark.parametrize("k", [8, 64, 512])
 def test_fs_cumulants_of_binomial_norms(k, b):
