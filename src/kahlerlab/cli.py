@@ -233,8 +233,8 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
     --k-range."""
     if args.kappa is not None and not 1.0 < args.kappa < math.inf:
         raise ConfigError(f"kappa must be finite and > 1 (got {args.kappa!r})")
-    # the probe's k scales a direction (k = 0 is the reference): no cap
-    ks = _parse_k_range(args.k_range, list(range(0, 65)), 0, math.inf)
+    # the probe's k scales a direction (k = 0 is the reference) as a float: capped at the float range
+    ks = _parse_k_range(args.k_range, list(range(0, 65)), 0, sys.float_info.max)
     X = _surface(args)
 
     def produce() -> str:

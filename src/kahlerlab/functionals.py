@@ -8,11 +8,13 @@ the toy Mabuchi 1-form is d𝓜(phi-dot) = -∫ phi-dot (Scal_p - c) f^{-(p+1)} 
 
 Both 1-forms are exact, and both functionals are evaluated in closed form in
 momentum coordinates, on the one Gram sample each potential holds
-(RadialPotential.gram_sample, with gram_dv). Z reads 𝕀(fs(H)) off one softmax pass
-over log h at the pulled-back Gram nodes, as balanced_step does: the pass of fs(H)'s
-Gram sample, with no FS potential built. At fixed t and mu a variation of psi = 2 phi
-is minus the variation of the symplectic potential v, so phi-dot = -v-dot/2,
-and everything is read off dv = v - v_round, V = f^{1-p} and W = f^{-(p+1)}.
+(RadialPotential.gram_sample: its dmu weights w and dv = v - v_round). Z reads
+𝕀(fs(H)) off a sample built by the function that builds fs(H).gram_sample (one
+softmax pass over log h at the pulled-back Gram nodes), with no FS potential
+built, so Z and aubin_I(fs(H)) + I(H) read one bit pattern. At fixed t and mu a
+variation of psi = 2 phi is minus the variation of the symplectic potential v,
+so phi-dot = -v-dot/2, and everything is read off dv = v - v_round,
+V = f^{1-p} and W = f^{-(p+1)}.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .errors import NotTraceless, OutOfDomain
 from .quantization import (
+    GramSample,
     HermitianNorms,
     RadialPotential,
     SpectrumData,
@@ -33,7 +36,9 @@ from .quantization import (
     c_top_exact,
     eigenvalues,
     hilb,
-    _fs_gram_dv,
+    _check_level,
+    _fs_gram_sample,
+    _log_ck,
 )
 
 __all__ = [
@@ -60,13 +65,12 @@ def aubin_I(phi: RadialPotential, k: int, model: ToyModel) -> float:
     """𝕀(phi) = -2 pi k^2 C_k ∫ dv f^{1-p} dmu: the Aubin 1-form is linear in
     phi-dot = -v-dot/2, so 𝕀 integrates it in closed form from the round
     potential (𝕀(round) = 0)."""
-    (w, dv), mu = phi.gram_dv, phi.gram_sample.mu
-    return _aubin(w, dv, mu, k, model)
+    return _aubin(phi.gram_sample, k, model)
 
 
-def _aubin(w: np.ndarray, dv: np.ndarray, mu: np.ndarray, k: int, model: ToyModel) -> float:
+def _aubin(s: GramSample, k: int, model: ToyModel) -> float:
     """-2 pi k^2 C_k sum_i w_i dv_i f(mu_i)^{1-p}, the Aubin functional on a Gram sample."""
-    return -2.0 * math.pi * k * k * c_k_constant(k, model) * float(w @ (dv * model.f(mu) ** (1.0 - model.p)))
+    return -2.0 * math.pi * k * k * c_k_constant(k, model) * float(s.w @ (s.dv * model.f(s.mu) ** (1.0 - model.p)))
 
 
 def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:
@@ -75,11 +79,11 @@ def functional_L(phi: RadialPotential, k: int, model: ToyModel) -> float:
 
 
 def functional_Z(H: HermitianNorms, k: int, model: ToyModel) -> float:
-    """Z(H) = 𝕀(fs(H)) + I(H), with 𝕀(fs(H)) read off one softmax pass over log h at the
-    pulled-back Gram nodes, as balanced_step reads it: the same mu, psi and psi'' as
-    fs(H).gram_sample, with no FS potential built."""
-    w, mu, dv = _fs_gram_dv(H, k, model)
-    return _aubin(w, dv, mu, k, model) + functional_I(H, eigenvalues(k, model))
+    """Z(H) = 𝕀(fs(H)) + I(H), with 𝕀(fs(H)) read off fs(H)'s Gram sample, built by the
+    function that builds fs(H).gram_sample but with no FS potential; the checks of fs
+    (the level, then the sign of C_k), then of the spectrum."""
+    _check_level(H, k)
+    return _aubin(_fs_gram_sample(H.log_h, _log_ck(k, model)), k, model) + functional_I(H, eigenvalues(k, model))
 
 
 def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
@@ -90,12 +94,12 @@ def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
         𝓜 = pi [2 V(0) dv(0) + 2 V(1) dv(1) + 2 ∫ V log(S/S_round) dmu - c ∫ dv W dmu],
 
     with S_round = 2 mu (1-mu) and the end values phi.dv_ends."""
-    g, (w, dv) = phi.gram_sample, phi.gram_dv
+    g = phi.gram_sample
     f, p = model.f(g.mu), model.p
     V, W = f ** (1.0 - p), f ** (-(p + 1.0))
     ends = 2.0 * float(np.sum(model.f(np.array([0.0, 1.0])) ** (1.0 - p) * np.array(phi.dv_ends)))  # f may be 1.0
     log_q = np.log(g.S / (2.0 * g.mu * (1.0 - g.mu)))
-    return math.pi * (ends + float(w @ (2.0 * V * log_q - c_top_exact(model) * dv * W)))
+    return math.pi * (ends + float(g.w @ (2.0 * V * log_q - c_top_exact(model) * g.dv * W)))
 
 
 def geodesic(H0: HermitianNorms, A: Sequence[float], t: float, model: ToyModel) -> HermitianNorms:

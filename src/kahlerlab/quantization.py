@@ -33,12 +33,14 @@ Nothing inverts mu <-> t. A potential is sampled at points u in (0, 1)
 (RadialPotential.jet): a momentum-native one at mu = u, a t-native one at
 the pull-back t = logit(u) + beta, where mu = psi'(t). On the one fixed rule,
 the momentum rule _mu_rule(), that sample is taken at most once
-(RadialPotential.gram_sample) and holds mu, t, v and S only, so an FS
-potential's softmax pass (_fs_pass) stops there at psi''; the Gram matrices and the
-closed-form functionals of the functionals module all read it (functional_Z takes
-that one pass straight from log h, with no FS potential), and the
-pointwise evaluators (Scal_p, the Bergman densities) read a jet their
-caller takes. The spectrum (eigenvalues) is built once per (k, model).
+(RadialPotential.gram_sample) and holds mu, t, v, S, the dmu weights and
+dv = v - v_round only, so an FS potential's softmax pass (_fs_pass) stops there
+at psi''. One function, _gram_sample, builds every such sample, and a t-native
+one comes from one pull-back (_pulled_back_sample); the Gram matrices and the
+closed-form functionals of the functionals module all read it (functional_Z
+takes fs(H)'s sample from the same builder, _fs_gram_sample, with no FS
+potential), and the pointwise evaluators (Scal_p, the Bergman densities) read
+a jet their caller takes. The spectrum (eigenvalues) is built once per (k, model).
 Each (k+1) x n pass holds the fewest full-size buffers and works in them in
 place: from k = 64 each one passes glibc's 128 kB mmap threshold and faults.
 
@@ -183,13 +185,20 @@ class TSample(NamedTuple):
 
 class GramSample(NamedTuple):
     """A potential on the Gram rule: momenta mu, t = v'(mu), v, the profile
-    S, and the log quadrature weights of dmu there."""
+    S, the quadrature weights w of dmu there, and dv = v - v_round."""
 
     mu: np.ndarray
     t: np.ndarray
     v: np.ndarray
     S: np.ndarray
-    log_w: np.ndarray
+    w: np.ndarray
+    dv: np.ndarray
+
+
+def _gram_sample(mu, t, v, S, w) -> GramSample:
+    """The Gram sample of these fields, with dv = v - v_round taken once. v_round is
+    subtracted as one sum, so dv of the round potential is exactly 0."""
+    return GramSample(mu, t, v, S, w, v - (_xlogx(mu) + _xlogx(1.0 - mu)))
 
 
 def _interior(u) -> np.ndarray:
@@ -213,7 +222,7 @@ class RadialPotential(ABC):
     its jet at the momentum nodes, _TNativePotential mu, psi and psi'' at
     their pull-back, and a shifted potential its base's sample. Each class
     also states dv_ends, the values of v - v_round at mu = 0 and 1 (v_round
-    vanishes at both); gram_dv holds v - v_round on the nodes.
+    vanishes at both); the sample's dv holds v - v_round on the nodes.
     """
 
     dv_ends: tuple[float, float]
@@ -222,20 +231,8 @@ class RadialPotential(ABC):
     @abstractmethod
     def jet(self, u) -> MuSample: ...
 
-    @cached_property
-    def gram_dv(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dmu weights of gram_sample and dv = v - v_round there, read-only."""
-        g = self.gram_sample
-        return _read_only((np.exp(g.log_w), _minus_v_round(g.mu, g.v)))
 
-
-def _minus_v_round(mu: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """dv = v - v_round at the momenta mu. v_round is subtracted as one sum, so dv of the
-    round potential is exactly 0."""
-    return v - (_xlogx(mu) + _xlogx(1.0 - mu))
-
-
-def _fs_pass(log_h: np.ndarray, t, log_ck: float) -> tuple:
+def _fs_pass(t, log_h: np.ndarray, log_ck: float) -> tuple:
     """mu, psi and psi'' of psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k) at the points t
     (flattened), then the buffers FSPotential.at_t continues from: w, the softmax weights
     times d^2 with d = j - E[j], d itself, and k2 = Var[j]. The Gram sample stops here."""
@@ -265,6 +262,22 @@ def _fs_pass(log_h: np.ndarray, t, log_ck: float) -> tuple:
     return m1 / k, (np.log(tot) + top - log_ck) / k, k2 / k, w, d, k2
 
 
+def _pulled_back_sample(beta: float, head: Callable, *args) -> GramSample:
+    """The Gram sample of a t-native potential whose head(t, *args) starts with mu, psi and psi'':
+    read at the pull-back t_i = logit(u_i) + beta of the momentum nodes u_i, where the
+    weight of dmu is w_i psi''(t_i)/(u_i(1-u_i)) (dmu = psi'' dt)."""
+    logit_u, w_t = _pullback_rule()
+    t = logit_u + beta
+    mu, psi, psi2 = head(t, *args)[:3]
+    return _gram_sample(mu, t, mu * t - psi, 2.0 * psi2, w_t * psi2)
+
+
+def _fs_gram_sample(log_h: np.ndarray, log_ck: float) -> GramSample:
+    """fs's Gram sample: one _fs_pass over log h, stopped at psi'', at the pull-back of the
+    nodes with beta = (log h_k - log h_0)/k; FSPotential and functional_Z both read it."""
+    return _pulled_back_sample(float(log_h[-1] - log_h[0]) / (log_h.size - 1), _fs_pass, log_h, log_ck)
+
+
 class _TNativePotential(RadialPotential):
     """Base for potentials native on the log-radial side. The jet at u is one
     pass at the pull-back t = log(u/(1-u)) + beta, where mu = psi'(t)
@@ -272,10 +285,9 @@ class _TNativePotential(RadialPotential):
 
         S = 2 psi'',   S' = 2 psi'''/psi'',   S'' = 2 (psi'''' psi'' - psi'''^2)/psi''^3.
 
-    The Gram sample reads mu, psi and psi'' only, from _up_to_psi2 at the
-    pull-back of the momentum nodes u_i, where the weight of dmu is
-    w_i psi''(t_i)/(u_i(1-u_i)): the same integral after the substitution
-    mu = psi'(logit u + beta). beta is where psi's two
+    The Gram sample reads mu, psi and psi'' only, at the pull-back of the
+    momentum nodes (_pulled_back_sample): the same integral after the
+    substitution mu = psi'(logit u + beta). beta is where psi's two
     asymptotes cross, so the points move with the potential under a shift
     of t; FSPotential and BlendPotential set it, and it is 0 here."""
 
@@ -284,17 +296,9 @@ class _TNativePotential(RadialPotential):
     @abstractmethod
     def at_t(self, t) -> TSample: ...
 
-    def _up_to_psi2(self, t) -> tuple:
-        """A sample at t whose first three fields are mu, psi and psi'', all
-        the Gram sample reads: here the whole of at_t."""
-        return self.at_t(t)
-
     @cached_property
     def gram_sample(self) -> GramSample:
-        logit_u, w_t = _pullback_rule()
-        t = logit_u + self.beta
-        mu, psi, psi2 = self._up_to_psi2(t)[:3]
-        return _read_only(GramSample(mu, t, mu * t - psi, 2.0 * psi2, np.log(w_t * psi2)))  # dmu = psi'' dt
+        return _read_only(_pulled_back_sample(self.beta, self.at_t))
 
     def jet(self, u) -> MuSample:
         u = _interior(u)
@@ -347,7 +351,7 @@ class ProfilePotential(RadialPotential):
     def gram_sample(self) -> GramSample:
         rule = _mu_rule()
         s = self.jet(rule.nodes)
-        return _read_only(GramSample(s.mu, s.t, s.v, s.S, np.log(rule.weights)))
+        return _read_only(_gram_sample(s.mu, s.t, s.v, s.S, rule.weights))
 
     def jet(self, u) -> MuSample:
         mu = _interior(u)
@@ -370,25 +374,21 @@ class FSPotential(_TNativePotential):
     cross at beta = (log h_k - log h_0)/k, which the gauge
     log h -> log h + k a + j b moves by b; they give v at mu = 0 and 1."""
 
-    def __init__(self, k: int, log_h: np.ndarray, log_ck: float):
-        self.k = int(k)
-        if self.k < 1:  # beta and dv_ends divide by k
-            raise OutOfDomain("k must be >= 1")
-        self.log_h = np.array(log_h, dtype=float)
-        if self.log_h.shape != (self.k + 1,):  # _fs_pass reads k off log_h
-            raise OutOfDomain("need k+1 norms")
+    def __init__(self, H: HermitianNorms, log_ck: float):
+        self.k = H.k  # HermitianNorms checks k >= 1, k+1 finite norms
+        self.log_h = np.array(H.log_h)
         self.log_h.flags.writeable = False
         self.log_ck = float(log_ck)
         self.beta = float(self.log_h[-1] - self.log_h[0]) / self.k
         self.dv_ends = ((self.log_h[0] + self.log_ck) / self.k, (self.log_h[-1] + self.log_ck) / self.k)
 
-    def _up_to_psi2(self, t) -> tuple:
-        """_fs_pass of log_h at t: mu, psi, psi'' and the buffers at_t continues from."""
-        return _fs_pass(self.log_h, t, self.log_ck)
+    @cached_property
+    def gram_sample(self) -> GramSample:
+        return _read_only(_fs_gram_sample(self.log_h, self.log_ck))
 
     def at_t(self, t) -> TSample:
         t = np.asarray(t, dtype=float)
-        mu, psi, psi2, w, d, k2 = self._up_to_psi2(t)
+        mu, psi, psi2, w, d, k2 = _fs_pass(t, self.log_h, self.log_ck)
         w *= d
         k3 = np.sum(w, axis=0)
         w *= d
@@ -427,7 +427,7 @@ class _ShiftedPotential(RadialPotential):
         # the base's own sample: a t-native base is sampled at the pull-back
         # of the nodes, where mu is not u
         g = self.base.gram_sample
-        return _read_only(g._replace(v=g.v - 2.0 * self.s))
+        return _read_only(_gram_sample(g.mu, g.t, g.v - 2.0 * self.s, g.S, g.w))
 
     def jet(self, u) -> MuSample:
         out = self.base.jet(u)
@@ -563,8 +563,10 @@ def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
     """log G_j, G_j = int |s_j|^2 f^{1-p} vol_{k omega} = 2 pi k int e^{E_j} f^{1-p} dmu,
     from phi.gram_sample, in one buffer. The weight stays in log space, (1-p) log f,
     as f^{1-p} can overflow a float where G does not."""
+    if k < 1:  # log(2 pi k) below
+        raise OutOfDomain("k must be >= 1")
     s = phi.gram_sample
-    a = _log_section_densities(s, k, s.log_w if model.xi_zero else s.log_w + (1.0 - model.p) * np.log(model.f(s.mu)))
+    a = _log_section_densities(s, k, np.log(s.w) if model.xi_zero else np.log(s.w) + (1.0 - model.p) * np.log(model.f(s.mu)))
     m = a.max(axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
     a -= m
     return np.log(np.exp(a, out=a).sum(axis=1)) + m[:, 0] + math.log(2.0 * math.pi * k)
@@ -611,18 +613,7 @@ def _log_ck(k: int, model: ToyModel) -> float:
 def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
     """FS(H): phi(t) = (1/2k) log((1/C_k) sum_j e^{j t}/h_j)."""
     _check_level(H, k)
-    return FSPotential(k, H.log_h, _log_ck(k, model))
-
-
-def _fs_gram_dv(H: HermitianNorms, k: int, model: ToyModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dmu weights w_i psi''_i/(u_i(1-u_i)), the momenta and dv = v - v_round of fs(H)'s
-    Gram sample, with the checks of fs, from the one pass of its Gram sample over log h:
-    no FS potential, and the weights are formed directly, not as the exp of their log."""
-    _check_level(H, k)
-    logit_u, w_t = _pullback_rule()
-    t = logit_u + float(H.log_h[-1] - H.log_h[0]) / k
-    mu, psi, psi2 = _fs_pass(H.log_h, t, _log_ck(k, model))[:3]
-    return w_t * psi2, mu, _minus_v_round(mu, mu * t - psi)
+    return FSPotential(H, _log_ck(k, model))
 
 
 @lru_cache(maxsize=None)
@@ -690,6 +681,8 @@ def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, s: M
     """B(mu) = f^{1-p} sum_j weights_j |s_j|^2 / G_j at the momenta of the
     jet s = phi.jet(u), with G_j the squared norms of `hilb`'s product
     int |.|^2 f^{1-p} vol_{k omega}; one buffer, once the Gram's is freed."""
+    if np.shape(weights) != (k + 1,):
+        raise OutOfDomain("need k+1 weights")
     log_g = _log_gram(phi, k, model)
     dens = _log_section_densities(s, k)
     dens -= log_g[:, None]
@@ -790,8 +783,8 @@ def balanced_iterate(
     of the fixed-point set, r the contraction rate of T. Raises NoConvergence, naming the last
     raw step and the last step modulo span{1, j}, once the latter is below tol and the former
     is not (the relative fixed point), or after _BALANCED_STEPS evaluations."""
+    x = hilb(phi0, k, model).log_h  # names k < 1 before the projector divides by 0
     P = _gauge_projector(k)
-    x = hilb(phi0, k, model).log_h
     history, damping, base_merit = [], 1.0, math.inf
     for n in range(1, _BALANCED_STEPS + 1):
         g, jacobian = _balanced_pass(x, k, model)

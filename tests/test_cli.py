@@ -424,6 +424,14 @@ def test_mabuchi_probe_rejects_negative_k(workdir, capsys):
     assert "k values must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_range", [f"0,2,4,{2**1100}", f"1:{2**1100}"], ids=["list", "doubling"])
+def test_mabuchi_probe_rejects_k_past_the_float_range(k_range, workdir, capsys):
+    # the probe takes k as a float: an OverflowError traceback before
+    assert main(["mabuchi-probe", "--k-range", k_range, "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: k values must be <= {sys.float_info.max}")
+
+
 def test_cache_key_follows_the_source_fingerprint(workdir, monkeypatch):
     def run(name):
         assert main(["pkappa", "--kappa", "1.25", "--out", str(workdir / name)]) == 0
@@ -498,7 +506,8 @@ def test_a_tensor_power_above_the_cap_is_a_config_error(command):
 def test_the_k_cap_binds_the_tensor_power_only(monkeypatch):
     # _parse_k_range checks each command's floor and cap: the quantized
     # commands' k is a tensor power in [1, _K_MAX]; the probe's k scales a
-    # direction (k = 0 is the reference) and has no cap
+    # direction (k = 0 is the reference) and is capped only by the float
+    # range, as the probe takes it as a float
     assert cli._K_MAX == 4096
     parse = cli._parse_k_range
     assert parse(str(cli._K_MAX), [8], 1, cli._K_MAX) == [cli._K_MAX]
@@ -510,7 +519,7 @@ def test_the_k_cap_binds_the_tensor_power_only(monkeypatch):
     monkeypatch.setattr(cli, "_parse_k_range", lambda text, *rest: calls.append(rest) or parse(text, *rest))
     for command in ("quant-balanced", "quant-expansion", "mabuchi-probe"):
         assert main([command, "--k-range", "4:2", "--no-cache"]) == cli.EXIT_CONFIG
-    assert calls == [([8, 16, 32], 1, cli._K_MAX), ([8, 16, 32, 64], 1, cli._K_MAX), (list(range(65)), 0, math.inf)]
+    assert calls == [([8, 16, 32], 1, cli._K_MAX), ([8, 16, 32, 64], 1, cli._K_MAX), (list(range(65)), 0, sys.float_info.max)]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from kahlerlab import functionals
 from kahlerlab import quantization as quant
 from kahlerlab.errors import NotTraceless, OutOfDomain, WeightSignError
 from kahlerlab.functionals import (
@@ -196,9 +197,8 @@ def test_z_prime_rejects_a_direction_of_the_wrong_shape():
 
 
 def _z_by_fs(H, k, model):
-    """Z(H) = 𝕀(fs(H)) + I(H) through an FS potential and its Gram sample, and 𝕀(fs(H))."""
-    aubin = aubin_I(fs(H, k, model), k, model)
-    return aubin + functional_I(H, eigenvalues(k, model)), aubin
+    """Z(H) = 𝕀(fs(H)) + I(H) through an FS potential and its Gram sample."""
+    return aubin_I(fs(H, k, model), k, model) + functional_I(H, eigenvalues(k, model))
 
 
 def _z_test_norms(k, model):
@@ -216,19 +216,21 @@ def _z_test_norms(k, model):
 
 @pytest.mark.parametrize("model", [M0, MW], ids=["xi=0,p=1", "b0=1,p=4"])
 @pytest.mark.parametrize("k", [1, 2, 8, 64, 256, 1024])
-def test_Z_is_the_aubin_functional_of_fs_plus_I(k, model):
-    # functional_Z reads one softmax pass over log h, with no FS potential;
-    # its momenta and dv are bit for bit those of fs(H)'s Gram sample, and
-    # its dmu weights w psi'' are the ones whose log that sample keeps. Z
-    # then differs from 𝕀(fs(H)) + I(H) by the rounding of exp(log w):
-    # worst measured 2.4e-16 of |𝕀(fs(H))| (bound 2e-15). Where fs or the
-    # spectrum is undefined (k = 1, and k = 2 with a weight) both name the
-    # same error
+def test_Z_is_the_aubin_functional_of_fs_plus_I(k, model, monkeypatch):
+    # functional_Z builds fs(H)'s Gram sample with the builder of
+    # fs(H).gram_sample, one softmax pass over log h, with no FS potential:
+    # every field of the sample its Aubin term reads is bit for bit that of
+    # fs(H)'s, and the dmu weights are w psi''. So Z is exactly
+    # 𝕀(fs(H)) + I(H). Where fs or the spectrum is undefined (k = 1, and
+    # k = 2 with a weight) both name the same error
     w_t = quant._pullback_rule()[1]
+    read = []
+    aubin_of_sample = functionals._aubin
+    monkeypatch.setattr(functionals, "_aubin", lambda s, *rest: read.append(s) or aubin_of_sample(s, *rest))
     for x in _z_test_norms(k, model):
         H = HermitianNorms(k=k, log_h=x)
         try:
-            want, aubin = _z_by_fs(H, k, model)
+            want = _z_by_fs(H, k, model)
         except Exception as exc:
             with pytest.raises(type(exc)) as got:
                 functional_Z(H, k, model)
@@ -236,11 +238,10 @@ def test_Z_is_the_aubin_functional_of_fs_plus_I(k, model):
             assert (k, type(exc)) in ((1, WeightSignError), (2, WeightSignError))
             continue
         phi = fs(H, k, model)
-        w, mu, dv = quant._fs_gram_dv(H, k, model)
-        np.testing.assert_array_equal(mu, phi.gram_sample.mu)
-        np.testing.assert_array_equal(w, w_t * (0.5 * phi.gram_sample.S))
-        np.testing.assert_array_equal(dv, phi.gram_dv[1])
-        assert abs(functional_Z(H, k, model) - want) <= 2e-15 * abs(aubin)
+        assert functional_Z(H, k, model) == want
+        for got, ref in zip(read[-1], phi.gram_sample, strict=True):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(phi.gram_sample.w, w_t * (0.5 * phi.gram_sample.S))
 
 
 @pytest.mark.parametrize(
@@ -289,15 +290,15 @@ def test_ck_constant_positive_in_weighted_mode():
         assert c_k_constant(k, MW) > 0.0
 
 
-def _rule_of(x, phi):
-    """"mu" if the points x, passed to phi, are the toy strand's one fixed
-    rule, the momentum rule, else None. A t-native potential reads it at the
-    pull-back log(u/(1-u)) + beta of its nodes u."""
+def _rule_of(x, beta=None):
+    """"mu" if the points x are the toy strand's one fixed rule, the momentum
+    rule, else None. A t-native potential, whose asymptotes cross at beta,
+    reads it at the pull-back log(u/(1-u)) + beta of its nodes u."""
     x = np.asarray(x)
     u = quant._mu_rule().nodes
     mu_rule = [u]
-    if isinstance(phi, quant._TNativePotential):
-        mu_rule.append(np.log(u / (1.0 - u)) + phi.beta)
+    if beta is not None:
+        mu_rule.append(np.log(u / (1.0 - u)) + beta)
     if any(x.shape == m.shape and np.array_equal(x, m) for m in mu_rule):
         return "mu"
     return None
@@ -360,30 +361,39 @@ def test_each_potential_is_sampled_once_on_the_momentum_nodes(monkeypatch):
 
     def counting(fn):
         def wrapped(self, x):
-            sampled.append((self, fn.__name__, _rule_of(x, self)))
+            sampled.append((self, fn.__name__, _rule_of(x, getattr(self, "beta", None))))
             return fn(self, x)
 
         return wrapped
 
     # every method that samples a potential: the jet of each class, and the
-    # native side of the t-native ones (an FS potential's softmax pass, which
-    # its Gram sample stops after psi'' and its at_t continues)
+    # native side of the t-native ones
     sampling = (
         (quant.ProfilePotential, "jet"),
         (quant._TNativePotential, "jet"),
-        (FSPotential, "_up_to_psi2"),
         (quant.BlendPotential, "at_t"),
         (quant._ShiftedPotential, "jet"),
     )
     for cls, meth in sampling:
         monkeypatch.setattr(cls, meth, counting(vars(cls)[meth]))
+    # and an FS potential's softmax pass over its own log h, which its Gram
+    # sample stops after psi'' and its at_t continues; the pass is logged
+    # under that log h, which the potential holds
+    fs_pass = quant._fs_pass
+
+    def counting_pass(t, log_h, log_ck):
+        sampled.append((log_h, "_fs_pass", _rule_of(t, float(log_h[-1] - log_h[0]) / (log_h.size - 1))))
+        return fs_pass(t, log_h, log_ck)
+
+    monkeypatch.setattr(quant, "_fs_pass", counting_pass)
 
     def on_rule(p):
         # a shifted potential's Gram sample is its base's
-        return [m for q, m, rule in sampled if q in (p, getattr(p, "base", None)) and rule == "mu"]
+        owners = (p, getattr(p, "base", None), getattr(p, "log_h", None))
+        return [m for q, m, rule in sampled if any(q is o for o in owners) and rule == "mu"]
 
     consumers = _consumers()
-    mu_side = ("jet", "_up_to_psi2", "at_t", "jet", "jet")  # the shifted potential's base is a profile
+    mu_side = ("jet", "_fs_pass", "at_t", "jet", "jet")  # the shifted potential's base is a profile
     for order in _orders():
         pots = _fresh_potentials()
         for first in (True, False):
@@ -617,7 +627,7 @@ def test_toy_mabuchi_is_linear_along_the_xi_flow(b0, p):
     log_binom = np.array([math.log(math.comb(k, i)) for i in range(k + 1)])
     model = ToyModel(b0=b0, p=p)
     for s in (-0.5, 0.3, 1.0):
-        moved = FSPotential(k, -log_binom - j * s, 0.0)
+        moved = FSPotential(HermitianNorms(k, -log_binom - j * s), 0.0)
         np.testing.assert_allclose(toy_mabuchi(moved, model), s * F, rtol=0, atol=1e-11)
 
 

@@ -164,7 +164,7 @@ def test_fs_of_binomial_norms_is_the_round_metric(k, b):
     # beta = -b: the pulled-back point t = logit(u) - b has mu = u, and there
     # S = 2 mu (1-mu), v = v_0(mu) - b mu and S'' = -4
     u = 0.5 * (np.polynomial.legendre.leggauss(256)[0] + 1.0)
-    phi = FSPotential(k, np.array([-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
+    phi = FSPotential(HermitianNorms(k, [-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
     s = phi.jet(u)
     mu = s.mu
     # the softmax exponent j t - log h_j rounds by up to ~k |b| eps, a relative
@@ -207,25 +207,37 @@ def test_fs_of_uniform_norms_matches_the_closed_form(k):
     # form mu(t) = ((k+1)/(1 - e^{-(k+1)t}) - 1/(1 - e^{-t}))/k, read at the
     # jet's own t, is the jet's mu
     u = np.linspace(0.01, 0.99, 20)  # not 1/2, where t = 0 and the closed form reads 0/0
-    s = FSPotential(k, np.zeros(k + 1), 0.0).jet(u)
+    s = FSPotential(HermitianNorms(k, np.zeros(k + 1)), 0.0).jet(u)
     with mp.workdps(40):
         exact = [float(((k + 1) / (1 - mp.exp(-(k + 1) * mp.mpf(x))) - 1 / (1 - mp.exp(-mp.mpf(x)))) / k) for x in s.t]
     assert np.max(np.abs(np.array(exact) - s.mu)) <= 1e-14
 
 
 def test_fs_potential_takes_k_plus_1_norms():
-    # its softmax pass reads k off the norms, while beta and the end values
-    # divide by the k it is given: the two must agree
+    # an FS potential is built from HermitianNorms, which hold k+1 norms: its
+    # softmax pass reads k off the norms, while beta and the end values
+    # divide by the k of the norms
     for log_h in (np.zeros(10), np.zeros(8), np.zeros((3, 3))):
         with pytest.raises(OutOfDomain, match=r"need k\+1 norms"):
-            FSPotential(8, log_h, 0.0)
+            FSPotential(HermitianNorms(8, log_h), 0.0)
+    phi = FSPotential(HermitianNorms(8, np.arange(9.0)), 0.0)
+    assert phi.k == 8 and phi.beta == 1.0
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_fs_potential_rejects_k_below_1(k):
-    # beta and the end values divide by k: a named error before any division
+    # beta and the end values divide by k: the norms name the error before any division
     with pytest.raises(OutOfDomain, match="k must be >= 1"):
-        FSPotential(k, np.zeros(1), 0.0)
+        FSPotential(HermitianNorms(k, np.zeros(1)), 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fs_potential_rejects_norms_that_are_not_finite(bad):
+    # a NaN norm once built an FS potential whose aubin_I was NaN, silently
+    log_h = np.zeros(9)
+    log_h[3] = bad
+    with pytest.raises(OutOfDomain, match="norms must be positive and finite"):
+        FSPotential(HermitianNorms(8, log_h), 0.0)
 
 
 @pytest.mark.parametrize("b", [0.0, 1.5, -4.0])
@@ -234,7 +246,7 @@ def test_fs_cumulants_of_binomial_norms(k, b):
     # psi = log(1 + e^{t+b}) here, so mu and the t-derivatives psi'' to
     # psi'''' are those of the logistic sigma = 1/(1 + e^{-(t+b)})
     t = np.linspace(-30.0, 30.0, 241)
-    phi = FSPotential(k, np.array([-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
+    phi = FSPotential(HermitianNorms(k, [-math.log(math.comb(k, j)) - j * b for j in range(k + 1)]), 0.0)
     s = phi.at_t(t)
     sig = 1.0 / (1.0 + np.exp(-(t + b)))
     assert np.max(np.abs(s.mu - sig)) <= 1e-11
@@ -249,7 +261,8 @@ def test_fs_gram_sample_is_at_t_at_the_pulled_back_nodes(k, model):
     # the Gram sample stops the softmax pass at psi'', where at_t goes on to
     # psi''' and psi'''': each field it keeps is bit for bit the one built
     # from at_t at t_i = logit(u_i) + beta, with the dmu weights
-    # w_i psi''(t_i)/(u_i(1-u_i)); on smooth and rough norms, and in a gauge
+    # w_i psi''(t_i)/(u_i(1-u_i)) and dv = v - v_round; on smooth and rough
+    # norms, and in a gauge
     u, w = gauss_legendre(256, 0.0, 1.0)
     rng = np.random.default_rng(37)
     smooth = hilb(random_potential(rng, 1.5), k, model).log_h
@@ -258,7 +271,9 @@ def test_fs_gram_sample_is_at_t_at_the_pulled_back_nodes(k, model):
         phi = fs(HermitianNorms(k=k, log_h=log_h), k, model)
         t = np.log(u / (1.0 - u)) + phi.beta
         s = phi.at_t(t)
-        want = (s.mu, t, s.mu * t - s.psi, 2.0 * s.psi2, np.log(w / (u * (1.0 - u)) * s.psi2))
+        v = s.mu * t - s.psi
+        v_round = s.mu * np.log(s.mu) + (1.0 - s.mu) * np.log(1.0 - s.mu)
+        want = (s.mu, t, v, 2.0 * s.psi2, w / (u * (1.0 - u)) * s.psi2, v - v_round)
         for got, ref in zip(phi.gram_sample, want, strict=True):
             np.testing.assert_array_equal(got, ref)
 
@@ -482,6 +497,16 @@ def test_fs_validates_k():
         fs(H, 5, model)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_hilb_names_k_below_1(k):
+    # the Gram's log(2 pi k) raised a bare "math domain error" here
+    model = ToyModel(p=1.0)
+    with pytest.raises(OutOfDomain, match="k must be >= 1"):
+        hilb(round_potential(), k, model)
+    with pytest.raises(OutOfDomain, match="k must be >= 1"):
+        balanced_iterate(round_potential(), k, model)
+
+
 @pytest.mark.parametrize("model", [ToyModel(p=4.0), ToyModel(b0=1.0, p=4.0)], ids=["xi=0", "b0=1,p=4"])
 @pytest.mark.parametrize("k", [8, 32, 128])
 def test_hilb_fs_is_gauge_equivariant(model, k):
@@ -634,6 +659,13 @@ def test_bergman_unweighted_constant():
     k = 7
     B = bergman_density(round_potential(), k, model, np.ones(k + 1), round_potential().jet(MU))
     np.testing.assert_allclose(2.0 * math.pi * B, (k + 1.0) / k, rtol=1e-12)
+
+
+@pytest.mark.parametrize("weights", [np.ones(7), np.ones(9), np.ones((8, 1)), 1.0])
+def test_bergman_density_takes_k_plus_1_weights(weights):
+    # numpy's "shapes not aligned", or a broadcast, before
+    with pytest.raises(OutOfDomain, match=r"need k\+1 weights"):
+        bergman_density(round_potential(), 7, ToyModel(p=1.0), weights, round_potential().jet(MU))
 
 
 def test_rho_decomposition_pointwise():
