@@ -36,18 +36,7 @@ import numpy as np
 from . import __version__
 from .cache import ResultCache, config_hash, source_fingerprint
 from .errors import ConfigError, KahlerLabError, OutOfDomain
-from .calabi import RuledSurfaceData
-from .ckem import b_kappa, kappa_zero, solve_P, sweep
-from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
-from .quantization import (
-    ToyModel,
-    balanced_defects,
-    balanced_iterate,
-    expansion_check,
-    round_potential,
-    _BALANCED_TOL,
-)
-from .verify import run_checks
+from .verify import run_checks  # runs no strand until a check reads it
 
 __all__ = ["main"]
 
@@ -154,7 +143,9 @@ def _parse_k_range(text: str | None, default: list[int], k_min: int, k_max: floa
     if min(ks) < k_min:
         raise ConfigError(f"k values must be >= {k_min}")
     if max(ks) > k_max:
-        raise ConfigError(f"k values must be <= {k_max} (got {max(ks)})")
+        digits = str(max(ks))  # `:.3g` overflows on an int past the float range
+        shown = digits if len(digits) <= 20 else f"{digits[:6]}... ({len(digits)} digits)"
+        raise ConfigError(f"k values must be <= {k_max} (got {shown})")
     return ks
 
 
@@ -178,16 +169,22 @@ def _validated(record: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         raise ConfigError(str(exc)) from exc
 
 
-def _surface(args: argparse.Namespace) -> RuledSurfaceData:
-    """The surface of --genus and --degree. Its kappa 1.5 is a placeholder:
-    every command hands the solvers its own kappa."""
+def _surface(args: argparse.Namespace):
+    """The RuledSurfaceData of --genus and --degree. Its kappa 1.5 is a
+    placeholder: every command hands the solvers its own kappa."""
+    from .calabi import RuledSurfaceData
+
     return _validated(RuledSurfaceData.standard, 1.5, genus=args.genus, degree=args.degree)
 
 
 # -- commands ----------------------------------------------------------------
+# Each command imports the library modules it calls in its own body, so a
+# process runs only the strand of its command.
 
 
 def cmd_pkappa(args: argparse.Namespace) -> int:
+    from .ckem import sweep
+
     if (args.kappa is None) == (args.kappa_range is None):
         raise ConfigError("pkappa needs exactly one of --kappa and --kappa-range")
     kappas = [args.kappa] if args.kappa_range is None else _parse_kappa_range(args.kappa_range)
@@ -210,6 +207,8 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
     """JSON: kappa0; min_P and argmin_z, P at its lowest interior critical
     point there (~0 at the double root); the labels at the midpoint of
     (1, kappa0) and at kappa0 + 0.5. All four come from one `sweep`."""
+    from .ckem import kappa_zero, sweep
+
     X = _surface(args)
 
     def produce() -> str:
@@ -231,6 +230,9 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
     fitted slope, and "diverges", true when the energy at the largest k lies
     more than 100 below the energy at the smallest k, in any order of
     --k-range."""
+    from .ckem import b_kappa, kappa_zero, solve_P, sweep
+    from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
+
     if args.kappa is not None and not 1.0 < args.kappa < math.inf:
         raise ConfigError(f"kappa must be finite and > 1 (got {args.kappa!r})")
     # the probe's k scales a direction (k = 0 is the reference) as a float: capped at the float range
@@ -243,7 +245,7 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
         sol = solve_P(kappa, b_kappa(kappa), X)
         label = str(sweep([kappa], X)[0].label)
         k_list = [float(k) for k in ks]
-        energies = unboundedness_probe(sol, probe_bump(sol), k_list)
+        energies = _validated(unboundedness_probe, sol, probe_bump(sol), k_list)
         slope = fit_probe_slope(k_list, energies)
         rows = [[repr(k), repr(E), repr(slope)] for k, E in zip(k_list, energies)]
         lo, hi = energies[k_list.index(min(k_list))], energies[k_list.index(max(k_list))]
@@ -255,24 +257,29 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
 
 
 def cmd_quant_balanced(args: argparse.Namespace) -> int:
+    from .quantization import ToyModel, balanced_defects, balanced_iterate, round_potential, _BALANCED_TOL
+
     model = _validated(ToyModel, b0=_parse_b0(args.b0), p=args.p)
     ks = _parse_k_range(args.k_range, [8, 16, 32], 1, _K_MAX)
-    if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"tol must be finite and positive (got {args.tol!r})")
+    tol = _BALANCED_TOL if args.tol is None else args.tol
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive (got {tol!r})")
 
     def produce() -> str:
         phi0 = round_potential()
         rows = []
         for k in ks:
-            res = balanced_iterate(phi0, k, model, tol=args.tol)
+            res = balanced_iterate(phi0, k, model, tol=tol)
             resid, dev = balanced_defects(res.phi, k, model)
             rows.append([k, res.n_iter, repr(resid), repr(dev)])
         return _csv("k,n_iter,residual,scal_dev", rows)
 
-    return _cached("quant-balanced", {**model._asdict(), "k_list": ks, "tol": args.tol}, produce, ".csv", args)
+    return _cached("quant-balanced", {**model._asdict(), "k_list": ks, "tol": tol}, produce, ".csv", args)
 
 
 def cmd_quant_expansion(args: argparse.Namespace) -> int:
+    from .quantization import ToyModel, expansion_check, round_potential
+
     model = _validated(ToyModel, b0=_parse_b0(args.b0), p=args.p)
     ks = _parse_k_range(args.k_range, [8, 16, 32, 64], 1, _K_MAX)
 
@@ -338,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b0", type=str, default="inf", help="weight offset b0 > 0; 'inf' for the unweighted mode")
     sp.add_argument("--p", type=float, default=4.0)
     sp.add_argument("--k-range", type=str, default=None)
-    sp.add_argument("--tol", type=float, default=_BALANCED_TOL, help="balanced stopping tolerance (default %(default)g)")
+    sp.add_argument("--tol", type=float, default=None, help="balanced stopping tolerance (default: balanced_iterate's)")
     _add_common(sp)
     sp.set_defaults(fn=cmd_quant_balanced)
 

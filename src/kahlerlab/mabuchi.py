@@ -209,9 +209,11 @@ def unboundedness_probe(
 ) -> list[float]:
     """Energies M(u_k), u_k'' = u_ref'' + k * bump; k = 0 gives M(reference) = 0.
 
-    OutOfDomain if some k < 0, checked first. P, the bump and f^{-3} are sampled
-    once, on `_support_rule`'s nodes; BadDirection unless P < 0 there and at the
-    support's two ends (P = (1-z^2) N, N convex: the ends decide the sign).
+    OutOfDomain if some k < 0, checked first, and if an energy is not finite
+    (a k near the float range overflows it). P, the bump and f^{-3} are
+    sampled once, on `_support_rule`'s nodes; BadDirection unless P < 0 there
+    and at the support's two ends (P = (1-z^2) N, N convex: the ends decide
+    the sign).
     """
     k = np.fromiter(k_list, dtype=float)
     if np.any(k < 0.0):
@@ -224,8 +226,13 @@ def unboundedness_probe(
     # With D_k = 1 + k (1-z^2) bump: M(u_k) = k int P f^{-3} bump
     #                                  - int (z+kappa) f^{-3} log D_k.
     lead = float(np.dot(w, P[:-2] * f3 * bz))
-    logd = np.log1p(k[:, None] * (1.0 - z * z) * bz)
-    return (k * lead - logd @ (w * (z + sol.kappa) * f3)).tolist()
+    with np.errstate(over="ignore"):
+        logd = np.log1p(k[:, None] * (1.0 - z * z) * bz)
+        E = k * lead - logd @ (w * (z + sol.kappa) * f3)
+    bad = ~np.isfinite(E)
+    if bad.any():
+        raise OutOfDomain(f"the probe energy is not finite at k = {k[bad][0]:.6g}")
+    return E.tolist()
 
 
 def fit_probe_slope(k_list: Sequence[float], energies: Sequence[float]) -> float:

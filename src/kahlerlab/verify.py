@@ -13,53 +13,36 @@ feature: the breached check fails by construction.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from types import ModuleType
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .numerics import gauss_legendre
 from .errors import BadDirection, ConfigError
-from .calabi import (
-    KillingData,
-    RuledSurfaceData,
-    check_boundary,
-    random_admissible_profile,
-    scal_p_on,
-    to_symplectic,
-    weighted_average_c,
-    weighted_scalar_curvature,
-    ansatz_scalar_curvature,
-)
-from .ckem import ClassLabel, b_kappa, kappa_zero, solve_P, sweep
-from .mabuchi import (
-    BumpDirection,
-    fit_probe_slope,
-    mabuchi_gradient_amt,
-    mabuchi_path_integral,
-    probe_bump,
-    probe_slope,
-    straight_theta_path,
-    unboundedness_probe,
-    _Z_ORDER,
-)
-from .quantization import (
-    ToyModel,
-    balanced_iterate,
-    balanced_defects,
-    bergman_density,
-    c_k_constant,
-    c_top_exact,
-    eigenvalues,
-    fs,
-    hilb,
-    random_potential,
-    rho_p,
-    round_potential,
-    sup_grid,
-    _mu_rule,
-)
-from .functionals import functional_L, functional_Z, geodesic, z_prime
+
+
+def _lazy(name: str) -> ModuleType:
+    """kahlerlab.<name>, executed on its first attribute access and bound in
+    sys.modules and on the package as an import binds it; a module that is
+    already imported comes back as it is."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the strands run only when a check first reads them, so `import
+# kahlerlab.cli`, which imports run_checks, runs none of them
+calabi, ckem, functionals, mabuchi, quantization = map(_lazy, ("calabi", "ckem", "functionals", "mabuchi", "quantization"))
 
 __all__ = ["CheckResult", "ALL_TAGS", "run_checks"]
 
@@ -86,8 +69,8 @@ def _chk_quad_exactness() -> float:
 
 
 def _chk_boundary_round() -> float:
-    sol = solve_P(1.25, 2.0)
-    rep = check_boundary(sol.profile())
+    sol = ckem.solve_P(1.25, 2.0)
+    rep = calabi.check_boundary(sol.profile())
     return max(abs(d) for d in rep.defects)
 
 
@@ -95,169 +78,170 @@ def _chk_c_invariance() -> float:
     """The defining ratio of c by quadrature on the z-rule, for two random
     profiles, against the closed form: c does not depend on the profile."""
     rng = np.random.default_rng(7)
-    X = RuledSurfaceData.standard(1.25)
-    kd = KillingData(b=2.0, p=4.0)
-    rule = gauss_legendre(_Z_ORDER)
+    X = calabi.RuledSurfaceData.standard(1.25)
+    kd = calabi.KillingData(b=2.0, p=4.0)
+    rule = gauss_legendre(mabuchi._Z_ORDER)
     z = rule.nodes
     weight = rule.weights * (z + kd.b) ** (-(kd.p + 1.0)) * (z + X.kappa)
-    c = weighted_average_c(X, kd)
+    c = calabi.weighted_average_c(X, kd)
     gap = 0.0
     for _ in range(2):
-        prof = random_admissible_profile(rng, X.kappa)
-        quad = float(np.dot(scal_p_on(z, prof.jet(z), X, kd, X.kappa), weight)) / float(weight.sum())
+        prof = calabi.random_admissible_profile(rng, X.kappa)
+        quad = float(np.dot(calabi.scal_p_on(z, prof.jet(z), X, kd, X.kappa), weight)) / float(weight.sum())
         gap = max(gap, abs(quad - c))
     return gap
 
 
 def _chk_p1_reduction() -> float:
     rng = np.random.default_rng(11)
-    X = RuledSurfaceData.standard(1.3)
-    prof = random_admissible_profile(rng, 1.3)
-    kd = KillingData(b=2.2, p=1.0)
+    X = calabi.RuledSurfaceData.standard(1.3)
+    prof = calabi.random_admissible_profile(rng, 1.3)
+    kd = calabi.KillingData(b=2.2, p=1.0)
     z = np.linspace(-0.95, 0.95, 301)
     f = z + kd.b
-    return float(np.max(np.abs(weighted_scalar_curvature(prof, X, kd, z) - f * f * ansatz_scalar_curvature(prof, X, z))))
+    lhs = calabi.weighted_scalar_curvature(prof, X, kd, z)
+    return float(np.max(np.abs(lhs - f * f * calabi.ansatz_scalar_curvature(prof, X, z))))
 
 
 def _chk_futaki_on_curve() -> float:
     b = 2.0
     kappa = (1.0 + b * b) / (2.0 * b)
-    return abs(solve_P(kappa, b).futaki_residual)
+    return abs(ckem.solve_P(kappa, b).futaki_residual)
 
 
 def _chk_futaki_off_curve() -> float:
     b = 2.0
     kappa = (1.0 + b * b) / (2.0 * b)
-    return min(abs(solve_P(kappa, b - 0.1).futaki_residual), abs(solve_P(kappa, b + 0.1).futaki_residual))
+    return min(abs(ckem.solve_P(kappa, b - 0.1).futaki_residual), abs(ckem.solve_P(kappa, b + 0.1).futaki_residual))
 
 
 def _chk_kappa0() -> float:
-    k0 = kappa_zero()
-    at, below, above = sweep([k0, 1.0 + 0.5 * (k0 - 1.0), k0 + 0.5])
-    ok_labels = below.label is ClassLabel.NEGATIVE_SOMEWHERE and above.label is ClassLabel.EXISTS_CKEM
+    k0 = ckem.kappa_zero()
+    at, below, above = ckem.sweep([k0, 1.0 + 0.5 * (k0 - 1.0), k0 + 0.5])
+    ok_labels = below.label is ckem.ClassLabel.NEGATIVE_SOMEWHERE and above.label is ckem.ClassLabel.EXISTS_CKEM
     return abs(at.min_P) if ok_labels else math.inf
 
 
 def _chk_el_gradient() -> float:
     kappa = 1.6
-    sol = solve_P(kappa, b_kappa(kappa))
-    u = to_symplectic(sol.profile())
+    sol = ckem.solve_P(kappa, ckem.b_kappa(kappa))
+    u = calabi.to_symplectic(sol.profile())
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(3):
         c = rng.uniform(-0.6, 0.6)
         r = rng.uniform(0.1, 0.3)
-        bump = BumpDirection(center=c, radius=r, amplitude=rng.uniform(0.5, 2.0))
-        worst = max(worst, abs(mabuchi_gradient_amt(u, sol, bump)))
+        bump = mabuchi.BumpDirection(center=c, radius=r, amplitude=rng.uniform(0.5, 2.0))
+        worst = max(worst, abs(mabuchi.mabuchi_gradient_amt(u, sol, bump)))
     return worst
 
 
 def _chk_loop_closure() -> float:
     kappa = 1.25
-    sol = solve_P(kappa, b_kappa(kappa))
-    kd = KillingData(b=sol.b, p=4.0)
+    sol = ckem.solve_P(kappa, ckem.b_kappa(kappa))
+    kd = calabi.KillingData(b=sol.b, p=4.0)
     rng = np.random.default_rng(23)
-    profs = [random_admissible_profile(rng, kappa, degree=3) for _ in range(3)]
+    profs = [calabi.random_admissible_profile(rng, kappa, degree=3) for _ in range(3)]
     loop = sum(
-        mabuchi_path_integral(straight_theta_path(profs[i], profs[(i + 1) % 3]), kd, sol)
+        mabuchi.mabuchi_path_integral(mabuchi.straight_theta_path(profs[i], profs[(i + 1) % 3]), kd, sol)
         for i in range(3)
     )
     return abs(loop)
 
 
 def _chk_probe_slope() -> float:
-    k0 = kappa_zero()
+    k0 = ckem.kappa_zero()
     kappa = 0.5 * (1.0 + k0)
-    sol = solve_P(kappa, b_kappa(kappa))
+    sol = ckem.solve_P(kappa, ckem.b_kappa(kappa))
     try:
-        bump = probe_bump(sol)
+        bump = mabuchi.probe_bump(sol)
         ks = [4.0, 8.0, 16.0, 32.0, 64.0]
-        fitted = fit_probe_slope(ks, unboundedness_probe(sol, bump, ks))
+        fitted = mabuchi.fit_probe_slope(ks, mabuchi.unboundedness_probe(sol, bump, ks))
     except BadDirection:
         return math.inf
-    lead = probe_slope(sol, bump)
+    lead = mabuchi.probe_slope(sol, bump)
     return abs(fitted - lead) / abs(lead)
 
 
 def _chk_rho_identity() -> float:
-    model = ToyModel(b0=1.0, p=4.0)
+    model = quantization.ToyModel(b0=1.0, p=4.0)
     k = 8
-    phi = round_potential()
-    spec = eigenvalues(k, model)
-    s = phi.jet(sup_grid())
-    lhs = rho_p(phi, k, model, s)
-    b_main = bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), s)
-    b_corr = bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), s)
-    return float(np.max(np.abs(lhs - (b_main - c_top_exact(model) / (4.0 * k) * b_corr))))
+    phi = quantization.round_potential()
+    spec = quantization.eigenvalues(k, model)
+    s = phi.jet(quantization.sup_grid())
+    lhs = quantization.rho_p(phi, k, model, s)
+    b_main = quantization.bergman_density(phi, k, model, spec.lam ** (1.0 - model.p), s)
+    b_corr = quantization.bergman_density(phi, k, model, spec.lam ** (-(model.p + 1.0)), s)
+    return float(np.max(np.abs(lhs - (b_main - quantization.c_top_exact(model) / (4.0 * k) * b_corr))))
 
 
 def _chk_trace_identity() -> float:
-    model = ToyModel(b0=1.0, p=4.0)
+    model = quantization.ToyModel(b0=1.0, p=4.0)
     k = 8
-    phi = round_potential()
-    spec = eigenvalues(k, model)
-    rule = _mu_rule()
-    total = 2.0 * math.pi * k * float(np.dot(rule.weights, rho_p(phi, k, model, phi.jet(rule.nodes))))
+    phi = quantization.round_potential()
+    spec = quantization.eigenvalues(k, model)
+    rule = quantization._mu_rule()
+    total = 2.0 * math.pi * k * float(np.dot(rule.weights, quantization.rho_p(phi, k, model, phi.jet(rule.nodes))))
     return abs(total - float(np.sum(spec.lam_p))) / float(np.sum(spec.lam_p))
 
 
 def _chk_ck_normalization() -> float:
-    model = ToyModel(p=1.0)
-    return max(abs(2.0 * math.pi * c_k_constant(k, model) - (1.0 - 1.0 / k**2)) for k in (2, 4, 8))
+    model = quantization.ToyModel(p=1.0)
+    return max(abs(2.0 * math.pi * quantization.c_k_constant(k, model) - (1.0 - 1.0 / k**2)) for k in (2, 4, 8))
 
 
 def _chk_fs_hilb_round() -> float:
-    model = ToyModel(p=1.0)
+    model = quantization.ToyModel(p=1.0)
     k = 8
-    psi_back = fs(hilb(round_potential(), k, model), k, model)
+    psi_back = quantization.fs(quantization.hilb(quantization.round_potential(), k, model), k, model)
     t = np.linspace(-8.0, 8.0, 161)
     return float(np.max(np.abs(psi_back.at_t(t).psi - np.logaddexp(0.0, t))))  # round psi = log(1 + e^t)
 
 
 def _chk_balanced_round() -> float:
-    model = ToyModel(p=1.0)
+    model = quantization.ToyModel(p=1.0)
     k = 8
-    res = balanced_iterate(round_potential(), k, model)
-    return balanced_defects(res.phi, k, model).residual
+    res = quantization.balanced_iterate(quantization.round_potential(), k, model)
+    return quantization.balanced_defects(res.phi, k, model).residual
 
 
 def _chk_z_convexity() -> float:
-    model = ToyModel(p=4.0)
+    model = quantization.ToyModel(p=4.0)
     k = 8
-    H = hilb(round_potential(), k, model)
+    H = quantization.hilb(quantization.round_potential(), k, model)
     rng = np.random.default_rng(17)
     worst = math.inf
     for _ in range(3):
         A = rng.normal(size=k + 1)
         A -= A.mean()
         ts = np.linspace(-0.3, 0.3, 7)
-        zs = [functional_Z(geodesic(H, A, float(t), model), k, model) for t in ts]
+        zs = [functionals.functional_Z(functionals.geodesic(H, A, float(t), model), k, model) for t in ts]
         worst = min(worst, float(np.min(np.diff(zs, 2))))
     return -worst
 
 
 def _chk_z_prime() -> float:
-    model = ToyModel(p=4.0)
+    model = quantization.ToyModel(p=4.0)
     k = 8
-    H = hilb(round_potential(), k, model)
+    H = quantization.hilb(quantization.round_potential(), k, model)
     rng = np.random.default_rng(19)
     worst = 0.0
     for _ in range(3):
         A = rng.normal(size=k + 1)
         A -= A.mean()
-        worst = max(worst, abs(z_prime(H, A, k, model)))
+        worst = max(worst, abs(functionals.z_prime(H, A, k, model)))
     return worst
 
 
 def _chk_zl_decay() -> float:
     # At the round potential L == Z∘hilb identically (fs∘hilb fixes it), so a
     # genuine decay measurement needs a generic potential.
-    model = ToyModel(p=4.0)
-    phi = random_potential(np.random.default_rng(29), scale=0.5)
+    model = quantization.ToyModel(p=4.0)
+    phi = quantization.random_potential(np.random.default_rng(29), scale=0.5)
     gaps = []
     for k in (8, 16):
-        H = hilb(phi, k, model)
-        gaps.append(abs(functional_L(phi, k, model) - functional_Z(H, k, model)) / k)
+        H = quantization.hilb(phi, k, model)
+        gaps.append(abs(functionals.functional_L(phi, k, model) - functionals.functional_Z(H, k, model)) / k)
     return gaps[1] / gaps[0]
 
 

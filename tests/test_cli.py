@@ -334,6 +334,37 @@ def test_a_check_that_raises_exits_1_under_its_own_error_name(workdir, capsys, m
     assert out == "" and err == "OutOfDomain: a check left its domain\n"
 
 
+def test_quant_balanced_default_tol_is_balanced_iterates(workdir, capsys):
+    # the parser leaves --tol unset (building it imports no quantization);
+    # the command resolves it, so the record and the cache key hold the float
+    def record(*flags):
+        assert main(["quant-balanced", "--k-range", "8", *flags, "--out", str(workdir / "b.csv")]) == 0
+        return json.loads((workdir / "b.csv.record.json").read_text())
+
+    assert build_parser().parse_args(["quant-balanced"]).tol is None
+    default, explicit = record(), record("--tol", "1e-10")
+    assert default["params"]["tol"] == quantization._BALANCED_TOL == 1e-10
+    assert explicit["input_hash"] == default["input_hash"] and explicit["cache_hit"]
+
+
+def test_verify_runs_the_run_checks_bound_in_cli(workdir, capsys, monkeypatch):
+    # a wrapper set on cli.run_checks (a per-tag tracer sets one) is the
+    # function the verify command calls
+    calls = []
+    monkeypatch.setattr(cli, "run_checks", lambda tags, breach: calls.append((tags, breach)) or [])
+    assert main(["verify", "--tags", "numerics", "--no-cache"]) == cli.EXIT_OK
+    assert calls == [(["numerics"], None)]
+    assert capsys.readouterr().out == "name,tag,passed,detail\n"
+
+
+def test_verify_reads_the_strands_it_binds_lazily():
+    # an imported strand comes back as it is: the checks read the same
+    # functions as every other caller
+    assert (verify.calabi, verify.ckem, verify.mabuchi) == (kahlerlab.calabi, ckem, kahlerlab.mabuchi)
+    assert (verify.quantization, verify.functionals) == (quantization, kahlerlab.functionals)
+    assert verify._lazy("ckem") is ckem
+
+
 def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, capsys, monkeypatch):
     # the residual and the scal deviation both read one jet on sup_grid() of
     # the FS potential the iteration returns, not of a second, equal one
@@ -430,6 +461,16 @@ def test_mabuchi_probe_rejects_k_past_the_float_range(k_range, workdir, capsys):
     assert main(["mabuchi-probe", "--k-range", k_range, "--no-cache"]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"config error: k values must be <= {sys.float_info.max}")
+    # the 332 digits of 2**1100 are counted, not printed
+    assert err.endswith(" (got 135829... (332 digits))\n") and len(err) < 100
+
+
+def test_mabuchi_probe_names_an_energy_past_the_float_range(workdir, capsys):
+    # 2**1023 is below the cap, but k times the probe's terms overflows: a
+    # config error naming that k, with no numpy warning and no slope-fit error
+    assert main(["mabuchi-probe", "--k-range", f"0,2,4,{2**1023}", "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "config error: the probe energy is not finite at k = 8.98847e+307\n")
 
 
 def test_cache_key_follows_the_source_fingerprint(workdir, monkeypatch):
@@ -513,6 +554,8 @@ def test_the_k_cap_binds_the_tensor_power_only(monkeypatch):
     assert parse(str(cli._K_MAX), [8], 1, cli._K_MAX) == [cli._K_MAX]
     with pytest.raises(cli.ConfigError, match="k values must be <= 4096"):
         parse(str(cli._K_MAX + 1), [8], 1, cli._K_MAX)
+    with pytest.raises(cli.ConfigError, match=r"\(got 12345678901234567890\)$"):  # 20 digits print whole
+        parse("8,12345678901234567890", [8], 1, cli._K_MAX)
     assert parse(f"0,{10 * cli._K_MAX}", [], 0, math.inf) == [0, 10 * cli._K_MAX]
     # each command hands it its own default, floor and cap
     calls = []

@@ -125,3 +125,49 @@ def test_a_module_loads_only_what_it_imports(module, loaded):
     code = f"import sys, kahlerlab.{module}; print(*sorted(m for m in sys.modules if m.startswith('kahlerlab.')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
     assert out.split() == [f"kahlerlab.{m}" for m in loaded]
+
+
+
+# what `import kahlerlab.cli` runs: parsing, hashing, writing and the verify
+# suite's table of checks, and no strand
+_CLI_RUNS = ["cache", "cli", "errors", "numerics", "verify"]
+
+
+def _executed(code: str) -> list[str]:
+    """The kahlerlab modules a fresh interpreter has run after `code`. A
+    module verify binds lazily counts once an attribute read has run it."""
+    src = str(Path(kahlerlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    report = "print(*sorted(m[10:] for m, v in sys.modules.items() if m.startswith('kahlerlab.') and type(v) is ModuleType))"
+    code = f"import sys\nfrom types import ModuleType\n{code}\n{report}"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
+    return out.split()
+
+
+def test_the_cli_import_runs_no_strand_but_binds_every_module():
+    # every kahlerlab.<m> is in sys.modules after the import, the strands
+    # unexecuted: a caller that looks them up there finds them, and its first
+    # attribute read runs them
+    names = [p.stem for p in MODULES]
+    code = f"import kahlerlab.cli\nassert all(f'kahlerlab.{{m}}' in sys.modules for m in {names!r})"
+    assert _executed(code) == _CLI_RUNS
+
+
+@pytest.mark.parametrize(
+    "argv, strand",
+    [
+        (["kappa0"], ["calabi", "ckem"]),
+        (["pkappa", "--kappa", "1.5"], ["calabi", "ckem"]),
+        (["mabuchi-probe"], ["calabi", "ckem", "mabuchi"]),
+        (["quant-balanced", "--k-range", "8"], ["quantization"]),
+        (["quant-expansion", "--k-range", "8,12,16,24"], ["quantization"]),
+        (["verify"], ["calabi", "ckem", "functionals", "mabuchi", "quantization"]),
+    ],
+    ids=["kappa0", "pkappa", "mabuchi-probe", "quant-balanced", "quant-expansion", "verify"],
+)
+def test_each_command_runs_only_its_strand(argv, strand):
+    code = (
+        "import contextlib, io, kahlerlab.cli as cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({[*argv, '--no-cache']!r}) == 0"
+    )
+    assert _executed(code) == sorted(_CLI_RUNS + strand)

@@ -1,6 +1,7 @@
 """Energy functional, gradients, probes, and path integrals."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,6 +119,17 @@ def test_probe_rejects_a_negative_k_before_sampling(monkeypatch):
         unboundedness_probe(sol, bump, [1.0, -1.0])
     with pytest.raises(OutOfDomain, match="k must be >= 0"):
         unboundedness_probe(_sol(1.5), BumpDirection(0.0, 0.2), [1.0, -1.0])
+
+
+@pytest.mark.parametrize("k_big", [2.0**1023, 1e308], ids=["2**1023", "1e308"])
+def test_probe_names_an_energy_past_the_float_range(k_big):
+    # k * lead and k (1-z^2) bump overflow a float: an OutOfDomain naming the
+    # first such k, with no numpy warning (which the test settings make errors)
+    sol = _sol(0.5 * (1.0 + kappa_zero()))
+    bump = probe_bump(sol)
+    with pytest.raises(OutOfDomain, match=re.escape(f"probe energy is not finite at k = {k_big:.6g}") + "$"):
+        unboundedness_probe(sol, bump, [0.0, 2.0, k_big, 4.0, k_big])
+    assert np.isfinite(unboundedness_probe(sol, bump, [0.0, 1e300])).all()
 
 
 def test_probe_diverges_below_threshold():
