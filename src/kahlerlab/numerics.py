@@ -120,13 +120,13 @@ def _cheb_cosines(n: int) -> np.ndarray:
 
     chebpts1(n) lists x_k = cos(theta_k), theta_k = (2k+1) pi/(2n), for
     k = n-1, ..., 0, so V[k, j] = T_j(x_k) = cos(j theta_k). The angle
-    j (2k+1) pi/(2n) is reduced mod 2 pi in integers before the cosine;
-    the three-term recurrence of chebvander would round each entry ~j
-    times instead.
+    j (2k+1) pi/(2n) is reduced mod 2 pi in integers, and the entry is read
+    from one table of the 4n cosines cos(m pi/(2n)); the three-term
+    recurrence of chebvander would round each entry ~j times instead.
     """
     k = np.arange(n - 1, -1, -1)
     m = np.outer(np.arange(n), 2 * k + 1) % (4 * n)
-    C = np.cos(m * (0.5 * np.pi / n))
+    C = np.cos(np.arange(4 * n) * (0.5 * np.pi / n))[m]
     C.flags.writeable = False
     return C
 

@@ -13,36 +13,14 @@ feature: the breached check fails by construction.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
-from types import ModuleType
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import calabi, ckem, functionals, mabuchi, quantization
 from .numerics import gauss_legendre
 from .errors import BadDirection, ConfigError
-
-
-def _lazy(name: str) -> ModuleType:
-    """kahlerlab.<name>, executed on its first attribute access and bound in
-    sys.modules and on the package as an import binds it; a module that is
-    already imported comes back as it is."""
-    full = f"{__package__}.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    spec = importlib.util.find_spec(full)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[full] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-# the strands run only when a check first reads them, so `import
-# kahlerlab.cli`, which imports run_checks, runs none of them
-calabi, ckem, functionals, mabuchi, quantization = map(_lazy, ("calabi", "ckem", "functionals", "mabuchi", "quantization"))
 
 __all__ = ["CheckResult", "ALL_TAGS", "run_checks"]
 

@@ -273,6 +273,14 @@ def test_pkappa_rejects_a_range_with_an_endpoint_that_is_not_finite(kappa_range,
     assert out == "" and "needs finite a and b" in err
 
 
+@pytest.mark.parametrize("n", [cli._KAPPA_RANGE_MAX + 1, 10**11])
+def test_pkappa_rejects_a_range_past_the_cap(n, workdir, capsys):
+    # 10^11 values would ask linspace for 745 GiB
+    assert main(["pkappa", f"--kappa-range=1.1:1.2:{n}", "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and f"takes n <= {cli._KAPPA_RANGE_MAX}" in err
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan", "0"])
 def test_quant_balanced_rejects_a_tol_that_is_not_finite_and_positive(tol, workdir, capsys):
     assert main(["quant-balanced", "--tol", tol, "--k-range", "8", "--no-cache"]) == cli.EXIT_CONFIG
@@ -357,12 +365,12 @@ def test_verify_runs_the_run_checks_bound_in_cli(workdir, capsys, monkeypatch):
     assert capsys.readouterr().out == "name,tag,passed,detail\n"
 
 
-def test_verify_reads_the_strands_it_binds_lazily():
-    # an imported strand comes back as it is: the checks read the same
+def test_cli_binds_the_package_modules_lazily():
+    # a module the cli bound comes back as it is: the checks read the same
     # functions as every other caller
     assert (verify.calabi, verify.ckem, verify.mabuchi) == (kahlerlab.calabi, ckem, kahlerlab.mabuchi)
     assert (verify.quantization, verify.functionals) == (quantization, kahlerlab.functionals)
-    assert verify._lazy("ckem") is ckem
+    assert cli.verify is verify and cli._lazy("ckem") is ckem
 
 
 def test_quant_balanced_inverts_one_potential_on_the_sup_grid_per_k(workdir, capsys, monkeypatch):

@@ -128,14 +128,14 @@ def test_a_module_loads_only_what_it_imports(module, loaded):
 
 
 
-# what `import kahlerlab.cli` runs: parsing, hashing, writing and the verify
-# suite's table of checks, and no strand
-_CLI_RUNS = ["cache", "cli", "errors", "numerics", "verify"]
+# what `import kahlerlab.cli` runs: parsing, hashing and writing, and no
+# library module
+_CLI_RUNS = ["cache", "cli", "errors"]
 
 
 def _executed(code: str) -> list[str]:
     """The kahlerlab modules a fresh interpreter has run after `code`. A
-    module verify binds lazily counts once an attribute read has run it."""
+    module the cli binds lazily counts once an attribute read has run it."""
     src = str(Path(kahlerlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     report = "print(*sorted(m[10:] for m, v in sys.modules.items() if m.startswith('kahlerlab.') and type(v) is ModuleType))"
@@ -156,14 +156,15 @@ def test_the_cli_import_runs_no_strand_but_binds_every_module():
 @pytest.mark.parametrize(
     "argv, strand",
     [
-        (["kappa0"], ["calabi", "ckem"]),
-        (["pkappa", "--kappa", "1.5"], ["calabi", "ckem"]),
-        (["mabuchi-probe"], ["calabi", "ckem", "mabuchi"]),
-        (["quant-balanced", "--k-range", "8"], ["quantization"]),
-        (["quant-expansion", "--k-range", "8,12,16,24"], ["quantization"]),
-        (["verify"], ["calabi", "ckem", "functionals", "mabuchi", "quantization"]),
+        (["kappa0"], ["calabi", "ckem", "numerics"]),
+        (["pkappa", "--kappa", "1.5"], ["calabi", "ckem", "numerics"]),
+        (["mabuchi-probe"], ["calabi", "ckem", "mabuchi", "numerics"]),
+        (["quant-balanced", "--k-range", "8"], ["numerics", "quantization"]),
+        (["quant-expansion", "--k-range", "8,12,16,24"], ["numerics", "quantization"]),
+        (["verify"], ["calabi", "ckem", "functionals", "mabuchi", "numerics", "quantization", "verify"]),
+        (["verify", "--tags", "numerics"], ["numerics", "verify"]),
     ],
-    ids=["kappa0", "pkappa", "mabuchi-probe", "quant-balanced", "quant-expansion", "verify"],
+    ids=["kappa0", "pkappa", "mabuchi-probe", "quant-balanced", "quant-expansion", "verify", "verify-numerics"],
 )
 def test_each_command_runs_only_its_strand(argv, strand):
     code = (
@@ -171,3 +172,15 @@ def test_each_command_runs_only_its_strand(argv, strand):
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({[*argv, '--no-cache']!r}) == 0"
     )
     assert _executed(code) == sorted(_CLI_RUNS + strand)
+
+
+def test_the_traced_prelude_finds_every_module():
+    # a tracer that imports the cli and then verify's tag list, as a traced
+    # launch does, finds every kahlerlab.<m> in sys.modules; verify's plain
+    # import of the strands runs none of them
+    names = [p.stem for p in MODULES]
+    code = (
+        "import kahlerlab.cli\nfrom kahlerlab.verify import ALL_TAGS\n"
+        f"assert all(f'kahlerlab.{{m}}' in sys.modules for m in {names!r})"
+    )
+    assert _executed(code) == sorted(_CLI_RUNS + ["numerics", "verify"])

@@ -6,6 +6,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from kahlerlab.numerics import (
     QuadratureRule,
+    _cheb_cosines,
     _cheb_projector,
     _legendre_rule,
     chebyshev_coefficients,
@@ -119,6 +120,15 @@ def test_cheb_projector_is_the_interpolant(n):
         np.testing.assert_allclose(_cheb_projector(n) @ f, want, rtol=0, atol=1e-13)
         c = chebyshev_coefficients(f)  # the same map, by sums then scaling, chopped
         np.testing.assert_allclose(c, want[: len(c)], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 96, 128, 160, 256])
+def test_cheb_cosines_equal_the_direct_cosines_bit_for_bit(n):
+    # the table of 4n cosines gives the bits of cos(m pi/(2n)) at each
+    # reduced angle m = j (2k+1) mod 4n, node k from the right as in chebpts1
+    j, k = np.meshgrid(np.arange(n), np.arange(n - 1, -1, -1), indexing="ij")
+    direct = np.cos(((j * (2 * k + 1)) % (4 * n)) * (0.5 * np.pi / n))
+    assert np.array_equal(_cheb_cosines(n), direct)
 
 
 @pytest.mark.parametrize("n", [17, 96, 100, 128, 160, 192])
