@@ -65,7 +65,8 @@ class _RuledSurfaceData(NamedTuple):
 
 
 class RuledSurfaceData(_RuledSurfaceData):
-    """Base data: genus >= 2 curve, line-bundle degree, Kähler class parameter."""
+    """Base data: genus >= 2 curve, line-bundle degree, s_C. No solver reads kappa (each takes
+    the class as an argument); it stays while perfbench calls `standard(1.5, genus=..., degree=...)`."""
 
     __slots__ = ()
     def __new__(cls, genus: int, degree: int, kappa: float, base_scal: float) -> RuledSurfaceData:
@@ -192,9 +193,9 @@ def weighted_scalar_curvature(profile: Profile, X: RuledSurfaceData, k: KillingD
     return out if out.ndim else float(out)
 
 
-def weighted_average_c(X: RuledSurfaceData, k: KillingData) -> float:
+def weighted_average_c(X: RuledSurfaceData, k: KillingData, kappa: float) -> float:
     """c = ∫ Scal_p f^{-(p+1)} (z+kappa) dz / ∫ f^{-(p+1)} (z+kappa) dz over
-    [-1, 1], in closed form; kappa = X.kappa.
+    [-1, 1] in the class kappa, in closed form.
 
     With A = (z+kappa) Theta the numerator's integrand is
     s_C f^{1-p} + d/dz[-f^{1-p} A' + (p-1) f^{-p} A], and A(+-1) = 0,
@@ -204,7 +205,7 @@ def weighted_average_c(X: RuledSurfaceData, k: KillingData) -> float:
         c = [s_C ∫f^{1-p} + 2(kappa+1)(b+1)^{1-p} + 2(kappa-1)(b-1)^{1-p}]
             / [∫f^{-p} + (kappa-b) ∫f^{-(p+1)}].
     """
-    b, p, kappa = k.b, k.p, X.kappa
+    b, p = k.b, k.p
     lo, hi = b - 1.0, b + 1.0
     try:
         ends = 2.0 * (kappa + 1.0) * hi ** (1.0 - p) + 2.0 * (kappa - 1.0) * lo ** (1.0 - p)

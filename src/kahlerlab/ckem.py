@@ -80,17 +80,9 @@ _KAPPA_ZERO_TOL = 1e-8  # bound on |min P| at the returned kappa0, per unit of P
 _CLASSIFY_TOL = 1e-8  # |min P| band that a sweep labels DoubleRoot
 
 
-def _base_scal(X: RuledSurfaceData | None) -> float:
-    """s_C of X, or of the standard surface: s_C alone fixes kappa0 and the sweep."""
-    return RuledSurfaceData.standard(2.0).base_scal if X is None else X.base_scal
-
-
-def _surface(kappa: float, X: RuledSurfaceData | None) -> RuledSurfaceData:
-    if X is None:
-        return RuledSurfaceData.standard(kappa)
-    # The kappa argument is authoritative for the polarization; X supplies
-    # the base data (genus, degree, base_scal).
-    return RuledSurfaceData(genus=X.genus, degree=X.degree, kappa=kappa, base_scal=X.base_scal)
+def _surface(X: RuledSurfaceData | None) -> RuledSurfaceData:
+    """X, or the genus-2, degree-1 surface. Its s_C alone enters: kappa is every solver's argument."""
+    return RuledSurfaceData.standard(1.5) if X is None else X
 
 
 class PKappaSolution(NamedTuple):
@@ -183,13 +175,13 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     is the rounding of terms of size |s_C|, about 1.2e-17 |s_C|. OutOfDomain
     unless kappa is finite and > 1, b > 0 and all three are finite; it names an overflow.
     """
-    surf = _surface(kappa, X)
-    coef, c, defect, ok = _closed_form(np.float64(kappa), np.float64(b), surf.base_scal)
+    X = _surface(X)
+    coef, c, defect, ok = _closed_form(np.float64(kappa), np.float64(b), X.base_scal)
     if not (math.isfinite(kappa) and kappa > 1.0 and b > 0.0):
         raise OutOfDomain(f"no finite solution at kappa = {kappa!r}, b = {b!r}: need kappa finite and > 1, b > 0")
     if not ok:
-        raise OutOfDomain(f"the closed form overflows a float at kappa = {kappa!r}, s_C = {surf.base_scal!r}")
-    return PKappaSolution(P=Polynomial(coef), c=float(c), futaki_residual=float(defect), kappa=kappa, b=b, surface=surf)
+        raise OutOfDomain(f"the closed form overflows a float at kappa = {kappa!r}, s_C = {X.base_scal!r}")
+    return PKappaSolution(P=Polynomial(coef), c=float(c), futaki_residual=float(defect), kappa=kappa, b=b, surface=X)
 
 
 def interior_min(P: Polynomial) -> tuple[float, float]:
@@ -244,7 +236,7 @@ def kappa_zero(X: RuledSurfaceData | None = None) -> float:
     ~1e241), or if kappa0 rounds to 1, where kappa0 - 1 ~ s_C^2/200 is below
     float resolution (|s_C| < ~1e-7).
     """
-    sC = _base_scal(X)
+    sC = _surface(X).base_scal
 
     def newton(b: float) -> float:  # a Newton step on q, with q' = 24b^3 - 14b + s_C
         return b - (((6.0 * b * b - 7.0) * b + sC) * b + 1.0) / ((24.0 * b * b - 14.0) * b + sC)
@@ -304,7 +296,7 @@ def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: li
     kappa^2 + 4 s_C kappa: near 1e154, or sooner at huge |s_C|), raises an
     OutOfDomain that names the cause; given a list `errors`, it is left out of
     the rows and appended there as (kappa, "OutOfDomain"), in their order."""
-    sC = _base_scal(X)
+    sC = _surface(X).base_scal
     k = np.fromiter(kappas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         b = k + np.sqrt(k * k - 1.0)

@@ -62,10 +62,11 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
-# perfbench's tracer looks every kahlerlab.<m> up in sys.modules after this
-# import, and its launcher replaces cli.run_checks: hence the lazy binding,
-# which runs no module until a command reads it, and run_checks. Both can go
-# once the tracer imports what it traces.
+# perfbench's tracer looks kahlerlab.verify up in sys.modules right after this
+# import, and its launcher replaces cli.run_checks: hence verify's lazy binding
+# and run_checks, which can go once the tracer imports what it traces. The
+# strands are bound lazily so that verify's plain import of them runs only the
+# ones its checks read (`verify --tags numerics` runs numerics alone).
 for _name in ("numerics", "calabi", "ckem", "functionals", "mabuchi", "quantization"):
     _lazy(_name)
 verify = _lazy("verify")
@@ -205,8 +206,8 @@ def _validated(record: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
 
 
 def _surface(args: argparse.Namespace):
-    """The RuledSurfaceData of --genus and --degree. Its kappa 1.5 is a
-    placeholder: every command hands the solvers its own kappa."""
+    """The RuledSurfaceData of --genus and --degree. Its kappa 1.5 fills the
+    record's field, which no solver reads: every command passes its own kappa."""
     from .calabi import RuledSurfaceData
 
     return _validated(RuledSurfaceData.standard, 1.5, genus=args.genus, degree=args.degree)

@@ -331,7 +331,7 @@ def mabuchi_path_integral(family: PathFamily, k: KillingData, sol: PKappaSolutio
     _same_class(kappa, sol)
     if (jets[0] <= 0.0).any():
         raise NotAdmissible("path endpoint profile is not positive")
-    c = weighted_average_c(sol.surface, k)
+    c = weighted_average_c(sol.surface, k, kappa)
     zq, zw = gauss_legendre(_Z_ORDER)
     wgt = zw * (zq + k.b) ** (-(k.p + 1.0)) * (zq + kappa)
     blend, wblend = _t_fold()

@@ -756,6 +756,7 @@ class BalancedResult(NamedTuple):
 _BALANCED_STEPS = 500  # budget of evaluations of the balanced map
 _BALANCED_TOL = 1e-10  # default stopping bound on the raw step sup_j |g_j|
 _MIN_DAMPING = 2.0**-10  # shortest fraction of a Newton step the backtracking tries
+_TOL_FLOOR = 16.0  # least tol / (eps max|log h_0|): unstopped, the raw step settles at 0.3-6.5 of these at k = 8-2048
 
 
 @lru_cache(maxsize=None)
@@ -782,8 +783,12 @@ def balanced_iterate(
     Converged when the raw step sup_j |g_j| < tol: H = x + g is then within sup|g| / (1 - r)
     of the fixed-point set, r the contraction rate of T. Raises NoConvergence, naming the last
     raw step and the last step modulo span{1, j}, once the latter is below tol and the former
-    is not (the relative fixed point), or after _BALANCED_STEPS evaluations."""
+    is not (the relative fixed point), or after _BALANCED_STEPS evaluations. ConfigError, before
+    the first evaluation, unless tol is above _TOL_FLOOR eps max|log h_0|, h_0 = hilb(phi_0)."""
     x = hilb(phi0, k, model).log_h  # names k < 1 before the projector divides by 0
+    if not tol > (floor := _TOL_FLOOR * math.ulp(1.0) * float(abs(x).max())):
+        raise ConfigError(f"tol={tol:g} at k={k} is not above the balanced step's rounding floor "
+                          f"{_TOL_FLOOR:g} eps max|log h_0| = {floor:.3g}")
     P = _gauge_projector(k)
     history, damping, base_merit = [], 1.0, math.inf
     for n in range(1, _BALANCED_STEPS + 1):

@@ -56,16 +56,17 @@ def _chk_c_invariance() -> float:
     """The defining ratio of c by quadrature on the z-rule, for two random
     profiles, against the closed form: c does not depend on the profile."""
     rng = np.random.default_rng(7)
-    X = calabi.RuledSurfaceData.standard(1.25)
+    kappa = 1.25
+    X = calabi.RuledSurfaceData.standard(kappa)
     kd = calabi.KillingData(b=2.0, p=4.0)
     rule = gauss_legendre(mabuchi._Z_ORDER)
     z = rule.nodes
-    weight = rule.weights * (z + kd.b) ** (-(kd.p + 1.0)) * (z + X.kappa)
-    c = calabi.weighted_average_c(X, kd)
+    weight = rule.weights * (z + kd.b) ** (-(kd.p + 1.0)) * (z + kappa)
+    c = calabi.weighted_average_c(X, kd, kappa)
     gap = 0.0
     for _ in range(2):
-        prof = calabi.random_admissible_profile(rng, X.kappa)
-        quad = float(np.dot(calabi.scal_p_on(z, prof.jet(z), X, kd, X.kappa), weight)) / float(weight.sum())
+        prof = calabi.random_admissible_profile(rng, kappa)
+        quad = float(np.dot(calabi.scal_p_on(z, prof.jet(z), X, kd, kappa), weight)) / float(weight.sum())
         gap = max(gap, abs(quad - c))
     return gap
 

@@ -60,8 +60,8 @@ def _quadrature_c(profile, X, kd):
     (z+kappa) dz by Gauss quadrature of the profile's Scal_p."""
     rule = gauss_legendre(128)
     z = rule.nodes
-    w = rule.weights * (z + kd.b) ** (-(kd.p + 1.0)) * (z + X.kappa)
-    return float(np.dot(scal_p_on(z, profile.jet(z), X, kd, X.kappa), w)) / float(w.sum())
+    w = rule.weights * (z + kd.b) ** (-(kd.p + 1.0)) * (z + profile.kappa)
+    return float(np.dot(scal_p_on(z, profile.jet(z), X, kd, profile.kappa), w)) / float(w.sum())
 
 
 def test_weighted_average_c_profile_independent():
@@ -69,7 +69,7 @@ def test_weighted_average_c_profile_independent():
     kd = KillingData(b=2.0, p=4.0)
     rng = np.random.default_rng(2)
     cs = [_quadrature_c(random_admissible_profile(rng, 1.25), X, kd) for _ in range(4)]
-    c = weighted_average_c(X, kd)
+    c = weighted_average_c(X, kd, 1.25)
     assert max(abs(x - c) for x in cs) < 1e-10
 
 
@@ -78,7 +78,7 @@ def test_weighted_average_c_matches_the_solver_constant(genus, degree):
     # On the Futaki curve Scal_p = c exactly, and ckem's c is sympy-derived.
     for kappa in (1.01, 1.25, 1.6, 3.0, 100.0, 1e4):
         sol = solve_P(kappa, b_kappa(kappa), RuledSurfaceData.standard(kappa, genus, degree))
-        c = weighted_average_c(sol.surface, KillingData(b=sol.b, p=4.0))
+        c = weighted_average_c(sol.surface, KillingData(b=sol.b, p=4.0), sol.kappa)
         np.testing.assert_allclose(c, sol.c, rtol=1e-14, atol=0.0, err_msg=f"kappa={kappa}")
 
 
@@ -115,7 +115,7 @@ def test_weighted_average_c_matches_mpmath_quadrature(b, p):
         X = RuledSurfaceData.standard(kappa, genus, degree)
         g = Polynomial(rng.normal(size=4) * 0.4 / (1.0 + np.arange(4)))
         want = _mpmath_c(kappa, X.base_scal, b, p, g)
-        got = weighted_average_c(X, KillingData(b=b, p=p))
+        got = weighted_average_c(X, KillingData(b=b, p=p), kappa)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=f"kappa={kappa}")
 
 
@@ -123,7 +123,7 @@ def test_weighted_average_c_matches_mpmath_quadrature(b, p):
 def test_weighted_average_c_names_a_weight_whose_powers_overflow(p):
     # (b - 1)^{1-p} at p = 2000, (b + 1)^{1-p} at p = -2000
     with pytest.raises(OutOfDomain, match=r"\(b, p\) = \(1\.5, "):
-        weighted_average_c(RuledSurfaceData.standard(1.5), KillingData(b=1.5, p=p))
+        weighted_average_c(RuledSurfaceData.standard(1.5), KillingData(b=1.5, p=p), 1.5)
 
 
 def test_p_equals_one_reduces_to_conformal_rescaling():

@@ -288,6 +288,24 @@ def test_quant_balanced_rejects_a_tol_that_is_not_finite_and_positive(tol, workd
     assert out == "" and "tol must be finite and positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pkappa", "--kappa-range", ","], "empty kappa range"),
+        (["pkappa", "--kappa-range", "1:2:x"], "bad kappa range '1:2:x': "),
+        (["mabuchi-probe", "--k-range", "0:8"], "bad k range '0:8': 'lo:hi' doubles lo, which must be >= 1"),
+        (["quant-expansion", "--k-range", "a:b"], "bad k range 'a:b': "),
+        # g = T(x) - x rounds at about eps max|log h|: iterated, this tol takes all 500 evaluations
+        (["quant-balanced", "--k-range", "256", "--tol", "1e-15"], "tol=1e-15 at k=256 is not above the balanced step's rounding floor"),
+    ],
+    ids=["empty-kappa-range", "kappa-range-count", "k-range-lo", "k-range-ints", "tol-floor"],
+)
+def test_a_flag_the_command_cannot_read_is_a_named_config_error(argv, message, workdir, capsys):
+    assert main([*argv, "--no-cache"]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["mabuchi-probe", "--k-range", "4:2"], ["quant-balanced", "--k-range", "8:4"]])
 def test_an_empty_doubling_range_is_named_as_such(argv, workdir, capsys):
     assert main([*argv, "--no-cache"]) == cli.EXIT_CONFIG

@@ -196,6 +196,13 @@ def test_z_prime_rejects_a_direction_of_the_wrong_shape():
             z_prime(H, A, k, M4)
 
 
+@pytest.mark.parametrize("A", [[0.1], 0.3, [0.1, -0.2, 0.1]], ids=["length-1", "scalar", "length-3"])
+def test_geodesic_rejects_a_direction_of_the_wrong_shape(A):
+    H = hilb(round_potential(), 8, M4)
+    with pytest.raises(OutOfDomain, match="direction has wrong length"):
+        geodesic(H, A, 1.0, M4)
+
+
 def _z_by_fs(H, k, model):
     """Z(H) = 𝕀(fs(H)) + I(H) through an FS potential and its Gram sample."""
     return aubin_I(fs(H, k, model), k, model) + functional_I(H, eigenvalues(k, model))

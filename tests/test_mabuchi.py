@@ -18,8 +18,9 @@ from kahlerlab.calabi import (
     random_admissible_profile,
     scal_p_on,
     to_symplectic,
+    weighted_average_c,
 )
-from kahlerlab.ckem import b_kappa, kappa_zero, solve_P
+from kahlerlab.ckem import b_kappa, kappa_zero, solve_P, sweep
 from kahlerlab.errors import BadDirection, ConfigError, NonFiniteCurvature, NotAdmissible, OutOfDomain
 from kahlerlab import mabuchi
 from kahlerlab.mabuchi import (
@@ -84,6 +85,37 @@ def test_probe_requires_negative_region():
     sol = _sol(1.5)
     with pytest.raises(BadDirection):
         unboundedness_probe(sol, BumpDirection(0.0, 0.2), [1.0])
+
+
+@pytest.mark.parametrize("target", [0.0, 2.0, float("nan")])
+def test_scale_bump_for_slope_takes_a_negative_target(target):
+    sol = _sol(0.5 * (1.0 + kappa_zero()))
+    with pytest.raises(OutOfDomain, match="target slope must be negative"):
+        scale_bump_for_slope(sol, probe_bump(sol), target)
+
+
+def test_scale_bump_for_slope_needs_the_region_where_p_is_negative():
+    # kappa in the existence region: P > 0, so every bump's slope is positive
+    with pytest.raises(BadDirection, match="does not see the negativity region of P"):
+        scale_bump_for_slope(_sol(1.5), BumpDirection(0.0, 0.2))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.5, float("nan")])
+@pytest.mark.parametrize(
+    "build", [lambda kappa: Profile(kappa, [1.0]), SymplecticPotential.reference], ids=["Profile", "SymplecticPotential"]
+)
+def test_a_kappa_at_most_one_is_out_of_domain(build, kappa):
+    with pytest.raises(OutOfDomain, match="kappa must be > 1"):
+        build(kappa)
+
+
+@pytest.mark.parametrize(
+    "dfun, end", [(lambda z: 2.0 + 0.0 * z, "2.0 at z=-1"), (lambda z: 1.0 + 0.25 * (1.0 + z) ** 2, "2.0 at z=+1")]
+)
+def test_symplectic_potential_must_meet_one_at_each_end(dfun, end):
+    # (1-z^2) u'' is positive inside but misses 1 at an end
+    with pytest.raises(NotAdmissible, match=re.escape(f"must approach 1 at the endpoints (got {end})")):
+        SymplecticPotential(dfun, 1.5)
 
 
 def test_probe_samples_its_support_once(monkeypatch):
@@ -303,6 +335,35 @@ def test_path_integral_fits_at_most_one_profile(monkeypatch):
     monkeypatch.setattr(Profile, "from_callable", staticmethod(counted))
     mabuchi_path_integral(straight_theta_path(p0, p1), kd, sol)
     assert len(calls) <= 1, len(calls)
+
+
+class _UnreadKappa(RuledSurfaceData):
+    """A surface record whose kappa field fails the test when read."""
+
+    __slots__ = ()
+
+    @property
+    def kappa(self):
+        pytest.fail("a solver read the surface record's kappa")
+
+
+def test_kappa_is_an_argument_and_the_surface_record_is_kept():
+    # the class is every solver's argument: solved at kappa = 3.0, a record
+    # built with kappa 1.5 comes back as it was given, its kappa unread, and
+    # gives the bits of a record built with kappa 3.0
+    kappa = 3.0
+    X15, X30 = _UnreadKappa(3, 2, 1.5, -4.0), RuledSurfaceData(3, 2, kappa, -4.0)
+    sol, want = solve_P(kappa, b_kappa(kappa), X15), solve_P(kappa, b_kappa(kappa), X30)
+    assert sol.surface is X15 and want.surface is X30
+    assert sol.P.coef.tobytes() == want.P.coef.tobytes()
+    assert (sol.c, sol.futaki_residual) == (want.c, want.futaki_residual)
+    kd = KillingData(b=sol.b, p=4.0)
+    assert weighted_average_c(X15, kd, kappa) == weighted_average_c(X30, kd, kappa)
+    rng = np.random.default_rng(47)
+    path = straight_theta_path(*(random_admissible_profile(rng, kappa, degree=3) for _ in range(2)))
+    assert mabuchi_path_integral(path, kd, sol) == mabuchi_path_integral(path, kd, want)
+    assert kappa_zero(X15) == kappa_zero(X30)
+    assert sweep([1.01, 1.5, kappa], X15) == sweep([1.01, 1.5, kappa], X30)
 
 
 def test_path_integral_rejects_a_mixed_class():

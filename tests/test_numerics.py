@@ -37,6 +37,12 @@ def test_gauss_bad_order():
         gauss_legendre(0)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, -1.0), (0.0, float("nan"))])
+def test_gauss_legendre_needs_hi_above_lo(lo, hi):
+    with pytest.raises(ValueError, match="need hi > lo"):
+        gauss_legendre(4, lo, hi)
+
+
 def test_gauss_legendre_is_memoized_and_read_only():
     rule = gauss_legendre(24, 0.0, 1.0)
     assert gauss_legendre(24, 0.0, 1.0) is rule

@@ -278,6 +278,11 @@ def test_fs_gram_sample_is_at_t_at_the_pulled_back_nodes(k, model):
             np.testing.assert_array_equal(got, ref)
 
 
+def test_a_blend_needs_a_component():
+    with pytest.raises(OutOfDomain, match="need at least one component"):
+        BlendPotential([])
+
+
 def test_blend_potential_is_affine_in_psi():
     a, b = fs(hilb(round_potential(), 8, ToyModel(p=1.0)), 8, ToyModel(p=1.0)), _fs_of_random(2)
     blend = BlendPotential([(0.3, a), (0.7, b)])
@@ -772,6 +777,36 @@ def test_balanced_no_fixed_point_in_weighted_mode():
     model = ToyModel(b0=1.0, p=4.0)
     with pytest.raises(NoConvergence):
         balanced_iterate(round_potential(), 4, model)
+
+
+class _PassRan(Exception):
+    pass
+
+
+def _no_pass(*args):
+    raise _PassRan
+
+
+@pytest.mark.parametrize("k, tol", [(256, 1e-15), (8, 1e-16), (2048, 1e-12), (8, float("nan"))])
+def test_balanced_rejects_a_tol_below_the_rounding_floor(k, tol, monkeypatch):
+    # g = T(x) - x rounds at about eps max|log h_0|: below a multiple of that the
+    # raw step cannot reach tol, and no balanced pass runs before the error
+    monkeypatch.setattr("kahlerlab.quantization._balanced_pass", _no_pass)
+    with pytest.raises(ConfigError, match=re.escape(f"tol={tol:g} at k={k} is not above the balanced step's rounding floor")):
+        balanced_iterate(round_potential(), k, ToyModel(p=1.0), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "k, tol, model",
+    [(4096, 1e-10, ToyModel(p=1.0)), (4096, 1e-10, ToyModel(b0=1.0, p=4.0)), (256, 1e-12, ToyModel(p=1.0))],
+    ids=["default-tol-at-the-k-cap", "weighted", "1e-12-at-256"],
+)
+def test_balanced_floor_admits_the_default_tol_and_1e12(k, tol, model, monkeypatch):
+    # the check lets these tols through to the first balanced pass, for round and random starts
+    monkeypatch.setattr("kahlerlab.quantization._balanced_pass", _no_pass)
+    for phi0 in (round_potential(), random_potential(np.random.default_rng(0), scale=0.6)):
+        with pytest.raises(_PassRan):
+            balanced_iterate(phi0, k, model, tol=tol)
 
 
 def _affine_defect_from_beta_norms(log_h, k):

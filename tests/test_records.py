@@ -39,23 +39,29 @@ _X = calabi.RuledSurfaceData(**_SURFACE)
 _H = quantization.HermitianNorms(k=1, log_h=[0.0, 0.0])
 _SWEEP = dict(kappa=1.5, b_kappa=2.6, c=1.0, futaki_residual=0.0, min_P=1.4, argmin_z=0.1, label=ckem.ClassLabel.EXISTS_CKEM)
 
-# record, fields, defaults, valid arguments, (bad arguments, error) or None
+# record, fields, defaults, valid arguments, [(bad arguments, error), ...] or None
 RECORDS = [
     (
         numerics.QuadratureRule,
         ("nodes", "weights"),
         {},
         dict(nodes=[-1, 1], weights=[1, 1]),
-        (dict(nodes=[1, -1]), ValueError),
+        [(dict(nodes=[1, -1]), ValueError), (dict(weights=[1, 1, 1]), ValueError)],
     ),
     (
         calabi.RuledSurfaceData,
         ("genus", "degree", "kappa", "base_scal"),
         {},
         _SURFACE,
-        (dict(kappa=1.0), OutOfDomain),
+        [(dict(kappa=1.0), OutOfDomain), (dict(base_scal=0.0), OutOfDomain)],
     ),
-    (calabi.KillingData, ("b", "p"), {"p": 4.0}, dict(b=2.0), (dict(b=1.0), OutOfDomain)),
+    (
+        calabi.KillingData,
+        ("b", "p"),
+        {"p": 4.0},
+        dict(b=2.0),
+        [(dict(b=1.0), OutOfDomain), (dict(p=math.nan), OutOfDomain), (dict(p=-math.inf), OutOfDomain)],
+    ),
     (calabi.BoundaryReport, ("passes", "defects"), {}, dict(passes=True, defects=(0.0,) * 4), None),
     (
         ckem.PKappaSolution,
@@ -70,17 +76,17 @@ RECORDS = [
         ("center", "radius", "amplitude"),
         {"amplitude": 1.0},
         dict(center=0.0, radius=0.5),
-        (dict(radius=0.0), OutOfDomain),
+        [(dict(radius=0.0), OutOfDomain)],
     ),
     (mabuchi.PathFamily, ("kappa", "jets", "thetas"), {}, dict(kappa=1.5, jets=((), ()), thetas=()), None),
-    (quantization.ToyModel, ("b0", "p"), {"b0": math.inf, "p": 4.0}, {}, (dict(b0=0), OutOfDomain)),
+    (quantization.ToyModel, ("b0", "p"), {"b0": math.inf, "p": 4.0}, {}, [(dict(b0=0), OutOfDomain)]),
     (quantization.SpectrumData, ("lam", "lam_p"), {}, dict(lam=np.ones(2), lam_p=np.ones(2)), None),
     (
         quantization.HermitianNorms,
         ("k", "log_h"),
         {},
         dict(k=2, log_h=[0, 1, 2]),
-        (dict(log_h=[0, 1]), OutOfDomain),
+        [(dict(log_h=[0, 1]), OutOfDomain)],
     ),
     (
         quantization.ExpansionReport,
@@ -120,8 +126,7 @@ def test_record_contract(cls, fields, defaults, args, bad):
             assert isinstance(got, np.ndarray) and got.dtype == float and got.tolist() == value
         else:
             assert got is value
-    if bad is not None:
-        overrides, error = bad
+    for overrides, error in bad or ():
         with pytest.raises(error):
             cls(**{**args, **overrides})
 
