@@ -57,6 +57,13 @@ __all__ = [
 ]
 
 
+def _class_kappa(kappa: float) -> float:
+    """kappa, if it names a Kähler class of the ruled surface: finite and > 1."""
+    if not (math.isfinite(kappa) and kappa > 1.0):
+        raise OutOfDomain(f"kappa must be > 1 and finite (got {kappa!r})")
+    return kappa
+
+
 class _RuledSurfaceData(NamedTuple):
     genus: int
     degree: int
@@ -74,11 +81,9 @@ class RuledSurfaceData(_RuledSurfaceData):
             raise OutOfDomain("genus must be >= 2")
         if degree < 1:
             raise OutOfDomain("degree must be >= 1")
-        if not kappa > 1.0:
-            raise OutOfDomain("kappa must be > 1")
         if not base_scal < 0.0:
             raise OutOfDomain("base_scal must be negative")
-        return super().__new__(cls, genus, degree, kappa, base_scal)
+        return super().__new__(cls, genus, degree, _class_kappa(kappa), base_scal)
 
     @staticmethod
     def standard(kappa: float, genus: int = 2, degree: int = 1) -> "RuledSurfaceData":
@@ -119,20 +124,18 @@ class Profile:
     """
 
     def __init__(self, kappa: float, N):
-        if not kappa > 1.0:
-            raise OutOfDomain("kappa must be > 1")
-        self.kappa = float(kappa)
+        self.kappa = float(_class_kappa(kappa))
         c = np.append(np.asarray(N, dtype=float), (0.0, 0.0))  # two zeros: every column has len(N) rows
         self.coef = np.stack([cheb.chebder(c, m)[: len(c) - 2] for m in range(3)], axis=1)
         self.coef.flags.writeable = False
 
     @staticmethod
     def from_callable(theta_fn: Callable, kappa: float) -> "Profile":
-        """Interpolate G = Theta/(1-z^2) through 96 interior Chebyshev
-        nodes, the series chopped at its rounding plateau; N = (z+kappa) G."""
+        """Interpolate G = Theta/(1-z^2) through 96 interior Chebyshev nodes, the
+        series chopped at its rounding plateau; N = (z+kappa) G once kappa passes its gate."""
         z = cheb.chebpts1(96)
         g = np.asarray(theta_fn(z), dtype=float) / (1.0 - z * z)
-        return Profile(kappa, cheb.chebmul(chebyshev_coefficients(g), [kappa, 1.0]))
+        return Profile(kappa, cheb.chebmul(chebyshev_coefficients(g), [_class_kappa(kappa), 1.0]))
 
     def jet(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Theta, Theta' and ((z+kappa) Theta)'' at z, in one pass."""

@@ -62,7 +62,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .calabi import Profile, RuledSurfaceData
+from .calabi import Profile, RuledSurfaceData, _class_kappa
 from .errors import OutOfDomain, SearchFailed
 
 __all__ = [
@@ -115,8 +115,7 @@ class ClassLabel(str, enum.Enum):
 
 def b_kappa(kappa: float) -> float:
     """The unique b > 1 with (1+b^2)/(2b) = kappa."""
-    if not kappa > 1.0:
-        raise OutOfDomain("b_kappa requires kappa > 1")
+    _class_kappa(kappa)
     return kappa + math.sqrt(kappa * kappa - 1.0)
 
 
@@ -176,9 +175,10 @@ def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappa
     unless kappa is finite and > 1, b > 0 and all three are finite; it names an overflow.
     """
     X = _surface(X)
+    _class_kappa(kappa)
+    if not b > 0.0:
+        raise OutOfDomain(f"no finite solution at b = {b!r}: need b > 0")
     coef, c, defect, ok = _closed_form(np.float64(kappa), np.float64(b), X.base_scal)
-    if not (math.isfinite(kappa) and kappa > 1.0 and b > 0.0):
-        raise OutOfDomain(f"no finite solution at kappa = {kappa!r}, b = {b!r}: need kappa finite and > 1, b > 0")
     if not ok:
         raise OutOfDomain(f"the closed form overflows a float at kappa = {kappa!r}, s_C = {X.base_scal!r}")
     return PKappaSolution(P=Polynomial(coef), c=float(c), futaki_residual=float(defect), kappa=kappa, b=b, surface=X)

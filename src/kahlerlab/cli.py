@@ -186,8 +186,6 @@ def _parse_k_range(text: str | None, default: list[int], k_min: int, k_max: floa
 
 
 def _parse_b0(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "none"):
-        return math.inf
     try:
         return float(text)
     except ValueError as exc:

@@ -144,7 +144,7 @@ def almost_balanced_check(
     """eps-hat(k) = k^{-1} [Z(hilb(phi)) - Z(hilb(phi_star))]_- (the negative
     part): how far phi_star is from minimizing Z through the quantization, at
     each level k. Decays to 0 when phi_star has constant weighted curvature."""
-    ks = sorted(int(k) for k in k_range)
+    ks = sorted(k_range)
     out = []
     for k in ks:
         diff = functional_Z(hilb(phi, k, model), k, model) - functional_Z(hilb(phi_star, k, model), k, model)

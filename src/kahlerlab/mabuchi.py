@@ -38,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .calabi import KillingData, Profile, check_boundary, scal_p_on, weighted_average_c
+from .calabi import KillingData, Profile, _class_kappa, check_boundary, scal_p_on, weighted_average_c
 from .ckem import PKappaSolution, interior_min
 from .errors import BadDirection, ConfigError, NotAdmissible, OutOfDomain
 from .numerics import _cheb_projector, composite_gauss, gauss_legendre
@@ -74,9 +74,7 @@ class SymplecticPotential:
     """
 
     def __init__(self, dfun: Callable, kappa: float):
-        if not kappa > 1.0:
-            raise OutOfDomain("kappa must be > 1")
-        self.kappa = float(kappa)
+        self.kappa = float(_class_kappa(kappa))
         self._dfun = dfun
         self._d_rule = self.D(gauss_legendre(_Z_ORDER).nodes)
         if np.any(self._d_rule <= 0.0):

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import OutOfDomain
+
 __all__ = [
     "QuadratureRule",
     "gauss_legendre",
@@ -41,9 +43,9 @@ class QuadratureRule(_QuadratureRule):
     def __new__(cls, nodes, weights) -> QuadratureRule:
         nodes, weights = np.asarray(nodes, dtype=float), np.asarray(weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
+            raise OutOfDomain("nodes and weights must be 1-d arrays of equal length")
         if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
+            raise OutOfDomain("nodes must be strictly increasing")
         return super().__new__(cls, nodes, weights)
 
 
@@ -55,7 +57,7 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     then one on Reinsch's recurrence in z = 1 - x, its P_n' moved to the final
     node by Legendre's equation for w = 2/((1-x^2) P_n'^2). No eigensolve."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise OutOfDomain("order must be >= 1")
     t = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
     theta = np.arccos((1 - (n - 1) / (8.0 * n**3) - (39 - 28 / np.sin(t) ** 2) / (384.0 * n**4)) * np.cos(t))
     a, k = np.cumprod(np.r_[1.0, 1.0 - 0.5 / np.arange(1, n + 1)]), np.arange((n + 1) // 2)
@@ -85,7 +87,7 @@ def gauss_legendre(order: int, lo: float = -1.0, hi: float = 1.0) -> QuadratureR
     """Gauss–Legendre rule with `order` nodes mapped affinely onto [lo, hi].
     Memoized: the returned rule is shared, and its arrays are read-only."""
     if not hi > lo:
-        raise ValueError("need hi > lo")
+        raise OutOfDomain("need hi > lo")
     return composite_gauss((lo, hi), order)
 
 

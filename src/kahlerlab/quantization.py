@@ -467,6 +467,13 @@ class SpectrumData(NamedTuple):
     lam_p: np.ndarray    # lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)}, c = c_top_exact(model)
 
 
+def _level_k(k: int) -> int:
+    """k, if it is a level of L^k: an int or np.integer >= 1. The public memos of k are typed: every k reaches it."""
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise OutOfDomain(f"k must be >= 1 and an integer (got {k!r})")
+    return k
+
+
 class _HermitianNorms(NamedTuple):
     k: int
     log_h: np.ndarray
@@ -478,31 +485,24 @@ class HermitianNorms(_HermitianNorms):
     __slots__ = ()
     def __new__(cls, k: int, log_h) -> HermitianNorms:
         log_h = np.asarray(log_h, dtype=float)
-        if k < 1:
-            raise OutOfDomain("k must be >= 1")
-        if log_h.shape != (k + 1,):
+        if log_h.shape != (_level_k(k) + 1,):
             raise OutOfDomain("need k+1 norms")
         if not np.isfinite(log_h).all():
             raise OutOfDomain("norms must be positive and finite")
         return super().__new__(cls, k, log_h)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> SpectrumData:
-    """lambda_j = b0 + j/k and the twisted weights lambda_j(p), read-only.
+    """lambda_j = f(j/k) = b0 + j/k and the twisted weights lambda_j(p), read-only.
 
     check_weights=False skips the positivity gate on lambda(p) (useful when
     only the raw lambda sequence is wanted; every map that divides by
     lambda(p) re-checks). OutOfDomain, before the gate, if a power of
     lambda overflows a float or underflows to 0. Memoized, as the
     functionals read it per call; an error is not, so every call raises it."""
-    if k < 1:
-        raise OutOfDomain("k must be >= 1")
-    j = np.arange(k + 1, dtype=float)
-    if model.xi_zero:
-        lam = np.ones(k + 1)
-    else:
-        lam = model.b0 + j / k
+    j = np.arange(_level_k(k) + 1, dtype=float)
+    lam = np.full(k + 1, model.f(j / k))  # f is the float 1 in the xi=0 mode
     c = c_top_exact(model)
     with np.errstate(over="ignore", invalid="ignore"):
         V, W = lam ** (1.0 - model.p), lam ** (-(model.p + 1.0))
@@ -563,8 +563,7 @@ def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
     """log G_j, G_j = int |s_j|^2 f^{1-p} vol_{k omega} = 2 pi k int e^{E_j} f^{1-p} dmu,
     from phi.gram_sample, in one buffer. The weight stays in log space, (1-p) log f,
     as f^{1-p} can overflow a float where G does not."""
-    if k < 1:  # log(2 pi k) below
-        raise OutOfDomain("k must be >= 1")
+    _level_k(k)  # log(2 pi k) below
     s = phi.gram_sample
     a = _log_section_densities(s, k, np.log(s.w) if model.xi_zero else np.log(s.w) + (1.0 - model.p) * np.log(model.f(s.mu)))
     m = a.max(axis=1, keepdims=True)  # log-sum-exp shifted by the row maximum: exp cannot overflow
@@ -583,7 +582,7 @@ def _log_lam_p(k: int, model: ToyModel) -> np.ndarray:
     return _read_only((np.log(eigenvalues(k, model).lam_p),))[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def c_k_constant(k: int, model: ToyModel) -> float:
     """C_k = sum_j lambda_j(p) / int f^{1-p} vol_{k omega}; the volume
     bookkeeping is pinned by (2 pi) C_k = 1 + O(k^{-2}). int_0^1 f^{1-p} dmu
@@ -599,7 +598,7 @@ def c_k_constant(k: int, model: ToyModel) -> float:
 
 
 def _check_level(H: HermitianNorms, k: int) -> None:
-    if k != H.k:
+    if _level_k(k) != H.k:
         raise OutOfDomain(f"k={k} does not match the norms (k={H.k})")
 
 
@@ -718,7 +717,7 @@ def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int
     its log-log slope (the expansion is O(k^{-2})); also the leading-term-only
     residual (slope ~ -1). One row per distinct k; ConfigError unless there
     are 4 distinct k to fit."""
-    ks = sorted({int(k) for k in k_range})
+    ks = sorted(set(k_range))
     if len(ks) < 4:
         raise ConfigError(f"the expansion fit needs 4 distinct k, got {ks}")
     eigenvalues(ks[0], model)  # the power gate: OutOfDomain before a power of f below overflows or underflows

@@ -145,9 +145,20 @@ def test_quant_balanced_round_start(workdir, capsys):
         assert float(resid) < 1e-10
 
 
-def test_quant_balanced_rejects_bad_b0(workdir):
+def test_quant_balanced_rejects_bad_b0(workdir, capsys):
     assert main(["quant-balanced", "--b0", "-2", "--no-cache"]) == 2
     assert main(["quant-balanced", "--b0", "what", "--no-cache"]) == 2
+    # b0 is read by float() alone: 'none' is no alias of the unweighted mode
+    assert main(["quant-balanced", "--b0", "none", "--k-range", "8", "--no-cache"]) == 2
+    assert "bad b0 'none'" in capsys.readouterr().err
+
+
+def test_quant_balanced_reads_every_spelling_of_infinity_as_the_unweighted_mode(workdir, capsys):
+    outs = []
+    for b0 in ("inf", "Infinity"):
+        assert main(["quant-balanced", "--b0", b0, "--p", "1", "--k-range", "8", "--no-cache"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].startswith("k,n_iter,residual,scal_dev\n8,")
 
 
 def test_quant_commands_reject_b0_zero(workdir, capsys):

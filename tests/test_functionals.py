@@ -270,6 +270,44 @@ def test_Z_names_the_errors_of_fs_and_the_spectrum(level, k, model, error, messa
         assert str(got.value).startswith(message)
 
 
+def _maps_at(k, H, phi, model):
+    """Each map of the toy strand that takes a level k, at k."""
+    return [
+        lambda: HermitianNorms(k, H.log_h),
+        lambda: eigenvalues(k, model),
+        lambda: fs(H, k, model),
+        lambda: functional_Z(H, k, model),
+        lambda: aubin_I(phi, k, model),
+        lambda: quant.expansion_check(phi, model, [k, 16, 32, 64]),
+        lambda: almost_balanced_check(round_potential(), phi, [k], model),
+    ]
+
+
+@pytest.mark.parametrize("k", [8.0, 8.5])
+def test_each_map_names_a_level_that_is_not_an_integer(k):
+    # a float k raised numpy's bare TypeError, ran on the memo entry of
+    # int(k), or was truncated to int(k); each map runs at k = 8 first, so
+    # every memo holds that level
+    phi = random_potential(np.random.default_rng(4), scale=0.5)
+    H = hilb(phi, 8, MW)
+    for warm, route in zip(_maps_at(8, H, phi, MW), _maps_at(k, H, phi, MW), strict=True):
+        warm()
+        with pytest.raises(OutOfDomain, match="k must be >= 1"):
+            route()
+
+
+def test_a_numpy_integer_is_a_level():
+    # the gate takes np.integer as well as int, and the maps agree bit for bit
+    phi = random_potential(np.random.default_rng(4), scale=0.5)
+    H = hilb(phi, 8, MW)
+    got = [route() for route in _maps_at(np.int64(8), H, phi, MW)]
+    want = [route() for route in _maps_at(8, H, phi, MW)]
+    np.testing.assert_array_equal(got[0].log_h, want[0].log_h)
+    np.testing.assert_array_equal(got[1].lam_p, want[1].lam_p)
+    np.testing.assert_array_equal(got[2].log_h, want[2].log_h)
+    assert got[3:] == want[3:]
+
+
 def test_almost_balanced_defect_vanishes_at_round_reference():
     # Z is minimized over norms at hilb(round) here, so the negative part is
     # identically zero for every test potential.

@@ -100,11 +100,22 @@ def test_scale_bump_for_slope_needs_the_region_where_p_is_negative():
         scale_bump_for_slope(_sol(1.5), BumpDirection(0.0, 0.2))
 
 
-@pytest.mark.parametrize("kappa", [1.0, 0.5, float("nan")])
+@pytest.mark.parametrize("kappa", [1.0, 0.5, float("nan"), float("inf")])
 @pytest.mark.parametrize(
-    "build", [lambda kappa: Profile(kappa, [1.0]), SymplecticPotential.reference], ids=["Profile", "SymplecticPotential"]
+    "build",
+    [
+        lambda kappa: Profile(kappa, [1.0]),
+        SymplecticPotential.reference,
+        lambda kappa: Profile.from_callable(lambda z: 1.0 - z * z, kappa),
+        b_kappa,
+        lambda kappa: solve_P(kappa, 2.0),
+        RuledSurfaceData.standard,
+    ],
+    ids=["Profile", "SymplecticPotential", "Profile.from_callable", "b_kappa", "solve_P", "RuledSurfaceData"],
 )
 def test_a_kappa_at_most_one_is_out_of_domain(build, kappa):
+    # one gate for the class: an infinite kappa built a profile and a
+    # potential, fitted an infinite coefficient and gave b_kappa = inf
     with pytest.raises(OutOfDomain, match="kappa must be > 1"):
         build(kappa)
 

@@ -4,6 +4,7 @@ import pytest
 
 from numpy.polynomial import chebyshev as cheb
 
+from kahlerlab.errors import OutOfDomain
 from kahlerlab.numerics import (
     QuadratureRule,
     _cheb_cosines,
@@ -33,13 +34,13 @@ def test_gauss_weights_sum_to_length():
 
 
 def test_gauss_bad_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfDomain, match="order must be >= 1"):
         gauss_legendre(0)
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (1.0, -1.0), (0.0, float("nan"))])
 def test_gauss_legendre_needs_hi_above_lo(lo, hi):
-    with pytest.raises(ValueError, match="need hi > lo"):
+    with pytest.raises(OutOfDomain, match="need hi > lo"):
         gauss_legendre(4, lo, hi)
 
 

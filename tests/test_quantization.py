@@ -502,9 +502,10 @@ def test_fs_validates_k():
         fs(H, 5, model)
 
 
-@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("k", [0, -1, 8.0, 8.5])
 def test_hilb_names_k_below_1(k):
-    # the Gram's log(2 pi k) raised a bare "math domain error" here
+    # the Gram's log(2 pi k) raised a bare "math domain error" here, and a
+    # float k numpy's bare TypeError
     model = ToyModel(p=1.0)
     with pytest.raises(OutOfDomain, match="k must be >= 1"):
         hilb(round_potential(), k, model)

@@ -46,7 +46,7 @@ RECORDS = [
         ("nodes", "weights"),
         {},
         dict(nodes=[-1, 1], weights=[1, 1]),
-        [(dict(nodes=[1, -1]), ValueError), (dict(weights=[1, 1, 1]), ValueError)],
+        [(dict(nodes=[1, -1]), OutOfDomain), (dict(weights=[1, 1, 1]), OutOfDomain)],
     ),
     (
         calabi.RuledSurfaceData,
