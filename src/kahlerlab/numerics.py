@@ -163,8 +163,6 @@ def _chop(c: np.ndarray) -> int:
             return n
         if e1 == 0.0 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(tol)):
             break
-    if env[j - 2] == 0.0:
-        return j - 1
     j3 = int(np.count_nonzero(env >= tol ** (7 / 6)))
     if j3 < j2:
         j2, env[j3] = j3 + 1, tol ** (7 / 6)

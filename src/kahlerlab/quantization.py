@@ -40,7 +40,9 @@ one comes from one pull-back (_pulled_back_sample); the Gram matrices and the
 closed-form functionals of the functionals module all read it (functional_Z
 takes fs(H)'s sample from the same builder, _fs_gram_sample, with no FS
 potential), and the pointwise evaluators (Scal_p, the Bergman densities) read
-a jet their caller takes. The spectrum (eigenvalues) is built once per (k, model).
+a jet their caller takes. One kernel, _softmax, forms the softmax of j t - log h_j
+that _fs_pass and the balanced pass, FS(H) and T = Hilb o FS, both read. The
+spectrum (eigenvalues) is built once per (k, model).
 Each (k+1) x n pass holds the fewest full-size buffers and works in them in
 place: from k = 64 each one passes glibc's 128 kB mmap threshold and faults.
 
@@ -232,34 +234,39 @@ class RadialPotential(ABC):
     def jet(self, u) -> MuSample: ...
 
 
+def _softmax(t: np.ndarray, x: np.ndarray) -> tuple:
+    """The softmax W_ji = e^{j t_i - x_j} / sum_l e^{l t_i - x_l} over the sections j = 0..k at
+    the points t, in one (k+1) x n buffer E: the exponent is shifted by each column's maximum
+    `top`, then by each row's maximum r_j, and exponentiated in place, so no row underflows as a
+    whole, W = e^r E / tot with tot = e^r E, and sum_j e^{j t - x_j} = e^top tot. Returns E, e^r,
+    r, top, tot, m1 = E_W[j] and (j - m1)^2 E in a second buffer, formed by products only (a
+    float `pow` costs ~7x the rest)."""
+    j = np.arange(x.size, dtype=float)
+    e = np.outer(j, t)
+    e -= x[:, None]
+    top = e.max(axis=0)
+    e -= top
+    r = e.max(axis=1)
+    e -= r[:, None]
+    np.exp(e, out=e)
+    er = np.exp(r)
+    tot = er @ e
+    m1 = ((j * er) @ e) / tot
+    sq = np.subtract(j[:, None], m1)
+    sq *= sq
+    sq *= e
+    return e, er, r, top, tot, m1, sq
+
+
 def _fs_pass(t, log_h: np.ndarray, log_ck: float) -> tuple:
     """mu, psi and psi'' of psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k) at the points t
-    (flattened), then the buffers FSPotential.at_t continues from: w, the softmax weights
-    times d^2 with d = j - E[j], d itself, and k2 = Var[j]. The Gram sample stops here."""
-    # psi'..psi'''' are the first four cumulants of j under the softmax
-    # weights, divided by k; all five come from one exponential
-    # one (k+1) x n buffer w, updated in place: at k = 64 on the Gram
-    # nodes each temporary of that size is 133 kB, past glibc's 128 kB
-    # mmap threshold, and in some heap layouts every one cost page faults
+    (flattened): psi'..psi'''' are the first four cumulants of j under the softmax weights W of
+    _softmax, divided by k. Then what FSPotential.at_t continues from: (j - E_W[j])^2 E, E_W[j],
+    e^r, tot and k2 = Var_W[j]. The Gram sample stops here."""
     k = log_h.size - 1
-    j = np.arange(k + 1, dtype=float)
-    w = np.outer(j, t.ravel())
-    w -= log_h[:, None]
-    top = np.max(w, axis=0)
-    w -= top
-    np.exp(w, out=w)
-    tot = np.sum(w, axis=0)
-    # softmax normalized by its sum: exp(E - logsumexp(E)), E = j t - log h_j,
-    # would put the absolute rounding of logsumexp (~|E| eps) into every
-    # weight, and the cumulant cancellations of psi'''' amplify it
-    w /= tot
-    m1 = j @ w
-    # central moments from products only: float `pow` costs ~7x the rest
-    d = j[:, None] - m1[None, :]
-    w *= d
-    w *= d
-    k2 = np.sum(w, axis=0)
-    return m1 / k, (np.log(tot) + top - log_ck) / k, k2 / k, w, d, k2
+    _, er, _, top, tot, m1, sq = _softmax(t.ravel(), log_h)
+    k2 = (er @ sq) / tot
+    return m1 / k, (np.log(tot) + top - log_ck) / k, k2 / k, sq, m1, er, tot, k2
 
 
 def _pulled_back_sample(beta: float, head: Callable, *args) -> GramSample:
@@ -388,11 +395,12 @@ class FSPotential(_TNativePotential):
 
     def at_t(self, t) -> TSample:
         t = np.asarray(t, dtype=float)
-        mu, psi, psi2, w, d, k2 = _fs_pass(t, self.log_h, self.log_ck)
-        w *= d
-        k3 = np.sum(w, axis=0)
-        w *= d
-        s = TSample(mu, psi, psi2, k3 / self.k, (np.sum(w, axis=0) - 3.0 * k2 * k2) / self.k)
+        mu, psi, psi2, sq, m1, er, tot, k2 = _fs_pass(t, self.log_h, self.log_ck)
+        d = np.subtract(np.arange(self.k + 1, dtype=float)[:, None], m1)
+        sq *= d
+        k3 = (er @ sq) / tot
+        sq *= d
+        s = TSample(mu, psi, psi2, k3 / self.k, ((er @ sq) / tot - 3.0 * k2 * k2) / self.k)
         return TSample(*(f.reshape(t.shape) for f in s))
 
 
@@ -468,8 +476,8 @@ class SpectrumData(NamedTuple):
 
 
 def _level_k(k: int) -> int:
-    """k, if it is a level of L^k: an int or np.integer >= 1. The public memos of k are typed: every k reaches it."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    """k, if it is a level of L^k: an int or np.integer >= 1, not a bool. The public memos of k are typed: every k reaches it."""
+    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1):
         raise OutOfDomain(f"k must be >= 1 and an integer (got {k!r})")
     return k
 
@@ -627,9 +635,8 @@ def balanced_step(H: HermitianNorms, k: int, model: ToyModel) -> np.ndarray:
     """g = log hilb(fs(H)) - log H in one softmax pass (Donaldson's T-operator,
     arXiv:math/0512625): e^{j t - k psi} = C_k h_j W_j(t), W the softmax of j t - log h_j, so
     g_j = log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i at the Gram nodes t_i, with
-    c_i = w_i psi''_i f^{1-p}(mu_i)/(u_i(1-u_i)), mu_i = E_W[j]/k, psi''_i = Var_W[j]/k. The
-    exponent is shifted by each column's and then each row's maximum r_j, so no row underflows
-    as a whole: the sum is e^{r_j} (E c/tot)_j, tot_i = sum_j e^{r_j} E_ji."""
+    c_i = w_i psi''_i f^{1-p}(mu_i)/(u_i(1-u_i)), mu_i = E_W[j]/k, psi''_i = Var_W[j]/k. With
+    the row-shifted E, r and tot of _softmax, the sum is e^{r_j} (E c/tot)_j."""
     _check_level(H, k)
     return _balanced_pass(H.log_h, k, model)[0]
 
@@ -642,18 +649,7 @@ def _balanced_pass(x: np.ndarray, k: int, model: ToyModel) -> tuple[np.ndarray, 
     the move of the nodes with beta, which would make it annihilate j exactly, is of the rule's error and left out."""
     logit_u, w_t = _pullback_rule()
     j = np.arange(k + 1, dtype=float)
-    e = np.outer(j, logit_u + (x[-1] - x[0]) / k)
-    e -= x[:, None]
-    e -= e.max(axis=0)
-    r = e.max(axis=1)
-    e -= r[:, None]
-    np.exp(e, out=e)
-    er = np.exp(r)
-    tot = er @ e  # W = e^r E / tot
-    m1 = ((j * er) @ e) / tot
-    sq = np.subtract(j[:, None], m1)
-    sq *= sq
-    sq *= e
+    e, er, r, _, tot, m1, sq = _softmax(logit_u + (x[-1] - x[0]) / k, x)
     var = er @ sq  # tot Var_W[j]
     c = w_t * var * model.f(m1 / k) ** (1.0 - model.p) / (k * tot * tot)  # c_i / tot_i
     s = e @ c

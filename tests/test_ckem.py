@@ -75,6 +75,20 @@ def test_interior_min_ignores_vanishing_top_coefficients():
     np.testing.assert_allclose(padded, (-0.25, 0.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("coef", [[1.0, 2.0], [1.0, 2.0, 0.0, 0.0]])
+def test_interior_min_of_a_P_with_constant_derivative_is_inf(coef):
+    # P' has no root, so there is no interior critical point; the trailing
+    # zeros of the second P are trimmed before its degree is read
+    m, zm = interior_min(Polynomial(coef))
+    assert m == math.inf and math.isnan(zm)
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+def test_solve_P_needs_b_positive(b):
+    with pytest.raises(OutOfDomain, match="need b > 0"):
+        solve_P(1.5, b)
+
+
 def test_sweep_rows_equal_single_solves_bit_for_bit():
     # the stacked solve treats each kappa alone: a row does not depend on
     # the other kappas of its sweep, nor on the path (sweep, or solve_P and

@@ -284,6 +284,14 @@ def test_pkappa_rejects_a_range_with_an_endpoint_that_is_not_finite(kappa_range,
     assert out == "" and "needs finite a and b" in err
 
 
+def test_pkappa_solves_each_kappa_of_a_range(workdir, capsys):
+    # 'a:b:n' is np.linspace(a, b, n), one row per kappa in order, each kappa repr'd
+    assert main(["pkappa", "--kappa-range", "1.1:3.0:21", "--no-cache"]) == cli.EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == SWEEP_HEADER
+    assert [row.split(",")[0] for row in rows] == [repr(float(k)) for k in np.linspace(1.1, 3.0, 21)]
+
+
 @pytest.mark.parametrize("n", [cli._KAPPA_RANGE_MAX + 1, 10**11])
 def test_pkappa_rejects_a_range_past_the_cap(n, workdir, capsys):
     # 10^11 values would ask linspace for 745 GiB

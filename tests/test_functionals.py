@@ -283,7 +283,7 @@ def _maps_at(k, H, phi, model):
     ]
 
 
-@pytest.mark.parametrize("k", [8.0, 8.5])
+@pytest.mark.parametrize("k", [8.0, 8.5, True])
 def test_each_map_names_a_level_that_is_not_an_integer(k):
     # a float k raised numpy's bare TypeError, ran on the memo entry of
     # int(k), or was truncated to int(k); each map runs at k = 8 first, so

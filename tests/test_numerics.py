@@ -9,6 +9,7 @@ from kahlerlab.numerics import (
     QuadratureRule,
     _cheb_cosines,
     _cheb_projector,
+    _chop,
     _legendre_rule,
     chebyshev_coefficients,
     composite_gauss,
@@ -167,3 +168,11 @@ def test_chebyshev_coefficients_chop_smooth_functions_at_the_plateau(n):
     np.testing.assert_allclose(cheb.chebval(x, got), np.exp(x), rtol=4e-15, atol=0)
     for f in (np.abs(x) ** 3, 1.0 / (1.0 + 25.0 * x * x)):
         assert len(chebyshev_coefficients(f)) == n
+
+
+def test_chop_cuts_a_series_whose_tail_is_exact_zeros_before_the_zeros():
+    # the plateau test looks past the last coefficient above tol^(7/6) (the
+    # 18th), so the cut is searched in the first 18 terms, with the 19th set
+    # to tol^(7/6)
+    c = np.concatenate([10.0 ** -np.arange(18), np.zeros(22)])
+    assert _chop(c) == 18

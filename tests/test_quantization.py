@@ -502,7 +502,7 @@ def test_fs_validates_k():
         fs(H, 5, model)
 
 
-@pytest.mark.parametrize("k", [0, -1, 8.0, 8.5])
+@pytest.mark.parametrize("k", [0, -1, 8.0, 8.5, True])
 def test_hilb_names_k_below_1(k):
     # the Gram's log(2 pi k) raised a bare "math domain error" here, and a
     # float k numpy's bare TypeError
