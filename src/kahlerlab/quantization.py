@@ -40,9 +40,10 @@ one comes from one pull-back (_pulled_back_sample); the Gram matrices and the
 closed-form functionals of the functionals module all read it (functional_Z
 takes fs(H)'s sample from the same builder, _fs_gram_sample, with no FS
 potential), and the pointwise evaluators (Scal_p, the Bergman densities) read
-a jet their caller takes. One kernel, _softmax, forms the softmax of j t - log h_j
-that _fs_pass and the balanced pass, FS(H) and T = Hilb o FS, both read. The
-spectrum (eigenvalues) is built once per (k, model).
+a jet their caller takes. One exponent step, _exponent, forms j t - log h_j for the
+softmax that _fs_pass and the balanced pass, FS(H) and T = Hilb o FS, read through
+one moment step, _moments; a balanced solve exponentiates it once and reweights its
+rows after. The spectrum (eigenvalues) is built once per (k, model).
 Each (k+1) x n pass holds the fewest full-size buffers and works in them in
 place: from k = 64 each one passes glibc's 128 kB mmap threshold and faults.
 
@@ -234,37 +235,38 @@ class RadialPotential(ABC):
     def jet(self, u) -> MuSample: ...
 
 
-def _softmax(t: np.ndarray, x: np.ndarray) -> tuple:
-    """The softmax W_ji = e^{j t_i - x_j} / sum_l e^{l t_i - x_l} over the sections j = 0..k at
-    the points t, in one (k+1) x n buffer E: the exponent is shifted by each column's maximum
-    `top`, then by each row's maximum r_j, and exponentiated in place, so no row underflows as a
-    whole, W = e^r E / tot with tot = e^r E, and sum_j e^{j t - x_j} = e^top tot. Returns E, e^r,
-    r, top, tot, m1 = E_W[j] and (j - m1)^2 E in a second buffer, formed by products only (a
-    float `pow` costs ~7x the rest)."""
-    j = np.arange(x.size, dtype=float)
-    e = np.outer(j, t)
+def _exponent(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """j t_i - x_j over the sections j = 0..k at the points t, the exponent of the softmax
+    W_ji = e^{j t_i - x_j} / sum_l e^{l t_i - x_l}, in one (k+1) x n buffer shifted by each column's
+    maximum `top` (so sum_j e^{j t - x_j} = e^top sum_j e^buffer); returns the buffer and top."""
+    e = np.outer(np.arange(x.size, dtype=float), t)
     e -= x[:, None]
     top = e.max(axis=0)
     e -= top
-    r = e.max(axis=1)
-    e -= r[:, None]
-    np.exp(e, out=e)
-    er = np.exp(r)
+    return e, top
+
+
+def _moments(e: np.ndarray, er: np.ndarray) -> tuple:
+    """tot = e^r E, m1 = E_W[j] and (j - m1)^2 E in a second buffer for W = e^r E / tot, E an exponentiated
+    _exponent buffer less a row shift r; by products only (a float `pow` costs ~7x the rest)."""
+    j = np.arange(e.shape[0], dtype=float)
     tot = er @ e
     m1 = ((j * er) @ e) / tot
     sq = np.subtract(j[:, None], m1)
     sq *= sq
     sq *= e
-    return e, er, r, top, tot, m1, sq
+    return tot, m1, sq
 
 
 def _fs_pass(t, log_h: np.ndarray, log_ck: float) -> tuple:
-    """mu, psi and psi'' of psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k) at the points t
-    (flattened): psi'..psi'''' are the first four cumulants of j under the softmax weights W of
-    _softmax, divided by k. Then what FSPotential.at_t continues from: (j - E_W[j])^2 E, E_W[j],
-    e^r, tot and k2 = Var_W[j]. The Gram sample stops here."""
+    """mu, psi and psi'' of psi(t) = (1/k)(log sum_j e^{j t}/h_j - log C_k) at the points t (flattened):
+    psi'..psi'''' are the first four cumulants of j under the softmax W, divided by k, with no row shift
+    (e^r = 1: a row that underflows as a whole weighs nothing in W). Then what FSPotential.at_t continues
+    from: (j - E_W[j])^2 E, E_W[j], e^r, tot and k2 = Var_W[j]. The Gram sample stops here."""
     k = log_h.size - 1
-    _, er, _, top, tot, m1, sq = _softmax(t.ravel(), log_h)
+    e, top = _exponent(t.ravel(), log_h)
+    er = np.ones(k + 1)
+    tot, m1, sq = _moments(np.exp(e, out=e), er)
     k2 = (er @ sq) / tot
     return m1 / k, (np.log(tot) + top - log_ck) / k, k2 / k, sq, m1, er, tot, k2
 
@@ -636,22 +638,49 @@ def balanced_step(H: HermitianNorms, k: int, model: ToyModel) -> np.ndarray:
     arXiv:math/0512625): e^{j t - k psi} = C_k h_j W_j(t), W the softmax of j t - log h_j, so
     g_j = log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i at the Gram nodes t_i, with
     c_i = w_i psi''_i f^{1-p}(mu_i)/(u_i(1-u_i)), mu_i = E_W[j]/k, psi''_i = Var_W[j]/k. With
-    the row-shifted E, r and tot of _softmax, the sum is e^{r_j} (E c/tot)_j."""
+    W = e^r E / tot, E the exponentiated buffer less its row shift r, the sum is e^{r_j} (E c/tot)_j."""
     _check_level(H, k)
     return _balanced_pass(H.log_h, k, model)[0]
 
 
-def _balanced_pass(x: np.ndarray, k: int, model: ToyModel) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """balanced_step's g at x = log h, and a function that forms J = dg/dx once from E, the one
-    (k+1) x n buffer the pass keeps. With d = j - E_W[j], var = Var_W[j], a = (1-p) f'/f(mu)/k:
-    dW_ji/dx_l = W_ji (W_li - delta_jl), dc_i/dx_l = -c_i W_li ((d_li^2 - var_i)/var_i + a_i d_li), so
-    J = (W c M^T)/(W c) - I with M = W (2 - d^2/var - a d), a ratio over the row-shifted E like g. J annihilates 1;
-    the move of the nodes with beta, which would make it annihilate j exactly, is of the rule's error and left out."""
+# Largest max|s| (nats) of a row shift that reweights a held buffer: s moves two entries' weights
+# against each other by at most 2 max|s| = 60, so an entry that underflowed at x_0 (< e^-745 against
+# its column's maximum) weighs < e^(-745+60) against it at x, far under eps = e^-36; and with r_0 <= 0,
+# e^{r_0+s} <= e^30 while each column keeps a weight >= e^-30, so nothing overflows.
+_REWEIGHT_NATS = 30.0
+
+
+def _balanced_pass(x: np.ndarray, k: int, model: ToyModel, held: tuple | None = None) -> tuple:
+    """balanced_step's g at x = log h, a function that forms J = dg/dx once from E, the one (k+1) x n
+    buffer the pass keeps, and held = (x_0, E, r_0) of the last full pass. With d = j - E_W[j], var = Var_W[j],
+    a = (1-p) f'/f(mu)/k: dW_ji/dx_l = W_ji (W_li - delta_jl), dc_i/dx_l = -c_i W_li ((d_li^2 - var_i)/var_i
+    + a_i d_li), so J = (W c M^T)/(W c) - I with M = W (2 - d^2/var - a d), a ratio over the row-shifted E like
+    g. J annihilates 1; the move of the nodes with beta, which would make it annihilate j exactly, is of the
+    rule's error and left out. A full pass exponentiates the exponent step at t_i = logit(u_i) + beta less its
+    row maxima r_0. Given its state, a pass at x only reweights the rows: as beta = (x_k - x_0)/k, j t_i - x_j
+    moves by s_j = j (beta - beta_0) - (x_j - x_0j), so W = e^{r_0+s} E / tot, s less its midrange (the gauge
+    constant, which g does not see); past max|s| = _REWEIGHT_NATS it takes a full pass."""
     logit_u, w_t = _pullback_rule()
     j = np.arange(k + 1, dtype=float)
-    e, er, r, _, tot, m1, sq = _softmax(logit_u + (x[-1] - x[0]) / k, x)
+    if held is not None:
+        x0, e, r = held
+        d = x - x0
+        shift = j * ((d[-1] - d[0]) / k) - d
+        lo, hi = shift.min(), shift.max()
+        r = r + (shift - 0.5 * (lo + hi))  # s less its midrange, so max|s| = (hi - lo)/2
+    if held is None or not hi - lo <= 2.0 * _REWEIGHT_NATS:
+        e = _exponent(logit_u + (x[-1] - x[0]) / k, x)[0]
+        r = e.max(axis=1)
+        e -= r[:, None]
+        np.exp(e, out=e)
+        held = (x, e, r)
+    er = np.exp(r)
+    tot, m1, sq = _moments(e, er)
     var = er @ sq  # tot Var_W[j]
-    c = w_t * var * model.f(m1 / k) ** (1.0 - model.p) / (k * tot * tot)  # c_i / tot_i
+    c = w_t * var
+    if not model.xi_zero:  # in the xi = 0 mode f^{1-p} = 1
+        c *= model.f(m1 / k) ** (1.0 - model.p)
+    c /= k * tot * tot  # c_i / tot_i
     s = e @ c
     g = _log_step_scale(k, model) + r + np.log(s)
 
@@ -669,7 +698,7 @@ def _balanced_pass(x: np.ndarray, k: int, model: ToyModel) -> tuple[np.ndarray, 
         J.flat[:: k + 2] -= 1.0  # the diagonal
         return J
 
-    return g, jacobian
+    return g, jacobian, held
 
 
 def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, s: MuSample) -> np.ndarray:
@@ -769,11 +798,12 @@ def balanced_iterate(
     tol: float = _BALANCED_TOL,
 ) -> BalancedResult:
     """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0), by Newton's method
-    on g = T(x) - x, with g and its Jacobian J from balanced_step's one pass. T commutes with the
-    gauge log h -> log h + k a + j b, so J annihilates span{1, j} (the weighted mode has only a
-    relative fixed point, a steady gauge drift). A step solves (J + P) delta = -g, P the projector
-    onto the gauge, and halves (Armijo, 1e-4 of the slope of |g - P g|^2) down to _MIN_DAMPING,
-    where it takes the last trial. n_iter and history count every evaluation of g, trials included.
+    on g = T(x) - x, with g and its Jacobian J from balanced_step's one pass; later evaluations reweight
+    the rows of the first one's buffer (_balanced_pass). T commutes with the gauge log h -> log h + k a + j b,
+    so J annihilates span{1, j} (the weighted mode has only a relative fixed point, a steady gauge drift).
+    A step solves (J + P) delta = -g, P the projector onto the gauge, and halves (Armijo, 1e-4 of the slope
+    of |g - P g|^2) down to _MIN_DAMPING, where it takes the last trial. n_iter and history count every
+    evaluation of g, trials included.
 
     Converged when the raw step sup_j |g_j| < tol: H = x + g is then within sup|g| / (1 - r)
     of the fixed-point set, r the contraction rate of T. Raises NoConvergence, naming the last
@@ -785,9 +815,9 @@ def balanced_iterate(
         raise ConfigError(f"tol={tol:g} at k={k} is not above the balanced step's rounding floor "
                           f"{_TOL_FLOOR:g} eps max|log h_0| = {floor:.3g}")
     P = _gauge_projector(k)
-    history, damping, base_merit = [], 1.0, math.inf
+    history, damping, base_merit, held = [], 1.0, math.inf, None
     for n in range(1, _BALANCED_STEPS + 1):
-        g, jacobian = _balanced_pass(x, k, model)
+        g, jacobian, held = _balanced_pass(x, k, model, held)
         step = float(abs(g).max())
         history.append(step)
         if step < tol:

@@ -23,6 +23,8 @@ from kahlerlab.errors import (
 )
 from kahlerlab.numerics import gauss_legendre
 from kahlerlab.quantization import (
+    _REWEIGHT_NATS,
+    _TOL_FLOOR,
     BlendPotential,
     FSPotential,
     HermitianNorms,
@@ -30,6 +32,7 @@ from kahlerlab.quantization import (
     _ShiftedPotential,
     ToyModel,
     _balanced_pass,
+    _exponent,
     balanced_iterate,
     balanced_defects,
     balanced_step,
@@ -944,3 +947,122 @@ def test_balanced_weighted_failure_is_named_early(k):
     found = re.search(r"in (\d+) steps: last raw step (\S+), last step modulo span\{1, j\} (\S+)", str(err.value))
     n, raw, quotient = int(found.group(1)), float(found.group(2)), float(found.group(3))
     assert n <= 40 and raw > 1e-2 and quotient < 1e-10
+
+
+# -- one exponential per balanced solve ----------------------------------------
+
+
+def _counted_exponent(monkeypatch):
+    # the exponent step, which only a full softmax pass takes
+    calls = []
+    monkeypatch.setattr("kahlerlab.quantization._exponent", lambda t, x: calls.append(1) or _exponent(t, x))
+    return calls
+
+
+def _recorded_passes(monkeypatch, record):
+    # record(g, calls) after every evaluation of the balanced map, calls its new exponent steps
+    calls = _counted_exponent(monkeypatch)
+
+    def recorded(*args):
+        before = len(calls)
+        out = _balanced_pass(*args)
+        record(out[0], len(calls) - before)
+        return out
+
+    monkeypatch.setattr("kahlerlab.quantization._balanced_pass", recorded)
+
+
+@pytest.mark.parametrize("model", [ToyModel(p=1.0), ToyModel(b0=1.0, p=4.0)], ids=["xi=0", "b0=1,p=4"])
+@pytest.mark.parametrize("k", [8, 64, 256, 1024])
+def test_a_reweighted_balanced_pass_matches_a_fresh_one(model, k, monkeypatch):
+    # given the state held from a full pass at x0, a pass at x reweights the rows by
+    # e^s, s_j = j (beta - beta0) - (x_j - x0_j) less its midrange. For row shifts of
+    # 1e-6 nats up to the bound, with the gauge move 3k + 0.7 j that s does not see,
+    # g agrees with a fresh pass within 8 eps max|x| (worst seen 2.3) and J within
+    # 1e-12 (worst seen 5.7e-13, at k = 1024); past the bound the pass is a fresh one
+    calls = _counted_exponent(monkeypatch)
+    j = np.arange(k + 1, dtype=float)
+    x0 = hilb(random_potential(np.random.default_rng(3), scale=0.6), k, model).log_h
+    held = _balanced_pass(x0, k, model)[2]
+    v = np.random.default_rng(k).normal(size=k + 1)
+    s = j * ((v[-1] - v[0]) / k) - v
+    unit = v / (0.5 * (s.max() - s.min()))  # its row shift has max|s| = 1 once the midrange is out
+    for nats in (1e-6, 1e-2, 1.0, 10.0, _REWEIGHT_NATS * (1.0 - 1e-9)):
+        x = x0 + nats * unit + 3.0 * k + 0.7 * j
+        calls.clear()
+        g, jacobian, kept = _balanced_pass(x, k, model, held)
+        assert kept is held and not calls
+        fresh_g, fresh_jacobian, _ = _balanced_pass(x, k, model)
+        assert np.max(np.abs(g - fresh_g)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(x))
+        np.testing.assert_allclose(jacobian(), fresh_jacobian(), rtol=0.0, atol=1e-12)
+    x = x0 + 1.01 * _REWEIGHT_NATS * unit
+    calls.clear()
+    g, _, kept = _balanced_pass(x, k, model, held)
+    assert len(calls) == 1 and kept[0] is x
+    np.testing.assert_array_equal(g, _balanced_pass(x, k, model)[0])
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_a_balanced_solve_exponentiates_once(k, monkeypatch):
+    # the balanced workload's starts: every evaluation after the first reweights
+    # the rows of the first pass's buffer
+    calls = _counted_exponent(monkeypatch)
+    for seed in range(8):
+        calls.clear()
+        res = balanced_iterate(random_potential(np.random.default_rng(seed), scale=0.6), k, ToyModel(p=1.0))
+        assert res.converged and res.n_iter >= 3 and len(calls) == 1
+
+
+def test_a_newton_step_past_the_reweighting_bound_takes_a_full_pass(monkeypatch):
+    # from this start the first Newton step shifts a row by more than the bound,
+    # so the second evaluation exponentiates anew; the solve still converges
+    full = []
+    _recorded_passes(monkeypatch, lambda g, calls: full.append(calls))
+    res = balanced_iterate(random_potential(np.random.default_rng(5), scale=3.0), 64, ToyModel(p=1.0))
+    assert res.converged and full[:2] == [1, 1] and len(full) == res.n_iter
+    assert _affine_defect_from_beta_norms(res.H.log_h, 64) < 1e-8
+
+
+def _solve_outcome(phi0, k, model):
+    # n_iter of a converged solve, or the count, raw step and quotient step its failure names
+    try:
+        return (balanced_iterate(phi0, k, model).n_iter,)
+    except NoConvergence as err:
+        found = re.search(r"in (\d+) steps: last raw step (\S+), last step modulo span\{1, j\} (\S+)", str(err))
+        return int(found.group(1)), float(found.group(2)), float(found.group(3))
+
+
+@pytest.mark.parametrize("model", [ToyModel(p=1.0), ToyModel(b0=1.0, p=4.0)], ids=["xi=0", "b0=1,p=4"])
+@pytest.mark.parametrize("k", [8, 64, 256])
+def test_reweighting_keeps_every_evaluation_count(model, k, monkeypatch):
+    # with the bound below 0 every evaluation takes a full pass, as before the
+    # buffer was held: the counts are the same, and a weighted failure names the same
+    # raw step and a quotient step within the rounding floor (printed to 3 digits)
+    starts = [random_potential(np.random.default_rng(seed), scale=0.6) for seed in range(3)]
+    held = [_solve_outcome(phi0, k, model) for phi0 in starts]
+    monkeypatch.setattr("kahlerlab.quantization._REWEIGHT_NATS", -1.0)
+    fresh = [_solve_outcome(phi0, k, model) for phi0 in starts]
+    for phi0, a, b in zip(starts, held, fresh):
+        assert a[:2] == b[:2]
+        if len(a) == 3:
+            floor = _TOL_FLOOR * np.finfo(float).eps * np.max(np.abs(hilb(phi0, k, model).log_h))
+            assert a[2] == pytest.approx(b[2], rel=1e-2, abs=floor)
+
+
+@pytest.mark.parametrize("k", [8, 64, 256, 1024, 2048])
+def test_unstopped_balanced_steps_settle_below_the_tol_floor(k, monkeypatch):
+    # _TOL_FLOOR's claim with the held buffer: a solve that never stops converges
+    # in 5 evaluations (2 full passes at k = 1024 and 2048), and the raw steps of
+    # evaluations 7-12, each a reweighting of a held buffer, stay below
+    # _TOL_FLOOR eps max|log h_0| (worst seen: 0.86 of eps max|log h_0|, at k = 8)
+    model = ToyModel(p=1.0)
+    phi0 = random_potential(np.random.default_rng(3), scale=0.6)
+    unit = np.finfo(float).eps * np.max(np.abs(hilb(phi0, k, model).log_h))
+    steps = []
+    _recorded_passes(monkeypatch, lambda g, calls: steps.append((float(np.max(np.abs(g))), calls)))
+    monkeypatch.setattr("kahlerlab.quantization._TOL_FLOOR", 0.0)
+    monkeypatch.setattr("kahlerlab.quantization._BALANCED_STEPS", 12)
+    with pytest.raises(NoConvergence):
+        balanced_iterate(phi0, k, model, tol=1e-300)
+    assert len(steps) == 12
+    assert all(step < _TOL_FLOOR * unit and calls == 0 for step, calls in steps[6:])
