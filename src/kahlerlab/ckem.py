@@ -16,16 +16,20 @@ The four first-order boundary conditions on Theta = P/(z+kappa),
 
 are linear in the unknowns (alpha, beta, c): an overdetermined 4x3 system
 A x = y, its rows the Theta-defects (the four numbers `check_boundary`
-reports). Its least-squares residual is the Futaki defect. A has full rank,
-so the residual is |n.y|/|n|, n the signed 3x3 cofactors of A (its left null
-vector). In closed form (sympy), up to one positive factor,
+reports). It is solvable where Lahdili's weighted Futaki invariant
+F = int (Scal_p - c) h f^{-(p+1)} (z+kappa) dz vanishes, h = f (or h = z, the
+same F, as c is `calabi.weighted_average_c`). By parts as there (sympy, p = 4),
 
-    n = (-(b+1)^2 Q_0, (b-1)^2 Q_1, -(b+1)^2 (kappa-1) Q_2, -(b-1)^2 (kappa+1) Q_3),
-    n.y = 2 (b^2 - 2 kappa b + 1)(4 kappa b^2 - s_C (b^2-1) - 4b),
+    F = n.y / ((b^2-1)^2 (3 kappa b (b^2+1) - 5b^2 - 1)), whatever the profile,
+    n.y = 2 (b^2 - 2 kappa b + 1)(4 kappa b^2 - s_C (b^2-1) - 4b), a multiple of det [A | y].
 
-Q_i polynomials of degree <= 2 in kappa and in b (`_futaki_defect`). For
-kappa > 1 and b > 1 the second factor of n.y is positive, so the defect
-vanishes exactly on the curve kappa = (1+b^2)/(2b), i.e. at b = b_kappa(kappa).
+For kappa > 1, b > 1 and s_C < 0 the last two factors are positive, being
+4b (kappa b - 1) + |s_C| (b^2-1) and > (b-1)(3b^2 - 2b + 1): F has the sign of
+b^2 - 2 kappa b + 1 and vanishes exactly at b = b_kappa(kappa). `_futaki_defect`
+is F/F_scale = (b^2 - 2 kappa b + 1)/(b^2 + 2 kappa b + 1), F_scale taking that
+factor's terms in absolute value: rounding on the curve at every genus. For
+0 < b <= 1, f vanishes on [-1, 1] and F is undefined; there the ratio is the
+relative distance from the curve's other branch b = 1/b_kappa(kappa).
 
 On the curve the system has the solution (sympy; D = 3b^2 - 1)
 
@@ -86,8 +90,7 @@ def _surface(X: RuledSurfaceData | None) -> RuledSurfaceData:
 
 
 class PKappaSolution(NamedTuple):
-    """The closed-form solution on the Futaki curve through b, with the
-    boundary system's Futaki defect at (kappa, b)."""
+    """The closed-form solution on the Futaki curve through b, and F/F_scale at (kappa, b)."""
 
     P: Polynomial
     c: float
@@ -119,23 +122,12 @@ def b_kappa(kappa: float) -> float:
     return kappa + math.sqrt(kappa * kappa - 1.0)
 
 
-def _futaki_defect(kappa: np.ndarray, b: np.ndarray, sC: float) -> np.ndarray:
-    """The boundary system's least-squares residual |n.y|/|n| for (kappa, b),
-    float64 scalars or stacks, n its signed 3x3 cofactors (module docstring);
-    nan where kappa is not finite and > 1 or b is not > 0. n and n.y are
-    scaled by b^-6 and written in u = 1/b, r = kappa/b, so that every factor
-    is O(1)."""
+def _futaki_defect(kappa: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F/F_scale at (kappa, b), float64 scalars or stacks, in u = 1/b, r = kappa/b
+    (module docstring); nan where kappa is not finite and > 1 or b is not > 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u, r = 1.0 / b, kappa / b
-        # Q_0, Q_1 times b^-4 and Q_2, Q_3 times b^-3
-        q0 = 3.0 * r * r * (1.0 - u) ** 2 + 2.0 * r * u * u * (u - 2.0) + u * u * (1.0 + u * (4.0 - 3.0 * u))
-        q1 = 3.0 * r * r * (1.0 + u) ** 2 - 2.0 * r * u * u * (u + 2.0) + u * u * (1.0 - u * (4.0 + 3.0 * u))
-        q2 = r * (3.0 - u * (2.0 - u)) + u * (1.0 - u * (4.0 - u))
-        q3 = r * (3.0 + u * (2.0 + u)) - u * (1.0 + u * (4.0 + u))
-        up, um = (1.0 + u) ** 2, (1.0 - u) ** 2  # (b+1)^2 and (b-1)^2 times b^-2
-        n = np.stack([-up * q0, um * q1, -up * (r - u) * q2, -um * (r + u) * q3], axis=-1)
-        ny = 2.0 * u * (1.0 - 2.0 * r + u * u) * (4.0 * r - u * (sC * (1.0 - u * u) + 4.0 * u))
-        d = np.abs(ny) / np.sqrt(np.sum(n * n, axis=-1))
+        d = (1.0 - 2.0 * r + u * u) / (1.0 + 2.0 * r + u * u)
     return np.where(np.isfinite(kappa) & (kappa > 1.0) & (b > 0.0), d, math.nan)
 
 
@@ -163,17 +155,15 @@ def _closed_form(kappa: np.ndarray, b: np.ndarray, sC: float) -> tuple[np.ndarra
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = 1.0 / b
         c = 6.0 * b * b * (1.0 - u * u) * (1.0 + u * (sC - u)) / (3.0 - u * u)
-    defect = _futaki_defect(kappa, b, sC)
+    defect = _futaki_defect(kappa, b)
     return coef, c, defect, np.isfinite(coef).all(axis=-1) & np.isfinite(c) & np.isfinite(defect)
 
 
 def solve_P(kappa: float, b: float, X: RuledSurfaceData | None = None) -> PKappaSolution:
-    """P and c in closed form on the Futaki curve through b, with the
-    boundary system's Futaki defect at (kappa, b). The defect is absolute:
-    on the curve kappa = (1+b^2)/(2b), where P solves the system exactly, it
-    is the rounding of terms of size |s_C|, about 1.2e-17 |s_C|. OutOfDomain
-    unless kappa is finite and > 1, b > 0 and all three are finite; it names an overflow.
-    """
+    """P and c in closed form on the Futaki curve through b, with F/F_scale at (kappa, b),
+    the weighted Futaki invariant relative to its terms (module docstring): signed, and
+    rounding on the curve at every genus. OutOfDomain unless kappa is finite and > 1,
+    b > 0 and all three are finite; it names an overflow."""
     X = _surface(X)
     _class_kappa(kappa)
     if not b > 0.0:
@@ -290,7 +280,7 @@ class SweepRow(NamedTuple):
 
 def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: list | None = None) -> list[SweepRow]:
     """One row per kappa, at b = b_kappa(kappa), all from one stacked closed
-    form; each row's Futaki defect is absolute, about 1.2e-17 |s_C| (`solve_P`).
+    form; each row's Futaki defect is F/F_scale, rounding on the curve (`solve_P`).
 
     A kappa that is not finite and > 1, or else whose row overflows (c ~ 8
     kappa^2 + 4 s_C kappa: near 1e154, or sooner at huge |s_C|), raises an

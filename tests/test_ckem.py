@@ -43,6 +43,14 @@ def test_futaki_vanishes_exactly_on_the_curve():
         assert abs(solve_P(kappa, b + 0.1).futaki_residual) > 1e-4
 
 
+@pytest.mark.parametrize("genus", [2, 10**11, 10**200])
+def test_futaki_residual_is_rounding_on_the_curve_at_every_genus(genus):
+    # F/F_scale is relative and reads no s_C, so no genus scales its rounding
+    rows = sweep(np.linspace(1.001, 3.0, 200), RuledSurfaceData.standard(1.5, genus=genus, degree=1))
+    assert len(rows) == 200
+    assert max(abs(r.futaki_residual) for r in rows) <= 4.0 * np.finfo(float).eps
+
+
 def test_solve_P_boundary_values():
     # Theta = P/(z+kappa) with Theta(+-1) = 0 and Theta'(+-1) = -+2 forces
     # P(+-1) = 0, P'(-1) = 2(kappa-1), P'(1) = -2(kappa+1).
@@ -153,16 +161,26 @@ def _theta_rows(kappa, b, sC):
 
 @pytest.mark.parametrize("genus,degree", [(2, 1), (4, 5)])
 def test_futaki_defect_matches_lstsq_off_the_curve(genus, degree):
-    # a different algorithm as the reference: lstsq's residual is good to about
-    # cond(A) eps (cond up to 7e6 at kappa = 10), while the closed-form defect
-    # agrees with a 50-digit QR to 2e-13; rtol = 10 cond(A) eps covers both
+    # a different algorithm as the reference for the zero set: lstsq's residual
+    # is good to about cond(A) eps |y| (cond up to 7e6 at kappa = 10), so it
+    # reads rounding at b_kappa and well above it at b_kappa +- 0.1, where
+    # futaki_residual has the sign of b^2 - 2 kappa b + 1
     X = RuledSurfaceData.standard(1.5, genus=genus, degree=degree)
+    eps = np.finfo(float).eps
     for kappa in (1.001, 1.25, 2.0, 10.0):
-        for b in (b_kappa(kappa) - 0.1, b_kappa(kappa) + 0.1):
+        bk = b_kappa(kappa)
+        for b in (bk, bk - 0.1, bk + 0.1):
+            if not b > 1.0:
+                continue
             A, y = _theta_rows(kappa, b, X.base_scal)
-            x = np.linalg.lstsq(A, y, rcond=None)[0]
-            rtol = 10.0 * np.linalg.cond(A) * np.finfo(float).eps
-            np.testing.assert_allclose(solve_P(kappa, b, X).futaki_residual, np.linalg.norm(A @ x - y), rtol=rtol)
+            lstsq = np.linalg.norm(A @ np.linalg.lstsq(A, y, rcond=None)[0] - y)
+            floor = 10.0 * np.linalg.cond(A) * eps * np.linalg.norm(y)
+            res = solve_P(kappa, b, X).futaki_residual
+            if b == bk:
+                assert lstsq <= floor and abs(res) <= 4.0 * eps
+            else:
+                assert lstsq > floor and res != 0.0
+                assert np.sign(res) == np.sign(b * b - 2.0 * kappa * b + 1.0)
 
 
 def test_kappa_zero_matches_frozen_value():

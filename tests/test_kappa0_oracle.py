@@ -18,6 +18,11 @@ A second oracle reads kappa0 off the quartic q(b) = 6b^4 - 7b^2 + s_C b + 1,
 whose root b0 > 1 gives kappa0 = (1+b0^2)/(2b0): a bisection at 50 digits,
 to a relative width of 1e-30, at the exact s_C = 4(1-genus)/degree, over a
 scan of surfaces up to |s_C| ~ 4e39.
+
+A third oracle integrates the weighted Futaki invariant
+F = int (Scal_p - c) z f^{-(p+1)} (z+kappa) dz at 30 digits, Scal_p written
+from a profile Theta in the test and c the ratio of its two weighted
+integrals, for two profiles on and off the Futaki curve.
 """
 
 import mpmath as mp
@@ -247,3 +252,52 @@ def test_mabuchi_gap_is_the_bregman_divergence_from_the_oracle(kappa):
         want = float(np.dot(w, (z + kappa) * (z + b) ** -3.0 * (x - 1.0 - np.log(x))))
         assert gap >= 0.0 and want > 0.0
         assert abs(gap - want) <= 1e-12 * want
+
+
+def _futaki_integral(kappa, b, s_c, t):
+    """F at the working precision for Theta = (1-z^2)(1 + t z (1-z^2)), from
+    Scal_p = f^2 Scal - 2(p-1) f Delta f - p(p-1) Theta with Scal = (s_C -
+    ((z+kappa) Theta)'')/(z+kappa) and Delta f = -Theta' - Theta/(z+kappa)."""
+    theta = [1, t, -1, -2 * t, 0, t]  # ascending in z
+    d1 = [i * theta[i] for i in range(1, 6)]
+    d2 = [i * d1[i] for i in range(1, 5)]
+    p = P_WEIGHT
+
+    def scal_p(z):
+        th, dth, d2th = (mp.polyval(co[::-1], z) for co in (theta, d1, d2))
+        w, f = z + kappa, z + b
+        return f * f * (s_c - 2 * dth - w * d2th) / w + 2 * (p - 1) * f * (dth + th / w) - p * (p - 1) * th
+
+    def weight(z):
+        return (z + kappa) / (z + b) ** (p + 1)
+
+    c = mp.quad(lambda z: scal_p(z) * weight(z), [-1, 1]) / mp.quad(weight, [-1, 1])
+    return mp.quad(lambda z: (scal_p(z) - c) * z * weight(z), [-1, 1])
+
+
+@pytest.mark.parametrize("genus", [2, 11, 10**11])
+def test_futaki_residual_is_the_integrated_futaki_invariant_over_its_scale(genus):
+    # s_C = -4, -40 and 4(1 - 10^11). F reads no profile; times the positive
+    # denominator of ckem's docstring it is n.y; and futaki_residual is
+    # F/F_scale, F_scale being F with b^2 - 2 kappa b + 1 read as
+    # b^2 + 2 kappa b + 1. Measured: the profiles agree to 3.4e-32 of F_scale,
+    # n.y to 8.6e-32; off the curve futaki_residual is within 9.0e-16 of
+    # F/F_scale, and on it both read below 4.4e-17
+    X = RuledSurfaceData.standard(1.5, genus=genus, degree=1)
+    eps = np.finfo(float).eps
+    for kappa in (1.2, 2.0):
+        for b in (b_kappa(kappa), 0.9 * b_kappa(kappa), 1.1 * b_kappa(kappa)):
+            res = solve_P(kappa, b, X).futaki_residual
+            with mp.workdps(30):
+                k, bb, s_c = mp.mpf(kappa), mp.mpf(b), mp.mpf(X.base_scal)
+                F = _futaki_integral(k, bb, s_c, 0)
+                rest = 4 * k * bb * bb - s_c * (bb * bb - 1) - 4 * bb
+                den = (bb * bb - 1) ** 2 * (3 * k * bb * (bb * bb + 1) - 5 * bb * bb - 1)
+                scale = 2 * (bb * bb + 2 * k * bb + 1) * rest / den
+                assert abs(F - _futaki_integral(k, bb, s_c, mp.mpf("0.3"))) <= 1e-25 * scale
+                assert abs(F * den - 2 * (bb * bb - 2 * k * bb + 1) * rest) <= 1e-25 * scale * den
+                ratio = float(F / scale)
+            if b == b_kappa(kappa):
+                assert abs(res) <= 4.0 * eps and abs(ratio) <= 4.0 * eps
+            else:
+                assert abs(res - ratio) <= 1e-13 * abs(ratio) and np.sign(res) == np.sign(ratio)
