@@ -146,10 +146,6 @@ class Profile:
         t = z + self.kappa
         return A / t, (dA * t - A) / t**2, w * d2N - 4.0 * z * dN - 2.0 * N
 
-    def theta(self, z):
-        z = np.asarray(z, dtype=float)
-        return (1.0 - z * z) * cheb.chebval(z, self.coef[:, 0]) / (z + self.kappa)
-
 
 class BoundaryReport(NamedTuple):
     passes: bool

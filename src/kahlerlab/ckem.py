@@ -124,11 +124,10 @@ def b_kappa(kappa: float) -> float:
 
 def _futaki_defect(kappa: np.ndarray, b: np.ndarray) -> np.ndarray:
     """F/F_scale at (kappa, b), float64 scalars or stacks, in u = 1/b, r = kappa/b
-    (module docstring); nan where kappa is not finite and > 1 or b is not > 0."""
+    (module docstring); its callers gate kappa finite and > 1, and b > 0."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u, r = 1.0 / b, kappa / b
-        d = (1.0 - 2.0 * r + u * u) / (1.0 + 2.0 * r + u * u)
-    return np.where(np.isfinite(kappa) & (kappa > 1.0) & (b > 0.0), d, math.nan)
+        return (1.0 - 2.0 * r + u * u) / (1.0 + 2.0 * r + u * u)
 
 
 def _coefficients(b: np.ndarray, sC: float) -> np.ndarray:
@@ -291,10 +290,11 @@ def sweep(kappas: Iterable[float], X: RuledSurfaceData | None = None, errors: li
     with np.errstate(over="ignore", invalid="ignore"):
         b = k + np.sqrt(k * k - 1.0)
     coef, c, defect, ok = _closed_form(k, b, sC)
+    ok = ok & (cls := np.isfinite(k) & (k > 1.0))
     if not ok.all():
         if errors is None:
-            if (bad := ~(np.isfinite(k) & (k > 1.0))).any():
-                raise OutOfDomain(f"no finite solution at kappa = {k[bad].tolist()}: need kappa finite and > 1")
+            if not cls.all():
+                raise OutOfDomain(f"no finite solution at kappa = {k[~cls].tolist()}: need kappa finite and > 1")
             raise OutOfDomain(f"the closed form overflows a float at kappa = {k[~ok].tolist()}, s_C = {sC!r}")
         errors.extend((kap, "OutOfDomain") for kap in k[~ok].tolist())
     m, zm = _interior_min(coef[ok])

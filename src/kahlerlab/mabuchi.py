@@ -283,9 +283,9 @@ def straight_theta_path(p0: Profile, p1: Profile) -> PathFamily:
     for p in (p0, p1):
         if not (report := check_boundary(p)).passes:
             raise NotAdmissible(f"path endpoint fails the boundary conditions (defects {report.defects!r})")
-    zq = gauss_legendre(_Z_ORDER).nodes
-    jets = np.array(tuple(zip(p0.jet(zq), p1.jet(zq))))
-    thetas = np.array((p0.theta(_UDOT_Z), p1.theta(_UDOT_Z)))
+    z = np.append(gauss_legendre(_Z_ORDER).nodes, _UDOT_Z)  # one jet per endpoint: the z-rule, then _UDOT_Z
+    both = np.array(tuple(zip(p0.jet(z), p1.jet(z))))
+    jets, thetas = both[:, :, :_Z_ORDER].copy(), both[0, :, _Z_ORDER:].copy()  # contiguous: the 1-form reads them faster
     jets.flags.writeable = thetas.flags.writeable = False
     return PathFamily(kappa=p0.kappa, jets=jets, thetas=thetas)
 

@@ -43,7 +43,7 @@ potential), and the pointwise evaluators (Scal_p, the Bergman densities) read
 a jet their caller takes. One exponent step, _exponent, forms j t - log h_j for the
 softmax that _fs_pass and the balanced pass, FS(H) and T = Hilb o FS, read through
 one moment step, _moments; a balanced solve exponentiates it once and reweights its
-rows after. The spectrum (eigenvalues) is built once per (k, model).
+rows after. The spectrum (eigenvalues, with log lambda(p)) is built once per (k, model).
 Each (k+1) x n pass holds the fewest full-size buffers and works in them in
 place: from k = 64 each one passes glibc's 128 kB mmap threshold and faults.
 
@@ -247,15 +247,16 @@ def _exponent(t: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _moments(e: np.ndarray, er: np.ndarray) -> tuple:
-    """tot = e^r E, m1 = E_W[j] and (j - m1)^2 E in a second buffer for W = e^r E / tot, E an exponentiated
-    _exponent buffer less a row shift r; by products only (a float `pow` costs ~7x the rest)."""
+    """tot = e^r E, m1 = E_W[j], (j - m1)^2 E in a second buffer and its sum e^r (j - m1)^2 E = tot Var_W[j],
+    for W = e^r E / tot, E an exponentiated _exponent buffer less a row shift r; by products only (a float
+    `pow` costs ~7x the rest)."""
     j = np.arange(e.shape[0], dtype=float)
     tot = er @ e
     m1 = ((j * er) @ e) / tot
     sq = np.subtract(j[:, None], m1)
     sq *= sq
     sq *= e
-    return tot, m1, sq
+    return tot, m1, sq, er @ sq
 
 
 def _fs_pass(t, log_h: np.ndarray, log_ck: float) -> tuple:
@@ -266,8 +267,8 @@ def _fs_pass(t, log_h: np.ndarray, log_ck: float) -> tuple:
     k = log_h.size - 1
     e, top = _exponent(t.ravel(), log_h)
     er = np.ones(k + 1)
-    tot, m1, sq = _moments(np.exp(e, out=e), er)
-    k2 = (er @ sq) / tot
+    tot, m1, sq, var = _moments(np.exp(e, out=e), er)
+    k2 = var / tot
     return m1 / k, (np.log(tot) + top - log_ck) / k, k2 / k, sq, m1, er, tot, k2
 
 
@@ -455,10 +456,10 @@ def round_potential() -> ProfilePotential:
     return _round_potential()
 
 
-def random_potential(rng: np.random.Generator, scale: float = 0.8, degree: int = 3) -> ProfilePotential:
+def random_potential(rng: np.random.Generator, scale: float = 0.8) -> ProfilePotential:
     """Random admissible potential: q = exp(mu(1-mu) g(mu)), g a random
-    polynomial — q(0) = q(1) = 1 and q > 0 hold exactly."""
-    co = rng.normal(size=degree + 1) * scale / (1.0 + np.arange(degree + 1))
+    cubic — q(0) = q(1) = 1 and q > 0 hold exactly."""
+    co = rng.normal(size=4) * scale / np.arange(1.0, 5.0)
 
     def q(mu):
         mu = np.asarray(mu, dtype=float)
@@ -475,6 +476,7 @@ def random_potential(rng: np.random.Generator, scale: float = 0.8, degree: int =
 class SpectrumData(NamedTuple):
     lam: np.ndarray      # lambda_j = b0 + j/k  (all 1 in the xi=0 mode)
     lam_p: np.ndarray    # lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)}, c = c_top_exact(model)
+    log_lam_p: np.ndarray  # log lambda_j(p): nan or -inf only where lambda_j(p) <= 0, which only check_weights=False admits
 
 
 def _level_k(k: int) -> int:
@@ -504,7 +506,7 @@ class HermitianNorms(_HermitianNorms):
 
 @lru_cache(maxsize=None, typed=True)
 def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> SpectrumData:
-    """lambda_j = f(j/k) = b0 + j/k and the twisted weights lambda_j(p), read-only.
+    """lambda_j = f(j/k) = b0 + j/k, the twisted weights lambda_j(p) and their logs, read-only.
 
     check_weights=False skips the positivity gate on lambda(p) (useful when
     only the raw lambda sequence is wanted; every map that divides by
@@ -514,16 +516,17 @@ def eigenvalues(k: int, model: ToyModel, check_weights: bool = True) -> Spectrum
     j = np.arange(_level_k(k) + 1, dtype=float)
     lam = np.full(k + 1, model.f(j / k))  # f is the float 1 in the xi=0 mode
     c = c_top_exact(model)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         V, W = lam ** (1.0 - model.p), lam ** (-(model.p + 1.0))
         lam_p = V - (c / (4.0 * k)) * W
+        log_lam_p = np.log(lam_p)
     if not np.all(np.isfinite(lam_p)):
         raise _power_error(model)
     if 0.0 in (V[0], V[-1], W[0], W[-1]):  # a power is monotone in lambda, so it underflows at an end first
         raise _power_error(model, "underflows to 0")
     if check_weights and np.any(lam_p <= 0.0):
         raise WeightSignError(f"lambda(p) has non-positive entries at k={k} (k too small for this (p, b0))")
-    return _read_only(SpectrumData(lam=lam, lam_p=lam_p))
+    return _read_only(SpectrumData(lam=lam, lam_p=lam_p, log_lam_p=log_lam_p))
 
 
 def _power_error(model: ToyModel, how: str = "overflows a float") -> OutOfDomain:
@@ -583,13 +586,7 @@ def _log_gram(phi: RadialPotential, k: int, model: ToyModel) -> np.ndarray:
 
 def hilb(phi: RadialPotential, k: int, model: ToyModel) -> HermitianNorms:
     """h_j = (1/lambda_j(p)) int |s_j|^2_{k phi} f^{1-p} vol_{k omega}."""
-    return HermitianNorms(k=k, log_h=_log_gram(phi, k, model) - _log_lam_p(k, model))
-
-
-@lru_cache(maxsize=None)
-def _log_lam_p(k: int, model: ToyModel) -> np.ndarray:
-    """log lambda_j(p), read-only, with the checks of eigenvalues."""
-    return _read_only((np.log(eigenvalues(k, model).lam_p),))[0]
+    return HermitianNorms(k=k, log_h=_log_gram(phi, k, model) - eigenvalues(k, model).log_lam_p)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -628,7 +625,7 @@ def fs(H: HermitianNorms, k: int, model: ToyModel) -> FSPotential:
 @lru_cache(maxsize=None)
 def _log_step_scale(k: int, model: ToyModel) -> np.ndarray:
     """log(2 pi k C_k / lambda_j(p)), read-only, with the checks of fs and hilb."""
-    out = math.log(2.0 * math.pi * k) + _log_ck(k, model) - _log_lam_p(k, model)
+    out = math.log(2.0 * math.pi * k) + _log_ck(k, model) - eigenvalues(k, model).log_lam_p
     out.flags.writeable = False
     return out
 
@@ -675,8 +672,7 @@ def _balanced_pass(x: np.ndarray, k: int, model: ToyModel, held: tuple | None = 
         np.exp(e, out=e)
         held = (x, e, r)
     er = np.exp(r)
-    tot, m1, sq = _moments(e, er)
-    var = er @ sq  # tot Var_W[j]
+    tot, m1, _, var = _moments(e, er)  # var = tot Var_W[j]
     c = w_t * var
     if not model.xi_zero:  # in the xi = 0 mode f^{1-p} = 1
         c *= model.f(m1 / k) ** (1.0 - model.p)
@@ -728,7 +724,6 @@ class ExpansionReport(NamedTuple):
     k_list: tuple[int, ...]
     residual_sup: tuple[float, ...]
     slope: float
-    leading_residual_sup: tuple[float, ...]
     leading_slope: float
 
     def running_slopes(self) -> list[float]:
@@ -739,8 +734,8 @@ class ExpansionReport(NamedTuple):
 def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int]) -> ExpansionReport:
     """Residual r_k = sup |(2 pi) rho - f^{1-p} - (1/4k) f^{-(p+1)} (Scal_p - c)|
     at the momenta of one jet of phi on sup_grid(), which every k reads, with
-    its log-log slope (the expansion is O(k^{-2})); also the leading-term-only
-    residual (slope ~ -1). One row per distinct k; ConfigError unless there
+    its log-log slope (the expansion is O(k^{-2})); also the slope of the
+    leading-term-only residual (~ -1). One row per distinct k; ConfigError unless there
     are 4 distinct k to fit."""
     ks = sorted(set(k_range))
     if len(ks) < 4:
@@ -764,7 +759,6 @@ def expansion_check(phi: RadialPotential, model: ToyModel, k_range: Iterable[int
         k_list=tuple(ks),
         residual_sup=tuple(res),
         slope=slope,
-        leading_residual_sup=tuple(res_lead),
         leading_slope=lead_slope,
     )
 
@@ -809,11 +803,13 @@ def balanced_iterate(
     of the fixed-point set, r the contraction rate of T. Raises NoConvergence, naming the last
     raw step and the last step modulo span{1, j}, once the latter is below tol and the former
     is not (the relative fixed point), or after _BALANCED_STEPS evaluations. ConfigError, before
-    the first evaluation, unless tol is above _TOL_FLOOR eps max|log h_0|, h_0 = hilb(phi_0)."""
+    the first evaluation, unless tol is finite and above _TOL_FLOOR eps max|log h_0|, h_0 = hilb(phi_0)."""
     x = hilb(phi0, k, model).log_h  # names k < 1 before the projector divides by 0
     if not tol > (floor := _TOL_FLOOR * math.ulp(1.0) * float(abs(x).max())):
         raise ConfigError(f"tol={tol:g} at k={k} is not above the balanced step's rounding floor "
                           f"{_TOL_FLOOR:g} eps max|log h_0| = {floor:.3g}")
+    if tol == math.inf:  # every raw step passes it: a first evaluation would claim convergence
+        raise ConfigError(f"tol={tol:g} at k={k} is not finite")
     P = _gauge_projector(k)
     history, damping, base_merit, held = [], 1.0, math.inf, None
     for n in range(1, _BALANCED_STEPS + 1):

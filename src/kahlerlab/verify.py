@@ -47,7 +47,7 @@ def _chk_quad_exactness() -> float:
 
 
 def _chk_boundary_round() -> float:
-    sol = ckem.solve_P(1.25, 2.0)
+    sol = ckem.solve_P(1.2, ckem.b_kappa(1.2))  # b = 1.2 + sqrt(0.44) is irrational, so the terms round
     rep = calabi.check_boundary(sol.profile())
     return max(abs(d) for d in rep.defects)
 
@@ -83,9 +83,7 @@ def _chk_p1_reduction() -> float:
 
 
 def _chk_futaki_on_curve() -> float:
-    b = 2.0
-    kappa = (1.0 + b * b) / (2.0 * b)
-    return abs(ckem.solve_P(kappa, b).futaki_residual)
+    return abs(ckem.solve_P(1.2, ckem.b_kappa(1.2)).futaki_residual)  # b = 1.2 + sqrt(0.44), as in boundary-defects
 
 
 def _chk_futaki_off_curve() -> float:

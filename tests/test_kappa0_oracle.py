@@ -207,9 +207,9 @@ def test_solver_profile_is_the_oracle_numerator_over_z_plus_kappa(kappa):
     # G = Theta/(1-z^2) = N/(z+kappa) matches P/((1-z^2)(z+kappa)) of the
     # oracle up to the endpoints (at 1.01 < kappa0, G changes sign inside)
     prof = solve_P(kappa, b_kappa(kappa)).profile()
-    assert prof.theta(-1.0) == 0.0 and prof.theta(1.0) == 0.0
+    assert prof.jet(-1.0)[0] == 0.0 and prof.jet(1.0)[0] == 0.0
     want = _oracle_on(EDGE_Z, kappa, lambda P, dP, z: P(z) / ((1 - z * z) * (z + kappa)))
-    got = prof.theta(EDGE_Z) / (1.0 - EDGE_Z * EDGE_Z)
+    got = prof.jet(EDGE_Z)[0] / (1.0 - EDGE_Z * EDGE_Z)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

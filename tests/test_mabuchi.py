@@ -447,7 +447,7 @@ def _per_node_path_integral(ends, kd, sol):
     # c by quadrature of its defining ratio on the start profile
     c = float(np.dot(scal_p_on(zq, ends[0].jet(zq), sol.surface, kd, kappa), wgt)) / float(wgt.sum())
     j0, j1 = (p.jet(zq) for p in ends)
-    th0, th1 = (p.theta(zu) for p in ends)
+    th0, th1 = (p.jet(zu)[0] for p in ends)
     trule = gauss_legendre(mabuchi._PATH_ORDER, 0.0, 1.0)
     total = 0.0
     for t, wt in zip(trule.nodes, trule.weights):
@@ -483,7 +483,7 @@ def test_theta_path_stores_read_only_stacks():
     for e, p in enumerate(ends):
         for i, field in enumerate(p.jet(zq)):
             assert np.array_equal(path.jets[i, e], field)
-        assert np.array_equal(path.thetas[e], p.theta(mabuchi._UDOT_Z))
+        assert np.array_equal(path.thetas[e], p.jet(mabuchi._UDOT_Z)[0])
 
 
 def test_reversed_path_negates_the_1_form():
@@ -567,7 +567,7 @@ def test_theta_path_through_a_negative_profile_is_not_admissible():
     sol = _sol(kappa)
     kd = KillingData(b=sol.b, p=4.0)
     bad = sol.profile()
-    assert np.min(bad.theta(gauss_legendre(256).nodes)) < 0.0
+    assert np.min(bad.jet(gauss_legendre(256).nodes)[0]) < 0.0
     ref = SymplecticPotential.reference(kappa).profile()
     for ends in ((ref, bad), (bad, ref)):
         with pytest.raises(NotAdmissible):

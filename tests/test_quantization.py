@@ -800,6 +800,15 @@ def test_balanced_rejects_a_tol_below_the_rounding_floor(k, tol, monkeypatch):
         balanced_iterate(round_potential(), k, ToyModel(p=1.0), tol=tol)
 
 
+@pytest.mark.parametrize("model", [ToyModel(p=1.0), ToyModel(b0=1.0, p=4.0)], ids=["xi0", "weighted"])
+def test_balanced_rejects_an_infinite_tol(model, monkeypatch):
+    # every raw step is below inf, so the first evaluation would return converged
+    # with no Newton step (from this start at k = 8: residual 2.2e-3, scal_dev 0.86)
+    monkeypatch.setattr("kahlerlab.quantization._balanced_pass", _no_pass)
+    with pytest.raises(ConfigError, match=re.escape("tol=inf at k=8 is not finite")):
+        balanced_iterate(random_potential(np.random.default_rng(0), 1.5), 8, model, tol=math.inf)
+
+
 @pytest.mark.parametrize(
     "k, tol, model",
     [(4096, 1e-10, ToyModel(p=1.0)), (4096, 1e-10, ToyModel(b0=1.0, p=4.0)), (256, 1e-12, ToyModel(p=1.0))],

@@ -80,7 +80,7 @@ RECORDS = [
     ),
     (mabuchi.PathFamily, ("kappa", "jets", "thetas"), {}, dict(kappa=1.5, jets=((), ()), thetas=()), None),
     (quantization.ToyModel, ("b0", "p"), {"b0": math.inf, "p": 4.0}, {}, [(dict(b0=0), OutOfDomain)]),
-    (quantization.SpectrumData, ("lam", "lam_p"), {}, dict(lam=np.ones(2), lam_p=np.ones(2)), None),
+    (quantization.SpectrumData, ("lam", "lam_p", "log_lam_p"), {}, dict(lam=np.ones(2), lam_p=np.ones(2), log_lam_p=np.zeros(2)), None),
     (
         quantization.HermitianNorms,
         ("k", "log_h"),
@@ -90,9 +90,9 @@ RECORDS = [
     ),
     (
         quantization.ExpansionReport,
-        ("k_list", "residual_sup", "slope", "leading_residual_sup", "leading_slope"),
+        ("k_list", "residual_sup", "slope", "leading_slope"),
         {},
-        dict(k_list=(8, 16), residual_sup=(4.0, 1.0), slope=-2.0, leading_residual_sup=(2.0, 1.0), leading_slope=-1.0),
+        dict(k_list=(8, 16), residual_sup=(4.0, 1.0), slope=-2.0, leading_slope=-1.0),
         None,
     ),
     (
