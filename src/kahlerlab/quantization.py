@@ -27,7 +27,8 @@ lambda_j(p) = lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)} with c the weighted
 curvature average of the class. All inner products are diagonal in j, so
 Hermitian data is a vector of (log) norms and every map below is a
 one-dimensional quadrature plus vector algebra; the balanced map, one
-softmax pass, also gives its Jacobian, so Newton's method finds balanced metrics.
+softmax pass, also gives the (k+1) x n factors of its Jacobian, so Newton's method
+finds balanced metrics with no (k+1)^2 matrix past k + 1 = 2n (Woodbury).
 
 Nothing inverts mu <-> t. A potential is sampled at points u in (0, 1)
 (RadialPotential.jet): a momentum-native one at mu = u, a t-native one at
@@ -102,9 +103,12 @@ def sup_grid() -> np.ndarray:
     return np.linspace(_MU_LO, _MU_HI, _MU_N)
 
 
+_MU_NODES = 256  # n, the nodes of the momentum rule and the columns of every (k+1) x n buffer
+
+
 def _mu_rule() -> QuadratureRule:
-    """256-node Gauss rule on [0, 1], the momentum rule of every Gram matrix."""
-    return gauss_legendre(256, 0.0, 1.0)
+    """n-node Gauss rule on [0, 1], the momentum rule of every Gram matrix."""
+    return gauss_legendre(_MU_NODES, 0.0, 1.0)
 
 
 def _read_only(sample):
@@ -648,15 +652,16 @@ _REWEIGHT_NATS = 30.0
 
 
 def _balanced_pass(x: np.ndarray, k: int, model: ToyModel, held: tuple | None = None) -> tuple:
-    """balanced_step's g at x = log h, a function that forms J = dg/dx once from E, the one (k+1) x n
-    buffer the pass keeps, and held = (x_0, E, r_0) of the last full pass. With d = j - E_W[j], var = Var_W[j],
-    a = (1-p) f'/f(mu)/k: dW_ji/dx_l = W_ji (W_li - delta_jl), dc_i/dx_l = -c_i W_li ((d_li^2 - var_i)/var_i
-    + a_i d_li), so J = (W c M^T)/(W c) - I with M = W (2 - d^2/var - a d), a ratio over the row-shifted E like
-    g. J annihilates 1; the move of the nodes with beta, which would make it annihilate j exactly, is of the
-    rule's error and left out. A full pass exponentiates the exponent step at t_i = logit(u_i) + beta less its
-    row maxima r_0. Given its state, a pass at x only reweights the rows: as beta = (x_k - x_0)/k, j t_i - x_j
-    moves by s_j = j (beta - beta_0) - (x_j - x_0j), so W = e^{r_0+s} E / tot, s less its midrange (the gauge
-    constant, which g does not see); past max|s| = _REWEIGHT_NATS it takes a full pass."""
+    """balanced_step's g at x = log h, a function that builds the factors of J = dg/dx once, and held =
+    (x_0, E, r_0) of the last full pass, E the one (k+1) x n buffer the pass keeps. With d = j - E_W[j],
+    var = Var_W[j], a = (1-p) f'/f(mu)/k: dW_ji/dx_l = W_ji (W_li - delta_jl), dc_i/dx_l = -c_i W_li
+    ((d_li^2 - var_i)/var_i + a_i d_li), so J + I = diag(1/s) E M^T diag(e^r), M = (c/tot) (2 E - d^2 E/var
+    - a d E), built in place in the moment step's d^2 E. J annihilates 1; the move of the nodes with beta,
+    which would make it annihilate j exactly, is of the rule's error and left out. A full pass exponentiates
+    the exponent step at t_i = logit(u_i) + beta less its row maxima r_0. Given its state, a pass at x only
+    reweights the rows: as beta = (x_k - x_0)/k, j t_i - x_j moves by s_j = j (beta - beta_0) - (x_j - x_0j),
+    so W = e^{r_0+s} E / tot, s less its midrange (the gauge constant, which g does not see); past max|s| =
+    _REWEIGHT_NATS it takes a full pass."""
     logit_u, w_t = _pullback_rule()
     j = np.arange(k + 1, dtype=float)
     if held is not None:
@@ -672,7 +677,7 @@ def _balanced_pass(x: np.ndarray, k: int, model: ToyModel, held: tuple | None = 
         np.exp(e, out=e)
         held = (x, e, r)
     er = np.exp(r)
-    tot, m1, _, var = _moments(e, er)  # var = tot Var_W[j]
+    tot, m1, sq, var = _moments(e, er)  # sq = d^2 E, var = tot Var_W[j]
     c = w_t * var
     if not model.xi_zero:  # in the xi = 0 mode f^{1-p} = 1
         c *= model.f(m1 / k) ** (1.0 - model.p)
@@ -680,21 +685,20 @@ def _balanced_pass(x: np.ndarray, k: int, model: ToyModel, held: tuple | None = 
     s = e @ c
     g = _log_step_scale(k, model) + r + np.log(s)
 
-    def jacobian() -> np.ndarray:
-        # m = W tot (2 - d^2/Var - a d) c/tot, Var = var/tot, in the buffer of d = j - E_W[j]
-        a = 0.0 if model.xi_zero else (1.0 - model.p) / (m1 + k * model.b0)
-        m = np.subtract(j[:, None], m1)
-        m *= m / (var / tot) + a  # its temporary is freed before J is taken
-        np.subtract(2.0, m, out=m)
-        m *= e
-        m *= er[:, None]
-        m *= c / tot
-        J = e @ m.T
-        J /= s[:, None]
-        J.flat[:: k + 2] -= 1.0  # the diagonal
-        return J
+    def factors() -> tuple:
+        # E, M, s and e^r; M = (2c/tot) (E - d^2 E/(2 var) - a d E/2) in sq's buffer, so once only
+        m = sq
+        m *= -0.5 * tot / var
+        if not model.xi_zero:
+            ad = np.subtract(j[:, None], m1)
+            ad *= e
+            ad *= -0.5 * (1.0 - model.p) / (m1 + k * model.b0)
+            m += ad
+        m += e
+        m *= 2.0 * c / tot
+        return e, m, s, er
 
-    return g, jacobian, held
+    return g, factors, held
 
 
 def bergman_density(phi: RadialPotential, k: int, model: ToyModel, weights, s: MuSample) -> np.ndarray:
@@ -778,11 +782,33 @@ _TOL_FLOOR = 16.0  # least tol / (eps max|log h_0|): unstopped, the raw step set
 
 
 @lru_cache(maxsize=None)
-def _gauge_projector(k: int) -> np.ndarray:
-    """Orthogonal projector onto the gauge span{1, j} of log h, read-only."""
+def _gauge(k: int) -> tuple:
+    """The orthonormal basis G of the gauge span{1, j} of log h and, for the dense Newton step (k + 1 <= 2n),
+    its complement Q = I - G G^T; None above, where the Woodbury step takes no (k+1)^2 matrix."""
     G = np.stack([np.ones(k + 1), np.arange(k + 1) - 0.5 * k], axis=1)  # orthogonal columns
     G /= np.linalg.norm(G, axis=0)
-    return _read_only((G @ G.T,))[0]
+    return _read_only((G,))[0], (_read_only((np.eye(k + 1) - G @ G.T,))[0] if k < 2 * _MU_NODES else None)
+
+
+def _newton_step(g: np.ndarray, factors: tuple, G: np.ndarray, Q: np.ndarray | None) -> np.ndarray:
+    """d with (J + P) d = g, P = G G^T, from the factors (E, M, s, e^r) of J + I = diag(1/s) E M^T diag(e^r).
+    Given Q = I - P, a dense solve of (E M^T o e^r/s - Q) d = g; else Woodbury on J + P = A B^T - I with
+    A = [E/s, G] and B = [diag(e^r) M, G]: d = A y - g, (B^T A - I) y = B^T g, an (n+2)^2 system. Their
+    flops cross at k + 1 = n, but B^T A sums over the rows of E, where products underflow, at about half
+    the speed of E M^T, so _gauge gives Q up to k + 1 = 2n (the dense step is faster up to k ~ 470)."""
+    e, m, s, er = factors
+    if Q is not None:
+        J = e @ m.T
+        J *= er
+        J /= s[:, None]
+        J -= Q
+        return np.linalg.solve(J, g)
+    n = e.shape[1]
+    m *= (er / s)[:, None]
+    C = np.block([[m.T @ e, m.T @ (s[:, None] * G)], [(G / s[:, None]).T @ e, np.zeros((2, 2))]])  # G^T G - I = 0
+    C.flat[: n * (n + 3) : n + 3] -= 1.0
+    y = np.linalg.solve(C, np.concatenate([m.T @ (s * g), G.T @ g]))
+    return (e @ y[:n]) / s + G @ y[n:] - g
 
 
 def balanced_iterate(
@@ -795,43 +821,42 @@ def balanced_iterate(
     on g = T(x) - x, with g and its Jacobian J from balanced_step's one pass; later evaluations reweight
     the rows of the first one's buffer (_balanced_pass). T commutes with the gauge log h -> log h + k a + j b,
     so J annihilates span{1, j} (the weighted mode has only a relative fixed point, a steady gauge drift).
-    A step solves (J + P) delta = -g, P the projector onto the gauge, and halves (Armijo, 1e-4 of the slope
-    of |g - P g|^2) down to _MIN_DAMPING, where it takes the last trial. n_iter and history count every
-    evaluation of g, trials included.
+    A step x -> x - delta solves (J + P) delta = g, P the projector onto the gauge (_newton_step), and
+    halves (Armijo, 1e-4 of the slope of |Q g|^2, Q = I - P) down to _MIN_DAMPING, where it takes the last
+    trial. n_iter and history count every evaluation of g, trials included.
 
     Converged when the raw step sup_j |g_j| < tol: H = x + g is then within sup|g| / (1 - r)
     of the fixed-point set, r the contraction rate of T. Raises NoConvergence, naming the last
     raw step and the last step modulo span{1, j}, once the latter is below tol and the former
     is not (the relative fixed point), or after _BALANCED_STEPS evaluations. ConfigError, before
     the first evaluation, unless tol is finite and above _TOL_FLOOR eps max|log h_0|, h_0 = hilb(phi_0)."""
-    x = hilb(phi0, k, model).log_h  # names k < 1 before the projector divides by 0
+    x = hilb(phi0, k, model).log_h  # names k < 1 before the gauge basis divides by 0
     if not tol > (floor := _TOL_FLOOR * math.ulp(1.0) * float(abs(x).max())):
         raise ConfigError(f"tol={tol:g} at k={k} is not above the balanced step's rounding floor "
                           f"{_TOL_FLOOR:g} eps max|log h_0| = {floor:.3g}")
     if tol == math.inf:  # every raw step passes it: a first evaluation would claim convergence
         raise ConfigError(f"tol={tol:g} at k={k} is not finite")
-    P = _gauge_projector(k)
+    G, Q = _gauge(k)
     history, damping, base_merit, held = [], 1.0, math.inf, None
     for n in range(1, _BALANCED_STEPS + 1):
-        g, jacobian, held = _balanced_pass(x, k, model, held)
+        g, factors, held = _balanced_pass(x, k, model, held)
         step = float(abs(g).max())
         history.append(step)
         if step < tol:
             H = HermitianNorms(k=k, log_h=x + g)
             return BalancedResult(H=H, phi=fs(H, k, model), converged=True, history=tuple(history), n_iter=n)
-        gq = g - P @ g
+        gq = g - G @ (G.T @ g) if Q is None else Q @ g
         quotient = float(abs(gq).max())
         merit = float(gq @ gq)
         if not merit <= (1.0 - 2e-4 * damping) * base_merit and damping > _MIN_DAMPING:
             damping *= 0.5
-            x = base + damping * delta
+            x = base - damping * delta
             continue
         if quotient < tol:
             break
         base, base_merit, damping = x, merit, 1.0
-        J = jacobian()
-        delta = np.linalg.solve(np.add(J, P, out=J), -g)  # one (k+1)^2 matrix per step
-        x = base + delta
+        delta = _newton_step(g, factors(), G, Q)
+        x = base - delta
     raise NoConvergence(f"balanced iteration did not reach tol={tol:g} in {n} steps: last raw step "
                         f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}")
 

@@ -183,7 +183,7 @@ def _chk_balanced_round() -> float:
 
 
 def _chk_z_convexity() -> float:
-    model = quantization.ToyModel(p=4.0)
+    model = quantization.ToyModel(p=4.0)  # b0 = inf, the xi = 0 mode: p has no effect here
     k = 8
     H = quantization.hilb(quantization.round_potential(), k, model)
     rng = np.random.default_rng(17)
@@ -198,7 +198,7 @@ def _chk_z_convexity() -> float:
 
 
 def _chk_z_prime() -> float:
-    model = quantization.ToyModel(p=4.0)
+    model = quantization.ToyModel(p=4.0)  # b0 = inf, the xi = 0 mode: p has no effect here
     k = 8
     H = quantization.hilb(quantization.round_potential(), k, model)
     rng = np.random.default_rng(19)
@@ -213,7 +213,7 @@ def _chk_z_prime() -> float:
 def _chk_zl_decay() -> float:
     # At the round potential L == Z∘hilb identically (fs∘hilb fixes it), so a
     # genuine decay measurement needs a generic potential.
-    model = quantization.ToyModel(p=4.0)
+    model = quantization.ToyModel(p=4.0)  # b0 = inf, the xi = 0 mode: p has no effect here
     phi = quantization.random_potential(np.random.default_rng(29), scale=0.5)
     gaps = []
     for k in (8, 16):

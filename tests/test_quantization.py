@@ -21,6 +21,7 @@ from kahlerlab.errors import (
     OutOfDomain,
     WeightSignError,
 )
+from kahlerlab.functionals import functional_Z
 from kahlerlab.numerics import gauss_legendre
 from kahlerlab.quantization import (
     _REWEIGHT_NATS,
@@ -33,6 +34,8 @@ from kahlerlab.quantization import (
     ToyModel,
     _balanced_pass,
     _exponent,
+    _gauge,
+    _newton_step,
     balanced_iterate,
     balanced_defects,
     balanced_step,
@@ -461,6 +464,16 @@ def test_hilb_round_matches_beta_integrals():
         np.testing.assert_allclose(H.log_h, H.log_h[::-1], atol=atol)
 
 
+def _jacobian(factors) -> np.ndarray:
+    """J = diag(1/s) E M^T diag(e^r) - I from the factors (E, M, s, e^r) of a balanced pass."""
+    e, m, s, er = factors
+    J = e @ m.T
+    J *= er
+    J /= s[:, None]
+    J.flat[:: J.shape[0] + 1] -= 1.0
+    return J
+
+
 def _traced_peak_in_buffers(fn, k: int) -> float:
     """Traced peak of one warm call of fn, in (k+1) x 256 float64 buffers."""
     fn()
@@ -479,15 +492,16 @@ def test_each_gram_pass_holds_few_full_size_buffers(model):
     # every (k+1) x 256 float temporary passes glibc's mmap threshold from
     # k = 64 and costs page faults per call. hilb works in one buffer; rho_p
     # frees the Gram's before it takes one on the jet (193 momenta); a
-    # balanced pass keeps only E, and its Jacobian adds m and J, whose
-    # (k+1)^2 floats are 4.0 buffers at this k
+    # balanced pass keeps E and the moment step's d^2 E, in which its factor
+    # M is built (the weighted mode adds one more), and J adds (k+1)^2
+    # floats, 4.0 buffers at this k
     k = 1024
     phi = random_potential(np.random.default_rng(3), scale=0.6)
     s = phi.jet(sup_grid())
     x = hilb(phi, k, model).log_h
     assert _traced_peak_in_buffers(lambda: hilb(phi, k, model), k) < 1.5
     assert _traced_peak_in_buffers(lambda: rho_p(phi, k, model, s), k) < 2.5
-    assert _traced_peak_in_buffers(lambda: _balanced_pass(x, k, model)[1](), k) < 6.5
+    assert _traced_peak_in_buffers(lambda: _jacobian(_balanced_pass(x, k, model)[1]()), k) < 6.5
 
 
 def test_fs_hilb_fixes_round_potential():
@@ -896,11 +910,81 @@ def test_balanced_jacobian_matches_central_differences(model, k):
     j = np.arange(k + 1, dtype=float)
     x0 = hilb(random_potential(np.random.default_rng(3), scale=0.8), k, model).log_h
     for x in (x0 + 0.3 * k - 2.0 * j, x0 + 800.0 * (j == k // 2)):
-        J = _balanced_pass(x, k, model)[1]()
+        J = _jacobian(_balanced_pass(x, k, model)[1]())
         atol = 2.0 * np.finfo(float).eps * float(np.max(np.abs(x))) / h
         np.testing.assert_allclose(J, _central_jacobian(x, k, model, h), rtol=0.0, atol=atol)
         assert np.max(np.abs(J @ np.ones(k + 1))) <= 1e-14
         assert np.max(np.abs(J @ j)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", _NEWTON_MODES, ids=["xi=0", "b0=1,p=4", "b0=1,p=2"])
+@pytest.mark.parametrize("k", [8, 64, 256])
+def test_z_hessian_is_semidefinite_with_the_gauge_as_kernel(model, k):
+    # Z_k is convex: grad Z_k = lambda(p) (1 - e^g) matches central differences
+    # of functional_Z along three directions (h = 1e-5, which rounds Z to
+    # ~eps |Z|/h; the truncation is below that), so Hess Z_k =
+    # -diag(lambda(p) e^g) J. Against its largest entry it is symmetric to
+    # 1e-13 (worst seen 1.7e-14), its two least eigenvalues and its action on
+    # 1 and j/k are within 1e-14 of 0 (worst seen 1.1e-15), and the third is
+    # above 1e-6 (least seen 8.8e-5): it is semidefinite with kernel span{1, j}
+    lam_p = eigenvalues(k, model).lam_p
+    j = np.arange(k + 1, dtype=float)
+    x = hilb(random_potential(np.random.default_rng(3), scale=0.6), k, model).log_h
+    g, factors, _ = _balanced_pass(x, k, model)
+    grad, h = lam_p * (1.0 - np.exp(g)), 1e-5
+    for v in np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k + 1)):
+        hi, lo = (functional_Z(HermitianNorms(k=k, log_h=x + t * v), k, model) for t in (h, -h))
+        assert abs((hi - lo) / (2.0 * h) - grad @ v) <= 4.0 * np.finfo(float).eps * max(abs(hi), abs(lo)) / h
+    hess = -(lam_p * np.exp(g))[:, None] * _jacobian(factors())
+    top = np.max(np.abs(hess))
+    assert np.max(np.abs(hess - hess.T)) <= 1e-13 * top
+    w = np.linalg.eigvalsh(0.5 * (hess + hess.T))
+    assert max(abs(w[0]), abs(w[1])) <= 1e-14 * top and w[2] > 1e-6 * top
+    assert max(np.max(np.abs(hess @ np.ones(k + 1))), np.max(np.abs(hess @ j)) / k) <= 1e-14 * top
+
+
+@pytest.mark.parametrize("model", _NEWTON_MODES, ids=["xi=0", "b0=1,p=4", "b0=1,p=2"])
+@pytest.mark.parametrize("k", [8, 32, 64])
+def test_dense_newton_step_solves_the_central_difference_system(model, k):
+    # while k + 1 <= 2n = 512 the step is a dense solve of (J + P) d = g: it
+    # matches a solve with the central-difference J (h = 1e-5, off by ~eps
+    # max|x|/h) to 1e-7 relative (worst seen 1.6e-8, at k = 64, where the
+    # least nonzero eigenvalue of J + P is smallest)
+    j = np.arange(k + 1, dtype=float)
+    x = hilb(random_potential(np.random.default_rng(3), scale=0.8), k, model).log_h + 0.3 * k - 2.0 * j
+    g, factors, _ = _balanced_pass(x, k, model)
+    G, Q = _gauge(k)
+    assert Q is not None
+    expected = np.linalg.solve(_central_jacobian(x, k, model, 1e-5) + G @ G.T, g)
+    d = _newton_step(g, factors(), G, Q)
+    assert np.max(np.abs(d - expected)) <= 1e-7 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("model", _NEWTON_MODES, ids=["xi=0", "b0=1,p=4", "b0=1,p=2"])
+@pytest.mark.parametrize("k", [256, 512])
+def test_woodbury_newton_step_matches_a_dense_solve(model, k):
+    # given no Q (past k + 1 = 2n, where _gauge forms none) the step solves the
+    # (n+2)^2 capacitance system in place of the (k+1)^2 one; it matches a
+    # dense solve of J + P from the same factors (formed first, as the step
+    # scales M in place) to 1e-9 relative (worst seen 3.9e-11)
+    x = hilb(random_potential(np.random.default_rng(3), scale=0.8), k, model).log_h
+    g, factors, _ = _balanced_pass(x, k, model)
+    G = _gauge(k)[0]
+    factors = factors()
+    expected = np.linalg.solve(_jacobian(factors) + G @ G.T, g)
+    d = _newton_step(g, factors, G, None)
+    assert np.max(np.abs(d - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("k", [1024, 4096])
+def test_balanced_newton_converges_at_large_k(k):
+    # the Woodbury step, up to the k cap: the round start is balanced at the
+    # first evaluation, and random starts converge in 4-6
+    model = ToyModel(p=1.0)
+    assert _gauge(k)[1] is None
+    assert balanced_iterate(round_potential(), k, model).n_iter == 1
+    for seed in range(2):
+        assert 4 <= balanced_iterate(random_potential(np.random.default_rng(seed), scale=0.6), k, model).n_iter <= 6
 
 
 @pytest.mark.parametrize("k", [8, 32, 64, 128, 256])
@@ -999,11 +1083,11 @@ def test_a_reweighted_balanced_pass_matches_a_fresh_one(model, k, monkeypatch):
     for nats in (1e-6, 1e-2, 1.0, 10.0, _REWEIGHT_NATS * (1.0 - 1e-9)):
         x = x0 + nats * unit + 3.0 * k + 0.7 * j
         calls.clear()
-        g, jacobian, kept = _balanced_pass(x, k, model, held)
+        g, factors, kept = _balanced_pass(x, k, model, held)
         assert kept is held and not calls
-        fresh_g, fresh_jacobian, _ = _balanced_pass(x, k, model)
+        fresh_g, fresh_factors, _ = _balanced_pass(x, k, model)
         assert np.max(np.abs(g - fresh_g)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(x))
-        np.testing.assert_allclose(jacobian(), fresh_jacobian(), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(_jacobian(factors()), _jacobian(fresh_factors()), rtol=0.0, atol=1e-12)
     x = x0 + 1.01 * _REWEIGHT_NATS * unit
     calls.clear()
     g, _, kept = _balanced_pass(x, k, model, held)
