@@ -44,7 +44,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
-_K_MAX = 4096  # largest tensor power k: a balanced step holds 2-3 (k+1) x 256 float buffers, 8.4 MB each there
+_K_MAX = 4096  # largest tensor power k: the balanced solve's (k+1)^2 Jacobian takes ~134 MB
 
 
 def _lazy(name: str) -> ModuleType:

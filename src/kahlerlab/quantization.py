@@ -27,8 +27,8 @@ lambda_j(p) = lambda_j^{1-p} - (c/4k) lambda_j^{-(p+1)} with c the weighted
 curvature average of the class. All inner products are diagonal in j, so
 Hermitian data is a vector of (log) norms and every map below is a
 one-dimensional quadrature plus vector algebra; the balanced map, one
-softmax pass, also gives the (k+1) x n factors of its Jacobian, so Newton's method
-finds balanced metrics with no (k+1)^2 matrix past k + 1 = 2n (Woodbury).
+softmax pass, also gives the factors of its Jacobian, so Newton's method
+finds balanced metrics.
 
 Nothing inverts mu <-> t. A potential is sampled at points u in (0, 1)
 (RadialPotential.jet): a momentum-native one at mu = u, a t-native one at
@@ -103,12 +103,9 @@ def sup_grid() -> np.ndarray:
     return np.linspace(_MU_LO, _MU_HI, _MU_N)
 
 
-_MU_NODES = 256  # n, the nodes of the momentum rule and the columns of every (k+1) x n buffer
-
-
 def _mu_rule() -> QuadratureRule:
-    """n-node Gauss rule on [0, 1], the momentum rule of every Gram matrix."""
-    return gauss_legendre(_MU_NODES, 0.0, 1.0)
+    """256-node Gauss rule on [0, 1], the momentum rule of every Gram matrix."""
+    return gauss_legendre(256, 0.0, 1.0)
 
 
 def _read_only(sample):
@@ -783,32 +780,21 @@ _TOL_FLOOR = 16.0  # least tol / (eps max|log h_0|): unstopped, the raw step set
 
 @lru_cache(maxsize=None)
 def _gauge(k: int) -> tuple:
-    """The orthonormal basis G of the gauge span{1, j} of log h and, for the dense Newton step (k + 1 <= 2n),
-    its complement Q = I - G G^T; None above, where the Woodbury step takes no (k+1)^2 matrix."""
+    """The orthonormal basis G of the gauge span{1, j} of log h and its complement Q = I - G G^T, read-only."""
     G = np.stack([np.ones(k + 1), np.arange(k + 1) - 0.5 * k], axis=1)  # orthogonal columns
     G /= np.linalg.norm(G, axis=0)
-    return _read_only((G,))[0], (_read_only((np.eye(k + 1) - G @ G.T,))[0] if k < 2 * _MU_NODES else None)
+    return _read_only((G, np.eye(k + 1) - G @ G.T))
 
 
-def _newton_step(g: np.ndarray, factors: tuple, G: np.ndarray, Q: np.ndarray | None) -> np.ndarray:
-    """d with (J + P) d = g, P = G G^T, from the factors (E, M, s, e^r) of J + I = diag(1/s) E M^T diag(e^r).
-    Given Q = I - P, a dense solve of (E M^T o e^r/s - Q) d = g; else Woodbury on J + P = A B^T - I with
-    A = [E/s, G] and B = [diag(e^r) M, G]: d = A y - g, (B^T A - I) y = B^T g, an (n+2)^2 system. Their
-    flops cross at k + 1 = n, but B^T A sums over the rows of E, where products underflow, at about half
-    the speed of E M^T, so _gauge gives Q up to k + 1 = 2n (the dense step is faster up to k ~ 470)."""
+def _newton_step(g: np.ndarray, factors: tuple, Q: np.ndarray) -> np.ndarray:
+    """d with (J + P) d = g, P = I - Q the gauge projector, from the factors (E, M, s, e^r) of
+    J + I = diag(1/s) E M^T diag(e^r): a dense solve of (E M^T o e^r/s - Q) d = g, one (k+1)^2 matrix."""
     e, m, s, er = factors
-    if Q is not None:
-        J = e @ m.T
-        J *= er
-        J /= s[:, None]
-        J -= Q
-        return np.linalg.solve(J, g)
-    n = e.shape[1]
-    m *= (er / s)[:, None]
-    C = np.block([[m.T @ e, m.T @ (s[:, None] * G)], [(G / s[:, None]).T @ e, np.zeros((2, 2))]])  # G^T G - I = 0
-    C.flat[: n * (n + 3) : n + 3] -= 1.0
-    y = np.linalg.solve(C, np.concatenate([m.T @ (s * g), G.T @ g]))
-    return (e @ y[:n]) / s + G @ y[n:] - g
+    J = e @ m.T
+    J *= er
+    J /= s[:, None]
+    J -= Q
+    return np.linalg.solve(J, g)
 
 
 def balanced_iterate(
@@ -839,13 +825,14 @@ def balanced_iterate(
     G, Q = _gauge(k)
     history, damping, base_merit, held = [], 1.0, math.inf, None
     for n in range(1, _BALANCED_STEPS + 1):
+        factors = None  # frees the last pass's factor buffer before this pass takes its own
         g, factors, held = _balanced_pass(x, k, model, held)
         step = float(abs(g).max())
         history.append(step)
         if step < tol:
             H = HermitianNorms(k=k, log_h=x + g)
             return BalancedResult(H=H, phi=fs(H, k, model), converged=True, history=tuple(history), n_iter=n)
-        gq = g - G @ (G.T @ g) if Q is None else Q @ g
+        gq = g - G @ (G.T @ g)
         quotient = float(abs(gq).max())
         merit = float(gq @ gq)
         if not merit <= (1.0 - 2e-4 * damping) * base_merit and damping > _MIN_DAMPING:
@@ -855,7 +842,7 @@ def balanced_iterate(
         if quotient < tol:
             break
         base, base_merit, damping = x, merit, 1.0
-        delta = _newton_step(g, factors(), G, Q)
+        delta = _newton_step(g, factors(), Q)
         x = base - delta
     raise NoConvergence(f"balanced iteration did not reach tol={tol:g} in {n} steps: last raw step "
                         f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}")
