@@ -212,13 +212,16 @@ def _surface(args: argparse.Namespace):
 
 
 # -- commands ----------------------------------------------------------------
-# Each command imports the library modules it calls in its own body, so a
-# process runs only the strand of its command.
+# Each cached command checks its flags, builds its cache key from the parsed
+# values and looks it up; only on a miss does `produce` import the strand it
+# calls and build its surface or ToyModel, so a hit runs no library module.
+# A hit skips the record's validation safely: the key covers the package
+# source, and the cache stores a payload only after `produce` returns, so
+# this source already accepted these flags. quant-balanced imports
+# quantization before the lookup, since its key holds `_BALANCED_TOL`.
 
 
 def cmd_pkappa(args: argparse.Namespace) -> int:
-    from .ckem import sweep
-
     if (args.kappa is None) == (args.kappa_range is None):
         raise ConfigError("pkappa needs exactly one of --kappa and --kappa-range")
     kappas = [args.kappa] if args.kappa_range is None else _parse_kappa_range(args.kappa_range)
@@ -226,11 +229,12 @@ def cmd_pkappa(args: argparse.Namespace) -> int:
         raise ConfigError("empty kappa range")
     if not all(1.0 < k < math.inf for k in kappas):
         raise ConfigError("all kappa values must be > 1 and finite")
-    X = _surface(args)
 
     def produce() -> str:
+        from .ckem import sweep
+
         errors: list[tuple[float, str]] = []
-        rows = [[*map(repr, r[:6]), str(r.label)] for r in sweep(kappas, X, errors)]
+        rows = [[*map(repr, r[:6]), str(r.label)] for r in sweep(kappas, _surface(args), errors)]
         rows += [[repr(kap), *["nan"] * 5, f"Error:{name}"] for kap, name in errors]
         return _csv("kappa,b_kappa,c,futaki_residual,min_P,argmin_z,label", rows)
 
@@ -241,11 +245,11 @@ def cmd_kappa0(args: argparse.Namespace) -> int:
     """JSON: kappa0; min_P and argmin_z, P at its lowest interior critical
     point there (~0 at the double root); the labels at the midpoint of
     (1, kappa0) and at kappa0 + 0.5. All four come from one `sweep`."""
-    from .ckem import kappa_zero, sweep
-
-    X = _surface(args)
 
     def produce() -> str:
+        from .ckem import kappa_zero, sweep
+
+        X = _surface(args)
         k0 = kappa_zero(X)
         at, below, above = sweep([k0, 1.0 + 0.5 * (k0 - 1.0), k0 + 0.5], X)
         return _json_line({
@@ -264,16 +268,16 @@ def cmd_mabuchi_probe(args: argparse.Namespace) -> int:
     fitted slope, and "diverges", true when the energy at the largest k lies
     more than 100 below the energy at the smallest k, in any order of
     --k-range."""
-    from .ckem import b_kappa, kappa_zero, solve_P, sweep
-    from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
-
     if args.kappa is not None and not 1.0 < args.kappa < math.inf:
         raise ConfigError(f"kappa must be finite and > 1 (got {args.kappa!r})")
     # the probe's k scales a direction (k = 0 is the reference) as a float: capped at the float range
     ks = _parse_k_range(args.k_range, list(range(0, 65)), 0, sys.float_info.max)
-    X = _surface(args)
 
     def produce() -> str:
+        from .ckem import b_kappa, kappa_zero, solve_P, sweep
+        from .mabuchi import fit_probe_slope, probe_bump, unboundedness_probe
+
+        X = _surface(args)
         # default kappa: midpoint of (1, kappa0) of the surface the flags name
         kappa = args.kappa if args.kappa is not None else 0.5 * (1.0 + kappa_zero(X))
         sol = solve_P(kappa, b_kappa(kappa), X)
@@ -312,19 +316,21 @@ def cmd_quant_balanced(args: argparse.Namespace) -> int:
 
 
 def cmd_quant_expansion(args: argparse.Namespace) -> int:
-    from .quantization import ToyModel, expansion_check, round_potential
-
-    model = _validated(ToyModel, b0=_parse_b0(args.b0), p=args.p)
+    b0 = _parse_b0(args.b0)
     ks = _parse_k_range(args.k_range, [8, 16, 32, 64], 1, _K_MAX)
 
     def produce() -> str:
+        from .quantization import ToyModel, expansion_check, round_potential
+
+        model = _validated(ToyModel, b0=b0, p=args.p)
         rep = expansion_check(round_potential(), model, ks)
         slopes = [math.nan, *rep.running_slopes()]
         rows = [[k, repr(r), repr(s)] for k, r, s in zip(rep.k_list, rep.residual_sup, slopes)]
         trailer = {"slope": rep.slope, "leading_slope": rep.leading_slope}
         return _csv("k,residual_sup,slope_running", rows) + _json_line(trailer)
 
-    return _cached("quant-expansion", {**model._asdict(), "k_list": ks}, produce, ".csv", args)
+    # ToyModel stores b0 and p as given: these are its `_asdict()` and the k list
+    return _cached("quant-expansion", {"b0": b0, "p": args.p, "k_list": ks}, produce, ".csv", args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -533,6 +533,67 @@ def test_cache_key_follows_the_source_fingerprint(workdir, monkeypatch):
     assert (workdir / "c.csv").read_bytes() == (workdir / "a.csv").read_bytes()
 
 
+_K_EXPANSION = ["--k-range", "8,12,16,24"]
+# (a valid run, the same command with a flag its record rejects)
+_WARM_FAULTS = [
+    (["kappa0"], ["kappa0", "--genus", "1"]),
+    (["pkappa", "--kappa", "1.5"], ["pkappa", "--kappa", "1.5", "--degree", "0"]),
+    (["mabuchi-probe", "--k-range", "0,1,2,4,8,16"], ["mabuchi-probe", "--k-range", "0,1,2,4,8,16", "--degree", "0"]),
+    (["quant-expansion", *_K_EXPANSION], ["quant-expansion", *_K_EXPANSION, "--b0", "0"]),
+    (["quant-expansion", *_K_EXPANSION], ["quant-expansion", *_K_EXPANSION, "--p", "nan"]),
+    (["quant-expansion", *_K_EXPANSION], ["quant-expansion", *_K_EXPANSION, "--b0", "1e-62"]),
+    (["quant-expansion", *_K_EXPANSION], ["quant-expansion", *_K_EXPANSION, "--b0", "1", "--p", "1100"]),
+]
+
+
+@pytest.mark.parametrize("valid, bad", [pytest.param(v, b, id=" ".join(b)) for v, b in _WARM_FAULTS])
+def test_a_warm_cache_changes_no_verdict(valid, bad, workdir, capsys):
+    # a hit skips the record's validation, and the cache stores a payload only
+    # after the command made it: flags a record rejects never hit, and exit
+    # with the code and message of a cold run
+    code = main([*bad, "--no-cache"])
+    cold = capsys.readouterr()
+    assert code in (cli.EXIT_CONFIG, cli.EXIT_FAIL) and cold.out == ""
+    assert main(valid) == 0
+    capsys.readouterr()
+    assert main(bad) == code
+    assert capsys.readouterr() == cold
+    assert len(os.listdir(".artifact-cache")) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa0"],
+        ["pkappa", "--kappa", "1.5"],
+        ["mabuchi-probe", "--k-range", "0,1,2,4,8,16"],
+        ["quant-balanced", "--k-range", "8"],
+        ["quant-expansion", *_K_EXPANSION],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_hit_and_a_miss_emit_the_same_payload_and_record(argv, workdir):
+    payloads, records = [], []
+    for name in ("miss", "hit"):
+        assert main([*argv, "--out", str(workdir / name)]) == 0
+        payloads.append((workdir / name).read_bytes())
+        records.append(json.loads((workdir / f"{name}.record.json").read_text()))
+    assert payloads[0] == payloads[1]
+    assert [rec["cache_hit"] for rec in records] == [False, True]
+    for key in ("input_hash", "params", "command"):
+        assert records[0][key] == records[1][key]
+
+
+def test_quant_expansion_keys_the_toy_model_fields(workdir, capsys):
+    # the key is built before any ToyModel: its b0 and p are the model's
+    # fields, so the input hash is that of {**ToyModel(b0, p)._asdict(), k_list}
+    assert main(["quant-expansion", "--b0", "2", "--p", "3", *_K_EXPANSION]) == 0
+    rec = json.loads(capsys.readouterr().err)
+    params = {**ToyModel(b0=2.0, p=3.0)._asdict(), "k_list": [8, 12, 16, 24]}
+    assert rec["params"] == params
+    assert rec["input_hash"] == cli._input_hash("quant-expansion", params)
+
+
 def test_readme_commands_parse():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [line for line in readme.read_text().splitlines() if line.startswith("kahlerlab ")]

@@ -133,15 +133,16 @@ def test_a_module_loads_only_what_it_imports(module, loaded):
 _CLI_RUNS = ["cache", "cli", "errors"]
 
 
-def _executed(code: str) -> list[str]:
-    """The kahlerlab modules a fresh interpreter has run after `code`. A
-    module the cli binds lazily counts once an attribute read has run it."""
+def _executed(code: str, cwd: Path | None = None) -> list[str]:
+    """The kahlerlab modules a fresh interpreter, started in `cwd`, has run
+    after `code`. A module the cli binds lazily counts once an attribute read
+    has run it."""
     src = str(Path(kahlerlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     report = "print(*sorted(m[10:] for m, v in sys.modules.items() if m.startswith('kahlerlab.') and type(v) is ModuleType))"
     code = f"import sys\nfrom types import ModuleType\n{code}\n{report}"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
-    return out.split()
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True, capture_output=True, text=True)
+    return proc.stdout.split()
 
 
 def test_the_cli_import_runs_no_strand_but_binds_every_module():
@@ -172,6 +173,34 @@ def test_each_command_runs_only_its_strand(argv, strand):
         f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({[*argv, '--no-cache']!r}) == 0"
     )
     assert _executed(code) == sorted(_CLI_RUNS + strand)
+
+
+def _run_cached(argv: list[str], hit: bool) -> str:
+    """Code that runs `kahlerlab argv` with the cache on and asserts its record's cache_hit."""
+    return (
+        "import contextlib, io, json, kahlerlab.cli as cli\nerr = io.StringIO()\n"
+        f"with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n    assert cli.main({argv!r}) == 0\n"
+        f"assert json.loads(err.getvalue())['cache_hit'] is {hit}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, strand",
+    [
+        (["kappa0"], []),
+        (["pkappa", "--kappa", "1.5"], []),
+        (["mabuchi-probe", "--k-range", "0,1,2,4,8,16"], []),
+        (["quant-expansion", "--k-range", "8,12,16,24"], []),
+        (["quant-balanced", "--k-range", "8"], ["numerics", "quantization"]),
+    ],
+    ids=["kappa0", "pkappa", "mabuchi-probe", "quant-expansion", "quant-balanced"],
+)
+def test_a_cache_hit_runs_no_strand(argv, strand, tmp_path):
+    # a command looks its key up before it imports its strand and builds its
+    # surface or ToyModel; quant-balanced's key holds quantization's
+    # _BALANCED_TOL, so its hit runs that strand
+    _executed(_run_cached(argv, False), cwd=tmp_path)
+    assert _executed(_run_cached(argv, True), cwd=tmp_path) == sorted(_CLI_RUNS + strand)
 
 
 def test_the_traced_prelude_finds_every_module():
