@@ -773,9 +773,9 @@ class BalancedResult(NamedTuple):
 
 
 _BALANCED_STEPS = 500  # budget of evaluations of the balanced map
-_BALANCED_TOL = 1e-10  # default stopping bound on the raw step sup_j |g_j|
+_BALANCED_TOL = 1e-10  # default stopping bound on the step modulo the gauge, sup_j |(Q g)_j|
 _MIN_DAMPING = 2.0**-10  # shortest fraction of a Newton step the backtracking tries
-_TOL_FLOOR = 16.0  # least tol / (eps max|log h_0|): unstopped, the raw step settles at 0.3-6.5 of these at k = 8-2048
+_TOL_FLOOR = 16.0  # least tol / (eps max|log h_0|): unstopped, the step modulo the gauge settles at <= 2 of these
 
 
 @lru_cache(maxsize=None)
@@ -803,49 +803,44 @@ def balanced_iterate(
     model: ToyModel,
     tol: float = _BALANCED_TOL,
 ) -> BalancedResult:
-    """Fixed point of T: log h -> log hilb(fs(h)) from x_0 = log hilb(phi_0), by Newton's method
-    on g = T(x) - x, with g and its Jacobian J from balanced_step's one pass; later evaluations reweight
+    """Fixed point of T: log h -> log hilb(fs(h)) modulo the gauge, from x_0 = log hilb(phi_0), by Newton's
+    method on g = T(x) - x, with g and its Jacobian J from balanced_step's one pass; later evaluations reweight
     the rows of the first one's buffer (_balanced_pass). T commutes with the gauge log h -> log h + k a + j b,
     so J annihilates span{1, j} (the weighted mode has only a relative fixed point, a steady gauge drift).
     A step x -> x - delta solves (J + P) delta = g, P the projector onto the gauge (_newton_step), and
     halves (Armijo, 1e-4 of the slope of |Q g|^2, Q = I - P) down to _MIN_DAMPING, where it takes the last
-    trial. n_iter and history count every evaluation of g, trials included.
+    trial. n_iter and history (the steps sup|Q g|) count every evaluation of g, trials included.
 
-    Converged when the raw step sup_j |g_j| < tol: H = x + g is then within sup|g| / (1 - r)
-    of the fixed-point set, r the contraction rate of T. Raises NoConvergence, naming the last
-    raw step and the last step modulo span{1, j}, once the latter is below tol and the former
-    is not (the relative fixed point), or after _BALANCED_STEPS evaluations. ConfigError, before
-    the first evaluation, unless tol is finite and above _TOL_FLOOR eps max|log h_0|, h_0 = hilb(phi_0)."""
+    Converged means at the relative fixed point: tol bounds the step modulo span{1, j}, sup_j |(Q g)_j|.
+    Then g is a gauge drift a + b j up to tol (steady in the weighted mode, about 0 in the xi = 0 one), and
+    H = x + g = T(x) is a gauge shift of the fixed point. Raises NoConvergence after _BALANCED_STEPS
+    evaluations. ConfigError, before the first evaluation, unless tol is finite and above
+    _TOL_FLOOR eps max|log h_0|, h_0 = hilb(phi_0)."""
     x = hilb(phi0, k, model).log_h  # names k < 1 before the gauge basis divides by 0
-    if not tol > (floor := _TOL_FLOOR * math.ulp(1.0) * float(abs(x).max())):
-        raise ConfigError(f"tol={tol:g} at k={k} is not above the balanced step's rounding floor "
+    if not (floor := _TOL_FLOOR * math.ulp(1.0) * float(abs(x).max())) < tol < math.inf:
+        raise ConfigError(f"tol={tol:g} at k={k} is not a finite number above the balanced step's rounding floor "
                           f"{_TOL_FLOOR:g} eps max|log h_0| = {floor:.3g}")
-    if tol == math.inf:  # every raw step passes it: a first evaluation would claim convergence
-        raise ConfigError(f"tol={tol:g} at k={k} is not finite")
     G, Q = _gauge(k)
     history, damping, base_merit, held = [], 1.0, math.inf, None
     for n in range(1, _BALANCED_STEPS + 1):
         factors = None  # frees the last pass's factor buffer before this pass takes its own
         g, factors, held = _balanced_pass(x, k, model, held)
-        step = float(abs(g).max())
+        gq = g - G @ (G.T @ g)
+        step = float(abs(gq).max())
         history.append(step)
         if step < tol:
             H = HermitianNorms(k=k, log_h=x + g)
             return BalancedResult(H=H, phi=fs(H, k, model), converged=True, history=tuple(history), n_iter=n)
-        gq = g - G @ (G.T @ g)
-        quotient = float(abs(gq).max())
         merit = float(gq @ gq)
         if not merit <= (1.0 - 2e-4 * damping) * base_merit and damping > _MIN_DAMPING:
             damping *= 0.5
             x = base - damping * delta
             continue
-        if quotient < tol:
-            break
         base, base_merit, damping = x, merit, 1.0
         delta = _newton_step(g, factors(), Q)
         x = base - delta
-    raise NoConvergence(f"balanced iteration did not reach tol={tol:g} in {n} steps: last raw step "
-                        f"{step:.3g}, last step modulo span{{1, j}} {quotient:.3g}")
+    raise NoConvergence(f"balanced iteration did not reach tol={tol:g} in {n} steps: last step modulo "
+                        f"span{{1, j}} {step:.3g}")
 
 
 class BalancedDefects(NamedTuple):

@@ -6,9 +6,9 @@ Model conventions used below:
     mode ToyModel(b0=inf) (written "xi = 0" in the detail strings);
   * balanced/Z-theory criteria run in the unweighted mode, where the round
     potential is an exact fixed point and all the limit statements are clean;
-    the weighted mode has no fixed point for finite b0 (the iteration drifts
-    along its exact gauge covariance), which is reported by the library as
-    NoConvergence and is exercised in the unit tests.
+    the weighted mode has only a relative fixed point for finite b0 (the
+    iteration drifts along its exact gauge covariance), which the library
+    returns as converged modulo the gauge and the unit tests exercise.
 
 KAPPA0 below is a derived output of criterion 3, frozen for reuse by the
 criteria that need a value strictly below/above the threshold.

@@ -126,6 +126,18 @@ def test_quant_expansion_header_and_payload(workdir, capsys):
     assert -2.3 < tail["slope"] < -1.7
 
 
+def test_quant_balanced_weighted_mode_reaches_the_relative_balanced_metric(workdir, capsys):
+    # one row per k, exit 0: residual and scal_dev are the absolute defects at the
+    # relative balanced metric, and both fall with k (residual like k^-2 at p = 2)
+    assert main(["quant-balanced", "--b0", "1", "--p", "2", "--k-range", "8,16,32,64", "--no-cache"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [8, 16, 32, 64] and all(int(r[1]) <= 6 for r in rows)
+    for col in (2, 3):
+        defects = [float(r[col]) for r in rows]
+        assert all(a > b for a, b in zip(defects, defects[1:]))
+    assert float(rows[-1][2]) < 1e-4
+
+
 @pytest.mark.parametrize("k_range", ["8,8,8,8", "8,16,32"])
 def test_quant_expansion_needs_four_distinct_k(k_range, workdir, capsys):
     assert main(["quant-expansion", "--k-range", k_range, "--no-cache"]) == cli.EXIT_CONFIG
@@ -300,11 +312,13 @@ def test_pkappa_rejects_a_range_past_the_cap(n, workdir, capsys):
     assert out == "" and f"takes n <= {cli._KAPPA_RANGE_MAX}" in err
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
 def test_quant_balanced_rejects_a_tol_that_is_not_finite_and_positive(tol, workdir, capsys):
+    # balanced_iterate's one gate, before any balanced pass, names each of them
     assert main(["quant-balanced", "--tol", tol, "--k-range", "8", "--no-cache"]) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
-    assert out == "" and "tol must be finite and positive" in err
+    floor = "the balanced step's rounding floor 16 eps max|log h_0| = "
+    assert out == "" and err.startswith(f"config error: tol={float(tol):g} at k=8 is not a finite number above {floor}")
 
 
 @pytest.mark.parametrize(
@@ -315,7 +329,10 @@ def test_quant_balanced_rejects_a_tol_that_is_not_finite_and_positive(tol, workd
         (["mabuchi-probe", "--k-range", "0:8"], "bad k range '0:8': 'lo:hi' doubles lo, which must be >= 1"),
         (["quant-expansion", "--k-range", "a:b"], "bad k range 'a:b': "),
         # g = T(x) - x rounds at about eps max|log h|: iterated, this tol takes all 500 evaluations
-        (["quant-balanced", "--k-range", "256", "--tol", "1e-15"], "tol=1e-15 at k=256 is not above the balanced step's rounding floor"),
+        (
+            ["quant-balanced", "--k-range", "256", "--tol", "1e-15"],
+            "tol=1e-15 at k=256 is not a finite number above the balanced step's rounding floor",
+        ),
     ],
     ids=["empty-kappa-range", "kappa-range-count", "k-range-lo", "k-range-ints", "tol-floor"],
 )
