@@ -42,9 +42,5 @@ class WeightSignError(KahlerLabError):
     """
 
 
-class NotTraceless(KahlerLabError):
-    """A geodesic direction has a nonzero trace on some block."""
-
-
 class ConfigError(KahlerLabError):
     """Invalid run configuration (CLI exit code 2)."""

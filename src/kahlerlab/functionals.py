@@ -1,5 +1,5 @@
 """Quantized functionals on the toy model: I, the Aubin functional, L = I∘Hilb + 𝕀,
-Z = 𝕀∘FS + I, geodesics of Hermitian norms, and the almost-balanced gap.
+Z = 𝕀∘FS + I, geodesics h e^{tA} of Hermitian norms (any real A), and the almost-balanced gap.
 
 Conventions: vol_omega = 2 pi dmu, vol_{k omega} = 2 pi k dmu; the reference
 potential is the round one and every path functional is normalized to vanish
@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotTraceless, OutOfDomain
+from .errors import OutOfDomain
 from .quantization import (
     GramSample,
     HermitianNorms,
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 def functional_I(H: HermitianNorms, spectrum: SpectrumData) -> float:
-    """I(H) = sum_j lambda_j(p) log h_j (the norms are diagonal, so each
-    block's log det is the sum of its log h's)."""
+    """I(H) = sum_j lambda_j(p) log h_j, the weighted log det of the diagonal norms."""
     if len(spectrum.lam_p) != H.k + 1:
         raise OutOfDomain("spectrum and norms disagree about k")
     return float(np.dot(spectrum.lam_p, H.log_h))
@@ -102,18 +101,20 @@ def toy_mabuchi(phi: RadialPotential, model: ToyModel) -> float:
     return math.pi * (ends + float(g.w @ (2.0 * V * log_q - c_top_exact(model) * g.dv * W)))
 
 
-def geodesic(H0: HermitianNorms, A: Sequence[float], t: float, model: ToyModel) -> HermitianNorms:
-    """h_j(t) = h_j(0) e^{t A_j} for A traceless on each block of equal
-    eigenvalues: the xi=0 mode has one block of all j, and a finite weight
-    one block per j (lambda_j = b0 + j/k are distinct), so only the xi=0
-    mode has nontrivial geodesics."""
+def _direction(A: Sequence[float], k: int) -> np.ndarray:
+    """A as a float array, OutOfDomain unless it has one entry per norm."""
     A = np.asarray(A, dtype=float)
-    if A.shape != (H0.k + 1,):
+    if A.shape != (k + 1,):
         raise OutOfDomain("direction has wrong length")
-    traces = np.sum(A, keepdims=True) if model.xi_zero else A
-    if np.any(np.abs(traces) > 1e-12 * max(1.0, float(np.max(np.abs(A))))):
-        raise NotTraceless("direction must be traceless on each eigenvalue block")
-    return HermitianNorms(k=H0.k, log_h=H0.log_h + t * A)
+    return A
+
+
+def geodesic(H0: HermitianNorms, A: Sequence[float], t: float, model: ToyModel) -> HermitianNorms:
+    """h_j(t) = h_j(0) e^{t A_j}: the norms are diagonal and T-invariant, so every
+    real A gives a geodesic, in either weight mode; a zero trace is a normalization,
+    not part of the geodesic condition. OutOfDomain unless A has one entry per norm.
+    `model` is unused; it stays because perfbench's workloads pass it positionally."""
+    return HermitianNorms(k=H0.k, log_h=H0.log_h + t * _direction(A, H0.k))
 
 
 def z_prime(H: HermitianNorms, A: Sequence[float], k: int, model: ToyModel) -> float:
@@ -121,11 +122,9 @@ def z_prime(H: HermitianNorms, A: Sequence[float], k: int, model: ToyModel) -> f
     Z'(0) = sum_j lambda_j(p) A_j (1 - h'_j/h_j) with h' = hilb(fs(H))
     (the Aubin term contributes -sum lambda(p) A h'/h; I contributes
     sum lambda(p) A). Vanishes at a balanced point, where h' = h. log h'/h is
-    balanced_step: log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i. OutOfDomain, as in
+    balanced_step: log(2 pi k C_k / lambda_j(p)) + log sum_i W_ji c_i. OutOfDomain, as
     geodesic, unless A has one entry per norm."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (H.k + 1,):
-        raise OutOfDomain("direction has wrong length")
+    A = _direction(A, H.k)
     spec = eigenvalues(k, model)
     return float(np.dot(spec.lam_p, A * (1.0 - np.exp(balanced_step(H, k, model)))))
 

@@ -182,8 +182,7 @@ def _chk_balanced_round() -> float:
     return quantization.balanced_defects(res.phi, k, model).residual
 
 
-def _chk_z_convexity() -> float:
-    model = quantization.ToyModel(p=4.0)  # b0 = inf, the xi = 0 mode: p has no effect here
+def _chk_z_convexity(model: quantization.ToyModel) -> float:
     k = 8
     H = quantization.hilb(quantization.round_potential(), k, model)
     rng = np.random.default_rng(17)
@@ -240,7 +239,9 @@ _CHECKS: Sequence[tuple[str, str, Callable[[], float], str, float]] = (
     ("ck-normalization", "quant", _chk_ck_normalization, "<", 1e-13),
     ("fs-hilb-round", "quant", _chk_fs_hilb_round, "<", 1e-12),
     ("balanced-round", "quant", _chk_balanced_round, "<", 1e-8),
-    ("z-convexity", "functionals", _chk_z_convexity, "<", 1e-9),
+    # b0 = inf, the xi = 0 mode: p has no effect there
+    ("z-convexity", "functionals", lambda: _chk_z_convexity(quantization.ToyModel(p=4.0)), "<", 1e-9),
+    ("z-convexity-weighted", "functionals", lambda: _chk_z_convexity(quantization.ToyModel(b0=1.0, p=4.0)), "<", 1e-9),
     ("z-prime-balanced", "functionals", _chk_z_prime, "<", 1e-9),
     ("zl-decay", "functionals", _chk_zl_decay, "<", 1.0),
 )

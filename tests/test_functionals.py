@@ -11,7 +11,7 @@ import sympy as sp
 
 from kahlerlab import functionals
 from kahlerlab import quantization as quant
-from kahlerlab.errors import NotTraceless, OutOfDomain, WeightSignError
+from kahlerlab.errors import OutOfDomain, WeightSignError
 from kahlerlab.functionals import (
     almost_balanced_check,
     aubin_I,
@@ -124,39 +124,49 @@ def test_geodesic_moves_log_norms_affinely():
     np.testing.assert_allclose(G.log_h, H.log_h + 0.7 * A, atol=1e-14)
 
 
-def test_geodesic_requires_traceless_blocks():
+def test_geodesic_takes_directions_with_a_trace():
+    # every real A gives a geodesic h e^{tA} of the diagonal norms, in either
+    # mode: ones, a coordinate vector, a traceless pair and a random A all move
+    # log h by t A exactly
     k = 5
-    H = hilb(round_potential(), k, M0)
-    with pytest.raises(NotTraceless):
-        geodesic(H, np.ones(k + 1), 0.5, M0)
-    # weighted mode: all blocks are one-dimensional, nothing nonzero passes
-    HW = hilb(round_potential(), k, MW)
-    A = np.zeros(k + 1)
-    A[2], A[3] = 0.1, -0.1
-    with pytest.raises(NotTraceless):
-        geodesic(HW, A, 0.5, MW)
+    e = np.eye(k + 1)
+    A_random = np.random.default_rng(43).normal(size=k + 1)
+    for model in (M0, MW):
+        H = hilb(round_potential(), k, model)
+        for A in (np.ones(k + 1), e[3], e[0] - e[1], A_random):
+            np.testing.assert_array_equal(geodesic(H, A, 0.5, model).log_h, H.log_h + 0.5 * A)
 
 
-def test_geodesic_blocks_follow_the_weight_mode():
-    # a finite weight has k+1 distinct eigenvalues b0 + j/k, even where
-    # adjacent ones round to one float (b0 = 1e15, k = 16), so every block
-    # is one index; the xi=0 mode has one block of all k+1
+def test_geodesic_takes_every_direction_in_either_weight_mode():
+    # a finite weight (b0 = 1, and b0 = 1e15, where adjacent lambda_j round
+    # to one float) and the xi=0 mode take the same directions
     k = 16
     H = HermitianNorms(k=k, log_h=np.zeros(k + 1))
     e = np.eye(k + 1)
-    with pytest.raises(NotTraceless):
-        geodesic(H, e[0] - e[1], 0.5, ToyModel(b0=1e15, p=4.0))
-    rng = np.random.default_rng(41)
-    traceless = rng.normal(size=k + 1)
-    traceless -= traceless.mean()
-    for A in (e[3], e[0] - e[1], traceless, 1e-6 * traceless):
-        with pytest.raises(NotTraceless):
-            geodesic(H, A, 0.5, ToyModel(b0=1.0, p=4.0))
-    for A in (e[0] - e[1], traceless):
-        np.testing.assert_array_equal(geodesic(H, A, 0.5, M4).log_h, 0.5 * A)
-    for A in (e[3], traceless + 1e-6):
-        with pytest.raises(NotTraceless):
-            geodesic(H, A, 0.5, M4)
+    A_random = np.random.default_rng(41).normal(size=k + 1)
+    for model in (ToyModel(b0=1e15, p=4.0), ToyModel(b0=1.0, p=4.0), M4):
+        for A in (np.ones(k + 1), e[3], e[0] - e[1], A_random, 1e-6 * A_random):
+            np.testing.assert_array_equal(geodesic(H, A, 0.5, model).log_h, H.log_h + 0.5 * A)
+
+
+@pytest.mark.parametrize("model", [M4, MW, ToyModel(b0=1.0, p=2.0)], ids=["xi0", "b0=1,p=4", "b0=1,p=2"])
+def test_z_convex_with_exact_slope_along_directions_with_a_trace(model):
+    # Hess Z_k = -diag(lambda(p) e^g) J is semidefinite on all of R^{k+1}, so
+    # Z is convex along every geodesic, traceless or not, and z_prime is its
+    # slope there: central differences (h = 1e-5) round at about 1e-16 |Z| / h
+    rng = np.random.default_rng(47)
+    for phi in (round_potential(), random_potential(np.random.default_rng(11), scale=0.6)):
+        for k in (8, 32, 64):
+            H = hilb(phi, k, model)
+            for _ in range(2):
+                A = rng.normal(size=k + 1)
+                assert abs(A.sum()) > 0.1
+                zs = [functional_Z(geodesic(H, A, float(t), model), k, model) for t in np.linspace(-0.3, 0.3, 7)]
+                assert np.min(np.diff(zs, 2)) >= -1e-9 * max(1.0, float(np.max(np.abs(zs))))
+                h = 1e-5
+                fd = (functional_Z(geodesic(H, A, h, model), k, model)
+                      - functional_Z(geodesic(H, A, -h, model), k, model)) / (2.0 * h)
+                assert abs(z_prime(H, A, k, model) - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_z_convex_and_critical_at_balanced():

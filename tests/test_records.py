@@ -31,6 +31,7 @@ CHECK_BOUNDS = [
     ("fs-hilb-round", "<", 1e-12),
     ("balanced-round", "<", 1e-8),
     ("z-convexity", "<", 1e-9),
+    ("z-convexity-weighted", "<", 1e-9),
     ("z-prime-balanced", "<", 1e-9),
     ("zl-decay", "<", 1.0),
 ]
